@@ -10,22 +10,21 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import delay_network, matching, mux_analytics, mux_sim, percolation, streams
 from .experiments import (
     EXPERIMENTS,
     ExperimentConfig,
-    _fmt,
+    csv_text,
     load_config_file,
     run_experiment,
+    semantics_from,
 )
 
 
 def _emit(header, rows, out_path):
-    text = ",".join(header) + "\n"
-    text += "".join(",".join(_fmt(v) for v in row) + "\n" for row in rows)
+    text = csv_text(header, rows)
     if out_path:
         Path(out_path).write_text(text)
     else:
@@ -118,24 +117,10 @@ def _cmd_bell(args) -> int:
     return 0
 
 
-def _semantics_from_args(args) -> percolation.OutcomeSemantics:
-    sem = (percolation.calibrated_semantics() if args.semantics == "calibrated"
-           else percolation.OutcomeSemantics())
-    overrides = {}
-    if args.heralded_site_kill_prob is not None:
-        overrides["heralded_site_kill_prob"] = args.heralded_site_kill_prob
-    if args.heralded_bond_connect_prob is not None:
-        overrides["heralded_bond_connect_prob"] = args.heralded_bond_connect_prob
-    if args.loss_kills_owner_site is not None:
-        overrides["loss_kills_owner_site"] = args.loss_kills_owner_site == "true"
-    if args.standard_loss_damages_both_ends is not None:
-        overrides["standard_loss_damages_both_ends"] = (
-            args.standard_loss_damages_both_ends == "true")
-    return replace(sem, **overrides) if overrides else sem
-
-
 def _cmd_percolate(args) -> int:
-    sem = _semantics_from_args(args)
+    # The parser reads only the semantics keys; unset flags keep the preset.
+    _name, sem = semantics_from(
+        {k: v for k, v in vars(args).items() if v is not None})
     if args.mode == "prob":
         est, err = percolation.percolation_probability(
             args.L, args.scheme, args.p_l, args.a_l, args.trials, args.seed,
@@ -170,7 +155,7 @@ def _cmd_reproduce(args) -> int:
         params.update(load_config_file(args.config))
     for item in args.set or []:
         if "=" not in item:
-            raise SystemExit(f"--set needs key=value, got {item!r}")
+            raise ValueError(f"--set needs key=value, got {item!r}")
         key, value = item.split("=", 1)
         params[key] = value
     if args.trials is not None:

@@ -10,7 +10,7 @@ byte-identical CSV output.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 
@@ -77,10 +77,15 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_csv(path: Path, header, rows) -> Path:
+def csv_text(header, rows) -> str:
+    """CSV text of a header and rows; floats to 10 significant digits."""
     lines = [",".join(header)]
     lines += [",".join(_fmt(v) for v in row) for row in rows]
-    path.write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def _write_csv(path: Path, header, rows) -> Path:
+    path.write_text(csv_text(header, rows))
     return path
 
 
@@ -98,7 +103,13 @@ def _param(params: dict, key: str, default):
     return raw
 
 
-def _semantics_from(params: dict) -> tuple[str, OutcomeSemantics]:
+def semantics_from(params: dict) -> tuple[str, OutcomeSemantics]:
+    """(preset name, semantics) from `params`.
+
+    `params["semantics"]` names the preset ("calibrated" by default); a key
+    named after an OutcomeSemantics field overrides that field. Other keys
+    are ignored.
+    """
     name = _param(params, "semantics", "calibrated")
     if name == "calibrated":
         sem = calibrated_semantics()
@@ -106,18 +117,8 @@ def _semantics_from(params: dict) -> tuple[str, OutcomeSemantics]:
         sem = OutcomeSemantics()
     else:
         raise ValueError(f"semantics must be 'default' or 'calibrated', got {name!r}")
-    sem = replace(
-        sem,
-        heralded_bond_connect_prob=_param(
-            params, "heralded_bond_connect_prob", sem.heralded_bond_connect_prob),
-        heralded_site_kill_prob=_param(
-            params, "heralded_site_kill_prob", sem.heralded_site_kill_prob),
-        loss_kills_owner_site=_param(
-            params, "loss_kills_owner_site", sem.loss_kills_owner_site),
-        standard_loss_damages_both_ends=_param(
-            params, "standard_loss_damages_both_ends",
-            sem.standard_loss_damages_both_ends),
-    )
+    sem = replace(sem, **{f.name: _param(params, f.name, getattr(sem, f.name))
+                          for f in fields(sem)})
     return name, sem
 
 
@@ -372,7 +373,7 @@ def _run_fig8(config: ExperimentConfig):
     a_l = _param(p, "a_l", 0.0)
     sizes = [int(x) for x in str(_param(p, "finite_size_L", "6,14")).split(",") if x]
     finite_trials = _param(p, "finite_size_trials", 600)
-    sem_name, sem = _semantics_from(p)
+    sem_name, sem = semantics_from(p)
 
     rows = []
     thresholds = {}
@@ -425,7 +426,7 @@ def _run_fig9(config: ExperimentConfig):
     tolerance = _param(p, "tolerance", 0.002)
     grid = [float(x) for x in
             str(_param(p, "a_l_grid", "0,0.005,0.01,0.015,0.02,0.025")).split(",")]
-    sem_name, sem = _semantics_from(p)
+    sem_name, sem = semantics_from(p)
     frontier = percolation.tradeoff_frontier(
         percolation.SCHEME_RMUX, target, grid, L, trials, config.seed, sem,
         tolerance)

@@ -4,8 +4,8 @@ Stream-1 photons can be delayed (never promoted), so a stream-1 photon at
 bin i can synchronize with a stream-2 photon at bin j when 0 <= j - i <=
 d_max, at a cost of j - i bins of delay. Three strategies are provided:
 
-* optimal assignment (Hungarian/shortest-augmenting-path), ignoring switch
-  clashes;
+* optimal assignment (scipy's ``linear_sum_assignment``, a Jonker-Volgenant
+  shortest-augmenting-path solver), ignoring switch clashes;
 * optimal assignment followed by clash resolution against a concrete
   binary-delay network;
 * the online sliding-window heuristic with discard-on-clash, which is what
@@ -96,51 +96,17 @@ def build_assignment_matrix(s1: PhotonStream, s2: PhotonStream,
 def solve_assignment(cost: np.ndarray) -> tuple[np.ndarray, float]:
     """Minimum-cost perfect assignment on a square matrix.
 
-    Shortest-augmenting-path formulation with row/column potentials,
-    O(n^3); returns (row_of_column, total_cost).
+    scipy's Jonker-Volgenant shortest-augmenting-path solver; returns
+    (row_of_column, total_cost).
     """
+    # Lazy: scipy.optimize takes ~0.7 s to import; most commands never need it.
+    from scipy.optimize import linear_sum_assignment
+
     cost = np.asarray(cost, dtype=np.float64)
-    n = cost.shape[0]
-    if n == 0:
-        return np.empty(0, dtype=int), 0.0
-    INF = np.inf
-    u = np.zeros(n)                       # row potentials
-    v = np.zeros(n + 1)                   # column potentials, slot n artificial
-    col_row = np.full(n + 1, -1, dtype=int)  # column -> matched row
-    way = np.zeros(n, dtype=int)
-
-    for i in range(n):
-        col_row[n] = i
-        j0 = n
-        minv = np.full(n, INF)
-        used = np.zeros(n + 1, dtype=bool)
-        while True:
-            used[j0] = True
-            i0 = col_row[j0]
-            free = np.flatnonzero(~used[:n])
-            reduced = cost[i0, free] - u[i0] - v[free]
-            better = reduced < minv[free]
-            upd = free[better]
-            minv[upd] = reduced[better]
-            way[upd] = j0
-            pos = int(np.argmin(minv[free]))
-            j1 = int(free[pos])
-            delta = minv[j1]
-            used_cols = np.flatnonzero(used)
-            u[col_row[used_cols]] += delta
-            v[used_cols] -= delta
-            minv[~used[:n]] -= delta
-            j0 = j1
-            if col_row[j0] == -1:
-                break
-        while j0 != n:                    # augment along the alternating path
-            j1 = way[j0]
-            col_row[j0] = col_row[j1]
-            j0 = j1
-
-    assignment = col_row[:n]
-    total = float(cost[assignment, np.arange(n)].sum())
-    return assignment, total
+    rows, cols = linear_sum_assignment(cost)
+    row_of_column = np.empty(cols.size, dtype=int)
+    row_of_column[cols] = rows
+    return row_of_column, float(cost[rows, cols].sum())
 
 
 def _classify_unmatched(bin_, stream, other_bins) -> tuple:

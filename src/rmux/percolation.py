@@ -147,18 +147,6 @@ def calibrated_semantics() -> OutcomeSemantics:
         heralded_site_kill_prob=CALIBRATED_HERALDED_SITE_KILL)
 
 
-@dataclass(frozen=True)
-class FusionSpec:
-    """One fusion of one unit cell, resolved to lattice indices."""
-
-    fusion_id: str               # "F_A" .. "F_H"
-    cell: tuple
-    fusion_class: str            # photon-accounting class
-    owner_site: int              # damaged on attributed loss
-    endpoints: tuple | None     # (site, site) when the fusion makes a bond
-    bond_index: int              # -1 for microcluster-assembly fusions
-
-
 class DiamondLattice:
     """L^3-cell diamond lattice with its per-cell fusion table."""
 
@@ -190,56 +178,50 @@ class DiamondLattice:
         fusion_site_b = []
         fusion_bond = []
         bonds = []
-        specs = []
 
-        def add_site_fusion(fid, cell, owner):
-            specs.append(FusionSpec(fid, cell, "site_forming", owner, None, -1))
+        def add_site_fusion(owner):
             fusion_kind.append(self._KIND_SITE)
             fusion_owner.append(owner)
             fusion_site_a.append(-1)
             fusion_site_b.append(-1)
             fusion_bond.append(-1)
 
-        def add_bond_fusion(fid, cell, owner, a, b, fclass):
-            bond_idx = len(bonds)
-            bonds.append((a, b))
-            specs.append(FusionSpec(fid, cell, fclass, owner, (a, b), bond_idx))
+        def add_bond_fusion(owner, a, b):
             fusion_kind.append(self._KIND_BOND)
             fusion_owner.append(owner)
             fusion_site_a.append(a)
             fusion_site_b.append(b)
-            fusion_bond.append(bond_idx)
+            fusion_bond.append(len(bonds))
+            bonds.append((a, b))
 
         for t in range(L):
             for y in range(L):
                 for x in range(L):
-                    cell = (x, y, t)
                     s0 = self.site_index(x, y, t, 0)
                     s1 = self.site_index(x, y, t, 1)
-                    add_site_fusion("F_C", cell, s0)
-                    add_site_fusion("F_E", cell, s0)
-                    add_site_fusion("F_D", cell, s1)
-                    add_site_fusion("F_F", cell, s1)
-                    # Intra-cell bond; consumes one photon of each
+                    add_site_fusion(s0)         # F_C
+                    add_site_fusion(s0)         # F_E
+                    add_site_fusion(s1)         # F_D
+                    add_site_fusion(s1)         # F_F
+                    # F_B: intra-cell bond; consumes one photon of each
                     # microcluster, counted with the cell's own ten.
-                    add_bond_fusion("F_B", cell, s0, s0, s1, "site_forming")
-                    if self.periodic_transverse or x + 1 < L:
+                    add_bond_fusion(s0, s0, s1)
+                    if self.periodic_transverse or x + 1 < L:      # F_A
                         nb = self.site_index((x + 1) % L, y, t, 0)
-                        add_bond_fusion("F_A", cell, s1, s1, nb, "bond_forming")
-                    if self.periodic_transverse or y + 1 < L:
+                        add_bond_fusion(s1, s1, nb)
+                    if self.periodic_transverse or y + 1 < L:      # F_G
                         nb = self.site_index(x, (y + 1) % L, t, 0)
-                        add_bond_fusion("F_G", cell, s1, s1, nb, "bond_forming")
-                    if t + 1 < L:       # spanning axis is open
+                        add_bond_fusion(s1, s1, nb)
+                    if t + 1 < L:       # F_H; spanning axis is open
                         nb = self.site_index(x, y, t + 1, 0)
-                        add_bond_fusion("F_H", cell, nb, s1, nb, "bond_forming")
+                        add_bond_fusion(nb, s1, nb)
 
-        self.fusion_specs = specs
         self.fusion_kind = np.array(fusion_kind, dtype=np.uint8)
         self.fusion_owner = np.array(fusion_owner, dtype=np.int64)
         self.fusion_site_a = np.array(fusion_site_a, dtype=np.int64)
         self.fusion_site_b = np.array(fusion_site_b, dtype=np.int64)
         self.fusion_bond = np.array(fusion_bond, dtype=np.int64)
-        self.n_fusions = len(specs)
+        self.n_fusions = self.fusion_kind.size
         self.bond_site_a = np.array([a for a, _ in bonds], dtype=np.int64)
         self.bond_site_b = np.array([b for _, b in bonds], dtype=np.int64)
         self.n_bonds = len(bonds)
@@ -360,17 +342,26 @@ def spans(state: LatticeState) -> bool:
 
 
 def percolation_probability(L: int, scheme: str, p_l: float, a_l: float,
-                            trials: int, seed: int,
+                            trials: int,
+                            seed: int | np.random.SeedSequence,
                             semantics: OutcomeSemantics | None = None,
                             lattice: DiamondLattice | None = None):
-    """Spanning fraction over independent sampled lattices, with stderr."""
+    """Spanning fraction over independent sampled lattices, with stderr.
+
+    Trial t samples with the t-th child of `seed` (an int or a
+    SeedSequence); a prebuilt `lattice` must have `L` cells per axis.
+    """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if semantics is None:
         semantics = OutcomeSemantics()
     if lattice is None:
         lattice = DiamondLattice(L)
-    children = np.random.SeedSequence(seed).spawn(trials)
+    elif lattice.L != L:
+        raise ValueError(f"lattice has L={lattice.L}, expected L={L}")
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(seed)
+    children = seed.spawn(trials)
     hits = 0
     for child in children:
         rng = np.random.Generator(np.random.PCG64(child))
@@ -400,22 +391,13 @@ def loss_threshold(scheme: str, target: float, a_l: float, L: int,
         semantics = OutcomeSemantics()
     lattice = DiamondLattice(L)
     master = np.random.SeedSequence(seed)
-    probe_counter = [0]
 
     def prob_at(p_l: float) -> float:
-        probe_seed = np.random.SeedSequence(
-            entropy=master.entropy, spawn_key=(probe_counter[0],))
-        probe_counter[0] += 1
-        children = probe_seed.spawn(trials)
         ancilla = p_l if equal_ancilla_loss else a_l
-        hits = 0
-        for child in children:
-            rng = np.random.Generator(np.random.PCG64(child))
-            state = sample_lattice_state(lattice, scheme, p_l, ancilla,
-                                         semantics, rng)
-            if spans(state):
-                hits += 1
-        return hits / trials
+        p_hat, _stderr = percolation_probability(
+            L, scheme, p_l, ancilla, trials, master.spawn(1)[0], semantics,
+            lattice)
+        return p_hat
 
     if prob_at(0.0) < target:
         raise ValueError(

@@ -86,6 +86,12 @@ def test_reproduce_unknown_experiment_fails():
         main(["reproduce", "fig99"])
 
 
+def test_reproduce_malformed_set_reports_error(tmp_path, capsys):
+    assert main(["reproduce", "table1", "--out", str(tmp_path),
+                 "--set", "badvalue"]) == 1
+    assert "error: --set needs key=value" in capsys.readouterr().err
+
+
 def test_reproduce_determinism_byte_identical(tmp_path):
     outputs = []
     for sub in ("a", "b"):

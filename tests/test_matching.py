@@ -81,6 +81,15 @@ def test_assignment_prefers_anti_diagonal():
     assert assignment.tolist() == [1, 0]
 
 
+def test_assignment_three_cycle_returns_row_of_column():
+    # optimum pairs row 0->col 1, 1->2, 2->0; reading the result as
+    # column-of-row would give [1, 2, 0]
+    assignment, total = solve_assignment(
+        np.array([[9, 0, 9], [9, 9, 0], [0, 9, 9]]))
+    assert assignment.tolist() == [2, 0, 1]
+    assert total == 0
+
+
 def test_assignment_against_brute_force():
     rng = np.random.default_rng(42)
     for _ in range(400):
@@ -96,6 +105,27 @@ def test_hungarian_prunes_virtual_pairs():
     assert m.pairs == [(0, 2, 2)]
     # no stream-2 photon exists at or after bin 5, so no delay could help
     assert (5, "1", "unpaired") in m.discarded
+
+
+def test_hungarian_pairs_and_delay_against_brute_force():
+    # The virtual weight exceeds any real total, so the brute-force optimum
+    # encodes both the virtual pairings (quotient) and the delay (remainder).
+    rng = np.random.default_rng(5)
+    padded = out_of_range = 0
+    for _ in range(300):
+        n_bins = 10
+        bins1 = rng.choice(n_bins, size=int(rng.integers(1, 7)), replace=False)
+        bins2 = rng.choice(n_bins, size=int(rng.integers(1, 7)), replace=False)
+        W = build_assignment_matrix(stream_at(bins1, n_bins),
+                                    stream_at(bins2, n_bins),
+                                    int(rng.integers(0, 4)))
+        virtual, delay = divmod(brute_force_assignment(W.weights.tolist()),
+                                W.virtual_weight)
+        m = hungarian_min_assignment(W)
+        assert (len(m.pairs), m.total_weight) == (W.n - virtual, delay)
+        padded += bins1.size != bins2.size
+        out_of_range += bool(W.virtual_mask[:bins1.size, :bins2.size].any())
+    assert padded and out_of_range
 
 
 # ------------------------------------------------------- clash resolution

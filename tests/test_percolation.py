@@ -272,6 +272,18 @@ def test_full_loss_never_percolates():
     assert est == 0.0
 
 
+def test_seed_sequence_seed_matches_int_seed():
+    assert (percolation_probability(4, "rmux", 0.03, 0.0, 30, 5)
+            == percolation_probability(4, "rmux", 0.03, 0.0, 30,
+                                       np.random.SeedSequence(5)))
+
+
+def test_prebuilt_lattice_of_another_size_rejected():
+    with pytest.raises(ValueError, match="L=6"):
+        percolation_probability(8, "rmux", 0.0, 0.0, 10, 1,
+                                lattice=DiamondLattice(6))
+
+
 def test_percolation_monotone_in_loss():
     lat = DiamondLattice(8)
     prev = None
