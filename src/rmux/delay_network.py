@@ -1,4 +1,4 @@
-"""Binary-delay switching networks: achievable delays, routing, clashes.
+"""Binary-delay switching networks: achievable delays, forced paths, clashes.
 
 An s-switch network has s-1 delaying stages followed by one output-selection
 switch. Stage i sits between a pass rail (rail 0) and a delay rail (rail 1)
@@ -8,17 +8,21 @@ uniquely into a set of stage delays. A photon's path is therefore forced by
 its requested delay: it takes the delay rail at exactly the stages whose
 delay appears in the binary decomposition.
 
-Each 2x2 switch applies one shared setting (bar or cross) per time bin. Two
-photons meeting at the same switch in the same bin clash when their forced
-paths demand opposite settings (or would co-occupy a rail, which is the
-same physical impossibility). Because paths are forced, clashes are a
-pairwise property of requests; routing detects them stage by stage and
-reports the first conflicting stage for each implicated photon.
+Each 2x2 switch applies one shared setting (bar or cross) per time bin, so
+two photons that meet at a switch in the same bin must enter on different
+rails and leave on different rails; otherwise they clash. Paths are forced,
+so clashes are a property of the requests alone, and one kernel finds them:
+``clash_rows`` lays out the forced paths as (n, s) arrays of bin, in rail
+and out rail, and lists every clash as a (stage, time_bin, a, b) row.
+Routing, the pairwise conflict test and the matching layer's conflict scan
+all use it; ``route`` also drops each request at its first clashing stage.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+import numpy as np
 
 
 def max_delay(s: int) -> int:
@@ -86,54 +90,79 @@ class ClashRecord:
 @dataclass
 class RoutingResult:
     routed: list                   # (request_index, request, rails) triples
-    clashes: list                  # ClashRecord list
+    clashes: list                  # ClashRecords by (stage, request_a, request_b)
 
     @property
     def clash_free(self) -> bool:
         return not self.clashes
 
 
-def _stage_schedule(req: RoutingRequest, network: DelayNetwork):
-    """Yield (switch_index, time_bin, in_rail, out_rail) along the forced path.
+def _forced_paths(arrival_bins, delays, network: DelayNetwork):
+    """(bins, in_rails, out_rails), each (n, s): the forced path at every switch.
 
-    Covers the s-1 delaying stages plus the output-selection switch, whose
-    out rail is the single designated output port (rail 0).
+    Rails are 0 (pass) or 1 (delay); the output switch (column s-1) leaves
+    on rail 0. The stage delays are distinct powers of two, so the delay
+    spent before a switch is the delay masked by the earlier stage delays.
     """
-    delays = network.stage_delays
-    t = req.arrival_bin
-    in_rail = 0
-    for i, delta in enumerate(delays):
-        out_rail = 1 if req.delay & delta else 0
-        yield i, t, in_rail, out_rail
-        if out_rail:
-            t += delta
-        in_rail = out_rail
-    yield len(delays), t, in_rail, 0
+    arrival_bins = np.asarray(arrival_bins, dtype=np.int64)
+    delays = np.asarray(delays, dtype=np.int64)
+    d_max = network.max_delay
+    if delays.size and (delays.min() < 0 or delays.max() > d_max):
+        bad = delays[(delays < 0) | (delays > d_max)][0]
+        raise ValueError(f"delay {bad} outside [0, {d_max}] for s={network.s}")
+    if arrival_bins.size and arrival_bins.min() < 0:
+        raise ValueError(f"arrival bin must be >= 0, got {arrival_bins.min()}")
+    into = np.array((0,) + network.stage_delays, dtype=np.int64)[:, None]
+    out = np.array(network.stage_delays + (0,), dtype=np.int64)[:, None]
+    # Built switch-major, (s, n), so that the (n, s) transposes ravel for free.
+    return ((arrival_bins + (delays & np.cumsum(into, axis=0))).T,
+            np.minimum(delays & into, 1).T, np.minimum(delays & out, 1).T)
+
+
+def clash_rows(arrival_bins, delays, network: DelayNetwork) -> np.ndarray:
+    """Every clash among the forced paths of n requests, as an int64 array.
+
+    Row (stage, time_bin, a, b): requests a < b meet at switch `stage` in
+    bin `time_bin` and enter or leave on the same rail. Rows are sorted by
+    stage, a, b, and include clashes downstream of an earlier one. Raises
+    ValueError on a delay outside [0, max_delay] or a negative arrival bin.
+    """
+    bins, in_rails, out_rails = _forced_paths(arrival_bins, delays, network)
+    n, s = bins.shape
+    # One entry per (switch, request), switch-major: a stable sort on
+    # (bin, switch) lists the requests of each meeting in index order.
+    key = (bins * s + np.arange(s)).T.ravel()
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    # Both rails differ exactly when the 2*in + out codes XOR to 3.
+    code = (2 * in_rails + out_rails).T.ravel()[order]
+    first, second = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    # Entries `gap` apart in sorted order meet when their keys agree; a
+    # meeting of m requests shows up at every gap below m.
+    for gap in range(1, key.size):
+        j = np.nonzero(key[gap:] == key[:-gap])[0]
+        if not j.size:
+            break
+        j = j[(code[j] ^ code[j + gap]) != 3]
+        first.append(j)
+        second.append(j + gap)
+    j, k = np.concatenate(first), np.concatenate(second)
+    time_bin, stage = np.divmod(key[j], s)
+    a, b = order[j] % n, order[k] % n
+    return np.stack((stage, time_bin, a, b), axis=1)[np.lexsort((b, a, stage))]
 
 
 def request_rails(req: RoutingRequest, network: DelayNetwork) -> tuple[int, ...]:
     """Rail choice (0 pass, 1 delay) at each delaying stage."""
-    return tuple(1 if req.delay & d else 0 for d in network.stage_delays)
-
-
-def _conflict_at(in_a, out_a, in_b, out_b) -> bool:
-    # Same input rail = earlier physical co-location; otherwise the shared
-    # switch setting is bar iff in==out, and the settings must agree.
-    if in_a == in_b:
-        return True
-    return (in_a == out_a) != (in_b == out_b)
+    _bins, _in, out_rails = _forced_paths([req.arrival_bin], [req.delay], network)
+    return tuple(out_rails[0, :-1].tolist())
 
 
 def requests_conflict(a: RoutingRequest, b: RoutingRequest,
                       network: DelayNetwork) -> bool:
     """True when the two forced paths cannot share the network."""
-    if abs(a.arrival_bin - b.arrival_bin) > max(a.delay, b.delay):
-        return False
-    sched_b = list(_stage_schedule(b, network))
-    for (i, t, ina, outa), (_, tb, inb, outb) in zip(_stage_schedule(a, network), sched_b):
-        if t == tb and _conflict_at(ina, outa, inb, outb):
-            return True
-    return False
+    return clash_rows([a.arrival_bin, b.arrival_bin], [a.delay, b.delay],
+                      network).size > 0
 
 
 def route(requests, network: DelayNetwork) -> RoutingResult:
@@ -143,39 +172,18 @@ def route(requests, network: DelayNetwork) -> RoutingResult:
     stage (their downstream routing is undefined); the rest are routed to
     arrival_bin + delay on the output port. Raises on out-of-range delays.
     """
-    d_max = network.max_delay
-    for req in requests:
-        if not 0 <= req.delay <= d_max:
-            raise ValueError(
-                f"delay {req.delay} outside [0, {d_max}] for s={network.s}")
-        if req.arrival_bin < 0:
-            raise ValueError(f"arrival bin must be >= 0, got {req.arrival_bin}")
-
-    schedules = [list(_stage_schedule(req, network)) for req in requests]
-    alive = set(range(len(requests)))
-    clashes = []
-
-    for stage in range(network.s):
-        by_bin = {}
-        for idx in alive:
-            _, t, in_r, out_r = schedules[idx][stage]
-            by_bin.setdefault(t, []).append((idx, in_r, out_r))
-        implicated = set()
-        for t, members in by_bin.items():
-            if len(members) < 2:
-                continue
-            for j in range(len(members)):
-                for k in range(j + 1, len(members)):
-                    ia, ina, outa = members[j]
-                    ib, inb, outb = members[k]
-                    if _conflict_at(ina, outa, inb, outb):
-                        clashes.append(ClashRecord(stage, t, ia, ib))
-                        implicated.add(ia)
-                        implicated.add(ib)
-        alive -= implicated
-
-    routed = [(idx, requests[idx], request_rails(requests[idx], network))
-              for idx in sorted(alive)]
+    arrivals = [req.arrival_bin for req in requests]
+    delays = [req.delay for req in requests]
+    _bins, _in, out_rails = _forced_paths(arrivals, delays, network)
+    dropped_at, clashes = {}, []
+    for stage, t, a, b in clash_rows(arrivals, delays, network).tolist():
+        # Rows come by stage; a request dropped upstream meets no one here.
+        if dropped_at.get(a, stage) == stage == dropped_at.get(b, stage):
+            clashes.append(ClashRecord(stage, t, a, b))
+            dropped_at[a] = dropped_at[b] = stage
+    routed = [(idx, req, tuple(rails[:-1]))
+              for idx, (req, rails) in enumerate(zip(requests, out_rails.tolist()))
+              if idx not in dropped_at]
     return RoutingResult(routed=routed, clashes=clashes)
 
 
@@ -185,8 +193,10 @@ def routing_trace_rows(result: RoutingResult, network: DelayNetwork):
     Only cleanly routed photons are traced; the output switch appears as the
     last stage with rail 0.
     """
-    rows = []
-    for idx, req, _rails in result.routed:
-        for stage, t, _in_r, out_r in _stage_schedule(req, network):
-            rows.append((idx, req.arrival_bin, req.delay, stage, out_r, t))
-    return rows
+    reqs = [req for _idx, req, _rails in result.routed]
+    bins, _in, out_rails = _forced_paths([r.arrival_bin for r in reqs],
+                                         [r.delay for r in reqs], network)
+    return [(idx, req.arrival_bin, req.delay, stage, rail, t)
+            for (idx, req, _), rails, times
+            in zip(result.routed, out_rails.tolist(), bins.tolist())
+            for stage, (rail, t) in enumerate(zip(rails, times))]

@@ -18,11 +18,12 @@ anything virtual are pruned from the result.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .delay_network import DelayNetwork, RoutingRequest, requests_conflict, route
+from .delay_network import DelayNetwork, RoutingRequest, clash_rows, route
 from .streams import PhotonStream
 
 REASON_RANGE = "range"
@@ -161,34 +162,21 @@ def pair_requests(pairs) -> list:
 
 
 def _conflict_pairs(pairs, network: DelayNetwork):
-    """Indices of conflicting pair couples; pairs assumed sorted by bin1."""
-    reqs = pair_requests(pairs)
-    d_max = network.max_delay
-    out = []
-    for j in range(len(reqs)):
-        for k in range(j + 1, len(reqs)):
-            if reqs[k].arrival_bin - reqs[j].arrival_bin > d_max:
-                break
-            if requests_conflict(reqs[j], reqs[k], network):
-                out.append((j, k))
-    return out
+    """Sorted couples (j, k), j < k, of pairs whose delayed photons clash."""
+    cols = np.array(pairs, dtype=np.int64).reshape(-1, 3)
+    rows = clash_rows(cols[:, 0], cols[:, 2], network)
+    return sorted(set(map(tuple, rows[:, 2:].tolist())))
 
 
-def _drop_on_conflict(pairs, network: DelayNetwork):
-    """Keep pairs in order, discarding any pair that clashes with a kept one."""
-    conflicts = _conflict_pairs(pairs, network)
-    bad_with = {}
+def _drop_on_conflict(pairs, conflicts):
+    """Keep pairs in order, discarding any pair that clashes with a kept one;
+    `conflicts` is sorted, so each j is settled before its (j, k) is read."""
+    lost = set()
     for j, k in conflicts:
-        bad_with.setdefault(k, set()).add(j)
-    kept, dropped = [], []
-    kept_idx = set()
-    for idx, pair in enumerate(pairs):
-        if any(e in kept_idx for e in bad_with.get(idx, ())):
-            dropped.append(pair)
-        else:
-            kept.append(pair)
-            kept_idx.add(idx)
-    return kept, dropped
+        if j not in lost:
+            lost.add(k)
+    return ([p for i, p in enumerate(pairs) if i not in lost],
+            [p for i, p in enumerate(pairs) if i in lost])
 
 
 def resolve_clashes_optimal(m: Matching, network: DelayNetwork) -> Matching:
@@ -248,12 +236,9 @@ def resolve_clashes_optimal(m: Matching, network: DelayNetwork) -> Matching:
         if not conflicts:
             consider(current)
             break
-        kept, _dropped = _drop_on_conflict(current, network)
+        kept, _dropped = _drop_on_conflict(current, conflicts)
         consider(kept)
-        counts = {}
-        for j, k in conflicts:
-            counts[j] = counts.get(j, 0) + 1
-            counts[k] = counts.get(k, 0) + 1
+        counts = Counter(i for couple in conflicts for i in couple)
         worst = max(counts, key=lambda idx: (counts[idx], idx))
         b1, b2, _ = current[worst]
         W.weights[row_of[b1], col_of[b2]] = W.virtual_weight
@@ -279,7 +264,8 @@ def sliding_window_match(s1: PhotonStream, s2: PhotonStream, d_max: int,
     Stream-1 photons are scanned in time order and each takes the earliest
     still-unpaired stream-2 photon in [bin, bin + d_max]. Pairs are then
     checked against the network in formation order; on a clash the
-    later-formed pair is thrown away (both photons discarded).
+    later-formed pair is thrown away (both photons discarded). A pair that
+    needs more delay than the network gives raises ValueError.
     """
     bins1 = s1.occupied_bins
     bins2 = s2.occupied_bins
@@ -298,7 +284,7 @@ def sliding_window_match(s1: PhotonStream, s2: PhotonStream, d_max: int,
             unmatched1.append(int(b1))
     leftover2 = skipped2 + [int(b) for b in bins2[ptr:]]
 
-    kept, dropped = _drop_on_conflict(formed, network)
+    kept, dropped = _drop_on_conflict(formed, _conflict_pairs(formed, network))
 
     discarded = [_classify_unmatched(b, "1", bins2) for b in unmatched1]
     discarded += [_classify_unmatched(b, "2", bins1) for b in leftover2]
@@ -327,11 +313,7 @@ def matching_metrics(m: Matching, s1: PhotonStream,
 def count_clashing_pairs(m: Matching, network: DelayNetwork) -> int:
     """Pairs involved in at least one clash (diagnostic for the no-clash strategy)."""
     result = route(pair_requests(sorted(m.pairs)), network)
-    implicated = set()
-    for rec in result.clashes:
-        implicated.add(rec.request_a)
-        implicated.add(rec.request_b)
-    return len(implicated)
+    return len({i for rec in result.clashes for i in (rec.request_a, rec.request_b)})
 
 
 def matching_csv_rows(m: Matching):

@@ -66,7 +66,13 @@ def _stderr(values: np.ndarray) -> float:
 
 def match_streams(s1: PhotonStream, s2: PhotonStream, network: DelayNetwork,
                   strategy: str):
-    """Run one strategy on a stream pair; returns (Matching, MatchMetrics)."""
+    """Run one strategy on a stream pair; returns (Matching, MatchMetrics).
+
+    ``clash_rate`` is the pairs implicated in a ``route`` clash over all
+    pairs for ``hungarian_no_clash``, which keeps them (so it depends on
+    which equal-cost pairing the solver returns), and the pairs dropped for
+    a clash over kept plus dropped pairs for the other strategies.
+    """
     d_max = network.max_delay
     if strategy == "realistic":
         m = sliding_window_match(s1, s2, d_max, network)

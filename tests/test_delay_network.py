@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from oracles import oracle_routable
 from rmux.delay_network import (
     DelayNetwork,
     RoutingRequest,
+    clash_rows,
     depth_for_bins,
     max_delay,
     requests_conflict,
@@ -82,6 +85,21 @@ def test_same_arrival_bin_is_a_clash():
     assert res.clashes[0].stage == 0
 
 
+def test_clash_rows_list_downstream_clashes_that_route_drops():
+    # (1,0) and (1,1) share the first stage's in rail in bin 1; (0,1) and
+    # (1,0) then meet at the output switch in bin 1. The kernel lists both
+    # clashes by stage; route drops requests 1 and 2 at stage 0, so only
+    # request 0 is routed and the output-switch clash is not reported.
+    net = DelayNetwork(2)
+    reqs = [RoutingRequest(0, 1), RoutingRequest(1, 0), RoutingRequest(1, 1)]
+    rows = clash_rows([r.arrival_bin for r in reqs], [r.delay for r in reqs], net)
+    assert rows.tolist() == [[0, 1, 1, 2], [1, 1, 0, 1]]
+    res = route(reqs, net)
+    assert [(c.stage, c.time_bin, c.request_a, c.request_b)
+            for c in res.clashes] == [(0, 1, 1, 2)]
+    assert [idx for idx, _req, _rails in res.routed] == [0]
+
+
 def test_delay_realizability_and_rejection():
     for s in (1, 2, 3, 4, 5):
         net = DelayNetwork(s)
@@ -128,6 +146,19 @@ def test_requests_conflict_matches_route():
         if a.arrival_bin == b.arrival_bin:
             continue
         assert requests_conflict(a, b, net) == (not route([a, b], net).clash_free)
+
+
+def test_requests_conflict_matches_timeline_oracle():
+    # Exhaustive over request couples, equal arrival bins included; the
+    # oracle shares no code with the clash kernel.
+    for s in (1, 2, 3, 4):
+        net = DelayNetwork(s)
+        delays = range(net.max_delay + 1)
+        for a1, a2 in itertools.product(range(net.max_delay + 2), repeat=2):
+            for d1, d2 in itertools.product(delays, repeat=2):
+                a, b = RoutingRequest(a1, d1), RoutingRequest(a2, d2)
+                assert requests_conflict(a, b, net) == \
+                    (not oracle_routable([a, b], s)), (s, a, b)
 
 
 def test_route_agrees_with_timeline_oracle_smoke():

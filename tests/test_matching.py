@@ -1,10 +1,15 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import brute_force_assignment
-from rmux.delay_network import DelayNetwork, route
+from oracles import brute_force_assignment, oracle_routable
+from rmux.delay_network import DelayNetwork, max_delay, route
 from rmux.matching import (
     Matching,
+    _conflict_pairs,
     build_assignment_matrix,
     hungarian_min_assignment,
     matching_csv_rows,
@@ -155,6 +160,24 @@ def test_resolve_repairs_clashing_two_pair_matching():
     assert len(clash_discards) == 2
 
 
+@st.composite
+def sorted_pair_lists(draw):
+    s = draw(st.integers(1, 4))
+    requests = draw(st.lists(st.tuples(st.integers(0, 12),
+                                       st.integers(0, max_delay(s))),
+                             max_size=8))
+    return s, sorted((b1, b1 + d, d) for b1, d in requests)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(sorted_pair_lists())
+def test_conflict_pairs_match_couple_oracle(case):
+    s, pairs = case
+    want = [(j, k) for j, k in itertools.combinations(range(len(pairs)), 2)
+            if not oracle_routable(pair_requests([pairs[j], pairs[k]]), s)]
+    assert _conflict_pairs(pairs, DelayNetwork(s)) == want
+
+
 def test_resolve_empty_matching():
     m = Matching(pairs=[], discarded=[(0, "1", "unpaired")])
     assert resolve_clashes_optimal(m, DelayNetwork(3)).pairs == []
@@ -188,6 +211,14 @@ def test_window_out_of_range_reason():
     assert m.pairs == []
     assert (0, "1", "range") in m.discarded
     assert (5, "2", "range") in m.discarded
+
+
+def test_window_rejects_pair_beyond_the_network():
+    # d_max 2 forms the pair (0, 2, 2), which a 2-switch network (maximum
+    # delay 1) cannot realize.
+    with pytest.raises(ValueError):
+        sliding_window_match(stream_at([0], 8), stream_at([2], 8), 2,
+                             DelayNetwork(2))
 
 
 def test_window_discards_later_pair_on_clash():
