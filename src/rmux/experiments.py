@@ -89,13 +89,21 @@ def _write_csv(path: Path, header, rows) -> Path:
     return path
 
 
+_BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
+               "0": False, "false": False, "no": False, "off": False}
+
+
 def _param(params: dict, key: str, default):
     """Typed parameter lookup; overrides arrive as strings."""
     if key not in params:
         return default
     raw = params[key]
     if isinstance(default, bool):
-        return str(raw).lower() in ("1", "true", "yes", "on")
+        word = str(raw).lower()
+        if word not in _BOOL_WORDS:
+            raise ValueError(f"{key} must be a boolean (true/false, yes/no, "
+                             f"on/off, 1/0), got {raw!r}")
+        return _BOOL_WORDS[word]
     if isinstance(default, int):
         return int(raw)
     if isinstance(default, float):

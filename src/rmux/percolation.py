@@ -1,33 +1,38 @@
 """Diamond-lattice percolation under fusion photon loss.
 
 The lattice has L^3 unit cells with two sites per cell, the two
-five-qubit microclusters assembled inside the cell. Site (c,0) bonds to
-(c,1) within the cell, and each (c,1) bonds to the (c+x,0), (c+y,0) and
-(c+t,0) sites of the neighboring cells: a coordination-4 diamond graph.
-The transverse axes (x, y) are periodic; the time-slice axis t is open and
-carries the two spanning faces t=0 and t=L-1.
+five-qubit microclusters assembled inside the cell: site (c,0) from GHZ
+states 1-3 and site (c,1) from GHZ states 4-6. The transverse axes (x, y)
+are periodic; the time-slice axis t is open and carries the two spanning
+faces t=0 and t=L-1.
 
-Eight fusions are attempted per cell. Four assemble the microclusters
-(F_C/F_E for site 0, F_D/F_F for site 1) and consume photons of a single
-microcluster; F_B consumes one photon from each microcluster of the cell
-and creates the intra-cell bond; F_A/F_G/F_H consume one photon from this
-cell and one from a neighbor, creating the inter-cell bonds. Every fusion
-uses a boosted gate: success probability 3/4 when no photon is lost, plus
-an ancilla Bell pair whose photons are lossy at rate a_l because they need
-active synchronization. Under the relative scheme exactly one photon per
-fusion is actively delayed (loss rate p_l); under the standard scheme both
-fusion photons pass through switching networks. The per-fusion loss
-probability is f_l = 1 - (1-p_l)^n_lossy * (1-a_l)^2 with n_lossy = 1
-(relative) or 2 (standard).
+`PHOTON_ASSIGNMENT` is the one description of a unit cell. For each of the
+cell's eight fusions it names the actively delayed and the passive photon
+by (cell offset, GHZ index, emission label), and everything else is
+derived from it. A photon sits on the site given by its cell and its
+microcluster. A fusion whose two photons sit on one site assembles that
+microcluster (F_C/F_E for site 0, F_D/F_F for site 1); each other fusion
+is a bond between its two sites: F_B within the cell, F_A/F_G/F_H to the
+x+, y+ and t+ neighbors, a coordination-4 diamond graph. The photon loss
+classes follow as well: delayed photons are type C, passive photons type
+B, and the two photons no fusion consumes stay in the cluster (type A).
+
+Every fusion uses a boosted gate: success probability 3/4 when no photon
+is lost, plus an ancilla Bell pair whose photons are lossy at rate a_l
+because they need active synchronization. Under the relative scheme
+exactly one photon per fusion is actively delayed (loss rate p_l); under
+the standard scheme both fusion photons pass through switching networks.
+The per-fusion loss probability is f_l = 1 - (1-p_l)^n_lossy * (1-a_l)^2
+with n_lossy = 1 (relative) or 2 (standard).
 
 Outcome semantics are configurable. The defaults: a heralded failure
 leaves the bond absent and the sites intact; a failure by loss removes the
 bond and damages microclusters. Loss damage is attributable under the
 relative scheme (only the delayed photon can have vanished, so only its
-microcluster is discarded) but not under the standard scheme (either input
-may be missing, so both endpoint microclusters are discarded). That
-attribution gap, on top of the smaller f_l, is what the relative scheme
-buys in loss tolerance.
+microcluster, the fusion's owner, is discarded) but not under the standard
+scheme (either input may be missing, so both end microclusters are
+discarded). That attribution gap, on top of the smaller f_l, is what the
+relative scheme buys in loss tolerance.
 """
 
 from __future__ import annotations
@@ -45,18 +50,10 @@ SUCCESS = "success"
 FAIL_HERALDED = "fail_heralded"
 FAIL_LOSS = "fail_loss"
 
-# Photon roles within one unit cell: (ghz index 1..6, emission label a|b|c).
-# Type A photons stay in the cluster as data qubits; type B photons are
-# fused without active delay; type C photons are fused after active delay.
-_TYPE_A = {(2, "b"), (5, "b")}
-_TYPE_B = {(1, "c"), (2, "a"), (2, "c"), (3, "c"), (4, "c"), (5, "a"),
-           (5, "c"), (6, "c")}
-_TYPE_C = {(1, "a"), (1, "b"), (3, "a"), (3, "b"), (4, "a"), (4, "b"),
-           (6, "a"), (6, "b")}
-
-# Which photons each fusion consumes. The delayed photon fixes which
-# microcluster is damaged when a loss is attributable; "own"/"x+"/"y+"/"t+"
-# say which cell the photon comes from relative to the fusion's home cell.
+# Which photons each fusion consumes, in the order fusions are numbered
+# within a cell. The delayed photon fixes which microcluster is damaged
+# when a loss is attributable; "own"/"x+"/"y+"/"t+" say which cell the
+# photon comes from relative to the fusion's home cell.
 PHOTON_ASSIGNMENT = {
     "F_C": {"delayed": ("own", 1, "a"), "passive": ("own", 2, "a")},
     "F_E": {"delayed": ("own", 3, "a"), "passive": ("own", 2, "c")},
@@ -68,22 +65,29 @@ PHOTON_ASSIGNMENT = {
     "F_H": {"delayed": ("t+", 1, "b"), "passive": ("own", 6, "c")},
 }
 
+# (dx, dy, dt) of each cell tag used in PHOTON_ASSIGNMENT.
+_CELL_OFFSETS = {"own": (0, 0, 0), "x+": (1, 0, 0), "y+": (0, 1, 0),
+                 "t+": (0, 0, 1)}
+
 # Photon-accounting classes: the five fusions consuming only this cell's
 # photons (10 photons) versus the three half-shared with neighbors (6).
 SITE_FORMING_IDS = ("F_B", "F_C", "F_D", "F_E", "F_F")
 BOND_FORMING_IDS = ("F_A", "F_G", "F_H")
 
+# Type A photons stay in the cluster as data qubits; type B photons are
+# fused without active delay; type C photons are fused after active delay.
+_PHOTON_TYPE = {(ghz, label): "A" for ghz in range(1, 7) for label in "abc"}
+_PHOTON_TYPE.update({photons[role][1:]: kind
+                     for photons in PHOTON_ASSIGNMENT.values()
+                     for role, kind in (("delayed", "C"), ("passive", "B"))})
+
 
 def classify_photon(ghz: int, label: str) -> str:
     """Loss class of one unit-cell photon: "A", "B" or "C"."""
-    key = (ghz, label)
-    if key in _TYPE_A:
-        return "A"
-    if key in _TYPE_B:
-        return "B"
-    if key in _TYPE_C:
-        return "C"
-    raise ValueError(f"unknown photon G{ghz}({label})")
+    try:
+        return _PHOTON_TYPE[(ghz, label)]
+    except KeyError:
+        raise ValueError(f"unknown photon G{ghz}({label})") from None
 
 
 def lossy_inputs(scheme: str) -> int:
@@ -148,87 +152,50 @@ def calibrated_semantics() -> OutcomeSemantics:
 
 
 class DiamondLattice:
-    """L^3-cell diamond lattice with its per-cell fusion table."""
+    """L^3-cell diamond lattice with its per-fusion table.
 
-    # sampling kinds: assembly fusions touch a site, the rest make bonds
-    _KIND_SITE = 0
-    _KIND_BOND = 1
+    The table is derived from PHOTON_ASSIGNMENT. Fusions are numbered
+    cell-major (cell x + L*y + L^2*t), in PHOTON_ASSIGNMENT order within a
+    cell; the F_H of the last time slice has no partner cell and is
+    absent. Each fusion has two ends, the sites of its delayed and passive
+    photons: `fusion_owner` is the delayed end, the site a loss damages,
+    and `fusion_passive` the other. Fusions whose ends differ make the
+    bonds, numbered in fusion order: bond k joins `bond_site_a[k]` (the
+    delayed end) to `bond_site_b[k]`.
+    """
 
-    def __init__(self, L: int, periodic_transverse: bool = True):
+    def __init__(self, L: int):
         if L < 2:
             raise ValueError(f"lattice needs L >= 2 cells per axis, got {L}")
         self.L = L
-        self.periodic_transverse = periodic_transverse
         self.n_cells = L ** 3
         self.n_sites = 2 * self.n_cells
-        self._build()
+        cell = np.arange(self.n_cells, dtype=np.int64)[:, None]
+        x, y, t = cell % L, cell // L % L, cell // (L * L)
+        exists = np.ones((self.n_cells, len(PHOTON_ASSIGNMENT)), dtype=bool)
+        ends = []
+        for role in ("delayed", "passive"):
+            tags, ghz, _labels = zip(*(photons[role] for photons
+                                       in PHOTON_ASSIGNMENT.values()))
+            dx, dy, dt = np.array([_CELL_OFFSETS[tag] for tag in tags]).T
+            exists &= t + dt < L        # the time axis is open
+            sub = (np.array(ghz) - 1) // 3
+            ends.append(self.site_index((x + dx) % L, (y + dy) % L, t + dt,
+                                        sub))
+        self.fusion_owner, self.fusion_passive = (e[exists] for e in ends)
+        self.fusion_is_bond = self.fusion_owner != self.fusion_passive
+        self.n_fusions = self.fusion_owner.size
+        self.bond_site_a = self.fusion_owner[self.fusion_is_bond]
+        self.bond_site_b = self.fusion_passive[self.fusion_is_bond]
+        self.n_bonds = self.bond_site_a.size
+        per_slice = 2 * L * L
+        self.face_start_sites = np.arange(per_slice)
+        self.face_end_sites = np.arange(self.n_sites - per_slice, self.n_sites)
 
-    def cell_index(self, x: int, y: int, t: int) -> int:
+    def site_index(self, x, y, t, sub):
+        """Index of site `sub` of cell (x, y, t); takes ints or arrays."""
         L = self.L
-        return x + L * y + L * L * t
-
-    def site_index(self, x: int, y: int, t: int, sub: int) -> int:
-        return 2 * self.cell_index(x, y, t) + sub
-
-    def _build(self):
-        L = self.L
-        fusion_kind = []
-        fusion_owner = []
-        fusion_site_a = []
-        fusion_site_b = []
-        fusion_bond = []
-        bonds = []
-
-        def add_site_fusion(owner):
-            fusion_kind.append(self._KIND_SITE)
-            fusion_owner.append(owner)
-            fusion_site_a.append(-1)
-            fusion_site_b.append(-1)
-            fusion_bond.append(-1)
-
-        def add_bond_fusion(owner, a, b):
-            fusion_kind.append(self._KIND_BOND)
-            fusion_owner.append(owner)
-            fusion_site_a.append(a)
-            fusion_site_b.append(b)
-            fusion_bond.append(len(bonds))
-            bonds.append((a, b))
-
-        for t in range(L):
-            for y in range(L):
-                for x in range(L):
-                    s0 = self.site_index(x, y, t, 0)
-                    s1 = self.site_index(x, y, t, 1)
-                    add_site_fusion(s0)         # F_C
-                    add_site_fusion(s0)         # F_E
-                    add_site_fusion(s1)         # F_D
-                    add_site_fusion(s1)         # F_F
-                    # F_B: intra-cell bond; consumes one photon of each
-                    # microcluster, counted with the cell's own ten.
-                    add_bond_fusion(s0, s0, s1)
-                    if self.periodic_transverse or x + 1 < L:      # F_A
-                        nb = self.site_index((x + 1) % L, y, t, 0)
-                        add_bond_fusion(s1, s1, nb)
-                    if self.periodic_transverse or y + 1 < L:      # F_G
-                        nb = self.site_index(x, (y + 1) % L, t, 0)
-                        add_bond_fusion(s1, s1, nb)
-                    if t + 1 < L:       # F_H; spanning axis is open
-                        nb = self.site_index(x, y, t + 1, 0)
-                        add_bond_fusion(nb, s1, nb)
-
-        self.fusion_kind = np.array(fusion_kind, dtype=np.uint8)
-        self.fusion_owner = np.array(fusion_owner, dtype=np.int64)
-        self.fusion_site_a = np.array(fusion_site_a, dtype=np.int64)
-        self.fusion_site_b = np.array(fusion_site_b, dtype=np.int64)
-        self.fusion_bond = np.array(fusion_bond, dtype=np.int64)
-        self.n_fusions = self.fusion_kind.size
-        self.bond_site_a = np.array([a for a, _ in bonds], dtype=np.int64)
-        self.bond_site_b = np.array([b for _, b in bonds], dtype=np.int64)
-        self.n_bonds = len(bonds)
-        sites = np.arange(self.n_sites)
-        slice_of_site = sites // 2 // (self.L * self.L)
-        self.face_start_sites = sites[slice_of_site == 0]
-        self.face_end_sites = sites[slice_of_site == self.L - 1]
+        return 2 * (x + L * y + L * L * t) + sub
 
 
 @dataclass
@@ -266,31 +233,22 @@ def sample_lattice_state(lattice: DiamondLattice, scheme: str, p_l: float,
     success = ~loss & (v < FUSION_SUCCESS_PROB)
     heralded = ~loss & ~success
 
-    is_site = lattice.fusion_kind == DiamondLattice._KIND_SITE
-    is_bond = ~is_site
     site_alive = np.ones(lattice.n_sites, dtype=bool)
-
     if semantics.loss_kills_owner_site:
-        site_alive[lattice.fusion_owner[loss & is_site]] = False
-        bond_loss = loss & is_bond
+        site_alive[lattice.fusion_owner[loss]] = False
         if scheme == SCHEME_STANDARD and semantics.standard_loss_damages_both_ends:
-            site_alive[lattice.fusion_site_a[bond_loss]] = False
-            site_alive[lattice.fusion_site_b[bond_loss]] = False
-        else:
-            site_alive[lattice.fusion_owner[bond_loss]] = False
+            site_alive[lattice.fusion_passive[loss]] = False
 
     r = semantics.heralded_site_kill_prob
     if r > 0.0:
-        killed = heralded & is_site & (w_site < r)
+        killed = heralded & ~lattice.fusion_is_bond & (w_site < r)
         site_alive[lattice.fusion_owner[killed]] = False
 
-    connected = success.copy()
+    connected = success
     q = semantics.heralded_bond_connect_prob
     if q > 0.0:
-        connected |= heralded & (w_bond < q)
-    bond_present = np.zeros(lattice.n_bonds, dtype=bool)
-    sel = is_bond & connected
-    bond_present[lattice.fusion_bond[sel]] = True
+        connected = success | (heralded & (w_bond < q))
+    bond_present = connected[lattice.fusion_is_bond]
 
     counts = {SUCCESS: int(success.sum()),
               FAIL_HERALDED: int(heralded.sum()),
@@ -387,6 +345,8 @@ def loss_threshold(scheme: str, target: float, a_l: float, L: int,
     """
     if not 0.0 < target < 1.0:
         raise ValueError(f"target must be in (0, 1), got {target}")
+    if not tolerance > 0.0:
+        raise ValueError(f"tolerance must be > 0, got {tolerance}")
     if semantics is None:
         semantics = OutcomeSemantics()
     lattice = DiamondLattice(L)
@@ -413,6 +373,8 @@ def loss_threshold(scheme: str, target: float, a_l: float, L: int,
             break
     while hi - lo > tolerance:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):     # adjacent floats: the interval cannot shrink
+            break
         if prob_at(mid) >= target:
             lo = mid
         else:

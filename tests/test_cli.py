@@ -1,7 +1,12 @@
 import pytest
 
 from rmux.cli import main
-from rmux.experiments import ExperimentConfig, load_config_file, run_experiment
+from rmux.experiments import (
+    ExperimentConfig,
+    load_config_file,
+    run_experiment,
+    semantics_from,
+)
 from rmux.streams import generate_stream, stream_to_text
 
 
@@ -70,6 +75,35 @@ def test_percolate_semantics_override(capsys):
     assert probs[0] == 1.0
     assert probs[1] < probs[0]
 
+
+def test_percolate_threshold_rejects_zero_tolerance(capsys):
+    assert main(["percolate", "--mode", "threshold", "--L", "4", "--trials",
+                 "10", "--tolerance", "0"]) == 1
+    assert "error: tolerance must be > 0" in capsys.readouterr().err
+
+
+def test_semantics_booleans_parse_strictly():
+    for word, value in (("1", True), ("TRUE", True), ("yes", True),
+                        ("On", True), ("0", False), ("false", False),
+                        ("NO", False), ("off", False)):
+        _name, sem = semantics_from({"loss_kills_owner_site": word})
+        assert sem.loss_kills_owner_site is value, word
+    for word in ("ture", "", "2", "y"):
+        with pytest.raises(ValueError, match="loss_kills_owner_site"):
+            semantics_from({"loss_kills_owner_site": word})
+
+
+def test_reproduce_misspelled_boolean_fails_before_probes(tmp_path, capsys,
+                                                         monkeypatch):
+    def no_probe(*args, **kwargs):
+        raise AssertionError("probe ran")
+
+    monkeypatch.setattr("rmux.percolation.loss_threshold", no_probe)
+    assert main(["reproduce", "fig8_thresholds", "--out", str(tmp_path),
+                 "--set", "loss_kills_owner_site=ture"]) == 1
+    err = capsys.readouterr().err
+    assert "error: loss_kills_owner_site must be a boolean" in err
+    assert "'ture'" in err
 
 def test_reproduce_table1(tmp_path, capsys):
     assert main(["reproduce", "table1", "--out", str(tmp_path)]) == 0

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from rmux.percolation import (
     percolation_probability,
     sample_lattice_state,
     spans,
+    tradeoff_frontier,
 )
 
 # ---------------------------------------------------------------- typing
@@ -41,6 +44,21 @@ def test_classify_rejects_unknown():
         classify_photon(7, "a")
     with pytest.raises(ValueError):
         classify_photon(1, "d")
+
+
+def test_photon_classes_literal_map():
+    # written out by hand, independently of PHOTON_ASSIGNMENT, from which
+    # classify_photon is derived
+    expected = {
+        (1, "a"): "C", (1, "b"): "C", (1, "c"): "B",
+        (2, "a"): "B", (2, "b"): "A", (2, "c"): "B",
+        (3, "a"): "C", (3, "b"): "C", (3, "c"): "B",
+        (4, "a"): "C", (4, "b"): "C", (4, "c"): "B",
+        (5, "a"): "B", (5, "b"): "A", (5, "c"): "B",
+        (6, "a"): "C", (6, "b"): "C", (6, "c"): "B",
+    }
+    assert {(g, l): classify_photon(g, l)
+            for g in range(1, 7) for l in "abc"} == expected
 
 
 def test_photon_assignment_is_one_delayed_one_passive():
@@ -139,6 +157,62 @@ def test_owner_balance():
     t_slice = np.arange(lat.n_sites) // 2 // 16
     interior = (t_slice > 0) & (t_slice < 3)
     assert set(counts[interior].tolist()) == {4}
+
+
+# sha256 of fusion_owner and of each bond's sorted end pair (both as
+# little-endian int64, in bond order), from the hand-written cell loop the
+# table was first built with. Fusion i consumes RNG draw i, so a reordered
+# table would shift every sampled lattice.
+_PINNED_TABLES = {
+    3: (207, "a61ff9073d38f376eb9724a087687bd8a305e003f820f6e20cafe5e398063956",
+        "ef97a4385eb4bb44a25e671813fc12bd397038be7f66b17172fab2f0c725fc2e"),
+    4: (496, "8130beea2163b68fabca60529ffef1317e64ae49096ee9c9eedbb53d9c275d7b",
+        "739914b2f75c89767657ca39efedce19c25bdeec41849d1b93fd32739858b8eb"),
+}
+
+
+@pytest.mark.parametrize("L", sorted(_PINNED_TABLES))
+def test_fusion_table_order_is_pinned(L):
+    lat = DiamondLattice(L)
+    n_fusions, owner_digest, bonds_digest = _PINNED_TABLES[L]
+    pairs = np.sort(np.stack([lat.bond_site_a, lat.bond_site_b], axis=1),
+                    axis=1)
+
+    def digest(a):
+        return hashlib.sha256(np.asarray(a, dtype="<i8").tobytes()).hexdigest()
+
+    assert lat.n_fusions == n_fusions
+    assert digest(lat.fusion_owner) == owner_digest
+    assert digest(pairs) == bonds_digest
+
+
+def test_fusion_ends_of_explicit_cells():
+    # (delayed end, passive end) per fusion, in the order F_C F_E F_D F_F
+    # F_B F_A F_G F_H; sites of GHZ 1-3 are sub 0, of GHZ 4-6 sub 1
+    lat = DiamondLattice(3)
+    ends = list(zip(lat.fusion_owner.tolist(), lat.fusion_passive.tolist()))
+    s = lat.site_index
+    # cell (2, 0, 1) = cell 11: x = L-1, so F_A wraps to x = 0
+    c0, c1 = s(2, 0, 1, 0), s(2, 0, 1, 1)
+    assert ends[8 * 11:8 * 12] == [
+        (c0, c0), (c0, c0), (c1, c1), (c1, c1),
+        (c0, c1),
+        (c1, s(0, 0, 1, 0)),
+        (c1, s(2, 1, 1, 0)),
+        (s(2, 0, 2, 0), c1),
+    ]
+    # cell (1, 2, 2) = cell 25 on the last slice: F_G wraps to y = 0 and
+    # F_H is absent; 18 cells of 8 fusions and 7 of 7 come before it
+    start = 18 * 8 + 7 * 7
+    c0, c1 = s(1, 2, 2, 0), s(1, 2, 2, 1)
+    assert ends[start:start + 8] == [
+        (c0, c0), (c0, c0), (c1, c1), (c1, c1),
+        (c0, c1),
+        (c1, s(2, 2, 2, 0)),
+        (c1, s(1, 0, 2, 0)),
+        (s(2, 2, 2, 0), s(2, 2, 2, 0)),     # F_C of cell 26
+    ]
+    assert lat.n_fusions == 27 * 8 - 9
 
 
 # --------------------------------------------------------------- sampling
@@ -258,6 +332,24 @@ def test_union_find_matches_bfs_oracle_on_16_site_lattices():
         assert spans(st) == spans_bfs(st)
 
 
+@pytest.mark.parametrize("semantics", [OutcomeSemantics(),
+                                       calibrated_semantics()],
+                         ids=["default", "calibrated"])
+@pytest.mark.parametrize("scheme", ["rmux", "standard"])
+def test_union_find_matches_bfs_oracle_on_sampled_L6_lattices(scheme,
+                                                               semantics):
+    lat = DiamondLattice(6)
+    outcomes = set()
+    for t in range(60):
+        g = np.random.Generator(np.random.PCG64(t))
+        st = sample_lattice_state(lat, scheme, 0.005 * (t % 40), 0.0,
+                                  semantics, g)
+        got = spans(st)
+        assert got == spans_bfs(st), t
+        outcomes.add(got)
+    assert outcomes == {True, False}
+
+
 # ------------------------------------------------------------ estimation
 
 def test_lossless_lattice_percolates():
@@ -334,3 +426,27 @@ def test_threshold_equal_loss_consistency():
                          semantics=calibrated_semantics(),
                          equal_ancilla_loss=True)
     assert abs(thr - 0.016) <= 0.015
+
+
+@pytest.mark.parametrize("tolerance", [0.0, -0.01, float("nan")])
+def test_threshold_rejects_nonpositive_tolerance(tolerance, monkeypatch):
+    # with tolerance <= 0 the bisection would never stop; reject it before
+    # any lattice is sampled
+    def no_probe(*args, **kwargs):
+        raise AssertionError("probe ran")
+
+    monkeypatch.setattr("rmux.percolation.percolation_probability", no_probe)
+    with pytest.raises(ValueError, match="tolerance"):
+        loss_threshold("rmux", 0.9, 0.0, 4, trials=10, tolerance=tolerance,
+                       seed=1)
+    with pytest.raises(ValueError, match="tolerance"):
+        tradeoff_frontier("rmux", 0.9, [0.0, 0.01], 4, trials=10, seed=1,
+                          tolerance=tolerance)
+
+
+def test_threshold_stops_at_float_resolution():
+    # a positive tolerance below one float spacing ends once lo and hi are
+    # adjacent floats
+    thr = loss_threshold("rmux", 0.5, 0.0, 4, trials=10, tolerance=1e-300,
+                         seed=3)
+    assert 0.0 < thr < 1.0
