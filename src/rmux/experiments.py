@@ -104,10 +104,12 @@ def _param(params: dict, key: str, default):
             raise ValueError(f"{key} must be a boolean (true/false, yes/no, "
                              f"on/off, 1/0), got {raw!r}")
         return _BOOL_WORDS[word]
-    if isinstance(default, int):
-        return int(raw)
-    if isinstance(default, float):
-        return float(raw)
+    if isinstance(default, (int, float)):
+        try:
+            return type(default)(raw)
+        except ValueError:
+            kind = "an integer" if isinstance(default, int) else "a number"
+            raise ValueError(f"{key} must be {kind}, got {raw!r}") from None
     return raw
 
 
@@ -220,6 +222,11 @@ def _run_fig2(config: ExperimentConfig):
     ps_lo = _param(p, "ps_min", 0.80)
     ps_hi = _param(p, "ps_max", 0.93)
     ps_step = _param(p, "ps_step", 0.005)
+    if not ps_step > 0:
+        raise ValueError(f"ps_step must be > 0, got {ps_step}")
+    if not ps_hi >= ps_lo:
+        raise ValueError(f"ps_max must be >= ps_min, got ps_max={ps_hi} "
+                         f"< ps_min={ps_lo}")
     n_photons = mux_analytics.PHOTONS_PER_GHZ
     n_ps = int(round((ps_hi - ps_lo) / ps_step))
     ps_values = [round(ps_lo + i * ps_step, 10) for i in range(n_ps + 1)]

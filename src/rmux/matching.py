@@ -14,6 +14,15 @@ d_max, at a cost of j - i bins of delay. Three strategies are provided:
 Infeasible pairings and count imbalance are handled with virtual edges and
 virtual vertices whose weight dwarfs any real edge, and pairings that touch
 anything virtual are pruned from the result.
+
+Every strategy returns its pairs sorted by stream-1 bin, plus one discard
+record (bin, stream, reason) per unmatched photon: all of stream 1, then
+all of stream 2, each in bin order. The reason is "clash" if the photon
+lost its pair to clash handling (a pair the window formed and dropped, or a
+pair of the assignment the repair started from), otherwise "range" if the
+other stream has a photon in its feasible time direction (at or after it
+for stream 1, at or before it for stream 2), so a larger delay network
+could in principle have matched it, and "unpaired" if it has none.
 """
 
 from __future__ import annotations
@@ -24,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .delay_network import DelayNetwork, RoutingRequest, clash_rows, route
-from .streams import PhotonStream
+from .streams import PhotonStream, stream_from_bins
 
 REASON_RANGE = "range"
 REASON_CLASH = "clash"
@@ -49,10 +58,10 @@ class Matching:
 
     pairs: list                    # (stream1_bin, stream2_bin, delay)
     discarded: list                # (bin, stream "1"|"2", reason)
-    total_weight: int = 0
 
-    def __post_init__(self):
-        self.total_weight = int(sum(d for _, _, d in self.pairs))
+    @property
+    def total_weight(self) -> int:
+        return int(sum(d for _, _, d in self.pairs))
 
 
 @dataclass
@@ -110,50 +119,38 @@ def solve_assignment(cost: np.ndarray) -> tuple[np.ndarray, float]:
     return row_of_column, float(cost[rows, cols].sum())
 
 
-def _classify_unmatched(bin_, stream, other_bins) -> tuple:
-    """Discard reason for an unmatched photon.
+def _discards(bins1, bins2, pairs, lost=()) -> list:
+    """Discard records of the photons `pairs` leaves unmatched.
 
-    "range": a counterpart existed in the feasible time direction, so a
-    larger delay network could in principle have matched it; "unpaired":
-    no counterpart exists at all in that direction.
+    Stream 1 then stream 2, each in bin order, with the reasons of the
+    module docstring: "clash" for a photon of a `lost` pair, else "range"
+    or "unpaired".
     """
-    if stream == "1":
-        reachable = other_bins.size and other_bins[-1] >= bin_
-    else:
-        reachable = other_bins.size and other_bins[0] <= bin_
-    return (int(bin_), stream, REASON_RANGE if reachable else REASON_UNPAIRED)
+    # Per stream, the (lo, hi) bins whose photons have a counterpart in
+    # their feasible time direction.
+    reach = ((0, int(bins2[-1]) if bins2.size else -1),
+             (int(bins1[0]) if bins1.size else np.inf, np.inf))
+    records = []
+    for side, (stream, bins) in enumerate((("1", bins1), ("2", bins2))):
+        matched = {p[side] for p in pairs}
+        clashed = {p[side] for p in lost}
+        lo, hi = reach[side]
+        records += [(b, stream, REASON_CLASH if b in clashed
+                     else REASON_RANGE if lo <= b <= hi else REASON_UNPAIRED)
+                    for b in bins.tolist() if b not in matched]
+    return records
 
 
 def hungarian_min_assignment(W: WeightMatrix) -> Matching:
     """Optimal matching from the weight matrix, virtual pairings pruned."""
-    if W.n == 0:
-        return Matching(pairs=[], discarded=[])
-    col_of_row = np.empty(W.n, dtype=int)
     row_of_col, _total = solve_assignment(W.weights)
-    col_of_row[row_of_col] = np.arange(W.n)
-
-    pairs = []
-    matched_rows = np.zeros(W.n, dtype=bool)
-    matched_cols = np.zeros(W.n, dtype=bool)
-    for r in range(W.n):
-        c = col_of_row[r]
-        if W.virtual_mask[r, c]:
-            continue
-        pairs.append((int(W.row_bins[r]), int(W.col_bins[c]),
-                      int(W.weights[r, c])))
-        matched_rows[r] = True
-        matched_cols[c] = True
-
-    real_rows = W.row_bins >= 0
-    real_cols = W.col_bins >= 0
-    bins1 = W.row_bins[real_rows]
-    bins2 = W.col_bins[real_cols]
-    discarded = [_classify_unmatched(b, "1", bins2)
-                 for b in W.row_bins[real_rows & ~matched_rows]]
-    discarded += [_classify_unmatched(b, "2", bins1)
-                  for b in W.col_bins[real_cols & ~matched_cols]]
-    pairs.sort()
-    return Matching(pairs=pairs, discarded=discarded)
+    col_of_row = np.argsort(row_of_col)
+    rows = np.flatnonzero(~W.virtual_mask[np.arange(W.n), col_of_row])
+    cols = col_of_row[rows]
+    pairs = list(zip(W.row_bins[rows].tolist(), W.col_bins[cols].tolist(),
+                     W.weights[rows, cols].tolist()))
+    return Matching(pairs=pairs, discarded=_discards(
+        W.row_bins[W.row_bins >= 0], W.col_bins[W.col_bins >= 0], pairs))
 
 
 def pair_requests(pairs) -> list:
@@ -185,76 +182,38 @@ def resolve_clashes_optimal(m: Matching, network: DelayNetwork) -> Matching:
     Greedy iterative deepening: mark the edge participating in the most
     clashes as virtual, re-solve the assignment, repeat (at most n edge
     removals). Every intermediate matching also yields a drop-the-later-pair
-    fallback candidate; the best clash-free candidate by (pair count,
-    -total weight) wins.
+    fallback candidate; the first best clash-free candidate by (pair count,
+    -total weight) wins. Photons of `m.pairs` it leaves unmatched read
+    "clash".
     """
     if not m.pairs:
         return m
-    originally_paired1 = {b1 for b1, _, _ in m.pairs}
-    originally_paired2 = {b2 for _, b2, _ in m.pairs}
-    original_reason = {(s, b): r for b, s, r in m.discarded}
-    bins1 = np.array(sorted(originally_paired1
-                            | {b for b, s, _ in m.discarded if s == "1"}),
-                     dtype=np.int64)
-    bins2 = np.array(sorted(originally_paired2
-                            | {b for b, s, _ in m.discarded if s == "2"}),
-                     dtype=np.int64)
-    W = build_assignment_matrix(_bins_as_stream(bins1), _bins_as_stream(bins2),
+    bins = {"1": [b1 for b1, _, _ in m.pairs], "2": [b2 for _, b2, _ in m.pairs]}
+    for b, stream, _ in m.discarded:
+        bins[stream].append(b)
+    bins1, bins2 = (np.array(sorted(bins[s]), dtype=np.int64) for s in "12")
+    W = build_assignment_matrix(stream_from_bins(np.bincount(bins1) > 0),
+                                stream_from_bins(np.bincount(bins2) > 0),
                                 network.max_delay)
-    row_of = {int(b): i for i, b in enumerate(W.row_bins) if b >= 0}
-    col_of = {int(b): i for i, b in enumerate(W.col_bins) if b >= 0}
-
     candidates = []
-
-    def consider(pairs):
-        # Photons that held a pair originally but lost it here were removed
-        # by clash handling; the rest keep their original discard reason.
-        matched1 = {b1 for b1, _, _ in pairs}
-        matched2 = {b2 for _, b2, _ in pairs}
-        discards = []
-        for b in bins1:
-            b = int(b)
-            if b in matched1:
-                continue
-            if b in originally_paired1:
-                discards.append((b, "1", REASON_CLASH))
-            else:
-                discards.append((b, "1", original_reason[("1", b)]))
-        for b in bins2:
-            b = int(b)
-            if b in matched2:
-                continue
-            if b in originally_paired2:
-                discards.append((b, "2", REASON_CLASH))
-            else:
-                discards.append((b, "2", original_reason[("2", b)]))
-        candidates.append(Matching(pairs=sorted(pairs), discarded=discards))
-
     current = sorted(m.pairs)
     for _ in range(W.n + 1):
         conflicts = _conflict_pairs(current, network)
+        candidates.append(_drop_on_conflict(current, conflicts)[0])
         if not conflicts:
-            consider(current)
             break
-        kept, _dropped = _drop_on_conflict(current, conflicts)
-        consider(kept)
         counts = Counter(i for couple in conflicts for i in couple)
         worst = max(counts, key=lambda idx: (counts[idx], idx))
         b1, b2, _ = current[worst]
-        W.weights[row_of[b1], col_of[b2]] = W.virtual_weight
-        W.virtual_mask[row_of[b1], col_of[b2]] = True
+        cell = np.searchsorted(bins1, b1), np.searchsorted(bins2, b2)
+        W.weights[cell] = W.virtual_weight
+        W.virtual_mask[cell] = True
         current = hungarian_min_assignment(W).pairs
 
     best = max(candidates,
-               key=lambda cand: (len(cand.pairs), -cand.total_weight))
-    return best
-
-
-def _bins_as_stream(bins: np.ndarray) -> PhotonStream:
-    n = int(bins.max()) + 1 if bins.size else 1
-    arr = np.zeros(n, dtype=bool)
-    arr[bins] = True
-    return PhotonStream(bins=arr, p=0.0, seed=-1)
+               key=lambda pairs: (len(pairs), -sum(d for _, _, d in pairs)))
+    return Matching(pairs=best, discarded=_discards(bins1, bins2, best,
+                                                    lost=m.pairs))
 
 
 def sliding_window_match(s1: PhotonStream, s2: PhotonStream, d_max: int,
@@ -267,31 +226,18 @@ def sliding_window_match(s1: PhotonStream, s2: PhotonStream, d_max: int,
     later-formed pair is thrown away (both photons discarded). A pair that
     needs more delay than the network gives raises ValueError.
     """
-    bins1 = s1.occupied_bins
-    bins2 = s2.occupied_bins
+    bins2 = s2.occupied_bins.tolist()
     formed = []
-    skipped2 = []
     ptr = 0
-    unmatched1 = []
-    for b1 in bins1:
-        while ptr < bins2.size and bins2[ptr] < b1:
-            skipped2.append(int(bins2[ptr]))
+    for b1 in s1.occupied_bins.tolist():
+        while ptr < len(bins2) and bins2[ptr] < b1:
             ptr += 1
-        if ptr < bins2.size and bins2[ptr] <= b1 + d_max:
-            formed.append((int(b1), int(bins2[ptr]), int(bins2[ptr] - b1)))
+        if ptr < len(bins2) and bins2[ptr] <= b1 + d_max:
+            formed.append((b1, bins2[ptr], bins2[ptr] - b1))
             ptr += 1
-        else:
-            unmatched1.append(int(b1))
-    leftover2 = skipped2 + [int(b) for b in bins2[ptr:]]
-
     kept, dropped = _drop_on_conflict(formed, _conflict_pairs(formed, network))
-
-    discarded = [_classify_unmatched(b, "1", bins2) for b in unmatched1]
-    discarded += [_classify_unmatched(b, "2", bins1) for b in leftover2]
-    for b1, b2, _d in dropped:
-        discarded.append((b1, "1", REASON_CLASH))
-        discarded.append((b2, "2", REASON_CLASH))
-    return Matching(pairs=kept, discarded=discarded)
+    return Matching(pairs=kept, discarded=_discards(
+        s1.occupied_bins, s2.occupied_bins, kept, lost=dropped))
 
 
 def matching_metrics(m: Matching, s1: PhotonStream,

@@ -125,16 +125,21 @@ def simulate_two_stream(p: float, s: int, n_bins: int, strategy: str,
     )
 
 
+def _splits(networks: int, s_total: int):
+    """Feasible (s1, s2): `networks` first-stage networks of s1 switches each
+    plus one second-stage network of s2 >= 1 switches."""
+    return [(s1, s_total - networks * s1)
+            for s1 in range(1, (s_total - 1) // networks + 1)]
+
+
 def standard_splits(s_total: int):
     """Feasible (s1, s2) with 4 first-stage networks + 1 output network."""
-    return [(s1, s_total - 4 * s1)
-            for s1 in range(1, (s_total - 1) // 4 + 1)]
+    return _splits(4, s_total)
 
 
 def rmux_splits(s_total: int):
     """Feasible (s1, s2) with 2 first-stage networks + 1 second-stage network."""
-    return [(s1, s_total - 2 * s1)
-            for s1 in range(1, (s_total - 1) // 2 + 1)]
+    return _splits(2, s_total)
 
 
 def _standard_rate(streams, s1: int, s2: int, gate_rng) -> float:
@@ -199,12 +204,14 @@ def _simulate_bell(scheme: str, p1: float, s_total: int, n_bins: int,
         raise ValueError(f"reps must be >= 1, got {reps}")
     if s_total < 2:
         raise ValueError(f"s_total must be >= 2, got {s_total}")
-    splits = standard_splits(s_total) if scheme == "standard" else rmux_splits(s_total)
+    # Built per call, so a rebound rate function (a tracer's wrapper) is used.
+    networks, rate_fn = {"standard": (4, _standard_rate),
+                         "rmux": (2, _rmux_rate)}[scheme]
+    splits = _splits(networks, s_total)
     if not splits:
         raise ValueError(
             f"no feasible stage split for scheme {scheme!r} with "
             f"{s_total} switches")
-    rate_fn = _standard_rate if scheme == "standard" else _rmux_rate
     children = np.random.SeedSequence(seed).spawn(reps)
     rates = np.zeros((len(splits), reps))
     for r, child in enumerate(children):

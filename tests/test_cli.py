@@ -105,6 +105,40 @@ def test_reproduce_misspelled_boolean_fails_before_probes(tmp_path, capsys,
     assert "error: loss_kills_owner_site must be a boolean" in err
     assert "'ture'" in err
 
+
+def test_numeric_overrides_name_the_key(tmp_path):
+    with pytest.raises(ValueError,
+                       match="heralded_site_kill_prob must be a number, got 'abc'"):
+        semantics_from({"heralded_site_kill_prob": "abc"})
+    config = ExperimentConfig(experiment="fig4", parameters={"reps": "1.5"},
+                              output_dir=tmp_path)
+    with pytest.raises(ValueError, match="reps must be an integer, got '1.5'"):
+        run_experiment(config)
+
+
+def test_reproduce_malformed_number_fails_before_probes(tmp_path, capsys,
+                                                       monkeypatch):
+    def no_probe(*args, **kwargs):
+        raise AssertionError("probe ran")
+
+    monkeypatch.setattr("rmux.percolation.loss_threshold", no_probe)
+    assert main(["reproduce", "fig8_thresholds", "--out", str(tmp_path),
+                 "--set", "trials=1.5"]) == 1
+    assert ("error: trials must be an integer, got '1.5'"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("override, message", [
+    ("ps_step=0", "error: ps_step must be > 0, got 0.0"),
+    ("ps_step=-0.01", "error: ps_step must be > 0, got -0.01"),
+    ("ps_max=0.7", "error: ps_max must be >= ps_min"),
+])
+def test_reproduce_fig2_rejects_bad_grid(tmp_path, capsys, override, message):
+    assert main(["reproduce", "fig2", "--out", str(tmp_path),
+                 "--set", override]) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_reproduce_table1(tmp_path, capsys):
     assert main(["reproduce", "table1", "--out", str(tmp_path)]) == 0
     out = capsys.readouterr().out

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -20,6 +21,7 @@ from rmux.matching import (
     solve_assignment,
     virtual_weight_for,
 )
+from rmux.mux_sim import STRATEGIES, match_streams
 from rmux.streams import generate_stream, stream_from_bins
 
 
@@ -160,6 +162,50 @@ def test_resolve_repairs_clashing_two_pair_matching():
     assert len(clash_discards) == 2
 
 
+def test_resolve_keeps_prior_reasons_and_marks_dropped_pair_clash():
+    # The clash instance above shifted by 2 bins, plus four photons no
+    # 7-bin delay can pair: stream-1 bin 20 and stream-2 bin 30 have a
+    # counterpart in their feasible direction ("range"), stream-1 bin 40
+    # and stream-2 bin 0 have none ("unpaired").
+    net = DelayNetwork(4)
+    m = hungarian_min_assignment(
+        build_assignment_matrix(stream_at([2, 3, 20, 40], 48),
+                                stream_at([0, 3, 7, 30], 48), net.max_delay))
+    assert m.pairs == [(2, 3, 1), (3, 7, 4)]
+    assert m.discarded == [(20, "1", "range"), (40, "1", "unpaired"),
+                           (0, "2", "unpaired"), (30, "2", "range")]
+    fixed = resolve_clashes_optimal(m, net)
+    assert fixed.pairs == [(2, 3, 1)]
+    assert fixed.discarded == [(3, "1", "clash"), (20, "1", "range"),
+                               (40, "1", "unpaired"), (0, "2", "unpaired"),
+                               (7, "2", "clash"), (30, "2", "range")]
+
+
+def test_hungarian_with_clash_pinned_on_clash_heavy_instances():
+    # Digest of (pairs, discarded) over 40 instances whose no-clash optimum
+    # does not route, so each one runs the repair loop: it pins the repair's
+    # rounds, tie-breaks and discard reasons.
+    rng = np.random.default_rng(41)
+    digest = hashlib.sha256()
+    repaired = clashed = 0
+    while repaired < 40:
+        net = DelayNetwork(int(rng.integers(4, 9)),
+                           descending=bool(rng.integers(0, 2)))
+        s1, s2 = (generate_stream(0.3, 80, int(x))
+                  for x in rng.integers(0, 2 ** 32, size=2))
+        m = hungarian_min_assignment(
+            build_assignment_matrix(s1, s2, net.max_delay))
+        if route(pair_requests(m.pairs), net).clash_free:
+            continue
+        fixed, _ = match_streams(s1, s2, net, "hungarian_with_clash")
+        digest.update(repr((fixed.pairs, fixed.discarded)).encode())
+        repaired += 1
+        clashed += any(r == "clash" for _, _, r in fixed.discarded)
+    assert clashed == 9
+    assert digest.hexdigest() == (
+        "63a12898a8bc3a301a945a5642fe94cecf2a6713ed5aaa00ca85b4d03dc15a3b")
+
+
 @st.composite
 def sorted_pair_lists(draw):
     s = draw(st.integers(1, 4))
@@ -271,6 +317,29 @@ def test_no_photon_used_twice():
         assert len(set(seconds)) == len(seconds)
         assert all(b2 - b1 == d for b1, b2, d in m.pairs)
         assert m.total_weight == sum(d for _, _, d in m.pairs)
+
+
+def test_every_photon_is_paired_or_discarded_once_in_stream_bin_order():
+    rng = np.random.default_rng(12)
+    clash_discards = set()
+    for _ in range(90):
+        net = DelayNetwork(int(rng.integers(1, 9)),
+                           descending=bool(rng.integers(0, 2)))
+        s1, s2 = (generate_stream(0.3, 120, int(x))
+                  for x in rng.integers(0, 2 ** 32, size=2))
+        for strategy in STRATEGIES:
+            m, _ = match_streams(s1, s2, net, strategy)
+            for side, (stream, source) in enumerate((("1", s1), ("2", s2))):
+                seen = ([p[side] for p in m.pairs]
+                        + [b for b, which, _ in m.discarded if which == stream])
+                assert sorted(seen) == source.occupied_bins.tolist()
+            assert m.discarded == sorted(m.discarded,
+                                         key=lambda d: (d[1], d[0]))
+            assert {r for _, _, r in m.discarded} <= {"range", "unpaired",
+                                                      "clash"}
+            if any(r == "clash" for _, _, r in m.discarded):
+                clash_discards.add(strategy)
+    assert clash_discards == {"hungarian_with_clash", "realistic"}
 
 
 # ---------------------------------------------------------------- metrics
