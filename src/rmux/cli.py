@@ -130,16 +130,14 @@ def _cmd_percolate(args) -> int:
     elif args.mode == "threshold":
         thr = percolation.loss_threshold(
             args.scheme, args.target, args.a_l, args.L, args.trials,
-            args.tolerance, args.seed, sem,
-            equal_ancilla_loss=args.equal_ancilla_loss)
+            args.seed, sem, equal_ancilla_loss=args.equal_ancilla_loss)
         a_col = "scan" if args.equal_ancilla_loss else args.a_l
         _emit(["scheme", "target", "a_l", "p_l_threshold"],
               [(args.scheme, args.target, a_col, thr)], args.out)
     else:
         grid = [float(x) for x in args.a_l_grid.split(",")]
         frontier = percolation.tradeoff_frontier(
-            args.scheme, args.target, grid, args.L, args.trials, args.seed,
-            sem, args.tolerance)
+            args.scheme, args.target, grid, args.L, args.trials, args.seed, sem)
         rows = [(args.scheme, args.target, a, thr)
                 for a, thr in frontier.points]
         _emit(["scheme", "target", "a_l", "p_l_threshold"], rows, args.out)
@@ -232,7 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--p-l", type=float, default=0.0)
     pp.add_argument("--a-l", type=float, default=0.0)
     pp.add_argument("--target", type=float, default=0.90)
-    pp.add_argument("--tolerance", type=float, default=0.002)
     pp.add_argument("--a-l-grid", default="0,0.005,0.01,0.015,0.02,0.025")
     pp.add_argument("--equal-ancilla-loss", action="store_true",
                     help="scan ancilla loss jointly at the photon rate")

@@ -113,6 +113,15 @@ def _param(params: dict, key: str, default):
     return raw
 
 
+def _param_list(params: dict, key: str, default: str, kind,
+                allow_empty: bool = False) -> list:
+    """Comma-separated list parameter, each item `kind` as in `_param`."""
+    raw = str(params.get(key, default))
+    items = raw.split(",") if raw.strip() or not allow_empty else []
+    entry = f"each {key} entry"         # names the key in _param's errors
+    return [_param({entry: x}, entry, kind()) for x in items]
+
+
 def semantics_from(params: dict) -> tuple[str, OutcomeSemantics]:
     """(preset name, semantics) from `params`.
 
@@ -217,8 +226,7 @@ def _run_table1(config: ExperimentConfig):
 
 def _run_fig2(config: ExperimentConfig):
     p = config.parameters
-    etas = [float(x) for x in
-            str(_param(p, "etas", "0.1,0.01,0.001")).split(",")]
+    etas = _param_list(p, "etas", "0.1,0.01,0.001", float)
     ps_lo = _param(p, "ps_min", 0.80)
     ps_hi = _param(p, "ps_max", 0.93)
     ps_step = _param(p, "ps_step", 0.005)
@@ -260,7 +268,7 @@ def _run_fig2(config: ExperimentConfig):
 def _strategy_sweep(config: ExperimentConfig, strategies):
     p = config.parameters
     prob = _param(p, "p", 0.1)
-    s_values = [int(x) for x in str(_param(p, "switches", "1,2,3,4,5,6,7,8")).split(",")]
+    s_values = _param_list(p, "switches", "1,2,3,4,5,6,7,8", int)
     n_bins = _param(p, "bins", 1000)
     reps = _param(p, "reps", 100)
     rows = []
@@ -334,8 +342,7 @@ def _run_fig6(config: ExperimentConfig):
 def _run_fig7(config: ExperimentConfig):
     p = config.parameters
     p1 = _param(p, "p1", 0.1)
-    budgets = [int(x) for x in
-               str(_param(p, "budgets", "5,6,7,8,9,10,11,12,13,14,15,16")).split(",")]
+    budgets = _param_list(p, "budgets", "5,6,7,8,9,10,11,12,13,14,15,16", int)
     n_bins = _param(p, "bins", 10000)
     reps = _param(p, "reps", 100)
     rows = []
@@ -384,29 +391,22 @@ def _run_fig8(config: ExperimentConfig):
     target = _param(p, "target", 0.90)
     L = _param(p, "L", 10)
     trials = _param(p, "trials", 2000)
-    tolerance = _param(p, "tolerance", 0.002)
     a_l = _param(p, "a_l", 0.0)
-    sizes = [int(x) for x in str(_param(p, "finite_size_L", "6,14")).split(",") if x]
+    sizes = _param_list(p, "finite_size_L", "6,14", int, allow_empty=True)
     finite_trials = _param(p, "finite_size_trials", 600)
     sem_name, sem = semantics_from(p)
 
     rows = []
     thresholds = {}
-    for scheme in (percolation.SCHEME_RMUX, percolation.SCHEME_STANDARD):
-        thr = percolation.loss_threshold(scheme, target, a_l, L, trials,
-                                         tolerance, config.seed, sem)
-        thresholds[scheme] = thr
-        rows.append((scheme, L, target, a_l, thr, trials, tolerance, sem_name))
-    for size in sizes:
+    for size, n in [(L, trials)] + [(size, finite_trials) for size in sizes]:
         for scheme in (percolation.SCHEME_RMUX, percolation.SCHEME_STANDARD):
-            thr = percolation.loss_threshold(scheme, target, a_l, size,
-                                             finite_trials, tolerance,
+            thr = percolation.loss_threshold(scheme, target, a_l, size, n,
                                              config.seed, sem)
-            rows.append((scheme, size, target, a_l, thr, finite_trials,
-                         tolerance, sem_name))
+            thresholds.setdefault(scheme, thr)
+            rows.append((scheme, size, target, a_l, thr, n, sem_name))
     csv = _write_csv(config.output_dir / "fig8_thresholds.csv",
                      ["scheme", "L", "target", "a_l", "p_l_threshold",
-                      "trials", "tolerance", "semantics"], rows)
+                      "trials", "semantics"], rows)
     ref = REF_FIG8
     ratio = thresholds["rmux"] / thresholds["standard"]
     checks = [
@@ -419,8 +419,7 @@ def _run_fig8(config: ExperimentConfig):
         Check("threshold ratio", f"{ratio:.2f}", f">= {ref['min_ratio']} (target 2.4)",
               ratio >= ref["min_ratio"]),
     ]
-    meta = [f"target={target}", f"L={L}", f"trials={trials}",
-            f"tolerance={tolerance}", f"a_l={a_l}",
+    meta = [f"target={target}", f"L={L}", f"trials={trials}", f"a_l={a_l}",
             f"semantics={sem_name}: {sem}",
             "calibration: the published absolute thresholds are recovered "
             "with heralded_site_kill_prob="
@@ -438,13 +437,10 @@ def _run_fig9(config: ExperimentConfig):
     target = _param(p, "target", 0.90)
     L = _param(p, "L", 10)
     trials = _param(p, "trials", 2000)
-    tolerance = _param(p, "tolerance", 0.002)
-    grid = [float(x) for x in
-            str(_param(p, "a_l_grid", "0,0.005,0.01,0.015,0.02,0.025")).split(",")]
+    grid = _param_list(p, "a_l_grid", "0,0.005,0.01,0.015,0.02,0.025", float)
     sem_name, sem = semantics_from(p)
     frontier = percolation.tradeoff_frontier(
-        percolation.SCHEME_RMUX, target, grid, L, trials, config.seed, sem,
-        tolerance)
+        percolation.SCHEME_RMUX, target, grid, L, trials, config.seed, sem)
     rows = [(a, thr) for a, thr in frontier.points]
     csv = _write_csv(config.output_dir / "fig9_frontier.csv",
                      ["a_l", "p_l_threshold"], rows)
@@ -455,14 +451,14 @@ def _run_fig9(config: ExperimentConfig):
                          ["quantity", "value"], fit_rows)
     ref = REF_FIG9
     f_star = percolation.fusion_loss_probability(frontier.points[0][1], 0.0, 1)
-    residual_tol = ref["residual_frac_of_fl"] * f_star + 2 * tolerance
+    residual_tol = ref["residual_frac_of_fl"] * f_star
     max_resid = max(abs(r) for r in frontier.residuals)
     checks = [
         Check("frontier slope", f"{frontier.slope:.3f}",
               f"{ref['slope']} +/- {ref['slope_tol']}",
               _within(frontier.slope, ref["slope"], ref["slope_tol"])),
         Check("frontier linearity", f"max residual {max_resid:.4f}",
-              f"<= 5% of f_l + 2*tolerance = {residual_tol:.4f}",
+              f"<= 5% of f_l = {residual_tol:.4f}",
               max_resid <= residual_tol),
     ]
     meta = [f"target={target}", f"L={L}", f"trials={trials}",

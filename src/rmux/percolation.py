@@ -33,6 +33,15 @@ microcluster, the fusion's owner, is discarded) but not under the standard
 scheme (either input may be missing, so both end microclusters are
 discarded). That attribution gap, on top of the smaller f_l, is what the
 relative scheme buys in loss tolerance.
+
+Thresholds take one pass per trial. A trial's draws are fixed and reach
+the lattice only through f_l. With owner damage on, raising f_l only
+removes sites and bonds, so spanning is monotone: a trial spans iff f_l is
+at most its critical loss f*, the bottleneck level of a union-find sweep
+over the bonds from the highest level down (Newman & Ziff, PRL 85, 4104
+(2000)), and a threshold is an order statistic of the f*. Without owner
+damage, heralded site kills break this (a loss prevents the heralded kill
+it replaces), and the threshold functions reject that corner.
 """
 
 from __future__ import annotations
@@ -212,6 +221,29 @@ class LatticeState:
     outcome_counts: dict = field(default_factory=dict)
 
 
+def _fusion_levels(lattice: DiamondLattice, scheme: str,
+                   semantics: OutcomeSemantics, rng: np.random.Generator):
+    """One trial's four draws per fusion (u, v, w_site, w_bond), as levels.
+
+    Returns (u, v, site, bond, killed): at fusion loss f, fusion i is lost
+    iff u[i] < f, bond k is present iff f <= bond[k], loss damage spares
+    site j iff f <= site[j], and a `killed` assembly fusion kills its owner
+    iff it is not lost (its failure is then heralded).
+    """
+    u, v, w_site, w_bond = rng.random((4, lattice.n_fusions))
+    site = np.full(lattice.n_sites, np.inf)
+    if semantics.loss_kills_owner_site:
+        np.minimum.at(site, lattice.fusion_owner, u)
+        if scheme == SCHEME_STANDARD and semantics.standard_loss_damages_both_ends:
+            np.minimum.at(site, lattice.fusion_passive, u)
+    killed = (~lattice.fusion_is_bond & (v >= FUSION_SUCCESS_PROB)
+              & (w_site < semantics.heralded_site_kill_prob))
+    connects = ((v < FUSION_SUCCESS_PROB)
+                | (w_bond < semantics.heralded_bond_connect_prob))
+    bond = np.where(connects, u, -np.inf)[lattice.fusion_is_bond]
+    return u, v, site, bond, killed
+
+
 def sample_lattice_state(lattice: DiamondLattice, scheme: str, p_l: float,
                          a_l: float, semantics: OutcomeSemantics,
                          rng: np.random.Generator) -> LatticeState:
@@ -223,80 +255,72 @@ def sample_lattice_state(lattice: DiamondLattice, scheme: str, p_l: float,
     the relative scheme's, which makes scheme dominance exact per trial.
     """
     f_l = fusion_loss_probability(p_l, a_l, lossy_inputs(scheme))
-    n = lattice.n_fusions
-    u = rng.random(n)
-    v = rng.random(n)
-    w_site = rng.random(n)
-    w_bond = rng.random(n)
-
+    u, v, site, bond, killed = _fusion_levels(lattice, scheme, semantics, rng)
     loss = u < f_l
     success = ~loss & (v < FUSION_SUCCESS_PROB)
-    heralded = ~loss & ~success
-
-    site_alive = np.ones(lattice.n_sites, dtype=bool)
-    if semantics.loss_kills_owner_site:
-        site_alive[lattice.fusion_owner[loss]] = False
-        if scheme == SCHEME_STANDARD and semantics.standard_loss_damages_both_ends:
-            site_alive[lattice.fusion_passive[loss]] = False
-
-    r = semantics.heralded_site_kill_prob
-    if r > 0.0:
-        killed = heralded & ~lattice.fusion_is_bond & (w_site < r)
-        site_alive[lattice.fusion_owner[killed]] = False
-
-    connected = success
-    q = semantics.heralded_bond_connect_prob
-    if q > 0.0:
-        connected = success | (heralded & (w_bond < q))
-    bond_present = connected[lattice.fusion_is_bond]
-
+    site_alive = site >= f_l
+    site_alive[lattice.fusion_owner[killed & ~loss]] = False
     counts = {SUCCESS: int(success.sum()),
-              FAIL_HERALDED: int(heralded.sum()),
+              FAIL_HERALDED: int((~loss & ~success).sum()),
               FAIL_LOSS: int(loss.sum())}
     return LatticeState(lattice=lattice, scheme=scheme, p_l=p_l, a_l=a_l,
                         semantics=semantics, site_alive=site_alive,
-                        bond_present=bond_present, outcome_counts=counts)
+                        bond_present=bond >= f_l, outcome_counts=counts)
 
 
-def spans(state: LatticeState) -> bool:
-    """Union-find spanning check between the two open faces.
+def _critical_level(lattice: DiamondLattice, site_level: np.ndarray,
+                    bond_level: np.ndarray) -> float:
+    """Highest level f at which usable bonds join the open faces, or -inf.
 
-    Alive sites are merged along present bonds whose endpoints are both
-    alive; the state spans when some component holds an alive site on each
-    face. Plain-list union by size with path halving; the DSU is local to
-    the call, so trials can run concurrently.
+    Bond k is usable at f when f <= min(bond_level[k], site_level at its
+    ends). Bonds merge from the highest level down into a union-find over
+    the sites plus a node per face, numbered last: linking the lower root
+    under the higher keeps the face nodes roots.
     """
-    lat = state.lattice
-    alive = state.site_alive
-    idx = np.flatnonzero(state.bond_present)
-    ends_a = lat.bond_site_a[idx]
-    ends_b = lat.bond_site_b[idx]
-    ok = alive[ends_a] & alive[ends_b]
-
-    parent = list(range(lat.n_sites))
-    size = [1] * lat.n_sites
+    a, b = lattice.bond_site_a, lattice.bond_site_b
+    level = np.minimum(bond_level, np.minimum(site_level[a], site_level[b]))
+    order = np.argsort(-level)[:np.count_nonzero(level > -np.inf)]
+    n = lattice.n_sites
+    parent = np.arange(n + 2)
+    parent[lattice.face_start_sites], parent[lattice.face_end_sites] = n, n + 1
+    parent = parent.tolist()
 
     def find(x):
         while parent[x] != x:
-            parent[x] = parent[parent[x]]   # path halving
-            x = parent[x]
+            parent[x] = x = parent[parent[x]]       # path halving
         return x
 
-    for a, b in zip(ends_a[ok].tolist(), ends_b[ok].tolist()):
-        ra = find(a)
-        rb = find(b)
-        if ra == rb:
-            continue
-        if size[ra] < size[rb]:
-            ra, rb = rb, ra
-        parent[rb] = ra
-        size[ra] += size[rb]
+    for x, y, lv in zip(a[order].tolist(), b[order].tolist(),
+                        level[order].tolist()):
+        x, y = find(x), find(y)
+        if x > y:
+            x, y = y, x
+        if n <= x < y:                          # the two face nodes
+            return lv
+        parent[x] = y
+    return -np.inf
 
-    start_roots = {find(s) for s in lat.face_start_sites.tolist() if alive[s]}
-    if not start_roots:
-        return False
-    return any(find(s) in start_roots
-               for s in lat.face_end_sites.tolist() if alive[s])
+
+def spans(state: LatticeState) -> bool:
+    """Whether a path of present bonds over alive sites joins the faces:
+    the critical level with every site and bond at level 1 or -inf."""
+    return _critical_level(state.lattice,
+                           np.where(state.site_alive, 1.0, -np.inf),
+                           np.where(state.bond_present, 1.0, -np.inf)) > 0
+
+
+def _trials(L, trials, seed, semantics, lattice):
+    """(semantics, lattice, a generator per trial) for the trial loops."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    if lattice is None:
+        lattice = DiamondLattice(L)
+    elif lattice.L != L:
+        raise ValueError(f"lattice has L={lattice.L}, expected L={L}")
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(seed)
+    rngs = (np.random.Generator(np.random.PCG64(c)) for c in seed.spawn(trials))
+    return semantics or OutcomeSemantics(), lattice, rngs
 
 
 def percolation_probability(L: int, scheme: str, p_l: float, a_l: float,
@@ -309,77 +333,63 @@ def percolation_probability(L: int, scheme: str, p_l: float, a_l: float,
     Trial t samples with the t-th child of `seed` (an int or a
     SeedSequence); a prebuilt `lattice` must have `L` cells per axis.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if semantics is None:
-        semantics = OutcomeSemantics()
-    if lattice is None:
-        lattice = DiamondLattice(L)
-    elif lattice.L != L:
-        raise ValueError(f"lattice has L={lattice.L}, expected L={L}")
-    if not isinstance(seed, np.random.SeedSequence):
-        seed = np.random.SeedSequence(seed)
-    children = seed.spawn(trials)
-    hits = 0
-    for child in children:
-        rng = np.random.Generator(np.random.PCG64(child))
-        state = sample_lattice_state(lattice, scheme, p_l, a_l, semantics, rng)
-        if spans(state):
-            hits += 1
+    semantics, lattice, rngs = _trials(L, trials, seed, semantics, lattice)
+    hits = sum(spans(sample_lattice_state(lattice, scheme, p_l, a_l,
+                                          semantics, rng)) for rng in rngs)
     p_hat = hits / trials
-    stderr = float(np.sqrt(p_hat * (1.0 - p_hat) / trials))
-    return p_hat, stderr
+    return p_hat, float(np.sqrt(p_hat * (1.0 - p_hat) / trials))
+
+
+def critical_losses(L: int, scheme: str, trials: int,
+                    seed: int | np.random.SeedSequence,
+                    semantics: OutcomeSemantics | None = None,
+                    lattice: DiamondLattice | None = None) -> np.ndarray:
+    """Each trial's critical fusion loss f*: trial t spans at f iff f <= f*[t]
+    (never if f* = -inf). Trial t draws as in `percolation_probability`, so
+    the count of f* >= f_l is that function's hit count at f_l."""
+    semantics, lattice, rngs = _trials(L, trials, seed, semantics, lattice)
+    if (not semantics.loss_kills_owner_site
+            and semantics.heralded_site_kill_prob > 0.0):
+        raise ValueError("spanning is not monotone in loss with loss_kills_"
+                         "owner_site=False and heralded_site_kill_prob > 0")
+    f_star = np.empty(trials)
+    for t, rng in enumerate(rngs):
+        _u, _v, site, bond, killed = _fusion_levels(lattice, scheme, semantics, rng)
+        site[lattice.fusion_owner[killed]] = -np.inf    # dead, lost or not
+        f_star[t] = _critical_level(lattice, site, bond)
+    return f_star
+
+
+def _thresholds(scheme, target, a_l_values, L, trials, seed, semantics,
+                equal_ancilla_loss=False) -> np.ndarray:
+    """`loss_threshold` at each a_l from one pass: the k-th largest f*, k
+    the least rank with k/trials >= target, mapped through f_l(p_l, a_l)."""
+    if not 0.0 < target < 1.0:
+        raise ValueError(f"target must be in (0, 1), got {target}")
+    f_star = np.sort(critical_losses(L, scheme, trials, seed, semantics))
+    f = f_star[trials - 1 - np.argmax(np.arange(1, trials + 1) / trials >= target)]
+    n = lossy_inputs(scheme)
+    ancilla = np.asarray(a_l_values, dtype=float) * (not equal_ancilla_loss)
+    for a_l, a in zip(a_l_values, ancilla):
+        if not f >= fusion_loss_probability(0.0, a, n):
+            raise ValueError(
+                f"lattice does not reach target {target} even at zero loss "
+                f"(scheme={scheme}, a_l={a_l}, L={L})")
+    n += 2 * equal_ancilla_loss
+    return 1.0 - ((1.0 - f) / (1.0 - ancilla) ** 2) ** (1.0 / n)
 
 
 def loss_threshold(scheme: str, target: float, a_l: float, L: int,
-                   trials: int, tolerance: float, seed: int,
+                   trials: int, seed: int,
                    semantics: OutcomeSemantics | None = None,
                    equal_ancilla_loss: bool = False) -> float:
-    """Bisection for the photon-loss rate where spanning crosses `target`.
-
-    Each probe runs `trials` independent lattices with a probe-specific
-    derived seed; raises when the lattice is already below target at zero
-    loss. With equal_ancilla_loss the ancilla photons are scanned jointly
-    at the same rate as the delayed photons (a_l is ignored), the variant
-    quoted for fully lossy switching.
-    """
-    if not 0.0 < target < 1.0:
-        raise ValueError(f"target must be in (0, 1), got {target}")
-    if not tolerance > 0.0:
-        raise ValueError(f"tolerance must be > 0, got {tolerance}")
-    if semantics is None:
-        semantics = OutcomeSemantics()
-    lattice = DiamondLattice(L)
-    master = np.random.SeedSequence(seed)
-
-    def prob_at(p_l: float) -> float:
-        ancilla = p_l if equal_ancilla_loss else a_l
-        p_hat, _stderr = percolation_probability(
-            L, scheme, p_l, ancilla, trials, master.spawn(1)[0], semantics,
-            lattice)
-        return p_hat
-
-    if prob_at(0.0) < target:
-        raise ValueError(
-            f"lattice does not reach target {target} even at zero loss "
-            f"(scheme={scheme}, a_l={a_l}, L={L})")
-
-    lo, hi = 0.0, 0.04
-    while prob_at(hi) >= target:
-        lo = hi
-        hi *= 2.0
-        if hi >= 1.0:
-            hi = 1.0
-            break
-    while hi - lo > tolerance:
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):     # adjacent floats: the interval cannot shrink
-            break
-        if prob_at(mid) >= target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    """Photon-loss rate at which the spanning fraction crosses `target`:
+    with the same seed, `percolation_probability` is >= target just below
+    it and < target just above. Raises if below target at zero loss. With
+    equal_ancilla_loss the ancilla photons are lost at the same rate (a_l
+    is ignored), the variant quoted for fully lossy switching."""
+    return float(_thresholds(scheme, target, [a_l], L, trials, seed,
+                             semantics, equal_ancilla_loss)[0])
 
 
 @dataclass(frozen=True)
@@ -392,21 +402,17 @@ class FrontierResult:
 
 def tradeoff_frontier(scheme: str, target: float, a_l_grid, L: int,
                       trials: int, seed: int,
-                      semantics: OutcomeSemantics | None = None,
-                      tolerance: float = 0.002) -> FrontierResult:
-    """Loss-threshold frontier over ancilla-loss values, with a linear fit."""
-    a_l_grid = list(a_l_grid)
-    if not a_l_grid:
-        raise ValueError("a_l grid must be nonempty")
-    points = []
-    for i, a_l in enumerate(a_l_grid):
-        p_star = loss_threshold(scheme, target, a_l, L, trials, tolerance,
-                                seed + i, semantics)
-        points.append((float(a_l), float(p_star)))
-    xs = np.array([a for a, _ in points])
-    ys = np.array([p for _, p in points])
+                      semantics: OutcomeSemantics | None = None
+                      ) -> FrontierResult:
+    """Loss-threshold frontier over ancilla-loss values, with a linear fit:
+    one pass, and point i equals `loss_threshold` at a_l_grid[i], same seed."""
+    xs = np.array(a_l_grid, dtype=float)
+    if np.unique(xs).size < 2:
+        raise ValueError("a_l grid needs at least two distinct values, got "
+                         f"{xs.tolist()}")
+    ys = _thresholds(scheme, target, xs, L, trials, seed, semantics)
     slope, intercept = np.polyfit(xs, ys, 1)
     residuals = ys - (slope * xs + intercept)
-    return FrontierResult(points=tuple(points), slope=float(slope),
-                          intercept=float(intercept),
-                          residuals=tuple(float(r) for r in residuals))
+    return FrontierResult(points=tuple(zip(xs.tolist(), ys.tolist())),
+                          slope=float(slope), intercept=float(intercept),
+                          residuals=tuple(residuals.tolist()))

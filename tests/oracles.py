@@ -2,12 +2,16 @@
 
 These deliberately avoid the production shortcuts: the routing oracle
 enumerates every per-photon rail sequence instead of using the binary
-decomposition, the assignment oracle tries all n! permutations, and the
-spanning oracle is a breadth-first path search instead of union-find.
+decomposition, the assignment oracle tries all n! permutations, the
+spanning oracle is a breadth-first path search instead of union-find, and
+the lattice-state oracle applies each outcome rule to the fusions at one
+loss rate instead of thresholding per-site and per-bond loss levels.
 """
 
 import itertools
 from collections import deque
+
+import numpy as np
 
 
 def oracle_routable(requests, s: int) -> bool:
@@ -89,3 +93,29 @@ def spans_bfs(state) -> bool:
                 seen.add(nxt)
                 queue.append(nxt)
     return False
+
+
+def sample_state_direct(lattice, scheme, f_l, semantics, rng):
+    """(site_alive, bond_present, (successes, heralded, losses)) of one trial.
+
+    Takes the same four uniform draws per fusion as the program, in the
+    same order (u, v, w_site, w_bond), and applies the outcome semantics
+    rule by rule at fusion-loss probability f_l.
+    """
+    n = lattice.n_fusions
+    u, v, w_site, w_bond = (rng.random(n) for _ in range(4))
+    loss = u < f_l
+    success = ~loss & (v < 0.75)
+    heralded = ~loss & ~success
+    alive = np.ones(lattice.n_sites, dtype=bool)
+    if semantics.loss_kills_owner_site:
+        alive[lattice.fusion_owner[loss]] = False
+        if scheme == "standard" and semantics.standard_loss_damages_both_ends:
+            alive[lattice.fusion_passive[loss]] = False
+    killed = (heralded & ~lattice.fusion_is_bond
+              & (w_site < semantics.heralded_site_kill_prob))
+    alive[lattice.fusion_owner[killed]] = False
+    connected = success | (heralded
+                           & (w_bond < semantics.heralded_bond_connect_prob))
+    counts = (int(success.sum()), int(heralded.sum()), int(loss.sum()))
+    return alive, connected[lattice.fusion_is_bond], counts

@@ -192,7 +192,7 @@ def test_criterion_7_percolation_thresholds():
     thr = {}
     for scheme in ("rmux", "standard"):
         thr[scheme] = loss_threshold(scheme, 0.90, 0.0, L=10, trials=2000,
-                                     tolerance=0.002, seed=SEED,
+                                     seed=SEED,
                                      semantics=sem)
     assert abs(thr["rmux"] - 0.07) <= 0.015, thr
     assert abs(thr["standard"] - 0.029) <= 0.015, thr
@@ -205,7 +205,7 @@ def test_criterion_7_percolation_thresholds():
     d_thr = {}
     for scheme in ("rmux", "standard"):
         d_thr[scheme] = loss_threshold(scheme, 0.90, 0.0, L=10, trials=800,
-                                       tolerance=0.004, seed=SEED + 1,
+                                       seed=SEED + 1,
                                        semantics=default)
     assert d_thr["rmux"] / d_thr["standard"] >= 2.0, d_thr
     prev = None
@@ -228,8 +228,7 @@ def test_criterion_8_frontier_linearity():
     t0 = time.monotonic()
     grid = [0.0, 0.005, 0.01, 0.015, 0.02, 0.025]
     frontier = tradeoff_frontier("rmux", 0.90, grid, L=10, trials=2000,
-                                 seed=SEED, semantics=calibrated_semantics(),
-                                 tolerance=0.002)
+                                 seed=SEED, semantics=calibrated_semantics())
     assert abs(frontier.slope - (-2.0)) <= 0.3, frontier.slope
     # the nonlinear remainder of f_l stays below 5% in this loss range;
     # allow the bisection tolerance on top

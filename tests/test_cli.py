@@ -76,10 +76,33 @@ def test_percolate_semantics_override(capsys):
     assert probs[1] < probs[0]
 
 
-def test_percolate_threshold_rejects_zero_tolerance(capsys):
+def _forbid_sampling(monkeypatch):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("lattice sampled")
+
+    monkeypatch.setattr("rmux.percolation._fusion_levels", no_draws)
+
+
+def test_percolate_threshold_rejects_non_monotone_semantics(capsys,
+                                                           monkeypatch):
+    # the calibrated preset's heralded kills without owner damage
+    _forbid_sampling(monkeypatch)
     assert main(["percolate", "--mode", "threshold", "--L", "4", "--trials",
-                 "10", "--tolerance", "0"]) == 1
-    assert "error: tolerance must be > 0" in capsys.readouterr().err
+                 "10", "--loss-kills-owner-site", "false"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "loss_kills_owner_site" in err
+    assert "heralded_site_kill_prob" in err
+
+
+@pytest.mark.parametrize("grid", ["0.01,0.01", "0.01"])
+def test_percolate_frontier_rejects_degenerate_grid(grid, capsys,
+                                                    monkeypatch):
+    _forbid_sampling(monkeypatch)
+    assert main(["percolate", "--mode", "frontier", "--L", "4", "--trials",
+                 "10", "--a-l-grid", grid]) == 1
+    assert ("error: a_l grid needs at least two distinct values"
+            in capsys.readouterr().err)
 
 
 def test_semantics_booleans_parse_strictly():
@@ -126,6 +149,39 @@ def test_reproduce_malformed_number_fails_before_probes(tmp_path, capsys,
                  "--set", "trials=1.5"]) == 1
     assert ("error: trials must be an integer, got '1.5'"
             in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("figure, override, message", [
+    ("fig9_frontier", "a_l_grid=0,x",
+     "error: each a_l_grid entry must be a number, got 'x'"),
+    ("fig8_thresholds", "finite_size_L=6,x",
+     "error: each finite_size_L entry must be an integer, got 'x'"),
+    ("fig7", "budgets=5,",
+     "error: each budgets entry must be an integer, got ''"),
+    ("fig4", "switches=2.5",
+     "error: each switches entry must be an integer, got '2.5'"),
+    ("fig2", "etas=0.1,,0.01",
+     "error: each etas entry must be a number, got ''"),
+    # only finite_size_L may be empty
+    ("fig4", "switches=", "error: each switches entry must be an integer, got ''"),
+])
+def test_reproduce_malformed_list_names_the_key(tmp_path, capsys,
+                                                monkeypatch, figure,
+                                                override, message):
+    _forbid_sampling(monkeypatch)
+    assert main(["reproduce", figure, "--out", str(tmp_path),
+                 "--set", override]) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_reproduce_empty_finite_sizes_means_none(tmp_path):
+    assert main(["reproduce", "fig8_thresholds", "--out", str(tmp_path),
+                 "--set", "L=4", "--set", "trials=30",
+                 "--set", "finite_size_L="]) in (0, 2)
+    rows = (tmp_path / "fig8_thresholds.csv").read_text().splitlines()
+    assert rows[0] == "scheme,L,target,a_l,p_l_threshold,trials,semantics"
+    assert [r.split(",")[:2] for r in rows[1:]] == [["rmux", "4"],
+                                                    ["standard", "4"]]
 
 
 @pytest.mark.parametrize("override, message", [

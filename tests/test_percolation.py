@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from oracles import spans_bfs
+from oracles import sample_state_direct, spans_bfs
 from rmux.percolation import (
     BOND_FORMING_IDS,
     PHOTON_ASSIGNMENT,
@@ -13,6 +13,7 @@ from rmux.percolation import (
     OutcomeSemantics,
     calibrated_semantics,
     classify_photon,
+    critical_losses,
     fusion_loss_probability,
     loss_threshold,
     lossy_inputs,
@@ -261,6 +262,58 @@ def test_outcome_distribution_multinomial():
         assert abs(totals[key] - n * expect) < 4 * sigma, key
 
 
+@pytest.mark.parametrize("sem", [
+    OutcomeSemantics(),
+    calibrated_semantics(),
+    OutcomeSemantics(heralded_bond_connect_prob=0.4,
+                     heralded_site_kill_prob=0.3),
+    OutcomeSemantics(standard_loss_damages_both_ends=False,
+                     heralded_site_kill_prob=0.2),
+    # the corner whose spanning is not monotone in loss
+    OutcomeSemantics(loss_kills_owner_site=False, heralded_site_kill_prob=0.5),
+], ids=["default", "calibrated", "bond_connect", "owner_only", "no_owner"])
+@pytest.mark.parametrize("scheme", ["rmux", "standard"])
+def test_sampled_state_matches_direct_rules(scheme, sem):
+    # the sampler thresholds per-site and per-bond loss levels; the oracle
+    # applies each outcome rule to the fusions directly
+    lat = DiamondLattice(4)
+    for t, (p_l, a_l) in enumerate([(0.0, 0.0), (0.03, 0.01), (0.1, 0.0),
+                                    (0.3, 0.05), (1.0, 0.0)]):
+        st = sample_lattice_state(lat, scheme, p_l, a_l, sem,
+                                  np.random.Generator(np.random.PCG64(t)))
+        f_l = fusion_loss_probability(p_l, a_l, lossy_inputs(scheme))
+        alive, present, counts = sample_state_direct(
+            lat, scheme, f_l, sem, np.random.Generator(np.random.PCG64(t)))
+        assert np.array_equal(st.site_alive, alive)
+        assert np.array_equal(st.bond_present, present)
+        assert (st.outcome_counts["success"],
+                st.outcome_counts["fail_heralded"],
+                st.outcome_counts["fail_loss"]) == counts
+
+
+class _FixedDraws:
+    """Stands in for a generator whose every uniform draw is `value`."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self, shape):
+        return np.full(shape, self.value)
+
+
+def test_loss_boundary_is_inclusive():
+    # a fusion is lost iff u < f_l, so at u == f_l = 0.5 nothing is lost
+    # and every fusion succeeds (v = 0.5 < 3/4)
+    lat = DiamondLattice(3)
+    st = sample_lattice_state(lat, "rmux", 0.5, 0.0, OutcomeSemantics(),
+                              _FixedDraws(0.5))
+    assert st.site_alive.all() and st.bond_present.all() and spans(st)
+    alive, present, _ = sample_state_direct(lat, "rmux", 0.5,
+                                            OutcomeSemantics(),
+                                            _FixedDraws(0.5))
+    assert alive.all() and present.all()
+
+
 def test_sampling_determinism():
     lat = DiamondLattice(4)
     a = sample_lattice_state(lat, "rmux", 0.05, 0.01, OutcomeSemantics(),
@@ -408,45 +461,147 @@ def test_scheme_dominance_per_coupled_trial():
 def test_threshold_unreachable_target_raises():
     sem = OutcomeSemantics(heralded_site_kill_prob=0.95)
     with pytest.raises(ValueError):
-        loss_threshold("rmux", 0.9, 0.0, 4, trials=60, tolerance=0.01,
-                       seed=1, semantics=sem)
+        loss_threshold("rmux", 0.9, 0.0, 4, trials=60, seed=1, semantics=sem)
 
 
 def test_threshold_smoke_small_lattice():
-    thr = loss_threshold("rmux", 0.9, 0.0, 6, trials=150, tolerance=0.01,
-                         seed=11, semantics=calibrated_semantics())
+    thr = loss_threshold("rmux", 0.9, 0.0, 6, trials=150, seed=11,
+                         semantics=calibrated_semantics())
     assert 0.02 < thr < 0.15
 
 
 def test_threshold_equal_loss_consistency():
     # fully lossy switching: ancilla photons scanned at the photon rate;
     # the standard scheme then lands near the quoted 1.6% tolerable loss
-    thr = loss_threshold("standard", 0.9, 0.0, 10, trials=600,
-                         tolerance=0.004, seed=13,
+    thr = loss_threshold("standard", 0.9, 0.0, 10, trials=600, seed=13,
                          semantics=calibrated_semantics(),
                          equal_ancilla_loss=True)
     assert abs(thr - 0.016) <= 0.015
 
 
-@pytest.mark.parametrize("tolerance", [0.0, -0.01, float("nan")])
-def test_threshold_rejects_nonpositive_tolerance(tolerance, monkeypatch):
-    # with tolerance <= 0 the bisection would never stop; reject it before
-    # any lattice is sampled
-    def no_probe(*args, **kwargs):
-        raise AssertionError("probe ran")
+# ------------------------------------------------------ critical losses
 
-    monkeypatch.setattr("rmux.percolation.percolation_probability", no_probe)
-    with pytest.raises(ValueError, match="tolerance"):
-        loss_threshold("rmux", 0.9, 0.0, 4, trials=10, tolerance=tolerance,
-                       seed=1)
-    with pytest.raises(ValueError, match="tolerance"):
+_SEMANTICS_CASES = {
+    "default": OutcomeSemantics(),
+    "calibrated": calibrated_semantics(),
+    "bond_connect": OutcomeSemantics(heralded_bond_connect_prob=0.3,
+                                     heralded_site_kill_prob=0.2),
+    "no_owner_damage": OutcomeSemantics(loss_kills_owner_site=False),
+}
+
+
+@pytest.mark.parametrize("sem_name", sorted(_SEMANTICS_CASES))
+@pytest.mark.parametrize("scheme", ["rmux", "standard"])
+@pytest.mark.parametrize("L, trials", [(4, 60), (6, 40), (10, 12)])
+def test_critical_loss_count_equals_spanning_fraction(L, trials, scheme,
+                                                      sem_name):
+    # the spans path (checked against BFS above) is the oracle: trial t
+    # spans at f_l exactly when f_l <= f*[t]
+    sem = _SEMANTICS_CASES[sem_name]
+    lat = DiamondLattice(L)
+    f_star = critical_losses(L, scheme, trials, 11, sem, lat)
+    assert f_star.shape == (trials,)
+    for a_l in (0.0, 0.01):
+        for p_l in (0.0, 0.03, 0.07, 0.15):
+            f_l = fusion_loss_probability(p_l, a_l, lossy_inputs(scheme))
+            p_hat, _ = percolation_probability(L, scheme, p_l, a_l, trials,
+                                               11, sem, lat)
+            assert np.count_nonzero(f_star >= f_l) / trials == p_hat, (a_l,
+                                                                        p_l)
+
+
+def test_critical_loss_is_the_spanning_edge_per_trial():
+    # just below f* the trial's state spans, just above it does not; a
+    # trial that never spans has f* = -inf
+    lat = DiamondLattice(4)
+    sem = OutcomeSemantics(heralded_site_kill_prob=0.8)
+    f_star = critical_losses(4, "standard", 40, 5, sem, lat)
+    seeds = np.random.SeedSequence(5).spawn(40)
+    assert np.isneginf(f_star).any() and np.isfinite(f_star).any()
+    for f, seed in zip(f_star.tolist(), seeds):
+        def spans_at(f_l):
+            # standard scheme, a_l = 0: f_l = 1 - (1 - p_l)^2
+            p_l = 1.0 - np.sqrt(1.0 - f_l)
+            rng = np.random.Generator(np.random.PCG64(seed))
+            return spans(sample_lattice_state(lat, "standard", p_l, 0.0,
+                                              sem, rng))
+        if f == -np.inf:
+            assert not spans_at(0.0)
+        else:
+            assert spans_at(f * (1 - 1e-9))
+            assert not spans_at(f * (1 + 1e-9) + 1e-12)
+
+
+def test_non_monotone_semantics_rejected_before_sampling(monkeypatch):
+    # without owner damage, a loss prevents the heralded kill it replaces,
+    # so spanning is not monotone in loss and has no critical loss
+    def no_draws(*args, **kwargs):
+        raise AssertionError("lattice sampled")
+
+    monkeypatch.setattr("rmux.percolation._fusion_levels", no_draws)
+    sem = OutcomeSemantics(loss_kills_owner_site=False,
+                           heralded_site_kill_prob=0.3)
+    match = "loss_kills_owner_site.*heralded_site_kill_prob"
+    with pytest.raises(ValueError, match=match):
+        critical_losses(4, "rmux", 10, 1, sem)
+    with pytest.raises(ValueError, match=match):
+        loss_threshold("rmux", 0.9, 0.0, 4, trials=10, seed=1, semantics=sem)
+    with pytest.raises(ValueError, match=match):
         tradeoff_frontier("rmux", 0.9, [0.0, 0.01], 4, trials=10, seed=1,
-                          tolerance=tolerance)
+                          semantics=sem)
 
 
-def test_threshold_stops_at_float_resolution():
-    # a positive tolerance below one float spacing ends once lo and hi are
-    # adjacent floats
-    thr = loss_threshold("rmux", 0.5, 0.0, 4, trials=10, tolerance=1e-300,
-                         seed=3)
-    assert 0.0 < thr < 1.0
+def test_threshold_is_the_crossing():
+    # same seed: the spanning fraction is >= target just below the
+    # returned loss rate and < target just above it
+    sem = calibrated_semantics()
+    for scheme, a_l, seed in (("rmux", 0.0, 3), ("standard", 0.01, 4)):
+        thr = loss_threshold(scheme, 0.9, a_l, 6, trials=120, seed=seed,
+                             semantics=sem)
+        below, _ = percolation_probability(6, scheme, thr * (1 - 1e-9), a_l,
+                                           120, seed, sem)
+        above, _ = percolation_probability(6, scheme, thr * (1 + 1e-9), a_l,
+                                           120, seed, sem)
+        assert below >= 0.9 > above, (scheme, below, above)
+
+
+def test_threshold_rank_uses_the_spanning_fraction_comparison(monkeypatch):
+    # 7/100 >= 0.07 holds, so the 7th largest f* is the threshold; a bare
+    # ceil(0.07 * 100) is 8 because 0.07 * 100 = 7.000000000000001
+    f_star = np.arange(100) / 1000.0
+    monkeypatch.setattr("rmux.percolation.critical_losses",
+                        lambda *args, **kwargs: f_star)
+    thr = loss_threshold("rmux", 0.07, 0.0, 4, trials=100, seed=1)
+    assert thr == pytest.approx(0.093, abs=1e-12)
+
+
+def test_equal_ancilla_loss_round_trips():
+    sem = calibrated_semantics()
+    f_star = critical_losses(6, "standard", 100, 13, sem)
+    f = np.sort(f_star)[100 - 90]
+    thr = loss_threshold("standard", 0.9, 0.0, 6, trials=100, seed=13,
+                         semantics=sem, equal_ancilla_loss=True)
+    assert fusion_loss_probability(thr, thr, 2) == pytest.approx(f, abs=1e-12)
+
+
+def test_frontier_is_one_fusion_loss_mapped_per_point():
+    sem = calibrated_semantics()
+    grid = [0.0, 0.01, 0.02]
+    frontier = tradeoff_frontier("rmux", 0.9, grid, 6, trials=100, seed=7,
+                                 semantics=sem)
+    f0 = fusion_loss_probability(frontier.points[0][1], 0.0, 1)
+    for a_l, p_l in frontier.points:
+        assert fusion_loss_probability(p_l, a_l, 1) == pytest.approx(
+            f0, abs=1e-12)
+        assert p_l == loss_threshold("rmux", 0.9, a_l, 6, trials=100, seed=7,
+                                     semantics=sem)
+
+
+@pytest.mark.parametrize("grid", [[0.01], [0.01, 0.01]])
+def test_frontier_rejects_grid_without_two_distinct_values(grid, monkeypatch):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("lattice sampled")
+
+    monkeypatch.setattr("rmux.percolation._fusion_levels", no_draws)
+    with pytest.raises(ValueError, match="two distinct"):
+        tradeoff_frontier("rmux", 0.9, grid, 4, trials=10, seed=1)
