@@ -12,7 +12,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import delay_network, matching, mux_analytics, mux_sim, percolation, streams
+from . import delay_network, experiments, matching, mux_sim, percolation, streams
 from .experiments import (
     EXPERIMENTS,
     ExperimentConfig,
@@ -31,31 +31,23 @@ def _emit(header, rows, out_path):
         sys.stdout.write(text)
 
 
+def _given(args) -> dict:
+    """The options set on the command line, or with a default of their
+    own; the recipe's row builder supplies every other default."""
+    return {k: v for k, v in vars(args).items() if v is not None}
+
+
 def _cmd_analytics(args) -> int:
+    params = _given(args)
     if args.mode == "table":
-        report = mux_analytics.ghz_report(args.eta, args.p1, args.p2)
-        s1, s2 = report.stages
-        rows = [
-            ("stage1_hsps", s1.input_prob, s1.target_prob, s1.k, s1.k_up,
-             s1.depth, s1.potential_mean),
-            ("stage2_ghz", s2.input_prob, s2.target_prob, s2.k, s2.k_up,
-             s2.depth, s2.potential_mean),
-            ("combined_photons", args.eta, report.combined_prob, "",
-             report.bins_per_stream, report.combined_depth,
-             report.potential_photons_mean),
-            ("combined_ghz", args.eta, report.combined_prob, "",
-             report.bins_per_stream, report.combined_depth,
-             report.potential_ghz_mean),
-        ]
-        _emit(["row", "initial_prob", "post_mux_prob", "k", "k_up", "depth",
-               "potential_mean"], rows, args.out)
+        rows = experiments.table1_rows(params)[0]
+        _emit(experiments.TABLE1_HEADER, rows, args.out)
     else:
-        rows = []
-        for eta in args.etas:
-            p1, p2, wasted, k1, k2 = mux_analytics.unused_potential(
-                eta, args.ps, p_min=args.p_min)
-            rows.append((args.ps, eta, wasted, k1, k2))
-        _emit(["p_s", "eta", "wasted_mean", "k_up1", "k_up2"], rows, args.out)
+        params.update(ps_min=args.ps, ps_max=args.ps)
+        if args.etas:
+            params["etas"] = ",".join(args.etas)
+        rows = experiments.fig2_rows(params, p_min=args.p_min)[0]
+        _emit(experiments.FIG2_HEADER, rows, args.out)
     return 0
 
 
@@ -84,43 +76,23 @@ def _cmd_match(args) -> int:
             _emit(["photon_id", "arrival_bin", "delay", "stage", "rail",
                    "bin_at_stage"], rows, args.dump_routes)
         return 0
-    stats = mux_sim.simulate_two_stream(args.p, args.switches, args.bins,
-                                        args.strategy, args.reps, args.seed)
-    _emit(["strategy", "switches", "matched_fraction", "stderr", "clash_rate",
-           "out_of_range", "total_weight_mean"],
-          [(stats.strategy, stats.switch_count, stats.matched_fraction_mean,
-            stats.matched_fraction_stderr, stats.clash_rate_mean,
-            stats.out_of_range_mean, stats.total_weight_mean)], args.out)
+    rows = experiments.two_stream_sweep(_given(args), [args.strategy],
+                                        args.seed)[0]
+    _emit(experiments.TWO_STREAM_HEADER, rows, args.out)
     return 0
 
 
-def _parse_budgets(spec: str):
-    if ":" in spec:
-        lo, hi = spec.split(":", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(x) for x in spec.split(",")]
-
-
 def _cmd_bell(args) -> int:
-    budgets = _parse_budgets(args.budgets)
     schemes = ["standard", "rmux"] if args.scheme == "both" else [args.scheme]
-    rows = []
-    for budget in budgets:
-        for scheme in schemes:
-            fn = (mux_sim.simulate_bell_standard if scheme == "standard"
-                  else mux_sim.simulate_bell_rmux)
-            st = fn(args.p1, budget, args.bins, args.reps, args.seed)
-            rows.append((st.scheme, budget, st.bells_per_bin, st.stderr,
-                         st.best_split[0], st.best_split[1]))
-    _emit(["scheme", "total_switches", "bells_per_bin", "stderr",
-           "stage1_switches", "stage2_switches"], rows, args.out)
+    rows = experiments.bell_sweep(_given(args), args.seed, schemes)[0]
+    _emit(experiments.BELL_HEADER, rows, args.out)
     return 0
 
 
 def _cmd_percolate(args) -> int:
+    params = _given(args)
     # The parser reads only the semantics keys; unset flags keep the preset.
-    _name, sem = semantics_from(
-        {k: v for k, v in vars(args).items() if v is not None})
+    _name, sem = semantics_from(params)
     if args.mode == "prob":
         est, err = percolation.percolation_probability(
             args.L, args.scheme, args.p_l, args.a_l, args.trials, args.seed,
@@ -135,7 +107,7 @@ def _cmd_percolate(args) -> int:
         _emit(["scheme", "target", "a_l", "p_l_threshold"],
               [(args.scheme, args.target, a_col, thr)], args.out)
     else:
-        grid = [float(x) for x in args.a_l_grid.split(",")]
+        grid = experiments._param_list(params, "a_l_grid", "", float)
         frontier = percolation.tradeoff_frontier(
             args.scheme, args.target, grid, args.L, args.trials, args.seed, sem)
         rows = [(args.scheme, args.target, a, thr)
@@ -186,12 +158,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     pa = sub.add_parser("analytics", help="closed-form multiplexing accounting")
     pa.add_argument("--mode", choices=["table", "waste"], default="table")
-    pa.add_argument("--eta", type=float, default=0.1)
-    pa.add_argument("--p1", type=float, default=0.99)
-    pa.add_argument("--p2", type=float, default=0.99)
+    pa.add_argument("--eta", type=float)
+    pa.add_argument("--p1", type=float)
+    pa.add_argument("--p2", type=float)
     pa.add_argument("--ps", type=float, default=0.93)
     pa.add_argument("--p-min", type=float, default=0.8)
-    pa.add_argument("--etas", type=float, nargs="+", default=[0.1, 0.01, 0.001])
+    pa.add_argument("--etas", nargs="+")
     pa.add_argument("--out")
     pa.set_defaults(func=_cmd_analytics)
 
@@ -212,11 +184,10 @@ def build_parser() -> argparse.ArgumentParser:
     pb = sub.add_parser("bell", help="Bell-state rate comparison")
     pb.add_argument("--scheme", choices=["standard", "rmux", "both"],
                     default="both")
-    pb.add_argument("--p1", type=float, default=0.1)
-    pb.add_argument("--budgets", default="5:16",
-                    help="switch budgets, e.g. 5:16 or 6,8,10")
-    pb.add_argument("--bins", type=int, default=10000)
-    pb.add_argument("--reps", type=int, default=100)
+    pb.add_argument("--p1", type=float)
+    pb.add_argument("--budgets", help="switch budgets, e.g. 5:16 or 6,8,10")
+    pb.add_argument("--bins", type=int)
+    pb.add_argument("--reps", type=int)
     pb.add_argument("--seed", type=int, default=1234)
     pb.add_argument("--out")
     pb.set_defaults(func=_cmd_bell)

@@ -115,10 +115,16 @@ def _param(params: dict, key: str, default):
 
 def _param_list(params: dict, key: str, default: str, kind,
                 allow_empty: bool = False) -> list:
-    """Comma-separated list parameter, each item `kind` as in `_param`."""
+    """Comma-separated list parameter, each item `kind` as in `_param`; an
+    integer list may also be an inclusive range "lo:hi"."""
     raw = str(params.get(key, default))
     items = raw.split(",") if raw.strip() or not allow_empty else []
     entry = f"each {key} entry"         # names the key in _param's errors
+    if kind is int and ":" in raw:
+        lo, hi = (_param({entry: x}, entry, 0) for x in raw.split(":", 1))
+        if hi < lo:
+            raise ValueError(f"{key} range {raw!r} is empty")
+        return list(range(lo, hi + 1))
     return [_param({entry: x}, entry, kind()) for x in items]
 
 
@@ -174,11 +180,25 @@ REF_FIG9 = {"slope": -2.0, "slope_tol": 0.3, "residual_frac_of_fl": 0.05}
 # Recipes
 # --------------------------------------------------------------------------
 
-def _run_table1(config: ExperimentConfig):
-    p = config.parameters
-    eta = _param(p, "eta", 0.1)
-    p1 = _param(p, "p1", 0.99)
-    p2 = _param(p, "p2", 0.99)
+# One header and one row builder per figure that `rmux analytics`, `match`
+# or `bell` also prints. A builder returns its rows, what the recipe's
+# checks read, and the parameter lines of the recipe's summary.
+
+TABLE1_HEADER = ["row", "initial_prob", "post_mux_prob", "k", "k_up", "depth",
+                 "potential_mean", "potential_unit"]
+FIG2_HEADER = ["p_s", "eta", "wasted_ghz_mean", "k_up1", "k_up2", "best_p1",
+               "best_p2", "total_bins"]
+TWO_STREAM_HEADER = ["strategy", "switches", "matched_fraction", "stderr",
+                     "clash_rate", "out_of_range", "total_weight_mean"]
+BELL_HEADER = ["scheme", "total_switches", "bells_per_bin", "stderr",
+               "stage1_switches", "stage2_switches"]
+
+
+def table1_rows(params: dict):
+    """(rows, MuxReport, summary lines) of Table 1."""
+    eta = _param(params, "eta", 0.1)
+    p1 = _param(params, "p1", 0.99)
+    p2 = _param(params, "p2", 0.99)
     report = mux_analytics.ghz_report(eta, p1, p2)
     s1, s2 = report.stages
     rows = [
@@ -191,9 +211,73 @@ def _run_table1(config: ExperimentConfig):
         ("combined", eta, report.combined_prob, "", report.bins_per_stream,
          report.combined_depth, report.potential_ghz_mean, "ghz"),
     ]
-    csv = _write_csv(config.output_dir / "table1.csv",
-                     ["row", "initial_prob", "post_mux_prob", "k", "k_up",
-                      "depth", "potential_mean", "potential_unit"], rows)
+    return rows, report, [f"eta={_fmt(eta)}", f"p1={_fmt(p1)}", f"p2={_fmt(p2)}"]
+
+
+def fig2_rows(params: dict, **optimizer):
+    """(rows, summary lines) of Fig. 2; `optimizer` goes to `unused_potential`."""
+    etas = _param_list(params, "etas", "0.1,0.01,0.001", float)
+    ps_lo = _param(params, "ps_min", 0.80)
+    ps_hi = _param(params, "ps_max", 0.93)
+    ps_step = _param(params, "ps_step", 0.005)
+    if not ps_step > 0:
+        raise ValueError(f"ps_step must be > 0, got {ps_step}")
+    if not ps_hi >= ps_lo:
+        raise ValueError(f"ps_max must be >= ps_min, got ps_max={ps_hi} "
+                         f"< ps_min={ps_lo}")
+    n_ps = int(round((ps_hi - ps_lo) / ps_step))
+    ps_values = [round(ps_lo + i * ps_step, 10) for i in range(n_ps + 1)]
+    rows = []
+    for eta in etas:
+        for p_s in ps_values:
+            p1, p2, wasted, k1, k2 = mux_analytics.unused_potential(
+                eta, p_s, **optimizer)
+            rows.append((p_s, eta, wasted, k1, k2, p1, p2,
+                         k1 * k2 * mux_analytics.PHOTONS_PER_GHZ))
+    return rows, [f"etas={etas}", f"p_s grid [{ps_lo}, {ps_hi}] step {ps_step}"]
+
+
+def two_stream_sweep(params: dict, strategies, seed: int):
+    """(rows, stats by (strategy, s), s values, summary lines) of Figs. 4/6."""
+    prob = _param(params, "p", 0.1)
+    s_values = _param_list(params, "switches", "1,2,3,4,5,6,7,8", int)
+    n_bins = _param(params, "bins", 1000)
+    reps = _param(params, "reps", 100)
+    rows = []
+    stats = {}
+    for strat in strategies:
+        for s in s_values:
+            st = mux_sim.simulate_two_stream(prob, s, n_bins, strat, reps, seed)
+            stats[(strat, s)] = st
+            rows.append((strat, s, st.matched_fraction_mean,
+                         st.matched_fraction_stderr, st.clash_rate_mean,
+                         st.out_of_range_mean, st.total_weight_mean))
+    return rows, stats, s_values, [f"p={prob}", f"bins={n_bins}", f"reps={reps}"]
+
+
+def bell_sweep(params: dict, seed: int, schemes=("standard", "rmux")):
+    """(rows, stats by (scheme, budget), budgets, summary lines) of Fig. 7."""
+    p1 = _param(params, "p1", 0.1)
+    budgets = _param_list(params, "budgets", "5:16", int)
+    n_bins = _param(params, "bins", 10000)
+    reps = _param(params, "reps", 100)
+    rows = []
+    stats = {}
+    for budget in budgets:
+        for scheme in schemes:
+            simulate = (mux_sim.simulate_bell_standard if scheme == "standard"
+                        else mux_sim.simulate_bell_rmux)
+            st = simulate(p1, budget, n_bins, reps, seed)
+            stats[(scheme, budget)] = st
+            rows.append((st.scheme, budget, st.bells_per_bin, st.stderr,
+                         st.best_split[0], st.best_split[1]))
+    return rows, stats, budgets, [f"p1={p1}", f"bins={n_bins}", f"reps={reps}"]
+
+
+def _run_table1(config: ExperimentConfig):
+    rows, report, meta = table1_rows(config.parameters)
+    s1, s2 = report.stages
+    csv = _write_csv(config.output_dir / "table1.csv", TABLE1_HEADER, rows)
     ref = REF_TABLE1
     checks = [
         Check("stage1 k", str(s1.k), str(ref["stage1_k"]), s1.k == ref["stage1_k"]),
@@ -219,37 +303,16 @@ def _run_table1(config: ExperimentConfig):
         Check("potential ghz", _fmt(report.potential_ghz_mean), _fmt(ref["potential_ghz"]),
               _within(report.potential_ghz_mean, ref["potential_ghz"], 1e-6)),
     ]
-    meta = [f"eta={_fmt(eta)}", f"p1={_fmt(p1)}", f"p2={_fmt(p2)}",
-            "reference: table1 (exact integer cells, 4 significant figures on reals)"]
+    meta += ["reference: table1 (exact integer cells, 4 significant figures on reals)"]
     return [csv], checks, meta
 
 
 def _run_fig2(config: ExperimentConfig):
-    p = config.parameters
-    etas = _param_list(p, "etas", "0.1,0.01,0.001", float)
-    ps_lo = _param(p, "ps_min", 0.80)
-    ps_hi = _param(p, "ps_max", 0.93)
-    ps_step = _param(p, "ps_step", 0.005)
-    if not ps_step > 0:
-        raise ValueError(f"ps_step must be > 0, got {ps_step}")
-    if not ps_hi >= ps_lo:
-        raise ValueError(f"ps_max must be >= ps_min, got ps_max={ps_hi} "
-                         f"< ps_min={ps_lo}")
-    n_photons = mux_analytics.PHOTONS_PER_GHZ
-    n_ps = int(round((ps_hi - ps_lo) / ps_step))
-    ps_values = [round(ps_lo + i * ps_step, 10) for i in range(n_ps + 1)]
-    rows = []
-    anchors = {}
-    for eta in etas:
-        for p_s in ps_values:
-            p1, p2, wasted, k1, k2 = mux_analytics.unused_potential(eta, p_s)
-            total_bins = k1 * k2 * n_photons
-            rows.append((p_s, eta, wasted, k1, k2, p1, p2, total_bins))
-            if abs(p_s - 0.93) < 1e-12:
-                anchors[eta] = total_bins
+    rows, meta = fig2_rows(config.parameters)
     csv = _write_csv(config.output_dir / "fig2_unused_potential.csv",
-                     ["p_s", "eta", "wasted_ghz_mean", "k_up1", "k_up2",
-                      "best_p1", "best_p2", "total_bins"], rows)
+                     FIG2_HEADER, rows)
+    anchors = {eta: total_bins for p_s, eta, *_, total_bins in rows
+               if abs(p_s - 0.93) < 1e-12}
     checks = []
     for eta, expect in REF_FIG2_TOTAL_BINS.items():
         if eta not in anchors:
@@ -259,37 +322,16 @@ def _run_fig2(config: ExperimentConfig):
             f"total bins at p_s=0.93, eta={eta}", _fmt(float(got)),
             f"{_fmt(expect)} +/- {REF_FIG2_REL_TOL:.0%}",
             abs(got - expect) <= REF_FIG2_REL_TOL * expect))
-    meta = [f"etas={etas}", f"p_s grid [{ps_lo}, {ps_hi}] step {ps_step}",
-            "optimizer grid step 0.01 on (p1, p2), p_i in [0.80, 0.99]",
-            "reference: fig2 bin-count anchors, +/-5% (optimizer granularity loose)"]
+    meta += ["optimizer grid step 0.01 on (p1, p2), p_i in [0.80, 0.99]",
+             "reference: fig2 bin-count anchors, +/-5% (optimizer granularity loose)"]
     return [csv], checks, meta
 
 
-def _strategy_sweep(config: ExperimentConfig, strategies):
-    p = config.parameters
-    prob = _param(p, "p", 0.1)
-    s_values = _param_list(p, "switches", "1,2,3,4,5,6,7,8", int)
-    n_bins = _param(p, "bins", 1000)
-    reps = _param(p, "reps", 100)
-    rows = []
-    stats = {}
-    for strat in strategies:
-        for s in s_values:
-            st = mux_sim.simulate_two_stream(prob, s, n_bins, strat, reps,
-                                             config.seed)
-            stats[(strat, s)] = st
-            rows.append((strat, s, st.matched_fraction_mean,
-                         st.matched_fraction_stderr, st.clash_rate_mean,
-                         st.out_of_range_mean, st.total_weight_mean))
-    return rows, stats, s_values, prob, n_bins, reps
-
-
 def _run_fig4(config: ExperimentConfig):
-    rows, stats, s_values, prob, n_bins, reps = _strategy_sweep(
-        config, ["hungarian_with_clash"])
+    rows, stats, s_values, meta = two_stream_sweep(
+        config.parameters, ["hungarian_with_clash"], config.seed)
     csv = _write_csv(config.output_dir / "fig4_matching.csv",
-                     ["strategy", "switches", "matched_fraction", "stderr",
-                      "clash_rate", "out_of_range"], rows)
+                     TWO_STREAM_HEADER, rows)
     checks = []
     for lo, hi in zip(s_values, s_values[1:]):
         a = stats[("hungarian_with_clash", lo)]
@@ -300,17 +342,15 @@ def _run_fig4(config: ExperimentConfig):
             f"{a.matched_fraction_mean:.4f} -> {b.matched_fraction_mean:.4f}",
             "non-decreasing within 2 stderr",
             b.matched_fraction_mean >= a.matched_fraction_mean - slack))
-    meta = [f"p={prob}", f"bins={n_bins}", f"reps={reps}",
-            "reference: fig4 (no numeric table published; property checks)"]
+    meta += ["reference: fig4 (no numeric table published; property checks)"]
     return [csv], checks, meta
 
 
 def _run_fig6(config: ExperimentConfig):
-    rows, stats, s_values, prob, n_bins, reps = _strategy_sweep(
-        config, list(mux_sim.STRATEGIES))
+    rows, stats, s_values, meta = two_stream_sweep(
+        config.parameters, mux_sim.STRATEGIES, config.seed)
     csv = _write_csv(config.output_dir / "fig6_strategies.csv",
-                     ["strategy", "switches", "matched_fraction", "stderr",
-                      "clash_rate", "out_of_range"], rows)
+                     TWO_STREAM_HEADER, rows)
     checks = []
     for s in s_values:
         h = stats[("hungarian_no_clash", s)]
@@ -334,29 +374,16 @@ def _run_fig6(config: ExperimentConfig):
                 f"gap {h.matched_fraction_mean - r.matched_fraction_mean:.4f}",
                 "<= 0.05",
                 h.matched_fraction_mean - r.matched_fraction_mean <= 0.05))
-    meta = [f"p={prob}", f"bins={n_bins}", f"reps={reps}",
-            "reference: fig6 strategy comparison (property checks)"]
+    meta += ["reference: fig6 strategy comparison (property checks)"]
     return [csv], checks, meta
 
 
 def _run_fig7(config: ExperimentConfig):
-    p = config.parameters
-    p1 = _param(p, "p1", 0.1)
-    budgets = _param_list(p, "budgets", "5,6,7,8,9,10,11,12,13,14,15,16", int)
-    n_bins = _param(p, "bins", 10000)
-    reps = _param(p, "reps", 100)
-    rows = []
-    by_budget = {}
-    for budget in budgets:
-        std = mux_sim.simulate_bell_standard(p1, budget, n_bins, reps, config.seed)
-        rmx = mux_sim.simulate_bell_rmux(p1, budget, n_bins, reps, config.seed)
-        by_budget[budget] = (std, rmx)
-        for st in (std, rmx):
-            rows.append((st.scheme, budget, st.bells_per_bin, st.stderr,
-                         st.best_split[0], st.best_split[1]))
-    csv = _write_csv(config.output_dir / "fig7_bell_rates.csv",
-                     ["scheme", "total_switches", "bells_per_bin", "stderr",
-                      "stage1_switches", "stage2_switches"], rows)
+    rows, stats, budgets, meta = bell_sweep(config.parameters, config.seed)
+    csv = _write_csv(config.output_dir / "fig7_bell_rates.csv", BELL_HEADER,
+                     rows)
+    by_budget = {b: (stats[("standard", b)], stats[("rmux", b)])
+                 for b in budgets}
     checks = []
     low = [b for b in budgets if b <= min(budgets) + 1]
     for budget in low:
@@ -378,11 +405,10 @@ def _run_fig7(config: ExperimentConfig):
     checks.append(Check(
         f"rate ratio at {max(budgets)} switches", f"{ratio:.1f}",
         f">= {REF_FIG7['ratio_at_max']}", ratio >= REF_FIG7["ratio_at_max"]))
-    meta = [f"p1={p1}", f"bins={n_bins}", f"reps={reps}",
-            "switch budgets count every physical switch "
-            "(standard: 4 stream networks + output network; "
-            "relative: 2 stream networks + pair network)",
-            "reference: fig7 rate comparison (property checks)"]
+    meta += ["switch budgets count every physical switch "
+             "(standard: 4 stream networks + output network; "
+             "relative: 2 stream networks + pair network)",
+             "reference: fig7 rate comparison (property checks)"]
     return [csv], checks, meta
 
 

@@ -28,12 +28,12 @@ could in principle have matched it, and "unpaired" if it has none.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .delay_network import DelayNetwork, RoutingRequest, clash_rows, route
-from .streams import PhotonStream, stream_from_bins
+from .streams import PhotonStream
 
 REASON_RANGE = "range"
 REASON_CLASH = "clash"
@@ -176,25 +176,21 @@ def _drop_on_conflict(pairs, conflicts):
             [p for i, p in enumerate(pairs) if i in lost])
 
 
-def resolve_clashes_optimal(m: Matching, network: DelayNetwork) -> Matching:
-    """Repair a matching until it routes clash-free.
+def resolve_clashes_optimal(m: Matching, W: WeightMatrix,
+                            network: DelayNetwork) -> Matching:
+    """Repair a matching of the instance `W` until it routes clash-free.
 
     Greedy iterative deepening: mark the edge participating in the most
     clashes as virtual, re-solve the assignment, repeat (at most n edge
     removals). Every intermediate matching also yields a drop-the-later-pair
     fallback candidate; the first best clash-free candidate by (pair count,
     -total weight) wins. Photons of `m.pairs` it leaves unmatched read
-    "clash".
+    "clash". `W` itself is left unchanged.
     """
     if not m.pairs:
         return m
-    bins = {"1": [b1 for b1, _, _ in m.pairs], "2": [b2 for _, b2, _ in m.pairs]}
-    for b, stream, _ in m.discarded:
-        bins[stream].append(b)
-    bins1, bins2 = (np.array(sorted(bins[s]), dtype=np.int64) for s in "12")
-    W = build_assignment_matrix(stream_from_bins(np.bincount(bins1) > 0),
-                                stream_from_bins(np.bincount(bins2) > 0),
-                                network.max_delay)
+    bins1, bins2 = W.row_bins[W.row_bins >= 0], W.col_bins[W.col_bins >= 0]
+    W = replace(W, weights=W.weights.copy(), virtual_mask=W.virtual_mask.copy())
     candidates = []
     current = sorted(m.pairs)
     for _ in range(W.n + 1):

@@ -79,14 +79,15 @@ def match_streams(s1: PhotonStream, s2: PhotonStream, network: DelayNetwork,
         return m, matching_metrics(m, s1, s2)
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
-    m = hungarian_min_assignment(build_assignment_matrix(s1, s2, d_max))
+    W = build_assignment_matrix(s1, s2, d_max)
+    m = hungarian_min_assignment(W)
     if strategy == "hungarian_no_clash":
         met = matching_metrics(m, s1, s2)
         # Clashes are ignored here, but their prevalence is still reported.
         n_clashing = count_clashing_pairs(m, network)
         met.clash_rate = n_clashing / len(m.pairs) if m.pairs else 0.0
         return m, met
-    resolved = resolve_clashes_optimal(m, network)
+    resolved = resolve_clashes_optimal(m, W, network)
     return resolved, matching_metrics(resolved, s1, s2)
 
 

@@ -24,6 +24,67 @@ def test_analytics_waste(capsys):
     assert "0.93,0.1,50.2,64,256" in out
 
 
+def _recipe_csv(tmp_path, experiment, params, seed=1234):
+    """Text of a recipe's first CSV file, run at `params` and `seed`."""
+    bundle = run_experiment(ExperimentConfig(experiment, params, seed,
+                                             tmp_path / experiment))
+    return bundle.csv_paths[0].read_text()
+
+
+@pytest.mark.parametrize("argv, params", [
+    ([], {}),
+    (["--eta", "0.01", "--p1", "0.98"], {"eta": "0.01", "p1": "0.98"}),
+])
+def test_analytics_table_prints_table1_csv(tmp_path, capsys, argv, params):
+    assert main(["analytics", "--mode", "table"] + argv) == 0
+    assert capsys.readouterr().out == _recipe_csv(tmp_path, "table1", params)
+
+
+def test_analytics_waste_prints_fig2_rows(tmp_path, capsys):
+    assert main(["analytics", "--mode", "waste", "--ps", "0.93",
+                 "--etas", "0.1", "0.001"]) == 0
+    header, *rows = _recipe_csv(tmp_path, "fig2", {}).splitlines()
+    want = [header] + [r for r in rows
+                       if r.split(",")[:2] in (["0.93", "0.1"], ["0.93", "0.001"])]
+    assert capsys.readouterr().out.splitlines() == want
+
+
+def test_bell_prints_fig7_csv(tmp_path, capsys):
+    assert main(["bell", "--budgets", "5:7", "--bins", "500", "--reps", "2",
+                 "--seed", "3"]) == 0
+    assert capsys.readouterr().out == _recipe_csv(
+        tmp_path, "fig7", {"budgets": "5,6,7", "bins": "500", "reps": "2"}, 3)
+
+
+def test_match_aggregate_prints_fig6_row(tmp_path, capsys):
+    assert main(["match", "--strategy", "hungarian_with_clash",
+                 "--switches", "3", "--bins", "200", "--reps", "3",
+                 "--seed", "4"]) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    fig6 = _recipe_csv(tmp_path, "fig6", {"switches": "3", "bins": "200",
+                                          "reps": "3"}, 4).splitlines()
+    assert header == fig6[0]
+    assert row.startswith("hungarian_with_clash,3,") and row in fig6[1:]
+
+
+@pytest.mark.parametrize("experiment, params", [
+    ("table1", {}),
+    ("fig2", {"etas": "0.1", "ps_min": "0.92"}),
+    ("fig4", {"reps": "2", "switches": "1,3", "bins": "100"}),
+    ("fig6", {"reps": "2", "switches": "1,3", "bins": "100"}),
+    ("fig7", {"reps": "1", "budgets": "5,6", "bins": "300"}),
+    ("fig8_thresholds", {"L": "4", "trials": "30", "finite_size_L": ""}),
+    ("fig9_frontier", {"L": "6", "trials": "30", "a_l_grid": "0,0.01"}),
+])
+def test_recipe_csv_rows_have_header_width(tmp_path, experiment, params):
+    bundle = run_experiment(ExperimentConfig(experiment, params, 3, tmp_path))
+    for path in bundle.csv_paths:
+        header, *rows = path.read_text().splitlines()
+        assert rows, path.name
+        assert {len(r.split(",")) for r in rows} == {len(header.split(","))}, (
+            path.name)
+
+
 def test_match_aggregate(capsys):
     assert main(["match", "--p", "0.1", "--switches", "3", "--bins", "200",
                  "--reps", "4", "--seed", "3"]) == 0
@@ -93,6 +154,31 @@ def test_percolate_threshold_rejects_non_monotone_semantics(capsys,
     assert err.startswith("error: ")
     assert "loss_kills_owner_site" in err
     assert "heralded_site_kill_prob" in err
+
+
+def test_percolate_frontier_grid_error_names_the_option(capsys, monkeypatch):
+    _forbid_sampling(monkeypatch)
+    assert main(["percolate", "--mode", "frontier", "--L", "4", "--trials",
+                 "10", "--a-l-grid", "0,x"]) == 1
+    assert capsys.readouterr().err == (
+        "error: each a_l_grid entry must be a number, got 'x'\n")
+
+
+@pytest.mark.parametrize("budgets, message", [
+    ("5,x", "error: each budgets entry must be an integer, got 'x'"),
+    ("5:x", "error: each budgets entry must be an integer, got 'x'"),
+    ("x:9", "error: each budgets entry must be an integer, got 'x'"),
+    ("9:5", "error: budgets range '9:5' is empty"),
+])
+def test_bell_budget_errors_name_the_option(capsys, monkeypatch, budgets,
+                                            message):
+    def no_run(*args, **kwargs):
+        raise AssertionError("Bell rate simulated")
+
+    monkeypatch.setattr("rmux.mux_sim._simulate_bell", no_run)
+    assert main(["bell", "--budgets", budgets, "--reps", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == message + "\n" and captured.out == ""
 
 
 @pytest.mark.parametrize("grid", ["0.01,0.01", "0.01"])

@@ -139,23 +139,26 @@ def test_hungarian_pairs_and_delay_against_brute_force():
 
 def test_resolve_is_identity_on_clash_free_matching():
     net = DelayNetwork(3)
-    m = hungarian_min_assignment(
-        build_assignment_matrix(stream_at([0, 5], 8), stream_at([2, 6], 8),
-                                net.max_delay))
+    W = build_assignment_matrix(stream_at([0, 5], 8), stream_at([2, 6], 8),
+                                net.max_delay)
+    m = hungarian_min_assignment(W)
     assert m.pairs == [(0, 2, 2), (5, 6, 1)]
-    assert resolve_clashes_optimal(m, net).pairs == m.pairs
+    assert resolve_clashes_optimal(m, W, net).pairs == m.pairs
 
 
 def test_resolve_repairs_clashing_two_pair_matching():
     # s1={0,1}, s2={1,5} at s=4: both minimum matchings clash at the 2-bin
     # stage, so resolution must drop to one clash-free pair.
     net = DelayNetwork(4)
-    m = hungarian_min_assignment(
-        build_assignment_matrix(stream_at([0, 1], 8), stream_at([1, 5], 8),
-                                net.max_delay))
+    W = build_assignment_matrix(stream_at([0, 1], 8), stream_at([1, 5], 8),
+                                net.max_delay)
+    m = hungarian_min_assignment(W)
     assert len(m.pairs) == 2
     assert not route(pair_requests(m.pairs), net).clash_free
-    fixed = resolve_clashes_optimal(m, net)
+    weights, mask = W.weights.copy(), W.virtual_mask.copy()
+    fixed = resolve_clashes_optimal(m, W, net)
+    # the repair marks edges virtual on its own copy of the matrix
+    assert (W.weights == weights).all() and (W.virtual_mask == mask).all()
     assert route(pair_requests(fixed.pairs), net).clash_free
     assert len(fixed.pairs) >= 1
     clash_discards = [d for d in fixed.discarded if d[2] == "clash"]
@@ -168,13 +171,13 @@ def test_resolve_keeps_prior_reasons_and_marks_dropped_pair_clash():
     # counterpart in their feasible direction ("range"), stream-1 bin 40
     # and stream-2 bin 0 have none ("unpaired").
     net = DelayNetwork(4)
-    m = hungarian_min_assignment(
-        build_assignment_matrix(stream_at([2, 3, 20, 40], 48),
-                                stream_at([0, 3, 7, 30], 48), net.max_delay))
+    W = build_assignment_matrix(stream_at([2, 3, 20, 40], 48),
+                                stream_at([0, 3, 7, 30], 48), net.max_delay)
+    m = hungarian_min_assignment(W)
     assert m.pairs == [(2, 3, 1), (3, 7, 4)]
     assert m.discarded == [(20, "1", "range"), (40, "1", "unpaired"),
                            (0, "2", "unpaired"), (30, "2", "range")]
-    fixed = resolve_clashes_optimal(m, net)
+    fixed = resolve_clashes_optimal(m, W, net)
     assert fixed.pairs == [(2, 3, 1)]
     assert fixed.discarded == [(3, "1", "clash"), (20, "1", "range"),
                                (40, "1", "unpaired"), (0, "2", "unpaired"),
@@ -225,8 +228,9 @@ def test_conflict_pairs_match_couple_oracle(case):
 
 
 def test_resolve_empty_matching():
+    W = build_assignment_matrix(stream_at([0], 4), stream_at([], 4), 7)
     m = Matching(pairs=[], discarded=[(0, "1", "unpaired")])
-    assert resolve_clashes_optimal(m, DelayNetwork(3)).pairs == []
+    assert resolve_clashes_optimal(m, W, DelayNetwork(3)).pairs == []
 
 
 # --------------------------------------------------------- sliding window
@@ -301,7 +305,7 @@ def test_window_output_always_routes_clash_free():
 def test_resolved_output_always_routes_clash_free_and_dominates_window():
     for s1, s2, net in random_instances(40, seed=9):
         W = build_assignment_matrix(s1, s2, net.max_delay)
-        resolved = resolve_clashes_optimal(hungarian_min_assignment(W), net)
+        resolved = resolve_clashes_optimal(hungarian_min_assignment(W), W, net)
         assert route(pair_requests(resolved.pairs), net).clash_free
         window = sliding_window_match(s1, s2, net.max_delay, net)
         assert len(resolved.pairs) >= len(window.pairs)
