@@ -18,6 +18,7 @@ from .mux_sim import (
     StrategyStats,
     simulate_bell_rmux,
     simulate_bell_standard,
+    simulate_bell_sweep,
     simulate_two_stream,
 )
 from .percolation import (

@@ -261,16 +261,14 @@ def bell_sweep(params: dict, seed: int, schemes=("standard", "rmux")):
     budgets = _param_list(params, "budgets", "5:16", int)
     n_bins = _param(params, "bins", 10000)
     reps = _param(params, "reps", 100)
+    stats = mux_sim.simulate_bell_sweep(p1, budgets, n_bins, reps, seed,
+                                        schemes)
     rows = []
-    stats = {}
     for budget in budgets:
         for scheme in schemes:
-            simulate = (mux_sim.simulate_bell_standard if scheme == "standard"
-                        else mux_sim.simulate_bell_rmux)
-            st = simulate(p1, budget, n_bins, reps, seed)
-            stats[(scheme, budget)] = st
-            rows.append((st.scheme, budget, st.bells_per_bin, st.stderr,
-                         st.best_split[0], st.best_split[1]))
+            st = stats[(scheme, budget)]
+            rows.append((scheme, budget, st.bells_per_bin, st.stderr,
+                         *st.best_split))
     return rows, stats, budgets, [f"p1={p1}", f"bins={n_bins}", f"reps={reps}"]
 
 

@@ -14,6 +14,13 @@ stream, costing 2*s1 + s2. Budgets are maximized over feasible splits.
 
 All repetitions derive child seeds from a single SeedSequence, so runs are
 reproducible and schemes can be compared on identical stream data.
+
+A Bell sweep over several budgets shares stage 1. Repetition r samples its
+four streams once from child r, and split i = s1 - 1 of every budget draws
+its gate from spawn key (r, i) of that child. So stage 1 (the relative
+scheme's two event streams, the standard scheme's window occupancy) depends
+only on (r, s1): it runs once per s1, and stage 2 runs per (budget, split).
+Results equal those of simulating each budget on its own.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ import numpy as np
 
 from .delay_network import DelayNetwork, max_delay
 from .matching import (
+    _window_pairs,
     build_assignment_matrix,
     count_clashing_pairs,
     hungarian_min_assignment,
@@ -31,7 +39,7 @@ from .matching import (
     resolve_clashes_optimal,
     sliding_window_match,
 )
-from .streams import PhotonStream, generate_stream, stream_from_bins
+from .streams import PhotonStream, generate_stream
 
 STRATEGIES = ("hungarian_no_clash", "hungarian_with_clash", "realistic")
 BELL_GATE_PROB = 1.0 / 8.0
@@ -143,24 +151,29 @@ def rmux_splits(s_total: int):
     return _splits(2, s_total)
 
 
-def _standard_rate(streams, s1: int, s2: int, gate_rng) -> float:
-    """Delivered Bell states per bin for one (s1, s2) split.
-
-    Stage 1: each stream relocates at most one photon per w1-bin window to
-    the window boundary slot. Stage 2: windows where all four streams
-    delivered attempt the gate (success 1/8); the output network delivers
-    at most one success per w2-window group to its fixed slot.
-    """
-    n_bins = streams[0].n_bins
+def _standard_stage1(streams, s1: int) -> np.ndarray:
+    """Stage 1 of the standard scheme: the w1-bin windows (w1 = max_delay(s1)
+    + 1) in which every stream holds a photon, so each stream relocates one
+    photon to the window boundary slot."""
     w1 = max_delay(s1) + 1
-    w2 = max_delay(s2) + 1
-    n_windows = n_bins // w1
-    if n_windows == 0:
-        return 0.0
+    n_windows = streams[0].n_bins // w1
     have = np.ones(n_windows, dtype=bool)
     for st in streams:
-        occ = st.bins[:n_windows * w1].reshape(n_windows, w1).any(axis=1)
-        have &= occ
+        have &= st.bins[:n_windows * w1].reshape(n_windows, w1).any(axis=1)
+    return have
+
+
+def _standard_rate(have: np.ndarray, s2: int, gate_rng, n_bins: int) -> float:
+    """Delivered Bell states per bin for one (s1, s2) split.
+
+    Stage 2: windows where all four streams delivered (`have`, from
+    `_standard_stage1`) attempt the gate (success 1/8); the output network
+    delivers at most one success per w2-window group to its fixed slot.
+    """
+    w2 = max_delay(s2) + 1
+    n_windows = have.size
+    if n_windows == 0:
+        return 0.0
     success = have & (gate_rng.random(n_windows) < BELL_GATE_PROB)
     n_groups = n_windows // w2
     if n_groups == 0:
@@ -169,78 +182,107 @@ def _standard_rate(streams, s1: int, s2: int, gate_rng) -> float:
     return float(delivered) / n_bins
 
 
-def _rmux_rate(streams, s1: int, s2: int, gate_rng) -> float:
+def _rmux_stage1(streams, s1: int) -> tuple:
+    """Stage 1 of the relative scheme: streams 1-2 and 3-4 are paired by the
+    sliding window through s1-switch networks, and each kept pair becomes an
+    event at its later photon's bin. Returns the two sorted event bin lists."""
+    net1 = DelayNetwork(s1)
+    events = []
+    for a, b in (streams[:2], streams[2:]):
+        kept, _dropped = _window_pairs(a.occupied_bins.tolist(),
+                                       b.occupied_bins.tolist(),
+                                       net1.max_delay, net1)
+        events.append([b2 for _b1, b2, _d in kept])
+    return tuple(events)
+
+
+def _rmux_rate(events: tuple, s2: int, gate_rng, n_bins: int) -> float:
     """Accepted Bell states per bin for one (s1, s2) split.
 
-    Streams 1-2 and 3-4 are paired by the sliding-window strategy; each
-    synchronized pair becomes an event at the later photon's bin. The two
-    event streams are paired again through the second-stage network, and
-    every surviving quadruple attempts the gate independently.
+    The two event streams of `_rmux_stage1` are paired again by the sliding
+    window through the s2-switch network, and every surviving quadruple
+    attempts the gate independently.
     """
-    n_bins = streams[0].n_bins
-    net1 = DelayNetwork(s1)
     net2 = DelayNetwork(s2)
-    d1 = net1.max_delay
-
-    def events(a: PhotonStream, b: PhotonStream) -> PhotonStream:
-        m = sliding_window_match(a, b, d1, net1)
-        ev = np.zeros(n_bins, dtype=bool)
-        for _b1, b2, _d in m.pairs:
-            ev[b2] = True
-        return stream_from_bins(ev)
-
-    ev_a = events(streams[0], streams[1])
-    ev_b = events(streams[2], streams[3])
-    quads = sliding_window_match(ev_a, ev_b, net2.max_delay, net2)
-    n_quads = len(quads.pairs)
+    n_quads = len(_window_pairs(*events, net2.max_delay, net2)[0])
     if n_quads == 0:
         return 0.0
     accepted = int((gate_rng.random(n_quads) < BELL_GATE_PROB).sum())
     return accepted / n_bins
 
 
-def _simulate_bell(scheme: str, p1: float, s_total: int, n_bins: int,
-                   reps: int, seed: int) -> BellStats:
+def simulate_bell_sweep(p1: float, budgets, n_bins: int, reps: int, seed: int,
+                        schemes=("standard", "rmux")) -> dict:
+    """BellStats by (scheme, budget), each optimized over its stage splits.
+
+    Every argument is checked before anything is sampled. Repetition r
+    samples its four streams once, and each scheme's stage 1 runs once per
+    s1 for every budget and split that shares it (see the module docstring).
+    """
+    # Per scheme: first-stage networks, stage 1, stage-2 rate. Built per
+    # call, so a rebound rate function (a tracer's wrapper) is the one used.
+    table = {"standard": (4, _standard_stage1, _standard_rate),
+             "rmux": (2, _rmux_stage1, _rmux_rate)}
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
-    if s_total < 2:
-        raise ValueError(f"s_total must be >= 2, got {s_total}")
-    # Built per call, so a rebound rate function (a tracer's wrapper) is used.
-    networks, rate_fn = {"standard": (4, _standard_rate),
-                         "rmux": (2, _rmux_rate)}[scheme]
-    splits = _splits(networks, s_total)
-    if not splits:
-        raise ValueError(
-            f"no feasible stage split for scheme {scheme!r} with "
-            f"{s_total} switches")
-    children = np.random.SeedSequence(seed).spawn(reps)
-    rates = np.zeros((len(splits), reps))
-    for r, child in enumerate(children):
-        stream_seeds = _stream_seeds(child, 4)
-        streams = [generate_stream(p1, n_bins, sd) for sd in stream_seeds]
-        gate_seeds = child.spawn(len(splits))
-        for i, (s1, s2) in enumerate(splits):
-            gate_rng = np.random.Generator(np.random.PCG64(gate_seeds[i]))
-            rates[i, r] = rate_fn(streams, s1, s2, gate_rng)
-    means = rates.mean(axis=1)
-    best = int(np.argmax(means))
-    return BellStats(
-        scheme=scheme,
-        total_switches=s_total,
-        bells_per_bin=float(means[best]),
-        stderr=_stderr(rates[best]),
-        reps=reps,
-        best_split=splits[best],
-    )
+    if n_bins < 1:
+        raise ValueError(f"bins must be >= 1, got {n_bins}")
+    if not 0.0 <= p1 <= 1.0:
+        raise ValueError(f"p1 must be in [0, 1], got {p1}")
+    plan = {}
+    for scheme in schemes:
+        if scheme not in table:
+            raise ValueError(f"unknown Bell scheme {scheme!r}")
+        for budget in budgets:
+            splits = _splits(table[scheme][0], budget)
+            if not splits:
+                raise ValueError(
+                    f"no feasible stage split for scheme {scheme!r} with "
+                    f"{budget} switches")
+            plan[(scheme, budget)] = splits
+    n_gates = max(map(len, plan.values()), default=0)
+    rates = {key: np.zeros((len(splits), reps)) for key, splits in plan.items()}
+    for r, child in enumerate(np.random.SeedSequence(seed).spawn(reps)):
+        streams = [generate_stream(p1, n_bins, sd)
+                   for sd in _stream_seeds(child, 4)]
+        # One spawn for every budget: a second call would advance the
+        # child's spawn counter and move every later key.
+        gate_seeds = child.spawn(n_gates)
+        stage1 = {}
+        for key, splits in plan.items():
+            scheme = key[0]
+            _networks, first, rate_fn = table[scheme]
+            for i, (s1, s2) in enumerate(splits):
+                if (scheme, s1) not in stage1:
+                    stage1[(scheme, s1)] = first(streams, s1)
+                gate_rng = np.random.Generator(np.random.PCG64(gate_seeds[i]))
+                rates[key][i, r] = rate_fn(stage1[(scheme, s1)], s2, gate_rng,
+                                           n_bins)
+    stats = {}
+    for (scheme, budget), splits in plan.items():
+        split_rates = rates[(scheme, budget)]
+        means = split_rates.mean(axis=1)
+        best = int(np.argmax(means))
+        stats[(scheme, budget)] = BellStats(
+            scheme=scheme,
+            total_switches=budget,
+            bells_per_bin=float(means[best]),
+            stderr=_stderr(split_rates[best]),
+            reps=reps,
+            best_split=splits[best],
+        )
+    return stats
 
 
 def simulate_bell_standard(p1: float, s_total: int, n_bins: int, reps: int,
                            seed: int) -> BellStats:
     """Standard concatenated multiplexing, optimized over stage splits."""
-    return _simulate_bell("standard", p1, s_total, n_bins, reps, seed)
+    return simulate_bell_sweep(p1, [s_total], n_bins, reps, seed,
+                               ("standard",))[("standard", s_total)]
 
 
 def simulate_bell_rmux(p1: float, s_total: int, n_bins: int, reps: int,
                        seed: int) -> BellStats:
     """Relative multiplexing cascade, optimized over stage splits."""
-    return _simulate_bell("rmux", p1, s_total, n_bins, reps, seed)
+    return simulate_bell_sweep(p1, [s_total], n_bins, reps, seed,
+                               ("rmux",))[("rmux", s_total)]

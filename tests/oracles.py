@@ -5,13 +5,20 @@ enumerates every per-photon rail sequence instead of using the binary
 decomposition, the assignment oracle tries all n! permutations, the
 spanning oracle is a breadth-first path search instead of union-find, and
 the lattice-state oracle applies each outcome rule to the fusions at one
-loss rate instead of thresholding per-site and per-bond loss levels.
+loss rate instead of thresholding per-site and per-bond loss levels, and
+the Bell oracle simulates one switch budget at a time, recomputing stage 1
+for every split with the public window match.
 """
 
 import itertools
 from collections import deque
 
 import numpy as np
+
+from rmux.delay_network import DelayNetwork, max_delay
+from rmux.matching import sliding_window_match
+from rmux.mux_sim import BELL_GATE_PROB, BellStats
+from rmux.streams import generate_stream, stream_from_bins
 
 
 def oracle_routable(requests, s: int) -> bool:
@@ -119,3 +126,68 @@ def sample_state_direct(lattice, scheme, f_l, semantics, rng):
                            & (w_bond < semantics.heralded_bond_connect_prob))
     counts = (int(success.sum()), int(heralded.sum()), int(loss.sum()))
     return alive, connected[lattice.fusion_is_bond], counts
+
+
+def _standard_rate_direct(streams, s1, s2, gate_rng):
+    """One standard-scheme split: four-stream windows, gate, output groups."""
+    n_bins = streams[0].n_bins
+    w1, w2 = max_delay(s1) + 1, max_delay(s2) + 1
+    n_windows = n_bins // w1
+    if n_windows == 0:
+        return 0.0
+    have = np.ones(n_windows, dtype=bool)
+    for st in streams:
+        have &= st.bins[:n_windows * w1].reshape(n_windows, w1).any(axis=1)
+    success = have & (gate_rng.random(n_windows) < BELL_GATE_PROB)
+    n_groups = n_windows // w2
+    if n_groups == 0:
+        return 0.0
+    delivered = success[:n_groups * w2].reshape(n_groups, w2).any(axis=1).sum()
+    return float(delivered) / n_bins
+
+
+def _rmux_rate_direct(streams, s1, s2, gate_rng):
+    """One relative-scheme split: two window stages, then the gate."""
+    n_bins = streams[0].n_bins
+    net1, net2 = DelayNetwork(s1), DelayNetwork(s2)
+
+    def events(a, b):
+        ev = np.zeros(n_bins, dtype=bool)
+        for _b1, b2, _d in sliding_window_match(a, b, net1.max_delay,
+                                                net1).pairs:
+            ev[b2] = True
+        return stream_from_bins(ev)
+
+    quads = sliding_window_match(events(*streams[:2]), events(*streams[2:]),
+                                 net2.max_delay, net2)
+    if not quads.pairs:
+        return 0.0
+    accepted = int((gate_rng.random(len(quads.pairs)) < BELL_GATE_PROB).sum())
+    return accepted / n_bins
+
+
+def bell_stats_direct(scheme, p1, s_total, n_bins, reps, seed) -> BellStats:
+    """BellStats of one scheme at one switch budget, simulated on its own.
+
+    Repetition r samples its four streams from child r of the seed, and
+    split i = s1 - 1 draws its gate from the child's i-th spawned seed.
+    """
+    networks, rate = {"standard": (4, _standard_rate_direct),
+                      "rmux": (2, _rmux_rate_direct)}[scheme]
+    splits = [(s1, s_total - networks * s1)
+              for s1 in range(1, (s_total - 1) // networks + 1)]
+    rates = np.zeros((len(splits), reps))
+    for r, child in enumerate(np.random.SeedSequence(seed).spawn(reps)):
+        streams = [generate_stream(p1, n_bins, int(sd))
+                   for sd in child.generate_state(4, dtype=np.uint64)]
+        gate_seeds = child.spawn(len(splits))
+        for i, (s1, s2) in enumerate(splits):
+            gate_rng = np.random.Generator(np.random.PCG64(gate_seeds[i]))
+            rates[i, r] = rate(streams, s1, s2, gate_rng)
+    means = rates.mean(axis=1)
+    best = int(np.argmax(means))
+    stderr = (float(rates[best].std(ddof=1) / np.sqrt(reps)) if reps > 1
+              else 0.0)
+    return BellStats(scheme=scheme, total_switches=s_total,
+                     bells_per_bin=float(means[best]), stderr=stderr,
+                     reps=reps, best_split=splits[best])

@@ -170,13 +170,25 @@ def test_percolate_frontier_grid_error_names_the_option(capsys, monkeypatch):
     ("x:9", "error: each budgets entry must be an integer, got 'x'"),
     ("9:5", "error: budgets range '9:5' is empty"),
 ])
-def test_bell_budget_errors_name_the_option(capsys, monkeypatch, budgets,
+def test_bell_budget_errors_name_the_option(capsys, forbid_streams, budgets,
                                             message):
-    def no_run(*args, **kwargs):
-        raise AssertionError("Bell rate simulated")
-
-    monkeypatch.setattr("rmux.mux_sim._simulate_bell", no_run)
     assert main(["bell", "--budgets", budgets, "--reps", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == message + "\n" and captured.out == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--budgets", "12,4"],
+     "error: no feasible stage split for scheme 'standard' with 4 switches"),
+    (["--scheme", "rmux", "--budgets", "5,2"],
+     "error: no feasible stage split for scheme 'rmux' with 2 switches"),
+    (["--reps", "0"], "error: reps must be >= 1, got 0"),
+    (["--bins", "0"], "error: bins must be >= 1, got 0"),
+    (["--p1", "1.5"], "error: p1 must be in [0, 1], got 1.5"),
+])
+def test_bell_rejects_bad_sweep_before_sampling(capsys, forbid_streams, argv,
+                                                message):
+    assert main(["bell", "--reps", "1", *argv]) == 1
     captured = capsys.readouterr()
     assert captured.err == message + "\n" and captured.out == ""
 

@@ -11,6 +11,7 @@ from rmux.delay_network import DelayNetwork, max_delay, route
 from rmux.matching import (
     Matching,
     _conflict_pairs,
+    _window_pairs,
     build_assignment_matrix,
     hungarian_min_assignment,
     matching_csv_rows,
@@ -269,6 +270,59 @@ def test_window_rejects_pair_beyond_the_network():
     with pytest.raises(ValueError):
         sliding_window_match(stream_at([0], 8), stream_at([2], 8), 2,
                              DelayNetwork(2))
+
+
+def window_instances():
+    """Seeded window inputs: raw streams at s = 1..8, and derived event
+    streams (kept pairs' later bins, as in the Bell cascade) at s2 up to 14."""
+    for s in range(1, 9):
+        for k, p in enumerate((0.1, 0.3, 0.6)):
+            yield (generate_stream(p, 400, 10 * s + k),
+                   generate_stream(p, 400, 10 * s + k + 5), DelayNetwork(s))
+    for s1 in (2, 4, 6):
+        net1 = DelayNetwork(s1)
+        raw = [generate_stream(0.1, 10000, 100 + 4 * s1 + j) for j in range(4)]
+        events = []
+        for a, b in (raw[:2], raw[2:]):
+            ev = np.zeros(10000, dtype=bool)
+            ev[[b2 for _b1, b2, _d in
+                sliding_window_match(a, b, net1.max_delay, net1).pairs]] = True
+            events.append(stream_from_bins(ev))
+        for s2 in (8, 11, 14):
+            yield events[0], events[1], DelayNetwork(s2)
+
+
+def test_window_core_keeps_the_pairs_and_drops_the_clash_photons():
+    dropped_total = 0
+    for a, b, net in window_instances():
+        kept, dropped = _window_pairs(a.occupied_bins.tolist(),
+                                      b.occupied_bins.tolist(),
+                                      net.max_delay, net)
+        m = sliding_window_match(a, b, net.max_delay, net)
+        assert kept == m.pairs
+        clash = sorted((bn, st) for bn, st, r in m.discarded if r == "clash")
+        assert sorted([(b1, "1") for b1, _b2, _d in dropped]
+                      + [(b2, "2") for _b1, b2, _d in dropped]) == clash
+        dropped_total += len(dropped)
+    assert dropped_total > 50
+
+
+def test_window_pinned_on_seeded_instances():
+    # sha256 of every instance's pairs and clash photons, as the window
+    # wrote them before its pairing moved into `_window_pairs`
+    h = hashlib.sha256()
+    for a, b, net in window_instances():
+        m = sliding_window_match(a, b, net.max_delay, net)
+        clash = sorted((bn, st) for bn, st, r in m.discarded if r == "clash")
+        h.update(repr((m.pairs, clash)).encode())
+    assert h.hexdigest() == ("0750ec353df354ab75a2ec7fef0d1c88"
+                             "11c1891b9a0684e43c711c2e3ca7c8dc")
+
+
+def test_window_core_rejects_pair_beyond_the_network():
+    with pytest.raises(ValueError, match="delay 2 outside"):
+        _window_pairs([0], [2], 2, DelayNetwork(2))
+    assert _window_pairs([0], [2], 1, DelayNetwork(2)) == ([], [])
 
 
 def test_window_discards_later_pair_on_clash():

@@ -1,12 +1,22 @@
+import hashlib
+
 import pytest
 
+from oracles import bell_stats_direct
+from rmux.experiments import ExperimentConfig, run_experiment
 from rmux.mux_sim import (
     rmux_splits,
     simulate_bell_rmux,
     simulate_bell_standard,
+    simulate_bell_sweep,
     simulate_two_stream,
     standard_splits,
 )
+
+# sha256 of fig7_bell_rates.csv at bins=3000, reps=4, budgets 5:16, seed
+# 20170324, as written by the per-budget simulation the sweep replaced.
+FIG7_SMALL_SHA256 = ("08de6d756503254d4b854659841a145f"
+                     "5ac5c696b16ecee10df4411d9cbc2cb8")
 
 
 def test_two_stream_determinism():
@@ -102,3 +112,53 @@ def test_bell_rate_monotone_in_budget():
                 assert (st.bells_per_bin
                         >= prev.bells_per_bin - 2 * (st.stderr + prev.stderr))
             prev = st
+
+
+@pytest.mark.parametrize("p1", [0.1, 0.5])
+@pytest.mark.parametrize("n_bins", [500, 3000])
+@pytest.mark.parametrize("reps", [1, 3])
+def test_bell_sweep_equals_per_budget_oracle(p1, n_bins, reps):
+    budgets = range(5, 17)
+    sweep = simulate_bell_sweep(p1, budgets, n_bins, reps, seed=11)
+    assert sweep.keys() == {(scheme, b) for scheme in ("standard", "rmux")
+                            for b in budgets}
+    for (scheme, budget), stats in sweep.items():
+        assert stats == bell_stats_direct(scheme, p1, budget, n_bins, reps,
+                                          seed=11), (scheme, budget)
+
+
+def test_one_budget_calls_equal_their_sweep_rows():
+    sweep = simulate_bell_sweep(0.1, range(5, 17), 2000, 3, seed=4)
+    for budget in range(5, 17):
+        assert simulate_bell_standard(0.1, budget, 2000, 3, 4) == sweep[
+            ("standard", budget)]
+        assert simulate_bell_rmux(0.1, budget, 2000, 3, 4) == sweep[
+            ("rmux", budget)]
+
+
+def test_fig7_csv_bytes_pinned(tmp_path):
+    bundle = run_experiment(ExperimentConfig(
+        "fig7", {"bins": "3000", "reps": "4", "budgets": "5:16"}, 20170324,
+        tmp_path))
+    digest = hashlib.sha256(bundle.csv_paths[0].read_bytes()).hexdigest()
+    assert digest == FIG7_SMALL_SHA256
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"budgets": [12, 4]},
+     "no feasible stage split for scheme 'standard' with 4 switches"),
+    ({"budgets": [5, 2], "schemes": ("rmux",)},
+     "no feasible stage split for scheme 'rmux' with 2 switches"),
+    ({"reps": 0}, "reps must be >= 1, got 0"),
+    ({"n_bins": 0}, "bins must be >= 1, got 0"),
+    ({"p1": 1.5}, "p1 must be in [0, 1], got 1.5"),
+    ({"p1": -0.1}, "p1 must be in [0, 1], got -0.1"),
+    ({"schemes": ("rmux", "nope")}, "unknown Bell scheme 'nope'"),
+])
+def test_bell_sweep_validates_before_sampling(forbid_streams, kwargs,
+                                              message):
+    args = {"p1": 0.1, "budgets": [12], "n_bins": 1000, "reps": 2,
+            "seed": 1, **kwargs}
+    with pytest.raises(ValueError) as err:
+        simulate_bell_sweep(**args)
+    assert str(err.value) == message
