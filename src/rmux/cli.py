@@ -131,6 +131,9 @@ def _cmd_reproduce(args) -> int:
     if args.trials is not None:
         # Convenience alias: repetition count for the Monte Carlo figures,
         # lattice trials for the percolation figures.
+        if args.figure in ("table1", "fig2"):
+            raise ValueError(f"{args.figure} takes no repetition or trial "
+                             "count; drop --trials")
         key = "reps" if args.figure in ("fig4", "fig6", "fig7") else "trials"
         params.setdefault(key, str(args.trials))
     config = ExperimentConfig(experiment=args.figure, parameters=params,

@@ -17,10 +17,6 @@ from pathlib import Path
 from . import mux_analytics, mux_sim, percolation
 from .percolation import OutcomeSemantics, calibrated_semantics
 
-EXPERIMENTS = ("table1", "fig2", "fig4", "fig6", "fig7",
-               "fig8_thresholds", "fig9_frontier")
-
-
 @dataclass
 class ExperimentConfig:
     experiment: str
@@ -225,8 +221,7 @@ def fig2_rows(params: dict, **optimizer):
     if not ps_hi >= ps_lo:
         raise ValueError(f"ps_max must be >= ps_min, got ps_max={ps_hi} "
                          f"< ps_min={ps_lo}")
-    n_ps = int(round((ps_hi - ps_lo) / ps_step))
-    ps_values = [round(ps_lo + i * ps_step, 10) for i in range(n_ps + 1)]
+    ps_values = mux_analytics.grid(ps_lo, ps_hi, ps_step)
     rows = []
     for eta in etas:
         for p_s in ps_values:
@@ -501,6 +496,7 @@ _RUNNERS = {
     "fig8_thresholds": _run_fig8,
     "fig9_frontier": _run_fig9,
 }
+EXPERIMENTS = tuple(_RUNNERS)
 
 
 def run_experiment(config: ExperimentConfig) -> ReportBundle:

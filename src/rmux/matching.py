@@ -49,8 +49,8 @@ class WeightMatrix:
     weights: np.ndarray            # (n, n) int64
     virtual_mask: np.ndarray       # (n, n) bool, True = virtual edge/vertex
     virtual_weight: int
-    row_bins: np.ndarray           # stream-1 bin per row, -1 for padding rows
-    col_bins: np.ndarray           # stream-2 bin per column, -1 for padding
+    row_bins: np.ndarray           # stream-1 bin of each real row
+    col_bins: np.ndarray           # stream-2 bin of each real column
 
 
 @dataclass
@@ -96,12 +96,8 @@ def build_assignment_matrix(s1: PhotonStream, s2: PhotonStream,
         real = (diff >= 0) & (diff <= d_max)
         weights[:bins1.size, :bins2.size][real] = diff[real]
         mask[:bins1.size, :bins2.size][real] = False
-    row_bins = np.full(n, -1, dtype=np.int64)
-    col_bins = np.full(n, -1, dtype=np.int64)
-    row_bins[:bins1.size] = bins1
-    col_bins[:bins2.size] = bins2
     return WeightMatrix(n=n, weights=weights, virtual_mask=mask,
-                        virtual_weight=vw, row_bins=row_bins, col_bins=col_bins)
+                        virtual_weight=vw, row_bins=bins1, col_bins=bins2)
 
 
 def solve_assignment(cost: np.ndarray) -> tuple[np.ndarray, float]:
@@ -150,8 +146,8 @@ def hungarian_min_assignment(W: WeightMatrix) -> Matching:
     cols = col_of_row[rows]
     pairs = list(zip(W.row_bins[rows].tolist(), W.col_bins[cols].tolist(),
                      W.weights[rows, cols].tolist()))
-    return Matching(pairs=pairs, discarded=_discards(
-        W.row_bins[W.row_bins >= 0], W.col_bins[W.col_bins >= 0], pairs))
+    return Matching(pairs=pairs, discarded=_discards(W.row_bins, W.col_bins,
+                                                     pairs))
 
 
 def pair_requests(pairs) -> list:
@@ -194,7 +190,6 @@ def resolve_clashes_optimal(m: Matching, W: WeightMatrix,
     """
     if not m.pairs:
         return m
-    bins1, bins2 = W.row_bins[W.row_bins >= 0], W.col_bins[W.col_bins >= 0]
     W = replace(W, weights=W.weights.copy(), virtual_mask=W.virtual_mask.copy())
     candidates = []
     current = sorted(m.pairs)
@@ -206,15 +201,15 @@ def resolve_clashes_optimal(m: Matching, W: WeightMatrix,
         counts = Counter(i for couple in conflicts for i in couple)
         worst = max(counts, key=lambda idx: (counts[idx], idx))
         b1, b2, _ = current[worst]
-        cell = np.searchsorted(bins1, b1), np.searchsorted(bins2, b2)
+        cell = np.searchsorted(W.row_bins, b1), np.searchsorted(W.col_bins, b2)
         W.weights[cell] = W.virtual_weight
         W.virtual_mask[cell] = True
         current = hungarian_min_assignment(W).pairs
 
     best = max(candidates,
                key=lambda pairs: (len(pairs), -sum(d for _, _, d in pairs)))
-    return Matching(pairs=best, discarded=_discards(bins1, bins2, best,
-                                                    lost=m.pairs))
+    return Matching(pairs=best, discarded=_discards(W.row_bins, W.col_bins,
+                                                    best, lost=m.pairs))
 
 
 def _window_pairs(bins1, bins2, d_max: int, network: DelayNetwork):

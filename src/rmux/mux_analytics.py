@@ -57,6 +57,13 @@ def required_repetitions(eta: float, p_s: float) -> int:
     return k
 
 
+def grid(lo: float, hi: float, step: float) -> list:
+    """lo, lo + step, ... up to the last point at or below hi (to within
+    float roundoff), each rounded to 10 decimals."""
+    n_steps = math.floor((hi - lo) / step + 1e-9)
+    return [round(lo + i * step, 10) for i in range(n_steps + 1)]
+
+
 def _stage(input_prob: float, target_prob: float,
            potential_per_bin: float) -> MuxStage:
     k = required_repetitions(input_prob, target_prob)
@@ -66,42 +73,36 @@ def _stage(input_prob: float, target_prob: float,
                     potential_mean=k_up * potential_per_bin)
 
 
-def ghz_report(eta: float, p1: float, p2: float,
-               n_photons: int = PHOTONS_PER_GHZ,
-               gate_prob: float = GATE_PROB_3GHZ) -> MuxReport:
+def ghz_report(eta: float, p1: float, p2: float) -> MuxReport:
     """Two-stage resource accounting for one near-deterministic 3-GHZ state.
 
-    Stage 1 boosts each of n_photons sources from eta to p1; stage 2 boosts
-    the entangling gate from gate_prob to p2. Resource potentials count the
+    Stage 1 boosts each of the PHOTONS_PER_GHZ sources from eta to p1;
+    stage 2 the GATE_PROB_3GHZ gate to p2. Resource potentials count the
     states the occupied bins could have produced on average.
     """
-    if n_photons < 1:
-        raise ValueError(f"n_photons must be >= 1, got {n_photons}")
     stage1 = _stage(eta, p1, potential_per_bin=eta)
-    stage2 = _stage(gate_prob, p2, potential_per_bin=gate_prob)
+    stage2 = _stage(GATE_PROB_3GHZ, p2, potential_per_bin=GATE_PROB_3GHZ)
     bins_per_stream = stage1.k_up * stage2.k_up
-    potential_photons = bins_per_stream * n_photons * eta
-    potential_ghz = potential_photons / n_photons * gate_prob
+    potential_photons = bins_per_stream * PHOTONS_PER_GHZ * eta
+    potential_ghz = potential_photons / PHOTONS_PER_GHZ * GATE_PROB_3GHZ
     return MuxReport(
         stages=(stage1, stage2),
-        combined_prob=p1 ** n_photons * p2,
+        combined_prob=p1 ** PHOTONS_PER_GHZ * p2,
         combined_depth=stage1.depth + stage2.depth,
         bins_per_stream=bins_per_stream,
-        total_bins=bins_per_stream * n_photons,
+        total_bins=bins_per_stream * PHOTONS_PER_GHZ,
         potential_photons_mean=potential_photons,
         potential_ghz_mean=potential_ghz,
     )
 
 
 def unused_potential(eta: float, p_s: float, p_min: float = 0.8,
-                     p_max: float = 0.99, step: float = 0.01,
-                     n_photons: int = PHOTONS_PER_GHZ,
-                     gate_prob: float = GATE_PROB_3GHZ):
+                     p_max: float = 0.99, step: float = 0.01):
     """Cheapest (p1, p2) stage targets that still reach overall p_s.
 
     Grid search over stage probabilities in [p_min, p_max] with the given
-    step, feasibility p1^n_photons * p2 >= p_s, minimizing the mean number
-    of surplus GHZ states (producible states beyond the one kept). The
+    step, feasibility p1^PHOTONS_PER_GHZ * p2 >= p_s, minimizing the mean
+    number of surplus GHZ states (producible states beyond the one kept). The
     default 0.01 grid reproduces the published operating points; finer
     steps can find slightly cheaper schedules.
 
@@ -109,16 +110,15 @@ def unused_potential(eta: float, p_s: float, p_min: float = 0.8,
     """
     if not 0.0 < p_min <= p_max < 1.0:
         raise ValueError("need 0 < p_min <= p_max < 1")
-    n_steps = int(round((p_max - p_min) / step))
-    grid = [round(p_min + i * step, 12) for i in range(n_steps + 1)]
+    ps = grid(p_min, p_max, step)
     best = None
-    for p1 in grid:
-        if p1 ** n_photons * grid[-1] < p_s:
+    for p1 in ps:
+        if p1 ** PHOTONS_PER_GHZ * ps[-1] < p_s:
             continue
-        for p2 in grid:
-            if p1 ** n_photons * p2 < p_s:
+        for p2 in ps:
+            if p1 ** PHOTONS_PER_GHZ * p2 < p_s:
                 continue
-            report = ghz_report(eta, p1, p2, n_photons, gate_prob)
+            report = ghz_report(eta, p1, p2)
             wasted = report.potential_ghz_mean - 1.0
             key = (wasted, report.total_bins, p1, p2)
             if best is None or key < best[0]:
@@ -127,7 +127,7 @@ def unused_potential(eta: float, p_s: float, p_min: float = 0.8,
     if best is None:
         raise ValueError(
             f"no (p1, p2) on the grid reaches p_s={p_s} (max "
-            f"{grid[-1] ** n_photons * grid[-1]:.4f})")
+            f"{ps[-1] ** PHOTONS_PER_GHZ * ps[-1]:.4f})")
     _, p1, p2, report = best
     return (p1, p2, report.potential_ghz_mean - 1.0,
             report.stages[0].k_up, report.stages[1].k_up)

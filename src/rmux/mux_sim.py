@@ -99,8 +99,12 @@ def match_streams(s1: PhotonStream, s2: PhotonStream, network: DelayNetwork,
     return resolved, matching_metrics(resolved, s1, s2)
 
 
-def _stream_seeds(child: np.random.SeedSequence, count: int):
-    return [int(x) for x in child.generate_state(count, dtype=np.uint64)]
+def _repetitions(p: float, n_bins: int, reps: int, seed: int, n_streams: int):
+    """(child, streams) of repetition r: child r of SeedSequence(seed), whose
+    first generated words seed the repetition's `n_streams` streams."""
+    for child in np.random.SeedSequence(seed).spawn(reps):
+        words = child.generate_state(n_streams, dtype=np.uint64)
+        yield child, [generate_stream(p, n_bins, int(w)) for w in words]
 
 
 def simulate_two_stream(p: float, s: int, n_bins: int, strategy: str,
@@ -109,15 +113,12 @@ def simulate_two_stream(p: float, s: int, n_bins: int, strategy: str,
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
     network = DelayNetwork(s)
-    children = np.random.SeedSequence(seed).spawn(reps)
     matched = np.empty(reps)
     clash = np.empty(reps)
     oor = np.empty(reps)
     weight = np.empty(reps)
-    for r, child in enumerate(children):
-        seed1, seed2 = _stream_seeds(child, 2)
-        s1 = generate_stream(p, n_bins, seed1)
-        s2 = generate_stream(p, n_bins, seed2)
+    for r, (_child, (s1, s2)) in enumerate(_repetitions(p, n_bins, reps,
+                                                         seed, 2)):
         m, met = match_streams(s1, s2, network, strategy)
         matched[r] = met.matched_fraction
         clash[r] = met.clash_rate
@@ -242,9 +243,8 @@ def simulate_bell_sweep(p1: float, budgets, n_bins: int, reps: int, seed: int,
             plan[(scheme, budget)] = splits
     n_gates = max(map(len, plan.values()), default=0)
     rates = {key: np.zeros((len(splits), reps)) for key, splits in plan.items()}
-    for r, child in enumerate(np.random.SeedSequence(seed).spawn(reps)):
-        streams = [generate_stream(p1, n_bins, sd)
-                   for sd in _stream_seeds(child, 4)]
+    for r, (child, streams) in enumerate(_repetitions(p1, n_bins, reps,
+                                                       seed, 4)):
         # One spawn for every budget: a second call would advance the
         # child's spawn counter and move every later key.
         gate_seeds = child.spawn(n_gates)

@@ -80,8 +80,10 @@ _CELL_OFFSETS = {"own": (0, 0, 0), "x+": (1, 0, 0), "y+": (0, 1, 0),
 
 # Photon-accounting classes: the five fusions consuming only this cell's
 # photons (10 photons) versus the three half-shared with neighbors (6).
-SITE_FORMING_IDS = ("F_B", "F_C", "F_D", "F_E", "F_F")
-BOND_FORMING_IDS = ("F_A", "F_G", "F_H")
+SITE_FORMING_IDS = tuple(fid for fid, photons in PHOTON_ASSIGNMENT.items()
+                         if all(p[0] == "own" for p in photons.values()))
+BOND_FORMING_IDS = tuple(fid for fid in PHOTON_ASSIGNMENT
+                         if fid not in SITE_FORMING_IDS)
 
 # Type A photons stay in the cluster as data qubits; type B photons are
 # fused without active delay; type C photons are fused after active delay.
@@ -212,10 +214,6 @@ class LatticeState:
     """One sampled configuration: alive sites, present bonds, outcome tally."""
 
     lattice: DiamondLattice
-    scheme: str
-    p_l: float
-    a_l: float
-    semantics: OutcomeSemantics
     site_alive: np.ndarray
     bond_present: np.ndarray
     outcome_counts: dict = field(default_factory=dict)
@@ -263,8 +261,7 @@ def sample_lattice_state(lattice: DiamondLattice, scheme: str, p_l: float,
     counts = {SUCCESS: int(success.sum()),
               FAIL_HERALDED: int((~loss & ~success).sum()),
               FAIL_LOSS: int(loss.sum())}
-    return LatticeState(lattice=lattice, scheme=scheme, p_l=p_l, a_l=a_l,
-                        semantics=semantics, site_alive=site_alive,
+    return LatticeState(lattice=lattice, site_alive=site_alive,
                         bond_present=bond >= f_l, outcome_counts=counts)
 
 
@@ -309,45 +306,36 @@ def spans(state: LatticeState) -> bool:
                            np.where(state.bond_present, 1.0, -np.inf)) > 0
 
 
-def _trials(L, trials, seed, semantics, lattice):
+def _trials(L, trials, seed, semantics):
     """(semantics, lattice, a generator per trial) for the trial loops."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if lattice is None:
-        lattice = DiamondLattice(L)
-    elif lattice.L != L:
-        raise ValueError(f"lattice has L={lattice.L}, expected L={L}")
-    if not isinstance(seed, np.random.SeedSequence):
-        seed = np.random.SeedSequence(seed)
-    rngs = (np.random.Generator(np.random.PCG64(c)) for c in seed.spawn(trials))
+    lattice = DiamondLattice(L)
+    children = np.random.SeedSequence(seed).spawn(trials)
+    rngs = (np.random.Generator(np.random.PCG64(c)) for c in children)
     return semantics or OutcomeSemantics(), lattice, rngs
 
 
 def percolation_probability(L: int, scheme: str, p_l: float, a_l: float,
-                            trials: int,
-                            seed: int | np.random.SeedSequence,
-                            semantics: OutcomeSemantics | None = None,
-                            lattice: DiamondLattice | None = None):
+                            trials: int, seed: int,
+                            semantics: OutcomeSemantics | None = None):
     """Spanning fraction over independent sampled lattices, with stderr.
 
-    Trial t samples with the t-th child of `seed` (an int or a
-    SeedSequence); a prebuilt `lattice` must have `L` cells per axis.
+    Trial t samples with the t-th child of `SeedSequence(seed)`.
     """
-    semantics, lattice, rngs = _trials(L, trials, seed, semantics, lattice)
+    semantics, lattice, rngs = _trials(L, trials, seed, semantics)
     hits = sum(spans(sample_lattice_state(lattice, scheme, p_l, a_l,
                                           semantics, rng)) for rng in rngs)
     p_hat = hits / trials
     return p_hat, float(np.sqrt(p_hat * (1.0 - p_hat) / trials))
 
 
-def critical_losses(L: int, scheme: str, trials: int,
-                    seed: int | np.random.SeedSequence,
-                    semantics: OutcomeSemantics | None = None,
-                    lattice: DiamondLattice | None = None) -> np.ndarray:
+def critical_losses(L: int, scheme: str, trials: int, seed: int,
+                    semantics: OutcomeSemantics | None = None) -> np.ndarray:
     """Each trial's critical fusion loss f*: trial t spans at f iff f <= f*[t]
     (never if f* = -inf). Trial t draws as in `percolation_probability`, so
     the count of f* >= f_l is that function's hit count at f_l."""
-    semantics, lattice, rngs = _trials(L, trials, seed, semantics, lattice)
+    semantics, lattice, rngs = _trials(L, trials, seed, semantics)
     if (not semantics.loss_kills_owner_site
             and semantics.heralded_site_kill_prob > 0.0):
         raise ValueError("spanning is not monotone in loss with loss_kills_"

@@ -86,10 +86,15 @@ def stream_from_text(text: str) -> PhotonStream:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if len(lines) != 2:
         raise ValueError("stream text must have a header line and a bit line")
-    fields = dict(item.split("=", 1) for item in lines[0].split())
-    p = float(fields["p"])
-    seed = int(fields["seed"])
-    n = int(fields["n"])
+    fields = dict(item.partition("=")[::2] for item in lines[0].split())
+    values = []
+    for key, kind in (("p", float), ("seed", int), ("n", int)):
+        try:
+            values.append(kind(fields[key]))
+        except (KeyError, ValueError):
+            raise ValueError(f"stream header needs {key}=<{kind.__name__}>, "
+                             f"got {lines[0]!r}") from None
+    p, seed, n = values
     bits = lines[1].strip()
     if len(bits) != n or set(bits) - {"0", "1"}:
         raise ValueError("bit line does not match header length or has bad characters")

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from rmux.cli import main
@@ -85,6 +87,24 @@ def test_recipe_csv_rows_have_header_width(tmp_path, experiment, params):
             path.name)
 
 
+# sha256 of each recipe's first CSV at these parameters: a refactor must
+# leave these bytes unchanged.
+@pytest.mark.parametrize("experiment, params, seed, sha256", [
+    ("table1", {}, 1234,
+     "9a39e342703550d8696f19a1fbf8fbb279f5bea2b89c18ee9637be1c5d91f8c2"),
+    ("fig2", {}, 1234,
+     "d054450a0ea2c40cf6527886576e4caaba4317f73f54587794562b8501173073"),
+    ("fig8_thresholds", {"L": "6", "trials": "100", "finite_size_L": "4",
+                         "finite_size_trials": "60"}, 20170324,
+     "0c4e94a7cd6b6d65e4f19d97b22620f42ccf8837292777a35dd0884965fcda78"),
+])
+def test_recipe_csv_bytes_pinned(tmp_path, experiment, params, seed, sha256):
+    bundle = run_experiment(ExperimentConfig(experiment, params, seed,
+                                             tmp_path))
+    assert hashlib.sha256(bundle.csv_paths[0].read_bytes()).hexdigest() == (
+        sha256)
+
+
 def test_match_aggregate(capsys):
     assert main(["match", "--p", "0.1", "--switches", "3", "--bins", "200",
                  "--reps", "4", "--seed", "3"]) == 0
@@ -105,6 +125,23 @@ def test_match_fixture_files(tmp_path, capsys):
     assert out.startswith("kind,")
     assert routes.read_text().startswith(
         "photon_id,arrival_bin,delay,stage,rail,bin_at_stage")
+
+
+@pytest.mark.parametrize("header, message", [
+    ("p=0.3 n=40", "error: stream header needs seed=<int>, got 'p=0.3 n=40'"),
+    ("p=x seed=1 n=40",
+     "error: stream header needs p=<float>, got 'p=x seed=1 n=40'"),
+    ("p=0.3 seed=1 n=4x0",
+     "error: stream header needs n=<int>, got 'p=0.3 seed=1 n=4x0'"),
+    ("p=0.3 seed7 n=40",
+     "error: stream header needs seed=<int>, got 'p=0.3 seed7 n=40'"),
+])
+def test_match_rejects_bad_fixture_header(tmp_path, capsys, header, message):
+    fixture = tmp_path / "s1.txt"
+    fixture.write_text(header + "\n" + "01" * 20 + "\n")
+    assert main(["match", "--stream1", str(fixture)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == message + "\n" and captured.out == ""
 
 
 def test_bell_csv(capsys):
@@ -291,6 +328,28 @@ def test_reproduce_fig2_rejects_bad_grid(tmp_path, capsys, override, message):
     assert main(["reproduce", "fig2", "--out", str(tmp_path),
                  "--set", override]) == 1
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("overrides, last_ps", [
+    ([], "0.93"),
+    (["ps_min=0.90", "ps_step=0.01"], "0.93"),
+    # 0.13 / 0.028 rounds up to 5 steps, past ps_max
+    (["ps_step=0.028"], "0.912"),
+])
+def test_reproduce_fig2_grid_stops_at_ps_max(tmp_path, overrides, last_ps):
+    argv = ["reproduce", "fig2", "--out", str(tmp_path), "--set", "etas=0.1"]
+    assert main(argv + [x for o in overrides for x in ("--set", o)]) == 0
+    rows = (tmp_path / "fig2_unused_potential.csv").read_text().splitlines()
+    assert rows[-1].split(",")[0] == last_ps
+
+
+@pytest.mark.parametrize("figure", ["table1", "fig2"])
+def test_reproduce_trials_rejected_where_unused(tmp_path, capsys, figure):
+    assert main(["reproduce", figure, "--trials", "5", "--out",
+                 str(tmp_path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {figure} takes no repetition or trial count; drop --trials\n")
+    assert not any(tmp_path.iterdir())
 
 
 def test_reproduce_table1(tmp_path, capsys):

@@ -327,8 +327,7 @@ def test_sampling_determinism():
 # --------------------------------------------------------------- spanning
 
 def _empty_state(lat):
-    return LatticeState(lattice=lat, scheme="rmux", p_l=0.0, a_l=0.0,
-                        semantics=OutcomeSemantics(),
+    return LatticeState(lattice=lat,
                         site_alive=np.ones(lat.n_sites, dtype=bool),
                         bond_present=np.zeros(lat.n_bonds, dtype=bool))
 
@@ -417,25 +416,11 @@ def test_full_loss_never_percolates():
     assert est == 0.0
 
 
-def test_seed_sequence_seed_matches_int_seed():
-    assert (percolation_probability(4, "rmux", 0.03, 0.0, 30, 5)
-            == percolation_probability(4, "rmux", 0.03, 0.0, 30,
-                                       np.random.SeedSequence(5)))
-
-
-def test_prebuilt_lattice_of_another_size_rejected():
-    with pytest.raises(ValueError, match="L=6"):
-        percolation_probability(8, "rmux", 0.0, 0.0, 10, 1,
-                                lattice=DiamondLattice(6))
-
-
 def test_percolation_monotone_in_loss():
-    lat = DiamondLattice(8)
     prev = None
     for p_l in (0.0, 0.04, 0.08, 0.12):
         est, err = percolation_probability(8, "rmux", p_l, 0.0, 250, 23,
-                                           semantics=calibrated_semantics(),
-                                           lattice=lat)
+                                           semantics=calibrated_semantics())
         if prev is not None:
             assert est <= prev[0] + 2 * (err + prev[1])
         prev = (est, err)
@@ -498,14 +483,13 @@ def test_critical_loss_count_equals_spanning_fraction(L, trials, scheme,
     # the spans path (checked against BFS above) is the oracle: trial t
     # spans at f_l exactly when f_l <= f*[t]
     sem = _SEMANTICS_CASES[sem_name]
-    lat = DiamondLattice(L)
-    f_star = critical_losses(L, scheme, trials, 11, sem, lat)
+    f_star = critical_losses(L, scheme, trials, 11, sem)
     assert f_star.shape == (trials,)
     for a_l in (0.0, 0.01):
         for p_l in (0.0, 0.03, 0.07, 0.15):
             f_l = fusion_loss_probability(p_l, a_l, lossy_inputs(scheme))
             p_hat, _ = percolation_probability(L, scheme, p_l, a_l, trials,
-                                               11, sem, lat)
+                                               11, sem)
             assert np.count_nonzero(f_star >= f_l) / trials == p_hat, (a_l,
                                                                         p_l)
 
@@ -515,7 +499,7 @@ def test_critical_loss_is_the_spanning_edge_per_trial():
     # trial that never spans has f* = -inf
     lat = DiamondLattice(4)
     sem = OutcomeSemantics(heralded_site_kill_prob=0.8)
-    f_star = critical_losses(4, "standard", 40, 5, sem, lat)
+    f_star = critical_losses(4, "standard", 40, 5, sem)
     seeds = np.random.SeedSequence(5).spawn(40)
     assert np.isneginf(f_star).any() and np.isfinite(f_star).any()
     for f, seed in zip(f_star.tolist(), seeds):
