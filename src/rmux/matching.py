@@ -155,24 +155,36 @@ def pair_requests(pairs) -> list:
     return [RoutingRequest(arrival_bin=b1, delay=d) for b1, _b2, d in pairs]
 
 
+def _conflicts(arrival_bins, delays, network: DelayNetwork):
+    """Sorted couples (j, k), j < k, of requests whose forced paths clash."""
+    rows = clash_rows(arrival_bins, delays, network)
+    return sorted(set(map(tuple, rows[:, 2:].tolist())))
+
+
 def _conflict_pairs(pairs, network: DelayNetwork):
     """Sorted couples (j, k), j < k, of pairs whose delayed photons clash."""
     # fromiter over the flattened tuples: ~2.5x faster than np.array here.
     cols = np.fromiter(chain.from_iterable(pairs), np.int64,
                        3 * len(pairs)).reshape(-1, 3)
-    rows = clash_rows(cols[:, 0], cols[:, 2], network)
-    return sorted(set(map(tuple, rows[:, 2:].tolist())))
+    return _conflicts(cols[:, 0], cols[:, 2], network)
 
 
-def _drop_on_conflict(pairs, conflicts):
-    """Keep pairs in order, discarding any pair that clashes with a kept one;
-    `conflicts` is sorted, so each j is settled before its (j, k) is read."""
-    if not conflicts:
-        return pairs, []
+def _lost_on_conflict(conflicts) -> set:
+    """Indices of the pairs that clash with an earlier kept pair; `conflicts`
+    is sorted, so each j is settled before its (j, k) is read."""
     lost = set()
     for j, k in conflicts:
         if j not in lost:
             lost.add(k)
+    return lost
+
+
+def _drop_on_conflict(pairs, conflicts):
+    """Keep pairs in order, discarding any pair that clashes with a kept one
+    (see `_lost_on_conflict`)."""
+    if not conflicts:
+        return pairs, []
+    lost = _lost_on_conflict(conflicts)
     return ([p for i, p in enumerate(pairs) if i not in lost],
             [p for i, p in enumerate(pairs) if i in lost])
 
@@ -212,26 +224,59 @@ def resolve_clashes_optimal(m: Matching, W: WeightMatrix,
                                                     best, lost=m.pairs))
 
 
-def _window_pairs(bins1, bins2, d_max: int, network: DelayNetwork):
-    """(kept, dropped) pairs of the sliding window over two sorted bin lists.
+def _window_core(bins1, bins2, d_max: int, network: DelayNetwork):
+    """(b1, b2, keep): the sliding window's formed pairs over two sorted bin
+    arrays, in stream-1 bin order, with `keep` false for each pair dropped
+    because it clashes with an earlier kept one.
 
-    The window of `sliding_window_match` without its discard records: kept
-    pairs come in stream-1 bin order, and dropped are the formed pairs that
-    clashed with an earlier kept one. A pair that needs more delay than the
-    network gives raises ValueError.
+    Photon i of stream 1 takes the first unconsumed stream-2 photon in
+    [b1_i, b1_i + d_max]. With lb_i and ub_i the searchsorted bounds of
+    that interval in stream 2, the consumption pointer after photon i obeys
+
+        p_i = min(max(p_{i-1}, lb_i) + 1, ub_i),    p_{-1} = 0,
+
+    and photon i pairs with stream-2 index max(p_{i-1}, lb_i) when that index
+    is below ub_i. (When it is not, p_{i-1} = ub_i, since ub is nondecreasing,
+    so the min holds in both cases.) For y_i = p_i - i this is the clamp
+
+        y_i = min(max(y_{i-1}, g_i), h_i),  g_i = min(lb_i + 1, ub_i) - i,
+                                            h_i = ub_i - i,
+
+    and clamps compose into clamps, so a doubling prefix scan of
+    ceil(log2 n) array steps gives every p_i (Hillis & Steele, CACM 29(12),
+    1986). A pair that needs more delay than the network gives raises
+    ValueError.
     """
-    formed = []
-    ptr, n2 = 0, len(bins2)
-    for b1 in bins1:
-        while ptr < n2 and bins2[ptr] < b1:
-            ptr += 1
-        if ptr == n2:
-            break                   # stream 2 is spent
-        b2 = bins2[ptr]
-        if b2 - b1 <= d_max:
-            formed.append((b1, b2, b2 - b1))
-            ptr += 1
-    return _drop_on_conflict(formed, _conflict_pairs(formed, network))
+    bins1 = np.asarray(bins1, dtype=np.int64)
+    bins2 = np.asarray(bins2, dtype=np.int64)
+    lb = np.searchsorted(bins2, bins1, "left")
+    ub = np.searchsorted(bins2, bins1 + d_max, "right")
+    index = np.arange(bins1.size)
+    lo, hi = np.minimum(lb + 1, ub) - index, ub - index
+    # After the step of size `step`, (lo_i, hi_i) is the composite clamp of
+    # photons i - 2 * step + 1 .. i.
+    step = 1
+    while step < bins1.size:
+        lo[step:], hi[step:] = (
+            np.minimum(np.maximum(lo[:-step], lo[step:]), hi[step:]),
+            np.minimum(np.maximum(hi[:-step], lo[step:]), hi[step:]))
+        step *= 2
+    ptr = np.minimum(np.maximum(1, lo), hi) + index
+    take = np.maximum(np.concatenate(([0], ptr[:-1])), lb)
+    paired = take < ub
+    b1, b2 = bins1[paired], bins2[take[paired]]
+    keep = np.ones(b1.size, dtype=bool)
+    if b1.size:
+        keep[list(_lost_on_conflict(_conflicts(b1, b2 - b1, network)))] = False
+    return b1, b2, keep
+
+
+def _window_pairs(bins1, bins2, d_max: int, network: DelayNetwork):
+    """(kept, dropped) pair lists of `_window_core`, as (b1, b2, delay)."""
+    b1, b2, keep = _window_core(bins1, bins2, d_max, network)
+    pairs = np.stack([b1, b2, b2 - b1], axis=1)
+    return (list(map(tuple, pairs[keep].tolist())),
+            list(map(tuple, pairs[~keep].tolist())))
 
 
 def sliding_window_match(s1: PhotonStream, s2: PhotonStream, d_max: int,
@@ -244,8 +289,8 @@ def sliding_window_match(s1: PhotonStream, s2: PhotonStream, d_max: int,
     later-formed pair is thrown away (both photons discarded). A pair that
     needs more delay than the network gives raises ValueError.
     """
-    kept, dropped = _window_pairs(s1.occupied_bins.tolist(),
-                                  s2.occupied_bins.tolist(), d_max, network)
+    kept, dropped = _window_pairs(s1.occupied_bins, s2.occupied_bins, d_max,
+                                  network)
     return Matching(pairs=kept, discarded=_discards(
         s1.occupied_bins, s2.occupied_bins, kept, lost=dropped))
 

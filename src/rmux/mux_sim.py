@@ -21,17 +21,28 @@ its gate from spawn key (r, i) of that child. So stage 1 (the relative
 scheme's two event streams, the standard scheme's window occupancy) depends
 only on (r, s1): it runs once per s1, and stage 2 runs per (budget, split).
 Results equal those of simulating each budget on its own.
+
+The sweep runs consecutive repetitions as blocks laid end to end on one
+time axis: bin b of the block's repetition r sits at r * stride + b, with
+stride = n_bins + D + 1 and D the largest max_delay of any network in the
+sweep. A window pair spans at most D bins and a clash needs two forced
+paths, each at most D bins long, to meet in one bin, so no pair and no clash
+crosses repetitions, and each window stage runs once per block. A block
+closes once it holds BLOCK_PHOTONS photons or BLOCK_BINS stream bins, so
+memory does not grow with the repetition count. Each repetition still draws
+its gate from its own (r, i) key.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .delay_network import DelayNetwork, max_delay
 from .matching import (
-    _window_pairs,
+    _window_core,
     build_assignment_matrix,
     count_clashing_pairs,
     hungarian_min_assignment,
@@ -43,6 +54,10 @@ from .streams import PhotonStream, generate_stream
 
 STRATEGIES = ("hungarian_no_clash", "hungarian_with_clash", "realistic")
 BELL_GATE_PROB = 1.0 / 8.0
+# A Bell sweep block closes once it holds this many photons, or stream bins
+# (which bound it when the source is nearly dark).
+BLOCK_PHOTONS = 16_000
+BLOCK_BINS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -152,73 +167,109 @@ def rmux_splits(s_total: int):
     return _splits(2, s_total)
 
 
-def _standard_stage1(streams, s1: int) -> np.ndarray:
-    """Stage 1 of the standard scheme: the w1-bin windows (w1 = max_delay(s1)
-    + 1) in which every stream holds a photon, so each stream relocates one
-    photon to the window boundary slot."""
+class _Block(NamedTuple):
+    """Consecutive repetitions on one time axis: bin b of repetition r of
+    the block sits at r * stride + b."""
+
+    streams: list                 # each repetition's four streams
+    n_bins: int
+    stride: int
+
+    def shifted(self, j: int) -> np.ndarray:
+        """Stream j's occupied bins of all repetitions, on the block's axis."""
+        return np.concatenate([st[j].occupied_bins + r * self.stride
+                               for r, st in enumerate(self.streams)])
+
+
+def _blocks(p1: float, n_bins: int, reps: int, seed: int, stride: int):
+    """(children, _Block) of consecutive repetitions, closing each block at
+    BLOCK_PHOTONS photons or BLOCK_BINS stream bins."""
+    children, streams, photons = [], [], 0
+    for child, rep in _repetitions(p1, n_bins, reps, seed, 4):
+        children.append(child)
+        streams.append(rep)
+        photons += sum(st.photon_count for st in rep)
+        if (photons >= BLOCK_PHOTONS
+                or 4 * n_bins * len(streams) >= BLOCK_BINS):
+            yield children, _Block(streams, n_bins, stride)
+            children, streams, photons = [], [], 0
+    if streams:
+        yield children, _Block(streams, n_bins, stride)
+
+
+def _standard_stage1(block: _Block, s1: int) -> np.ndarray:
+    """Stage 1 of the standard scheme: per repetition (row), the w1-bin
+    windows (w1 = max_delay(s1) + 1) in which every stream holds a photon,
+    so each stream relocates one photon to the window boundary slot."""
     w1 = max_delay(s1) + 1
-    n_windows = streams[0].n_bins // w1
-    have = np.ones(n_windows, dtype=bool)
-    for st in streams:
-        have &= st.bins[:n_windows * w1].reshape(n_windows, w1).any(axis=1)
+    n_windows = block.n_bins // w1
+    n_reps = len(block.streams)
+    have = np.ones((n_reps, n_windows), dtype=bool)
+    for j in range(4):
+        bins = np.stack([st[j].bins[:n_windows * w1] for st in block.streams])
+        have &= bins.reshape(n_reps, n_windows, w1).any(axis=2)
     return have
 
 
-def _standard_rate(have: np.ndarray, s2: int, gate_rng, n_bins: int) -> float:
-    """Delivered Bell states per bin for one (s1, s2) split.
+def _standard_rate(have: np.ndarray, s2: int, gate_rngs,
+                   block: _Block) -> np.ndarray:
+    """Delivered Bell states per bin of each repetition for one (s1, s2)
+    split.
 
     Stage 2: windows where all four streams delivered (`have`, from
     `_standard_stage1`) attempt the gate (success 1/8); the output network
     delivers at most one success per w2-window group to its fixed slot.
     """
     w2 = max_delay(s2) + 1
-    n_windows = have.size
-    if n_windows == 0:
-        return 0.0
-    success = have & (gate_rng.random(n_windows) < BELL_GATE_PROB)
+    n_reps, n_windows = have.shape
     n_groups = n_windows // w2
     if n_groups == 0:
-        return 0.0
-    delivered = success[:n_groups * w2].reshape(n_groups, w2).any(axis=1).sum()
-    return float(delivered) / n_bins
+        return np.zeros(n_reps)
+    gate = np.stack([rng.random(n_windows) for rng in gate_rngs])
+    success = (have & (gate < BELL_GATE_PROB))[:, :n_groups * w2]
+    delivered = success.reshape(n_reps, n_groups, w2).any(axis=2).sum(axis=1)
+    return delivered / block.n_bins
 
 
-def _rmux_stage1(streams, s1: int) -> tuple:
+def _rmux_stage1(block: _Block, s1: int) -> tuple:
     """Stage 1 of the relative scheme: streams 1-2 and 3-4 are paired by the
     sliding window through s1-switch networks, and each kept pair becomes an
-    event at its later photon's bin. Returns the two sorted event bin lists."""
+    event at its later photon's bin. Returns the two sorted event bin arrays
+    on the block's axis."""
     net1 = DelayNetwork(s1)
     events = []
-    for a, b in (streams[:2], streams[2:]):
-        kept, _dropped = _window_pairs(a.occupied_bins.tolist(),
-                                       b.occupied_bins.tolist(),
-                                       net1.max_delay, net1)
-        events.append([b2 for _b1, b2, _d in kept])
+    for j in (0, 2):
+        _b1, b2, keep = _window_core(block.shifted(j), block.shifted(j + 1),
+                                     net1.max_delay, net1)
+        events.append(b2[keep])
     return tuple(events)
 
 
-def _rmux_rate(events: tuple, s2: int, gate_rng, n_bins: int) -> float:
-    """Accepted Bell states per bin for one (s1, s2) split.
+def _rmux_rate(events: tuple, s2: int, gate_rngs,
+               block: _Block) -> np.ndarray:
+    """Accepted Bell states per bin of each repetition for one (s1, s2)
+    split.
 
     The two event streams of `_rmux_stage1` are paired again by the sliding
     window through the s2-switch network, and every surviving quadruple
     attempts the gate independently.
     """
     net2 = DelayNetwork(s2)
-    n_quads = len(_window_pairs(*events, net2.max_delay, net2)[0])
-    if n_quads == 0:
-        return 0.0
-    accepted = int((gate_rng.random(n_quads) < BELL_GATE_PROB).sum())
-    return accepted / n_bins
+    _b1, b2, keep = _window_core(*events, net2.max_delay, net2)
+    n_quads = np.bincount(b2[keep] // block.stride, minlength=len(gate_rngs))
+    accepted = [int((rng.random(n) < BELL_GATE_PROB).sum())
+                for rng, n in zip(gate_rngs, n_quads.tolist())]
+    return np.array(accepted) / block.n_bins
 
 
 def simulate_bell_sweep(p1: float, budgets, n_bins: int, reps: int, seed: int,
                         schemes=("standard", "rmux")) -> dict:
     """BellStats by (scheme, budget), each optimized over its stage splits.
 
-    Every argument is checked before anything is sampled. Repetition r
-    samples its four streams once, and each scheme's stage 1 runs once per
-    s1 for every budget and split that shares it (see the module docstring).
+    Every argument is checked before anything is sampled. Repetitions run
+    in blocks on one time axis, and each scheme's stage 1 runs once per
+    block and s1 for every budget and split that shares it (see the module
+    docstring).
     """
     # Per scheme: first-stage networks, stage 1, stage-2 rate. Built per
     # call, so a rebound rate function (a tracer's wrapper) is the one used.
@@ -230,6 +281,10 @@ def simulate_bell_sweep(p1: float, budgets, n_bins: int, reps: int, seed: int,
         raise ValueError(f"bins must be >= 1, got {n_bins}")
     if not 0.0 <= p1 <= 1.0:
         raise ValueError(f"p1 must be in [0, 1], got {p1}")
+    budgets = list(budgets)
+    for budget in budgets:
+        if budgets.count(budget) > 1:
+            raise ValueError(f"budget {budget} is repeated")
     plan = {}
     for scheme in schemes:
         if scheme not in table:
@@ -242,22 +297,28 @@ def simulate_bell_sweep(p1: float, budgets, n_bins: int, reps: int, seed: int,
                     f"{budget} switches")
             plan[(scheme, budget)] = splits
     n_gates = max(map(len, plan.values()), default=0)
+    d_plan = max((max_delay(s) for splits in plan.values()
+                  for split in splits for s in split), default=0)
     rates = {key: np.zeros((len(splits), reps)) for key, splits in plan.items()}
-    for r, (child, streams) in enumerate(_repetitions(p1, n_bins, reps,
-                                                       seed, 4)):
-        # One spawn for every budget: a second call would advance the
-        # child's spawn counter and move every later key.
-        gate_seeds = child.spawn(n_gates)
+    r0 = 0
+    for children, block in _blocks(p1, n_bins, reps, seed,
+                                   n_bins + d_plan + 1):
+        # One spawn per repetition for every budget: a second call would
+        # advance the child's spawn counter and move every later key.
+        gate_seeds = [child.spawn(n_gates) for child in children]
+        block_reps = slice(r0, r0 + len(children))
         stage1 = {}
         for key, splits in plan.items():
             scheme = key[0]
             _networks, first, rate_fn = table[scheme]
             for i, (s1, s2) in enumerate(splits):
                 if (scheme, s1) not in stage1:
-                    stage1[(scheme, s1)] = first(streams, s1)
-                gate_rng = np.random.Generator(np.random.PCG64(gate_seeds[i]))
-                rates[key][i, r] = rate_fn(stage1[(scheme, s1)], s2, gate_rng,
-                                           n_bins)
+                    stage1[(scheme, s1)] = first(block, s1)
+                gate_rngs = [np.random.Generator(np.random.PCG64(seeds[i]))
+                             for seeds in gate_seeds]
+                rates[key][i, block_reps] = rate_fn(stage1[(scheme, s1)], s2,
+                                                    gate_rngs, block)
+        r0 += len(children)
     stats = {}
     for (scheme, budget), splits in plan.items():
         split_rates = rates[(scheme, budget)]

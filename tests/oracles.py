@@ -7,7 +7,8 @@ spanning oracle is a breadth-first path search instead of union-find, and
 the lattice-state oracle applies each outcome rule to the fusions at one
 loss rate instead of thresholding per-site and per-bond loss levels, and
 the Bell oracle simulates one switch budget at a time, recomputing stage 1
-for every split with the public window match.
+for every split with the pointer-loop window below instead of the
+program's prefix scan.
 """
 
 import itertools
@@ -16,9 +17,9 @@ from collections import deque
 import numpy as np
 
 from rmux.delay_network import DelayNetwork, max_delay
-from rmux.matching import sliding_window_match
+from rmux.matching import _conflict_pairs, _drop_on_conflict
 from rmux.mux_sim import BELL_GATE_PROB, BellStats
-from rmux.streams import generate_stream, stream_from_bins
+from rmux.streams import generate_stream
 
 
 def oracle_routable(requests, s: int) -> bool:
@@ -146,23 +147,44 @@ def _standard_rate_direct(streams, s1, s2, gate_rng):
     return float(delivered) / n_bins
 
 
+def window_pairs_direct(bins1, bins2, d_max, network):
+    """(kept, dropped) pairs of the sliding window, by its pointer loop.
+
+    Each stream-1 photon, in bin order, takes the first unconsumed stream-2
+    photon in [b1, b1 + d_max]; formed pairs are then kept in order unless
+    they clash with an earlier kept pair.
+    """
+    formed = []
+    ptr, n2 = 0, len(bins2)
+    for b1 in bins1:
+        while ptr < n2 and bins2[ptr] < b1:
+            ptr += 1
+        if ptr == n2:
+            break                   # stream 2 is spent
+        b2 = bins2[ptr]
+        if b2 - b1 <= d_max:
+            formed.append((b1, b2, b2 - b1))
+            ptr += 1
+    return _drop_on_conflict(formed, _conflict_pairs(formed, network))
+
+
 def _rmux_rate_direct(streams, s1, s2, gate_rng):
     """One relative-scheme split: two window stages, then the gate."""
     n_bins = streams[0].n_bins
     net1, net2 = DelayNetwork(s1), DelayNetwork(s2)
 
     def events(a, b):
-        ev = np.zeros(n_bins, dtype=bool)
-        for _b1, b2, _d in sliding_window_match(a, b, net1.max_delay,
-                                                net1).pairs:
-            ev[b2] = True
-        return stream_from_bins(ev)
+        kept, _dropped = window_pairs_direct(a.occupied_bins.tolist(),
+                                             b.occupied_bins.tolist(),
+                                             net1.max_delay, net1)
+        return [b2 for _b1, b2, _d in kept]
 
-    quads = sliding_window_match(events(*streams[:2]), events(*streams[2:]),
-                                 net2.max_delay, net2)
-    if not quads.pairs:
+    quads, _dropped = window_pairs_direct(events(*streams[:2]),
+                                          events(*streams[2:]),
+                                          net2.max_delay, net2)
+    if not quads:
         return 0.0
-    accepted = int((gate_rng.random(len(quads.pairs)) < BELL_GATE_PROB).sum())
+    accepted = int((gate_rng.random(len(quads)) < BELL_GATE_PROB).sum())
     return accepted / n_bins
 
 

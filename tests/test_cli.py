@@ -222,12 +222,23 @@ def test_bell_budget_errors_name_the_option(capsys, forbid_streams, budgets,
     (["--reps", "0"], "error: reps must be >= 1, got 0"),
     (["--bins", "0"], "error: bins must be >= 1, got 0"),
     (["--p1", "1.5"], "error: p1 must be in [0, 1], got 1.5"),
+    (["--budgets", "6,6"], "error: budget 6 is repeated"),
+    (["--budgets", "8,6,8"], "error: budget 8 is repeated"),
 ])
 def test_bell_rejects_bad_sweep_before_sampling(capsys, forbid_streams, argv,
                                                 message):
     assert main(["bell", "--reps", "1", *argv]) == 1
     captured = capsys.readouterr()
     assert captured.err == message + "\n" and captured.out == ""
+
+
+def test_reproduce_fig7_rejects_repeated_budget(tmp_path, capsys,
+                                               forbid_streams):
+    assert main(["reproduce", "fig7", "--out", str(tmp_path),
+                 "--set", "budgets=6,6"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: budget 6 is repeated\n"
+    assert not list(tmp_path.glob("*.csv"))
 
 
 @pytest.mark.parametrize("grid", ["0.01,0.01", "0.01"])

@@ -3,10 +3,14 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_assignment, oracle_routable
+from oracles import (
+    brute_force_assignment,
+    oracle_routable,
+    window_pairs_direct,
+)
 from rmux.delay_network import DelayNetwork, max_delay, route
 from rmux.matching import (
     Matching,
@@ -317,6 +321,31 @@ def test_window_pinned_on_seeded_instances():
         h.update(repr((m.pairs, clash)).encode())
     assert h.hexdigest() == ("0750ec353df354ab75a2ec7fef0d1c88"
                              "11c1891b9a0684e43c711c2e3ca7c8dc")
+
+
+@st.composite
+def window_cases(draw):
+    """Two sorted bin lists and a network: few bins (many coincidences),
+    dense bins, or bins far apart, with d_max from 0 to 8191."""
+    s = draw(st.sampled_from([1, 2, 3, 5, 9, 14]))
+    d_max = draw(st.sampled_from([0, max_delay(s)]))
+    spread = draw(st.sampled_from([3, 60, 40_000]))
+    bins = st.lists(st.integers(0, spread), max_size=40, unique=True)
+    return sorted(draw(bins)), sorted(draw(bins)), d_max, DelayNetwork(s)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(window_cases())
+@example(([], [], 0, DelayNetwork(1)))
+@example(([], [0, 5], 7, DelayNetwork(4)))
+@example(([0, 5], [], 7, DelayNetwork(4)))
+@example(([0, 1, 2, 3], [0, 1, 2, 3], 0, DelayNetwork(1)))
+@example(([0, 1, 2, 3], [0, 1, 2, 3], 8191, DelayNetwork(14)))
+@example(([0, 9000, 30000], [8191, 17191, 38192], 8191, DelayNetwork(14)))
+def test_window_core_equals_pointer_loop(case):
+    bins1, bins2, d_max, net = case
+    assert _window_pairs(bins1, bins2, d_max, net) == window_pairs_direct(
+        bins1, bins2, d_max, net)
 
 
 def test_window_core_rejects_pair_beyond_the_network():

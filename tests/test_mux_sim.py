@@ -1,8 +1,10 @@
 import hashlib
+import tracemalloc
 
 import pytest
 
 from oracles import bell_stats_direct
+from rmux import mux_sim
 from rmux.experiments import ExperimentConfig, run_experiment
 from rmux.mux_sim import (
     rmux_splits,
@@ -127,6 +129,58 @@ def test_bell_sweep_equals_per_budget_oracle(p1, n_bins, reps):
                                           seed=11), (scheme, budget)
 
 
+def _record_block_sizes(monkeypatch) -> list:
+    sizes = []
+    blocks = mux_sim._blocks
+
+    def recording(*args):
+        for children, block in blocks(*args):
+            sizes.append(len(children))
+            yield children, block
+
+    monkeypatch.setattr(mux_sim, "_blocks", recording)
+    return sizes
+
+
+# 500 bins per repetition, below the largest window (8191 bins at 16
+# switches), so a pair or clash across repetitions would change a rate.
+@pytest.mark.parametrize("p1, constant, value, sizes", [
+    (1.0, "BLOCK_PHOTONS", 3000, [2, 2, 2, 1]),   # 2000 photons a rep
+    (0.0, "BLOCK_BINS", 4000, [2, 2, 2, 1]),      # 2000 stream bins a rep
+    (0.3, "BLOCK_PHOTONS", 1000, None),
+])
+def test_bell_sweep_blocks_equal_per_budget_oracle(monkeypatch, p1, constant,
+                                                   value, sizes):
+    monkeypatch.setattr(mux_sim, constant, value)
+    seen = _record_block_sizes(monkeypatch)
+    budgets = range(5, 17)
+    sweep = simulate_bell_sweep(p1, budgets, 500, 7, seed=3)
+    if sizes is not None:
+        assert seen == sizes
+    assert len(seen) >= 3 and sum(seen) == 7
+    for (scheme, budget), stats in sweep.items():
+        assert stats == bell_stats_direct(scheme, p1, budget, 500, 7,
+                                          seed=3), (scheme, budget)
+
+
+def _peak_bytes(reps: int) -> int:
+    tracemalloc.start()
+    try:
+        simulate_bell_sweep(1.0, range(5, 13), 3000, reps, seed=8)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_bell_sweep_memory_stays_flat_in_reps(monkeypatch):
+    monkeypatch.setattr(mux_sim, "BLOCK_PHOTONS", 24_000)  # 2 repetitions
+    seen = _record_block_sizes(monkeypatch)
+    one_block = _peak_bytes(2)
+    four_blocks = _peak_bytes(8)
+    assert seen == [2, 2, 2, 2, 2]
+    assert four_blocks <= 1.25 * one_block, (four_blocks, one_block)
+
+
 def test_one_budget_calls_equal_their_sweep_rows():
     sweep = simulate_bell_sweep(0.1, range(5, 17), 2000, 3, seed=4)
     for budget in range(5, 17):
@@ -154,6 +208,7 @@ def test_fig7_csv_bytes_pinned(tmp_path):
     ({"p1": 1.5}, "p1 must be in [0, 1], got 1.5"),
     ({"p1": -0.1}, "p1 must be in [0, 1], got -0.1"),
     ({"schemes": ("rmux", "nope")}, "unknown Bell scheme 'nope'"),
+    ({"budgets": [6, 8, 6]}, "budget 6 is repeated"),
 ])
 def test_bell_sweep_validates_before_sampling(forbid_streams, kwargs,
                                               message):
