@@ -59,8 +59,8 @@ class DelayNetwork:
     stage_delays: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
-        if self.s < 1:
-            raise ValueError(f"switch count must be >= 1, got {self.s}")
+        if not 1 <= self.s <= 64:   # so delays and path bins fit in int64
+            raise ValueError(f"switch count must be in [1, 64], got {self.s}")
         delays = tuple(1 << i for i in range(self.s - 1))
         if self.descending:
             delays = tuple(reversed(delays))

@@ -241,8 +241,8 @@ def two_stream_sweep(params: dict, strategies, seed: int):
     rows = []
     stats = {}
     for strat in strategies:
-        for s in s_values:
-            st = mux_sim.simulate_two_stream(prob, s, n_bins, strat, reps, seed)
+        for s, st in zip(s_values, mux_sim.simulate_two_stream(
+                prob, s_values, n_bins, strat, reps, seed)):
             stats[(strat, s)] = st
             rows.append((strat, s, st.matched_fraction_mean,
                          st.matched_fraction_stderr, st.clash_rate_mean,

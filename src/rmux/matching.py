@@ -88,6 +88,8 @@ def build_assignment_matrix(s1: PhotonStream, s2: PhotonStream,
     bins1 = s1.occupied_bins
     bins2 = s2.occupied_bins
     n = max(bins1.size, bins2.size)
+    # No pair needs more; a wider window inflates the virtual weight.
+    d_max = min(d_max, s2.n_bins - 1)
     vw = virtual_weight_for(d_max)
     weights = np.full((n, n), vw, dtype=np.int64)
     mask = np.ones((n, n), dtype=bool)
@@ -287,10 +289,11 @@ def sliding_window_match(s1: PhotonStream, s2: PhotonStream, d_max: int,
     still-unpaired stream-2 photon in [bin, bin + d_max]. Pairs are then
     checked against the network in formation order; on a clash the
     later-formed pair is thrown away (both photons discarded). A pair that
-    needs more delay than the network gives raises ValueError.
+    needs more delay than the network gives raises ValueError. No pair needs
+    more than stream 2 is long, so d_max is capped there (and fits int64).
     """
-    kept, dropped = _window_pairs(s1.occupied_bins, s2.occupied_bins, d_max,
-                                  network)
+    kept, dropped = _window_pairs(s1.occupied_bins, s2.occupied_bins,
+                                  min(d_max, s2.n_bins - 1), network)
     return Matching(pairs=kept, discarded=_discards(
         s1.occupied_bins, s2.occupied_bins, kept, lost=dropped))
 

@@ -15,6 +15,15 @@ stream, costing 2*s1 + s2. Budgets are maximized over feasible splits.
 All repetitions derive child seeds from a single SeedSequence, so runs are
 reproducible and schemes can be compared on identical stream data.
 
+A two-stream sweep runs every switch count on each repetition's streams.
+For hungarian_with_clash, one `clash_rows` scan finds the assignments that
+clash: count i's pairs sit at offset i * stride on one time axis (a forced
+path stays in bins b1..b2, and stride exceeds every b2) and route through
+the largest count's network. There a delay that s switches reach takes the
+same bins and rails through switch s-1, leaving on rail 0 as at the output
+switch, then stays in its output bin on rail 0: the same requests meet and
+clash. Only the assignments that clash are repaired.
+
 A Bell sweep over several budgets shares stage 1. Repetition r samples its
 four streams once from child r, and split i = s1 - 1 of every budget draws
 its gate from spawn key (r, i) of that child. So stage 1 (the relative
@@ -36,12 +45,14 @@ its gate from its own (r, i) key.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
 
 from .delay_network import DelayNetwork, max_delay
 from .matching import (
+    _conflicts,
     _window_core,
     build_assignment_matrix,
     count_clashing_pairs,
@@ -122,32 +133,64 @@ def _repetitions(p: float, n_bins: int, reps: int, seed: int, n_streams: int):
         yield child, [generate_stream(p, n_bins, int(w)) for w in words]
 
 
-def simulate_two_stream(p: float, s: int, n_bins: int, strategy: str,
-                        reps: int, seed: int) -> StrategyStats:
-    """Aggregate matching metrics over independent stream-pair repetitions."""
+def _clash_couples(instances, network: DelayNetwork) -> dict:
+    """{i: sorted clashing couples (j, k)} of each instance (a list of
+    (b1, b2, delay) pairs) that has any, by one scan through `network`."""
+    counts = [len(pairs) for pairs in instances]
+    cols = np.fromiter(chain.from_iterable(chain.from_iterable(instances)),
+                       np.int64, 3 * sum(counts)).reshape(-1, 3)
+    owner = np.repeat(np.arange(len(instances)), counts)
+    stride = int(cols[:, 1].max(initial=-1)) + 1
+    first = (np.cumsum(counts) - counts).tolist()
+    couples = {}
+    for j, k in _conflicts(cols[:, 0] + owner * stride, cols[:, 2], network):
+        i = int(owner[j])
+        couples.setdefault(i, []).append((j - first[i], k - first[i]))
+    return couples
+
+
+def _with_clash(st1: PhotonStream, st2: PhotonStream, networks) -> list:
+    """`match_streams` of hungarian_with_clash through each network,
+    repairing only the assignments that clash."""
+    weights = [build_assignment_matrix(st1, st2, net.max_delay)
+               for net in networks]
+    found = [hungarian_min_assignment(W) for W in weights]
+    clashing = _clash_couples([m.pairs for m in found],
+                              max(networks, key=lambda net: net.s))
+    found = [resolve_clashes_optimal(m, W, net) if i in clashing else m
+             for i, (m, W, net) in enumerate(zip(found, weights, networks))]
+    return [(m, matching_metrics(m, st1, st2)) for m in found]
+
+
+def simulate_two_stream(p: float, switches, n_bins: int, strategy: str,
+                        reps: int, seed: int) -> list:
+    """StrategyStats of each switch count, in order, over the same stream-pair
+    repetitions. Every argument is checked before anything is sampled."""
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
-    network = DelayNetwork(s)
-    matched = np.empty(reps)
-    clash = np.empty(reps)
-    oor = np.empty(reps)
-    weight = np.empty(reps)
-    for r, (_child, (s1, s2)) in enumerate(_repetitions(p, n_bins, reps,
-                                                         seed, 2)):
-        m, met = match_streams(s1, s2, network, strategy)
-        matched[r] = met.matched_fraction
-        clash[r] = met.clash_rate
-        oor[r] = met.out_of_range_fraction
-        weight[r] = m.total_weight
-    return StrategyStats(
-        strategy=strategy,
-        switch_count=s,
-        matched_fraction_mean=float(matched.mean()),
-        matched_fraction_stderr=_stderr(matched),
-        clash_rate_mean=float(clash.mean()),
-        out_of_range_mean=float(oor.mean()),
-        total_weight_mean=float(weight.mean()),
-    )
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}")
+    switches = list(switches)
+    if not switches:
+        raise ValueError("switches must name at least one switch count")
+    for s in switches:
+        if switches.count(s) > 1:
+            raise ValueError(f"switch count {s} is repeated")
+    networks = [DelayNetwork(s) for s in switches]
+    # (switch count, metric, repetition): matched, clash, out of range, weight
+    values = np.empty((len(switches), 4, reps))
+    for r, (_child, (st1, st2)) in enumerate(_repetitions(p, n_bins, reps,
+                                                           seed, 2)):
+        results = (_with_clash(st1, st2, networks)
+                   if strategy == "hungarian_with_clash" else
+                   [match_streams(st1, st2, net, strategy) for net in networks])
+        for i, (m, met) in enumerate(results):
+            values[i, :, r] = (met.matched_fraction, met.clash_rate,
+                               met.out_of_range_fraction, m.total_weight)
+    return [StrategyStats(strategy, s, float(matched.mean()), _stderr(matched),
+                          float(clash.mean()), float(oor.mean()),
+                          float(weight.mean()))
+            for s, (matched, clash, oor, weight) in zip(switches, values)]
 
 
 def _splits(networks: int, s_total: int):

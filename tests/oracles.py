@@ -8,7 +8,8 @@ the lattice-state oracle applies each outcome rule to the fusions at one
 loss rate instead of thresholding per-site and per-bond loss levels, and
 the Bell oracle simulates one switch budget at a time, recomputing stage 1
 for every split with the pointer-loop window below instead of the
-program's prefix scan.
+program's prefix scan, and the two-stream oracle simulates one switch count
+at a time, sampling every repetition again and repairing every assignment.
 """
 
 import itertools
@@ -18,7 +19,8 @@ import numpy as np
 
 from rmux.delay_network import DelayNetwork, max_delay
 from rmux.matching import _conflict_pairs, _drop_on_conflict
-from rmux.mux_sim import BELL_GATE_PROB, BellStats
+from rmux.mux_sim import (BELL_GATE_PROB, BellStats, StrategyStats,
+                          match_streams)
 from rmux.streams import generate_stream
 
 
@@ -213,3 +215,26 @@ def bell_stats_direct(scheme, p1, s_total, n_bins, reps, seed) -> BellStats:
     return BellStats(scheme=scheme, total_switches=s_total,
                      bells_per_bin=float(means[best]), stderr=stderr,
                      reps=reps, best_split=splits[best])
+
+
+def two_stream_stats_direct(p, s, n_bins, strategy, reps,
+                            seed) -> StrategyStats:
+    """StrategyStats of one strategy at one switch count, by one
+    `match_streams` call per repetition on the streams of child r."""
+    network = DelayNetwork(s)
+    values = []
+    for child in np.random.SeedSequence(seed).spawn(reps):
+        st1, st2 = [generate_stream(p, n_bins, int(sd))
+                    for sd in child.generate_state(2, dtype=np.uint64)]
+        m, met = match_streams(st1, st2, network, strategy)
+        values.append((met.matched_fraction, met.clash_rate,
+                       met.out_of_range_fraction, m.total_weight))
+    matched, clash, oor, weight = map(np.array, zip(*values))
+    stderr = (float(matched.std(ddof=1) / np.sqrt(reps)) if reps > 1
+              else 0.0)
+    return StrategyStats(strategy=strategy, switch_count=s,
+                         matched_fraction_mean=float(matched.mean()),
+                         matched_fraction_stderr=stderr,
+                         clash_rate_mean=float(clash.mean()),
+                         out_of_range_mean=float(oor.mean()),
+                         total_weight_mean=float(weight.mean()))

@@ -127,9 +127,9 @@ def test_criterion_5_matching_figure_properties():
     strategies = ("hungarian_no_clash", "hungarian_with_clash", "realistic")
     stats = {}
     for strat in strategies:
-        for s in switch_counts:
-            stats[(strat, s)] = simulate_two_stream(
-                0.1, s, 1000, strat, reps=100, seed=SEED)
+        for st in simulate_two_stream(0.1, switch_counts, 1000, strat,
+                                      reps=100, seed=SEED):
+            stats[(strat, st.switch_count)] = st
 
     # matched fraction monotone non-decreasing in s within 2 stderr
     for strat in strategies:

@@ -9,6 +9,7 @@ from rmux.experiments import (
     run_experiment,
     semantics_from,
 )
+from rmux.mux_sim import STRATEGIES
 from rmux.streams import generate_stream, stream_to_text
 
 
@@ -97,6 +98,11 @@ def test_recipe_csv_rows_have_header_width(tmp_path, experiment, params):
     ("fig8_thresholds", {"L": "6", "trials": "100", "finite_size_L": "4",
                          "finite_size_trials": "60"}, 20170324,
      "0c4e94a7cd6b6d65e4f19d97b22620f42ccf8837292777a35dd0884965fcda78"),
+    # Both repair clashing assignments at s = 4..8.
+    ("fig4", {"bins": "300", "reps": "12"}, 20170324,
+     "954a3967ff2ee9bc0e89878721991e109246a7d0b721230891e57a7e86d83ec3"),
+    ("fig6", {"bins": "300", "reps": "8"}, 20170324,
+     "205466b80c2a9d9e3cd59224ce6312bd9af1b8510fd016a62cf46e12ccfae0d9"),
 ])
 def test_recipe_csv_bytes_pinned(tmp_path, experiment, params, seed, sha256):
     bundle = run_experiment(ExperimentConfig(experiment, params, seed,
@@ -230,6 +236,42 @@ def test_bell_rejects_bad_sweep_before_sampling(capsys, forbid_streams, argv,
     assert main(["bell", "--reps", "1", *argv]) == 1
     captured = capsys.readouterr()
     assert captured.err == message + "\n" and captured.out == ""
+
+
+def _match_row(capsys, strategy: str, switches: int) -> list:
+    assert main(["match", "--strategy", strategy, "--reps", "20", "--bins",
+                 "100", "--p", "0.3", "--switches", str(switches)]) == 0
+    return capsys.readouterr().out.splitlines()[1].split(",")
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_match_row_is_the_same_in_any_network_that_reaches_every_pair(
+        capsys, strategy):
+    # From s = 8 (delays up to 127) every pair of 100-bin streams is in
+    # reach, so a larger network matches the same pairs.
+    want = _match_row(capsys, strategy, 8)
+    for s in (50, 63, 64):
+        got = _match_row(capsys, strategy, s)
+        assert got[1] == str(s)
+        assert got[:1] + got[2:] == want[:1] + want[2:], s
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["reproduce", "fig4", "--set", "switches=3,3"],
+     "error: switch count 3 is repeated"),
+    (["reproduce", "fig6", "--set", "switches=2,5,2"],
+     "error: switch count 2 is repeated"),
+    (["reproduce", "fig4", "--set", "switches=4,65"],
+     "error: switch count must be in [1, 64], got 65"),
+    (["match", "--switches", "65"],
+     "error: switch count must be in [1, 64], got 65"),
+])
+def test_two_stream_rejects_bad_switches_before_sampling(
+        tmp_path, capsys, forbid_streams, argv, message):
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == message + "\n" and captured.out == ""
+    assert not any(path.is_file() for path in tmp_path.rglob("*"))
 
 
 def test_reproduce_fig7_rejects_repeated_budget(tmp_path, capsys,

@@ -2,11 +2,18 @@ import hashlib
 import tracemalloc
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as strats
 
-from oracles import bell_stats_direct
+from oracles import bell_stats_direct, two_stream_stats_direct
 from rmux import mux_sim
+from rmux.delay_network import DelayNetwork, max_delay
 from rmux.experiments import ExperimentConfig, run_experiment
+from rmux.matching import _conflict_pairs
 from rmux.mux_sim import (
+    STRATEGIES,
+    _clash_couples,
+    match_streams,
     rmux_splits,
     simulate_bell_rmux,
     simulate_bell_standard,
@@ -14,6 +21,7 @@ from rmux.mux_sim import (
     simulate_two_stream,
     standard_splits,
 )
+from rmux.streams import generate_stream
 
 # sha256 of fig7_bell_rates.csv at bins=3000, reps=4, budgets 5:16, seed
 # 20170324, as written by the per-budget simulation the sweep replaced.
@@ -22,16 +30,16 @@ FIG7_SMALL_SHA256 = ("08de6d756503254d4b854659841a145f"
 
 
 def test_two_stream_determinism():
-    a = simulate_two_stream(0.1, 4, 400, "realistic", reps=10, seed=77)
-    b = simulate_two_stream(0.1, 4, 400, "realistic", reps=10, seed=77)
+    a = simulate_two_stream(0.1, [4], 400, "realistic", reps=10, seed=77)
+    b = simulate_two_stream(0.1, [4], 400, "realistic", reps=10, seed=77)
     assert a == b
-    c = simulate_two_stream(0.1, 4, 400, "realistic", reps=10, seed=78)
-    assert c.matched_fraction_mean != a.matched_fraction_mean
+    c = simulate_two_stream(0.1, [4], 400, "realistic", reps=10, seed=78)
+    assert c[0].matched_fraction_mean != a[0].matched_fraction_mean
 
 
 def test_two_stream_single_switch_is_coincidence_matching():
     # d_max = 0: only photons already in the same bin can pair
-    st = simulate_two_stream(0.2, 1, 2000, "realistic", reps=8, seed=5)
+    [st] = simulate_two_stream(0.2, [1], 2000, "realistic", reps=8, seed=5)
     # coincidence fraction: 2 p^2 n / (2 p n) = p
     assert st.matched_fraction_mean == pytest.approx(0.2, abs=0.03)
     assert st.clash_rate_mean == 0.0
@@ -40,9 +48,9 @@ def test_two_stream_single_switch_is_coincidence_matching():
 def test_two_stream_strategy_ordering_and_monotonicity():
     stats = {}
     for strat in ("hungarian_no_clash", "hungarian_with_clash", "realistic"):
-        for s in (2, 5, 7):
-            stats[(strat, s)] = simulate_two_stream(
-                0.1, s, 600, strat, reps=25, seed=31)
+        for st in simulate_two_stream(0.1, [2, 5, 7], 600, strat, reps=25,
+                                      seed=31):
+            stats[(strat, st.switch_count)] = st
     for s in (2, 5, 7):
         h = stats[("hungarian_no_clash", s)].matched_fraction_mean
         c = stats[("hungarian_with_clash", s)].matched_fraction_mean
@@ -54,11 +62,75 @@ def test_two_stream_strategy_ordering_and_monotonicity():
                 < stats[(strat, 7)].matched_fraction_mean)
 
 
-def test_two_stream_validation():
-    with pytest.raises(ValueError):
-        simulate_two_stream(0.1, 3, 100, "realistic", reps=0, seed=1)
-    with pytest.raises(ValueError):
-        simulate_two_stream(0.1, 3, 100, "nope", reps=1, seed=1)
+def test_two_stream_validation(forbid_streams):
+    for kwargs, message in [
+        ({"reps": 0}, "reps must be >= 1, got 0"),
+        ({"strategy": "nope"}, "unknown strategy 'nope'"),
+        ({"switches": []}, "switches must name at least one switch count"),
+        ({"switches": [3, 3]}, "switch count 3 is repeated"),
+        ({"switches": [5, 1, 3, 1]}, "switch count 1 is repeated"),
+        ({"switches": [3, 0]}, "switch count must be in [1, 64], got 0"),
+        ({"switches": [65]}, "switch count must be in [1, 64], got 65"),
+    ]:
+        args = {"p": 0.1, "switches": [3], "n_bins": 100,
+                "strategy": "realistic", "reps": 1, "seed": 1, **kwargs}
+        with pytest.raises(ValueError) as err:
+            simulate_two_stream(**args)
+        assert str(err.value) == message
+
+
+# p = 0.4 at 120 bins clashes often; from s = 8 the network outreaches the
+# streams; p = 0 has no photons; reps = 1 has no stderr.
+@pytest.mark.parametrize("p, n_bins, reps", [
+    (0.1, 300, 6), (0.4, 120, 5), (0.0, 50, 3), (0.2, 200, 1)])
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_two_stream_equals_per_instance_oracle(strategy, p, n_bins, reps):
+    switches = [5, 1, 8, 3, 6]
+    got = simulate_two_stream(p, switches, n_bins, strategy, reps, seed=13)
+    assert got == [two_stream_stats_direct(p, s, n_bins, strategy, reps, 13)
+                   for s in switches]
+
+
+@pytest.mark.parametrize("p, n_bins", [(0.1, 300), (0.4, 120), (0.0, 50)])
+def test_with_clash_matchings_equal_match_streams(p, n_bins):
+    # A repair often finds another assignment of the same size and weight,
+    # which the aggregate metrics cannot tell apart: compare the pairs.
+    networks = [DelayNetwork(s) for s in (5, 1, 8, 3, 6)]
+    for seed in range(0, 12, 2):
+        st1 = generate_stream(p, n_bins, seed)
+        st2 = generate_stream(p, n_bins, seed + 1)
+        assert mux_sim._with_clash(st1, st2, networks) == [
+            match_streams(st1, st2, net, "hungarian_with_clash")
+            for net in networks], seed
+
+
+@strats.composite
+def clash_instances(draw):
+    """Sorted (b1, b2, delay) pair lists, each within the reach of its own
+    switch count, for a list of distinct counts in any order."""
+    switches = draw(strats.lists(strats.integers(1, 9), min_size=1,
+                                 max_size=4, unique=True))
+    instances = []
+    for s in switches:
+        requests = strats.tuples(strats.integers(0, 30),
+                                 strats.integers(0, max_delay(s)))
+        instances.append(sorted((b1, b1 + d, d) for b1, d in draw(
+            strats.lists(requests, max_size=10))))
+    return switches, instances
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(clash_instances())
+@example(([5, 1, 3], [[(0, 1, 1), (1, 2, 1), (2, 9, 7)],
+                      [(4, 4, 0), (4, 4, 0)], []]))
+@example(([2, 4], [[], []]))
+@example(([64, 3], [[(0, 3, 3), (1, 3, 2)], [(0, 3, 3), (1, 3, 2)]]))
+def test_one_axis_scan_equals_per_instance_conflicts(case):
+    switches, instances = case
+    want = {i: _conflict_pairs(pairs, DelayNetwork(s))
+            for i, (s, pairs) in enumerate(zip(switches, instances))}
+    got = _clash_couples(instances, DelayNetwork(max(switches)))
+    assert got == {i: couples for i, couples in want.items() if couples}
 
 
 def test_split_enumeration():
