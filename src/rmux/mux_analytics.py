@@ -96,21 +96,19 @@ def ghz_report(eta: float, p1: float, p2: float) -> MuxReport:
     )
 
 
-def unused_potential(eta: float, p_s: float, p_min: float = 0.8,
-                     p_max: float = 0.99, step: float = 0.01):
+def unused_potential(eta: float, p_s: float, p_min: float = 0.8):
     """Cheapest (p1, p2) stage targets that still reach overall p_s.
 
-    Grid search over stage probabilities in [p_min, p_max] with the given
-    step, feasibility p1^PHOTONS_PER_GHZ * p2 >= p_s, minimizing the mean
-    number of surplus GHZ states (producible states beyond the one kept). The
-    default 0.01 grid reproduces the published operating points; finer
-    steps can find slightly cheaper schedules.
+    Grid search over stage probabilities in [p_min, 0.99] with step 0.01,
+    feasibility p1^PHOTONS_PER_GHZ * p2 >= p_s, minimizing the mean number
+    of surplus GHZ states (producible states beyond the one kept). This grid
+    reproduces the published operating points.
 
     Returns (best_p1, best_p2, wasted_ghz_mean, k_up1, k_up2).
     """
-    if not 0.0 < p_min <= p_max < 1.0:
-        raise ValueError("need 0 < p_min <= p_max < 1")
-    ps = grid(p_min, p_max, step)
+    if not 0.0 < p_min <= 0.99:
+        raise ValueError("need 0 < p_min <= 0.99")
+    ps = grid(p_min, 0.99, 0.01)
     best = None
     for p1 in ps:
         if p1 ** PHOTONS_PER_GHZ * ps[-1] < p_s:

@@ -15,14 +15,16 @@ stream, costing 2*s1 + s2. Budgets are maximized over feasible splits.
 All repetitions derive child seeds from a single SeedSequence, so runs are
 reproducible and schemes can be compared on identical stream data.
 
-A two-stream sweep runs every switch count on each repetition's streams.
-For hungarian_with_clash, one `clash_rows` scan finds the assignments that
-clash: count i's pairs sit at offset i * stride on one time axis (a forced
-path stays in bins b1..b2, and stride exceeds every b2) and route through
-the largest count's network. There a delay that s switches reach takes the
-same bins and rails through switch s-1, leaving on rail 0 as at the output
-switch, then stays in its output bin on rail 0: the same requests meet and
-clash. Only the assignments that clash are repaired.
+A two-stream sweep takes each repetition's streams once and runs every
+strategy and switch count on them (`_match_all`): one assignment per count
+serves both Hungarian strategies. For hungarian_with_clash, one `clash_rows`
+scan finds the assignments that clash: count i's pairs sit at offset
+i * stride on one time axis (a forced path stays in bins b1..b2, and stride
+exceeds every b2) and route through the largest count's network. With the
+networks' stages ascending (the default), a delay that s switches reach
+takes the same bins and rails there through switch s-1, leaving on rail 0
+as at the output switch, then stays in its output bin on rail 0: the same
+requests meet and clash. Only the assignments that clash are repaired.
 
 A Bell sweep over several budgets shares stage 1. Repetition r samples its
 four streams once from child r, and split i = s1 - 1 of every budget draws
@@ -32,14 +34,13 @@ only on (r, s1): it runs once per s1, and stage 2 runs per (budget, split).
 Results equal those of simulating each budget on its own.
 
 The sweep runs consecutive repetitions as blocks laid end to end on one
-time axis: bin b of the block's repetition r sits at r * stride + b, with
-stride = n_bins + D + 1 and D the largest max_delay of any network in the
-sweep. A window pair spans at most D bins and a clash needs two forced
-paths, each at most D bins long, to meet in one bin, so no pair and no clash
-crosses repetitions, and each window stage runs once per block. A block
-closes once it holds BLOCK_PHOTONS photons or BLOCK_BINS stream bins, so
-memory does not grow with the repetition count. Each repetition still draws
-its gate from its own (r, i) key.
+time axis: bin b of the block's repetition r sits at 2 * r * n_bins + b.
+No pair needs more than n_bins - 1 bins of delay, so each window's reach is
+capped there. A pair and its forced path then stay within their repetition,
+so no pair and no clash crosses repetitions, and each window stage runs
+once per block. A block closes once it holds BLOCK_PHOTONS photons or
+BLOCK_BINS stream bins, so memory does not grow with the repetition count.
+Each repetition still draws its gate from its own (r, i) key.
 """
 
 from __future__ import annotations
@@ -98,6 +99,19 @@ def _stderr(values: np.ndarray) -> float:
     return float(values.std(ddof=1) / np.sqrt(values.size))
 
 
+def _checked(values, what: str, plural: str, known=None) -> list:
+    """`values` as a nonempty list of distinct entries (of `known` if set)."""
+    values = list(values)
+    if not values:
+        raise ValueError(f"{plural} must name at least one {what}")
+    for value in values:
+        if known is not None and value not in known:
+            raise ValueError(f"unknown {what} {value!r}")
+        if values.count(value) > 1:
+            raise ValueError(f"{what} {value} is repeated")
+    return values
+
+
 def match_streams(s1: PhotonStream, s2: PhotonStream, network: DelayNetwork,
                   strategy: str):
     """Run one strategy on a stream pair; returns (Matching, MatchMetrics).
@@ -107,22 +121,7 @@ def match_streams(s1: PhotonStream, s2: PhotonStream, network: DelayNetwork,
     which equal-cost pairing the solver returns), and the pairs dropped for
     a clash over kept plus dropped pairs for the other strategies.
     """
-    d_max = network.max_delay
-    if strategy == "realistic":
-        m = sliding_window_match(s1, s2, d_max, network)
-        return m, matching_metrics(m, s1, s2)
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}")
-    W = build_assignment_matrix(s1, s2, d_max)
-    m = hungarian_min_assignment(W)
-    if strategy == "hungarian_no_clash":
-        met = matching_metrics(m, s1, s2)
-        # Clashes are ignored here, but their prevalence is still reported.
-        n_clashing = count_clashing_pairs(m, network)
-        met.clash_rate = n_clashing / len(m.pairs) if m.pairs else 0.0
-        return m, met
-    resolved = resolve_clashes_optimal(m, W, network)
-    return resolved, matching_metrics(resolved, s1, s2)
+    return _match_all(s1, s2, [network], [strategy])[strategy][0]
 
 
 def _repetitions(p: float, n_bins: int, reps: int, seed: int, n_streams: int):
@@ -149,48 +148,62 @@ def _clash_couples(instances, network: DelayNetwork) -> dict:
     return couples
 
 
-def _with_clash(st1: PhotonStream, st2: PhotonStream, networks) -> list:
-    """`match_streams` of hungarian_with_clash through each network,
-    repairing only the assignments that clash."""
-    weights = [build_assignment_matrix(st1, st2, net.max_delay)
-               for net in networks]
-    found = [hungarian_min_assignment(W) for W in weights]
-    clashing = _clash_couples([m.pairs for m in found],
-                              max(networks, key=lambda net: net.s))
-    found = [resolve_clashes_optimal(m, W, net) if i in clashing else m
-             for i, (m, W, net) in enumerate(zip(found, weights, networks))]
-    return [(m, matching_metrics(m, st1, st2)) for m in found]
+def _match_all(st1: PhotonStream, st2: PhotonStream, networks,
+               strategies) -> dict:
+    """{strategy: [(Matching, MatchMetrics) per network]} of one stream pair,
+    with the strategies in the order given and each as `match_streams` runs
+    it. Several networks need ascending stages (see the module docstring)."""
+    strategies = _checked(strategies, "strategy", "strategies", STRATEGIES)
+    matchings = {}
+    if "realistic" in strategies:
+        matchings["realistic"] = [
+            sliding_window_match(st1, st2, net.max_delay, net)
+            for net in networks]
+    if {"hungarian_no_clash", "hungarian_with_clash"}.intersection(strategies):
+        weights = [build_assignment_matrix(st1, st2, net.max_delay)
+                   for net in networks]
+        found = matchings["hungarian_no_clash"] = [
+            hungarian_min_assignment(W) for W in weights]
+    if "hungarian_with_clash" in strategies:
+        clashing = _clash_couples([m.pairs for m in found],
+                                  max(networks, key=lambda net: net.s))
+        matchings["hungarian_with_clash"] = [
+            resolve_clashes_optimal(m, W, net) if i in clashing else m
+            for i, (m, W, net) in enumerate(zip(found, weights, networks))]
+    results = {strategy: [(m, matching_metrics(m, st1, st2))
+                          for m in matchings[strategy]]
+               for strategy in strategies}
+    for (m, met), net in zip(results.get("hungarian_no_clash", ()), networks):
+        # Clashes are ignored here, but their prevalence is still reported.
+        met.clash_rate = (count_clashing_pairs(m, net) / len(m.pairs)
+                          if m.pairs else 0.0)
+    return results
 
 
-def simulate_two_stream(p: float, switches, n_bins: int, strategy: str,
-                        reps: int, seed: int) -> list:
-    """StrategyStats of each switch count, in order, over the same stream-pair
-    repetitions. Every argument is checked before anything is sampled."""
+def simulate_two_stream(p: float, switches, n_bins: int, strategies,
+                        reps: int, seed: int) -> dict:
+    """StrategyStats by (strategy, switch count), strategies then counts in
+    the order given, over the same stream-pair repetitions. Every argument
+    is checked before anything is sampled."""
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}")
-    switches = list(switches)
-    if not switches:
-        raise ValueError("switches must name at least one switch count")
-    for s in switches:
-        if switches.count(s) > 1:
-            raise ValueError(f"switch count {s} is repeated")
+    strategies = _checked(strategies, "strategy", "strategies", STRATEGIES)
+    switches = _checked(switches, "switch count", "switches")
     networks = [DelayNetwork(s) for s in switches]
-    # (switch count, metric, repetition): matched, clash, out of range, weight
-    values = np.empty((len(switches), 4, reps))
+    # [strategy, count, (matched, clash, out of range, weight), repetition]
+    values = np.empty((len(strategies), len(switches), 4, reps))
     for r, (_child, (st1, st2)) in enumerate(_repetitions(p, n_bins, reps,
                                                            seed, 2)):
-        results = (_with_clash(st1, st2, networks)
-                   if strategy == "hungarian_with_clash" else
-                   [match_streams(st1, st2, net, strategy) for net in networks])
-        for i, (m, met) in enumerate(results):
-            values[i, :, r] = (met.matched_fraction, met.clash_rate,
-                               met.out_of_range_fraction, m.total_weight)
-    return [StrategyStats(strategy, s, float(matched.mean()), _stderr(matched),
-                          float(clash.mean()), float(oor.mean()),
-                          float(weight.mean()))
-            for s, (matched, clash, oor, weight) in zip(switches, values)]
+        results = _match_all(st1, st2, networks, strategies).values()
+        for i, by_count in enumerate(results):
+            values[i, :, :, r] = [(met.matched_fraction, met.clash_rate,
+                                   met.out_of_range_fraction, m.total_weight)
+                                  for m, met in by_count]
+    return {(strategy, s): StrategyStats(
+                strategy, s, float(matched.mean()), _stderr(matched),
+                float(clash.mean()), float(oor.mean()), float(weight.mean()))
+            for strategy, by_count in zip(strategies, values)
+            for s, (matched, clash, oor, weight) in zip(switches, by_count)}
 
 
 def _splits(networks: int, s_total: int):
@@ -212,19 +225,18 @@ def rmux_splits(s_total: int):
 
 class _Block(NamedTuple):
     """Consecutive repetitions on one time axis: bin b of repetition r of
-    the block sits at r * stride + b."""
+    the block sits at 2 * r * n_bins + b."""
 
     streams: list                 # each repetition's four streams
     n_bins: int
-    stride: int
 
     def shifted(self, j: int) -> np.ndarray:
         """Stream j's occupied bins of all repetitions, on the block's axis."""
-        return np.concatenate([st[j].occupied_bins + r * self.stride
+        return np.concatenate([st[j].occupied_bins + 2 * r * self.n_bins
                                for r, st in enumerate(self.streams)])
 
 
-def _blocks(p1: float, n_bins: int, reps: int, seed: int, stride: int):
+def _blocks(p1: float, n_bins: int, reps: int, seed: int):
     """(children, _Block) of consecutive repetitions, closing each block at
     BLOCK_PHOTONS photons or BLOCK_BINS stream bins."""
     children, streams, photons = [], [], 0
@@ -234,17 +246,18 @@ def _blocks(p1: float, n_bins: int, reps: int, seed: int, stride: int):
         photons += sum(st.photon_count for st in rep)
         if (photons >= BLOCK_PHOTONS
                 or 4 * n_bins * len(streams) >= BLOCK_BINS):
-            yield children, _Block(streams, n_bins, stride)
+            yield children, _Block(streams, n_bins)
             children, streams, photons = [], [], 0
     if streams:
-        yield children, _Block(streams, n_bins, stride)
+        yield children, _Block(streams, n_bins)
 
 
 def _standard_stage1(block: _Block, s1: int) -> np.ndarray:
     """Stage 1 of the standard scheme: per repetition (row), the w1-bin
     windows (w1 = max_delay(s1) + 1) in which every stream holds a photon,
-    so each stream relocates one photon to the window boundary slot."""
-    w1 = max_delay(s1) + 1
+    so each stream relocates one photon to the window boundary slot. w1 is
+    capped at n_bins + 1, past which no window fits either way."""
+    w1 = min(max_delay(s1), block.n_bins) + 1
     n_windows = block.n_bins // w1
     n_reps = len(block.streams)
     have = np.ones((n_reps, n_windows), dtype=bool)
@@ -263,7 +276,7 @@ def _standard_rate(have: np.ndarray, s2: int, gate_rngs,
     `_standard_stage1`) attempt the gate (success 1/8); the output network
     delivers at most one success per w2-window group to its fixed slot.
     """
-    w2 = max_delay(s2) + 1
+    w2 = min(max_delay(s2), block.n_bins) + 1
     n_reps, n_windows = have.shape
     n_groups = n_windows // w2
     if n_groups == 0:
@@ -280,10 +293,11 @@ def _rmux_stage1(block: _Block, s1: int) -> tuple:
     event at its later photon's bin. Returns the two sorted event bin arrays
     on the block's axis."""
     net1 = DelayNetwork(s1)
+    reach = min(net1.max_delay, block.n_bins - 1)
     events = []
     for j in (0, 2):
         _b1, b2, keep = _window_core(block.shifted(j), block.shifted(j + 1),
-                                     net1.max_delay, net1)
+                                     reach, net1)
         events.append(b2[keep])
     return tuple(events)
 
@@ -298,8 +312,10 @@ def _rmux_rate(events: tuple, s2: int, gate_rngs,
     attempts the gate independently.
     """
     net2 = DelayNetwork(s2)
-    _b1, b2, keep = _window_core(*events, net2.max_delay, net2)
-    n_quads = np.bincount(b2[keep] // block.stride, minlength=len(gate_rngs))
+    _b1, b2, keep = _window_core(*events,
+                                 min(net2.max_delay, block.n_bins - 1), net2)
+    n_quads = np.bincount(b2[keep] // (2 * block.n_bins),
+                          minlength=len(gate_rngs))
     accepted = [int((rng.random(n) < BELL_GATE_PROB).sum())
                 for rng, n in zip(gate_rngs, n_quads.tolist())]
     return np.array(accepted) / block.n_bins
@@ -324,28 +340,22 @@ def simulate_bell_sweep(p1: float, budgets, n_bins: int, reps: int, seed: int,
         raise ValueError(f"bins must be >= 1, got {n_bins}")
     if not 0.0 <= p1 <= 1.0:
         raise ValueError(f"p1 must be in [0, 1], got {p1}")
-    budgets = list(budgets)
-    for budget in budgets:
-        if budgets.count(budget) > 1:
-            raise ValueError(f"budget {budget} is repeated")
+    budgets = _checked(budgets, "budget", "budgets")
     plan = {}
-    for scheme in schemes:
-        if scheme not in table:
-            raise ValueError(f"unknown Bell scheme {scheme!r}")
+    for scheme in _checked(schemes, "Bell scheme", "schemes", table):
         for budget in budgets:
             splits = _splits(table[scheme][0], budget)
             if not splits:
                 raise ValueError(
                     f"no feasible stage split for scheme {scheme!r} with "
                     f"{budget} switches")
+            if scheme == "rmux":    # its windows route through networks
+                DelayNetwork(max(map(max, splits)))     # raises past 64
             plan[(scheme, budget)] = splits
-    n_gates = max(map(len, plan.values()), default=0)
-    d_plan = max((max_delay(s) for splits in plan.values()
-                  for split in splits for s in split), default=0)
+    n_gates = max(map(len, plan.values()))
     rates = {key: np.zeros((len(splits), reps)) for key, splits in plan.items()}
     r0 = 0
-    for children, block in _blocks(p1, n_bins, reps, seed,
-                                   n_bins + d_plan + 1):
+    for children, block in _blocks(p1, n_bins, reps, seed):
         # One spawn per repetition for every budget: a second call would
         # advance the child's spawn counter and move every later key.
         gate_seeds = [child.spawn(n_gates) for child in children]

@@ -58,9 +58,9 @@ def generate_stream(p: float, n_bins: int, seed: int) -> PhotonStream:
     return PhotonStream(bins=bins, p=p, seed=seed)
 
 
-def stream_from_bins(bins, p: float = 0.0, seed: int = -1) -> PhotonStream:
+def stream_from_bins(bins) -> PhotonStream:
     """Wrap an explicit occupancy pattern (e.g. a derived event stream)."""
-    return PhotonStream(bins=np.asarray(bins, dtype=bool), p=p, seed=seed)
+    return PhotonStream(bins=np.asarray(bins, dtype=bool), p=0.0, seed=-1)
 
 
 def occupancy(stream: PhotonStream) -> float:

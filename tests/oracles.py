@@ -8,8 +8,9 @@ the lattice-state oracle applies each outcome rule to the fusions at one
 loss rate instead of thresholding per-site and per-bond loss levels, and
 the Bell oracle simulates one switch budget at a time, recomputing stage 1
 for every split with the pointer-loop window below instead of the
-program's prefix scan, and the two-stream oracle simulates one switch count
-at a time, sampling every repetition again and repairing every assignment.
+program's prefix scan, and the two-stream oracle simulates one strategy and
+one switch count at a time, sampling every repetition again, solving every
+assignment on its own and repairing every one.
 """
 
 import itertools
@@ -18,9 +19,11 @@ from collections import deque
 import numpy as np
 
 from rmux.delay_network import DelayNetwork, max_delay
-from rmux.matching import _conflict_pairs, _drop_on_conflict
-from rmux.mux_sim import (BELL_GATE_PROB, BellStats, StrategyStats,
-                          match_streams)
+from rmux.matching import (_conflict_pairs, _drop_on_conflict,
+                           build_assignment_matrix, count_clashing_pairs,
+                           hungarian_min_assignment, matching_metrics,
+                           resolve_clashes_optimal, sliding_window_match)
+from rmux.mux_sim import BELL_GATE_PROB, BellStats, StrategyStats
 from rmux.streams import generate_stream
 
 
@@ -217,16 +220,37 @@ def bell_stats_direct(scheme, p1, s_total, n_bins, reps, seed) -> BellStats:
                      reps=reps, best_split=splits[best])
 
 
+def match_direct(st1, st2, network, strategy):
+    """(Matching, MatchMetrics) of one strategy on one stream pair.
+
+    realistic runs the window. Both Hungarian strategies solve their own
+    assignment: hungarian_with_clash repairs it whether or not it clashes,
+    and hungarian_no_clash counts the pairs its route clashes implicate.
+    """
+    if strategy == "realistic":
+        m = sliding_window_match(st1, st2, network.max_delay, network)
+        return m, matching_metrics(m, st1, st2)
+    W = build_assignment_matrix(st1, st2, network.max_delay)
+    m = hungarian_min_assignment(W)
+    if strategy == "hungarian_with_clash":
+        m = resolve_clashes_optimal(m, W, network)
+        return m, matching_metrics(m, st1, st2)
+    met = matching_metrics(m, st1, st2)
+    met.clash_rate = (count_clashing_pairs(m, network) / len(m.pairs)
+                      if m.pairs else 0.0)
+    return m, met
+
+
 def two_stream_stats_direct(p, s, n_bins, strategy, reps,
                             seed) -> StrategyStats:
     """StrategyStats of one strategy at one switch count, by one
-    `match_streams` call per repetition on the streams of child r."""
+    `match_direct` call per repetition on the streams of child r."""
     network = DelayNetwork(s)
     values = []
     for child in np.random.SeedSequence(seed).spawn(reps):
         st1, st2 = [generate_stream(p, n_bins, int(sd))
                     for sd in child.generate_state(2, dtype=np.uint64)]
-        m, met = match_streams(st1, st2, network, strategy)
+        m, met = match_direct(st1, st2, network, strategy)
         values.append((met.matched_fraction, met.clash_rate,
                        met.out_of_range_fraction, m.total_weight))
     matched, clash, oor, weight = map(np.array, zip(*values))

@@ -125,11 +125,8 @@ def test_criterion_5_matching_figure_properties():
     t0 = time.monotonic()
     switch_counts = list(range(1, 9))
     strategies = ("hungarian_no_clash", "hungarian_with_clash", "realistic")
-    stats = {}
-    for strat in strategies:
-        for st in simulate_two_stream(0.1, switch_counts, 1000, strat,
-                                      reps=100, seed=SEED):
-            stats[(strat, st.switch_count)] = st
+    stats = simulate_two_stream(0.1, switch_counts, 1000, strategies,
+                                reps=100, seed=SEED)
 
     # matched fraction monotone non-decreasing in s within 2 stderr
     for strat in strategies:

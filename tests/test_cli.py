@@ -230,6 +230,8 @@ def test_bell_budget_errors_name_the_option(capsys, forbid_streams, budgets,
     (["--p1", "1.5"], "error: p1 must be in [0, 1], got 1.5"),
     (["--budgets", "6,6"], "error: budget 6 is repeated"),
     (["--budgets", "8,6,8"], "error: budget 8 is repeated"),
+    (["--scheme", "rmux", "--budgets", "67"],
+     "error: switch count must be in [1, 64], got 65"),
 ])
 def test_bell_rejects_bad_sweep_before_sampling(capsys, forbid_streams, argv,
                                                 message):

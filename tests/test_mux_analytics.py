@@ -77,12 +77,6 @@ def test_unused_potential_bin_anchors():
         assert abs(total - expect) <= 0.05 * expect
 
 
-def test_unused_potential_finer_grid_never_worse():
-    coarse = unused_potential(0.05, 0.90, step=0.01)
-    fine = unused_potential(0.05, 0.90, step=0.001, p_max=0.999)
-    assert fine[2] <= coarse[2]
-
-
 def test_unused_potential_infeasible_target():
     with pytest.raises(ValueError):
         unused_potential(0.1, 0.95)        # above 0.99^7 on the default grid

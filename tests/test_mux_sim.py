@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as strats
 
-from oracles import bell_stats_direct, two_stream_stats_direct
+from oracles import bell_stats_direct, match_direct, two_stream_stats_direct
 from rmux import mux_sim
 from rmux.delay_network import DelayNetwork, max_delay
 from rmux.experiments import ExperimentConfig, run_experiment
@@ -13,7 +13,7 @@ from rmux.matching import _conflict_pairs
 from rmux.mux_sim import (
     STRATEGIES,
     _clash_couples,
-    match_streams,
+    _match_all,
     rmux_splits,
     simulate_bell_rmux,
     simulate_bell_standard,
@@ -30,27 +30,26 @@ FIG7_SMALL_SHA256 = ("08de6d756503254d4b854659841a145f"
 
 
 def test_two_stream_determinism():
-    a = simulate_two_stream(0.1, [4], 400, "realistic", reps=10, seed=77)
-    b = simulate_two_stream(0.1, [4], 400, "realistic", reps=10, seed=77)
+    a = simulate_two_stream(0.1, [4], 400, ["realistic"], reps=10, seed=77)
+    b = simulate_two_stream(0.1, [4], 400, ["realistic"], reps=10, seed=77)
     assert a == b
-    c = simulate_two_stream(0.1, [4], 400, "realistic", reps=10, seed=78)
-    assert c[0].matched_fraction_mean != a[0].matched_fraction_mean
+    c = simulate_two_stream(0.1, [4], 400, ["realistic"], reps=10, seed=78)
+    key = ("realistic", 4)
+    assert c[key].matched_fraction_mean != a[key].matched_fraction_mean
 
 
 def test_two_stream_single_switch_is_coincidence_matching():
     # d_max = 0: only photons already in the same bin can pair
-    [st] = simulate_two_stream(0.2, [1], 2000, "realistic", reps=8, seed=5)
+    [st] = simulate_two_stream(0.2, [1], 2000, ["realistic"], reps=8,
+                               seed=5).values()
     # coincidence fraction: 2 p^2 n / (2 p n) = p
     assert st.matched_fraction_mean == pytest.approx(0.2, abs=0.03)
     assert st.clash_rate_mean == 0.0
 
 
 def test_two_stream_strategy_ordering_and_monotonicity():
-    stats = {}
-    for strat in ("hungarian_no_clash", "hungarian_with_clash", "realistic"):
-        for st in simulate_two_stream(0.1, [2, 5, 7], 600, strat, reps=25,
-                                      seed=31):
-            stats[(strat, st.switch_count)] = st
+    stats = simulate_two_stream(0.1, [2, 5, 7], 600, STRATEGIES, reps=25,
+                                seed=31)
     for s in (2, 5, 7):
         h = stats[("hungarian_no_clash", s)].matched_fraction_mean
         c = stats[("hungarian_with_clash", s)].matched_fraction_mean
@@ -65,7 +64,13 @@ def test_two_stream_strategy_ordering_and_monotonicity():
 def test_two_stream_validation(forbid_streams):
     for kwargs, message in [
         ({"reps": 0}, "reps must be >= 1, got 0"),
-        ({"strategy": "nope"}, "unknown strategy 'nope'"),
+        ({"strategies": ["nope"]}, "unknown strategy 'nope'"),
+        ({"strategies": ["realistic", "nope"]}, "unknown strategy 'nope'"),
+        ({"strategies": [*STRATEGIES, "Realistic"]},
+         "unknown strategy 'Realistic'"),
+        ({"strategies": []}, "strategies must name at least one strategy"),
+        ({"strategies": ["realistic", "hungarian_no_clash", "realistic"]},
+         "strategy realistic is repeated"),
         ({"switches": []}, "switches must name at least one switch count"),
         ({"switches": [3, 3]}, "switch count 3 is repeated"),
         ({"switches": [5, 1, 3, 1]}, "switch count 1 is repeated"),
@@ -73,7 +78,7 @@ def test_two_stream_validation(forbid_streams):
         ({"switches": [65]}, "switch count must be in [1, 64], got 65"),
     ]:
         args = {"p": 0.1, "switches": [3], "n_bins": 100,
-                "strategy": "realistic", "reps": 1, "seed": 1, **kwargs}
+                "strategies": ["realistic"], "reps": 1, "seed": 1, **kwargs}
         with pytest.raises(ValueError) as err:
             simulate_two_stream(**args)
         assert str(err.value) == message
@@ -86,22 +91,38 @@ def test_two_stream_validation(forbid_streams):
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_two_stream_equals_per_instance_oracle(strategy, p, n_bins, reps):
     switches = [5, 1, 8, 3, 6]
-    got = simulate_two_stream(p, switches, n_bins, strategy, reps, seed=13)
-    assert got == [two_stream_stats_direct(p, s, n_bins, strategy, reps, 13)
-                   for s in switches]
+    got = simulate_two_stream(p, switches, n_bins, [strategy], reps, seed=13)
+    assert list(got.values()) == [
+        two_stream_stats_direct(p, s, n_bins, strategy, reps, 13)
+        for s in switches]
+
+
+@pytest.mark.parametrize("p, n_bins, reps", [
+    (0.1, 300, 6), (0.4, 120, 5), (0.0, 50, 3), (0.2, 200, 1)])
+def test_one_call_for_all_strategies_equals_per_instance_oracle(p, n_bins,
+                                                                reps):
+    # Strategies in an order other than STRATEGIES: results keep it.
+    strategies = ["realistic", "hungarian_with_clash", "hungarian_no_clash"]
+    switches = [5, 1, 8, 3, 6]
+    got = simulate_two_stream(p, switches, n_bins, strategies, reps, seed=13)
+    assert list(got.items()) == [
+        ((strategy, s),
+         two_stream_stats_direct(p, s, n_bins, strategy, reps, 13))
+        for strategy in strategies for s in switches]
 
 
 @pytest.mark.parametrize("p, n_bins", [(0.1, 300), (0.4, 120), (0.0, 50)])
-def test_with_clash_matchings_equal_match_streams(p, n_bins):
+def test_match_all_equals_per_instance_oracle(p, n_bins):
     # A repair often finds another assignment of the same size and weight,
     # which the aggregate metrics cannot tell apart: compare the pairs.
     networks = [DelayNetwork(s) for s in (5, 1, 8, 3, 6)]
     for seed in range(0, 12, 2):
         st1 = generate_stream(p, n_bins, seed)
         st2 = generate_stream(p, n_bins, seed + 1)
-        assert mux_sim._with_clash(st1, st2, networks) == [
-            match_streams(st1, st2, net, "hungarian_with_clash")
-            for net in networks], seed
+        assert _match_all(st1, st2, networks, STRATEGIES) == {
+            strategy: [match_direct(st1, st2, net, strategy)
+                       for net in networks]
+            for strategy in STRATEGIES}, seed
 
 
 @strats.composite
@@ -201,6 +222,19 @@ def test_bell_sweep_equals_per_budget_oracle(p1, n_bins, reps):
                                           seed=11), (scheme, budget)
 
 
+# At 100 bins a 64-switch window reaches past every repetition: the reach is
+# capped at n_bins - 1, and the standard scheme's windows at n_bins + 1.
+@pytest.mark.parametrize("schemes, budgets", [
+    (("standard", "rmux"), [66, 9]), (("standard",), [300])])
+def test_bell_sweep_near_the_switch_limit_equals_per_budget_oracle(
+        schemes, budgets):
+    sweep = simulate_bell_sweep(0.3, budgets, 100, 3, seed=17,
+                                schemes=schemes)
+    for (scheme, budget), stats in sweep.items():
+        assert stats == bell_stats_direct(scheme, 0.3, budget, 100, 3,
+                                          seed=17), (scheme, budget)
+
+
 def _record_block_sizes(monkeypatch) -> list:
     sizes = []
     blocks = mux_sim._blocks
@@ -281,6 +315,9 @@ def test_fig7_csv_bytes_pinned(tmp_path):
     ({"p1": -0.1}, "p1 must be in [0, 1], got -0.1"),
     ({"schemes": ("rmux", "nope")}, "unknown Bell scheme 'nope'"),
     ({"budgets": [6, 8, 6]}, "budget 6 is repeated"),
+    ({"budgets": []}, "budgets must name at least one budget"),
+    ({"budgets": [9, 67], "schemes": ("rmux",)},
+     "switch count must be in [1, 64], got 65"),
 ])
 def test_bell_sweep_validates_before_sampling(forbid_streams, kwargs,
                                               message):
