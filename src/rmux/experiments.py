@@ -407,14 +407,12 @@ def _run_fig8(config: ExperimentConfig):
     finite_trials = _param(p, "finite_size_trials", 600)
     sem_name, sem = semantics_from(p)
 
-    rows = []
-    thresholds = {}
-    for size, n in [(L, trials)] + [(size, finite_trials) for size in sizes]:
-        for scheme in (percolation.SCHEME_RMUX, percolation.SCHEME_STANDARD):
-            thr = percolation.loss_threshold(scheme, target, a_l, size, n,
-                                             config.seed, sem)
-            thresholds.setdefault(scheme, thr)
-            rows.append((scheme, size, target, a_l, thr, n, sem_name))
+    schemes = (percolation.SCHEME_RMUX, percolation.SCHEME_STANDARD)
+    rows = [(scheme, size, target, a_l, thr, n, sem_name)
+            for size, n in [(L, trials)] + [(size, finite_trials) for size in sizes]
+            for scheme, (thr,) in zip(schemes, percolation._thresholds(
+                schemes, target, [a_l], size, n, config.seed, sem).tolist())]
+    thresholds = {row[0]: row[4] for row in rows[:2]}     # at size L
     csv = _write_csv(config.output_dir / "fig8_thresholds.csv",
                      ["scheme", "L", "target", "a_l", "p_l_threshold",
                       "trials", "semantics"], rows)

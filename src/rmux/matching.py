@@ -303,8 +303,8 @@ def matching_metrics(m: Matching, s1: PhotonStream,
     """Aggregate fractions for one matching over its source streams."""
     total_photons = s1.photon_count + s2.photon_count
     n_pairs = len(m.pairs)
-    clash_pairs = sum(1 for _, _, r in m.discarded if r == REASON_CLASH) // 2
-    range_photons = sum(1 for _, _, r in m.discarded if r == REASON_RANGE)
+    reasons = Counter(reason for _, _, reason in m.discarded)
+    clash_pairs, range_photons = reasons[REASON_CLASH] // 2, reasons[REASON_RANGE]
     candidates = n_pairs + clash_pairs
     return MatchMetrics(
         matched_fraction=(2 * n_pairs / total_photons) if total_photons else 0.0,

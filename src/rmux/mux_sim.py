@@ -349,8 +349,7 @@ def simulate_bell_sweep(p1: float, budgets, n_bins: int, reps: int, seed: int,
                 raise ValueError(
                     f"no feasible stage split for scheme {scheme!r} with "
                     f"{budget} switches")
-            if scheme == "rmux":    # its windows route through networks
-                DelayNetwork(max(map(max, splits)))     # raises past 64
+            DelayNetwork(max(map(max, splits)))     # raises past 64
             plan[(scheme, budget)] = splits
     n_gates = max(map(len, plan.values()))
     rates = {key: np.zeros((len(splits), reps)) for key, splits in plan.items()}

@@ -199,9 +199,20 @@ class DiamondLattice:
         self.bond_site_a = self.fusion_owner[self.fusion_is_bond]
         self.bond_site_b = self.fusion_passive[self.fusion_is_bond]
         self.n_bonds = self.bond_site_a.size
+        # Column j of site_tables[0] ([1]): the fusions site j owns (is passive in)
+        self.site_tables = np.full((2, 4, self.n_sites), self.n_fusions)
+        for table, e in zip(self.site_tables, (self.fusion_owner, self.fusion_passive)):
+            order = np.argsort(e, kind="stable")
+            site = e[order]
+            table[np.arange(site.size) - np.searchsorted(site, site), site] = order
         per_slice = 2 * L * L
         self.face_start_sites = np.arange(per_slice)
         self.face_end_sites = np.arange(self.n_sites - per_slice, self.n_sites)
+        # The parent list a spanning union-find starts from: the sites, then
+        # a node per face, with each face's sites under its node.
+        forest = np.arange(self.n_sites + 2)
+        forest[self.face_start_sites], forest[self.face_end_sites] = self.n_sites, self.n_sites + 1
+        self.face_forest = forest.tolist()
 
     def site_index(self, x, y, t, sub):
         """Index of site `sub` of cell (x, y, t); takes ints or arrays."""
@@ -219,27 +230,31 @@ class LatticeState:
     outcome_counts: dict = field(default_factory=dict)
 
 
-def _fusion_levels(lattice: DiamondLattice, scheme: str,
-                   semantics: OutcomeSemantics, rng: np.random.Generator):
+def _fusion_levels(lattice: DiamondLattice, semantics: OutcomeSemantics,
+                   rng: np.random.Generator):
     """One trial's four draws per fusion (u, v, w_site, w_bond), as levels.
 
-    Returns (u, v, site, bond, killed): at fusion loss f, fusion i is lost
-    iff u[i] < f, bond k is present iff f <= bond[k], loss damage spares
-    site j iff f <= site[j], and a `killed` assembly fusion kills its owner
-    iff it is not lost (its failure is then heralded).
+    Returns (u, v, owner, passive, bond, killed): at fusion loss f, fusion i
+    is lost iff u[i] < f, bond k is present iff f <= bond[k], a loss spares
+    site j iff f <= owner[j] or, under `_both_ends`, f <= min(owner[j],
+    passive[j]) (each the least u over j's `site_tables` column), and a
+    `killed` assembly fusion kills its owner iff it is not lost.
     """
     u, v, w_site, w_bond = rng.random((4, lattice.n_fusions))
-    site = np.full(lattice.n_sites, np.inf)
+    owner, passive = np.full((2, lattice.n_sites), np.inf)
     if semantics.loss_kills_owner_site:
-        np.minimum.at(site, lattice.fusion_owner, u)
-        if scheme == SCHEME_STANDARD and semantics.standard_loss_damages_both_ends:
-            np.minimum.at(site, lattice.fusion_passive, u)
+        owner, passive = np.append(u, np.inf)[lattice.site_tables].min(axis=1)
     killed = (~lattice.fusion_is_bond & (v >= FUSION_SUCCESS_PROB)
               & (w_site < semantics.heralded_site_kill_prob))
     connects = ((v < FUSION_SUCCESS_PROB)
                 | (w_bond < semantics.heralded_bond_connect_prob))
     bond = np.where(connects, u, -np.inf)[lattice.fusion_is_bond]
-    return u, v, site, bond, killed
+    return u, v, owner, passive, bond, killed
+
+
+def _both_ends(scheme: str, semantics: OutcomeSemantics) -> bool:
+    """Whether a loss damages both fusion ends (unattributable, standard)."""
+    return lossy_inputs(scheme) == 2 and semantics.standard_loss_damages_both_ends
 
 
 def sample_lattice_state(lattice: DiamondLattice, scheme: str, p_l: float,
@@ -247,15 +262,16 @@ def sample_lattice_state(lattice: DiamondLattice, scheme: str, p_l: float,
                          rng: np.random.Generator) -> LatticeState:
     """Sample every fusion independently and apply the outcome semantics.
 
-    The RNG consumption pattern is fixed (four uniform draws per fusion)
-    regardless of scheme or semantics, so runs with the same generator
+    The draws are `_fusion_levels`' (four uniform draws per fusion,
+    whatever the scheme or semantics), so runs with the same generator
     state are coupled: the standard scheme's loss events are a superset of
     the relative scheme's, which makes scheme dominance exact per trial.
     """
     f_l = fusion_loss_probability(p_l, a_l, lossy_inputs(scheme))
-    u, v, site, bond, killed = _fusion_levels(lattice, scheme, semantics, rng)
+    u, v, owner, passive, bond, killed = _fusion_levels(lattice, semantics, rng)
     loss = u < f_l
     success = ~loss & (v < FUSION_SUCCESS_PROB)
+    site = np.minimum(owner, passive) if _both_ends(scheme, semantics) else owner
     site_alive = site >= f_l
     site_alive[lattice.fusion_owner[killed & ~loss]] = False
     counts = {SUCCESS: int(success.sum()),
@@ -276,24 +292,18 @@ def _critical_level(lattice: DiamondLattice, site_level: np.ndarray,
     """
     a, b = lattice.bond_site_a, lattice.bond_site_b
     level = np.minimum(bond_level, np.minimum(site_level[a], site_level[b]))
-    order = np.argsort(-level)[:np.count_nonzero(level > -np.inf)]
-    n = lattice.n_sites
-    parent = np.arange(n + 2)
-    parent[lattice.face_start_sites], parent[lattice.face_end_sites] = n, n + 1
-    parent = parent.tolist()
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]       # path halving
-        return x
-
-    for x, y, lv in zip(a[order].tolist(), b[order].tolist(),
-                        level[order].tolist()):
-        x, y = find(x), find(y)
+    usable = np.flatnonzero(level > -np.inf)
+    order = usable[np.argsort(-level[usable])]
+    n, parent = lattice.n_sites, lattice.face_forest.copy()
+    for i, (x, y) in enumerate(zip(a[order].tolist(), b[order].tolist())):
+        while parent[x] != x:                   # path halving
+            parent[x] = x = parent[parent[x]]
+        while parent[y] != y:
+            parent[y] = y = parent[parent[y]]
         if x > y:
             x, y = y, x
         if n <= x < y:                          # the two face nodes
-            return lv
+            return float(level[order[i]])
         parent[x] = y
     return -np.inf
 
@@ -334,37 +344,45 @@ def critical_losses(L: int, scheme: str, trials: int, seed: int,
                     semantics: OutcomeSemantics | None = None) -> np.ndarray:
     """Each trial's critical fusion loss f*: trial t spans at f iff f <= f*[t]
     (never if f* = -inf). Trial t draws as in `percolation_probability`, so
-    the count of f* >= f_l is that function's hit count at f_l."""
+    the count of f* >= f_l is that function's hit count at f_l. A tuple of
+    schemes gives one row of f* per scheme, all from each trial's one draw."""
     semantics, lattice, rngs = _trials(L, trials, seed, semantics)
+    both = [_both_ends(s, semantics)
+            for s in ((scheme,) if isinstance(scheme, str) else scheme)]
     if (not semantics.loss_kills_owner_site
             and semantics.heralded_site_kill_prob > 0.0):
         raise ValueError("spanning is not monotone in loss with loss_kills_"
                          "owner_site=False and heralded_site_kill_prob > 0")
-    f_star = np.empty(trials)
+    f_star = np.empty((len(both), trials))
     for t, rng in enumerate(rngs):
-        _u, _v, site, bond, killed = _fusion_levels(lattice, scheme, semantics, rng)
-        site[lattice.fusion_owner[killed]] = -np.inf    # dead, lost or not
-        f_star[t] = _critical_level(lattice, site, bond)
-    return f_star
+        _, _, owner, passive, bond, killed = _fusion_levels(lattice, semantics, rng)
+        owner[lattice.fusion_owner[killed]] = -np.inf   # dead, lost or not
+        for i, both_ends in enumerate(both):
+            site = np.minimum(owner, passive) if both_ends else owner
+            f_star[i, t] = _critical_level(lattice, site, bond)
+    return f_star[0] if isinstance(scheme, str) else f_star
 
 
-def _thresholds(scheme, target, a_l_values, L, trials, seed, semantics,
+def _thresholds(schemes, target, a_l_values, L, trials, seed, semantics,
                 equal_ancilla_loss=False) -> np.ndarray:
-    """`loss_threshold` at each a_l from one pass: the k-th largest f*, k
-    the least rank with k/trials >= target, mapped through f_l(p_l, a_l)."""
+    """`loss_threshold` per scheme (rows) and a_l from one pass: the k-th
+    largest f*, k the least rank with k/trials >= target, mapped through
+    f_l(p_l, a_l)."""
     if not 0.0 < target < 1.0:
         raise ValueError(f"target must be in (0, 1), got {target}")
-    f_star = np.sort(critical_losses(L, scheme, trials, seed, semantics))
-    f = f_star[trials - 1 - np.argmax(np.arange(1, trials + 1) / trials >= target)]
-    n = lossy_inputs(scheme)
+    f_star = np.sort(np.atleast_2d(critical_losses(L, schemes, trials, seed, semantics)))
+    k = trials - 1 - np.argmax(np.arange(1, trials + 1) / trials >= target)
     ancilla = np.asarray(a_l_values, dtype=float) * (not equal_ancilla_loss)
-    for a_l, a in zip(a_l_values, ancilla):
-        if not f >= fusion_loss_probability(0.0, a, n):
-            raise ValueError(
-                f"lattice does not reach target {target} even at zero loss "
-                f"(scheme={scheme}, a_l={a_l}, L={L})")
-    n += 2 * equal_ancilla_loss
-    return 1.0 - ((1.0 - f) / (1.0 - ancilla) ** 2) ** (1.0 / n)
+    rows = []
+    for scheme, f in zip(schemes, f_star[:, k]):
+        n = lossy_inputs(scheme)
+        for a_l, a in zip(a_l_values, ancilla):
+            if not f >= fusion_loss_probability(0.0, a, n):
+                raise ValueError(f"lattice does not reach target {target} even at "
+                                 f"zero loss (scheme={scheme}, a_l={a_l}, L={L})")
+        n += 2 * equal_ancilla_loss
+        rows.append(1.0 - ((1.0 - f) / (1.0 - ancilla) ** 2) ** (1.0 / n))
+    return np.array(rows)
 
 
 def loss_threshold(scheme: str, target: float, a_l: float, L: int,
@@ -376,8 +394,8 @@ def loss_threshold(scheme: str, target: float, a_l: float, L: int,
     it and < target just above. Raises if below target at zero loss. With
     equal_ancilla_loss the ancilla photons are lost at the same rate (a_l
     is ignored), the variant quoted for fully lossy switching."""
-    return float(_thresholds(scheme, target, [a_l], L, trials, seed,
-                             semantics, equal_ancilla_loss)[0])
+    return float(_thresholds((scheme,), target, [a_l], L, trials, seed,
+                             semantics, equal_ancilla_loss)[0, 0])
 
 
 @dataclass(frozen=True)
@@ -398,7 +416,7 @@ def tradeoff_frontier(scheme: str, target: float, a_l_grid, L: int,
     if np.unique(xs).size < 2:
         raise ValueError("a_l grid needs at least two distinct values, got "
                          f"{xs.tolist()}")
-    ys = _thresholds(scheme, target, xs, L, trials, seed, semantics)
+    ys = _thresholds((scheme,), target, xs, L, trials, seed, semantics)[0]
     slope, intercept = np.polyfit(xs, ys, 1)
     residuals = ys - (slope * xs + intercept)
     return FrontierResult(points=tuple(zip(xs.tolist(), ys.tolist())),

@@ -24,6 +24,8 @@ from rmux.matching import (_conflict_pairs, _drop_on_conflict,
                            hungarian_min_assignment, matching_metrics,
                            resolve_clashes_optimal, sliding_window_match)
 from rmux.mux_sim import BELL_GATE_PROB, BellStats, StrategyStats
+from rmux.percolation import (FUSION_SUCCESS_PROB, DiamondLattice,
+                              OutcomeSemantics)
 from rmux.streams import generate_stream
 
 
@@ -132,6 +134,58 @@ def sample_state_direct(lattice, scheme, f_l, semantics, rng):
                            & (w_bond < semantics.heralded_bond_connect_prob))
     counts = (int(success.sum()), int(heralded.sum()), int(loss.sum()))
     return alive, connected[lattice.fusion_is_bond], counts
+
+
+def critical_losses_direct(L, scheme, trials, seed, semantics=None):
+    """Each trial's critical fusion loss f*, one scheme per call.
+
+    Draws each trial as the program does (child t of SeedSequence(seed),
+    four uniform draws per fusion), builds the scheme's site levels by
+    scattering u onto each fusion's ends with `np.minimum.at`, and sweeps
+    every bond from the highest level down through a union-find with a
+    find function.
+    """
+    semantics = semantics or OutcomeSemantics()
+    lat = DiamondLattice(L)
+    n = lat.n_sites
+    f_star = np.empty(trials)
+    for t, child in enumerate(np.random.SeedSequence(seed).spawn(trials)):
+        rng = np.random.Generator(np.random.PCG64(child))
+        u, v, w_site, w_bond = rng.random((4, lat.n_fusions))
+        site = np.full(n, np.inf)
+        if semantics.loss_kills_owner_site:
+            np.minimum.at(site, lat.fusion_owner, u)
+            if scheme == "standard" and semantics.standard_loss_damages_both_ends:
+                np.minimum.at(site, lat.fusion_passive, u)
+        killed = (~lat.fusion_is_bond & (v >= FUSION_SUCCESS_PROB)
+                  & (w_site < semantics.heralded_site_kill_prob))
+        site[lat.fusion_owner[killed]] = -np.inf
+        connects = ((v < FUSION_SUCCESS_PROB)
+                    | (w_bond < semantics.heralded_bond_connect_prob))
+        bond = np.where(connects, u, -np.inf)[lat.fusion_is_bond]
+        a, b = lat.bond_site_a, lat.bond_site_b
+        level = np.minimum(bond, np.minimum(site[a], site[b]))
+        parent = list(range(n + 2))
+        for j in lat.face_start_sites.tolist():
+            parent[j] = n
+        for j in lat.face_end_sites.tolist():
+            parent[j] = n + 1
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = x = parent[parent[x]]
+            return x
+
+        f_star[t] = -np.inf
+        for k in np.argsort(-level, kind="stable").tolist():
+            if level[k] == -np.inf:
+                break
+            x, y = sorted((find(int(a[k])), find(int(b[k]))))
+            if n <= x < y:
+                f_star[t] = level[k]
+                break
+            parent[x] = y
+    return f_star
 
 
 def _standard_rate_direct(streams, s1, s2, gate_rng):

@@ -224,8 +224,9 @@ def test_bell_sweep_equals_per_budget_oracle(p1, n_bins, reps):
 
 # At 100 bins a 64-switch window reaches past every repetition: the reach is
 # capped at n_bins - 1, and the standard scheme's windows at n_bins + 1.
+# 68 is the largest standard budget: its split (1, 64) has 64 switches.
 @pytest.mark.parametrize("schemes, budgets", [
-    (("standard", "rmux"), [66, 9]), (("standard",), [300])])
+    (("standard", "rmux"), [66, 9]), (("standard",), [68])])
 def test_bell_sweep_near_the_switch_limit_equals_per_budget_oracle(
         schemes, budgets):
     sweep = simulate_bell_sweep(0.3, budgets, 100, 3, seed=17,
@@ -233,6 +234,20 @@ def test_bell_sweep_near_the_switch_limit_equals_per_budget_oracle(
     for (scheme, budget), stats in sweep.items():
         assert stats == bell_stats_direct(scheme, 0.3, budget, 100, 3,
                                           seed=17), (scheme, budget)
+
+
+# Every split of a budget must fit in 64-switch networks, in both schemes.
+@pytest.mark.parametrize("scheme, budget, switches", [
+    ("standard", 300, 296), ("standard", 69, 65), ("rmux", 67, 65)])
+def test_bell_sweep_rejects_networks_past_the_switch_limit(
+        monkeypatch, scheme, budget, switches):
+    def no_blocks(*args):
+        raise AssertionError("streams sampled")
+
+    monkeypatch.setattr(mux_sim, "_blocks", no_blocks)
+    with pytest.raises(ValueError, match=fr"\[1, 64\], got {switches}$"):
+        simulate_bell_sweep(0.3, [9, budget], 100, 3, seed=17,
+                            schemes=(scheme,))
 
 
 def _record_block_sizes(monkeypatch) -> list:

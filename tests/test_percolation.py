@@ -3,7 +3,9 @@ import hashlib
 import numpy as np
 import pytest
 
-from oracles import sample_state_direct, spans_bfs
+from oracles import critical_losses_direct, sample_state_direct, spans_bfs
+from rmux import percolation
+from rmux.experiments import ExperimentConfig, run_experiment
 from rmux.percolation import (
     BOND_FORMING_IDS,
     PHOTON_ASSIGNMENT,
@@ -185,6 +187,21 @@ def test_fusion_table_order_is_pinned(L):
     assert lat.n_fusions == n_fusions
     assert digest(lat.fusion_owner) == owner_digest
     assert digest(pairs) == bonds_digest
+
+
+@pytest.mark.parametrize("L", [2, 3, 5])
+def test_site_tables_list_the_fusions_each_site_owns(L):
+    lat = DiamondLattice(L)
+    for table, ends in zip(lat.site_tables, (lat.fusion_owner,
+                                             lat.fusion_passive)):
+        assert table.shape == (4, lat.n_sites)
+        for j in range(lat.n_sites):
+            column = table[:, j].tolist()
+            fusions = [f for f in column if f != lat.n_fusions]
+            assert fusions == np.flatnonzero(ends == j).tolist(), j
+        # every site has 4 fusions at each end but L^2 sites, which have 3
+        padded = (table == lat.n_fusions).sum(axis=0)
+        assert np.bincount(padded).tolist() == [lat.n_sites - L * L, L * L]
 
 
 def test_fusion_ends_of_explicit_cells():
@@ -472,7 +489,26 @@ _SEMANTICS_CASES = {
     "bond_connect": OutcomeSemantics(heralded_bond_connect_prob=0.3,
                                      heralded_site_kill_prob=0.2),
     "no_owner_damage": OutcomeSemantics(loss_kills_owner_site=False),
+    "owner_only": OutcomeSemantics(standard_loss_damages_both_ends=False,
+                                   heralded_site_kill_prob=0.3),
 }
+
+
+@pytest.mark.parametrize("sem_name", sorted(_SEMANTICS_CASES))
+@pytest.mark.parametrize("L", [2, 3, 4, 6])
+def test_shared_pass_equals_per_scheme_oracle(L, sem_name):
+    # one draw per trial for both schemes, site levels gathered from the
+    # fusion tables, against a pass per scheme that scatters with
+    # np.minimum.at and runs a plain union-find: bitwise equal
+    sem = _SEMANTICS_CASES[sem_name]
+    both = critical_losses(L, ("rmux", "standard"), 40, 19, sem)
+    assert both.shape == (2, 40)
+    for row, scheme in zip(both, ("rmux", "standard")):
+        expected = critical_losses_direct(L, scheme, 40, 19, sem)
+        np.testing.assert_array_equal(row, expected)
+        np.testing.assert_array_equal(
+            critical_losses(L, scheme, 40, 19, sem), expected)
+    assert np.isfinite(both).any() and (both[1] <= both[0]).all()
 
 
 @pytest.mark.parametrize("sem_name", sorted(_SEMANTICS_CASES))
@@ -514,6 +550,22 @@ def test_critical_loss_is_the_spanning_edge_per_trial():
         else:
             assert spans_at(f * (1 - 1e-9))
             assert not spans_at(f * (1 + 1e-9) + 1e-12)
+
+
+def test_fig8_draws_each_trial_once_for_both_schemes(monkeypatch, tmp_path):
+    calls = []
+    levels = percolation._fusion_levels
+
+    def counting(*args):
+        calls.append(args[0].L)
+        return levels(*args)
+
+    monkeypatch.setattr(percolation, "_fusion_levels", counting)
+    run_experiment(ExperimentConfig(
+        "fig8_thresholds", {"L": "4", "trials": "30", "finite_size_L": "2,3",
+                            "finite_size_trials": "20"}, 5, tmp_path))
+    assert len(calls) == 30 + 2 * 20
+    assert calls == [4] * 30 + [2] * 20 + [3] * 20
 
 
 def test_non_monotone_semantics_rejected_before_sampling(monkeypatch):
