@@ -410,7 +410,7 @@ def _run_fig8(config: ExperimentConfig):
     schemes = (percolation.SCHEME_RMUX, percolation.SCHEME_STANDARD)
     rows = [(scheme, size, target, a_l, thr, n, sem_name)
             for size, n in [(L, trials)] + [(size, finite_trials) for size in sizes]
-            for scheme, (thr,) in zip(schemes, percolation._thresholds(
+            for scheme, (thr,) in zip(schemes, percolation.loss_thresholds(
                 schemes, target, [a_l], size, n, config.seed, sem).tolist())]
     thresholds = {row[0]: row[4] for row in rows[:2]}     # at size L
     csv = _write_csv(config.output_dir / "fig8_thresholds.csv",

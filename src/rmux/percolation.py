@@ -236,7 +236,7 @@ def _fusion_levels(lattice: DiamondLattice, semantics: OutcomeSemantics,
 
     Returns (u, v, owner, passive, bond, killed): at fusion loss f, fusion i
     is lost iff u[i] < f, bond k is present iff f <= bond[k], a loss spares
-    site j iff f <= owner[j] or, under `_both_ends`, f <= min(owner[j],
+    site j iff f <= owner[j] or, under `_site_levels`, f <= min(owner[j],
     passive[j]) (each the least u over j's `site_tables` column), and a
     `killed` assembly fusion kills its owner iff it is not lost.
     """
@@ -252,9 +252,10 @@ def _fusion_levels(lattice: DiamondLattice, semantics: OutcomeSemantics,
     return u, v, owner, passive, bond, killed
 
 
-def _both_ends(scheme: str, semantics: OutcomeSemantics) -> bool:
-    """Whether a loss damages both fusion ends (unattributable, standard)."""
-    return lossy_inputs(scheme) == 2 and semantics.standard_loss_damages_both_ends
+def _site_levels(scheme: str, semantics: OutcomeSemantics, owner, passive):
+    """Site levels: min(owner, passive) if a loss damages both ends, else owner."""
+    both = lossy_inputs(scheme) == 2 and semantics.standard_loss_damages_both_ends
+    return np.minimum(owner, passive) if both else owner
 
 
 def sample_lattice_state(lattice: DiamondLattice, scheme: str, p_l: float,
@@ -271,8 +272,7 @@ def sample_lattice_state(lattice: DiamondLattice, scheme: str, p_l: float,
     u, v, owner, passive, bond, killed = _fusion_levels(lattice, semantics, rng)
     loss = u < f_l
     success = ~loss & (v < FUSION_SUCCESS_PROB)
-    site = np.minimum(owner, passive) if _both_ends(scheme, semantics) else owner
-    site_alive = site >= f_l
+    site_alive = _site_levels(scheme, semantics, owner, passive) >= f_l
     site_alive[lattice.fusion_owner[killed & ~loss]] = False
     counts = {SUCCESS: int(success.sum()),
               FAIL_HERALDED: int((~loss & ~success).sum()),
@@ -344,33 +344,35 @@ def critical_losses(L: int, scheme: str, trials: int, seed: int,
                     semantics: OutcomeSemantics | None = None) -> np.ndarray:
     """Each trial's critical fusion loss f*: trial t spans at f iff f <= f*[t]
     (never if f* = -inf). Trial t draws as in `percolation_probability`, so
-    the count of f* >= f_l is that function's hit count at f_l. A tuple of
-    schemes gives one row of f* per scheme, all from each trial's one draw."""
+    the count of f* >= f_l is that function's hit count at f_l."""
+    return _critical_losses(L, (scheme,), trials, seed, semantics)[0]
+
+
+def _critical_losses(L, schemes, trials, seed, semantics) -> np.ndarray:
+    """`critical_losses` per scheme (rows), all from each trial's one draw."""
     semantics, lattice, rngs = _trials(L, trials, seed, semantics)
-    both = [_both_ends(s, semantics)
-            for s in ((scheme,) if isinstance(scheme, str) else scheme)]
     if (not semantics.loss_kills_owner_site
             and semantics.heralded_site_kill_prob > 0.0):
         raise ValueError("spanning is not monotone in loss with loss_kills_"
                          "owner_site=False and heralded_site_kill_prob > 0")
-    f_star = np.empty((len(both), trials))
+    f_star = np.empty((len(schemes), trials))
     for t, rng in enumerate(rngs):
         _, _, owner, passive, bond, killed = _fusion_levels(lattice, semantics, rng)
         owner[lattice.fusion_owner[killed]] = -np.inf   # dead, lost or not
-        for i, both_ends in enumerate(both):
-            site = np.minimum(owner, passive) if both_ends else owner
+        for i, scheme in enumerate(schemes):
+            site = _site_levels(scheme, semantics, owner, passive)
             f_star[i, t] = _critical_level(lattice, site, bond)
-    return f_star[0] if isinstance(scheme, str) else f_star
+    return f_star
 
 
-def _thresholds(schemes, target, a_l_values, L, trials, seed, semantics,
-                equal_ancilla_loss=False) -> np.ndarray:
+def loss_thresholds(schemes, target, a_l_values, L, trials, seed, semantics,
+                    equal_ancilla_loss=False) -> np.ndarray:
     """`loss_threshold` per scheme (rows) and a_l from one pass: the k-th
     largest f*, k the least rank with k/trials >= target, mapped through
     f_l(p_l, a_l)."""
     if not 0.0 < target < 1.0:
         raise ValueError(f"target must be in (0, 1), got {target}")
-    f_star = np.sort(np.atleast_2d(critical_losses(L, schemes, trials, seed, semantics)))
+    f_star = np.sort(_critical_losses(L, schemes, trials, seed, semantics))
     k = trials - 1 - np.argmax(np.arange(1, trials + 1) / trials >= target)
     ancilla = np.asarray(a_l_values, dtype=float) * (not equal_ancilla_loss)
     rows = []
@@ -394,7 +396,7 @@ def loss_threshold(scheme: str, target: float, a_l: float, L: int,
     it and < target just above. Raises if below target at zero loss. With
     equal_ancilla_loss the ancilla photons are lost at the same rate (a_l
     is ignored), the variant quoted for fully lossy switching."""
-    return float(_thresholds((scheme,), target, [a_l], L, trials, seed,
+    return float(loss_thresholds((scheme,), target, [a_l], L, trials, seed,
                              semantics, equal_ancilla_loss)[0, 0])
 
 
@@ -416,7 +418,7 @@ def tradeoff_frontier(scheme: str, target: float, a_l_grid, L: int,
     if np.unique(xs).size < 2:
         raise ValueError("a_l grid needs at least two distinct values, got "
                          f"{xs.tolist()}")
-    ys = _thresholds((scheme,), target, xs, L, trials, seed, semantics)[0]
+    ys = loss_thresholds((scheme,), target, xs, L, trials, seed, semantics)[0]
     slope, intercept = np.polyfit(xs, ys, 1)
     residuals = ys - (slope * xs + intercept)
     return FrontierResult(points=tuple(zip(xs.tolist(), ys.tolist())),

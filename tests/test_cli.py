@@ -308,10 +308,7 @@ def test_semantics_booleans_parse_strictly():
 
 def test_reproduce_misspelled_boolean_fails_before_probes(tmp_path, capsys,
                                                          monkeypatch):
-    def no_probe(*args, **kwargs):
-        raise AssertionError("probe ran")
-
-    monkeypatch.setattr("rmux.percolation.loss_threshold", no_probe)
+    _forbid_sampling(monkeypatch)
     assert main(["reproduce", "fig8_thresholds", "--out", str(tmp_path),
                  "--set", "loss_kills_owner_site=ture"]) == 1
     err = capsys.readouterr().err
@@ -331,10 +328,7 @@ def test_numeric_overrides_name_the_key(tmp_path):
 
 def test_reproduce_malformed_number_fails_before_probes(tmp_path, capsys,
                                                        monkeypatch):
-    def no_probe(*args, **kwargs):
-        raise AssertionError("probe ran")
-
-    monkeypatch.setattr("rmux.percolation.loss_threshold", no_probe)
+    _forbid_sampling(monkeypatch)
     assert main(["reproduce", "fig8_thresholds", "--out", str(tmp_path),
                  "--set", "trials=1.5"]) == 1
     assert ("error: trials must be an integer, got '1.5'"

@@ -501,7 +501,7 @@ def test_shared_pass_equals_per_scheme_oracle(L, sem_name):
     # fusion tables, against a pass per scheme that scatters with
     # np.minimum.at and runs a plain union-find: bitwise equal
     sem = _SEMANTICS_CASES[sem_name]
-    both = critical_losses(L, ("rmux", "standard"), 40, 19, sem)
+    both = percolation._critical_losses(L, ("rmux", "standard"), 40, 19, sem)
     assert both.shape == (2, 40)
     for row, scheme in zip(both, ("rmux", "standard")):
         expected = critical_losses_direct(L, scheme, 40, 19, sem)
@@ -605,8 +605,8 @@ def test_threshold_rank_uses_the_spanning_fraction_comparison(monkeypatch):
     # 7/100 >= 0.07 holds, so the 7th largest f* is the threshold; a bare
     # ceil(0.07 * 100) is 8 because 0.07 * 100 = 7.000000000000001
     f_star = np.arange(100) / 1000.0
-    monkeypatch.setattr("rmux.percolation.critical_losses",
-                        lambda *args, **kwargs: f_star)
+    monkeypatch.setattr("rmux.percolation._critical_losses",
+                        lambda *args, **kwargs: f_star[None])
     thr = loss_threshold("rmux", 0.07, 0.0, 4, trials=100, seed=1)
     assert thr == pytest.approx(0.093, abs=1e-12)
 
