@@ -18,6 +18,7 @@ from .experiments import (
     ExperimentConfig,
     csv_text,
     load_config_file,
+    result_line,
     run_experiment,
     semantics_from,
 )
@@ -147,9 +148,9 @@ def _cmd_reproduce(args) -> int:
     for path in bundle.csv_paths:
         print(f"data: {path}")
     if not bundle.all_passed:
-        print("result: FAIL", file=sys.stderr)
+        print(result_line(bundle.checks), file=sys.stderr)
         return 2
-    print("result: PASS")
+    print(result_line(bundle.checks))
     return 0
 
 

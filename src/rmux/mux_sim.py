@@ -17,18 +17,21 @@ reproducible and schemes can be compared on identical stream data.
 
 A two-stream sweep takes each repetition's streams once and runs every
 strategy and switch count on them (`_match_all`): one assignment per count
-serves both Hungarian strategies. For hungarian_with_clash, one `clash_rows`
-scan finds the assignments that clash: count i's pairs sit at offset
-i * stride on one time axis (a forced path stays in bins b1..b2, and stride
-exceeds every b2) and route through the largest count's network. With the
-networks' stages ascending (the default), a delay that s switches reach
-takes the same bins and rails there through switch s-1, leaving on rail 0
-as at the output switch, then stays in its output bin on rail 0: the same
-requests meet and clash. Only the assignments that clash are repaired.
+serves both Hungarian strategies. One `clash_rows` scan finds the
+assignments that clash: count i's pairs sit at offset i * stride on one
+time axis (a forced path stays in bins b1..b2, and stride exceeds every b2)
+and route through the largest count's network. With the networks' stages
+ascending (the default), a delay that s switches reach takes the same bins
+and rails there through switch s-1, leaving on rail 0 as at the output
+switch, then stays in its output bin on rail 0: the same requests meet and
+clash. Only the assignments that clash are repaired (hungarian_with_clash)
+or counted through `route` (hungarian_no_clash's clash_rate, else 0).
 
-A Bell sweep over several budgets shares stage 1. Repetition r samples its
-four streams once from child r, and split i = s1 - 1 of every budget draws
-its gate from spawn key (r, i) of that child. So stage 1 (the relative
+A Bell sweep over several budgets shares its samples. Repetition r samples
+its four streams once from child r. Split i = s1 - 1 of every scheme and
+budget reads a prefix of one array of n_bins gate draws from spawn key
+(r, i) of that child: no split attempts more than n_bins gates, and a
+fresh generator's first n draws do not depend on n. Stage 1 (the relative
 scheme's two event streams, the standard scheme's window occupancy) depends
 only on (r, s1): it runs once per s1, and stage 2 runs per (budget, split).
 Results equal those of simulating each budget on its own.
@@ -51,9 +54,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .delay_network import DelayNetwork, max_delay
+from .delay_network import DelayNetwork, clash_rows, max_delay
 from .matching import (
-    _conflicts,
     _window_core,
     build_assignment_matrix,
     count_clashing_pairs,
@@ -117,9 +119,9 @@ def match_streams(s1: PhotonStream, s2: PhotonStream, network: DelayNetwork,
     """Run one strategy on a stream pair; returns (Matching, MatchMetrics).
 
     ``clash_rate`` is the pairs implicated in a ``route`` clash over all
-    pairs for ``hungarian_no_clash``, which keeps them (so it depends on
-    which equal-cost pairing the solver returns), and the pairs dropped for
-    a clash over kept plus dropped pairs for the other strategies.
+    pairs for ``hungarian_no_clash``, which keeps them (0 with no ``route``
+    call if the clash scan finds none; it depends on the solver's tie-break),
+    and the pairs dropped for a clash over kept plus dropped pairs otherwise.
     """
     return _match_all(s1, s2, [network], [strategy])[strategy][0]
 
@@ -132,20 +134,16 @@ def _repetitions(p: float, n_bins: int, reps: int, seed: int, n_streams: int):
         yield child, [generate_stream(p, n_bins, int(w)) for w in words]
 
 
-def _clash_couples(instances, network: DelayNetwork) -> dict:
-    """{i: sorted clashing couples (j, k)} of each instance (a list of
-    (b1, b2, delay) pairs) that has any, by one scan through `network`."""
+def _clashing(instances, network: DelayNetwork) -> set:
+    """Indices of the instances (lists of (b1, b2, delay) pairs) that hold a
+    clash, by one scan through `network`."""
     counts = [len(pairs) for pairs in instances]
     cols = np.fromiter(chain.from_iterable(chain.from_iterable(instances)),
                        np.int64, 3 * sum(counts)).reshape(-1, 3)
     owner = np.repeat(np.arange(len(instances)), counts)
     stride = int(cols[:, 1].max(initial=-1)) + 1
-    first = (np.cumsum(counts) - counts).tolist()
-    couples = {}
-    for j, k in _conflicts(cols[:, 0] + owner * stride, cols[:, 2], network):
-        i = int(owner[j])
-        couples.setdefault(i, []).append((j - first[i], k - first[i]))
-    return couples
+    rows = clash_rows(cols[:, 0] + owner * stride, cols[:, 2], network)
+    return set(owner[rows[:, 2]].tolist())
 
 
 def _match_all(st1: PhotonStream, st2: PhotonStream, networks,
@@ -164,19 +162,19 @@ def _match_all(st1: PhotonStream, st2: PhotonStream, networks,
                    for net in networks]
         found = matchings["hungarian_no_clash"] = [
             hungarian_min_assignment(W) for W in weights]
+        clashing = _clashing([m.pairs for m in found],
+                             max(networks, key=lambda net: net.s))
     if "hungarian_with_clash" in strategies:
-        clashing = _clash_couples([m.pairs for m in found],
-                                  max(networks, key=lambda net: net.s))
         matchings["hungarian_with_clash"] = [
             resolve_clashes_optimal(m, W, net) if i in clashing else m
             for i, (m, W, net) in enumerate(zip(found, weights, networks))]
     results = {strategy: [(m, matching_metrics(m, st1, st2))
                           for m in matchings[strategy]]
                for strategy in strategies}
-    for (m, met), net in zip(results.get("hungarian_no_clash", ()), networks):
+    for i, (m, met) in enumerate(results.get("hungarian_no_clash", ())):
         # Clashes are ignored here, but their prevalence is still reported.
-        met.clash_rate = (count_clashing_pairs(m, net) / len(m.pairs)
-                          if m.pairs else 0.0)
+        met.clash_rate = (count_clashing_pairs(m, networks[i]) / len(m.pairs)
+                          if i in clashing else 0.0)
     return results
 
 
@@ -267,22 +265,22 @@ def _standard_stage1(block: _Block, s1: int) -> np.ndarray:
     return have
 
 
-def _standard_rate(have: np.ndarray, s2: int, gate_rngs,
+def _standard_rate(have: np.ndarray, s2: int, gate_ok: np.ndarray,
                    block: _Block) -> np.ndarray:
     """Delivered Bell states per bin of each repetition for one (s1, s2)
     split.
 
     Stage 2: windows where all four streams delivered (`have`, from
-    `_standard_stage1`) attempt the gate (success 1/8); the output network
-    delivers at most one success per w2-window group to its fixed slot.
+    `_standard_stage1`) attempt the gate, window k of repetition r with
+    outcome `gate_ok[r, k]`; the output network delivers at most one
+    success per w2-window group to its fixed slot.
     """
     w2 = min(max_delay(s2), block.n_bins) + 1
     n_reps, n_windows = have.shape
     n_groups = n_windows // w2
     if n_groups == 0:
         return np.zeros(n_reps)
-    gate = np.stack([rng.random(n_windows) for rng in gate_rngs])
-    success = (have & (gate < BELL_GATE_PROB))[:, :n_groups * w2]
+    success = (have & gate_ok[:, :n_windows])[:, :n_groups * w2]
     delivered = success.reshape(n_reps, n_groups, w2).any(axis=2).sum(axis=1)
     return delivered / block.n_bins
 
@@ -302,23 +300,23 @@ def _rmux_stage1(block: _Block, s1: int) -> tuple:
     return tuple(events)
 
 
-def _rmux_rate(events: tuple, s2: int, gate_rngs,
+def _rmux_rate(events: tuple, s2: int, gate_ok: np.ndarray,
                block: _Block) -> np.ndarray:
     """Accepted Bell states per bin of each repetition for one (s1, s2)
     split.
 
     The two event streams of `_rmux_stage1` are paired again by the sliding
     window through the s2-switch network, and every surviving quadruple
-    attempts the gate independently.
+    attempts the gate independently, repetition r's n quadruples with
+    outcomes `gate_ok[r, :n]`.
     """
     net2 = DelayNetwork(s2)
     _b1, b2, keep = _window_core(*events,
                                  min(net2.max_delay, block.n_bins - 1), net2)
     n_quads = np.bincount(b2[keep] // (2 * block.n_bins),
-                          minlength=len(gate_rngs))
-    accepted = [int((rng.random(n) < BELL_GATE_PROB).sum())
-                for rng, n in zip(gate_rngs, n_quads.tolist())]
-    return np.array(accepted) / block.n_bins
+                          minlength=len(gate_ok))
+    attempted = np.arange(block.n_bins) < n_quads[:, None]
+    return (attempted & gate_ok).sum(axis=1) / block.n_bins
 
 
 def simulate_bell_sweep(p1: float, budgets, n_bins: int, reps: int, seed: int,
@@ -326,9 +324,9 @@ def simulate_bell_sweep(p1: float, budgets, n_bins: int, reps: int, seed: int,
     """BellStats by (scheme, budget), each optimized over its stage splits.
 
     Every argument is checked before anything is sampled. Repetitions run
-    in blocks on one time axis, and each scheme's stage 1 runs once per
-    block and s1 for every budget and split that shares it (see the module
-    docstring).
+    in blocks on one time axis; per block and split index i, each
+    repetition's gate draws and each scheme's stage 1 serve every budget
+    (see the module docstring).
     """
     # Per scheme: first-stage networks, stage 1, stage-2 rate. Built per
     # call, so a rebound rate function (a tracer's wrapper) is the one used.
@@ -359,17 +357,18 @@ def simulate_bell_sweep(p1: float, budgets, n_bins: int, reps: int, seed: int,
         # advance the child's spawn counter and move every later key.
         gate_seeds = [child.spawn(n_gates) for child in children]
         block_reps = slice(r0, r0 + len(children))
-        stage1 = {}
-        for key, splits in plan.items():
-            scheme = key[0]
-            _networks, first, rate_fn = table[scheme]
-            for i, (s1, s2) in enumerate(splits):
-                if (scheme, s1) not in stage1:
-                    stage1[(scheme, s1)] = first(block, s1)
-                gate_rngs = [np.random.Generator(np.random.PCG64(seeds[i]))
-                             for seeds in gate_seeds]
-                rates[key][i, block_reps] = rate_fn(stage1[(scheme, s1)], s2,
-                                                    gate_rngs, block)
+        for i in range(n_gates):
+            # gate_ok[r, k]: repetition r's k-th gate at split i succeeds.
+            gate_ok = np.stack([np.random.default_rng(seeds[i]).random(n_bins)
+                                for seeds in gate_seeds]) < BELL_GATE_PROB
+            for scheme, (_networks, first, rate_fn) in table.items():
+                s2s = {key: splits[i][1] for key, splits in plan.items()
+                       if key[0] == scheme and i < len(splits)}
+                if s2s:
+                    stage1 = first(block, i + 1)
+                for key, s2 in s2s.items():
+                    rates[key][i, block_reps] = rate_fn(
+                        stage1, s2, gate_ok, block)
         r0 += len(children)
     stats = {}
     for (scheme, budget), splits in plan.items():

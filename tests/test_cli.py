@@ -411,6 +411,38 @@ def test_reproduce_table1(tmp_path, capsys):
         "[PASS]", "")
 
 
+# Parameters can leave a recipe no reference check to run (fig2 checks only
+# its anchor etas, fig4 only between switch counts): the run passes and says
+# that nothing was checked.
+@pytest.mark.parametrize("figure, overrides", [
+    ("fig2", ["etas=0.5"]),
+    ("fig4", ["switches=3", "reps=3", "bins=200"]),
+])
+def test_reproduce_without_checks_says_none_applies(tmp_path, capsys, figure,
+                                                    overrides):
+    argv = ["reproduce", figure, "--out", str(tmp_path)]
+    assert main(argv + [x for o in overrides for x in ("--set", o)]) == 0
+    verdict = "result: PASS (no reference check applies)"
+    assert capsys.readouterr().out.splitlines()[-1] == verdict
+    summary = (tmp_path / f"{figure}_summary.txt").read_text().splitlines()
+    assert summary[-1] == verdict
+    assert not [line for line in summary if line.startswith("check ")]
+
+
+def test_reproduce_fig8_names_the_lattice_size_of_its_bands(tmp_path):
+    assert main(["reproduce", "fig8_thresholds", "--out", str(tmp_path),
+                 "--set", "L=4", "--set", "trials=50",
+                 "--set", "finite_size_L="]) == 2
+    summary = (tmp_path / "fig8_thresholds_summary.txt").read_text()
+    lines = summary.splitlines()
+    assert "L=4" in lines
+    assert ("reference: fig8 tolerable-loss comparison at L=10, "
+            "bands +/-0.015") in lines
+    bands = [line for line in lines if "-scheme threshold:" in line]
+    assert len(bands) == 2
+    assert all(line.endswith("(band for L=10)") for line in bands), bands
+
+
 def test_reproduce_unknown_experiment_fails():
     with pytest.raises(SystemExit):
         main(["reproduce", "fig99"])

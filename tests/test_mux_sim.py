@@ -9,10 +9,10 @@ from oracles import bell_stats_direct, match_direct, two_stream_stats_direct
 from rmux import mux_sim
 from rmux.delay_network import DelayNetwork, max_delay
 from rmux.experiments import ExperimentConfig, run_experiment
-from rmux.matching import _conflict_pairs
+from rmux.matching import _conflict_pairs, count_clashing_pairs
 from rmux.mux_sim import (
     STRATEGIES,
-    _clash_couples,
+    _clashing,
     _match_all,
     rmux_splits,
     simulate_bell_rmux,
@@ -21,7 +21,7 @@ from rmux.mux_sim import (
     simulate_two_stream,
     standard_splits,
 )
-from rmux.streams import generate_stream
+from rmux.streams import generate_stream, stream_from_bins
 
 # sha256 of fig7_bell_rates.csv at bins=3000, reps=4, budgets 5:16, seed
 # 20170324, as written by the per-budget simulation the sweep replaced.
@@ -148,10 +148,44 @@ def clash_instances(draw):
 @example(([64, 3], [[(0, 3, 3), (1, 3, 2)], [(0, 3, 3), (1, 3, 2)]]))
 def test_one_axis_scan_equals_per_instance_conflicts(case):
     switches, instances = case
-    want = {i: _conflict_pairs(pairs, DelayNetwork(s))
-            for i, (s, pairs) in enumerate(zip(switches, instances))}
-    got = _clash_couples(instances, DelayNetwork(max(switches)))
-    assert got == {i: couples for i, couples in want.items() if couples}
+    got = _clashing(instances, DelayNetwork(max(switches)))
+    assert got == {i for i, (s, pairs) in enumerate(zip(switches, instances))
+                   if _conflict_pairs(pairs, DelayNetwork(s))}
+
+
+@strats.composite
+def stream_pairs(draw):
+    """Two seeded streams of the same length and a list of distinct switch
+    counts up to 64, in any order."""
+    p = draw(strats.sampled_from([0.05, 0.2, 0.4, 0.7]))
+    n_bins = draw(strats.integers(1, 150))
+    seed = draw(strats.integers(0, 2**32 - 2))
+    switches = draw(strats.lists(strats.integers(1, 64), min_size=1,
+                                 max_size=5, unique=True))
+    return (generate_stream(p, n_bins, seed),
+            generate_stream(p, n_bins, seed + 1), switches)
+
+
+# The scan decides which no-clash assignments get a `route` count; the rest
+# read 0, which must be what `route` would have found. About one in seven
+# drawn assignments clashes.
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(stream_pairs())
+# At s = 64 two of three pairs clash; at s = 2 one pair, no clash.
+@example((stream_from_bins([1, 1, 0, 1, 0, 0, 0]),
+          stream_from_bins([0, 1, 0, 0, 0, 1, 1]), [2, 64]))
+@example((stream_from_bins([1, 0, 1, 0]), stream_from_bins([0, 1, 0, 1]),
+          [3, 1]))                                 # pairs, none clash
+@example((stream_from_bins([0, 0]), stream_from_bins([1, 1]),
+          [1]))                                    # no pairs
+def test_no_clash_rate_equals_route_count(case):
+    st1, st2, switches = case
+    networks = [DelayNetwork(s) for s in switches]
+    got = _match_all(st1, st2, networks, ["hungarian_no_clash"])
+    for (m, met), net in zip(got["hungarian_no_clash"], networks):
+        want = (count_clashing_pairs(m, net) / len(m.pairs) if m.pairs
+                else 0.0)
+        assert met.clash_rate == want, net.s
 
 
 def test_split_enumeration():
@@ -220,6 +254,20 @@ def test_bell_sweep_equals_per_budget_oracle(p1, n_bins, reps):
     for (scheme, budget), stats in sweep.items():
         assert stats == bell_stats_direct(scheme, p1, budget, n_bins, reps,
                                           seed=11), (scheme, budget)
+
+
+# Dense edge: at p1 = 1 the standard scheme's s1 = 1 split attempts the gate
+# in every bin, so it reads all n_bins gate draws of its repetition.
+@pytest.mark.parametrize("p1", [1.0, 0.5])
+@pytest.mark.parametrize("n_bins", [1, 2, 3, 17])
+def test_bell_sweep_at_the_draw_length_bound_equals_per_budget_oracle(
+        p1, n_bins):
+    budgets = [5, 6, 9, 12, 13]
+    sweep = simulate_bell_sweep(p1, budgets, n_bins, 3, seed=23)
+    assert len(sweep) == 2 * len(budgets)
+    for (scheme, budget), stats in sweep.items():
+        assert stats == bell_stats_direct(scheme, p1, budget, n_bins, 3,
+                                          seed=23), (scheme, budget)
 
 
 # At 100 bins a 64-switch window reaches past every repetition: the reach is
