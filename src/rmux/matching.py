@@ -78,6 +78,28 @@ def virtual_weight_for(d_max: int) -> int:
     return max(10 ** 6, 1000 * (d_max + 1))
 
 
+def _weight_matrices(bins1, bins2, n_bins: int, d_maxes) -> list:
+    """One delay-cost matrix per window width in `d_maxes` between the photons
+    at `bins1` (rows) and `bins2` (columns) of two `n_bins`-bin streams, all
+    from one difference matrix and padded square with virtual vertices when
+    the photon counts differ."""
+    n1, n2 = bins1.size, bins2.size
+    n = max(n1, n2)
+    # No pair needs more; a wider window inflates the virtual weight.
+    caps = [min(d_max, n_bins - 1) for d_max in d_maxes]
+    vws = [virtual_weight_for(cap) for cap in caps]
+    diff = bins2[None, :].astype(np.int64) - bins1[:, None].astype(np.int64)
+    real = (diff >= 0) & (diff <= np.array(caps, dtype=np.int64)[:, None, None])
+    fill = np.array(vws, dtype=np.int64)[:, None, None]
+    weights = np.broadcast_to(fill, (len(caps), n, n)).copy()
+    weights[:, :n1, :n2] = np.where(real, diff, fill)
+    mask = np.ones((len(caps), n, n), dtype=bool)
+    mask[:, :n1, :n2] = ~real
+    return [WeightMatrix(n=n, weights=w, virtual_mask=v, virtual_weight=vw,
+                         row_bins=bins1, col_bins=bins2)
+            for w, v, vw in zip(weights, mask, vws)]
+
+
 def build_assignment_matrix(s1: PhotonStream, s2: PhotonStream,
                             d_max: int) -> WeightMatrix:
     """Delay-cost matrix between the photons of two streams.
@@ -85,21 +107,15 @@ def build_assignment_matrix(s1: PhotonStream, s2: PhotonStream,
     Rows index stream-1 photons, columns stream-2 photons; the matrix is
     padded square with virtual vertices when the photon counts differ.
     """
-    bins1 = s1.occupied_bins
-    bins2 = s2.occupied_bins
-    n = max(bins1.size, bins2.size)
-    # No pair needs more; a wider window inflates the virtual weight.
-    d_max = min(d_max, s2.n_bins - 1)
-    vw = virtual_weight_for(d_max)
-    weights = np.full((n, n), vw, dtype=np.int64)
-    mask = np.ones((n, n), dtype=bool)
-    if bins1.size and bins2.size:
-        diff = bins2[None, :].astype(np.int64) - bins1[:, None].astype(np.int64)
-        real = (diff >= 0) & (diff <= d_max)
-        weights[:bins1.size, :bins2.size][real] = diff[real]
-        mask[:bins1.size, :bins2.size][real] = False
-    return WeightMatrix(n=n, weights=weights, virtual_mask=mask,
-                        virtual_weight=vw, row_bins=bins1, col_bins=bins2)
+    return _weight_matrices(s1.occupied_bins, s2.occupied_bins, s2.n_bins,
+                            [d_max])[0]
+
+
+def _linear_sum_assignment(cost):
+    # Lazy: scipy.optimize takes ~0.7 s to import; most commands never need it.
+    from scipy.optimize import linear_sum_assignment
+
+    return linear_sum_assignment(cost)
 
 
 def solve_assignment(cost: np.ndarray) -> tuple[np.ndarray, float]:
@@ -108,14 +124,21 @@ def solve_assignment(cost: np.ndarray) -> tuple[np.ndarray, float]:
     scipy's Jonker-Volgenant shortest-augmenting-path solver; returns
     (row_of_column, total_cost).
     """
-    # Lazy: scipy.optimize takes ~0.7 s to import; most commands never need it.
-    from scipy.optimize import linear_sum_assignment
-
     cost = np.asarray(cost, dtype=np.float64)
-    rows, cols = linear_sum_assignment(cost)
+    rows, cols = _linear_sum_assignment(cost)
     row_of_column = np.empty(cols.size, dtype=int)
     row_of_column[cols] = rows
     return row_of_column, float(cost[rows, cols].sum())
+
+
+def _assignment_pairs(W: WeightMatrix) -> list:
+    """The optimal assignment's real pairs (b1, b2, delay) in stream-1 bin
+    order: the solver returns the rows in order."""
+    rows, cols = _linear_sum_assignment(W.weights)
+    real = ~W.virtual_mask[rows, cols]
+    firsts = W.row_bins[rows[real]].tolist()
+    seconds = W.col_bins[cols[real]].tolist()
+    return [(b1, b2, b2 - b1) for b1, b2 in zip(firsts, seconds)]
 
 
 def _discards(bins1, bins2, pairs, lost=()) -> list:
@@ -142,12 +165,7 @@ def _discards(bins1, bins2, pairs, lost=()) -> list:
 
 def hungarian_min_assignment(W: WeightMatrix) -> Matching:
     """Optimal matching from the weight matrix, virtual pairings pruned."""
-    row_of_col, _total = solve_assignment(W.weights)
-    col_of_row = np.argsort(row_of_col)
-    rows = np.flatnonzero(~W.virtual_mask[np.arange(W.n), col_of_row])
-    cols = col_of_row[rows]
-    pairs = list(zip(W.row_bins[rows].tolist(), W.col_bins[cols].tolist(),
-                     W.weights[rows, cols].tolist()))
+    pairs = _assignment_pairs(W)
     return Matching(pairs=pairs, discarded=_discards(W.row_bins, W.col_bins,
                                                      pairs))
 
@@ -163,12 +181,27 @@ def _conflicts(arrival_bins, delays, network: DelayNetwork):
     return sorted(set(map(tuple, rows[:, 2:].tolist())))
 
 
-def _conflict_pairs(pairs, network: DelayNetwork):
-    """Sorted couples (j, k), j < k, of pairs whose delayed photons clash."""
+def _conflicts_each(instances, network: DelayNetwork) -> list:
+    """Per instance (a list of (b1, b2, delay) pairs), the sorted couples
+    (j, k), j < k, of its pairs whose delayed photons clash, by one scan.
+
+    Instance i's pairs sit at offset i * stride on one time axis; a forced
+    path stays in bins b1..b2 and stride exceeds every b2, so paths of
+    different instances never meet.
+    """
+    counts = [len(pairs) for pairs in instances]
     # fromiter over the flattened tuples: ~2.5x faster than np.array here.
-    cols = np.fromiter(chain.from_iterable(pairs), np.int64,
-                       3 * len(pairs)).reshape(-1, 3)
-    return _conflicts(cols[:, 0], cols[:, 2], network)
+    cols = np.fromiter(chain.from_iterable(chain.from_iterable(instances)),
+                       np.int64, 3 * sum(counts)).reshape(-1, 3)
+    owner = np.repeat(np.arange(len(instances)), counts)
+    stride = int(cols[:, 1].max(initial=-1)) + 1
+    start = np.cumsum([0] + counts).tolist()
+    each = [[] for _ in instances]
+    # Sorted by (j, k) within each instance, as the global couples are.
+    for j, k in _conflicts(cols[:, 0] + owner * stride, cols[:, 2], network):
+        i = owner[j]
+        each[i].append((j - start[i], k - start[i]))
+    return each
 
 
 def _lost_on_conflict(conflicts) -> set:
@@ -191,6 +224,47 @@ def _drop_on_conflict(pairs, conflicts):
             [p for i, p in enumerate(pairs) if i in lost])
 
 
+def _repair_all(instances, network: DelayNetwork) -> list:
+    """`resolve_clashes_optimal` of every (pairs, W) instance, in lockstep.
+
+    Each round finds the clashes of every instance still being repaired by
+    one `_conflicts_each` scan through `network`, which must give each
+    instance's requests the clashes of its own network (as the largest of
+    several ascending networks does: see `rmux.mux_sim`). Returns one
+    Matching per instance.
+    """
+    Ws = [replace(W, weights=W.weights.copy(),
+                  virtual_mask=W.virtual_mask.copy()) for _pairs, W in instances]
+    current = [sorted(pairs) for pairs, _W in instances]
+    candidates = [[] for _ in instances]
+    active = list(range(len(instances)))
+    while active:
+        repairing = []
+        for i, conflicts in zip(active, _conflicts_each(
+                [current[i] for i in active], network)):
+            candidates[i].append(_drop_on_conflict(current[i], conflicts)[0])
+            W = Ws[i]
+            if not conflicts or len(candidates[i]) > W.n:
+                continue
+            counts = Counter(chain.from_iterable(conflicts))
+            worst = max(counts, key=lambda idx: (counts[idx], idx))
+            b1, b2, _ = current[i][worst]
+            cell = (np.searchsorted(W.row_bins, b1),
+                    np.searchsorted(W.col_bins, b2))
+            W.weights[cell] = W.virtual_weight
+            W.virtual_mask[cell] = True
+            current[i] = _assignment_pairs(W)
+            repairing.append(i)
+        active = repairing
+    matchings = []
+    for (pairs, W), found in zip(instances, candidates):
+        best = max(found,
+                   key=lambda kept: (len(kept), -sum(d for _, _, d in kept)))
+        matchings.append(Matching(pairs=best, discarded=_discards(
+            W.row_bins, W.col_bins, best, lost=pairs)))
+    return matchings
+
+
 def resolve_clashes_optimal(m: Matching, W: WeightMatrix,
                             network: DelayNetwork) -> Matching:
     """Repair a matching of the instance `W` until it routes clash-free.
@@ -204,26 +278,7 @@ def resolve_clashes_optimal(m: Matching, W: WeightMatrix,
     """
     if not m.pairs:
         return m
-    W = replace(W, weights=W.weights.copy(), virtual_mask=W.virtual_mask.copy())
-    candidates = []
-    current = sorted(m.pairs)
-    for _ in range(W.n + 1):
-        conflicts = _conflict_pairs(current, network)
-        candidates.append(_drop_on_conflict(current, conflicts)[0])
-        if not conflicts:
-            break
-        counts = Counter(i for couple in conflicts for i in couple)
-        worst = max(counts, key=lambda idx: (counts[idx], idx))
-        b1, b2, _ = current[worst]
-        cell = np.searchsorted(W.row_bins, b1), np.searchsorted(W.col_bins, b2)
-        W.weights[cell] = W.virtual_weight
-        W.virtual_mask[cell] = True
-        current = hungarian_min_assignment(W).pairs
-
-    best = max(candidates,
-               key=lambda pairs: (len(pairs), -sum(d for _, _, d in pairs)))
-    return Matching(pairs=best, discarded=_discards(W.row_bins, W.col_bins,
-                                                    best, lost=m.pairs))
+    return _repair_all([(m.pairs, W)], network)[0]
 
 
 def _window_core(bins1, bins2, d_max: int, network: DelayNetwork):

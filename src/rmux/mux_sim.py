@@ -15,17 +15,25 @@ stream, costing 2*s1 + s2. Budgets are maximized over feasible splits.
 All repetitions derive child seeds from a single SeedSequence, so runs are
 reproducible and schemes can be compared on identical stream data.
 
-A two-stream sweep takes each repetition's streams once and runs every
-strategy and switch count on them (`_match_all`): one assignment per count
-serves both Hungarian strategies. One `clash_rows` scan finds the
-assignments that clash: count i's pairs sit at offset i * stride on one
-time axis (a forced path stays in bins b1..b2, and stride exceeds every b2)
-and route through the largest count's network. With the networks' stages
-ascending (the default), a delay that s switches reach takes the same bins
-and rails there through switch s-1, leaving on rail 0 as at the output
-switch, then stays in its output bin on rail 0: the same requests meet and
-clash. Only the assignments that clash are repaired (hungarian_with_clash)
-or counted through `route` (hungarian_no_clash's clash_rate, else 0).
+A two-stream sweep runs blocks of consecutive repetitions (`_match_all`).
+Each repetition samples its two streams once; one difference matrix gives
+the weights of every switch count, and one assignment per (repetition,
+count) serves both Hungarian strategies. One `clash_rows` scan per block
+finds the assignments that clash: assignment i's pairs sit at offset
+i * stride on one time axis (a forced path stays in bins b1..b2, and stride
+exceeds every b2) and route through the largest count's network. With the
+networks' stages ascending (the default), a delay that s switches reach
+takes the same bins and rails there through switch s-1, leaving on rail 0
+as at the output switch, then stays in its output bin on rail 0: the same
+requests meet and clash. Only the assignments that clash are repaired
+(hungarian_with_clash) or counted through `route` (hungarian_no_clash's
+clash_rate, else 0). The repair runs in lockstep over the block's clashing
+assignments: each round scans all those still being repaired at once, the
+same way, and takes one repair step of each. Discards are classified once,
+on each final matching. A block closes once it holds MATCH_BLOCK_PHOTONS
+photons (or BLOCK_BINS stream bins): its per-call overheads are shared,
+its memory does not grow with the repetition count, and a block's work
+stays a few milliseconds between stream draws.
 
 A Bell sweep over several budgets shares its samples. Repetition r samples
 its four streams once from child r. Split i = s1 - 1 of every scheme and
@@ -49,28 +57,38 @@ Each repetition still draws its gate from its own (r, i) key.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
 
-from .delay_network import DelayNetwork, clash_rows, max_delay
+from .delay_network import DelayNetwork, max_delay
 from .matching import (
+    Matching,
+    _assignment_pairs,
+    _conflicts_each,
+    _discards,
+    _repair_all,
+    _weight_matrices,
     _window_core,
-    build_assignment_matrix,
     count_clashing_pairs,
-    hungarian_min_assignment,
     matching_metrics,
-    resolve_clashes_optimal,
     sliding_window_match,
 )
+# Not called here since the sweep solves through `_assignment_pairs`; still
+# bound for code that finds the solver in this module (perfbench's tracer
+# rebinds it in every rmux module that imports it).
+from .matching import hungarian_min_assignment  # noqa: F401
 from .streams import PhotonStream, generate_stream
 
 STRATEGIES = ("hungarian_no_clash", "hungarian_with_clash", "realistic")
 BELL_GATE_PROB = 1.0 / 8.0
-# A Bell sweep block closes once it holds this many photons, or stream bins
-# (which bound it when the source is nearly dark).
+# A block of repetitions closes once it holds this many photons, in a Bell
+# sweep or in a two-stream sweep, or this many stream bins (which bound it
+# when the source is nearly dark). A two-stream block holds every matrix and
+# matching of its repetitions; past about 8 repetitions at p = 0.1 and 200
+# bins it runs no faster and only holds more.
 BLOCK_PHOTONS = 16_000
+MATCH_BLOCK_PHOTONS = 320
 BLOCK_BINS = 1 << 20
 
 
@@ -123,7 +141,7 @@ def match_streams(s1: PhotonStream, s2: PhotonStream, network: DelayNetwork,
     call if the clash scan finds none; it depends on the solver's tie-break),
     and the pairs dropped for a clash over kept plus dropped pairs otherwise.
     """
-    return _match_all(s1, s2, [network], [strategy])[strategy][0]
+    return _match_all([(s1, s2)], [network], [strategy])[strategy][0][0]
 
 
 def _repetitions(p: float, n_bins: int, reps: int, seed: int, n_streams: int):
@@ -134,47 +152,70 @@ def _repetitions(p: float, n_bins: int, reps: int, seed: int, n_streams: int):
         yield child, [generate_stream(p, n_bins, int(w)) for w in words]
 
 
-def _clashing(instances, network: DelayNetwork) -> set:
-    """Indices of the instances (lists of (b1, b2, delay) pairs) that hold a
-    clash, by one scan through `network`."""
-    counts = [len(pairs) for pairs in instances]
-    cols = np.fromiter(chain.from_iterable(chain.from_iterable(instances)),
-                       np.int64, 3 * sum(counts)).reshape(-1, 3)
-    owner = np.repeat(np.arange(len(instances)), counts)
-    stride = int(cols[:, 1].max(initial=-1)) + 1
-    rows = clash_rows(cols[:, 0] + owner * stride, cols[:, 2], network)
-    return set(owner[rows[:, 2]].tolist())
+def _batches(p: float, n_bins: int, reps: int, seed: int, n_streams: int,
+             photons: int):
+    """Lists of consecutive `_repetitions`, each closed once it holds
+    `photons` photons or BLOCK_BINS stream bins."""
+    batch, count = [], 0
+    for child, rep in _repetitions(p, n_bins, reps, seed, n_streams):
+        batch.append((child, rep))
+        count += sum(st.photon_count for st in rep)
+        if count >= photons or n_streams * n_bins * len(batch) >= BLOCK_BINS:
+            yield batch
+            batch, count = [], 0
+    if batch:
+        yield batch
 
 
-def _match_all(st1: PhotonStream, st2: PhotonStream, networks,
-               strategies) -> dict:
-    """{strategy: [(Matching, MatchMetrics) per network]} of one stream pair,
-    with the strategies in the order given and each as `match_streams` runs
-    it. Several networks need ascending stages (see the module docstring)."""
+def _match_all(stream_pairs, networks, strategies) -> dict:
+    """{strategy: [[(Matching, MatchMetrics) per network] per stream pair]}
+    of a block of stream pairs, with the strategies in the order given and
+    each as `match_streams` runs it. Several networks need ascending stages
+    (see the module docstring)."""
     strategies = _checked(strategies, "strategy", "strategies", STRATEGIES)
     matchings = {}
     if "realistic" in strategies:
         matchings["realistic"] = [
             sliding_window_match(st1, st2, net.max_delay, net)
-            for net in networks]
+            for st1, st2 in stream_pairs for net in networks]
     if {"hungarian_no_clash", "hungarian_with_clash"}.intersection(strategies):
-        weights = [build_assignment_matrix(st1, st2, net.max_delay)
-                   for net in networks]
-        found = matchings["hungarian_no_clash"] = [
-            hungarian_min_assignment(W) for W in weights]
-        clashing = _clashing([m.pairs for m in found],
-                             max(networks, key=lambda net: net.s))
-    if "hungarian_with_clash" in strategies:
-        matchings["hungarian_with_clash"] = [
-            resolve_clashes_optimal(m, W, net) if i in clashing else m
-            for i, (m, W, net) in enumerate(zip(found, weights, networks))]
-    results = {strategy: [(m, matching_metrics(m, st1, st2))
-                          for m in matchings[strategy]]
-               for strategy in strategies}
-    for i, (m, met) in enumerate(results.get("hungarian_no_clash", ())):
-        # Clashes are ignored here, but their prevalence is still reported.
-        met.clash_rate = (count_clashing_pairs(m, networks[i]) / len(m.pairs)
-                          if i in clashing else 0.0)
+        # Instance i is stream pair i // len(networks) at network
+        # i % len(networks).
+        d_maxes = [net.max_delay for net in networks]
+        weights = [W for st1, st2 in stream_pairs
+                   for W in _weight_matrices(st1.occupied_bins,
+                                             st2.occupied_bins, st2.n_bins,
+                                             d_maxes)]
+        found = [_assignment_pairs(W) for W in weights]
+        largest = max(networks, key=lambda net: net.s)
+        clashing = [i for i, conflicts in enumerate(_conflicts_each(
+            found, largest)) if conflicts]
+        repaired = {}
+        if "hungarian_with_clash" in strategies:
+            repaired = dict(zip(clashing, _repair_all(
+                [(found[i], weights[i]) for i in clashing], largest)))
+        # Discards are classified once per final matching: a repaired
+        # assignment gets its own only if hungarian_no_clash reads it.
+        no_clash = "hungarian_no_clash" in strategies
+        assigned = [Matching(pairs, _discards(W.row_bins, W.col_bins, pairs))
+                    if no_clash or i not in repaired else None
+                    for i, (pairs, W) in enumerate(zip(found, weights))]
+        matchings["hungarian_no_clash"] = assigned
+        matchings["hungarian_with_clash"] = [repaired.get(i, m)
+                                             for i, m in enumerate(assigned)]
+    results = {}
+    for strategy in strategies:
+        flat = [(m, matching_metrics(m, *stream_pairs[i // len(networks)]))
+                for i, m in enumerate(matchings[strategy])]
+        if strategy == "hungarian_no_clash":
+            for i in clashing:
+                # Clashes are ignored here, but their prevalence is still
+                # reported.
+                m, met = flat[i]
+                met.clash_rate = (count_clashing_pairs(
+                    m, networks[i % len(networks)]) / len(m.pairs))
+        results[strategy] = [flat[i:i + len(networks)]
+                             for i in range(0, len(flat), len(networks))]
     return results
 
 
@@ -182,7 +223,8 @@ def simulate_two_stream(p: float, switches, n_bins: int, strategies,
                         reps: int, seed: int) -> dict:
     """StrategyStats by (strategy, switch count), strategies then counts in
     the order given, over the same stream-pair repetitions. Every argument
-    is checked before anything is sampled."""
+    is checked before anything is sampled. Repetitions run in blocks (see
+    the module docstring)."""
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
     strategies = _checked(strategies, "strategy", "strategies", STRATEGIES)
@@ -190,13 +232,16 @@ def simulate_two_stream(p: float, switches, n_bins: int, strategies,
     networks = [DelayNetwork(s) for s in switches]
     # [strategy, count, (matched, clash, out of range, weight), repetition]
     values = np.empty((len(strategies), len(switches), 4, reps))
-    for r, (_child, (st1, st2)) in enumerate(_repetitions(p, n_bins, reps,
-                                                           seed, 2)):
-        results = _match_all(st1, st2, networks, strategies).values()
-        for i, by_count in enumerate(results):
-            values[i, :, :, r] = [(met.matched_fraction, met.clash_rate,
-                                   met.out_of_range_fraction, m.total_weight)
-                                  for m, met in by_count]
+    r0 = 0
+    for batch in _batches(p, n_bins, reps, seed, 2, MATCH_BLOCK_PHOTONS):
+        results = _match_all([rep for _child, rep in batch], networks,
+                              strategies).values()
+        for i, by_rep in enumerate(results):
+            values[i, :, :, r0:r0 + len(batch)] = np.transpose(
+                [[(met.matched_fraction, met.clash_rate,
+                   met.out_of_range_fraction, m.total_weight)
+                  for m, met in by_count] for by_count in by_rep], (1, 2, 0))
+        r0 += len(batch)
     return {(strategy, s): StrategyStats(
                 strategy, s, float(matched.mean()), _stderr(matched),
                 float(clash.mean()), float(oor.mean()), float(weight.mean()))
@@ -237,17 +282,9 @@ class _Block(NamedTuple):
 def _blocks(p1: float, n_bins: int, reps: int, seed: int):
     """(children, _Block) of consecutive repetitions, closing each block at
     BLOCK_PHOTONS photons or BLOCK_BINS stream bins."""
-    children, streams, photons = [], [], 0
-    for child, rep in _repetitions(p1, n_bins, reps, seed, 4):
-        children.append(child)
-        streams.append(rep)
-        photons += sum(st.photon_count for st in rep)
-        if (photons >= BLOCK_PHOTONS
-                or 4 * n_bins * len(streams) >= BLOCK_BINS):
-            yield children, _Block(streams, n_bins)
-            children, streams, photons = [], [], 0
-    if streams:
-        yield children, _Block(streams, n_bins)
+    for batch in _batches(p1, n_bins, reps, seed, 4, BLOCK_PHOTONS):
+        yield ([child for child, _rep in batch],
+               _Block([rep for _child, rep in batch], n_bins))
 
 
 def _standard_stage1(block: _Block, s1: int) -> np.ndarray:

@@ -10,7 +10,9 @@ the Bell oracle simulates one switch budget at a time, recomputing stage 1
 for every split with the pointer-loop window below instead of the
 program's prefix scan, and the two-stream oracle simulates one strategy and
 one switch count at a time, sampling every repetition again, solving every
-assignment on its own and repairing every one.
+assignment on its own and repairing every one, one scan of its own network
+per repair step. The weight-matrix oracle fills the matrix photon pair by
+photon pair.
 """
 
 import itertools
@@ -18,11 +20,11 @@ from collections import deque
 
 import numpy as np
 
-from rmux.delay_network import DelayNetwork, max_delay
-from rmux.matching import (_conflict_pairs, _drop_on_conflict,
-                           build_assignment_matrix, count_clashing_pairs,
+from rmux.delay_network import DelayNetwork, clash_rows, max_delay
+from rmux.matching import (Matching, WeightMatrix, _conflicts_each, _discards,
+                           _drop_on_conflict, count_clashing_pairs,
                            hungarian_min_assignment, matching_metrics,
-                           resolve_clashes_optimal, sliding_window_match)
+                           sliding_window_match, virtual_weight_for)
 from rmux.mux_sim import BELL_GATE_PROB, BellStats, StrategyStats
 from rmux.percolation import (FUSION_SUCCESS_PROB, DiamondLattice,
                               OutcomeSemantics)
@@ -224,7 +226,7 @@ def window_pairs_direct(bins1, bins2, d_max, network):
         if b2 - b1 <= d_max:
             formed.append((b1, b2, b2 - b1))
             ptr += 1
-    return _drop_on_conflict(formed, _conflict_pairs(formed, network))
+    return _drop_on_conflict(formed, _conflicts_each([formed], network)[0])
 
 
 def _rmux_rate_direct(streams, s1, s2, gate_rng):
@@ -274,20 +276,74 @@ def bell_stats_direct(scheme, p1, s_total, n_bins, reps, seed) -> BellStats:
                      reps=reps, best_split=splits[best])
 
 
+def assignment_matrix_direct(st1, st2, d_max) -> WeightMatrix:
+    """The delay-cost matrix of two streams, one photon pair at a time: cost
+    b2 - b1 where 0 <= b2 - b1 <= min(d_max, n_bins - 1), else virtual, and
+    padded square with virtual vertices."""
+    bins1, bins2 = st1.occupied_bins, st2.occupied_bins
+    d_max = min(d_max, st2.n_bins - 1)
+    vw = virtual_weight_for(d_max)
+    n = max(bins1.size, bins2.size)
+    weights = np.full((n, n), vw, dtype=np.int64)
+    mask = np.ones((n, n), dtype=bool)
+    for i, b1 in enumerate(bins1.tolist()):
+        for j, b2 in enumerate(bins2.tolist()):
+            if 0 <= b2 - b1 <= d_max:
+                weights[i, j], mask[i, j] = b2 - b1, False
+    return WeightMatrix(n=n, weights=weights, virtual_mask=mask,
+                        virtual_weight=vw, row_bins=bins1, col_bins=bins2)
+
+
+def resolve_clashes_direct(m, W, network) -> Matching:
+    """The clash repair one step at a time, by its definition.
+
+    Each step scans the current pairs through `network` alone, keeps the
+    drop-the-later-pair candidate, marks the pair in the most clashes (the
+    last such) virtual and solves again, for at most W.n + 1 candidates; the
+    first with the most pairs and then the least delay wins.
+    """
+    if not m.pairs:
+        return m
+    weights, mask = W.weights.copy(), W.virtual_mask.copy()
+    current, candidates = sorted(m.pairs), []
+    for _ in range(W.n + 1):
+        rows = clash_rows([b1 for b1, _, _ in current],
+                          [d for _, _, d in current], network)
+        couples = sorted(set(map(tuple, rows[:, 2:].tolist())))
+        candidates.append(_drop_on_conflict(current, couples)[0])
+        if not couples:
+            break
+        hits = [0] * len(current)
+        for j, k in couples:
+            hits[j] += 1
+            hits[k] += 1
+        worst = max(range(len(current)), key=lambda i: (hits[i], i))
+        b1, b2, _ = current[worst]
+        cell = (W.row_bins.tolist().index(b1), W.col_bins.tolist().index(b2))
+        weights[cell], mask[cell] = W.virtual_weight, True
+        current = hungarian_min_assignment(WeightMatrix(
+            W.n, weights, mask, W.virtual_weight, W.row_bins, W.col_bins)).pairs
+    best = max(candidates, key=lambda pairs: (len(pairs),
+                                              -sum(d for _, _, d in pairs)))
+    return Matching(pairs=best, discarded=_discards(W.row_bins, W.col_bins,
+                                                    best, lost=m.pairs))
+
+
 def match_direct(st1, st2, network, strategy):
     """(Matching, MatchMetrics) of one strategy on one stream pair.
 
     realistic runs the window. Both Hungarian strategies solve their own
-    assignment: hungarian_with_clash repairs it whether or not it clashes,
-    and hungarian_no_clash counts the pairs its route clashes implicate.
+    assignment on `assignment_matrix_direct`: hungarian_with_clash repairs
+    it by `resolve_clashes_direct` whether or not it clashes, and
+    hungarian_no_clash counts the pairs its route clashes implicate.
     """
     if strategy == "realistic":
         m = sliding_window_match(st1, st2, network.max_delay, network)
         return m, matching_metrics(m, st1, st2)
-    W = build_assignment_matrix(st1, st2, network.max_delay)
+    W = assignment_matrix_direct(st1, st2, network.max_delay)
     m = hungarian_min_assignment(W)
     if strategy == "hungarian_with_clash":
-        m = resolve_clashes_optimal(m, W, network)
+        m = resolve_clashes_direct(m, W, network)
         return m, matching_metrics(m, st1, st2)
     met = matching_metrics(m, st1, st2)
     met.clash_rate = (count_clashing_pairs(m, network) / len(m.pairs)

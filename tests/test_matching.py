@@ -7,14 +7,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    assignment_matrix_direct,
     brute_force_assignment,
     oracle_routable,
+    resolve_clashes_direct,
     window_pairs_direct,
 )
 from rmux.delay_network import DelayNetwork, max_delay, route
+from rmux import matching
 from rmux.matching import (
     Matching,
-    _conflict_pairs,
+    _conflicts_each,
+    _repair_all,
+    _weight_matrices,
     _window_pairs,
     build_assignment_matrix,
     hungarian_min_assignment,
@@ -75,6 +80,46 @@ def test_empty_streams_give_empty_or_all_virtual_matrix():
     assert W.n == 0
     W2 = build_assignment_matrix(stream_at([1], 4), stream_at([], 4), 3)
     assert W2.n == 1 and W2.virtual_mask.all()
+
+
+def assert_same_matrix(got, want):
+    assert (got.n, got.virtual_weight) == (want.n, want.virtual_weight)
+    for field in ("weights", "virtual_mask", "row_bins", "col_bins"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype and a.shape == b.shape, field
+        assert (a == b).all(), field
+
+
+@st.composite
+def stream_pairs_and_counts(draw):
+    """Two seeded streams of the same length and distinct switch counts."""
+    p = draw(st.sampled_from([0.0, 0.1, 0.4, 0.8]))
+    n_bins = draw(st.integers(1, 40))
+    seed = draw(st.integers(0, 2**32 - 2))
+    switches = draw(st.lists(st.integers(1, 64), min_size=1, max_size=6,
+                             unique=True))
+    return (generate_stream(p, n_bins, seed),
+            generate_stream(p, n_bins, seed + 1), switches)
+
+
+# One difference matrix serves every count: each of its matrices equals the
+# per-count build and the pair-by-pair oracle, field by field.
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(stream_pairs_and_counts())
+@example((stream_at([], 4), stream_at([], 4), [1, 3]))       # no photons
+@example((stream_at([], 6), stream_at([1, 2], 6), [2]))      # one side empty
+@example((stream_at([0, 2, 3, 7], 9), stream_at([5], 9),     # unequal, s = 64
+          [64, 1, 4]))
+# Past 1000 bins the cap at n_bins - 1 sets the virtual weight at s = 64.
+@example((stream_at([0, 1500], 2000), stream_at([3], 2000), [64, 12]))
+def test_weight_matrices_equal_per_count_builds(case):
+    st1, st2, switches = case
+    got = _weight_matrices(st1.occupied_bins, st2.occupied_bins, st2.n_bins,
+                           [max_delay(s) for s in switches])
+    assert len(got) == len(switches)
+    for W, s in zip(got, switches):
+        assert_same_matrix(W, build_assignment_matrix(st1, st2, max_delay(s)))
+        assert_same_matrix(W, assignment_matrix_direct(st1, st2, max_delay(s)))
 
 
 # ---------------------------------------------------------------- solver
@@ -229,7 +274,66 @@ def test_conflict_pairs_match_couple_oracle(case):
     s, pairs = case
     want = [(j, k) for j, k in itertools.combinations(range(len(pairs)), 2)
             if not oracle_routable(pair_requests([pairs[j], pairs[k]]), s)]
-    assert _conflict_pairs(pairs, DelayNetwork(s)) == want
+    assert _conflicts_each([pairs], DelayNetwork(s)) == [want]
+
+
+@st.composite
+def repair_instances(draw):
+    """(p, n_bins, seed, switch count) of one to six stream pairs."""
+    return draw(st.lists(st.tuples(
+        st.sampled_from([0.0, 0.1, 0.3, 0.4]), st.integers(1, 120),
+        st.integers(0, 2**32 - 2), st.integers(1, 9)), min_size=1,
+        max_size=6))
+
+
+def no_clash_instances(specs):
+    """(Matching, WeightMatrix, network) of the no-clash assignment of each
+    (p, n_bins, seed, s)."""
+    out = []
+    for p, n_bins, seed, s in specs:
+        W = build_assignment_matrix(generate_stream(p, n_bins, seed),
+                                    generate_stream(p, n_bins, seed + 1),
+                                    max_delay(s))
+        out.append((hungarian_min_assignment(W), W, DelayNetwork(s)))
+    return out
+
+
+# p = 0.4 at 120 bins: three clashing instances whose lockstep repair runs
+# 9 rounds, one scan each.
+SEVERAL_ROUNDS = [(0.4, 120, 8, 4), (0.4, 120, 18, 6), (0.4, 120, 28, 8)]
+
+
+# The lockstep repair routes every instance through the largest network and
+# scans all of them once per round; each must come out as its own repair.
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(repair_instances())
+@example(SEVERAL_ROUNDS)
+@example([(0.0, 50, 1, 3), (0.1, 4, 2, 2), (0.4, 120, 8, 4)])  # empty, free
+def test_lockstep_repair_equals_per_instance_repairs(specs):
+    instances = no_clash_instances(specs)
+    got = _repair_all([(m.pairs, W) for m, W, _net in instances],
+                      max((net for *_, net in instances),
+                          key=lambda net: net.s))
+    assert got == [resolve_clashes_optimal(m, W, net)
+                   for m, W, net in instances]
+    assert got == [resolve_clashes_direct(m, W, net)
+                   for m, W, net in instances]
+
+
+def test_lockstep_repair_scans_once_per_round(monkeypatch):
+    scans = []
+    conflicts_each = matching._conflicts_each
+
+    def counting(instances, network):
+        scans.append(len(instances))
+        return conflicts_each(instances, network)
+
+    monkeypatch.setattr(matching, "_conflicts_each", counting)
+    instances = no_clash_instances(SEVERAL_ROUNDS)
+    _repair_all([(m.pairs, W) for m, W, _net in instances], DelayNetwork(8))
+    # Every instance clashes; each round scans those still being repaired.
+    assert len(scans) == 9 and scans[0] == 3
+    assert scans == sorted(scans, reverse=True)
 
 
 def test_resolve_empty_matching():

@@ -9,10 +9,9 @@ from oracles import bell_stats_direct, match_direct, two_stream_stats_direct
 from rmux import mux_sim
 from rmux.delay_network import DelayNetwork, max_delay
 from rmux.experiments import ExperimentConfig, run_experiment
-from rmux.matching import _conflict_pairs, count_clashing_pairs
+from rmux.matching import _conflicts, _conflicts_each, count_clashing_pairs
 from rmux.mux_sim import (
     STRATEGIES,
-    _clashing,
     _match_all,
     rmux_splits,
     simulate_bell_rmux,
@@ -111,18 +110,56 @@ def test_one_call_for_all_strategies_equals_per_instance_oracle(p, n_bins,
         for strategy in strategies for s in switches]
 
 
+def _record_batches(monkeypatch) -> list:
+    """Photon counts of the repetitions of each block, as they are made."""
+    seen = []
+    batches = mux_sim._batches
+
+    def recording(*args):
+        for batch in batches(*args):
+            seen.append([sum(st.photon_count for st in rep)
+                         for _child, rep in batch])
+            yield batch
+
+    monkeypatch.setattr(mux_sim, "_batches", recording)
+    return seen
+
+
+# Several blocks and a last one cut short by the repetition count: at the
+# default size (about 8 repetitions a block at p = 0.1 and 200 bins), and at
+# two repetitions a block on clash-heavy streams.
+@pytest.mark.parametrize("p, n_bins, reps, block_photons", [
+    (0.1, 200, 40, None), (0.4, 120, 7, 150)])
+def test_two_stream_blocks_equal_per_instance_oracle(monkeypatch, p, n_bins,
+                                                     reps, block_photons):
+    if block_photons is not None:
+        monkeypatch.setattr(mux_sim, "MATCH_BLOCK_PHOTONS", block_photons)
+    limit = mux_sim.MATCH_BLOCK_PHOTONS
+    seen = _record_batches(monkeypatch)
+    switches = [5, 1, 8, 3, 6]
+    got = simulate_two_stream(p, switches, n_bins, STRATEGIES, reps, seed=19)
+    assert len(seen) >= 3 and sum(map(len, seen)) == reps
+    assert all(sum(block) >= limit for block in seen[:-1])
+    assert sum(seen[-1]) < limit
+    assert list(got.items()) == [
+        ((strategy, s),
+         two_stream_stats_direct(p, s, n_bins, strategy, reps, 19))
+        for strategy in STRATEGIES for s in switches]
+
+
 @pytest.mark.parametrize("p, n_bins", [(0.1, 300), (0.4, 120), (0.0, 50)])
 def test_match_all_equals_per_instance_oracle(p, n_bins):
     # A repair often finds another assignment of the same size and weight,
-    # which the aggregate metrics cannot tell apart: compare the pairs.
+    # which the aggregate metrics cannot tell apart: compare the pairs. One
+    # block of six stream pairs, each checked on its own.
     networks = [DelayNetwork(s) for s in (5, 1, 8, 3, 6)]
-    for seed in range(0, 12, 2):
-        st1 = generate_stream(p, n_bins, seed)
-        st2 = generate_stream(p, n_bins, seed + 1)
-        assert _match_all(st1, st2, networks, STRATEGIES) == {
-            strategy: [match_direct(st1, st2, net, strategy)
-                       for net in networks]
-            for strategy in STRATEGIES}, seed
+    stream_pairs = [(generate_stream(p, n_bins, seed),
+                     generate_stream(p, n_bins, seed + 1))
+                    for seed in range(0, 12, 2)]
+    assert _match_all(stream_pairs, networks, STRATEGIES) == {
+        strategy: [[match_direct(st1, st2, net, strategy) for net in networks]
+                   for st1, st2 in stream_pairs]
+        for strategy in STRATEGIES}
 
 
 @strats.composite
@@ -148,9 +185,11 @@ def clash_instances(draw):
 @example(([64, 3], [[(0, 3, 3), (1, 3, 2)], [(0, 3, 3), (1, 3, 2)]]))
 def test_one_axis_scan_equals_per_instance_conflicts(case):
     switches, instances = case
-    got = _clashing(instances, DelayNetwork(max(switches)))
-    assert got == {i for i, (s, pairs) in enumerate(zip(switches, instances))
-                   if _conflict_pairs(pairs, DelayNetwork(s))}
+    # Couples, not just which instances clash: the repair reads them.
+    got = _conflicts_each(instances, DelayNetwork(max(switches)))
+    assert got == [_conflicts([b1 for b1, _b2, _d in pairs],
+                              [d for _b1, _b2, d in pairs], DelayNetwork(s))
+                   for s, pairs in zip(switches, instances)]
 
 
 @strats.composite
@@ -181,8 +220,8 @@ def stream_pairs(draw):
 def test_no_clash_rate_equals_route_count(case):
     st1, st2, switches = case
     networks = [DelayNetwork(s) for s in switches]
-    got = _match_all(st1, st2, networks, ["hungarian_no_clash"])
-    for (m, met), net in zip(got["hungarian_no_clash"], networks):
+    got = _match_all([(st1, st2)], networks, ["hungarian_no_clash"])
+    for (m, met), net in zip(got["hungarian_no_clash"][0], networks):
         want = (count_clashing_pairs(m, net) / len(m.pairs) if m.pairs
                 else 0.0)
         assert met.clash_rate == want, net.s
