@@ -38,12 +38,22 @@ def _given(args) -> dict:
     return {k: v for k, v in vars(args).items() if v is not None}
 
 
+def _unread(args, mode: str, *names):
+    """Reject any option of `names` set on the command line: `mode` never
+    reads it."""
+    for name in names:
+        if getattr(args, name) not in (None, False):
+            raise ValueError(f"--{name.replace('_', '-')} is not read by {mode}")
+
+
 def _cmd_analytics(args) -> int:
     params = _given(args)
     if args.mode == "table":
+        _unread(args, "analytics --mode table", "etas")
         rows = experiments.table1_rows(params)[0]
         _emit(experiments.TABLE1_HEADER, rows, args.out)
     else:
+        _unread(args, "analytics --mode waste", "eta", "p1", "p2")
         params.update(ps_min=args.ps, ps_max=args.ps)
         if args.etas:
             params["etas"] = ",".join(args.etas)
@@ -77,6 +87,7 @@ def _cmd_match(args) -> int:
             _emit(["photon_id", "arrival_bin", "delay", "stage", "rail",
                    "bin_at_stage"], rows, args.dump_routes)
         return 0
+    _unread(args, "match without --stream1 or --stream2", "dump_routes")
     rows = experiments.two_stream_sweep(_given(args), [args.strategy],
                                         args.seed)[0]
     _emit(experiments.TWO_STREAM_HEADER, rows, args.out)
@@ -95,6 +106,7 @@ def _cmd_percolate(args) -> int:
     # The parser reads only the semantics keys; unset flags keep the preset.
     _name, sem = semantics_from(params)
     if args.mode == "prob":
+        _unread(args, "percolate --mode prob", "equal_ancilla_loss")
         est, err = percolation.percolation_probability(
             args.L, args.scheme, args.p_l, args.a_l, args.trials, args.seed,
             sem)
@@ -108,6 +120,7 @@ def _cmd_percolate(args) -> int:
         _emit(["scheme", "target", "a_l", "p_l_threshold"],
               [(args.scheme, args.target, a_col, thr)], args.out)
     else:
+        _unread(args, "percolate --mode frontier", "equal_ancilla_loss")
         grid = experiments._param_list(params, "a_l_grid", "", float)
         frontier = percolation.tradeoff_frontier(
             args.scheme, args.target, grid, args.L, args.trials, args.seed, sem)

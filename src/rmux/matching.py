@@ -43,14 +43,23 @@ REASON_UNPAIRED = "unpaired"
 
 @dataclass
 class WeightMatrix:
-    """Square cost matrix of an instance, with virtual entries marked."""
+    """Square cost matrix of an instance. An entry is virtual (an infeasible
+    edge or a padding vertex) exactly when it equals `virtual_weight`, which
+    exceeds every real delay."""
 
-    n: int
     weights: np.ndarray            # (n, n) int64
-    virtual_mask: np.ndarray       # (n, n) bool, True = virtual edge/vertex
     virtual_weight: int
     row_bins: np.ndarray           # stream-1 bin of each real row
     col_bins: np.ndarray           # stream-2 bin of each real column
+
+    @property
+    def n(self) -> int:
+        return len(self.weights)
+
+    @property
+    def virtual_mask(self) -> np.ndarray:
+        """(n, n) bool, True = virtual edge/vertex."""
+        return self.weights == self.virtual_weight
 
 
 @dataclass
@@ -93,11 +102,8 @@ def _weight_matrices(bins1, bins2, n_bins: int, d_maxes) -> list:
     fill = np.array(vws, dtype=np.int64)[:, None, None]
     weights = np.broadcast_to(fill, (len(caps), n, n)).copy()
     weights[:, :n1, :n2] = np.where(real, diff, fill)
-    mask = np.ones((len(caps), n, n), dtype=bool)
-    mask[:, :n1, :n2] = ~real
-    return [WeightMatrix(n=n, weights=w, virtual_mask=v, virtual_weight=vw,
-                         row_bins=bins1, col_bins=bins2)
-            for w, v, vw in zip(weights, mask, vws)]
+    return [WeightMatrix(weights=w, virtual_weight=vw, row_bins=bins1,
+                         col_bins=bins2) for w, vw in zip(weights, vws)]
 
 
 def build_assignment_matrix(s1: PhotonStream, s2: PhotonStream,
@@ -135,7 +141,7 @@ def _assignment_pairs(W: WeightMatrix) -> list:
     """The optimal assignment's real pairs (b1, b2, delay) in stream-1 bin
     order: the solver returns the rows in order."""
     rows, cols = _linear_sum_assignment(W.weights)
-    real = ~W.virtual_mask[rows, cols]
+    real = W.weights[rows, cols] != W.virtual_weight
     firsts = W.row_bins[rows[real]].tolist()
     seconds = W.col_bins[cols[real]].tolist()
     return [(b1, b2, b2 - b1) for b1, b2 in zip(firsts, seconds)]
@@ -214,16 +220,6 @@ def _lost_on_conflict(conflicts) -> set:
     return lost
 
 
-def _drop_on_conflict(pairs, conflicts):
-    """Keep pairs in order, discarding any pair that clashes with a kept one
-    (see `_lost_on_conflict`)."""
-    if not conflicts:
-        return pairs, []
-    lost = _lost_on_conflict(conflicts)
-    return ([p for i, p in enumerate(pairs) if i not in lost],
-            [p for i, p in enumerate(pairs) if i in lost])
-
-
 def _repair_all(instances, network: DelayNetwork) -> list:
     """`resolve_clashes_optimal` of every (pairs, W) instance, in lockstep.
 
@@ -233,8 +229,7 @@ def _repair_all(instances, network: DelayNetwork) -> list:
     several ascending networks does: see `rmux.mux_sim`). Returns one
     Matching per instance.
     """
-    Ws = [replace(W, weights=W.weights.copy(),
-                  virtual_mask=W.virtual_mask.copy()) for _pairs, W in instances]
+    Ws = [replace(W, weights=W.weights.copy()) for _pairs, W in instances]
     current = [sorted(pairs) for pairs, _W in instances]
     candidates = [[] for _ in instances]
     active = list(range(len(instances)))
@@ -242,7 +237,9 @@ def _repair_all(instances, network: DelayNetwork) -> list:
         repairing = []
         for i, conflicts in zip(active, _conflicts_each(
                 [current[i] for i in active], network)):
-            candidates[i].append(_drop_on_conflict(current[i], conflicts)[0])
+            lost = _lost_on_conflict(conflicts)
+            candidates[i].append([p for j, p in enumerate(current[i])
+                                  if j not in lost])
             W = Ws[i]
             if not conflicts or len(candidates[i]) > W.n:
                 continue
@@ -252,7 +249,6 @@ def _repair_all(instances, network: DelayNetwork) -> list:
             cell = (np.searchsorted(W.row_bins, b1),
                     np.searchsorted(W.col_bins, b2))
             W.weights[cell] = W.virtual_weight
-            W.virtual_mask[cell] = True
             current[i] = _assignment_pairs(W)
             repairing.append(i)
         active = repairing

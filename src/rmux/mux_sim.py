@@ -144,20 +144,15 @@ def match_streams(s1: PhotonStream, s2: PhotonStream, network: DelayNetwork,
     return _match_all([(s1, s2)], [network], [strategy])[strategy][0][0]
 
 
-def _repetitions(p: float, n_bins: int, reps: int, seed: int, n_streams: int):
-    """(child, streams) of repetition r: child r of SeedSequence(seed), whose
-    first generated words seed the repetition's `n_streams` streams."""
-    for child in np.random.SeedSequence(seed).spawn(reps):
-        words = child.generate_state(n_streams, dtype=np.uint64)
-        yield child, [generate_stream(p, n_bins, int(w)) for w in words]
-
-
 def _batches(p: float, n_bins: int, reps: int, seed: int, n_streams: int,
              photons: int):
-    """Lists of consecutive `_repetitions`, each closed once it holds
-    `photons` photons or BLOCK_BINS stream bins."""
+    """Lists of consecutive repetitions (child r of SeedSequence(seed), the
+    `n_streams` streams its first generated words seed), each closed once it
+    holds `photons` photons or BLOCK_BINS stream bins."""
     batch, count = [], 0
-    for child, rep in _repetitions(p, n_bins, reps, seed, n_streams):
+    for child in np.random.SeedSequence(seed).spawn(reps):
+        words = child.generate_state(n_streams, dtype=np.uint64)
+        rep = [generate_stream(p, n_bins, int(w)) for w in words]
         batch.append((child, rep))
         count += sum(st.photon_count for st in rep)
         if count >= photons or n_streams * n_bins * len(batch) >= BLOCK_BINS:
@@ -279,14 +274,6 @@ class _Block(NamedTuple):
                                for r, st in enumerate(self.streams)])
 
 
-def _blocks(p1: float, n_bins: int, reps: int, seed: int):
-    """(children, _Block) of consecutive repetitions, closing each block at
-    BLOCK_PHOTONS photons or BLOCK_BINS stream bins."""
-    for batch in _batches(p1, n_bins, reps, seed, 4, BLOCK_PHOTONS):
-        yield ([child for child, _rep in batch],
-               _Block([rep for _child, rep in batch], n_bins))
-
-
 def _standard_stage1(block: _Block, s1: int) -> np.ndarray:
     """Stage 1 of the standard scheme: per repetition (row), the w1-bin
     windows (w1 = max_delay(s1) + 1) in which every stream holds a photon,
@@ -389,11 +376,12 @@ def simulate_bell_sweep(p1: float, budgets, n_bins: int, reps: int, seed: int,
     n_gates = max(map(len, plan.values()))
     rates = {key: np.zeros((len(splits), reps)) for key, splits in plan.items()}
     r0 = 0
-    for children, block in _blocks(p1, n_bins, reps, seed):
+    for batch in _batches(p1, n_bins, reps, seed, 4, BLOCK_PHOTONS):
+        block = _Block([rep for _child, rep in batch], n_bins)
         # One spawn per repetition for every budget: a second call would
         # advance the child's spawn counter and move every later key.
-        gate_seeds = [child.spawn(n_gates) for child in children]
-        block_reps = slice(r0, r0 + len(children))
+        gate_seeds = [child.spawn(n_gates) for child, _rep in batch]
+        block_reps = slice(r0, r0 + len(batch))
         for i in range(n_gates):
             # gate_ok[r, k]: repetition r's k-th gate at split i succeeds.
             gate_ok = np.stack([np.random.default_rng(seeds[i]).random(n_bins)
@@ -406,7 +394,7 @@ def simulate_bell_sweep(p1: float, budgets, n_bins: int, reps: int, seed: int,
                 for key, s2 in s2s.items():
                     rates[key][i, block_reps] = rate_fn(
                         stage1, s2, gate_ok, block)
-        r0 += len(children)
+        r0 += len(batch)
     stats = {}
     for (scheme, budget), splits in plan.items():
         split_rates = rates[(scheme, budget)]

@@ -12,7 +12,9 @@ program's prefix scan, and the two-stream oracle simulates one strategy and
 one switch count at a time, sampling every repetition again, solving every
 assignment on its own and repairing every one, one scan of its own network
 per repair step. The weight-matrix oracle fills the matrix photon pair by
-photon pair.
+photon pair and builds its virtual mask beside it, and the window and
+repair oracles keep a pair unless it clashes with an earlier kept one by
+their own loop over the couples `clash_rows` lists.
 """
 
 import itertools
@@ -21,10 +23,10 @@ from collections import deque
 import numpy as np
 
 from rmux.delay_network import DelayNetwork, clash_rows, max_delay
-from rmux.matching import (Matching, WeightMatrix, _conflicts_each, _discards,
-                           _drop_on_conflict, count_clashing_pairs,
-                           hungarian_min_assignment, matching_metrics,
-                           sliding_window_match, virtual_weight_for)
+from rmux.matching import (Matching, WeightMatrix, _discards,
+                           count_clashing_pairs, hungarian_min_assignment,
+                           matching_metrics, sliding_window_match,
+                           virtual_weight_for)
 from rmux.mux_sim import BELL_GATE_PROB, BellStats, StrategyStats
 from rmux.percolation import (FUSION_SUCCESS_PROB, DiamondLattice,
                               OutcomeSemantics)
@@ -208,6 +210,28 @@ def _standard_rate_direct(streams, s1, s2, gate_rng):
     return float(delivered) / n_bins
 
 
+def clash_couples(pairs, network):
+    """Sorted couples (a, b), a < b, of the (b1, b2, delay) pairs whose forced
+    paths meet, read from `clash_rows`."""
+    rows = clash_rows([b1 for b1, _, _ in pairs], [d for _, _, d in pairs],
+                      network)
+    return sorted(set(map(tuple, rows[:, 2:].tolist())))
+
+
+def keep_unless_clashing(pairs, couples):
+    """(kept, dropped): `pairs` in order, each kept unless one of `couples`
+    ties it to an earlier kept pair."""
+    earlier = {}
+    for a, b in couples:
+        earlier.setdefault(b, []).append(a)
+    kept = set()
+    for i in range(len(pairs)):
+        if not kept.intersection(earlier.get(i, ())):
+            kept.add(i)
+    return ([p for i, p in enumerate(pairs) if i in kept],
+            [p for i, p in enumerate(pairs) if i not in kept])
+
+
 def window_pairs_direct(bins1, bins2, d_max, network):
     """(kept, dropped) pairs of the sliding window, by its pointer loop.
 
@@ -226,7 +250,7 @@ def window_pairs_direct(bins1, bins2, d_max, network):
         if b2 - b1 <= d_max:
             formed.append((b1, b2, b2 - b1))
             ptr += 1
-    return _drop_on_conflict(formed, _conflicts_each([formed], network)[0])
+    return keep_unless_clashing(formed, clash_couples(formed, network))
 
 
 def _rmux_rate_direct(streams, s1, s2, gate_rng):
@@ -276,10 +300,11 @@ def bell_stats_direct(scheme, p1, s_total, n_bins, reps, seed) -> BellStats:
                      reps=reps, best_split=splits[best])
 
 
-def assignment_matrix_direct(st1, st2, d_max) -> WeightMatrix:
-    """The delay-cost matrix of two streams, one photon pair at a time: cost
-    b2 - b1 where 0 <= b2 - b1 <= min(d_max, n_bins - 1), else virtual, and
-    padded square with virtual vertices."""
+def assignment_matrix_direct(st1, st2, d_max) -> tuple:
+    """(WeightMatrix, virtual mask) of two streams, one photon pair at a
+    time: cost b2 - b1 where 0 <= b2 - b1 <= min(d_max, n_bins - 1), else
+    virtual, and padded square with virtual vertices. The mask is built
+    beside the weights, not read from them."""
     bins1, bins2 = st1.occupied_bins, st2.occupied_bins
     d_max = min(d_max, st2.n_bins - 1)
     vw = virtual_weight_for(d_max)
@@ -290,8 +315,8 @@ def assignment_matrix_direct(st1, st2, d_max) -> WeightMatrix:
         for j, b2 in enumerate(bins2.tolist()):
             if 0 <= b2 - b1 <= d_max:
                 weights[i, j], mask[i, j] = b2 - b1, False
-    return WeightMatrix(n=n, weights=weights, virtual_mask=mask,
-                        virtual_weight=vw, row_bins=bins1, col_bins=bins2)
+    return WeightMatrix(weights=weights, virtual_weight=vw, row_bins=bins1,
+                        col_bins=bins2), mask
 
 
 def resolve_clashes_direct(m, W, network) -> Matching:
@@ -304,13 +329,11 @@ def resolve_clashes_direct(m, W, network) -> Matching:
     """
     if not m.pairs:
         return m
-    weights, mask = W.weights.copy(), W.virtual_mask.copy()
+    weights = W.weights.copy()
     current, candidates = sorted(m.pairs), []
     for _ in range(W.n + 1):
-        rows = clash_rows([b1 for b1, _, _ in current],
-                          [d for _, _, d in current], network)
-        couples = sorted(set(map(tuple, rows[:, 2:].tolist())))
-        candidates.append(_drop_on_conflict(current, couples)[0])
+        couples = clash_couples(current, network)
+        candidates.append(keep_unless_clashing(current, couples)[0])
         if not couples:
             break
         hits = [0] * len(current)
@@ -320,9 +343,9 @@ def resolve_clashes_direct(m, W, network) -> Matching:
         worst = max(range(len(current)), key=lambda i: (hits[i], i))
         b1, b2, _ = current[worst]
         cell = (W.row_bins.tolist().index(b1), W.col_bins.tolist().index(b2))
-        weights[cell], mask[cell] = W.virtual_weight, True
+        weights[cell] = W.virtual_weight
         current = hungarian_min_assignment(WeightMatrix(
-            W.n, weights, mask, W.virtual_weight, W.row_bins, W.col_bins)).pairs
+            weights, W.virtual_weight, W.row_bins, W.col_bins)).pairs
     best = max(candidates, key=lambda pairs: (len(pairs),
                                               -sum(d for _, _, d in pairs)))
     return Matching(pairs=best, discarded=_discards(W.row_bins, W.col_bins,
@@ -340,7 +363,7 @@ def match_direct(st1, st2, network, strategy):
     if strategy == "realistic":
         m = sliding_window_match(st1, st2, network.max_delay, network)
         return m, matching_metrics(m, st1, st2)
-    W = assignment_matrix_direct(st1, st2, network.max_delay)
+    W, _mask = assignment_matrix_direct(st1, st2, network.max_delay)
     m = hungarian_min_assignment(W)
     if strategy == "hungarian_with_clash":
         m = resolve_clashes_direct(m, W, network)

@@ -295,6 +295,36 @@ def test_percolate_frontier_rejects_degenerate_grid(grid, capsys,
             in capsys.readouterr().err)
 
 
+# An option the chosen mode never reads is rejected by name before anything
+# is sampled or written, instead of being ignored.
+@pytest.mark.parametrize("argv, message", [
+    (["match", "--reps", "2", "--bins", "50", "--dump-routes", "routes.csv"],
+     "error: --dump-routes is not read by match without --stream1 or "
+     "--stream2"),
+    (["analytics", "--mode", "table", "--etas", "0.1"],
+     "error: --etas is not read by analytics --mode table"),
+    (["analytics", "--mode", "waste", "--eta", "0.1"],
+     "error: --eta is not read by analytics --mode waste"),
+    (["analytics", "--mode", "waste", "--p1", "0.9", "--p2", "0.9"],
+     "error: --p1 is not read by analytics --mode waste"),
+    (["analytics", "--mode", "waste", "--p2", "0.9"],
+     "error: --p2 is not read by analytics --mode waste"),
+    (["percolate", "--L", "4", "--trials", "10", "--equal-ancilla-loss"],
+     "error: --equal-ancilla-loss is not read by percolate --mode prob"),
+    (["percolate", "--mode", "frontier", "--L", "4", "--trials", "10",
+      "--equal-ancilla-loss"],
+     "error: --equal-ancilla-loss is not read by percolate --mode frontier"),
+])
+def test_options_the_mode_never_reads_are_rejected(
+        tmp_path, capsys, monkeypatch, forbid_streams, argv, message):
+    _forbid_sampling(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--out", "out.csv"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == message + "\n" and captured.out == ""
+    assert not list(tmp_path.iterdir())
+
+
 def test_semantics_booleans_parse_strictly():
     for word, value in (("1", True), ("TRUE", True), ("yes", True),
                         ("On", True), ("0", False), ("false", False),

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 
@@ -82,6 +83,19 @@ def test_empty_streams_give_empty_or_all_virtual_matrix():
     assert W2.n == 1 and W2.virtual_mask.all()
 
 
+def test_weight_matrix_derives_size_and_virtual_mask():
+    # The weights are the one record: marking an entry virtual there is all
+    # a repair does, and the size and mask cannot be set apart from them.
+    W = build_assignment_matrix(stream_at([0, 5], 8), stream_at([2], 8), 3)
+    assert [field.name for field in dataclasses.fields(W)] == [
+        "weights", "virtual_weight", "row_bins", "col_bins"]
+    W.weights[0, 0] = W.virtual_weight
+    assert W.n == 2 and W.virtual_mask.all()
+    for name in ("n", "virtual_mask"):
+        with pytest.raises(AttributeError):
+            setattr(W, name, getattr(W, name))
+
+
 def assert_same_matrix(got, want):
     assert (got.n, got.virtual_weight) == (want.n, want.virtual_weight)
     for field in ("weights", "virtual_mask", "row_bins", "col_bins"):
@@ -119,7 +133,10 @@ def test_weight_matrices_equal_per_count_builds(case):
     assert len(got) == len(switches)
     for W, s in zip(got, switches):
         assert_same_matrix(W, build_assignment_matrix(st1, st2, max_delay(s)))
-        assert_same_matrix(W, assignment_matrix_direct(st1, st2, max_delay(s)))
+        want, mask = assignment_matrix_direct(st1, st2, max_delay(s))
+        assert_same_matrix(W, want)
+        assert W.virtual_mask.dtype == bool and W.virtual_mask.shape == mask.shape
+        assert (W.virtual_mask == mask).all()
 
 
 # ---------------------------------------------------------------- solver
