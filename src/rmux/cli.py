@@ -40,24 +40,26 @@ def _given(args) -> dict:
 
 def _unread(args, mode: str, *names):
     """Reject any option of `names` set on the command line: `mode` never
-    reads it."""
+    reads it. An option set to 0 is set, hence `is` (0 == False)."""
     for name in names:
-        if getattr(args, name) not in (None, False):
+        value = getattr(args, name)
+        if value is not None and value is not False:
             raise ValueError(f"--{name.replace('_', '-')} is not read by {mode}")
 
 
 def _cmd_analytics(args) -> int:
     params = _given(args)
     if args.mode == "table":
-        _unread(args, "analytics --mode table", "etas")
+        _unread(args, "analytics --mode table", "etas", "ps", "p_min")
         rows = experiments.table1_rows(params)[0]
         _emit(experiments.TABLE1_HEADER, rows, args.out)
     else:
         _unread(args, "analytics --mode waste", "eta", "p1", "p2")
-        params.update(ps_min=args.ps, ps_max=args.ps)
+        ps = params.get("ps", 0.93)
+        params.update(ps_min=ps, ps_max=ps)
         if args.etas:
             params["etas"] = ",".join(args.etas)
-        rows = experiments.fig2_rows(params, p_min=args.p_min)[0]
+        rows = experiments.fig2_rows(params, p_min=params.get("p_min", 0.8))[0]
         _emit(experiments.FIG2_HEADER, rows, args.out)
     return 0
 
@@ -70,6 +72,7 @@ def _load_or_generate(path, p, bins, seed):
 
 def _cmd_match(args) -> int:
     if args.stream1 or args.stream2:
+        _unread(args, "match with --stream1 or --stream2", "reps")
         net = delay_network.DelayNetwork(args.switches)
         s1 = _load_or_generate(args.stream1, args.p, args.bins, args.seed)
         s2 = _load_or_generate(args.stream2, args.p, args.bins, args.seed + 1)
@@ -105,27 +108,34 @@ def _cmd_percolate(args) -> int:
     params = _given(args)
     # The parser reads only the semantics keys; unset flags keep the preset.
     _name, sem = semantics_from(params)
+    p_l, a_l = params.get("p_l", 0.0), params.get("a_l", 0.0)
+    target = params.get("target", 0.90)
     if args.mode == "prob":
-        _unread(args, "percolate --mode prob", "equal_ancilla_loss")
+        _unread(args, "percolate --mode prob", "target", "a_l_grid",
+                "equal_ancilla_loss")
         est, err = percolation.percolation_probability(
-            args.L, args.scheme, args.p_l, args.a_l, args.trials, args.seed,
-            sem)
+            args.L, args.scheme, p_l, a_l, args.trials, args.seed, sem)
         _emit(["scheme", "L", "p_l", "a_l", "perc_prob", "stderr"],
-              [(args.scheme, args.L, args.p_l, args.a_l, est, err)], args.out)
+              [(args.scheme, args.L, p_l, a_l, est, err)], args.out)
     elif args.mode == "threshold":
+        _unread(args, "percolate --mode threshold", "p_l", "a_l_grid")
+        if args.equal_ancilla_loss:
+            _unread(args, "percolate --mode threshold --equal-ancilla-loss",
+                    "a_l")
         thr = percolation.loss_threshold(
-            args.scheme, args.target, args.a_l, args.L, args.trials,
-            args.seed, sem, equal_ancilla_loss=args.equal_ancilla_loss)
-        a_col = "scan" if args.equal_ancilla_loss else args.a_l
+            args.scheme, target, a_l, args.L, args.trials, args.seed, sem,
+            equal_ancilla_loss=args.equal_ancilla_loss)
+        a_col = "scan" if args.equal_ancilla_loss else a_l
         _emit(["scheme", "target", "a_l", "p_l_threshold"],
-              [(args.scheme, args.target, a_col, thr)], args.out)
+              [(args.scheme, target, a_col, thr)], args.out)
     else:
-        _unread(args, "percolate --mode frontier", "equal_ancilla_loss")
-        grid = experiments._param_list(params, "a_l_grid", "", float)
+        _unread(args, "percolate --mode frontier", "p_l", "a_l",
+                "equal_ancilla_loss")
+        grid = experiments._param_list(params, "a_l_grid",
+                                       "0,0.005,0.01,0.015,0.02,0.025", float)
         frontier = percolation.tradeoff_frontier(
-            args.scheme, args.target, grid, args.L, args.trials, args.seed, sem)
-        rows = [(args.scheme, args.target, a, thr)
-                for a, thr in frontier.points]
+            args.scheme, target, grid, args.L, args.trials, args.seed, sem)
+        rows = [(args.scheme, target, a, thr) for a, thr in frontier.points]
         _emit(["scheme", "target", "a_l", "p_l_threshold"], rows, args.out)
         sys.stderr.write(f"linear fit: slope={frontier.slope:.4f} "
                          f"intercept={frontier.intercept:.5f} "
@@ -178,8 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--eta", type=float)
     pa.add_argument("--p1", type=float)
     pa.add_argument("--p2", type=float)
-    pa.add_argument("--ps", type=float, default=0.93)
-    pa.add_argument("--p-min", type=float, default=0.8)
+    pa.add_argument("--ps", type=float)
+    pa.add_argument("--p-min", type=float)
     pa.add_argument("--etas", nargs="+")
     pa.add_argument("--out")
     pa.set_defaults(func=_cmd_analytics)
@@ -190,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--bins", type=int, default=1000)
     pm.add_argument("--strategy", choices=list(mux_sim.STRATEGIES),
                     default="realistic")
-    pm.add_argument("--reps", type=int, default=100)
+    pm.add_argument("--reps", type=int)
     pm.add_argument("--seed", type=int, default=1234)
     pm.add_argument("--stream1", help="stream fixture file (single-instance mode)")
     pm.add_argument("--stream2", help="stream fixture file (single-instance mode)")
@@ -215,10 +225,10 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--scheme", choices=["rmux", "standard"], default="rmux")
     pp.add_argument("--L", type=int, default=10)
     pp.add_argument("--trials", type=int, default=2000)
-    pp.add_argument("--p-l", type=float, default=0.0)
-    pp.add_argument("--a-l", type=float, default=0.0)
-    pp.add_argument("--target", type=float, default=0.90)
-    pp.add_argument("--a-l-grid", default="0,0.005,0.01,0.015,0.02,0.025")
+    pp.add_argument("--p-l", type=float)
+    pp.add_argument("--a-l", type=float)
+    pp.add_argument("--target", type=float)
+    pp.add_argument("--a-l-grid")
     pp.add_argument("--equal-ancilla-loss", action="store_true",
                     help="scan ancilla loss jointly at the photon rate")
     pp.add_argument("--seed", type=int, default=1234)

@@ -15,21 +15,24 @@ Infeasible pairings and count imbalance are handled with virtual edges and
 virtual vertices whose weight dwarfs any real edge, and pairings that touch
 anything virtual are pruned from the result.
 
-Every strategy returns its pairs sorted by stream-1 bin, plus one discard
-record (bin, stream, reason) per unmatched photon: all of stream 1, then
-all of stream 2, each in bin order. The reason is "clash" if the photon
-lost its pair to clash handling (a pair the window formed and dropped, or a
-pair of the assignment the repair started from), otherwise "range" if the
-other stream has a photon in its feasible time direction (at or after it
-for stream 1, at or before it for stream 2), so a larger delay network
-could in principle have matched it, and "unpaired" if it has none.
+Every strategy returns a `Matching` of what it decided: its pairs, sorted
+by stream-1 bin, the pairs clash handling gave up (a pair the window formed
+and dropped, or a pair of the assignment the repair started from) and the
+two streams' occupied bins. Its discard records are derived from these when
+first read, one (bin, stream, reason) per unmatched photon: all of stream 1,
+then all of stream 2, each in bin order. The reason is "clash" if the photon
+lost its pair to clash handling, otherwise "range" if the other stream has
+a photon in its feasible time direction (at or after it for stream 1, at or
+before it for stream 2), so a larger delay network could in principle have
+matched it, and "unpaired" if it has none.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import chain
 from dataclasses import dataclass, replace
+from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -62,16 +65,44 @@ class WeightMatrix:
         return self.weights == self.virtual_weight
 
 
-@dataclass
+@dataclass(eq=False)
 class Matching:
-    """Pairs plus per-photon discard records for one instance."""
+    """What a strategy decided for one instance; two matchings are equal
+    when their pairs and discard records are."""
 
     pairs: list                    # (stream1_bin, stream2_bin, delay)
-    discarded: list                # (bin, stream "1"|"2", reason)
+    bins1: np.ndarray              # stream-1 occupied bins, sorted
+    bins2: np.ndarray              # stream-2 occupied bins, sorted
+    lost: list = ()                # pairs that clash handling gave up
 
     @property
     def total_weight(self) -> int:
         return int(sum(d for _, _, d in self.pairs))
+
+    @cached_property
+    def discarded(self) -> list:
+        """(bin, stream "1"|"2", reason) of each photon `pairs` leaves
+        unmatched: stream 1 then stream 2, each in bin order, with the
+        reasons of the module docstring."""
+        bins1, bins2 = self.bins1, self.bins2
+        # Per stream, the (lo, hi) bins whose photons have a counterpart in
+        # their feasible time direction.
+        reach = ((0, int(bins2[-1]) if bins2.size else -1),
+                 (int(bins1[0]) if bins1.size else np.inf, np.inf))
+        records = []
+        for side, (stream, bins) in enumerate((("1", bins1), ("2", bins2))):
+            matched = {p[side] for p in self.pairs}
+            clashed = {p[side] for p in self.lost}
+            lo, hi = reach[side]
+            records += [(b, stream, REASON_CLASH if b in clashed
+                         else REASON_RANGE if lo <= b <= hi
+                         else REASON_UNPAIRED)
+                        for b in bins.tolist() if b not in matched]
+        return records
+
+    def __eq__(self, other):
+        return (isinstance(other, Matching) and self.pairs == other.pairs
+                and self.discarded == other.discarded)
 
 
 @dataclass
@@ -147,33 +178,9 @@ def _assignment_pairs(W: WeightMatrix) -> list:
     return [(b1, b2, b2 - b1) for b1, b2 in zip(firsts, seconds)]
 
 
-def _discards(bins1, bins2, pairs, lost=()) -> list:
-    """Discard records of the photons `pairs` leaves unmatched.
-
-    Stream 1 then stream 2, each in bin order, with the reasons of the
-    module docstring: "clash" for a photon of a `lost` pair, else "range"
-    or "unpaired".
-    """
-    # Per stream, the (lo, hi) bins whose photons have a counterpart in
-    # their feasible time direction.
-    reach = ((0, int(bins2[-1]) if bins2.size else -1),
-             (int(bins1[0]) if bins1.size else np.inf, np.inf))
-    records = []
-    for side, (stream, bins) in enumerate((("1", bins1), ("2", bins2))):
-        matched = {p[side] for p in pairs}
-        clashed = {p[side] for p in lost}
-        lo, hi = reach[side]
-        records += [(b, stream, REASON_CLASH if b in clashed
-                     else REASON_RANGE if lo <= b <= hi else REASON_UNPAIRED)
-                    for b in bins.tolist() if b not in matched]
-    return records
-
-
 def hungarian_min_assignment(W: WeightMatrix) -> Matching:
     """Optimal matching from the weight matrix, virtual pairings pruned."""
-    pairs = _assignment_pairs(W)
-    return Matching(pairs=pairs, discarded=_discards(W.row_bins, W.col_bins,
-                                                     pairs))
+    return Matching(_assignment_pairs(W), W.row_bins, W.col_bins)
 
 
 def pair_requests(pairs) -> list:
@@ -256,8 +263,7 @@ def _repair_all(instances, network: DelayNetwork) -> list:
     for (pairs, W), found in zip(instances, candidates):
         best = max(found,
                    key=lambda kept: (len(kept), -sum(d for _, _, d in kept)))
-        matchings.append(Matching(pairs=best, discarded=_discards(
-            W.row_bins, W.col_bins, best, lost=pairs)))
+        matchings.append(Matching(best, W.row_bins, W.col_bins, lost=pairs))
     return matchings
 
 
@@ -345,14 +351,12 @@ def sliding_window_match(s1: PhotonStream, s2: PhotonStream, d_max: int,
     """
     kept, dropped = _window_pairs(s1.occupied_bins, s2.occupied_bins,
                                   min(d_max, s2.n_bins - 1), network)
-    return Matching(pairs=kept, discarded=_discards(
-        s1.occupied_bins, s2.occupied_bins, kept, lost=dropped))
+    return Matching(kept, s1.occupied_bins, s2.occupied_bins, lost=dropped)
 
 
-def matching_metrics(m: Matching, s1: PhotonStream,
-                     s2: PhotonStream) -> MatchMetrics:
-    """Aggregate fractions for one matching over its source streams."""
-    total_photons = s1.photon_count + s2.photon_count
+def matching_metrics(m: Matching) -> MatchMetrics:
+    """Aggregate fractions for one matching over its two streams' photons."""
+    total_photons = m.bins1.size + m.bins2.size
     n_pairs = len(m.pairs)
     reasons = Counter(reason for _, _, reason in m.discarded)
     clash_pairs, range_photons = reasons[REASON_CLASH] // 2, reasons[REASON_RANGE]
@@ -373,6 +377,5 @@ def count_clashing_pairs(m: Matching, network: DelayNetwork) -> int:
 
 def matching_csv_rows(m: Matching):
     """Serialization rows: kind, then pair (bin1,bin2,delay) or discard (bin,stream,reason)."""
-    rows = [("pair", b1, b2, d) for b1, b2, d in m.pairs]
-    rows += [("discard", b, s, r) for b, s, r in m.discarded]
-    return rows
+    return ([("pair", *pair) for pair in m.pairs]
+            + [("discard", *record) for record in m.discarded])

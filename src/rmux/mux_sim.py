@@ -29,11 +29,10 @@ requests meet and clash. Only the assignments that clash are repaired
 (hungarian_with_clash) or counted through `route` (hungarian_no_clash's
 clash_rate, else 0). The repair runs in lockstep over the block's clashing
 assignments: each round scans all those still being repaired at once, the
-same way, and takes one repair step of each. Discards are classified once,
-on each final matching. A block closes once it holds MATCH_BLOCK_PHOTONS
-photons (or BLOCK_BINS stream bins): its per-call overheads are shared,
-its memory does not grow with the repetition count, and a block's work
-stays a few milliseconds between stream draws.
+same way, and takes one repair step of each. A block closes once it holds
+MATCH_BLOCK_PHOTONS photons (or BLOCK_BINS stream bins): its per-call
+overheads are shared, its memory does not grow with the repetition count,
+and a block's work stays a few milliseconds between stream draws.
 
 A Bell sweep over several budgets shares its samples. Repetition r samples
 its four streams once from child r. Split i = s1 - 1 of every scheme and
@@ -63,21 +62,15 @@ import numpy as np
 
 from .delay_network import DelayNetwork, max_delay
 from .matching import (
-    Matching,
-    _assignment_pairs,
     _conflicts_each,
-    _discards,
     _repair_all,
     _weight_matrices,
     _window_core,
     count_clashing_pairs,
+    hungarian_min_assignment,
     matching_metrics,
     sliding_window_match,
 )
-# Not called here since the sweep solves through `_assignment_pairs`; still
-# bound for code that finds the solver in this module (perfbench's tracer
-# rebinds it in every rmux module that imports it).
-from .matching import hungarian_min_assignment  # noqa: F401
 from .streams import PhotonStream, generate_stream
 
 STRATEGIES = ("hungarian_no_clash", "hungarian_with_clash", "realistic")
@@ -181,27 +174,20 @@ def _match_all(stream_pairs, networks, strategies) -> dict:
                    for W in _weight_matrices(st1.occupied_bins,
                                              st2.occupied_bins, st2.n_bins,
                                              d_maxes)]
-        found = [_assignment_pairs(W) for W in weights]
+        assigned = [hungarian_min_assignment(W) for W in weights]
         largest = max(networks, key=lambda net: net.s)
         clashing = [i for i, conflicts in enumerate(_conflicts_each(
-            found, largest)) if conflicts]
+            [m.pairs for m in assigned], largest)) if conflicts]
         repaired = {}
         if "hungarian_with_clash" in strategies:
             repaired = dict(zip(clashing, _repair_all(
-                [(found[i], weights[i]) for i in clashing], largest)))
-        # Discards are classified once per final matching: a repaired
-        # assignment gets its own only if hungarian_no_clash reads it.
-        no_clash = "hungarian_no_clash" in strategies
-        assigned = [Matching(pairs, _discards(W.row_bins, W.col_bins, pairs))
-                    if no_clash or i not in repaired else None
-                    for i, (pairs, W) in enumerate(zip(found, weights))]
+                [(assigned[i].pairs, weights[i]) for i in clashing], largest)))
         matchings["hungarian_no_clash"] = assigned
         matchings["hungarian_with_clash"] = [repaired.get(i, m)
                                              for i, m in enumerate(assigned)]
     results = {}
     for strategy in strategies:
-        flat = [(m, matching_metrics(m, *stream_pairs[i // len(networks)]))
-                for i, m in enumerate(matchings[strategy])]
+        flat = [(m, matching_metrics(m)) for m in matchings[strategy]]
         if strategy == "hungarian_no_clash":
             for i in clashing:
                 # Clashes are ignored here, but their prevalence is still

@@ -14,7 +14,9 @@ assignment on its own and repairing every one, one scan of its own network
 per repair step. The weight-matrix oracle fills the matrix photon pair by
 photon pair and builds its virtual mask beside it, and the window and
 repair oracles keep a pair unless it clashes with an earlier kept one by
-their own loop over the couples `clash_rows` lists.
+their own loop over the couples `clash_rows` lists. The discard oracle
+classifies each unmatched photon by scanning the other stream for a photon
+in its feasible direction.
 """
 
 import itertools
@@ -23,10 +25,9 @@ from collections import deque
 import numpy as np
 
 from rmux.delay_network import DelayNetwork, clash_rows, max_delay
-from rmux.matching import (Matching, WeightMatrix, _discards,
-                           count_clashing_pairs, hungarian_min_assignment,
-                           matching_metrics, sliding_window_match,
-                           virtual_weight_for)
+from rmux.matching import (Matching, WeightMatrix, count_clashing_pairs,
+                           hungarian_min_assignment, matching_metrics,
+                           sliding_window_match, virtual_weight_for)
 from rmux.mux_sim import BELL_GATE_PROB, BellStats, StrategyStats
 from rmux.percolation import (FUSION_SUCCESS_PROB, DiamondLattice,
                               OutcomeSemantics)
@@ -348,8 +349,29 @@ def resolve_clashes_direct(m, W, network) -> Matching:
             weights, W.virtual_weight, W.row_bins, W.col_bins)).pairs
     best = max(candidates, key=lambda pairs: (len(pairs),
                                               -sum(d for _, _, d in pairs)))
-    return Matching(pairs=best, discarded=_discards(W.row_bins, W.col_bins,
-                                                    best, lost=m.pairs))
+    return Matching(best, W.row_bins, W.col_bins, lost=m.pairs)
+
+
+def discards_direct(bins1, bins2, pairs, lost) -> list:
+    """Discard records (bin, stream, reason) by their definition, photon by
+    photon: each unmatched photon of stream 1, then of stream 2, in bin
+    order, reads "clash" if a `lost` pair held it, else "range" if the
+    other stream has a photon in its feasible direction (at or after it for
+    stream 1, at or before it for stream 2), else "unpaired"."""
+    records = []
+    for stream, own, other in (("1", bins1, bins2), ("2", bins2, bins1)):
+        side = int(stream) - 1
+        for b in sorted(int(x) for x in own):
+            if any(pair[side] == b for pair in pairs):
+                continue
+            if any(pair[side] == b for pair in lost):
+                reason = "clash"
+            elif any(c >= b if stream == "1" else c <= b for c in other):
+                reason = "range"
+            else:
+                reason = "unpaired"
+            records.append((b, stream, reason))
+    return records
 
 
 def match_direct(st1, st2, network, strategy):
@@ -362,13 +384,13 @@ def match_direct(st1, st2, network, strategy):
     """
     if strategy == "realistic":
         m = sliding_window_match(st1, st2, network.max_delay, network)
-        return m, matching_metrics(m, st1, st2)
+        return m, matching_metrics(m)
     W, _mask = assignment_matrix_direct(st1, st2, network.max_delay)
     m = hungarian_min_assignment(W)
     if strategy == "hungarian_with_clash":
         m = resolve_clashes_direct(m, W, network)
-        return m, matching_metrics(m, st1, st2)
-    met = matching_metrics(m, st1, st2)
+        return m, matching_metrics(m)
+    met = matching_metrics(m)
     met.clash_rate = (count_clashing_pairs(m, network) / len(m.pairs)
                       if m.pairs else 0.0)
     return m, met

@@ -314,6 +314,34 @@ def test_percolate_frontier_rejects_degenerate_grid(grid, capsys,
     (["percolate", "--mode", "frontier", "--L", "4", "--trials", "10",
       "--equal-ancilla-loss"],
      "error: --equal-ancilla-loss is not read by percolate --mode frontier"),
+    (["analytics", "--mode", "table", "--ps", "0.5"],
+     "error: --ps is not read by analytics --mode table"),
+    (["analytics", "--mode", "table", "--p-min", "0.1"],
+     "error: --p-min is not read by analytics --mode table"),
+    # Rejected before either (missing) stream file is read.
+    (["match", "--stream1", "s1.txt", "--stream2", "s2.txt", "--reps", "2"],
+     "error: --reps is not read by match with --stream1 or --stream2"),
+    (["percolate", "--L", "4", "--trials", "10", "--target", "0.3"],
+     "error: --target is not read by percolate --mode prob"),
+    (["percolate", "--L", "4", "--trials", "10", "--a-l-grid", "0,x"],
+     "error: --a-l-grid is not read by percolate --mode prob"),
+    (["percolate", "--mode", "threshold", "--L", "4", "--trials", "10",
+      "--p-l", "0.01"],
+     "error: --p-l is not read by percolate --mode threshold"),
+    (["percolate", "--mode", "threshold", "--L", "4", "--trials", "10",
+      "--a-l-grid", "0,0.01"],
+     "error: --a-l-grid is not read by percolate --mode threshold"),
+    # A value of 0 is set all the same.
+    (["percolate", "--mode", "threshold", "--L", "4", "--trials", "10",
+      "--equal-ancilla-loss", "--a-l", "0"],
+     "error: --a-l is not read by percolate --mode threshold "
+     "--equal-ancilla-loss"),
+    (["percolate", "--mode", "frontier", "--L", "4", "--trials", "10",
+      "--p-l", "0.01"],
+     "error: --p-l is not read by percolate --mode frontier"),
+    (["percolate", "--mode", "frontier", "--L", "4", "--trials", "10",
+      "--a-l", "0.01"],
+     "error: --a-l is not read by percolate --mode frontier"),
 ])
 def test_options_the_mode_never_reads_are_rejected(
         tmp_path, capsys, monkeypatch, forbid_streams, argv, message):

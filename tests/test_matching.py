@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 import itertools
 
@@ -10,12 +11,14 @@ from hypothesis import strategies as st
 from oracles import (
     assignment_matrix_direct,
     brute_force_assignment,
+    discards_direct,
     oracle_routable,
     resolve_clashes_direct,
     window_pairs_direct,
 )
 from rmux.delay_network import DelayNetwork, max_delay, route
-from rmux import matching
+from rmux import matching, mux_sim
+from rmux.experiments import ExperimentConfig, run_experiment
 from rmux.matching import (
     Matching,
     _conflicts_each,
@@ -355,7 +358,8 @@ def test_lockstep_repair_scans_once_per_round(monkeypatch):
 
 def test_resolve_empty_matching():
     W = build_assignment_matrix(stream_at([0], 4), stream_at([], 4), 7)
-    m = Matching(pairs=[], discarded=[(0, "1", "unpaired")])
+    m = Matching([], W.row_bins, W.col_bins)
+    assert m.discarded == [(0, "1", "unpaired")]
     assert resolve_clashes_optimal(m, W, DelayNetwork(3)).pairs == []
 
 
@@ -550,12 +554,110 @@ def test_every_photon_is_paired_or_discarded_once_in_stream_bin_order():
     assert clash_discards == {"hungarian_with_clash", "realistic"}
 
 
+# -------------------------------------------------------- discard records
+
+@st.composite
+def discard_cases(draw):
+    """Two streams, either of which may be empty, and a network with its
+    stages ascending or descending."""
+    n_bins = draw(st.integers(1, 60))
+    p1, p2 = (draw(st.sampled_from([0.0, 0.1, 0.3, 0.6])) for _ in range(2))
+    seed = draw(st.integers(0, 2**32 - 2))
+    net = DelayNetwork(draw(st.integers(1, 8)), descending=draw(st.booleans()))
+    return (generate_stream(p1, n_bins, seed),
+            generate_stream(p2, n_bins, seed + 1), net)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(discard_cases())
+@example((stream_at([], 4), stream_at([], 4), DelayNetwork(1)))
+@example((stream_at([], 4), stream_at([1, 3], 4), DelayNetwork(2)))
+@example((stream_at([0, 2], 4), stream_at([], 4), DelayNetwork(2)))
+@example((stream_at([0, 5], 8), stream_at([5], 8), DelayNetwork(4)))
+def test_every_strategy_discards_as_the_definition_says(case):
+    s1, s2, net = case
+    for strategy in STRATEGIES:
+        m, _ = match_streams(s1, s2, net, strategy)
+        assert m.discarded == discards_direct(
+            s1.occupied_bins, s2.occupied_bins, m.pairs, m.lost)
+
+
+@st.composite
+def matching_facts(draw):
+    """(bins1, bins2, pairs, lost) with pairs and lost drawn apart, so a
+    lost pair may share a photon with a kept one, as after a repair."""
+    bins = st.lists(st.integers(0, 12), max_size=8, unique=True).map(sorted)
+    bins1, bins2 = draw(bins), draw(bins)
+
+    def couples():
+        return [(b1, b2, b2 - b1) for b1, b2 in zip(
+            draw(st.permutations(bins1)), draw(st.permutations(bins2)))]
+
+    kept, lost = couples(), couples()
+    return (np.array(bins1, dtype=np.int64), np.array(bins2, dtype=np.int64),
+            sorted(kept[:draw(st.integers(0, len(kept)))]),
+            lost[:draw(st.integers(0, len(lost)))])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(matching_facts())
+@example((np.array([3]), np.array([3, 7]), [], []))      # equal bins: range
+@example((np.array([3, 4]), np.array([3]), [(3, 3, 0)], []))
+def test_discard_records_follow_from_the_stored_facts(facts):
+    bins1, bins2, pairs, lost = facts
+    assert (Matching(pairs, bins1, bins2, lost).discarded
+            == discards_direct(bins1, bins2, pairs, lost))
+
+
+def test_matchings_are_equal_when_their_pairs_and_records_are():
+    bins1, bins2 = np.array([0, 3]), np.array([1, 5])
+    pairs = [(0, 1, 1)]
+    m = Matching(pairs, bins1, bins2)
+    assert m.discarded == [(3, "1", "range"), (5, "2", "range")]
+    # A lost pair whose photons stay matched changes no record.
+    assert m == Matching(pairs, bins1, bins2, lost=pairs)
+    # One whose photons end unmatched turns them into clash discards.
+    assert m != Matching(pairs, bins1, bins2, lost=[(3, 5, 2)])
+    assert m != Matching([], bins1, bins2)
+
+
+def test_fig4_sweep_classifies_each_final_matching_once(tmp_path,
+                                                        monkeypatch):
+    built = []
+    derive = Matching.discarded.func
+
+    def counting(m):
+        built.append(m)
+        return derive(m)
+
+    prop = functools.cached_property(counting)
+    prop.__set_name__(Matching, "discarded")
+    monkeypatch.setattr(Matching, "discarded", prop)
+    repaired = []
+    repair_all = mux_sim._repair_all
+
+    def recording(instances, network):
+        out = repair_all(instances, network)
+        repaired.extend(out)
+        return out
+
+    monkeypatch.setattr(mux_sim, "_repair_all", recording)
+    reps, counts = 4, 8                 # fig4 at its defaults but reps
+    run_experiment(ExperimentConfig("fig4", {"reps": str(reps)}, 1234,
+                                    tmp_path))
+    # One build per final matching, none for an assignment a repair replaced.
+    assert len(built) == reps * counts
+    assert len({id(m) for m in built}) == len(built)
+    assert len(repaired) == 14
+    assert sorted(map(id, repaired)) == sorted(id(m) for m in built if m.lost)
+
+
 # ---------------------------------------------------------------- metrics
 
 def test_metrics_all_matched():
     s1, s2 = stream_at([0, 3], 8), stream_at([1, 4], 8)
     m = sliding_window_match(s1, s2, 3, DelayNetwork(3))
-    met = matching_metrics(m, s1, s2)
+    met = matching_metrics(m)
     assert met.matched_fraction == 1.0
     assert met.out_of_range_fraction == 0.0
     assert met.mean_delay == 1.0
@@ -564,19 +666,20 @@ def test_metrics_all_matched():
 def test_metrics_empty_matching():
     s1, s2 = stream_at([0], 8), stream_at([6], 8)
     m = sliding_window_match(s1, s2, 2, DelayNetwork(2))
-    met = matching_metrics(m, s1, s2)
+    met = matching_metrics(m)
     assert met.matched_fraction == 0.0
 
 
 def test_metrics_partial():
     s1, s2 = stream_at([0, 2, 4], 12), stream_at([1, 3, 11], 12)
     m = sliding_window_match(s1, s2, 3, DelayNetwork(3))
-    met = matching_metrics(m, s1, s2)
+    met = matching_metrics(m)
     assert met.matched_fraction == pytest.approx(4 / 6)
 
 
 def test_csv_rows_shape():
-    m = Matching(pairs=[(0, 2, 2)], discarded=[(5, "2", "range")])
+    m = Matching([(0, 2, 2)], np.array([0]), np.array([2, 5]))
+    assert m.discarded == [(5, "2", "range")]
     rows = matching_csv_rows(m)
     assert ("pair", 0, 2, 2) in rows
     assert ("discard", 5, "2", "range") in rows
