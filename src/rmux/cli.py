@@ -55,11 +55,12 @@ def _cmd_analytics(args) -> int:
         _emit(experiments.TABLE1_HEADER, rows, args.out)
     else:
         _unread(args, "analytics --mode waste", "eta", "p1", "p2")
-        ps = params.get("ps", 0.93)
+        ps = params.get("ps", experiments.FIG2_PS_MAX)
         params.update(ps_min=ps, ps_max=ps)
         if args.etas:
             params["etas"] = ",".join(args.etas)
-        rows = experiments.fig2_rows(params, p_min=params.get("p_min", 0.8))[0]
+        optimizer = {"p_min": params["p_min"]} if "p_min" in params else {}
+        rows = experiments.fig2_rows(params, **optimizer)[0]
         _emit(experiments.FIG2_HEADER, rows, args.out)
     return 0
 
@@ -132,7 +133,7 @@ def _cmd_percolate(args) -> int:
         _unread(args, "percolate --mode frontier", "p_l", "a_l",
                 "equal_ancilla_loss")
         grid = experiments._param_list(params, "a_l_grid",
-                                       "0,0.005,0.01,0.015,0.02,0.025", float)
+                                       experiments.FIG9_A_L_GRID, float)
         frontier = percolation.tradeoff_frontier(
             args.scheme, target, grid, args.L, args.trials, args.seed, sem)
         rows = [(args.scheme, target, a, thr) for a, thr in frontier.points]

@@ -193,6 +193,10 @@ TABLE1_HEADER = ["row", "initial_prob", "post_mux_prob", "k", "k_up", "depth",
                  "potential_mean", "potential_unit"]
 FIG2_HEADER = ["p_s", "eta", "wasted_ghz_mean", "k_up1", "k_up2", "best_p1",
                "best_p2", "total_bins"]
+# Defaults the CLI shares: `analytics --mode waste` and `percolate --mode
+# frontier` default to fig2's top p_s and fig9's a_l grid.
+FIG2_PS_MAX = 0.93
+FIG9_A_L_GRID = "0,0.005,0.01,0.015,0.02,0.025"
 TWO_STREAM_HEADER = ["strategy", "switches", "matched_fraction", "stderr",
                      "clash_rate", "out_of_range", "total_weight_mean"]
 BELL_HEADER = ["scheme", "total_switches", "bells_per_bin", "stderr",
@@ -223,7 +227,7 @@ def fig2_rows(params: dict, **optimizer):
     """(rows, summary lines) of Fig. 2; `optimizer` goes to `unused_potential`."""
     etas = _param_list(params, "etas", "0.1,0.01,0.001", float)
     ps_lo = _param(params, "ps_min", 0.80)
-    ps_hi = _param(params, "ps_max", 0.93)
+    ps_hi = _param(params, "ps_max", FIG2_PS_MAX)
     ps_step = _param(params, "ps_step", 0.005)
     if not ps_step > 0:
         raise ValueError(f"ps_step must be > 0, got {ps_step}")
@@ -456,7 +460,7 @@ def _run_fig9(config: ExperimentConfig):
     target = _param(p, "target", 0.90)
     L = _param(p, "L", 10)
     trials = _param(p, "trials", 2000)
-    grid = _param_list(p, "a_l_grid", "0,0.005,0.01,0.015,0.02,0.025", float)
+    grid = _param_list(p, "a_l_grid", FIG9_A_L_GRID, float)
     sem_name, sem = semantics_from(p)
     frontier = percolation.tradeoff_frontier(
         percolation.SCHEME_RMUX, target, grid, L, trials, config.seed, sem)

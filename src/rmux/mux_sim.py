@@ -13,44 +13,36 @@ relative scheme only delays one stream of each pair and one derived event
 stream, costing 2*s1 + s2. Budgets are maximized over feasible splits.
 
 All repetitions derive child seeds from a single SeedSequence, so runs are
-reproducible and schemes can be compared on identical stream data.
+reproducible and schemes can be compared on identical stream data. Both
+sweeps run blocks of consecutive repetitions, each sampled once. A block
+closes once it holds a set number of photons (or BLOCK_BINS stream bins):
+per-call overheads are shared, and memory does not grow with the
+repetition count.
 
-A two-stream sweep runs blocks of consecutive repetitions (`_match_all`).
-Each repetition samples its two streams once; one difference matrix gives
-the weights of every switch count, and one assignment per (repetition,
-count) serves both Hungarian strategies. One `clash_rows` scan per block
-finds the assignments that clash: assignment i's pairs sit at offset
-i * stride on one time axis (a forced path stays in bins b1..b2, and stride
-exceeds every b2) and route through the largest count's network. With the
-networks' stages ascending (the default), a delay that s switches reach
-takes the same bins and rails there through switch s-1, leaving on rail 0
-as at the output switch, then stays in its output bin on rail 0: the same
-requests meet and clash. Only the assignments that clash are repaired
-(hungarian_with_clash) or counted through `route` (hungarian_no_clash's
-clash_rate, else 0). The repair runs in lockstep over the block's clashing
-assignments: each round scans all those still being repaired at once, the
-same way, and takes one repair step of each. A block closes once it holds
-MATCH_BLOCK_PHOTONS photons (or BLOCK_BINS stream bins): its per-call
-overheads are shared, its memory does not grow with the repetition count,
-and a block's work stays a few milliseconds between stream draws.
+A two-stream block (`_match_all`) builds the weights of every switch count
+from one difference matrix per repetition, and one assignment per
+(repetition, count) serves both Hungarian strategies. One `clash_rows`
+scan per block finds the assignments that clash: assignment i's pairs sit
+at offset i * stride on one time axis (a forced path stays in bins b1..b2,
+and stride exceeds every b2) and route through the largest count's
+network. With the stages ascending (the default), a delay that s switches
+reach takes the same bins and rails there through switch s-1, then waits
+in its output bin on rail 0, so the same requests clash. Only clashing
+assignments are repaired (hungarian_with_clash, in lockstep: each round
+scans all those still being repaired at once) or counted through `route`
+(hungarian_no_clash's clash_rate, else 0). The block's metrics are counted
+by one `_metric_rows` pass per strategy, which builds no discard record.
 
-A Bell sweep over several budgets shares its samples. Repetition r samples
-its four streams once from child r. Split i = s1 - 1 of every scheme and
-budget reads a prefix of one array of n_bins gate draws from spawn key
-(r, i) of that child: no split attempts more than n_bins gates, and a
-fresh generator's first n draws do not depend on n. Stage 1 (the relative
-scheme's two event streams, the standard scheme's window occupancy) depends
-only on (r, s1): it runs once per s1, and stage 2 runs per (budget, split).
-Results equal those of simulating each budget on its own.
-
-The sweep runs consecutive repetitions as blocks laid end to end on one
-time axis: bin b of the block's repetition r sits at 2 * r * n_bins + b.
-No pair needs more than n_bins - 1 bins of delay, so each window's reach is
-capped there. A pair and its forced path then stay within their repetition,
-so no pair and no clash crosses repetitions, and each window stage runs
-once per block. A block closes once it holds BLOCK_PHOTONS photons or
-BLOCK_BINS stream bins, so memory does not grow with the repetition count.
-Each repetition still draws its gate from its own (r, i) key.
+A Bell block lays its repetitions end to end on one time axis: bin b of
+repetition r sits at 2 * r * n_bins + b. No pair needs more than n_bins - 1
+bins of delay, so each window's reach is capped there, and no pair or
+clash crosses repetitions. Split i = s1 - 1 of every scheme and budget
+reads a prefix of one array of n_bins gate draws from spawn key (r, i) of
+child r: no split attempts more than n_bins gates, and a fresh generator's
+first n draws do not depend on n. Stage 1 (the relative scheme's two event
+streams, the standard scheme's window occupancy) depends only on (r, s1)
+and runs once per s1 and block; stage 2 runs per (budget, split). Results
+equal those of simulating each budget on its own.
 """
 
 from __future__ import annotations
@@ -63,12 +55,13 @@ import numpy as np
 from .delay_network import DelayNetwork, max_delay
 from .matching import (
     _conflicts_each,
+    _metric_rows,
+    _metrics_of,
     _repair_all,
     _weight_matrices,
     _window_core,
     count_clashing_pairs,
     hungarian_min_assignment,
-    matching_metrics,
     sliding_window_match,
 )
 from .streams import PhotonStream, generate_stream
@@ -134,7 +127,8 @@ def match_streams(s1: PhotonStream, s2: PhotonStream, network: DelayNetwork,
     call if the clash scan finds none; it depends on the solver's tie-break),
     and the pairs dropped for a clash over kept plus dropped pairs otherwise.
     """
-    return _match_all([(s1, s2)], [network], [strategy])[strategy][0][0]
+    matchings, values = _match_all([(s1, s2)], [network], [strategy])[strategy]
+    return matchings[0][0], _metrics_of(matchings[0][0], values[0, 0])
 
 
 def _batches(p: float, n_bins: int, reps: int, seed: int, n_streams: int,
@@ -156,10 +150,13 @@ def _batches(p: float, n_bins: int, reps: int, seed: int, n_streams: int,
 
 
 def _match_all(stream_pairs, networks, strategies) -> dict:
-    """{strategy: [[(Matching, MatchMetrics) per network] per stream pair]}
-    of a block of stream pairs, with the strategies in the order given and
-    each as `match_streams` runs it. Several networks need ascending stages
-    (see the module docstring)."""
+    """{strategy: (matchings, values)} of a block of stream pairs, with the
+    strategies in the order given and each as `match_streams` runs it:
+    [[Matching per network] per stream pair], and a (stream pairs,
+    networks, 4) array of each one's matched fraction, clash rate,
+    out-of-range fraction and total weight, counted by one `_metric_rows`
+    pass. Several networks need ascending stages (see the module
+    docstring)."""
     strategies = _checked(strategies, "strategy", "strategies", STRATEGIES)
     matchings = {}
     if "realistic" in strategies:
@@ -187,16 +184,18 @@ def _match_all(stream_pairs, networks, strategies) -> dict:
                                              for i, m in enumerate(assigned)]
     results = {}
     for strategy in strategies:
-        flat = [(m, matching_metrics(m)) for m in matchings[strategy]]
+        flat = matchings[strategy]
+        values = _metric_rows(flat)
         if strategy == "hungarian_no_clash":
             for i in clashing:
                 # Clashes are ignored here, but their prevalence is still
                 # reported.
-                m, met = flat[i]
-                met.clash_rate = (count_clashing_pairs(
-                    m, networks[i % len(networks)]) / len(m.pairs))
-        results[strategy] = [flat[i:i + len(networks)]
-                             for i in range(0, len(flat), len(networks))]
+                values[i, 1] = (count_clashing_pairs(
+                    flat[i], networks[i % len(networks)]) / len(flat[i].pairs))
+        results[strategy] = (
+            [flat[i:i + len(networks)]
+             for i in range(0, len(flat), len(networks))],
+            values.reshape(len(stream_pairs), len(networks), 4))
     return results
 
 
@@ -217,11 +216,8 @@ def simulate_two_stream(p: float, switches, n_bins: int, strategies,
     for batch in _batches(p, n_bins, reps, seed, 2, MATCH_BLOCK_PHOTONS):
         results = _match_all([rep for _child, rep in batch], networks,
                               strategies).values()
-        for i, by_rep in enumerate(results):
-            values[i, :, :, r0:r0 + len(batch)] = np.transpose(
-                [[(met.matched_fraction, met.clash_rate,
-                   met.out_of_range_fraction, m.total_weight)
-                  for m, met in by_count] for by_count in by_rep], (1, 2, 0))
+        for i, (_matchings, block) in enumerate(results):
+            values[i, :, :, r0:r0 + len(batch)] = block.transpose(1, 2, 0)
         r0 += len(batch)
     return {(strategy, s): StrategyStats(
                 strategy, s, float(matched.mean()), _stderr(matched),

@@ -196,8 +196,9 @@ class DiamondLattice:
         self.fusion_owner, self.fusion_passive = (e[exists] for e in ends)
         self.fusion_is_bond = self.fusion_owner != self.fusion_passive
         self.n_fusions = self.fusion_owner.size
-        self.bond_site_a = self.fusion_owner[self.fusion_is_bond]
-        self.bond_site_b = self.fusion_passive[self.fusion_is_bond]
+        self.bond_fusions = np.flatnonzero(self.fusion_is_bond)   # bond k's fusion
+        self.bond_site_a = self.fusion_owner[self.bond_fusions]
+        self.bond_site_b = self.fusion_passive[self.bond_fusions]
         self.n_bonds = self.bond_site_a.size
         # Column j of site_tables[0] ([1]): the fusions site j owns (is passive in)
         self.site_tables = np.full((2, 4, self.n_sites), self.n_fusions)
@@ -246,9 +247,10 @@ def _fusion_levels(lattice: DiamondLattice, semantics: OutcomeSemantics,
         owner, passive = np.append(u, np.inf)[lattice.site_tables].min(axis=1)
     killed = (~lattice.fusion_is_bond & (v >= FUSION_SUCCESS_PROB)
               & (w_site < semantics.heralded_site_kill_prob))
-    connects = ((v < FUSION_SUCCESS_PROB)
-                | (w_bond < semantics.heralded_bond_connect_prob))
-    bond = np.where(connects, u, -np.inf)[lattice.fusion_is_bond]
+    k = lattice.bond_fusions
+    connects = ((v[k] < FUSION_SUCCESS_PROB)
+                | (w_bond[k] < semantics.heralded_bond_connect_prob))
+    bond = np.where(connects, u[k], -np.inf)
     return u, v, owner, passive, bond, killed
 
 

@@ -374,6 +374,25 @@ def discards_direct(bins1, bins2, pairs, lost) -> list:
     return records
 
 
+def metric_row_direct(bins1, bins2, pairs, lost) -> tuple:
+    """(matched fraction, clash rate, out-of-range fraction, total weight) of
+    one matching, counted from `discards_direct`'s records: paired photons
+    over all photons, pairs lost to clashes (half the "clash" records) over
+    those plus the kept pairs, "range" records over all photons, and the
+    kept pairs' summed delay. A ratio whose base is 0 reads 0."""
+    reasons = [r for _b, _stream, r in discards_direct(bins1, bins2, pairs,
+                                                        lost)]
+    photons, clashed = len(bins1) + len(bins2), reasons.count("clash") // 2
+
+    def ratio(num, den):
+        return num / den if den else 0.0
+
+    return (ratio(2 * len(pairs), photons),
+            ratio(clashed, len(pairs) + clashed),
+            ratio(reasons.count("range"), photons),
+            sum(d for _b1, _b2, d in pairs))
+
+
 def match_direct(st1, st2, network, strategy):
     """(Matching, MatchMetrics) of one strategy on one stream pair.
 

@@ -12,6 +12,7 @@ from oracles import (
     assignment_matrix_direct,
     brute_force_assignment,
     discards_direct,
+    metric_row_direct,
     oracle_routable,
     resolve_clashes_direct,
     window_pairs_direct,
@@ -22,6 +23,7 @@ from rmux.experiments import ExperimentConfig, run_experiment
 from rmux.matching import (
     Matching,
     _conflicts_each,
+    _metric_rows,
     _repair_all,
     _weight_matrices,
     _window_pairs,
@@ -609,6 +611,55 @@ def test_discard_records_follow_from_the_stored_facts(facts):
             == discards_direct(bins1, bins2, pairs, lost))
 
 
+def strategy_block(bins1, bins2, n_bins, s):
+    """The matchings of all three strategies on one stream pair."""
+    st1, st2 = stream_at(bins1, n_bins), stream_at(bins2, n_bins)
+    return [match_streams(st1, st2, DelayNetwork(s), strategy)[0]
+            for strategy in STRATEGIES]
+
+
+@st.composite
+def matching_blocks(draw):
+    """A block of matchings, each either a strategy's on two drawn streams
+    (either may be empty or full) or one of `matching_facts`."""
+    block = []
+    for _ in range(draw(st.integers(1, 6))):
+        if draw(st.booleans()):
+            bins1, bins2, pairs, lost = draw(matching_facts())
+            block.append(Matching(pairs, bins1, bins2, lost))
+            continue
+        n_bins, seed = draw(st.integers(1, 40)), draw(st.integers(0, 2**32 - 2))
+        p1, p2 = (draw(st.sampled_from([0.0, 0.2, 0.5, 1.0])) for _ in range(2))
+        m, _ = match_streams(generate_stream(p1, n_bins, seed),
+                             generate_stream(p2, n_bins, seed + 1),
+                             DelayNetwork(draw(st.integers(1, 7))),
+                             draw(st.sampled_from(STRATEGIES)))
+        block.append(m)
+    return block
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(matching_blocks())
+@example(strategy_block([], [], 4, 2))                      # both empty
+@example(strategy_block([0, 2], [], 4, 2)
+         + strategy_block([], [1, 3], 4, 2))                # one empty side
+@example(strategy_block(range(6), range(6), 6, 3))          # p = 1
+# The repair's lost pairs (its first assignment) share a photon with the
+# pair it keeps; the window drops a pair for a clash.
+@example(strategy_block([2, 3, 20, 40], [0, 3, 7, 30], 48, 4))
+def test_block_counts_equal_per_matching_metrics_and_records(block):
+    rows = _metric_rows(block)
+    assert rows.shape == (len(block), 4)
+    for m, row in zip(block, rows.tolist()):
+        met = matching_metrics(m)
+        assert row == [met.matched_fraction, met.clash_rate,
+                       met.out_of_range_fraction, m.total_weight]
+        assert tuple(row) == metric_row_direct(m.bins1, m.bins2, m.pairs,
+                                               m.lost)
+        assert met.mean_delay == (m.total_weight / len(m.pairs) if m.pairs
+                                  else 0.0)
+
+
 def test_matchings_are_equal_when_their_pairs_and_records_are():
     bins1, bins2 = np.array([0, 3]), np.array([1, 5])
     pairs = [(0, 1, 1)]
@@ -621,8 +672,7 @@ def test_matchings_are_equal_when_their_pairs_and_records_are():
     assert m != Matching([], bins1, bins2)
 
 
-def test_fig4_sweep_classifies_each_final_matching_once(tmp_path,
-                                                        monkeypatch):
+def test_fig4_sweep_counts_without_discard_records(tmp_path, monkeypatch):
     built = []
     derive = Matching.discarded.func
 
@@ -633,23 +683,38 @@ def test_fig4_sweep_classifies_each_final_matching_once(tmp_path,
     prop = functools.cached_property(counting)
     prop.__set_name__(Matching, "discarded")
     monkeypatch.setattr(Matching, "discarded", prop)
-    repaired = []
-    repair_all = mux_sim._repair_all
+    repaired, counted, blocks = [], [], []
+    repair_all, metric_rows = mux_sim._repair_all, mux_sim._metric_rows
+    batches = mux_sim._batches
 
     def recording(instances, network):
         out = repair_all(instances, network)
         repaired.extend(out)
         return out
 
+    def counting_rows(matchings):
+        counted.append(matchings)
+        return metric_rows(matchings)
+
+    def recording_batches(*args):
+        for batch in batches(*args):
+            blocks.append(len(batch))
+            yield batch
+
     monkeypatch.setattr(mux_sim, "_repair_all", recording)
+    monkeypatch.setattr(mux_sim, "_metric_rows", counting_rows)
+    monkeypatch.setattr(mux_sim, "_batches", recording_batches)
     reps, counts = 4, 8                 # fig4 at its defaults but reps
     run_experiment(ExperimentConfig("fig4", {"reps": str(reps)}, 1234,
                                     tmp_path))
-    # One build per final matching, none for an assignment a repair replaced.
-    assert len(built) == reps * counts
-    assert len({id(m) for m in built}) == len(built)
+    # One classifier pass per block counts every final matching, a repair
+    # in place of the assignment it replaced; no record is built.
+    assert built == []
     assert len(repaired) == 14
-    assert sorted(map(id, repaired)) == sorted(id(m) for m in built if m.lost)
+    assert [len(ms) for ms in counted] == [size * counts for size in blocks]
+    assert sum(blocks) == reps
+    assert sorted(map(id, repaired)) == sorted(
+        id(m) for ms in counted for m in ms if m.lost)
 
 
 # ---------------------------------------------------------------- metrics

@@ -9,7 +9,12 @@ from oracles import bell_stats_direct, match_direct, two_stream_stats_direct
 from rmux import mux_sim
 from rmux.delay_network import DelayNetwork, max_delay
 from rmux.experiments import ExperimentConfig, run_experiment
-from rmux.matching import _conflicts, _conflicts_each, count_clashing_pairs
+from rmux.matching import (
+    _conflicts,
+    _conflicts_each,
+    _metrics_of,
+    count_clashing_pairs,
+)
 from rmux.mux_sim import (
     STRATEGIES,
     _match_all,
@@ -156,10 +161,16 @@ def test_match_all_equals_per_instance_oracle(p, n_bins):
     stream_pairs = [(generate_stream(p, n_bins, seed),
                      generate_stream(p, n_bins, seed + 1))
                     for seed in range(0, 12, 2)]
-    assert _match_all(stream_pairs, networks, STRATEGIES) == {
-        strategy: [[match_direct(st1, st2, net, strategy) for net in networks]
-                   for st1, st2 in stream_pairs]
-        for strategy in STRATEGIES}
+    got = _match_all(stream_pairs, networks, STRATEGIES)
+    assert list(got) == list(STRATEGIES)
+    for strategy, (matchings, values) in got.items():
+        assert values.shape == (len(stream_pairs), len(networks), 4)
+        assert [[(m, _metrics_of(m, row), row[3])
+                 for m, row in zip(by_net, rows)]
+                for by_net, rows in zip(matchings, values)] == [
+            [(m, met, m.total_weight) for m, met in (
+                match_direct(st1, st2, net, strategy) for net in networks)]
+            for st1, st2 in stream_pairs]
 
 
 @strats.composite
@@ -220,11 +231,13 @@ def stream_pairs(draw):
 def test_no_clash_rate_equals_route_count(case):
     st1, st2, switches = case
     networks = [DelayNetwork(s) for s in switches]
-    got = _match_all([(st1, st2)], networks, ["hungarian_no_clash"])
-    for (m, met), net in zip(got["hungarian_no_clash"][0], networks):
+    matchings, values = _match_all([(st1, st2)], networks,
+                                   ["hungarian_no_clash"])["hungarian_no_clash"]
+    for m, (_matched, clash_rate, *_), net in zip(matchings[0], values[0],
+                                                  networks):
         want = (count_clashing_pairs(m, net) / len(m.pairs) if m.pairs
                 else 0.0)
-        assert met.clash_rate == want, net.s
+        assert clash_rate == want, net.s
 
 
 def test_split_enumeration():
