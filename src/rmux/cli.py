@@ -110,7 +110,7 @@ def _cmd_percolate(args) -> int:
     # The parser reads only the semantics keys; unset flags keep the preset.
     _name, sem = semantics_from(params)
     p_l, a_l = params.get("p_l", 0.0), params.get("a_l", 0.0)
-    target = params.get("target", 0.90)
+    target = params.get("target", experiments.SPAN_DEFAULTS["target"])
     if args.mode == "prob":
         _unread(args, "percolate --mode prob", "target", "a_l_grid",
                 "equal_ancilla_loss")
@@ -196,9 +196,9 @@ def build_parser() -> argparse.ArgumentParser:
     pa.set_defaults(func=_cmd_analytics)
 
     pm = sub.add_parser("match", help="two-stream matching statistics")
-    pm.add_argument("--p", type=float, default=0.1)
+    pm.add_argument("--p", type=float, default=experiments.TWO_STREAM_P)
     pm.add_argument("--switches", type=int, default=4)
-    pm.add_argument("--bins", type=int, default=1000)
+    pm.add_argument("--bins", type=int, default=experiments.TWO_STREAM_BINS)
     pm.add_argument("--strategy", choices=list(mux_sim.STRATEGIES),
                     default="realistic")
     pm.add_argument("--reps", type=int)
@@ -224,8 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--mode", choices=["prob", "threshold", "frontier"],
                     default="prob")
     pp.add_argument("--scheme", choices=["rmux", "standard"], default="rmux")
-    pp.add_argument("--L", type=int, default=10)
-    pp.add_argument("--trials", type=int, default=2000)
+    pp.add_argument("--L", type=int, default=experiments.SPAN_DEFAULTS["L"])
+    pp.add_argument("--trials", type=int, default=experiments.SPAN_DEFAULTS["trials"])
     pp.add_argument("--p-l", type=float)
     pp.add_argument("--a-l", type=float)
     pp.add_argument("--target", type=float)

@@ -12,8 +12,8 @@ Each 2x2 switch applies one shared setting (bar or cross) per time bin, so
 two photons that meet at a switch in the same bin must enter on different
 rails and leave on different rails; otherwise they clash. Paths are forced,
 so clashes are a property of the requests alone, and one kernel finds them:
-``clash_rows`` lays out the forced paths as (n, s) arrays of bin, in rail
-and out rail, and lists every clash as a (stage, time_bin, a, b) row.
+``clash_rows`` sorts each switch's bins on its own, reads the rails only of
+requests that meet, and lists every clash as a (stage, time_bin, a, b) row.
 Routing, the pairwise conflict test and the matching layer's conflict scan
 all use it; ``route`` also drops each request at its first clashing stage.
 """
@@ -59,7 +59,7 @@ class DelayNetwork:
     stage_delays: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
-        if not 1 <= self.s <= 64:   # so delays and path bins fit in int64
+        if not 1 <= self.s <= 64:   # so every delay fits in int64
             raise ValueError(f"switch count must be in [1, 64], got {self.s}")
         delays = tuple(1 << i for i in range(self.s - 1))
         if self.descending:
@@ -97,13 +97,11 @@ class RoutingResult:
         return not self.clashes
 
 
-def _forced_paths(arrival_bins, delays, network: DelayNetwork):
-    """(bins, in_rails, out_rails), each (n, s): the forced path at every switch.
-
-    Rails are 0 (pass) or 1 (delay); the output switch (column s-1) leaves
-    on rail 0. The stage delays are distinct powers of two, so the delay
-    spent before a switch is the delay masked by the earlier stage delays.
-    """
+def _requests(arrival_bins, delays, network: DelayNetwork):
+    """(bins, delays, out) of n requests, checked as `clash_rows` says. out[k]
+    is the delay of the stage after switch k (0 after the output switch):
+    request i leaves switch k on rail bool(delay & out[k]), and reaches it
+    in bin bins[k, i] = arrival_bin + (delay & (out[0] + ... + out[k-1]))."""
     arrival_bins = np.asarray(arrival_bins, dtype=np.int64)
     delays = np.asarray(delays, dtype=np.int64)
     d_max = network.max_delay
@@ -112,11 +110,17 @@ def _forced_paths(arrival_bins, delays, network: DelayNetwork):
         raise ValueError(f"delay {bad} outside [0, {d_max}] for s={network.s}")
     if arrival_bins.size and arrival_bins.min() < 0:
         raise ValueError(f"arrival bin must be >= 0, got {arrival_bins.min()}")
-    into = np.array((0,) + network.stage_delays, dtype=np.int64)[:, None]
-    out = np.array(network.stage_delays + (0,), dtype=np.int64)[:, None]
-    # Built switch-major, (s, n), so that the (n, s) transposes ravel for free.
-    return ((arrival_bins + (delays & np.cumsum(into, axis=0))).T,
-            np.minimum(delays & into, 1).T, np.minimum(delays & out, 1).T)
+    if (arrival_bins > np.iinfo(np.int64).max - delays).any():
+        raise ValueError("arrival bin + delay exceeds the int64 maximum")
+    out = np.array(network.stage_delays + (0,), dtype=np.int64)
+    return arrival_bins + (delays & (np.cumsum(out) - out)[:, None]), delays, out
+
+
+def _forced_paths(arrival_bins, delays, network: DelayNetwork):
+    """(bins, rails), each (n, s): the forced path's bin and out rail (0 pass,
+    1 delay) at every switch; all leave the output switch (column s-1) on 0."""
+    bins, delays, out = _requests(arrival_bins, delays, network)
+    return bins.T, np.minimum(delays & out[:, None], 1).T
 
 
 def clash_rows(arrival_bins, delays, network: DelayNetwork) -> np.ndarray:
@@ -125,36 +129,38 @@ def clash_rows(arrival_bins, delays, network: DelayNetwork) -> np.ndarray:
     Row (stage, time_bin, a, b): requests a < b meet at switch `stage` in
     bin `time_bin` and enter or leave on the same rail. Rows are sorted by
     stage, a, b, and include clashes downstream of an earlier one. Raises
-    ValueError on a delay outside [0, max_delay] or a negative arrival bin.
+    ValueError on a delay outside [0, max_delay], a negative arrival bin or
+    an arrival_bin + delay past the int64 maximum.
     """
-    bins, in_rails, out_rails = _forced_paths(arrival_bins, delays, network)
-    n, s = bins.shape
-    # One entry per (switch, request), switch-major: a stable sort on
-    # (bin, switch) lists the requests of each meeting in index order.
-    key = (bins * s + np.arange(s)).T.ravel()
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    # Both rails differ exactly when the 2*in + out codes XOR to 3.
-    code = (2 * in_rails + out_rails).T.ravel()[order]
-    first, second = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
-    # Entries `gap` apart in sorted order meet when their keys agree; a
+    bins, delays, out = _requests(arrival_bins, delays, network)
+    n = delays.size
+    # Row k of bins (switch k) is nearly sorted (a request is under 2^k bins
+    # past its arrival), so sorts fast; stably, so a meeting lists a < b.
+    order = np.argsort(bins, axis=1, kind="stable")
+    flat = bins.ravel()[(order + n * np.arange(len(bins))[:, None]).ravel()]
+    hits = [np.empty((2, 0), dtype=np.int64)]
+    # Entries `gap` apart in one sorted row meet when their bins agree; a
     # meeting of m requests shows up at every gap below m.
-    for gap in range(1, key.size):
-        j = np.nonzero(key[gap:] == key[:-gap])[0]
+    for gap in range(1, n):
+        j = np.nonzero(flat[gap:] == flat[:-gap])[0]
+        j = j[j % n < n - gap]
         if not j.size:
             break
-        j = j[(code[j] ^ code[j + gap]) != 3]
-        first.append(j)
-        second.append(j + gap)
-    j, k = np.concatenate(first), np.concatenate(second)
-    time_bin, stage = np.divmod(key[j], s)
-    a, b = order[j] % n, order[k] % n
-    return np.stack((stage, time_bin, a, b), axis=1)[np.lexsort((b, a, stage))]
+        hits.append((j, j + gap))
+    j, k = np.concatenate(hits, axis=1)
+    stage, a, b = j // n, order.ravel()[j], order.ravel()[k]
+    # Rails are read at meetings only: two requests leave switch k on one
+    # rail when their delays agree on out[k], and enter it on one rail when
+    # they agree on out[k-1] (out[-1] = 0: all enter switch 0 on rail 0).
+    differ = delays[a] ^ delays[b]
+    clash = ((differ & out[stage - 1]) == 0) | ((differ & out[stage]) == 0)
+    rows = np.stack((stage, flat[j], a, b), axis=1)[clash]
+    return rows[np.lexsort(rows[:, [3, 2, 0]].T)]
 
 
 def request_rails(req: RoutingRequest, network: DelayNetwork) -> tuple[int, ...]:
     """Rail choice (0 pass, 1 delay) at each delaying stage."""
-    _bins, _in, out_rails = _forced_paths([req.arrival_bin], [req.delay], network)
+    _bins, out_rails = _forced_paths([req.arrival_bin], [req.delay], network)
     return tuple(out_rails[0, :-1].tolist())
 
 
@@ -174,7 +180,7 @@ def route(requests, network: DelayNetwork) -> RoutingResult:
     """
     arrivals = [req.arrival_bin for req in requests]
     delays = [req.delay for req in requests]
-    _bins, _in, out_rails = _forced_paths(arrivals, delays, network)
+    _bins, out_rails = _forced_paths(arrivals, delays, network)
     dropped_at, clashes = {}, []
     for stage, t, a, b in clash_rows(arrivals, delays, network).tolist():
         # Rows come by stage; a request dropped upstream meets no one here.
@@ -194,8 +200,8 @@ def routing_trace_rows(result: RoutingResult, network: DelayNetwork):
     last stage with rail 0.
     """
     reqs = [req for _idx, req, _rails in result.routed]
-    bins, _in, out_rails = _forced_paths([r.arrival_bin for r in reqs],
-                                         [r.delay for r in reqs], network)
+    bins, out_rails = _forced_paths([r.arrival_bin for r in reqs],
+                                    [r.delay for r in reqs], network)
     return [(idx, req.arrival_bin, req.delay, stage, rail, t)
             for (idx, req, _), rails, times
             in zip(result.routed, out_rails.tolist(), bins.tolist())

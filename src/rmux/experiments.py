@@ -193,10 +193,12 @@ TABLE1_HEADER = ["row", "initial_prob", "post_mux_prob", "k", "k_up", "depth",
                  "potential_mean", "potential_unit"]
 FIG2_HEADER = ["p_s", "eta", "wasted_ghz_mean", "k_up1", "k_up2", "best_p1",
                "best_p2", "total_bins"]
-# Defaults the CLI shares: `analytics --mode waste` and `percolate --mode
-# frontier` default to fig2's top p_s and fig9's a_l grid.
+# Defaults the CLI shares: fig2's top p_s, fig9's a_l grid, fig8's and
+# fig9's target, L and trials, and the two-stream sweep's p and bins.
 FIG2_PS_MAX = 0.93
 FIG9_A_L_GRID = "0,0.005,0.01,0.015,0.02,0.025"
+SPAN_DEFAULTS = {"target": 0.90, "L": 10, "trials": 2000}
+TWO_STREAM_P, TWO_STREAM_BINS = 0.1, 1000
 TWO_STREAM_HEADER = ["strategy", "switches", "matched_fraction", "stderr",
                      "clash_rate", "out_of_range", "total_weight_mean"]
 BELL_HEADER = ["scheme", "total_switches", "bells_per_bin", "stderr",
@@ -247,9 +249,9 @@ def fig2_rows(params: dict, **optimizer):
 
 def two_stream_sweep(params: dict, strategies, seed: int):
     """(rows, stats by (strategy, s), s values, summary lines) of Figs. 4/6."""
-    prob = _param(params, "p", 0.1)
+    prob = _param(params, "p", TWO_STREAM_P)
     s_values = _param_list(params, "switches", "1,2,3,4,5,6,7,8", int)
-    n_bins = _param(params, "bins", 1000)
+    n_bins = _param(params, "bins", TWO_STREAM_BINS)
     reps = _param(params, "reps", 100)
     stats = mux_sim.simulate_two_stream(prob, s_values, n_bins, strategies,
                                         reps, seed)
@@ -322,7 +324,8 @@ def _run_fig2(config: ExperimentConfig):
             f"total bins at p_s=0.93, eta={eta}", _fmt(float(got)),
             f"{_fmt(expect)} +/- {REF_FIG2_REL_TOL:.0%}",
             abs(got - expect) <= REF_FIG2_REL_TOL * expect))
-    meta += ["optimizer grid step 0.01 on (p1, p2), p_i in [0.80, 0.99]",
+    meta += ["optimizer grid step 0.01 on (p1, p2), p_i in "
+             f"[{mux_analytics.STAGE_P_MIN:.2f}, {mux_analytics.STAGE_P_MAX}]",
              "reference: fig2 bin-count anchors, +/-5% (optimizer granularity loose)"]
     return [csv], checks, meta
 
@@ -412,9 +415,7 @@ def _run_fig7(config: ExperimentConfig):
 
 def _run_fig8(config: ExperimentConfig):
     p = config.parameters
-    target = _param(p, "target", 0.90)
-    L = _param(p, "L", 10)
-    trials = _param(p, "trials", 2000)
+    target, L, trials = (_param(p, k, v) for k, v in SPAN_DEFAULTS.items())
     a_l = _param(p, "a_l", 0.0)
     sizes = _param_list(p, "finite_size_L", "6,14", int, allow_empty=True)
     finite_trials = _param(p, "finite_size_trials", 600)
@@ -457,9 +458,7 @@ def _run_fig8(config: ExperimentConfig):
 
 def _run_fig9(config: ExperimentConfig):
     p = config.parameters
-    target = _param(p, "target", 0.90)
-    L = _param(p, "L", 10)
-    trials = _param(p, "trials", 2000)
+    target, L, trials = (_param(p, k, v) for k, v in SPAN_DEFAULTS.items())
     grid = _param_list(p, "a_l_grid", FIG9_A_L_GRID, float)
     sem_name, sem = semantics_from(p)
     frontier = percolation.tradeoff_frontier(

@@ -355,7 +355,7 @@ def _window_core(bins1, bins2, d_max: int, network: DelayNetwork):
         y_i = min(max(y_{i-1}, g_i), h_i),  g_i = min(lb_i + 1, ub_i) - i,
                                             h_i = ub_i - i,
 
-    and clamps compose into clamps, so a doubling prefix scan of
+    and clamps compose into clamps, so a doubling prefix scan of at most
     ceil(log2 n) array steps gives every p_i (Hillis & Steele, CACM 29(12),
     1986). A pair that needs more delay than the network gives raises
     ValueError.
@@ -367,9 +367,9 @@ def _window_core(bins1, bins2, d_max: int, network: DelayNetwork):
     index = np.arange(bins1.size)
     lo, hi = np.minimum(lb + 1, ub) - index, ub - index
     # After the step of size `step`, (lo_i, hi_i) is the composite clamp of
-    # photons i - 2 * step + 1 .. i.
+    # photons i - 2 * step + 1 .. i; a constant one (lo == hi) is final.
     step = 1
-    while step < bins1.size:
+    while step < bins1.size and not np.array_equal(lo[step:], hi[step:]):
         lo[step:], hi[step:] = (
             np.minimum(np.maximum(lo[:-step], lo[step:]), hi[step:]),
             np.minimum(np.maximum(hi[:-step], lo[step:]), hi[step:]))

@@ -17,6 +17,7 @@ from .delay_network import depth_for_bins
 
 GATE_PROB_3GHZ = 1.0 / 32.0     # heralded success of the six-photon generator
 PHOTONS_PER_GHZ = 6
+STAGE_P_MIN, STAGE_P_MAX = 0.8, 0.99   # the optimizer's stage-target grid
 
 
 @dataclass(frozen=True)
@@ -96,7 +97,7 @@ def ghz_report(eta: float, p1: float, p2: float) -> MuxReport:
     )
 
 
-def unused_potential(eta: float, p_s: float, p_min: float = 0.8):
+def unused_potential(eta: float, p_s: float, p_min: float = STAGE_P_MIN):
     """Cheapest (p1, p2) stage targets that still reach overall p_s.
 
     Grid search over stage probabilities in [p_min, 0.99] with step 0.01,
@@ -106,9 +107,9 @@ def unused_potential(eta: float, p_s: float, p_min: float = 0.8):
 
     Returns (best_p1, best_p2, wasted_ghz_mean, k_up1, k_up2).
     """
-    if not 0.0 < p_min <= 0.99:
-        raise ValueError("need 0 < p_min <= 0.99")
-    ps = grid(p_min, 0.99, 0.01)
+    if not 0.0 < p_min <= STAGE_P_MAX:
+        raise ValueError(f"need 0 < p_min <= {STAGE_P_MAX}")
+    ps = grid(p_min, STAGE_P_MAX, 0.01)
     best = None
     for p1 in ps:
         if p1 ** PHOTONS_PER_GHZ * ps[-1] < p_s:

@@ -16,7 +16,11 @@ photon pair and builds its virtual mask beside it, and the window and
 repair oracles keep a pair unless it clashes with an earlier kept one by
 their own loop over the couples `clash_rows` lists. The discard oracle
 classifies each unmatched photon by scanning the other stream for a photon
-in its feasible direction.
+in its feasible direction. The clash-row oracle walks each request's path
+switch by switch, taking its delay rails greedily from the largest stage
+delay down, and compares every couple at every switch in Python integers;
+the flat-key kernel is the clash scan the program ran before it sorted
+each switch's bins on its own.
 """
 
 import itertools
@@ -24,7 +28,8 @@ from collections import deque
 
 import numpy as np
 
-from rmux.delay_network import DelayNetwork, clash_rows, max_delay
+from rmux.delay_network import (DelayNetwork, _forced_paths, clash_rows,
+                                max_delay)
 from rmux.matching import (Matching, WeightMatrix, count_clashing_pairs,
                            hungarian_min_assignment, matching_metrics,
                            sliding_window_match, virtual_weight_for)
@@ -209,6 +214,58 @@ def _standard_rate_direct(streams, s1, s2, gate_rng):
         return 0.0
     delivered = success[:n_groups * w2].reshape(n_groups, w2).any(axis=1).sum()
     return float(delivered) / n_bins
+
+
+def clash_rows_direct(arrival_bins, delays, network):
+    """Clash rows (stage, time_bin, a, b), as lists sorted by stage, a, b:
+    couples a < b whose paths reach switch `stage` in the same bin on the
+    same in rail or the same out rail."""
+    paths = []
+    for t, d in zip(arrival_bins, delays):
+        taken, rest = set(), int(d)
+        for delay in sorted(network.stage_delays, reverse=True):
+            if delay <= rest:
+                taken.add(delay)
+                rest -= delay
+        assert rest == 0, (d, network)
+        visits, in_rail, t = [], 0, int(t)
+        for delay in network.stage_delays:
+            out_rail = int(delay in taken)
+            visits.append((t, in_rail, out_rail))
+            t += delay * out_rail
+            in_rail = out_rail
+        paths.append(visits + [(t, in_rail, 0)])
+    rows = [[stage, va[0], a, b]
+            for a, b in itertools.combinations(range(len(paths)), 2)
+            for stage, (va, vb) in enumerate(zip(paths[a], paths[b]))
+            if va[0] == vb[0] and (va[1] == vb[1] or va[2] == vb[2])]
+    return sorted(rows, key=lambda row: (row[0], row[2], row[3]))
+
+
+def clash_rows_flat_key(arrival_bins, delays, network):
+    """The clash scan as it was: one stable argsort of the flat key
+    bin * s + switch over every (request, switch) entry, with both rails of
+    every entry coded as 2 * in + out. The key wraps int64 once bin * s
+    does."""
+    bins, out_rails = _forced_paths(arrival_bins, delays, network)
+    in_rails = np.roll(out_rails, 1, axis=1)    # the output switch's is 0
+    n, s = bins.shape
+    key = (bins * s + np.arange(s)).T.ravel()
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    code = (2 * in_rails + out_rails).T.ravel()[order]
+    first, second = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    for gap in range(1, key.size):
+        j = np.nonzero(key[gap:] == key[:-gap])[0]
+        if not j.size:
+            break
+        j = j[(code[j] ^ code[j + gap]) != 3]
+        first.append(j)
+        second.append(j + gap)
+    j, k = np.concatenate(first), np.concatenate(second)
+    time_bin, stage = np.divmod(key[j], s)
+    a, b = order[j] % n, order[k] % n
+    return np.stack((stage, time_bin, a, b), axis=1)[np.lexsort((b, a, stage))]
 
 
 def clash_couples(pairs, network):

@@ -2,8 +2,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from oracles import oracle_routable
+from oracles import clash_rows_direct, clash_rows_flat_key, oracle_routable
 from rmux.delay_network import (
     DelayNetwork,
     RoutingRequest,
@@ -172,3 +174,67 @@ def test_route_agrees_with_timeline_oracle_smoke():
         reqs = [RoutingRequest(int(a), int(rng.integers(0, net.max_delay + 1)))
                 for a in sorted(arrivals)]
         assert route(reqs, net).clash_free == oracle_routable(reqs, s)
+
+
+@st.composite
+def clash_cases(draw):
+    """Requests for an s-switch network in either stage order, s from 1 to
+    8, with arrival bins drawn from a short range (many repeats and
+    meetings) or a long one, in any order."""
+    s = draw(st.integers(1, 8))
+    net = DelayNetwork(s, descending=draw(st.booleans()))
+    n = draw(st.integers(0, 12))
+    top = draw(st.sampled_from([3, 40, 5000]))
+    arrivals = draw(st.lists(st.integers(0, top), min_size=n, max_size=n))
+    delays = draw(st.lists(st.integers(0, net.max_delay), min_size=n,
+                           max_size=n))
+    return arrivals, delays, net
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(clash_cases())
+@example(([], [], DelayNetwork(1)))
+@example(([5, 5, 5, 5], [0, 0, 0, 0], DelayNetwork(1)))
+@example(([0, 1, 1], [1, 0, 1], DelayNetwork(2)))
+@example(([9, 2, 9, 0, 2], [0, 3, 5, 7, 1], DelayNetwork(4, descending=True)))
+def test_clash_rows_equal_path_walk_and_flat_key_kernel(case):
+    arrivals, delays, net = case
+    got = clash_rows(arrivals, delays, net)
+    assert got.dtype == np.int64 and got.shape[1:] == (4,)
+    assert got.tolist() == clash_rows_direct(arrivals, delays, net)
+    assert got.tolist() == clash_rows_flat_key(arrivals, delays, net).tolist()
+
+
+def test_clash_rows_at_64_switches():
+    net = DelayNetwork(64)
+    arrivals = [0, 1, 2**62, 2**62 + 1, 3]
+    delays = [net.max_delay, net.max_delay - 1, 2**62 - 1, 2**62 - 2, 2]
+    got = clash_rows(arrivals, delays, net).tolist()
+    assert got == clash_rows_direct(arrivals, delays, net)
+    # Requests 0 and 1 meet at switch 1 in bin 1 and leave on its delay rail.
+    assert got[0] == [1, 1, 0, 1]
+
+
+def test_far_apart_bins_do_not_meet_at_64_switches():
+    # bin * 64 wraps int64 at 2^58: a flat key of bin * s + switch gave
+    # bins 2^58 and 0 the same key at every switch and reported clashes.
+    net = DelayNetwork(64)
+    reqs = [RoutingRequest(2**58, 0), RoutingRequest(0, 0)]
+    assert route(reqs, net).clash_free
+    assert clash_rows([2**58, 0], [0, 0], net).shape == (0, 4)
+    assert clash_rows_direct([2**58, 0], [0, 0], net) == []
+    assert clash_rows_flat_key([2**58, 0], [0, 0], net).size   # the old fault
+
+
+def test_path_past_int64_is_rejected():
+    net = DelayNetwork(64)
+    top = np.iinfo(np.int64).max
+    assert clash_rows([top - net.max_delay], [net.max_delay], net).size == 0
+    for call in (lambda reqs: clash_rows([r.arrival_bin for r in reqs],
+                                         [r.delay for r in reqs], net),
+                 lambda reqs: route(reqs, net)):
+        with pytest.raises(ValueError, match="arrival bin \\+ delay exceeds "
+                           "the int64 maximum"):
+            call([RoutingRequest(0, 7), RoutingRequest(top - 5, 6)])
+    with pytest.raises(ValueError, match="delay 8 outside"):
+        route([RoutingRequest(top, 8)], DelayNetwork(4))

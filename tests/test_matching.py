@@ -475,6 +475,27 @@ def test_window_core_equals_pointer_loop(case):
         bins1, bins2, d_max, net)
 
 
+@pytest.mark.parametrize("bins1, bins2, d_max, net, checks", [
+    # d_max = 0: every clamp is constant from the start, so the scan checks
+    # once and takes no step.
+    (list(range(64)), list(range(64)), 0, DelayNetwork(1), 1),
+    # Dense streams, wide window: every clamp keeps lo = 1 < hi, so the
+    # scan takes all ceil(log2 64) = 6 steps, checking before each.
+    (list(range(64)), list(range(128)), 8191, DelayNetwork(14), 6),
+])
+def test_window_scan_stops_once_its_clamps_settle(bins1, bins2, d_max, net,
+                                                  checks, monkeypatch):
+    seen = []
+
+    def array_equal(a, b):
+        seen.append(bool(np.all(a == b)))
+        return seen[-1]
+    monkeypatch.setattr(matching.np, "array_equal", array_equal)
+    assert _window_pairs(bins1, bins2, d_max, net) == window_pairs_direct(
+        bins1, bins2, d_max, net)
+    assert len(seen) == checks and seen[-1] == (checks == 1)
+
+
 def test_window_core_rejects_pair_beyond_the_network():
     with pytest.raises(ValueError, match="delay 2 outside"):
         _window_pairs([0], [2], 2, DelayNetwork(2))
