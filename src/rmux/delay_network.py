@@ -102,9 +102,13 @@ def _requests(arrival_bins, delays, network: DelayNetwork):
     is the delay of the stage after switch k (0 after the output switch):
     request i leaves switch k on rail bool(delay & out[k]), and reaches it
     in bin bins[k, i] = arrival_bin + (delay & (out[0] + ... + out[k-1]))."""
-    arrival_bins = np.asarray(arrival_bins, dtype=np.int64)
-    delays = np.asarray(delays, dtype=np.int64)
     d_max = network.max_delay
+    try:
+        arrival_bins = np.asarray(arrival_bins, dtype=np.int64)
+        delays = np.asarray(delays, dtype=np.int64)
+    except OverflowError:
+        raise ValueError(f"arrival bins and delays must fit in int64 (delays "
+                         f"in [0, {d_max}] for s={network.s})") from None
     if delays.size and (delays.min() < 0 or delays.max() > d_max):
         bad = delays[(delays < 0) | (delays > d_max)][0]
         raise ValueError(f"delay {bad} outside [0, {d_max}] for s={network.s}")
@@ -138,7 +142,7 @@ def clash_rows(arrival_bins, delays, network: DelayNetwork) -> np.ndarray:
     # past its arrival), so sorts fast; stably, so a meeting lists a < b.
     order = np.argsort(bins, axis=1, kind="stable")
     flat = bins.ravel()[(order + n * np.arange(len(bins))[:, None]).ravel()]
-    hits = [np.empty((2, 0), dtype=np.int64)]
+    hits = []
     # Entries `gap` apart in one sorted row meet when their bins agree; a
     # meeting of m requests shows up at every gap below m.
     for gap in range(1, n):
@@ -147,6 +151,8 @@ def clash_rows(arrival_bins, delays, network: DelayNetwork) -> np.ndarray:
         if not j.size:
             break
         hits.append((j, j + gap))
+    if not hits:                                # no two requests meet
+        return np.empty((0, 4), dtype=np.int64)
     j, k = np.concatenate(hits, axis=1)
     stage, a, b = j // n, order.ravel()[j], order.ravel()[k]
     # Rails are read at meetings only: two requests leave switch k on one

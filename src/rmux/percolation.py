@@ -42,6 +42,19 @@ over the bonds from the highest level down (Newman & Ziff, PRL 85, 4104
 (2000)), and a threshold is an order statistic of the f*. Without owner
 damage, heralded site kills break this (a loss prevents the heralded kill
 it replaces), and the threshold functions reject that corner.
+
+A threshold reads one rank of the f*, the (k+1)-th smallest, so only the
+trials that could hold it need their exact f*. Trials run in small blocks.
+After each block, each scheme's cut c is an f* of about twice the read
+rank's share among the trials done. For the next block, one
+connected-components call over the bonds at levels >= c (scipy, in C)
+tells which trials join the faces there: their f* is at least c, and they
+are censored. The others run the union-find from that component forest
+over the bonds below c only, which gives their exact f*, because f* is the
+level at which the faces join, whatever order the bonds above c merged
+in. A censored trial whose c is not above the read rank's value is drawn
+again and swept in full, until none is left; the read value is then the
+plain sweep's, bit for bit.
 """
 
 from __future__ import annotations
@@ -209,11 +222,13 @@ class DiamondLattice:
         per_slice = 2 * L * L
         self.face_start_sites = np.arange(per_slice)
         self.face_end_sites = np.arange(self.n_sites - per_slice, self.n_sites)
-        # The parent list a spanning union-find starts from: the sites, then
-        # a node per face, with each face's sites under its node.
-        forest = np.arange(self.n_sites + 2)
-        forest[self.face_start_sites], forest[self.face_end_sites] = self.n_sites, self.n_sites + 1
-        self.face_forest = forest.tolist()
+        # The bonds' ends as spanning union-find nodes: the sites, with each
+        # face's sites merged into a node of its own, numbered last; and the
+        # bonds sorted by their first node, the row order of a sparse graph.
+        node = np.arange(self.n_sites)
+        node[self.face_start_sites], node[self.face_end_sites] = self.n_sites, self.n_sites + 1
+        self.bond_nodes = node[[self.bond_site_a, self.bond_site_b]].astype(np.int32)
+        self.bonds_by_node = np.argsort(self.bond_nodes[0], kind="stable")
 
     def site_index(self, x, y, t, sub):
         """Index of site `sub` of cell (x, y, t); takes ints or arrays."""
@@ -283,21 +298,28 @@ def sample_lattice_state(lattice: DiamondLattice, scheme: str, p_l: float,
                         bond_present=bond >= f_l, outcome_counts=counts)
 
 
-def _critical_level(lattice: DiamondLattice, site_level: np.ndarray,
-                    bond_level: np.ndarray) -> float:
-    """Highest level f at which usable bonds join the open faces, or -inf.
-
-    Bond k is usable at f when f <= min(bond_level[k], site_level at its
-    ends). Bonds merge from the highest level down into a union-find over
-    the sites plus a node per face, numbered last: linking the lower root
-    under the higher keeps the face nodes roots.
-    """
+def _bond_levels(lattice: DiamondLattice, site_level, bond_level):
+    """Highest level at which each bond is usable: f <= bond_level[k] and
+    f <= site_level at both its ends."""
     a, b = lattice.bond_site_a, lattice.bond_site_b
-    level = np.minimum(bond_level, np.minimum(site_level[a], site_level[b]))
-    usable = np.flatnonzero(level > -np.inf)
-    order = usable[np.argsort(-level[usable])]
-    n, parent = lattice.n_sites, lattice.face_forest.copy()
-    for i, (x, y) in enumerate(zip(a[order].tolist(), b[order].tolist())):
+    return np.minimum(bond_level, np.minimum(site_level[a], site_level[b]))
+
+
+def _critical_level(lattice: DiamondLattice, level, parent=None,
+                    cut=np.inf) -> float:
+    """Highest level below `cut` at which usable bonds join the faces, or -inf.
+
+    Bonds at levels in (-inf, cut) merge from the highest level down into
+    the union-find `parent` (default: singletons) over `bond_nodes`, whose
+    face nodes are numbered last and are roots: linking the lower root
+    under the higher keeps them roots.
+    """
+    if parent is None:
+        parent = list(range(lattice.n_sites + 2))
+    below = np.flatnonzero((level > -np.inf) & (level < cut))
+    order = below[np.argsort(-level[below])]
+    n = lattice.n_sites
+    for i, (x, y) in enumerate(zip(*lattice.bond_nodes[:, order].tolist())):
         while parent[x] != x:                   # path halving
             parent[x] = x = parent[parent[x]]
         while parent[y] != y:
@@ -310,22 +332,65 @@ def _critical_level(lattice: DiamondLattice, site_level: np.ndarray,
     return -np.inf
 
 
+def _cut_pass(lattice: DiamondLattice, levels, cuts):
+    """Critical levels of G graphs, one per row of `levels` (G, n_bonds),
+    each censored at its own cut: +inf where the bonds at or above the cut
+    already join the faces, else the exact level.
+
+    One connected-components call over the block-diagonal graph of the
+    bonds at or above each cut gives every graph its forest: each node
+    under a root of its component, the face components under their face
+    node. The sweep then merges only the bonds below the cut, which leaves
+    the level at which the faces join unchanged.
+    """
+    G, m = len(levels), lattice.n_sites + 2
+    by_node = lattice.bonds_by_node
+    nodes = lattice.bond_nodes[:, by_node]
+    kept = np.take(levels >= cuts[:, None], by_node, axis=1)
+    rows, cols = np.concatenate([np.compress(keep, nodes, axis=1) + g * m
+                                 for g, keep in enumerate(kept)], axis=1)
+    n_parts, labels = _connected_components(rows, cols, G * m)
+    labels = labels.reshape(G, m)
+    root = np.empty(n_parts, dtype=np.int64)
+    root[labels] = np.arange(m)                 # some member of each
+    root[labels[:, -2:]] = (m - 2, m - 1)       # the face nodes
+    return np.array([
+        np.inf if lab[-2] == lab[-1]
+        else _critical_level(lattice, level, root[lab].tolist(), cut)
+        for level, lab, cut in zip(levels, labels, cuts)])
+
+
+def _connected_components(rows, cols, size):
+    """(count, labels) of the components of the undirected graph on `size`
+    nodes with an edge from each of `rows` (ascending) to `cols`."""
+    # Lazy: scipy.sparse takes ~0.4 s to import; only thresholds need it.
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+    indptr = np.zeros(size + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=size), out=indptr[1:])
+    graph = csr_matrix((np.ones(rows.size), cols, indptr), shape=(size, size))
+    return connected_components(graph, directed=False)
+
+
 def spans(state: LatticeState) -> bool:
     """Whether a path of present bonds over alive sites joins the faces:
     the critical level with every site and bond at level 1 or -inf."""
-    return _critical_level(state.lattice,
-                           np.where(state.site_alive, 1.0, -np.inf),
-                           np.where(state.bond_present, 1.0, -np.inf)) > 0
+    return _critical_level(state.lattice, _bond_levels(
+        state.lattice, np.where(state.site_alive, 1.0, -np.inf),
+        np.where(state.bond_present, 1.0, -np.inf))) > 0
 
 
 def _trials(L, trials, seed, semantics):
-    """(semantics, lattice, a generator per trial) for the trial loops."""
+    """(semantics, lattice, trial seeds) for the trial loops."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     lattice = DiamondLattice(L)
-    children = np.random.SeedSequence(seed).spawn(trials)
-    rngs = (np.random.Generator(np.random.PCG64(c)) for c in children)
-    return semantics or OutcomeSemantics(), lattice, rngs
+    return (semantics or OutcomeSemantics(), lattice,
+            np.random.SeedSequence(seed).spawn(trials))
+
+
+def _rng(trial_seed) -> np.random.Generator:
+    return np.random.Generator(np.random.PCG64(trial_seed))
 
 
 def percolation_probability(L: int, scheme: str, p_l: float, a_l: float,
@@ -335,9 +400,9 @@ def percolation_probability(L: int, scheme: str, p_l: float, a_l: float,
 
     Trial t samples with the t-th child of `SeedSequence(seed)`.
     """
-    semantics, lattice, rngs = _trials(L, trials, seed, semantics)
+    semantics, lattice, seeds = _trials(L, trials, seed, semantics)
     hits = sum(spans(sample_lattice_state(lattice, scheme, p_l, a_l,
-                                          semantics, rng)) for rng in rngs)
+                                          semantics, _rng(s))) for s in seeds)
     p_hat = hits / trials
     return p_hat, float(np.sqrt(p_hat * (1.0 - p_hat) / trials))
 
@@ -350,21 +415,65 @@ def critical_losses(L: int, scheme: str, trials: int, seed: int,
     return _critical_losses(L, (scheme,), trials, seed, semantics)[0]
 
 
-def _critical_losses(L, schemes, trials, seed, semantics) -> np.ndarray:
-    """`critical_losses` per scheme (rows), all from each trial's one draw."""
-    semantics, lattice, rngs = _trials(L, trials, seed, semantics)
+# Trials per connected-components pass of a cut sweep, and the cut's rank
+# per needed rank: after d of n trials, each scheme's cut is the f* of rank
+# about _CUT_RANK * needed * d / n among them.
+_BLOCK_TRIALS = 4
+_CUT_RANK = 2.0
+
+
+def _critical_losses(L, schemes, trials, seed, semantics,
+                     needed=None) -> np.ndarray:
+    """`critical_losses` per scheme (rows), all from each trial's one draw.
+
+    With `needed`, only each row's `needed` smallest f* are sure to be
+    exact: another entry may read +inf for an f* above them (the
+    `needed`-th smallest of every row is that of the exact f*).
+    """
+    semantics, lattice, seeds = _trials(L, trials, seed, semantics)
     if (not semantics.loss_kills_owner_site
             and semantics.heralded_site_kill_prob > 0.0):
         raise ValueError("spanning is not monotone in loss with loss_kills_"
                          "owner_site=False and heralded_site_kill_prob > 0")
-    f_star = np.empty((len(schemes), trials))
-    for t, rng in enumerate(rngs):
-        _, _, owner, passive, bond, killed = _fusion_levels(lattice, semantics, rng)
+
+    def levels(t):
+        """Trial t's bond levels per scheme, from its one draw."""
+        _, _, owner, passive, bond, killed = _fusion_levels(
+            lattice, semantics, _rng(seeds[t]))
         owner[lattice.fusion_owner[killed]] = -np.inf   # dead, lost or not
-        for i, scheme in enumerate(schemes):
-            site = _site_levels(scheme, semantics, owner, passive)
-            f_star[i, t] = _critical_level(lattice, site, bond)
-    return f_star
+        return np.array([_bond_levels(lattice, _site_levels(
+            scheme, semantics, owner, passive), bond) for scheme in schemes])
+
+    f_star = np.empty((len(schemes), trials))
+    if needed is None or 2 * needed >= trials:
+        for t in range(trials):
+            f_star[:, t] = [_critical_level(lattice, lv) for lv in levels(t)]
+        return f_star
+    # Only the needed-th smallest f* is read, so each block's trials are
+    # censored at a cut: an f* at or above it is stored as +inf, and its
+    # cut kept as the bound it is known to reach.
+    bound, cuts = np.full_like(f_star, np.inf), np.full(len(schemes), np.inf)
+    for start in range(0, trials, _BLOCK_TRIALS):
+        block = np.arange(start, min(start + _BLOCK_TRIALS, trials))
+        rows = np.stack([levels(t) for t in block], axis=1)
+        f_star[:, block] = _cut_pass(
+            lattice, rows.reshape(-1, lattice.n_bonds),
+            np.repeat(cuts, len(block))).reshape(len(schemes), -1)
+        bound[:, block] = cuts[:, None]
+        done = block[-1] + 1
+        rank = int(np.ceil(_CUT_RANK * needed * done / trials))
+        cuts = np.partition(f_star[:, :done], rank - 1, axis=1)[:, rank - 1]
+    # Exactness: a censored f* at a bound no higher than the needed-th
+    # smallest could be among the needed smallest, so sweep it in full.
+    while True:
+        v = np.partition(f_star, needed - 1, axis=1)[:, needed - 1]
+        redo = np.isposinf(f_star) & (bound <= v[:, None])
+        if not redo.any():
+            return f_star
+        for t in np.flatnonzero(redo.any(axis=0)):
+            for i, level in enumerate(levels(t)):
+                if redo[i, t]:
+                    f_star[i, t] = _critical_level(lattice, level)
 
 
 def loss_thresholds(schemes, target, a_l_values, L, trials, seed, semantics,
@@ -374,8 +483,9 @@ def loss_thresholds(schemes, target, a_l_values, L, trials, seed, semantics,
     f_l(p_l, a_l)."""
     if not 0.0 < target < 1.0:
         raise ValueError(f"target must be in (0, 1), got {target}")
-    f_star = np.sort(_critical_losses(L, schemes, trials, seed, semantics))
     k = trials - 1 - np.argmax(np.arange(1, trials + 1) / trials >= target)
+    f_star = np.sort(_critical_losses(L, schemes, trials, seed, semantics,
+                                      needed=k + 1))
     ancilla = np.asarray(a_l_values, dtype=float) * (not equal_ancilla_loss)
     rows = []
     for scheme, f in zip(schemes, f_star[:, k]):

@@ -1,7 +1,12 @@
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rmux
 from rmux.cli import main
 from rmux.experiments import (
     ExperimentConfig,
@@ -543,3 +548,16 @@ def test_unwritable_output_dir(tmp_path):
 def test_experiment_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(experiment="nope")
+
+
+def test_importing_the_package_and_cli_loads_no_scipy():
+    # scipy takes ~1 s to import; only the assignment solve and thresholds
+    # need it, and they import it when first called
+    src = str(Path(rmux.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = ("import sys, rmux, rmux.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

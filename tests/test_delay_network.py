@@ -238,3 +238,34 @@ def test_path_past_int64_is_rejected():
             call([RoutingRequest(0, 7), RoutingRequest(top - 5, 6)])
     with pytest.raises(ValueError, match="delay 8 outside"):
         route([RoutingRequest(top, 8)], DelayNetwork(4))
+
+
+@pytest.mark.parametrize("s", [1, 2, 3, 4])
+def test_requests_that_never_meet_give_no_rows(s):
+    # Arrivals more than max_delay apart never share a switch and bin, so
+    # the gap scan finds no meeting; the timeline search agrees.
+    net = DelayNetwork(s)
+    rng = np.random.default_rng(s)
+    for k in range(4):
+        arrivals = np.cumsum(rng.integers(net.max_delay + 1,
+                                          net.max_delay + 4, size=k))
+        delays = rng.integers(0, net.max_delay + 1, size=k)
+        got = clash_rows(arrivals, delays, net)
+        assert got.shape == (0, 4) and got.dtype == np.int64
+        assert clash_rows_direct(arrivals, delays, net) == []
+        reqs = [RoutingRequest(int(a), int(d)) for a, d in zip(arrivals, delays)]
+        assert oracle_routable(reqs, s)
+        assert route(reqs, net).clash_free
+
+
+@pytest.mark.parametrize("arrival, delay", [(2**63, 0), (0, 2**63),
+                                            (-2**63 - 1, 0)])
+def test_values_past_int64_raise_value_error(arrival, delay):
+    net = DelayNetwork(2)
+    far = RoutingRequest(arrival, delay)
+    with pytest.raises(ValueError, match="must fit in int64"):
+        route([far], net)
+    with pytest.raises(ValueError, match="must fit in int64"):
+        clash_rows([arrival], [delay], net)
+    with pytest.raises(ValueError, match="must fit in int64"):
+        requests_conflict(far, RoutingRequest(0, 0), net)

@@ -530,6 +530,63 @@ def test_critical_loss_count_equals_spanning_fraction(L, trials, scheme,
                                                                         p_l)
 
 
+def _plain_sorted(L, trials, seed, sem):
+    """Each scheme's `critical_losses`, every trial swept in full, sorted."""
+    return np.sort([critical_losses(L, scheme, trials, seed, sem)
+                    for scheme in ("rmux", "standard")])
+
+
+def _read_rank(trials, target):
+    """The rank of the f* `loss_thresholds` reads, counted from 0."""
+    return trials - 1 - np.argmax(np.arange(1, trials + 1) / trials >= target)
+
+
+@pytest.mark.parametrize("sem_name", sorted(_SEMANTICS_CASES))
+@pytest.mark.parametrize("L", [2, 3, 4, 5, 6])
+def test_cut_thresholds_equal_the_plain_order_statistic(L, sem_name):
+    # the cut sweep computes f* exactly only near the read rank; what
+    # loss_thresholds reads is the plain path's k-th smallest f*
+    sem, trials = _SEMANTICS_CASES[sem_name], 60
+    for seed in (3, 4, 5):
+        plain = _plain_sorted(L, trials, seed, sem)
+        for target in (0.5, 0.9, 0.99):
+            k = _read_rank(trials, target)
+            expected = plain[:, k].tolist()
+            cut = np.sort(percolation._critical_losses(
+                L, ("rmux", "standard"), trials, seed, sem, needed=k + 1))
+            assert cut[:, k].tolist() == expected, (seed, target)
+            if min(expected) < 0.0:             # below target at zero loss
+                with pytest.raises(ValueError, match="does not reach target"):
+                    percolation.loss_thresholds(("rmux", "standard"), target,
+                                                [0.0], L, trials, seed, sem)
+                continue
+            got = percolation.loss_thresholds(("rmux", "standard"), target,
+                                              [0.0], L, trials, seed, sem)
+            assert got[:, 0].tolist() == [1.0 - (1.0 - f) ** (1.0 / n)
+                                          for f, n in zip(expected, (1, 2))]
+
+
+def test_cut_below_the_read_rank_falls_back_to_full_sweeps(monkeypatch):
+    # a cut under the read rank censors trials the order statistic needs;
+    # the exactness gate draws them again and sweeps them in full
+    sem, trials = calibrated_semantics(), 120
+    k = _read_rank(trials, 0.9)
+    expected = _plain_sorted(6, trials, 8, sem)[:, k].tolist()
+    draws = []
+    levels = percolation._fusion_levels
+
+    def counting(*args):
+        draws.append(args[0].L)
+        return levels(*args)
+
+    monkeypatch.setattr(percolation, "_fusion_levels", counting)
+    monkeypatch.setattr(percolation, "_CUT_RANK", 0.5)
+    cut = np.sort(percolation._critical_losses(
+        6, ("rmux", "standard"), trials, 8, sem, needed=k + 1))
+    assert cut[:, k].tolist() == expected
+    assert len(draws) > trials
+
+
 def test_critical_loss_is_the_spanning_edge_per_trial():
     # just below f* the trial's state spans, just above it does not; a
     # trial that never spans has f* = -inf
