@@ -337,13 +337,15 @@ def resolve_clashes_optimal(m: Matching, W: WeightMatrix,
     return _repair_all([(m.pairs, W)], network)[0]
 
 
-def _window_core(bins1, bins2, d_max: int, network: DelayNetwork):
-    """(b1, b2, keep): the sliding window's formed pairs over two sorted bin
-    arrays, in stream-1 bin order, with `keep` false for each pair dropped
-    because it clashes with an earlier kept one.
+def _window_core(bins1, bins2, reaches, network: DelayNetwork):
+    """(b1, b2, keep, copy): the sliding window's formed pairs over two sorted
+    bin arrays at each reach in `reaches` (one int or a list), in copy then
+    stream-1 bin order, with `keep` false for each pair dropped because it
+    clashes with an earlier kept pair of its copy, and `copy` the index of
+    the reach it was formed at.
 
     Photon i of stream 1 takes the first unconsumed stream-2 photon in
-    [b1_i, b1_i + d_max]. With lb_i and ub_i the searchsorted bounds of
+    [b1_i, b1_i + d]. With lb_i and ub_i the searchsorted bounds of
     that interval in stream 2, the consumption pointer after photon i obeys
 
         p_i = min(max(p_{i-1}, lb_i) + 1, ub_i),    p_{-1} = 0,
@@ -357,19 +359,35 @@ def _window_core(bins1, bins2, d_max: int, network: DelayNetwork):
 
     and clamps compose into clamps, so a doubling prefix scan of at most
     ceil(log2 n) array steps gives every p_i (Hillis & Steele, CACM 29(12),
-    1986). A pair that needs more delay than the network gives raises
-    ValueError.
+    1986).
+
+    Each reach d runs as one copy of the streams, all in one scan: copy c's
+    stream-2 indices are shifted by c * len(bins2), so its lb is past every
+    pointer of copy c - 1, and only ub depends on d. One clash scan through
+    `network` puts copy c's pairs at c * stride, stride past every b2 (a
+    forced path stays in bins b1..b2), so a copy whose reach a smaller
+    ascending network gives sees that network's clashes (see
+    `rmux.mux_sim`). A pair that needs more delay than `network` gives
+    raises ValueError, as do copies that would pass int64 on that axis.
     """
     bins1 = np.asarray(bins1, dtype=np.int64)
     bins2 = np.asarray(bins2, dtype=np.int64)
-    lb = np.searchsorted(bins2, bins1, "left")
-    ub = np.searchsorted(bins2, bins1 + d_max, "right")
-    index = np.arange(bins1.size)
+    reaches = np.atleast_1d(np.asarray(reaches, dtype=np.int64))
+    k, n1, n2 = reaches.size, bins1.size, bins2.size
+    stride = int(bins2.max(initial=-1)) + 1
+    if k * stride > 2 ** 63:
+        raise ValueError(f"{k} window copies of stream-2 bins up to "
+                         f"{stride - 1} exceed the int64 maximum")
+    shift = n2 * np.arange(k)[:, None]
+    lb = (np.searchsorted(bins2, bins1, "left") + shift).ravel()
+    ub = (np.searchsorted(bins2, bins1 + reaches[:, None], "right")
+          + shift).ravel()
+    index = np.arange(k * n1)
     lo, hi = np.minimum(lb + 1, ub) - index, ub - index
     # After the step of size `step`, (lo_i, hi_i) is the composite clamp of
     # photons i - 2 * step + 1 .. i; a constant one (lo == hi) is final.
     step = 1
-    while step < bins1.size and not np.array_equal(lo[step:], hi[step:]):
+    while step < index.size and not np.array_equal(lo[step:], hi[step:]):
         lo[step:], hi[step:] = (
             np.minimum(np.maximum(lo[:-step], lo[step:]), hi[step:]),
             np.minimum(np.maximum(hi[:-step], lo[step:]), hi[step:]))
@@ -377,19 +395,24 @@ def _window_core(bins1, bins2, d_max: int, network: DelayNetwork):
     ptr = np.minimum(np.maximum(1, lo), hi) + index
     take = np.maximum(np.concatenate(([0], ptr[:-1])), lb)
     paired = take < ub
-    b1, b2 = bins1[paired], bins2[take[paired]]
+    copy = np.repeat(np.arange(k), n1)[paired]
+    b1, b2 = np.tile(bins1, k)[paired], bins2[take[paired] - copy * n2]
     keep = np.ones(b1.size, dtype=bool)
     if b1.size:
-        keep[list(_lost_on_conflict(_conflicts(b1, b2 - b1, network)))] = False
-    return b1, b2, keep
+        keep[list(_lost_on_conflict(_conflicts(
+            b1 + copy * stride, b2 - b1, network)))] = False
+    return b1, b2, keep, copy
 
 
-def _window_pairs(bins1, bins2, d_max: int, network: DelayNetwork):
-    """(kept, dropped) pair lists of `_window_core`, as (b1, b2, delay)."""
-    b1, b2, keep = _window_core(bins1, bins2, d_max, network)
+def _window_pairs(bins1, bins2, reaches, network: DelayNetwork):
+    """Per reach, the (kept, dropped) pair lists of `_window_core`, as
+    (b1, b2, delay); one (kept, dropped) for a single int reach."""
+    b1, b2, keep, copy = _window_core(bins1, bins2, reaches, network)
     pairs = np.stack([b1, b2, b2 - b1], axis=1)
-    return (list(map(tuple, pairs[keep].tolist())),
-            list(map(tuple, pairs[~keep].tolist())))
+    ends = np.searchsorted(copy, np.arange(1, np.size(reaches)))
+    split = [tuple(list(map(tuple, part[mask].tolist())) for mask in (k, ~k))
+             for part, k in zip(np.split(pairs, ends), np.split(keep, ends))]
+    return split if np.ndim(reaches) else split[0]
 
 
 def sliding_window_match(s1: PhotonStream, s2: PhotonStream, d_max: int,

@@ -30,8 +30,11 @@ reach takes the same bins and rails there through switch s-1, then waits
 in its output bin on rail 0, so the same requests clash. Only clashing
 assignments are repaired (hungarian_with_clash, in lockstep: each round
 scans all those still being repaired at once) or counted through `route`
-(hungarian_no_clash's clash_rate, else 0). The block's metrics are counted
-by one `_metric_rows` pass per strategy, which builds no discard record.
+(hungarian_no_clash's clash_rate, else 0). The realistic strategy makes
+one `_window_core` pass per stream pair for every count, one copy of the
+pair per count's reach, its clashes found by the same argument through the
+largest count's network. The block's metrics are counted by one
+`_metric_rows` pass per strategy, which builds no discard record.
 
 A Bell block lays its repetitions end to end on one time axis: bin b of
 repetition r sits at 2 * r * n_bins + b. No pair needs more than n_bins - 1
@@ -41,28 +44,37 @@ reads a prefix of one array of n_bins gate draws from spawn key (r, i) of
 child r: no split attempts more than n_bins gates, and a fresh generator's
 first n draws do not depend on n. Stage 1 (the relative scheme's two event
 streams, the standard scheme's window occupancy) depends only on (r, s1)
-and runs once per s1 and block; stage 2 runs per (budget, split). Results
-equal those of simulating each budget on its own.
+and runs once per s1 and block, the relative scheme's two stream pairs in
+one window pass (streams 3 and 4 laid after 1 and 2 as further
+repetitions). Stage 2 runs once per (block, split) for every budget with
+that split. The relative scheme's is one `_window_core` pass over one copy
+of the two event streams per s2. Copies never meet: a copy's window
+pointer starts past every event of the copy before, and on the clash
+scan's axis its pairs sit a stride past every event bin from the next
+copy's, while a forced path stays in bins b1..b2. Their clashes are found
+through the largest s2 network, by the ascending-stage argument above.
+Results equal those of simulating each budget on its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from functools import cached_property
 
 import numpy as np
 
 from .delay_network import DelayNetwork, max_delay
 from .matching import (
+    Matching,
     _conflicts_each,
     _metric_rows,
     _metrics_of,
     _repair_all,
     _weight_matrices,
     _window_core,
+    _window_pairs,
     count_clashing_pairs,
     hungarian_min_assignment,
-    sliding_window_match,
 )
 from .streams import PhotonStream, generate_stream
 
@@ -159,10 +171,17 @@ def _match_all(stream_pairs, networks, strategies) -> dict:
     docstring)."""
     strategies = _checked(strategies, "strategy", "strategies", STRATEGIES)
     matchings = {}
+    largest = max(networks, key=lambda net: net.s)
     if "realistic" in strategies:
+        # One window pass per stream pair covers every network, each reach
+        # capped at the stream length as `sliding_window_match` caps it.
         matchings["realistic"] = [
-            sliding_window_match(st1, st2, net.max_delay, net)
-            for st1, st2 in stream_pairs for net in networks]
+            Matching(kept, st1.occupied_bins, st2.occupied_bins, lost=dropped)
+            for st1, st2 in stream_pairs
+            for kept, dropped in _window_pairs(
+                st1.occupied_bins, st2.occupied_bins,
+                [min(net.max_delay, st2.n_bins - 1) for net in networks],
+                largest)]
     if {"hungarian_no_clash", "hungarian_with_clash"}.intersection(strategies):
         # Instance i is stream pair i // len(networks) at network
         # i % len(networks).
@@ -172,7 +191,6 @@ def _match_all(stream_pairs, networks, strategies) -> dict:
                                              st2.occupied_bins, st2.n_bins,
                                              d_maxes)]
         assigned = [hungarian_min_assignment(W) for W in weights]
-        largest = max(networks, key=lambda net: net.s)
         clashing = [i for i, conflicts in enumerate(_conflicts_each(
             [m.pairs for m in assigned], largest)) if conflicts]
         repaired = {}
@@ -243,17 +261,24 @@ def rmux_splits(s_total: int):
     return _splits(2, s_total)
 
 
-class _Block(NamedTuple):
+@dataclass
+class _Block:
     """Consecutive repetitions on one time axis: bin b of repetition r of
     the block sits at 2 * r * n_bins + b."""
 
     streams: list                 # each repetition's four streams
     n_bins: int
 
-    def shifted(self, j: int) -> np.ndarray:
-        """Stream j's occupied bins of all repetitions, on the block's axis."""
-        return np.concatenate([st[j].occupied_bins + 2 * r * self.n_bins
-                               for r, st in enumerate(self.streams)])
+    @cached_property
+    def shifted(self) -> tuple:
+        """(firsts, seconds): the occupied bins of streams 1 and 2 of every
+        repetition on the block's axis, then those of streams 3 and 4 as
+        repetitions len(streams) onward, so stage 1 pairs both in one
+        window pass."""
+        reps = [(st[j], st[j + 1]) for j in (0, 2) for st in self.streams]
+        return tuple(np.concatenate([rep[j].occupied_bins + 2 * r * self.n_bins
+                                     for r, rep in enumerate(reps)])
+                     for j in (0, 1))
 
 
 def _standard_stage1(block: _Block, s1: int) -> np.ndarray:
@@ -271,58 +296,63 @@ def _standard_stage1(block: _Block, s1: int) -> np.ndarray:
     return have
 
 
-def _standard_rate(have: np.ndarray, s2: int, gate_ok: np.ndarray,
+def _standard_rate(have: np.ndarray, s2s, gate_ok: np.ndarray,
                    block: _Block) -> np.ndarray:
-    """Delivered Bell states per bin of each repetition for one (s1, s2)
-    split.
+    """Delivered Bell states per bin, (len(s2s), repetitions), of the splits
+    (s1, s2) of one s1 for each s2 in `s2s`.
 
     Stage 2: windows where all four streams delivered (`have`, from
     `_standard_stage1`) attempt the gate, window k of repetition r with
     outcome `gate_ok[r, k]`; the output network delivers at most one
     success per w2-window group to its fixed slot.
     """
-    w2 = min(max_delay(s2), block.n_bins) + 1
     n_reps, n_windows = have.shape
-    n_groups = n_windows // w2
-    if n_groups == 0:
-        return np.zeros(n_reps)
-    success = (have & gate_ok[:, :n_windows])[:, :n_groups * w2]
-    delivered = success.reshape(n_reps, n_groups, w2).any(axis=2).sum(axis=1)
-    return delivered / block.n_bins
+    success = have & gate_ok[:, :n_windows]
+    rates = np.empty((len(s2s), n_reps))
+    for row, s2 in zip(rates, s2s):
+        w2 = min(max_delay(s2), block.n_bins) + 1
+        n_groups = n_windows // w2
+        row[:] = success[:, :n_groups * w2].reshape(
+            n_reps, n_groups, w2).any(axis=2).sum(axis=1) / block.n_bins
+    return rates
 
 
 def _rmux_stage1(block: _Block, s1: int) -> tuple:
     """Stage 1 of the relative scheme: streams 1-2 and 3-4 are paired by the
     sliding window through s1-switch networks, and each kept pair becomes an
     event at its later photon's bin. Returns the two sorted event bin arrays
-    on the block's axis."""
+    on the block's axis, from one window pass over `_Block.shifted`."""
     net1 = DelayNetwork(s1)
-    reach = min(net1.max_delay, block.n_bins - 1)
-    events = []
-    for j in (0, 2):
-        _b1, b2, keep = _window_core(block.shifted(j), block.shifted(j + 1),
-                                     reach, net1)
-        events.append(b2[keep])
-    return tuple(events)
+    half = 2 * len(block.streams) * block.n_bins
+    _b1, b2, keep, _copy = _window_core(
+        *block.shifted, min(net1.max_delay, block.n_bins - 1), net1)
+    events = b2[keep]
+    cut = np.searchsorted(events, half)
+    return events[:cut], events[cut:] - half
 
 
-def _rmux_rate(events: tuple, s2: int, gate_ok: np.ndarray,
+def _rmux_rate(events: tuple, s2s, gate_ok: np.ndarray,
                block: _Block) -> np.ndarray:
-    """Accepted Bell states per bin of each repetition for one (s1, s2)
-    split.
+    """Accepted Bell states per bin, (len(s2s), repetitions), of the splits
+    (s1, s2) of one s1 for each s2 in `s2s`.
 
     The two event streams of `_rmux_stage1` are paired again by the sliding
     window through the s2-switch network, and every surviving quadruple
     attempts the gate independently, repetition r's n quadruples with
-    outcomes `gate_ok[r, :n]`.
+    outcomes `gate_ok[r, :n]`. One window pass serves every s2, one copy
+    per reach, its clashes found through the largest s2 network.
     """
-    net2 = DelayNetwork(s2)
-    _b1, b2, keep = _window_core(*events,
-                                 min(net2.max_delay, block.n_bins - 1), net2)
-    n_quads = np.bincount(b2[keep] // (2 * block.n_bins),
-                          minlength=len(gate_ok))
-    attempted = np.arange(block.n_bins) < n_quads[:, None]
-    return (attempted & gate_ok).sum(axis=1) / block.n_bins
+    n_reps = len(gate_ok)
+    _b1, b2, keep, copy = _window_core(
+        *events, [min(max_delay(s2), block.n_bins - 1) for s2 in s2s],
+        DelayNetwork(max(s2s)))
+    n_quads = np.bincount(
+        copy[keep] * n_reps + b2[keep] // (2 * block.n_bins),
+        minlength=len(s2s) * n_reps).reshape(len(s2s), n_reps)
+    # accepted[r, n]: successes among repetition r's first n gates.
+    accepted = np.zeros((n_reps, block.n_bins + 1), dtype=np.int64)
+    np.cumsum(gate_ok, axis=1, out=accepted[:, 1:])
+    return accepted[np.arange(n_reps), n_quads] / block.n_bins
 
 
 def simulate_bell_sweep(p1: float, budgets, n_bins: int, reps: int, seed: int,
@@ -369,13 +399,14 @@ def simulate_bell_sweep(p1: float, budgets, n_bins: int, reps: int, seed: int,
             gate_ok = np.stack([np.random.default_rng(seeds[i]).random(n_bins)
                                 for seeds in gate_seeds]) < BELL_GATE_PROB
             for scheme, (_networks, first, rate_fn) in table.items():
-                s2s = {key: splits[i][1] for key, splits in plan.items()
-                       if key[0] == scheme and i < len(splits)}
-                if s2s:
-                    stage1 = first(block, i + 1)
-                for key, s2 in s2s.items():
-                    rates[key][i, block_reps] = rate_fn(
-                        stage1, s2, gate_ok, block)
+                keys = [key for key, splits in plan.items()
+                        if key[0] == scheme and i < len(splits)]
+                if keys:
+                    split_rates = rate_fn(first(block, i + 1),
+                                          [plan[key][i][1] for key in keys],
+                                          gate_ok, block)
+                    for key, row in zip(keys, split_rates):
+                        rates[key][i, block_reps] = row
         r0 += len(batch)
     stats = {}
     for (scheme, budget), splits in plan.items():

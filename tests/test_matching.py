@@ -26,6 +26,7 @@ from rmux.matching import (
     _metric_rows,
     _repair_all,
     _weight_matrices,
+    _window_core,
     _window_pairs,
     build_assignment_matrix,
     hungarian_min_assignment,
@@ -473,6 +474,50 @@ def test_window_core_equals_pointer_loop(case):
     bins1, bins2, d_max, net = case
     assert _window_pairs(bins1, bins2, d_max, net) == window_pairs_direct(
         bins1, bins2, d_max, net)
+
+
+@st.composite
+def multi_reach_cases(draw):
+    """`window_cases` with a list of reaches in the network's range, drawn
+    from 0, the case's d_max and any other, so reaches repeat."""
+    bins1, bins2, d_max, net = draw(window_cases())
+    reach = st.one_of(st.just(0), st.just(d_max),
+                      st.integers(0, net.max_delay))
+    return bins1, bins2, draw(st.lists(reach, min_size=1, max_size=5)), net
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(multi_reach_cases())
+@example(([], [], [0, 0], DelayNetwork(1)))
+@example(([0, 5], [], [7, 0, 7], DelayNetwork(4)))
+@example(([0, 1, 2, 3], [0, 1, 2, 3], [0, 8191, 0, 8191], DelayNetwork(14)))
+@example(([0, 9000, 30000], [8191, 17191, 38192], [8191, 8190, 0],
+          DelayNetwork(14)))
+def test_window_core_over_several_reaches_equals_one_call_each(case):
+    bins1, bins2, reaches, net = case
+    b1, b2, keep, copy = _window_core(bins1, bins2, reaches, net)
+    assert (np.diff(copy) >= 0).all()
+    for c, reach in enumerate(reaches):
+        *one, one_copy = _window_core(bins1, bins2, reach, net)
+        assert not one_copy.any()
+        for got, want in zip((b1, b2, keep), one):
+            assert got[copy == c].tolist() == want.tolist(), c
+    assert _window_pairs(bins1, bins2, reaches, net) == [
+        window_pairs_direct(bins1, bins2, reach, net) for reach in reaches]
+
+
+def test_window_copies_past_int64_raise_value_error():
+    net = DelayNetwork(2)
+    top = 2 ** 62 - 1          # two copies of it end at the int64 maximum
+    assert _window_pairs([top - 1], [top], [1, 0], net) == [
+        ([(top - 1, top, 1)], []), ([], [])]
+    # A single reach lays no copy past the first.
+    assert _window_pairs([top], [top + 1], 1, net) == (
+        [(top, top + 1, 1)], [])
+    with pytest.raises(ValueError, match="exceed the int64 maximum"):
+        _window_core([top], [top + 1], [1, 1], net)
+    with pytest.raises(ValueError, match="exceed the int64 maximum"):
+        _window_core([2 ** 62 - 7], [2 ** 62 + 3], [0, 1], net)
 
 
 @pytest.mark.parametrize("bins1, bins2, d_max, net, checks", [

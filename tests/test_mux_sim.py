@@ -5,7 +5,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as strats
 
-from oracles import bell_stats_direct, match_direct, two_stream_stats_direct
+from oracles import (
+    bell_stats_direct,
+    match_direct,
+    two_stream_stats_direct,
+    window_pairs_direct,
+)
 from rmux import mux_sim
 from rmux.delay_network import DelayNetwork, max_delay
 from rmux.experiments import ExperimentConfig, run_experiment
@@ -240,6 +245,23 @@ def test_no_clash_rate_equals_route_count(case):
         assert clash_rate == want, net.s
 
 
+# One window pass per stream pair serves every network, clashes found
+# through the largest; each network's matching is its own pointer loop's.
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(stream_pairs())
+@example((stream_from_bins([1, 1, 0, 1, 0, 0, 0]),
+          stream_from_bins([0, 1, 0, 0, 0, 1, 1]), [2, 64, 1]))
+def test_realistic_block_equals_window_oracle(case):
+    st1, st2, switches = case
+    networks = [DelayNetwork(s) for s in switches]
+    [matchings], _values = _match_all([(st1, st2)], networks,
+                                      ["realistic"])["realistic"]
+    for m, net in zip(matchings, networks):
+        assert (m.pairs, m.lost) == window_pairs_direct(
+            st1.occupied_bins.tolist(), st2.occupied_bins.tolist(),
+            net.max_delay, net), net.s
+
+
 def test_split_enumeration():
     assert standard_splits(5) == [(1, 1)]
     assert standard_splits(9) == [(1, 5), (2, 1)]
@@ -320,6 +342,40 @@ def test_bell_sweep_at_the_draw_length_bound_equals_per_budget_oracle(
     for (scheme, budget), stats in sweep.items():
         assert stats == bell_stats_direct(scheme, p1, budget, n_bins, 3,
                                           seed=23), (scheme, budget)
+
+
+# Every budget from 5 to 16, so each split's stage 2 runs several reaches in
+# one window pass: no events at p1 = 0, dense ones at p1 = 1, and at 17 bins
+# every reach from s2 = 6 up is capped at 16 bins, so copies share a reach.
+@pytest.mark.parametrize("p1, n_bins", [
+    (0.0, 400), (1.0, 400), (0.4, 17), (1.0, 17)])
+def test_bell_sweep_of_every_budget_equals_per_budget_oracle(p1, n_bins):
+    budgets = range(5, 17)
+    sweep = simulate_bell_sweep(p1, budgets, n_bins, 3, seed=41)
+    assert len(sweep) == 2 * len(budgets)
+    for (scheme, budget), stats in sweep.items():
+        assert stats == bell_stats_direct(scheme, p1, budget, n_bins, 3,
+                                          seed=41), (scheme, budget)
+
+
+def test_bell_sweep_rates_each_split_of_a_block_once(monkeypatch):
+    calls = []
+    for name in ("_standard_rate", "_rmux_rate"):
+        def counting(stage1, s2s, gate_ok, block, rate=getattr(mux_sim, name),
+                     name=name):
+            calls.append((name, tuple(s2s)))
+            return rate(stage1, s2s, gate_ok, block)
+        monkeypatch.setattr(mux_sim, name, counting)
+    simulate_bell_sweep(0.1, range(5, 17), 1000, 2, seed=4)
+    # One block; at split s1, s2 = budget - 4 * s1 (standard) or
+    # budget - 2 * s1 (rmux) of every budget that has the split, in order.
+    assert calls == [(name, tuple(range(first, last + 1)))
+                     for name, first, last in [
+                         ("_standard_rate", 1, 12), ("_rmux_rate", 3, 14),
+                         ("_standard_rate", 1, 8), ("_rmux_rate", 1, 12),
+                         ("_standard_rate", 1, 4), ("_rmux_rate", 1, 10),
+                         ("_rmux_rate", 1, 8), ("_rmux_rate", 1, 6),
+                         ("_rmux_rate", 1, 4), ("_rmux_rate", 1, 2)]]
 
 
 # At 100 bins a 64-switch window reaches past every repetition: the reach is
