@@ -337,12 +337,13 @@ def resolve_clashes_optimal(m: Matching, W: WeightMatrix,
     return _repair_all([(m.pairs, W)], network)[0]
 
 
-def _window_core(bins1, bins2, reaches, network: DelayNetwork):
+def _window_core(bins1, bins2, reaches, network: DelayNetwork, lb=None):
     """(b1, b2, keep, copy): the sliding window's formed pairs over two sorted
     bin arrays at each reach in `reaches` (one int or a list), in copy then
     stream-1 bin order, with `keep` false for each pair dropped because it
     clashes with an earlier kept pair of its copy, and `copy` the index of
-    the reach it was formed at.
+    the reach it was formed at. `lb`, if given, is
+    `searchsorted(bins2, bins1, "left")`, which no reach changes.
 
     Photon i of stream 1 takes the first unconsumed stream-2 photon in
     [b1_i, b1_i + d]. With lb_i and ub_i the searchsorted bounds of
@@ -369,6 +370,7 @@ def _window_core(bins1, bins2, reaches, network: DelayNetwork):
     ascending network gives sees that network's clashes (see
     `rmux.mux_sim`). A pair that needs more delay than `network` gives
     raises ValueError, as do copies that would pass int64 on that axis.
+    A window that would end past int64 ends at its maximum instead.
     """
     bins1 = np.asarray(bins1, dtype=np.int64)
     bins2 = np.asarray(bins2, dtype=np.int64)
@@ -379,9 +381,12 @@ def _window_core(bins1, bins2, reaches, network: DelayNetwork):
         raise ValueError(f"{k} window copies of stream-2 bins up to "
                          f"{stride - 1} exceed the int64 maximum")
     shift = n2 * np.arange(k)[:, None]
-    lb = (np.searchsorted(bins2, bins1, "left") + shift).ravel()
-    ub = (np.searchsorted(bins2, bins1 + reaches[:, None], "right")
-          + shift).ravel()
+    if lb is None:
+        lb = np.searchsorted(bins2, bins1, "left")
+    lb = (lb + shift).ravel()
+    room = np.iinfo(np.int64).max - bins1
+    ub = (np.searchsorted(bins2, bins1 + np.minimum(reaches[:, None], room),
+                          "right") + shift).ravel()
     index = np.arange(k * n1)
     lo, hi = np.minimum(lb + 1, ub) - index, ub - index
     # After the step of size `step`, (lo_i, hi_i) is the composite clamp of
@@ -399,8 +404,9 @@ def _window_core(bins1, bins2, reaches, network: DelayNetwork):
     b1, b2 = np.tile(bins1, k)[paired], bins2[take[paired] - copy * n2]
     keep = np.ones(b1.size, dtype=bool)
     if b1.size:
-        keep[list(_lost_on_conflict(_conflicts(
-            b1 + copy * stride, b2 - b1, network)))] = False
+        # One copy takes no offset: its stride may be 2^63, past int64.
+        at = b1 + copy * stride if k > 1 else b1
+        keep[list(_lost_on_conflict(_conflicts(at, b2 - b1, network)))] = False
     return b1, b2, keep, copy
 
 

@@ -40,13 +40,14 @@ A Bell block lays its repetitions end to end on one time axis: bin b of
 repetition r sits at 2 * r * n_bins + b. No pair needs more than n_bins - 1
 bins of delay, so each window's reach is capped there, and no pair or
 clash crosses repetitions. Split i = s1 - 1 of every scheme and budget
-reads a prefix of one array of n_bins gate draws from spawn key (r, i) of
-child r: no split attempts more than n_bins gates, and a fresh generator's
-first n draws do not depend on n. Stage 1 (the relative scheme's two event
-streams, the standard scheme's window occupancy) depends only on (r, s1)
-and runs once per s1 and block, the relative scheme's two stream pairs in
-one window pass (streams 3 and 4 laid after 1 and 2 as further
-repetitions). Stage 2 runs once per (block, split) for every budget with
+reads a prefix of one sequence of gate draws from spawn key (r, i) of
+child r, drawn only as far as the split's largest reader reads (`_Gates`):
+a generator's first n draws do not depend on how many follow. Stage 1
+(the relative scheme's two event streams, the standard scheme's window
+occupancy) depends only on (r, s1) and runs once per s1 and block, the
+relative scheme's two stream pairs in one window pass (streams 3 and 4
+laid after 1 and 2 as further repetitions) from lower bounds found once
+per block. Stage 2 runs once per (block, split) for every budget with
 that split. The relative scheme's is one `_window_core` pass over one copy
 of the two event streams per s2. Copies never meet: a copy's window
 pointer starts past every event of the copy before, and on the clash
@@ -280,6 +281,33 @@ class _Block:
                                      for r, rep in enumerate(reps)])
                      for j in (0, 1))
 
+    @cached_property
+    def lower(self) -> np.ndarray:
+        """Each first's lower window bound among the seconds of `shifted`,
+        the same at every reach."""
+        firsts, seconds = self.shifted
+        return np.searchsorted(seconds, firsts, "left")
+
+
+class _Gates:
+    """The gate outcomes of one split, drawn only as far as they are read:
+    repetition r's k-th gate succeeds iff draw k of a generator seeded with
+    `seeds[r]` is below BELL_GATE_PROB. Called with a width, it returns the
+    (repetitions, width) outcomes and draws only those no earlier call drew;
+    a generator's first n draws do not depend on how many follow."""
+
+    def __init__(self, seeds):
+        self._rngs = [np.random.default_rng(seed) for seed in seeds]
+        self._ok = np.zeros((len(self._rngs), 0), dtype=bool)
+
+    def __call__(self, width: int) -> np.ndarray:
+        drawn = self._ok.shape[1]
+        if width > drawn:
+            self._ok = np.concatenate([self._ok, np.stack(
+                [rng.random(width - drawn) for rng in self._rngs])
+                < BELL_GATE_PROB], axis=1)
+        return self._ok[:, :width]
+
 
 def _standard_stage1(block: _Block, s1: int) -> np.ndarray:
     """Stage 1 of the standard scheme: per repetition (row), the w1-bin
@@ -288,32 +316,37 @@ def _standard_stage1(block: _Block, s1: int) -> np.ndarray:
     capped at n_bins + 1, past which no window fits either way."""
     w1 = min(max_delay(s1), block.n_bins) + 1
     n_windows = block.n_bins // w1
-    n_reps = len(block.streams)
-    have = np.ones((n_reps, n_windows), dtype=bool)
+    # Column n_windows takes the bins past the last whole window.
+    have = np.ones((len(block.streams), n_windows + 1), dtype=bool)
     for j in range(4):
-        bins = np.stack([st[j].bins[:n_windows * w1] for st in block.streams])
-        have &= bins.reshape(n_reps, n_windows, w1).any(axis=2)
-    return have
+        held = np.zeros_like(have)
+        for r, streams in enumerate(block.streams):
+            held[r, streams[j].occupied_bins // w1] = True
+        have &= held
+    return have[:, :n_windows]
 
 
-def _standard_rate(have: np.ndarray, s2s, gate_ok: np.ndarray,
+def _standard_rate(have: np.ndarray, s2s, gates: _Gates,
                    block: _Block) -> np.ndarray:
     """Delivered Bell states per bin, (len(s2s), repetitions), of the splits
     (s1, s2) of one s1 for each s2 in `s2s`.
 
     Stage 2: windows where all four streams delivered (`have`, from
     `_standard_stage1`) attempt the gate, window k of repetition r with
-    outcome `gate_ok[r, k]`; the output network delivers at most one
-    success per w2-window group to its fixed slot.
+    outcome `gates(n_windows)[r, k]`; the output network delivers at most
+    one success per w2-window group to its fixed slot.
     """
     n_reps, n_windows = have.shape
-    success = have & gate_ok[:, :n_windows]
+    # successes[r, k]: successes among repetition r's first k windows.
+    successes = np.zeros((n_reps, n_windows + 1), dtype=np.int64)
+    np.cumsum(have & gates(n_windows), axis=1, out=successes[:, 1:])
     rates = np.empty((len(s2s), n_reps))
     for row, s2 in zip(rates, s2s):
         w2 = min(max_delay(s2), block.n_bins) + 1
-        n_groups = n_windows // w2
-        row[:] = success[:, :n_groups * w2].reshape(
-            n_reps, n_groups, w2).any(axis=2).sum(axis=1) / block.n_bins
+        # Group g delivers iff the count at its end passes that at its start
+        # (columns g * w2 and (g + 1) * w2; no group ends past n_windows).
+        ends = successes[:, ::w2]
+        row[:] = (ends[:, 1:] != ends[:, :-1]).sum(axis=1) / block.n_bins
     return rates
 
 
@@ -325,13 +358,14 @@ def _rmux_stage1(block: _Block, s1: int) -> tuple:
     net1 = DelayNetwork(s1)
     half = 2 * len(block.streams) * block.n_bins
     _b1, b2, keep, _copy = _window_core(
-        *block.shifted, min(net1.max_delay, block.n_bins - 1), net1)
+        *block.shifted, min(net1.max_delay, block.n_bins - 1), net1,
+        block.lower)
     events = b2[keep]
     cut = np.searchsorted(events, half)
     return events[:cut], events[cut:] - half
 
 
-def _rmux_rate(events: tuple, s2s, gate_ok: np.ndarray,
+def _rmux_rate(events: tuple, s2s, gates: _Gates,
                block: _Block) -> np.ndarray:
     """Accepted Bell states per bin, (len(s2s), repetitions), of the splits
     (s1, s2) of one s1 for each s2 in `s2s`.
@@ -339,10 +373,10 @@ def _rmux_rate(events: tuple, s2s, gate_ok: np.ndarray,
     The two event streams of `_rmux_stage1` are paired again by the sliding
     window through the s2-switch network, and every surviving quadruple
     attempts the gate independently, repetition r's n quadruples with
-    outcomes `gate_ok[r, :n]`. One window pass serves every s2, one copy
-    per reach, its clashes found through the largest s2 network.
+    outcomes `gates(n)[r]`. One window pass serves every s2, one copy per
+    reach, its clashes found through the largest s2 network.
     """
-    n_reps = len(gate_ok)
+    n_reps = len(block.streams)
     _b1, b2, keep, copy = _window_core(
         *events, [min(max_delay(s2), block.n_bins - 1) for s2 in s2s],
         DelayNetwork(max(s2s)))
@@ -350,8 +384,9 @@ def _rmux_rate(events: tuple, s2s, gate_ok: np.ndarray,
         copy[keep] * n_reps + b2[keep] // (2 * block.n_bins),
         minlength=len(s2s) * n_reps).reshape(len(s2s), n_reps)
     # accepted[r, n]: successes among repetition r's first n gates.
-    accepted = np.zeros((n_reps, block.n_bins + 1), dtype=np.int64)
-    np.cumsum(gate_ok, axis=1, out=accepted[:, 1:])
+    width = n_quads.max()
+    accepted = np.zeros((n_reps, width + 1), dtype=np.int64)
+    np.cumsum(gates(width), axis=1, out=accepted[:, 1:])
     return accepted[np.arange(n_reps), n_quads] / block.n_bins
 
 
@@ -395,16 +430,14 @@ def simulate_bell_sweep(p1: float, budgets, n_bins: int, reps: int, seed: int,
         gate_seeds = [child.spawn(n_gates) for child, _rep in batch]
         block_reps = slice(r0, r0 + len(batch))
         for i in range(n_gates):
-            # gate_ok[r, k]: repetition r's k-th gate at split i succeeds.
-            gate_ok = np.stack([np.random.default_rng(seeds[i]).random(n_bins)
-                                for seeds in gate_seeds]) < BELL_GATE_PROB
+            gates = _Gates([seeds[i] for seeds in gate_seeds])
             for scheme, (_networks, first, rate_fn) in table.items():
                 keys = [key for key, splits in plan.items()
                         if key[0] == scheme and i < len(splits)]
                 if keys:
                     split_rates = rate_fn(first(block, i + 1),
                                           [plan[key][i][1] for key in keys],
-                                          gate_ok, block)
+                                          gates, block)
                     for key, row in zip(keys, split_rates):
                         rates[key][i, block_reps] = row
         r0 += len(batch)

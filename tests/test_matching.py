@@ -520,6 +520,20 @@ def test_window_copies_past_int64_raise_value_error():
         _window_core([2 ** 62 - 7], [2 ** 62 + 3], [0, 1], net)
 
 
+def test_window_ending_past_int64_keeps_its_pairs():
+    # b1 + 8191 passes the int64 maximum; the window must end there, not
+    # wrap below b1 and lose the pair that reach 1 finds.
+    top = 2 ** 63 - 1
+    assert _window_pairs([top - 9], [top - 8], 8191, DelayNetwork(14)) == (
+        _window_pairs([top - 9], [top - 8], 1, DelayNetwork(2))) == (
+        [(top - 9, top - 8, 1)], [])
+    # A stream-2 bin at the maximum itself: one copy's stride is then 2^63.
+    bins1, bins2 = [top - 9, top - 3, top], [top - 8, top - 1, top]
+    for reach in (8191, 2, 0):
+        assert _window_pairs(bins1, bins2, reach, DelayNetwork(14)) == (
+            window_pairs_direct(bins1, bins2, reach, DelayNetwork(14)))
+
+
 @pytest.mark.parametrize("bins1, bins2, d_max, net, checks", [
     # d_max = 0: every clamp is constant from the start, so the scan checks
     # once and takes no step.

@@ -1,11 +1,14 @@
 import hashlib
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as strats
 
 from oracles import (
+    _rmux_rate_direct,
+    _standard_rate_direct,
     bell_stats_direct,
     match_direct,
     two_stream_stats_direct,
@@ -21,7 +24,9 @@ from rmux.matching import (
     count_clashing_pairs,
 )
 from rmux.mux_sim import (
+    BELL_GATE_PROB,
     STRATEGIES,
+    _Gates,
     _match_all,
     rmux_splits,
     simulate_bell_rmux,
@@ -347,8 +352,9 @@ def test_bell_sweep_at_the_draw_length_bound_equals_per_budget_oracle(
 # Every budget from 5 to 16, so each split's stage 2 runs several reaches in
 # one window pass: no events at p1 = 0, dense ones at p1 = 1, and at 17 bins
 # every reach from s2 = 6 up is capped at 16 bins, so copies share a reach.
+# The standard windows of s1 = 2 and 3 (2 and 4 bins) do not divide 999 bins.
 @pytest.mark.parametrize("p1, n_bins", [
-    (0.0, 400), (1.0, 400), (0.4, 17), (1.0, 17)])
+    (0.0, 400), (1.0, 400), (0.4, 17), (1.0, 17), (0.3, 999)])
 def test_bell_sweep_of_every_budget_equals_per_budget_oracle(p1, n_bins):
     budgets = range(5, 17)
     sweep = simulate_bell_sweep(p1, budgets, n_bins, 3, seed=41)
@@ -376,6 +382,64 @@ def test_bell_sweep_rates_each_split_of_a_block_once(monkeypatch):
                          ("_standard_rate", 1, 4), ("_rmux_rate", 1, 10),
                          ("_rmux_rate", 1, 8), ("_rmux_rate", 1, 6),
                          ("_rmux_rate", 1, 4), ("_rmux_rate", 1, 2)]]
+
+
+# Every split's per-repetition rates, not only the best split's mean that
+# BellStats reports. At 999 bins the standard windows of 2 and 4 bins leave
+# bins past the last window, and most output widths leave windows past the
+# last group.
+@pytest.mark.parametrize("p1", [0.3, 0.7])
+@pytest.mark.parametrize("n_bins", [999, 17])
+def test_split_rates_equal_per_split_oracles(p1, n_bins):
+    streams = [[generate_stream(p1, n_bins, 4 * r + j) for j in range(4)]
+               for r in range(3)]
+    block = mux_sim._Block(streams, n_bins)
+    seeds = np.random.SeedSequence(13).spawn(len(streams))
+    s2s = list(range(1, 15))
+    for first, rate, direct, s1s in [
+            (mux_sim._standard_stage1, mux_sim._standard_rate,
+             _standard_rate_direct, range(1, 4)),
+            (mux_sim._rmux_stage1, mux_sim._rmux_rate, _rmux_rate_direct,
+             range(1, 8))]:
+        for s1 in s1s:
+            got = rate(first(block, s1), s2s, _Gates(seeds), block)
+            assert got.tolist() == [
+                [direct(rep, s1, s2, np.random.default_rng(sd))
+                 for rep, sd in zip(streams, seeds)] for s2 in s2s], s1
+
+
+def test_relative_splits_draw_only_the_gates_they_read(monkeypatch):
+    drawn = []
+    gates = _Gates.__call__
+
+    def recording(self, width):
+        outcomes = gates(self, width)
+        drawn.append((width, self._ok.shape[1]))
+        return outcomes
+    monkeypatch.setattr(_Gates, "__call__", recording)
+    sweep = simulate_bell_sweep(0.1, range(9, 17), 2000, 3, seed=5,
+                                schemes=("rmux",))
+    # One block; splits s1 = 1..7 each read their largest quad count once,
+    # and draw no further.
+    assert len(drawn) == 7
+    for width, count in drawn:
+        assert count == width < 2000
+    for (scheme, budget), stats in sweep.items():
+        assert stats == bell_stats_direct(scheme, 0.1, budget, 2000, 3,
+                                          seed=5), (scheme, budget)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(strats.integers(0, 2 ** 64 - 1), strats.integers(0, 300),
+       strats.integers(1, 300))
+def test_gates_read_in_steps_equal_one_fresh_draw(seed, n, more):
+    seeds = np.random.SeedSequence(seed).spawn(2)
+    gates = _Gates(seeds)
+    first = gates(n).tolist()
+    want = np.stack([np.random.default_rng(sd).random(n + more)
+                     for sd in seeds]) < BELL_GATE_PROB
+    assert gates(n + more).tolist() == want.tolist()
+    assert first == gates(n).tolist() == want[:, :n].tolist()
 
 
 # At 100 bins a 64-switch window reaches past every repetition: the reach is
