@@ -118,6 +118,16 @@ def _flat(pair_lists) -> tuple:
     return cols, np.repeat(np.arange(len(pair_lists)), counts)
 
 
+def _stride(bins, copies: int) -> int:
+    """One past the largest of `bins`: the stride that lays `copies` copies
+    end to end on one time axis. ValueError if that passes int64."""
+    stride = int(bins.max(initial=-1)) + 1
+    if copies * stride > 2 ** 63:
+        raise ValueError(f"{copies} copies of bins up to {stride - 1} on one "
+                         "axis exceed the int64 maximum")
+    return stride
+
+
 def _reasons(matchings) -> tuple:
     """(bins, part, codes) of the photons of a nonempty list of matchings,
     part 2i (2i + 1) being matching i's stream-1 (stream-2) photons in bin
@@ -127,14 +137,15 @@ def _reasons(matchings) -> tuple:
     sides = [bins for m in matchings for bins in (m.bins1, m.bins2)]
     part = np.repeat(np.arange(len(sides)), [bins.size for bins in sides])
     bins = np.concatenate(sides).astype(np.int64, copy=False)
-    stride = int(bins.max(initial=-1)) + 1
+    stride = _stride(bins, len(sides))
     keys = part * stride + bins
-    # [lo, hi) holds the other part's photons in the feasible direction.
+    # [lo, hi] holds the other part's photons in the feasible direction;
+    # hi stays below len(sides) * stride, which may be 2^63.
     odd = part % 2 == 1
     lo = np.where(odd, (part - 1) * stride, keys + stride)
-    hi = np.where(odd, keys - stride + 1, (part + 2) * stride)
-    codes = np.where(np.searchsorted(keys, lo) < np.searchsorted(keys, hi),
-                     _RANGE, _UNPAIRED)
+    hi = np.where(odd, keys - stride, (part + 1) * stride + (stride - 1))
+    codes = np.where(np.searchsorted(keys, lo)
+                     < np.searchsorted(keys, hi, "right"), _RANGE, _UNPAIRED)
     for code, attr in ((_CLASH, "lost"), (_MATCHED, "pairs")):  # matched wins
         cols, owner = _flat([getattr(m, attr) for m in matchings])
         for side in (0, 1):
@@ -261,11 +272,13 @@ def _conflicts_each(instances, network: DelayNetwork) -> list:
     different instances never meet.
     """
     cols, owner = _flat(instances)
-    stride = int(cols[:, 1].max(initial=-1)) + 1
+    stride = _stride(cols[:, 1], len(instances))
     start = np.cumsum([0] + [len(pairs) for pairs in instances]).tolist()
     each = [[] for _ in instances]
+    # One instance takes no offset: its stride may be 2^63, past int64.
+    at = cols[:, 0] + owner * stride if len(instances) > 1 else cols[:, 0]
     # Sorted by (j, k) within each instance, as the global couples are.
-    for j, k in _conflicts(cols[:, 0] + owner * stride, cols[:, 2], network):
+    for j, k in _conflicts(at, cols[:, 2], network):
         i = owner[j]
         each[i].append((j - start[i], k - start[i]))
     return each
@@ -376,10 +389,7 @@ def _window_core(bins1, bins2, reaches, network: DelayNetwork, lb=None):
     bins2 = np.asarray(bins2, dtype=np.int64)
     reaches = np.atleast_1d(np.asarray(reaches, dtype=np.int64))
     k, n1, n2 = reaches.size, bins1.size, bins2.size
-    stride = int(bins2.max(initial=-1)) + 1
-    if k * stride > 2 ** 63:
-        raise ValueError(f"{k} window copies of stream-2 bins up to "
-                         f"{stride - 1} exceed the int64 maximum")
+    stride = _stride(bins2, k)
     shift = n2 * np.arange(k)[:, None]
     if lb is None:
         lb = np.searchsorted(bins2, bins1, "left")

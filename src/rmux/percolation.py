@@ -34,27 +34,27 @@ scheme (either input may be missing, so both end microclusters are
 discarded). That attribution gap, on top of the smaller f_l, is what the
 relative scheme buys in loss tolerance.
 
-Thresholds take one pass per trial. A trial's draws are fixed and reach
-the lattice only through f_l. With owner damage on, raising f_l only
-removes sites and bonds, so spanning is monotone: a trial spans iff f_l is
-at most its critical loss f*, the bottleneck level of a union-find sweep
-over the bonds from the highest level down (Newman & Ziff, PRL 85, 4104
-(2000)), and a threshold is an order statistic of the f*. Without owner
-damage, heralded site kills break this (a loss prevents the heralded kill
-it replaces), and the threshold functions reject that corner.
+Spanning has one routine, the cut pass. A trial's draws are fixed and
+reach the lattice only through f_l. With owner damage on, raising f_l
+only removes sites and bonds, so spanning is monotone: a trial spans iff
+f_l is at most its critical loss f*, the bottleneck level of a union-find
+sweep over the bonds from the highest level down (Newman & Ziff, PRL 85,
+4104 (2000)), and a threshold is an order statistic of the f*. Without
+owner damage, heralded site kills break this (a loss prevents the heralded
+kill it replaces), and the threshold functions reject that corner.
 
-A threshold reads one rank of the f*, the (k+1)-th smallest, so only the
-trials that could hold it need their exact f*. Trials run in small blocks.
-After each block, each scheme's cut c is an f* of about twice the read
-rank's share among the trials done. For the next block, one
-connected-components call over the bonds at levels >= c (scipy, in C)
-tells which trials join the faces there: their f* is at least c, and they
-are censored. The others run the union-find from that component forest
-over the bonds below c only, which gives their exact f*, because f* is the
-level at which the faces join, whatever order the bonds above c merged
-in. A censored trial whose c is not above the read rank's value is drawn
-again and swept in full, until none is left; the read value is then the
-plain sweep's, bit for bit.
+Trials run in small blocks. For each, one connected-components call over
+the bonds at levels >= a cut c (scipy, in C, imported on first use in
+~0.4 s) tells which trials join the faces there: their f* is at least c,
+and they are censored. The others run the union-find from that component
+forest over the bonds below c only, which gives their exact f*, because
+f* is the level at which the faces join, whatever order the bonds above c
+merged in. `spans` and `percolation_probability` run it at c = 1, every
+bond at level 1 or -inf. A threshold reads one rank of the f*, the
+(k+1)-th smallest, so after each block each scheme's c is an f* of about
+twice that rank's share among the trials done. A censored trial whose c
+is not above the read value is drawn again and swept in full; that value
+is then the plain sweep's, bit for bit.
 """
 
 from __future__ import annotations
@@ -305,17 +305,14 @@ def _bond_levels(lattice: DiamondLattice, site_level, bond_level):
     return np.minimum(bond_level, np.minimum(site_level[a], site_level[b]))
 
 
-def _critical_level(lattice: DiamondLattice, level, parent=None,
-                    cut=np.inf) -> float:
+def _critical_level(lattice: DiamondLattice, level, parent, cut) -> float:
     """Highest level below `cut` at which usable bonds join the faces, or -inf.
 
     Bonds at levels in (-inf, cut) merge from the highest level down into
-    the union-find `parent` (default: singletons) over `bond_nodes`, whose
-    face nodes are numbered last and are roots: linking the lower root
-    under the higher keeps them roots.
+    the union-find `parent` over `bond_nodes`, whose face nodes are
+    numbered last and are roots: linking the lower root under the higher
+    keeps them roots.
     """
-    if parent is None:
-        parent = list(range(lattice.n_sites + 2))
     below = np.flatnonzero((level > -np.inf) & (level < cut))
     order = below[np.argsort(-level[below])]
     n = lattice.n_sites
@@ -363,7 +360,7 @@ def _cut_pass(lattice: DiamondLattice, levels, cuts):
 def _connected_components(rows, cols, size):
     """(count, labels) of the components of the undirected graph on `size`
     nodes with an edge from each of `rows` (ascending) to `cols`."""
-    # Lazy: scipy.sparse takes ~0.4 s to import; only thresholds need it.
+    # Lazy: scipy.sparse takes ~0.4 s to import, which `import rmux` skips.
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import connected_components
     indptr = np.zeros(size + 1, dtype=np.int32)
@@ -372,12 +369,17 @@ def _connected_components(rows, cols, size):
     return connected_components(graph, directed=False)
 
 
+def _spanning(lattice: DiamondLattice, states) -> np.ndarray:
+    """Whether each state spans: its cut pass at cut 1 reads +inf."""
+    levels = np.array([_bond_levels(
+        lattice, np.where(st.site_alive, 1.0, -np.inf),
+        np.where(st.bond_present, 1.0, -np.inf)) for st in states])
+    return np.isposinf(_cut_pass(lattice, levels, np.ones(len(levels))))
+
+
 def spans(state: LatticeState) -> bool:
-    """Whether a path of present bonds over alive sites joins the faces:
-    the critical level with every site and bond at level 1 or -inf."""
-    return _critical_level(state.lattice, _bond_levels(
-        state.lattice, np.where(state.site_alive, 1.0, -np.inf),
-        np.where(state.bond_present, 1.0, -np.inf))) > 0
+    """Whether a path of present bonds over alive sites joins the faces."""
+    return bool(_spanning(state.lattice, [state])[0])
 
 
 def _trials(L, trials, seed, semantics):
@@ -393,6 +395,13 @@ def _rng(trial_seed) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(trial_seed))
 
 
+# Trials per connected-components pass, and a cut sweep's cut rank per
+# needed rank: after d of n trials, each scheme's cut is the f* of rank
+# about _CUT_RANK * needed * d / n among them.
+_BLOCK_TRIALS = 4
+_CUT_RANK = 2.0
+
+
 def percolation_probability(L: int, scheme: str, p_l: float, a_l: float,
                             trials: int, seed: int,
                             semantics: OutcomeSemantics | None = None):
@@ -401,9 +410,10 @@ def percolation_probability(L: int, scheme: str, p_l: float, a_l: float,
     Trial t samples with the t-th child of `SeedSequence(seed)`.
     """
     semantics, lattice, seeds = _trials(L, trials, seed, semantics)
-    hits = sum(spans(sample_lattice_state(lattice, scheme, p_l, a_l,
-                                          semantics, _rng(s))) for s in seeds)
-    p_hat = hits / trials
+    p_hat = float(np.mean(np.concatenate([_spanning(lattice, [
+        sample_lattice_state(lattice, scheme, p_l, a_l, semantics, _rng(s))
+        for s in seeds[start:start + _BLOCK_TRIALS]])
+        for start in range(0, trials, _BLOCK_TRIALS)])))
     return p_hat, float(np.sqrt(p_hat * (1.0 - p_hat) / trials))
 
 
@@ -415,18 +425,11 @@ def critical_losses(L: int, scheme: str, trials: int, seed: int,
     return _critical_losses(L, (scheme,), trials, seed, semantics)[0]
 
 
-# Trials per connected-components pass of a cut sweep, and the cut's rank
-# per needed rank: after d of n trials, each scheme's cut is the f* of rank
-# about _CUT_RANK * needed * d / n among them.
-_BLOCK_TRIALS = 4
-_CUT_RANK = 2.0
-
-
 def _critical_losses(L, schemes, trials, seed, semantics,
                      needed=None) -> np.ndarray:
     """`critical_losses` per scheme (rows), all from each trial's one draw.
 
-    With `needed`, only each row's `needed` smallest f* are sure to be
+    Only each row's `needed` (default: all) smallest f* are sure to be
     exact: another entry may read +inf for an f* above them (the
     `needed`-th smallest of every row is that of the exact f*).
     """
@@ -435,45 +438,42 @@ def _critical_losses(L, schemes, trials, seed, semantics,
             and semantics.heralded_site_kill_prob > 0.0):
         raise ValueError("spanning is not monotone in loss with loss_kills_"
                          "owner_site=False and heralded_site_kill_prob > 0")
+    needed = trials if needed is None else needed
+    # One block's bond levels, trial-major, refilled in place (fewer page faults).
+    rows = np.empty((_BLOCK_TRIALS, len(schemes), lattice.n_bonds))
 
-    def levels(t):
-        """Trial t's bond levels per scheme, from its one draw."""
-        _, _, owner, passive, bond, killed = _fusion_levels(
-            lattice, semantics, _rng(seeds[t]))
-        owner[lattice.fusion_owner[killed]] = -np.inf   # dead, lost or not
-        return np.array([_bond_levels(lattice, _site_levels(
-            scheme, semantics, owner, passive), bond) for scheme in schemes])
+    def sweep(ts):
+        """Trials `ts`' f* per scheme (rows), each censored at its bound."""
+        for i, t in enumerate(ts):
+            owner, passive, bond, killed = _fusion_levels(
+                lattice, semantics, _rng(seeds[t]))[2:]
+            owner[lattice.fusion_owner[killed]] = -np.inf   # dead, lost or not
+            rows[i] = [_bond_levels(lattice, _site_levels(
+                scheme, semantics, owner, passive), bond) for scheme in schemes]
+        return _cut_pass(lattice, rows[:len(ts)].reshape(-1, lattice.n_bonds),
+                         bound[:, ts].T.ravel()).reshape(-1, len(schemes)).T
 
+    # An f* at or above its block's cut is stored as +inf, with the cut as
+    # its bound. A cut stays +inf while its rank exceeds the trials done.
     f_star = np.empty((len(schemes), trials))
-    if needed is None or 2 * needed >= trials:
-        for t in range(trials):
-            f_star[:, t] = [_critical_level(lattice, lv) for lv in levels(t)]
-        return f_star
-    # Only the needed-th smallest f* is read, so each block's trials are
-    # censored at a cut: an f* at or above it is stored as +inf, and its
-    # cut kept as the bound it is known to reach.
     bound, cuts = np.full_like(f_star, np.inf), np.full(len(schemes), np.inf)
     for start in range(0, trials, _BLOCK_TRIALS):
-        block = np.arange(start, min(start + _BLOCK_TRIALS, trials))
-        rows = np.stack([levels(t) for t in block], axis=1)
-        f_star[:, block] = _cut_pass(
-            lattice, rows.reshape(-1, lattice.n_bonds),
-            np.repeat(cuts, len(block))).reshape(len(schemes), -1)
-        bound[:, block] = cuts[:, None]
-        done = block[-1] + 1
+        done = min(start + _BLOCK_TRIALS, trials)
+        bound[:, start:done] = cuts[:, None]
+        f_star[:, start:done] = sweep(range(start, done))
         rank = int(np.ceil(_CUT_RANK * needed * done / trials))
-        cuts = np.partition(f_star[:, :done], rank - 1, axis=1)[:, rank - 1]
-    # Exactness: a censored f* at a bound no higher than the needed-th
-    # smallest could be among the needed smallest, so sweep it in full.
-    while True:
-        v = np.partition(f_star, needed - 1, axis=1)[:, needed - 1]
-        redo = np.isposinf(f_star) & (bound <= v[:, None])
-        if not redo.any():
-            return f_star
-        for t in np.flatnonzero(redo.any(axis=0)):
-            for i, level in enumerate(levels(t)):
-                if redo[i, t]:
-                    f_star[i, t] = _critical_level(lattice, level)
+        if rank <= done:
+            cuts = np.partition(f_star[:, :done], rank - 1, axis=1)[:, rank - 1]
+    # Exactness: censored f* with bounds not above the needed-th smallest
+    # are drawn again and swept uncensored, which can only lower it: once.
+    v = np.partition(f_star, needed - 1, axis=1)[:, needed - 1]
+    redo = np.isposinf(f_star) & (bound <= v[:, None])
+    bound[redo] = np.inf
+    redo = np.flatnonzero(redo.any(axis=0))
+    for start in range(0, redo.size, _BLOCK_TRIALS):
+        block = redo[start:start + _BLOCK_TRIALS]
+        f_star[:, block] = sweep(block)
+    return f_star
 
 
 def loss_thresholds(schemes, target, a_l_values, L, trials, seed, semantics,

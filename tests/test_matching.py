@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from oracles import (
     assignment_matrix_direct,
     brute_force_assignment,
+    clash_couples,
     discards_direct,
     metric_row_direct,
     oracle_routable,
@@ -518,6 +519,35 @@ def test_window_copies_past_int64_raise_value_error():
         _window_core([top], [top + 1], [1, 1], net)
     with pytest.raises(ValueError, match="exceed the int64 maximum"):
         _window_core([2 ** 62 - 7], [2 ** 62 + 3], [0, 1], net)
+
+
+def test_instances_past_int64_on_one_axis_raise_value_error():
+    # Each matching's two streams (each instance) take one stride of the
+    # shared axis; bins near 2^62 used to wrap there.
+    big = Matching([(2 ** 62, 2 ** 62 + 1, 1)], np.array([2 ** 62]),
+                   np.array([2 ** 62 + 1]))
+    with pytest.raises(ValueError, match="exceed the int64 maximum"):
+        _metric_rows([big])
+    with pytest.raises(ValueError, match="exceed the int64 maximum"):
+        _conflicts_each([[(2 ** 62, 2 ** 62, 0)]] * 2, DelayNetwork(2))
+
+
+def test_instances_that_just_fit_on_one_axis_keep_their_records():
+    # Two strides of 2^62 end at the int64 maximum. Stream-1 photon 0 has
+    # a later stream-2 photon, so it reads "range", not "unpaired".
+    top = 2 ** 62 - 1
+    m = Matching([(top - 1, top, 1)], np.array([0, top - 1]), np.array([top]))
+    assert _metric_rows([m])[0, :3].tolist() == [2 / 3, 0.0, 1 / 3]
+    assert m.discarded == [(0, "1", "range")]
+    pairs = [(top - 1, top, 1), (top - 1, top, 1)]
+    assert _conflicts_each([pairs[:1], pairs], DelayNetwork(2)) == [
+        *_conflicts_each([pairs[:1]], DelayNetwork(2)),
+        *_conflicts_each([pairs], DelayNetwork(2))] == [[], [(0, 1)]]
+    # One instance takes no offset, even at the int64 maximum.
+    top = 2 ** 63 - 1
+    pairs = [(top - 1, top, 1), (top, top, 0)]
+    assert _conflicts_each([pairs], DelayNetwork(2)) == [
+        clash_couples(pairs, DelayNetwork(2))] == [[(0, 1)]]
 
 
 def test_window_ending_past_int64_keeps_its_pairs():

@@ -530,6 +530,40 @@ def test_critical_loss_count_equals_spanning_fraction(L, trials, scheme,
                                                                         p_l)
 
 
+@pytest.mark.parametrize("sem", [*_SEMANTICS_CASES.values(), OutcomeSemantics(
+    loss_kills_owner_site=False, heralded_site_kill_prob=0.45)],
+    ids=[*_SEMANTICS_CASES, "non_monotone"])
+@pytest.mark.parametrize("scheme", ["rmux", "standard"])
+def test_spanning_fraction_equals_the_bfs_count(scheme, sem):
+    # the blocked cut pass against a path search over each trial's sampled
+    # lattice, same child seeds; 1, 5 and 37 trials end in partial blocks
+    lat, mixed = DiamondLattice(4), False
+    for trials in (1, 5, 37):
+        seeds = np.random.SeedSequence(29).spawn(trials)
+        for p_l in (0.0, 0.08, 0.15, 0.4):
+            hits = sum(spans_bfs(sample_lattice_state(
+                lat, scheme, p_l, 0.0, sem,
+                np.random.Generator(np.random.PCG64(s)))) for s in seeds)
+            p_hat, _ = percolation_probability(4, scheme, p_l, 0.0, trials,
+                                               29, sem)
+            assert p_hat == hits / trials, (trials, p_l)
+            mixed |= 0 < hits < trials
+    assert mixed
+
+
+@pytest.mark.parametrize("sem_name", ["default", "calibrated"])
+@pytest.mark.parametrize("trials", [1, 7, 41])
+def test_every_critical_loss_is_exact_in_partial_blocks(trials, sem_name):
+    # every f* is read, so no cut censors any: none is +inf, and a last
+    # block shorter than the rest changes nothing
+    sem = _SEMANTICS_CASES[sem_name]
+    for scheme in ("rmux", "standard"):
+        got = critical_losses(5, scheme, trials, 23, sem)
+        assert not np.isposinf(got).any()
+        np.testing.assert_array_equal(
+            got, critical_losses_direct(5, scheme, trials, 23, sem))
+
+
 def _plain_sorted(L, trials, seed, sem):
     """Each scheme's `critical_losses`, every trial swept in full, sorted."""
     return np.sort([critical_losses(L, scheme, trials, seed, sem)
