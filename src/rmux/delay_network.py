@@ -49,22 +49,18 @@ def depth_for_bins(k: int) -> tuple[int, int]:
 class DelayNetwork:
     """Fixed topology of an s-switch binary-delay network.
 
-    Delaying stages are ordered ascending (1, 2, 4, ...) by default, which
-    matches the drawn cascades; clash statistics depend on the ordering, so
-    descending=True is available for sensitivity checks.
+    Delaying stages ascend (1, 2, 4, ...), as in the drawn cascades, so the
+    first s-1 switches of a larger network are this one's delaying stages.
     """
 
     s: int
-    descending: bool = False
     stage_delays: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
         if not 1 <= self.s <= 64:   # so every delay fits in int64
             raise ValueError(f"switch count must be in [1, 64], got {self.s}")
-        delays = tuple(1 << i for i in range(self.s - 1))
-        if self.descending:
-            delays = tuple(reversed(delays))
-        object.__setattr__(self, "stage_delays", delays)
+        object.__setattr__(self, "stage_delays",
+                           tuple(1 << i for i in range(self.s - 1)))
 
     @property
     def max_delay(self) -> int:

@@ -85,7 +85,7 @@ class Matching:
     def discarded(self) -> list:
         """(bin, stream "1"|"2", reason) of each photon `pairs` leaves
         unmatched, as the module docstring orders and defines them."""
-        bins, part, codes = _reasons([self])
+        bins, part, codes, _pairs = _reasons([self])
         return [(b, str(k + 1), _REASONS[code]) for b, k, code
                 in zip(bins.tolist(), part.tolist(), codes.tolist())
                 if code != _MATCHED]
@@ -119,21 +119,23 @@ def _flat(pair_lists) -> tuple:
 
 
 def _stride(bins, copies: int) -> int:
-    """One past the largest of `bins`: the stride that lays `copies` copies
-    end to end on one time axis. ValueError if that passes int64."""
+    """One past the largest of `bins`, capped at the int64 maximum (copy 0
+    takes no offset): the stride that lays `copies` copies end to end on one
+    time axis, copy c at c * stride. ValueError if that passes int64."""
     stride = int(bins.max(initial=-1)) + 1
     if copies * stride > 2 ** 63:
         raise ValueError(f"{copies} copies of bins up to {stride - 1} on one "
                          "axis exceed the int64 maximum")
-    return stride
+    return min(stride, 2 ** 63 - 1)
 
 
 def _reasons(matchings) -> tuple:
     """(bins, part, codes) of the photons of a nonempty list of matchings,
     part 2i (2i + 1) being matching i's stream-1 (stream-2) photons in bin
-    order. Part q sits at q * stride + bin on one axis, stride exceeding
-    every bin, so each searchsorted places every pair's photons, or every
-    photon's feasible partners, at once; memory grows with the photons."""
+    order, and the `_flat` of the matchings' pairs. Part q sits at q *
+    stride + bin on one axis, stride exceeding every bin, so each
+    searchsorted places every pair's photons, or every photon's feasible
+    partners, at once; memory grows with the photons."""
     sides = [bins for m in matchings for bins in (m.bins1, m.bins2)]
     part = np.repeat(np.arange(len(sides)), [bins.size for bins in sides])
     bins = np.concatenate(sides).astype(np.int64, copy=False)
@@ -151,14 +153,14 @@ def _reasons(matchings) -> tuple:
         for side in (0, 1):
             codes[np.searchsorted(
                 keys, (2 * owner + side) * stride + cols[:, side])] = code
-    return bins, part, codes
+    return bins, part, codes, (cols, owner)
 
 
 def _metric_rows(matchings) -> np.ndarray:
     """One row per matching: `matching_metrics`' matched fraction, clash
-    rate and out-of-range fraction, then the total weight, all counted
-    from one `_reasons` pass."""
-    bins, part, codes = _reasons(matchings)
+    rate and out-of-range fraction, counted from one `_reasons` pass, then
+    the total weight, its pairs' delays summed in int64 (exact past 2^53)."""
+    _bins, part, codes, (pairs, pair_owner) = _reasons(matchings)
     n, owner = len(matchings), part // 2
     counts = np.bincount(owner * 4 + codes, minlength=4 * n).reshape(n, 4)
     n_pairs, clash_pairs = counts[:, _MATCHED] // 2, counts[:, _CLASH] // 2
@@ -167,10 +169,9 @@ def _metric_rows(matchings) -> np.ndarray:
     den = np.stack([photons, n_pairs + clash_pairs, photons], axis=1)
     rows = np.zeros((n, 4))
     np.divide(num, den, out=rows[:, :3], where=den > 0)
-    # A pair holds one photon of each stream and delays it b2 - b1.
-    signed = np.where(part % 2 == 1, bins, -bins)
-    rows[:, 3] = np.bincount(owner, weights=np.where(codes == _MATCHED,
-                                                     signed, 0), minlength=n)
+    weights = np.zeros(n, dtype=np.int64)
+    np.add.at(weights, pair_owner, pairs[:, 2])
+    rows[:, 3] = weights
     return rows
 
 
@@ -257,28 +258,26 @@ def pair_requests(pairs) -> list:
     return [RoutingRequest(arrival_bin=b1, delay=d) for b1, _b2, d in pairs]
 
 
-def _conflicts(arrival_bins, delays, network: DelayNetwork):
-    """Sorted couples (j, k), j < k, of requests whose forced paths clash."""
-    rows = clash_rows(arrival_bins, delays, network)
+def _clash_couples(b1, delays, owner, stride: int, network: DelayNetwork):
+    """Sorted couples (j, k), j < k, of the pairs whose delayed photons
+    clash in one `clash_rows` scan, pair j (stream-1 bin b1[j], delay
+    delays[j]) of copy owner[j] sitting at owner[j] * stride on one time
+    axis. A forced path stays in bins b1..b1 + delay, so with `_stride`
+    past every pair's end, paths of different copies never meet."""
+    rows = clash_rows(b1 + owner * stride, delays, network)
     return sorted(set(map(tuple, rows[:, 2:].tolist())))
 
 
 def _conflicts_each(instances, network: DelayNetwork) -> list:
     """Per instance (a list of (b1, b2, delay) pairs), the sorted couples
-    (j, k), j < k, of its pairs whose delayed photons clash, by one scan.
-
-    Instance i's pairs sit at offset i * stride on one time axis; a forced
-    path stays in bins b1..b2 and stride exceeds every b2, so paths of
-    different instances never meet.
-    """
+    (j, k), j < k, of its pairs whose delayed photons clash, by one
+    `_clash_couples` scan with one copy per instance."""
     cols, owner = _flat(instances)
     stride = _stride(cols[:, 1], len(instances))
     start = np.cumsum([0] + [len(pairs) for pairs in instances]).tolist()
     each = [[] for _ in instances]
-    # One instance takes no offset: its stride may be 2^63, past int64.
-    at = cols[:, 0] + owner * stride if len(instances) > 1 else cols[:, 0]
     # Sorted by (j, k) within each instance, as the global couples are.
-    for j, k in _conflicts(at, cols[:, 2], network):
+    for j, k in _clash_couples(cols[:, 0], cols[:, 2], owner, stride, network):
         i = owner[j]
         each[i].append((j - start[i], k - start[i]))
     return each
@@ -298,10 +297,9 @@ def _repair_all(instances, network: DelayNetwork) -> list:
     """`resolve_clashes_optimal` of every (pairs, W) instance, in lockstep.
 
     Each round finds the clashes of every instance still being repaired by
-    one `_conflicts_each` scan through `network`, which must give each
-    instance's requests the clashes of its own network (as the largest of
-    several ascending networks does: see `rmux.mux_sim`). Returns one
-    Matching per instance.
+    one `_conflicts_each` scan through `network`, which gives each
+    instance's requests the clashes of its own network if that is no larger
+    (see `rmux.mux_sim`). Returns one Matching per instance.
     """
     Ws = [replace(W, weights=W.weights.copy()) for _pairs, W in instances]
     current = [sorted(pairs) for pairs, _W in instances]
@@ -378,12 +376,12 @@ def _window_core(bins1, bins2, reaches, network: DelayNetwork, lb=None):
     Each reach d runs as one copy of the streams, all in one scan: copy c's
     stream-2 indices are shifted by c * len(bins2), so its lb is past every
     pointer of copy c - 1, and only ub depends on d. One clash scan through
-    `network` puts copy c's pairs at c * stride, stride past every b2 (a
-    forced path stays in bins b1..b2), so a copy whose reach a smaller
-    ascending network gives sees that network's clashes (see
-    `rmux.mux_sim`). A pair that needs more delay than `network` gives
-    raises ValueError, as do copies that would pass int64 on that axis.
-    A window that would end past int64 ends at its maximum instead.
+    `network` (`_clash_couples`) puts copy c's pairs at c * stride, stride
+    past every b2, so a copy whose reach a smaller network gives sees that
+    network's clashes (see `rmux.mux_sim`). A pair that needs more delay
+    than `network` gives raises ValueError, as do copies that would pass
+    int64 on that axis. A window that would end past int64 ends at its
+    maximum instead.
     """
     bins1 = np.asarray(bins1, dtype=np.int64)
     bins2 = np.asarray(bins2, dtype=np.int64)
@@ -414,9 +412,8 @@ def _window_core(bins1, bins2, reaches, network: DelayNetwork, lb=None):
     b1, b2 = np.tile(bins1, k)[paired], bins2[take[paired] - copy * n2]
     keep = np.ones(b1.size, dtype=bool)
     if b1.size:
-        # One copy takes no offset: its stride may be 2^63, past int64.
-        at = b1 + copy * stride if k > 1 else b1
-        keep[list(_lost_on_conflict(_conflicts(at, b2 - b1, network)))] = False
+        keep[list(_lost_on_conflict(
+            _clash_couples(b1, b2 - b1, copy, stride, network)))] = False
     return b1, b2, keep, copy
 
 

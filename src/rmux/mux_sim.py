@@ -25,9 +25,9 @@ from one difference matrix per repetition, and one assignment per
 scan per block finds the assignments that clash: assignment i's pairs sit
 at offset i * stride on one time axis (a forced path stays in bins b1..b2,
 and stride exceeds every b2) and route through the largest count's
-network. With the stages ascending (the default), a delay that s switches
-reach takes the same bins and rails there through switch s-1, then waits
-in its output bin on rail 0, so the same requests clash. Only clashing
+network. Stages ascend (1, 2, 4, ...), so a delay that s switches reach
+takes the same bins and rails there through switch s-1, then waits in its
+output bin on rail 0, and the same requests clash. Only clashing
 assignments are repaired (hungarian_with_clash, in lockstep: each round
 scans all those still being repaired at once) or counted through `route`
 (hungarian_no_clash's clash_rate, else 0). The realistic strategy makes
@@ -53,7 +53,7 @@ of the two event streams per s2. Copies never meet: a copy's window
 pointer starts past every event of the copy before, and on the clash
 scan's axis its pairs sit a stride past every event bin from the next
 copy's, while a forced path stays in bins b1..b2. Their clashes are found
-through the largest s2 network, by the ascending-stage argument above.
+through the largest s2 network, by the argument above.
 Results equal those of simulating each budget on its own.
 """
 
@@ -168,8 +168,8 @@ def _match_all(stream_pairs, networks, strategies) -> dict:
     [[Matching per network] per stream pair], and a (stream pairs,
     networks, 4) array of each one's matched fraction, clash rate,
     out-of-range fraction and total weight, counted by one `_metric_rows`
-    pass. Several networks need ascending stages (see the module
-    docstring)."""
+    pass. Every network's clashes are found through the largest (see the
+    module docstring)."""
     strategies = _checked(strategies, "strategy", "strategies", STRATEGIES)
     matchings = {}
     largest = max(networks, key=lambda net: net.s)

@@ -382,10 +382,14 @@ def spans(state: LatticeState) -> bool:
     return bool(_spanning(state.lattice, [state])[0])
 
 
-def _trials(L, trials, seed, semantics):
-    """(semantics, lattice, trial seeds) for the trial loops."""
+def _check_trials(trials) -> None:
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+
+
+def _trials(L, trials, seed, semantics):
+    """(semantics, lattice, trial seeds) for the trial loops."""
+    _check_trials(trials)
     lattice = DiamondLattice(L)
     return (semantics or OutcomeSemantics(), lattice,
             np.random.SeedSequence(seed).spawn(trials))
@@ -483,6 +487,7 @@ def loss_thresholds(schemes, target, a_l_values, L, trials, seed, semantics,
     f_l(p_l, a_l)."""
     if not 0.0 < target < 1.0:
         raise ValueError(f"target must be in (0, 1), got {target}")
+    _check_trials(trials)   # before the rank is read from no trials
     k = trials - 1 - np.argmax(np.arange(1, trials + 1) / trials >= target)
     f_star = np.sort(_critical_losses(L, schemes, trials, seed, semantics,
                                       needed=k + 1))

@@ -204,6 +204,28 @@ def test_percolate_threshold_rejects_non_monotone_semantics(capsys,
     assert "heralded_site_kill_prob" in err
 
 
+@pytest.mark.parametrize("args", [
+    ["percolate", "--mode", "threshold", "--L", "4", "--trials", "0"],
+    ["percolate", "--mode", "frontier", "--L", "4", "--trials", "0"],
+    ["reproduce", "fig8_thresholds", "--set", "trials=0"],
+    ["reproduce", "fig9_frontier", "--set", "trials=0"],
+])
+def test_threshold_with_no_trials_names_the_trial_count(args, capsys,
+                                                        monkeypatch, tmp_path):
+    _forbid_sampling(monkeypatch)
+    out = ["--out", str(tmp_path)] if args[0] == "reproduce" else []
+    assert main(args + out) == 1
+    assert capsys.readouterr().err == "error: trials must be >= 1, got 0\n"
+
+
+def test_fig8_with_no_finite_size_trials_names_the_trial_count(capsys,
+                                                               tmp_path):
+    assert main(["reproduce", "fig8_thresholds", "--set", "L=4", "--set",
+                 "trials=20", "--set", "finite_size_L=3", "--set",
+                 "finite_size_trials=0", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "error: trials must be >= 1, got 0\n"
+
+
 def test_percolate_frontier_grid_error_names_the_option(capsys, monkeypatch):
     _forbid_sampling(monkeypatch)
     assert main(["percolate", "--mode", "frontier", "--L", "4", "--trials",

@@ -38,7 +38,6 @@ def test_depth_for_bins():
 def test_stage_delays_layout():
     assert DelayNetwork(1).stage_delays == ()
     assert DelayNetwork(4).stage_delays == (1, 2, 4)
-    assert DelayNetwork(4, descending=True).stage_delays == (4, 2, 1)
 
 
 def test_single_request_hand_trace():
@@ -127,15 +126,6 @@ def test_no_promotion():
         assert rows[-1][-1] == req.arrival_bin + req.delay
 
 
-def test_descending_order_still_realizes_delays():
-    net = DelayNetwork(4, descending=True)
-    for d in range(net.max_delay + 1):
-        res = route([RoutingRequest(0, d)], net)
-        assert res.clash_free
-        _, _, rails = res.routed[0]
-        assert sum(r * delta for r, delta in zip(rails, net.stage_delays)) == d
-
-
 def test_requests_conflict_matches_route():
     rng = np.random.default_rng(11)
     for _ in range(400):
@@ -178,11 +168,11 @@ def test_route_agrees_with_timeline_oracle_smoke():
 
 @st.composite
 def clash_cases(draw):
-    """Requests for an s-switch network in either stage order, s from 1 to
-    8, with arrival bins drawn from a short range (many repeats and
-    meetings) or a long one, in any order."""
+    """Requests for an s-switch network, s from 1 to 8, with arrival bins
+    drawn from a short range (many repeats and meetings) or a long one, in
+    any order."""
     s = draw(st.integers(1, 8))
-    net = DelayNetwork(s, descending=draw(st.booleans()))
+    net = DelayNetwork(s)
     n = draw(st.integers(0, 12))
     top = draw(st.sampled_from([3, 40, 5000]))
     arrivals = draw(st.lists(st.integers(0, top), min_size=n, max_size=n))
@@ -196,7 +186,7 @@ def clash_cases(draw):
 @example(([], [], DelayNetwork(1)))
 @example(([5, 5, 5, 5], [0, 0, 0, 0], DelayNetwork(1)))
 @example(([0, 1, 1], [1, 0, 1], DelayNetwork(2)))
-@example(([9, 2, 9, 0, 2], [0, 3, 5, 7, 1], DelayNetwork(4, descending=True)))
+@example(([9, 2, 9, 0, 2], [0, 3, 5, 7, 1], DelayNetwork(4)))
 def test_clash_rows_equal_path_walk_and_flat_key_kernel(case):
     arrivals, delays, net = case
     got = clash_rows(arrivals, delays, net)

@@ -266,8 +266,7 @@ def test_hungarian_with_clash_pinned_on_clash_heavy_instances():
     digest = hashlib.sha256()
     repaired = clashed = 0
     while repaired < 40:
-        net = DelayNetwork(int(rng.integers(4, 9)),
-                           descending=bool(rng.integers(0, 2)))
+        net = DelayNetwork(int(rng.integers(4, 9)))
         s1, s2 = (generate_stream(0.3, 80, int(x))
                   for x in rng.integers(0, 2 ** 32, size=2))
         m = hungarian_min_assignment(
@@ -278,9 +277,9 @@ def test_hungarian_with_clash_pinned_on_clash_heavy_instances():
         digest.update(repr((fixed.pairs, fixed.discarded)).encode())
         repaired += 1
         clashed += any(r == "clash" for _, _, r in fixed.discarded)
-    assert clashed == 9
+    assert clashed == 6
     assert digest.hexdigest() == (
-        "63a12898a8bc3a301a945a5642fe94cecf2a6713ed5aaa00ca85b4d03dc15a3b")
+        "ab0bba111bdd47a0a07523ca820e4c18355dbcc705096537f77b98bebf264488")
 
 
 @st.composite
@@ -550,6 +549,18 @@ def test_instances_that_just_fit_on_one_axis_keep_their_records():
         clash_couples(pairs, DelayNetwork(2))] == [[(0, 1)]]
 
 
+def test_weight_column_is_exact_past_2_to_53():
+    # float64 keeps no bin near 2^62 to the unit, so summing signed photon
+    # bins there read a delay of 1 as 0; each matching's pair delays do not.
+    top = 2 ** 62 - 1
+    m = Matching([(top - 1, top, 1)], np.array([0, top - 1]), np.array([top]))
+    assert _metric_rows([m])[0, 3] == m.total_weight == 1
+    assert matching_metrics(m).mean_delay == 1.0
+    two = Matching([(top - 3, top - 1, 2), (top, top, 0)],
+                   np.array([top - 3, top]), np.array([top - 1, top]))
+    assert _metric_rows([two])[0].tolist() == [1.0, 0.0, 0.0, 2.0]
+
+
 def test_window_ending_past_int64_keeps_its_pairs():
     # b1 + 8191 passes the int64 maximum; the window must end there, not
     # wrap below b1 and lose the pair that reach 1 finds.
@@ -647,8 +658,7 @@ def test_every_photon_is_paired_or_discarded_once_in_stream_bin_order():
     rng = np.random.default_rng(12)
     clash_discards = set()
     for _ in range(90):
-        net = DelayNetwork(int(rng.integers(1, 9)),
-                           descending=bool(rng.integers(0, 2)))
+        net = DelayNetwork(int(rng.integers(1, 9)))
         s1, s2 = (generate_stream(0.3, 120, int(x))
                   for x in rng.integers(0, 2 ** 32, size=2))
         for strategy in STRATEGIES:
@@ -670,12 +680,11 @@ def test_every_photon_is_paired_or_discarded_once_in_stream_bin_order():
 
 @st.composite
 def discard_cases(draw):
-    """Two streams, either of which may be empty, and a network with its
-    stages ascending or descending."""
+    """Two streams, either of which may be empty, and a network."""
     n_bins = draw(st.integers(1, 60))
     p1, p2 = (draw(st.sampled_from([0.0, 0.1, 0.3, 0.6])) for _ in range(2))
     seed = draw(st.integers(0, 2**32 - 2))
-    net = DelayNetwork(draw(st.integers(1, 8)), descending=draw(st.booleans()))
+    net = DelayNetwork(draw(st.integers(1, 8)))
     return (generate_stream(p1, n_bins, seed),
             generate_stream(p2, n_bins, seed + 1), net)
 

@@ -10,6 +10,7 @@ from oracles import (
     _rmux_rate_direct,
     _standard_rate_direct,
     bell_stats_direct,
+    clash_couples,
     match_direct,
     two_stream_stats_direct,
     window_pairs_direct,
@@ -18,7 +19,6 @@ from rmux import mux_sim
 from rmux.delay_network import DelayNetwork, max_delay
 from rmux.experiments import ExperimentConfig, run_experiment
 from rmux.matching import (
-    _conflicts,
     _conflicts_each,
     _metrics_of,
     count_clashing_pairs,
@@ -208,8 +208,7 @@ def test_one_axis_scan_equals_per_instance_conflicts(case):
     switches, instances = case
     # Couples, not just which instances clash: the repair reads them.
     got = _conflicts_each(instances, DelayNetwork(max(switches)))
-    assert got == [_conflicts([b1 for b1, _b2, _d in pairs],
-                              [d for _b1, _b2, d in pairs], DelayNetwork(s))
+    assert got == [clash_couples(pairs, DelayNetwork(s))
                    for s, pairs in zip(switches, instances)]
 
 

@@ -678,6 +678,24 @@ def test_non_monotone_semantics_rejected_before_sampling(monkeypatch):
                           semantics=sem)
 
 
+@pytest.mark.parametrize("threshold", [
+    lambda: loss_threshold("rmux", 0.9, 0.0, 4, trials=0, seed=1),
+    lambda: percolation.loss_thresholds(("rmux", "standard"), 0.9, [0.0],
+                                        4, 0, 1, None),
+    lambda: tradeoff_frontier("rmux", 0.9, [0.0, 0.01], 4, trials=0, seed=1),
+], ids=["loss_threshold", "loss_thresholds", "tradeoff_frontier"])
+def test_threshold_with_no_trials_is_rejected_before_sampling(threshold,
+                                                              monkeypatch):
+    # The rank a threshold reads is found before any trial runs; with no
+    # trials there is none, and the trial count is what to name.
+    def no_draws(*args, **kwargs):
+        raise AssertionError("lattice sampled")
+
+    monkeypatch.setattr("rmux.percolation._fusion_levels", no_draws)
+    with pytest.raises(ValueError, match=r"^trials must be >= 1, got 0$"):
+        threshold()
+
+
 def test_threshold_is_the_crossing():
     # same seed: the spanning fraction is >= target just below the
     # returned loss rate and < target just above it
