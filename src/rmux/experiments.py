@@ -419,6 +419,8 @@ def _run_fig8(config: ExperimentConfig):
     a_l = _param(p, "a_l", 0.0)
     sizes = _param_list(p, "finite_size_L", "6,14", int, allow_empty=True)
     finite_trials = _param(p, "finite_size_trials", 600)
+    for n in [trials] + [finite_trials] * bool(sizes):
+        percolation._check_trials(n)        # before the first, slow, pass
     sem_name, sem = semantics_from(p)
 
     schemes = (percolation.SCHEME_RMUX, percolation.SCHEME_STANDARD)

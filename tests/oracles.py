@@ -9,8 +9,9 @@ loss rate instead of thresholding per-site and per-bond loss levels, and
 the Bell oracle simulates one switch budget at a time, recomputing stage 1
 for every split with the pointer-loop window below instead of the
 program's prefix scan, and the two-stream oracle simulates one strategy and
-one switch count at a time, sampling every repetition again, solving every
-assignment on its own and repairing every one, one scan of its own network
+one switch count at a time, sampling every repetition again, finding every
+no-clash optimum on its own by the pointer loops of its two sweeps and
+repairing every one, one scan of its own network and one `solve_assignment`
 per repair step. The weight-matrix oracle fills the matrix photon pair by
 photon pair and builds its virtual mask beside it, and the window and
 repair oracles keep a pair unless it clashes with an earlier kept one by
@@ -31,8 +32,8 @@ import numpy as np
 from rmux.delay_network import (DelayNetwork, _forced_paths, clash_rows,
                                 max_delay)
 from rmux.matching import (Matching, WeightMatrix, count_clashing_pairs,
-                           hungarian_min_assignment, matching_metrics,
-                           sliding_window_match, virtual_weight_for)
+                           matching_metrics, sliding_window_match,
+                           solve_assignment, virtual_weight_for)
 from rmux.mux_sim import BELL_GATE_PROB, BellStats, StrategyStats
 from rmux.percolation import (FUSION_SUCCESS_PROB, DiamondLattice,
                               OutcomeSemantics)
@@ -311,6 +312,35 @@ def window_pairs_direct(bins1, bins2, d_max, network):
     return keep_unless_clashing(formed, clash_couples(formed, network))
 
 
+def no_clash_pairs_direct(bins1, bins2, d) -> list:
+    """(b1, b2, delay) pairs of the least-delay maximum matching under
+    0 <= b2 - b1 <= d, by the pointer loops of its two sweeps.
+
+    Stream 2 ascending: each b2 takes the earliest stream-1 photon still
+    free in [b2 - d, b2], from a deque of the free ones up to b2. Stream 1
+    descending: each b1 takes the latest stream-2 photon still free in
+    [b1, b1 + d], likewise. The matched photons of the two sweeps are then
+    paired in order.
+    """
+    def sweep(xs, ys, before):
+        matched, free, ys = [], deque(), iter(ys)
+        y = next(ys, None)
+        for x in xs:
+            while y is not None and not before(x, y):
+                free.append(y)
+                y = next(ys, None)
+            while free and abs(x - free[0]) > d:
+                free.popleft()
+            if free:
+                free.popleft()
+                matched.append(x)
+        return matched
+
+    seconds = sweep(bins2, bins1, lambda b2, b1: b1 > b2)
+    firsts = sweep(bins1[::-1], bins2[::-1], lambda b1, b2: b2 < b1)[::-1]
+    return [(b1, b2, b2 - b1) for b1, b2 in zip(firsts, seconds)]
+
+
 def _rmux_rate_direct(streams, s1, s2, gate_rng):
     """One relative-scheme split: two window stages, then the gate."""
     n_bins = streams[0].n_bins
@@ -382,8 +412,9 @@ def resolve_clashes_direct(m, W, network) -> Matching:
 
     Each step scans the current pairs through `network` alone, keeps the
     drop-the-later-pair candidate, marks the pair in the most clashes (the
-    last such) virtual and solves again, for at most W.n + 1 candidates; the
-    first with the most pairs and then the least delay wins.
+    last such) virtual and solves again by `solve_assignment`, for at most
+    W.n + 1 candidates; the first with the most pairs and then the least
+    delay wins.
     """
     if not m.pairs:
         return m
@@ -402,8 +433,12 @@ def resolve_clashes_direct(m, W, network) -> Matching:
         b1, b2, _ = current[worst]
         cell = (W.row_bins.tolist().index(b1), W.col_bins.tolist().index(b2))
         weights[cell] = W.virtual_weight
-        current = hungarian_min_assignment(WeightMatrix(
-            weights, W.virtual_weight, W.row_bins, W.col_bins)).pairs
+        row_of_column, _total = solve_assignment(weights)
+        current = sorted(
+            (int(W.row_bins[r]), int(W.col_bins[c]),
+             int(W.col_bins[c] - W.row_bins[r]))
+            for c, r in enumerate(row_of_column.tolist())
+            if weights[r, c] != W.virtual_weight)
     best = max(candidates, key=lambda pairs: (len(pairs),
                                               -sum(d for _, _, d in pairs)))
     return Matching(best, W.row_bins, W.col_bins, lost=m.pairs)
@@ -453,17 +488,21 @@ def metric_row_direct(bins1, bins2, pairs, lost) -> tuple:
 def match_direct(st1, st2, network, strategy):
     """(Matching, MatchMetrics) of one strategy on one stream pair.
 
-    realistic runs the window. Both Hungarian strategies solve their own
-    assignment on `assignment_matrix_direct`: hungarian_with_clash repairs
-    it by `resolve_clashes_direct` whether or not it clashes, and
-    hungarian_no_clash counts the pairs its route clashes implicate.
+    realistic runs the window. Both Hungarian strategies start from
+    `no_clash_pairs_direct`: hungarian_with_clash repairs it on
+    `assignment_matrix_direct` by `resolve_clashes_direct` whether or not
+    it clashes, and hungarian_no_clash counts the pairs its route clashes
+    implicate.
     """
     if strategy == "realistic":
         m = sliding_window_match(st1, st2, network.max_delay, network)
         return m, matching_metrics(m)
-    W, _mask = assignment_matrix_direct(st1, st2, network.max_delay)
-    m = hungarian_min_assignment(W)
+    bins1, bins2 = st1.occupied_bins, st2.occupied_bins
+    m = Matching(no_clash_pairs_direct(
+        bins1.tolist(), bins2.tolist(), min(network.max_delay, st2.n_bins - 1)),
+        bins1, bins2)
     if strategy == "hungarian_with_clash":
+        W, _mask = assignment_matrix_direct(st1, st2, network.max_delay)
         m = resolve_clashes_direct(m, W, network)
         return m, matching_metrics(m)
     met = matching_metrics(m)

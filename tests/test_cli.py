@@ -107,7 +107,7 @@ def test_recipe_csv_rows_have_header_width(tmp_path, experiment, params):
     ("fig4", {"bins": "300", "reps": "12"}, 20170324,
      "954a3967ff2ee9bc0e89878721991e109246a7d0b721230891e57a7e86d83ec3"),
     ("fig6", {"bins": "300", "reps": "8"}, 20170324,
-     "205466b80c2a9d9e3cd59224ce6312bd9af1b8510fd016a62cf46e12ccfae0d9"),
+     "27d0ead5351e8155f2f7a83b043c18c5996b325303e26c899bc4290d1a3f3669"),
 ])
 def test_recipe_csv_bytes_pinned(tmp_path, experiment, params, seed, sha256):
     bundle = run_experiment(ExperimentConfig(experiment, params, seed,
@@ -224,6 +224,23 @@ def test_fig8_with_no_finite_size_trials_names_the_trial_count(capsys,
                  "trials=20", "--set", "finite_size_L=3", "--set",
                  "finite_size_trials=0", "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err == "error: trials must be >= 1, got 0\n"
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_fig8_rejects_finite_size_trials_before_any_threshold(
+        trials, capsys, monkeypatch, tmp_path):
+    # At the defaults the L = 10 pass would run first.
+    _forbid_sampling(monkeypatch)
+    assert main(["reproduce", "fig8_thresholds", "--set",
+                 f"finite_size_trials={trials}", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: trials must be >= 1, got {trials}\n")
+
+
+def test_fig8_reads_no_finite_size_trials_without_finite_sizes(tmp_path):
+    assert main(["reproduce", "fig8_thresholds", "--set", "L=4", "--set",
+                 "trials=30", "--set", "finite_size_L=", "--set",
+                 "finite_size_trials=0", "--out", str(tmp_path)]) in (0, 2)
 
 
 def test_percolate_frontier_grid_error_names_the_option(capsys, monkeypatch):
@@ -583,3 +600,21 @@ def test_importing_the_package_and_cli_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_no_clash_sweep_loads_no_scipy():
+    # The no-clash optimum needs no solver, and this clash-heavy sweep
+    # counts its clashes through `count_clashing_pairs`.
+    src = str(Path(rmux.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = ("import sys; from rmux.cli import main; main(['match', "
+            "'--strategy', 'hungarian_no_clash', '--p', '0.4', '--bins', "
+            "'120', '--switches', '8', '--reps', '20']); print(sorted(m for m "
+            "in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout.splitlines()
+    header, row = out[0].split(","), out[1].split(",")
+    assert row[0] == "hungarian_no_clash"
+    assert float(row[header.index("clash_rate")]) > 0
+    assert out[-1] == "[]"

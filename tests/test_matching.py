@@ -14,6 +14,7 @@ from oracles import (
     clash_couples,
     discards_direct,
     metric_row_direct,
+    no_clash_pairs_direct,
     oracle_routable,
     resolve_clashes_direct,
     window_pairs_direct,
@@ -25,6 +26,8 @@ from rmux.matching import (
     Matching,
     _conflicts_each,
     _metric_rows,
+    _optimal_pairs,
+    _pair_lists,
     _repair_all,
     _weight_matrices,
     _window_core,
@@ -277,9 +280,102 @@ def test_hungarian_with_clash_pinned_on_clash_heavy_instances():
         digest.update(repr((fixed.pairs, fixed.discarded)).encode())
         repaired += 1
         clashed += any(r == "clash" for _, _, r in fixed.discarded)
-    assert clashed == 6
+    assert clashed == 7
     assert digest.hexdigest() == (
-        "ab0bba111bdd47a0a07523ca820e4c18355dbcc705096537f77b98bebf264488")
+        "6b1e221e7ecc766674e6248424f194f714dfbdb5a02d6227a83a4b853043378b")
+
+
+@st.composite
+def small_window_instances(draw):
+    """(bins1, bins2, d_max, n_bins): at most 7 photons per side."""
+    n_bins = draw(st.integers(1, 14))
+    side = st.lists(st.integers(0, n_bins - 1), max_size=7, unique=True)
+    return (sorted(draw(side)), sorted(draw(side)),
+            draw(st.integers(0, n_bins + 2)), n_bins)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(small_window_instances())
+@example(([], [], 0, 1))
+@example(([0, 1, 2], [], 2, 4))
+@example(([3], [0, 1, 2], 5, 4))                       # all backward
+@example(([0, 1, 2, 3, 4, 5, 6], [0, 1, 2, 3, 4, 5, 6], 0, 7))
+@example(([0, 1, 5, 6], [1, 2, 6, 13], 1, 14))
+def test_two_sweeps_give_the_brute_force_optimum(case):
+    # The virtual weight exceeds any real total here, so the brute-force
+    # optimum encodes both the virtual pairings (quotient) and the delay
+    # (remainder).
+    bins1, bins2, d_max, n_bins = case
+    st1, st2 = stream_at(bins1, n_bins), stream_at(bins2, n_bins)
+    W, _mask = assignment_matrix_direct(st1, st2, d_max)
+    d = min(d_max, n_bins - 1)
+    pairs, _owner, _stride = _optimal_pairs([(st1.occupied_bins,
+                                              st2.occupied_bins, d)])
+    got = list(map(tuple, pairs.tolist()))
+    virtual, delay = divmod(brute_force_assignment(W.weights.tolist()),
+                            W.virtual_weight)
+    assert (len(got), sum(dl for *_bins, dl in got)) == (W.n - virtual, delay)
+    # The FIFO pairing: both sides in bin order, every pair in its window.
+    firsts, seconds = [p[0] for p in got], [p[1] for p in got]
+    assert firsts == sorted(set(firsts)) and seconds == sorted(set(seconds))
+    assert all(0 <= b2 - b1 == dl <= d for b1, b2, dl in got)
+    assert got == no_clash_pairs_direct(bins1, bins2, d)
+    assert hungarian_min_assignment(W).pairs == got
+
+
+def test_block_of_optima_equals_the_pointer_loops_one_instance_at_a_time():
+    # Instances of different lengths, densities and windows on one axis.
+    rng = np.random.default_rng(7)
+    instances = []
+    for _ in range(80):
+        n_bins = int(rng.integers(1, 400))
+        st1, st2 = (generate_stream(float(rng.choice([0.0, 0.1, 0.4, 1.0])),
+                                    n_bins, int(x))
+                    for x in rng.integers(0, 2 ** 32, size=2))
+        d = min(max_delay(int(rng.integers(1, 10))), n_bins - 1)
+        instances.append((st1.occupied_bins, st2.occupied_bins, d))
+    pairs, owner, stride = _optimal_pairs(instances)
+    assert stride > max(int(b.max(initial=0)) + d for *bins, d in instances
+                        for b in bins)
+    assert _pair_lists(pairs, owner, len(instances)) == [
+        no_clash_pairs_direct(b1.tolist(), b2.tolist(), d)
+        for b1, b2, d in instances]
+
+
+def test_matched_photons_equal_scipys_where_pairs_come_first():
+    """The sweeps match the same photons as scipy's optimum on the same
+    matrix wherever the virtual weight exceeds n * d.
+
+    The condition is needed. scipy minimizes the sum of the matrix, so it
+    puts the number of pairs first only while one more virtual entry costs
+    more than the most that real delay can fall by, n * d; past that it may
+    give up a pair to save delay, where the sweeps always take the most
+    pairs. Below it both find a least-delay maximum matching, and with
+    distinct bins each side's matched set of one is unique (the best basis
+    of the matching matroid, Edmonds & Fulkerson 1965), though the pairing
+    of the two sets need not be.
+    """
+    rng = np.random.default_rng(20170324)
+    checked = 0
+    for _ in range(200):
+        n_bins = int(rng.integers(20, 300))
+        s = int(rng.integers(1, 9))
+        st1, st2 = (generate_stream(float(rng.choice([0.1, 0.3, 0.5])),
+                                    n_bins, int(x))
+                    for x in rng.integers(0, 2 ** 32, size=2))
+        W = build_assignment_matrix(st1, st2, max_delay(s))
+        if W.virtual_weight <= W.n * min(max_delay(s), n_bins - 1):
+            continue
+        pairs = hungarian_min_assignment(W).pairs
+        row_of_column, _total = solve_assignment(W.weights)
+        scipy_pairs = [(W.row_bins[r], W.col_bins[c])
+                       for c, r in enumerate(row_of_column.tolist())
+                       if not W.virtual_mask[r, c]]
+        for side in (0, 1):
+            assert sorted(p[side] for p in pairs) == sorted(
+                int(p[side]) for p in scipy_pairs)
+        checked += 1
+    assert checked == 200
 
 
 @st.composite
@@ -322,7 +418,7 @@ def no_clash_instances(specs):
 
 
 # p = 0.4 at 120 bins: three clashing instances whose lockstep repair runs
-# 9 rounds, one scan each.
+# 10 rounds, one scan each.
 SEVERAL_ROUNDS = [(0.4, 120, 8, 4), (0.4, 120, 18, 6), (0.4, 120, 28, 8)]
 
 
@@ -355,7 +451,7 @@ def test_lockstep_repair_scans_once_per_round(monkeypatch):
     instances = no_clash_instances(SEVERAL_ROUNDS)
     _repair_all([(m.pairs, W) for m, W, _net in instances], DelayNetwork(8))
     # Every instance clashes; each round scans those still being repaired.
-    assert len(scans) == 9 and scans[0] == 3
+    assert len(scans) == 10 and scans[0] == 3
     assert scans == sorted(scans, reverse=True)
 
 
@@ -829,7 +925,7 @@ def test_fig4_sweep_counts_without_discard_records(tmp_path, monkeypatch):
     # One classifier pass per block counts every final matching, a repair
     # in place of the assignment it replaced; no record is built.
     assert built == []
-    assert len(repaired) == 14
+    assert len(repaired) == 13
     assert [len(ms) for ms in counted] == [size * counts for size in blocks]
     assert sum(blocks) == reps
     assert sorted(map(id, repaired)) == sorted(
