@@ -15,7 +15,7 @@ so clashes are a property of the requests alone, and one kernel finds them:
 ``clash_rows`` sorts each switch's bins on its own, reads the rails only of
 requests that meet, and lists every clash as a (stage, time_bin, a, b) row.
 Routing, the pairwise conflict test and the matching layer's conflict scan
-all use it; ``route`` also drops each request at its first clashing stage.
+all use it, and ``first_clashes`` is the one home of ``route``'s drop rule.
 """
 
 from __future__ import annotations
@@ -116,13 +116,6 @@ def _requests(arrival_bins, delays, network: DelayNetwork):
     return arrival_bins + (delays & (np.cumsum(out) - out)[:, None]), delays, out
 
 
-def _forced_paths(arrival_bins, delays, network: DelayNetwork):
-    """(bins, rails), each (n, s): the forced path's bin and out rail (0 pass,
-    1 delay) at every switch; all leave the output switch (column s-1) on 0."""
-    bins, delays, out = _requests(arrival_bins, delays, network)
-    return bins.T, np.minimum(delays & out[:, None], 1).T
-
-
 def clash_rows(arrival_bins, delays, network: DelayNetwork) -> np.ndarray:
     """Every clash among the forced paths of n requests, as an int64 array.
 
@@ -160,10 +153,22 @@ def clash_rows(arrival_bins, delays, network: DelayNetwork) -> np.ndarray:
     return rows[np.lexsort(rows[:, [3, 2, 0]].T)]
 
 
+def first_clashes(rows) -> np.ndarray:
+    """The rows of a `clash_rows` array that `route` records: each row none
+    of whose requests is in a recorded row of an earlier stage."""
+    keep = np.zeros(len(rows), dtype=bool)
+    dropped = np.zeros(int(rows[:, 2:].max(initial=-1)) + 1, dtype=bool)
+    for stage in np.unique(rows[:, 0]).tolist():
+        at = rows[:, 0] == stage
+        keep[at] = ~dropped[rows[at, 2:]].any(axis=1)
+        dropped[rows[keep & at, 2:]] = True
+    return rows[keep]
+
+
 def request_rails(req: RoutingRequest, network: DelayNetwork) -> tuple[int, ...]:
     """Rail choice (0 pass, 1 delay) at each delaying stage."""
-    _bins, out_rails = _forced_paths([req.arrival_bin], [req.delay], network)
-    return tuple(out_rails[0, :-1].tolist())
+    _bins, delays, out = _requests([req.arrival_bin], [req.delay], network)
+    return tuple(np.minimum(delays & out[:-1], 1).tolist())
 
 
 def requests_conflict(a: RoutingRequest, b: RoutingRequest,
@@ -182,29 +187,24 @@ def route(requests, network: DelayNetwork) -> RoutingResult:
     """
     arrivals = [req.arrival_bin for req in requests]
     delays = [req.delay for req in requests]
-    _bins, out_rails = _forced_paths(arrivals, delays, network)
-    dropped_at, clashes = {}, []
-    for stage, t, a, b in clash_rows(arrivals, delays, network).tolist():
-        # Rows come by stage; a request dropped upstream meets no one here.
-        if dropped_at.get(a, stage) == stage == dropped_at.get(b, stage):
-            clashes.append(ClashRecord(stage, t, a, b))
-            dropped_at[a] = dropped_at[b] = stage
-    routed = [(idx, req, tuple(rails[:-1]))
-              for idx, (req, rails) in enumerate(zip(requests, out_rails.tolist()))
-              if idx not in dropped_at]
-    return RoutingResult(routed=routed, clashes=clashes)
+    rows = first_clashes(clash_rows(arrivals, delays, network)).tolist()
+    dropped = {i for row in rows for i in row[2:]}
+    _bins, checked, out = _requests(arrivals, delays, network)
+    rails = np.minimum(checked[:, None] & out[:-1], 1).tolist()
+    routed = [(idx, req, tuple(rails[idx])) for idx, req in enumerate(requests)
+              if idx not in dropped]
+    return RoutingResult(routed, [ClashRecord(*row) for row in rows])
 
 
 def routing_trace_rows(result: RoutingResult, network: DelayNetwork):
     """Debug dump rows: (photon_id, arrival_bin, delay, stage, rail, bin_at_stage).
 
-    Only cleanly routed photons are traced; the output switch appears as the
-    last stage with rail 0.
+    Only cleanly routed photons are traced, on their routed rails; the
+    output switch appears as the last stage with rail 0.
     """
     reqs = [req for _idx, req, _rails in result.routed]
-    bins, out_rails = _forced_paths([r.arrival_bin for r in reqs],
+    bins, _delays, _out = _requests([r.arrival_bin for r in reqs],
                                     [r.delay for r in reqs], network)
     return [(idx, req.arrival_bin, req.delay, stage, rail, t)
-            for (idx, req, _), rails, times
-            in zip(result.routed, out_rails.tolist(), bins.tolist())
-            for stage, (rail, t) in enumerate(zip(rails, times))]
+            for (idx, req, rails), times in zip(result.routed, bins.T.tolist())
+            for stage, (rail, t) in enumerate(zip(rails + (0,), times))]

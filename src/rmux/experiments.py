@@ -419,13 +419,15 @@ def _run_fig8(config: ExperimentConfig):
     a_l = _param(p, "a_l", 0.0)
     sizes = _param_list(p, "finite_size_L", "6,14", int, allow_empty=True)
     finite_trials = _param(p, "finite_size_trials", 600)
-    for n in [trials] + [finite_trials] * bool(sizes):
-        percolation._check_trials(n)        # before the first, slow, pass
+    runs = [(L, trials)] + [(size, finite_trials) for size in sizes]
+    for size, n in runs:                    # before the first, slow, pass
+        percolation._check_trials(n)
+        percolation._check_L(size)
     sem_name, sem = semantics_from(p)
 
     schemes = (percolation.SCHEME_RMUX, percolation.SCHEME_STANDARD)
     rows = [(scheme, size, target, a_l, thr, n, sem_name)
-            for size, n in [(L, trials)] + [(size, finite_trials) for size in sizes]
+            for size, n in runs
             for scheme, (thr,) in zip(schemes, percolation.loss_thresholds(
                 schemes, target, [a_l], size, n, config.seed, sem).tolist())]
     thresholds = {row[0]: row[4] for row in rows[:2]}     # at size L

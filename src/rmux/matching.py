@@ -41,7 +41,8 @@ from itertools import chain
 
 import numpy as np
 
-from .delay_network import DelayNetwork, RoutingRequest, clash_rows, route
+from .delay_network import (DelayNetwork, RoutingRequest, clash_rows,
+                            first_clashes)
 from .streams import PhotonStream
 
 REASON_RANGE = "range"
@@ -191,23 +192,14 @@ def virtual_weight_for(d_max: int) -> int:
     return max(10 ** 6, 1000 * (d_max + 1))
 
 
-def _weight_matrices(bins1, bins2, n_bins: int, d_maxes) -> list:
-    """One delay-cost matrix per window width in `d_maxes` between the photons
-    at `bins1` (rows) and `bins2` (columns) of two `n_bins`-bin streams, all
-    from one difference matrix and padded square with virtual vertices when
-    the photon counts differ."""
-    n1, n2 = bins1.size, bins2.size
-    n = max(n1, n2)
-    # No pair needs more; a wider window inflates the virtual weight.
-    caps = [min(d_max, n_bins - 1) for d_max in d_maxes]
-    vws = [virtual_weight_for(cap) for cap in caps]
+def _window_weights(bins1, bins2, d: int, vw: int) -> np.ndarray:
+    """Square int64 costs, rows `bins1` and columns `bins2`: b2 - b1 where
+    0 <= b2 - b1 <= d, else `vw` (as on padding when the counts differ)."""
     diff = bins2[None, :].astype(np.int64) - bins1[:, None].astype(np.int64)
-    real = (diff >= 0) & (diff <= np.array(caps, dtype=np.int64)[:, None, None])
-    fill = np.array(vws, dtype=np.int64)[:, None, None]
-    weights = np.broadcast_to(fill, (len(caps), n, n)).copy()
-    weights[:, :n1, :n2] = np.where(real, diff, fill)
-    return [WeightMatrix(weights=w, virtual_weight=vw, row_bins=bins1,
-                         col_bins=bins2) for w, vw in zip(weights, vws)]
+    weights = np.full((max(diff.shape),) * 2, vw, dtype=np.int64)
+    weights[:len(bins1), :len(bins2)] = np.where((diff >= 0) & (diff <= d),
+                                                 diff, vw)
+    return weights
 
 
 def build_assignment_matrix(s1: PhotonStream, s2: PhotonStream,
@@ -217,8 +209,11 @@ def build_assignment_matrix(s1: PhotonStream, s2: PhotonStream,
     Rows index stream-1 photons, columns stream-2 photons; the matrix is
     padded square with virtual vertices when the photon counts differ.
     """
-    return _weight_matrices(s1.occupied_bins, s2.occupied_bins, s2.n_bins,
-                            [d_max])[0]
+    cap = min(d_max, s2.n_bins - 1)     # no pair needs more; a wider window
+    vw = virtual_weight_for(cap)        # inflates the virtual weight
+    bins1, bins2 = s1.occupied_bins, s2.occupied_bins
+    return WeightMatrix(_window_weights(bins1, bins2, cap, vw), vw, bins1,
+                        bins2)
 
 
 def _linear_sum_assignment(cost):
@@ -257,10 +252,7 @@ def _window_of(W: WeightMatrix):
     weighing b2 - b1, and the rest is virtual. d is its largest real weight,
     -1 when it has none; a repair's matrix is no window instance."""
     d = int(W.weights[~W.virtual_mask].max(initial=-1))
-    diff = W.col_bins[None, :].astype(np.int64) - W.row_bins[:, None]
-    want = np.full_like(W.weights, W.virtual_weight)
-    want[:diff.shape[0], :diff.shape[1]] = np.where(
-        (diff >= 0) & (diff <= d), diff, W.virtual_weight)
+    want = _window_weights(W.row_bins, W.col_bins, d, W.virtual_weight)
     return d if np.array_equal(W.weights, want) else None
 
 
@@ -547,9 +539,10 @@ def matching_metrics(m: Matching) -> MatchMetrics:
 
 
 def count_clashing_pairs(m: Matching, network: DelayNetwork) -> int:
-    """Pairs involved in at least one clash (diagnostic for the no-clash strategy)."""
-    result = route(pair_requests(sorted(m.pairs)), network)
-    return len({i for rec in result.clashes for i in (rec.request_a, rec.request_b)})
+    """Pairs whose delayed photons `route` drops (diagnostic for the no-clash strategy)."""
+    cols, _owner = _flat([m.pairs])
+    return np.unique(first_clashes(clash_rows(cols[:, 0], cols[:, 2],
+                                              network))[:, 2:]).size
 
 
 def matching_csv_rows(m: Matching):

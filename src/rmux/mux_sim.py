@@ -20,22 +20,23 @@ per-call overheads are shared, and memory does not grow with the
 repetition count.
 
 A two-stream block (`_match_all`) finds the no-clash optimum of every
-(repetition, count) in one `_optimal_pairs` call, two window sweeps and a
-FIFO pairing with no assignment solver, and it serves both Hungarian
-strategies. One `clash_rows` scan per block finds the optima that clash:
-optimum i's pairs sit at offset i * stride on one time axis (a forced path
-stays in bins b1..b2, and stride exceeds every b2) and route through the
-largest count's network. Stages ascend (1, 2, 4, ...), so a delay that s
-switches reach takes the same bins and rails there through switch s-1,
-then waits in its output bin on rail 0, and the same requests clash. Only
-clashing optima are repaired (hungarian_with_clash, on a weight matrix
-built for that instance alone, in lockstep: each round scans all those
-still being repaired at once) or counted through `route`
-(hungarian_no_clash's clash_rate, else 0). The realistic strategy makes
-one `_window_core` pass per stream pair for every count, one copy of the
-pair per count's reach, its clashes found by the same argument through the
-largest count's network. The block's metrics are counted by one
-`_metric_rows` pass per strategy, which builds no discard record.
+(repetition, count) in one `_optimal_pairs` call, two window sweeps and a FIFO
+pairing with no assignment solver, and it serves both Hungarian strategies.
+One `clash_rows` scan per block finds the optima that clash: optimum i's pairs
+sit at offset i * stride on one time axis (a forced path stays in bins b1..b2,
+and stride exceeds every b2) and route through the largest count's network.
+Stages ascend (1, 2, 4, ...), so a delay that s switches reach takes the same
+bins and rails there through switch s-1, then waits in its output bin on rail
+0: a couple meeting past s-1 clashed there, and `route`'s rule
+(`first_clashes`), applied once to the scan's rows, drops each optimum's pairs
+as its own network would. Their count is hungarian_no_clash's clash_rate
+numerator; only optima with a row (the lowest is always kept) are repaired
+(hungarian_with_clash, on a weight matrix built for that instance alone, in
+lockstep: each round scans all those still being repaired at once). The
+realistic strategy makes one `_window_core` pass per stream pair for every
+count, one copy of the pair per count's reach, its clashes found by the same
+argument through the largest count's network. The block's metrics are counted
+by one `_metric_rows` pass per strategy, which builds no discard record.
 
 A Bell block lays its repetitions end to end on one time axis: bin b of
 repetition r sits at 2 * r * n_bins + b. No pair needs more than n_bins - 1
@@ -65,7 +66,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .delay_network import DelayNetwork, clash_rows, max_delay
+from .delay_network import DelayNetwork, clash_rows, first_clashes, max_delay
 from .matching import (
     Matching,
     _metric_rows,
@@ -76,7 +77,6 @@ from .matching import (
     _window_core,
     _window_pairs,
     build_assignment_matrix,
-    count_clashing_pairs,
 )
 # Unused here; perfbench's tests check that its tracer reaches this binding.
 from .matching import hungarian_min_assignment  # noqa: F401
@@ -138,11 +138,11 @@ def match_streams(s1: PhotonStream, s2: PhotonStream, network: DelayNetwork,
                   strategy: str):
     """Run one strategy on a stream pair; returns (Matching, MatchMetrics).
 
-    ``clash_rate`` is the pairs implicated in a ``route`` clash over all
-    pairs for ``hungarian_no_clash``, which keeps them (0 with no ``route``
-    call if the clash scan finds none), and the pairs dropped for a clash
-    over kept plus dropped pairs otherwise. The no-clash optimum is paired
-    in order (`_optimal_pairs`), so its clashes depend on no solver.
+    ``clash_rate`` is the pairs ``route`` would drop for a clash over all
+    pairs for ``hungarian_no_clash``, which keeps them (`first_clashes` on
+    the block's one clash scan), and the pairs dropped for a clash over
+    kept plus dropped pairs otherwise. The no-clash optimum is paired in
+    order (`_optimal_pairs`), so its clashes depend on no solver.
     """
     matchings, values = _match_all([(s1, s2)], [network], [strategy])[strategy]
     return matchings[0][0], _metrics_of(matchings[0][0], values[0, 0])
@@ -189,7 +189,7 @@ def _match_all(stream_pairs, networks, strategies) -> dict:
                 largest)]
     if {"hungarian_no_clash", "hungarian_with_clash"}.intersection(strategies):
         # Instance i is stream pair i // len(networks) at network
-        # i % len(networks), its reach capped as `_weight_matrices` caps it.
+        # i % len(networks), its reach capped as in `build_assignment_matrix`.
         instances = [(st1.occupied_bins, st2.occupied_bins,
                       min(net.max_delay, st2.n_bins - 1))
                      for st1, st2 in stream_pairs for net in networks]
@@ -197,8 +197,11 @@ def _match_all(stream_pairs, networks, strategies) -> dict:
         assigned = [Matching(found, bins1, bins2) for found, (bins1, bins2, _d)
                     in zip(_pair_lists(pairs, owner, len(instances)),
                            instances)]
-        clashing = np.unique(owner[clash_rows(
-            pairs[:, 0] + owner * stride, pairs[:, 2], largest)[:, 2]]).tolist()
+        # Per instance, the pairs `route` would drop.
+        dropped = np.unique(first_clashes(clash_rows(
+            pairs[:, 0] + owner * stride, pairs[:, 2], largest))[:, 2:])
+        hit = np.bincount(owner[dropped], minlength=len(instances))
+        clashing = np.flatnonzero(hit).tolist()
         repaired = {}
         if "hungarian_with_clash" in strategies:
             # Only a repair reads a weight matrix.
@@ -215,11 +218,7 @@ def _match_all(stream_pairs, networks, strategies) -> dict:
         flat = matchings[strategy]
         values = _metric_rows(flat)
         if strategy == "hungarian_no_clash":
-            for i in clashing:
-                # Clashes are ignored here, but their prevalence is still
-                # reported.
-                values[i, 1] = (count_clashing_pairs(
-                    flat[i], networks[i % len(networks)]) / len(flat[i].pairs))
+            values[clashing, 1] = hit[clashing] / np.bincount(owner)[clashing]
         results[strategy] = (
             [flat[i:i + len(networks)]
              for i in range(0, len(flat), len(networks))],

@@ -189,8 +189,7 @@ class DiamondLattice:
     """
 
     def __init__(self, L: int):
-        if L < 2:
-            raise ValueError(f"lattice needs L >= 2 cells per axis, got {L}")
+        _check_L(L)
         self.L = L
         self.n_cells = L ** 3
         self.n_sites = 2 * self.n_cells
@@ -382,6 +381,11 @@ def spans(state: LatticeState) -> bool:
     return bool(_spanning(state.lattice, [state])[0])
 
 
+def _check_L(L) -> None:
+    if L < 2:
+        raise ValueError(f"lattice needs L >= 2 cells per axis, got {L}")
+
+
 def _check_trials(trials) -> None:
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -488,18 +492,20 @@ def loss_thresholds(schemes, target, a_l_values, L, trials, seed, semantics,
     if not 0.0 < target < 1.0:
         raise ValueError(f"target must be in (0, 1), got {target}")
     _check_trials(trials)   # before the rank is read from no trials
+    ancilla = np.asarray(a_l_values, dtype=float) * (not equal_ancilla_loss)
+    # f_l at zero photon loss by scheme and a_l: checks a_l before any trial.
+    floors = [[fusion_loss_probability(0.0, a, lossy_inputs(scheme))
+               for a in ancilla] for scheme in schemes]
     k = trials - 1 - np.argmax(np.arange(1, trials + 1) / trials >= target)
     f_star = np.sort(_critical_losses(L, schemes, trials, seed, semantics,
                                       needed=k + 1))
-    ancilla = np.asarray(a_l_values, dtype=float) * (not equal_ancilla_loss)
     rows = []
-    for scheme, f in zip(schemes, f_star[:, k]):
-        n = lossy_inputs(scheme)
-        for a_l, a in zip(a_l_values, ancilla):
-            if not f >= fusion_loss_probability(0.0, a, n):
+    for scheme, f, floor in zip(schemes, f_star[:, k], floors):
+        for a_l, f_zero in zip(a_l_values, floor):
+            if not f >= f_zero:
                 raise ValueError(f"lattice does not reach target {target} even at "
                                  f"zero loss (scheme={scheme}, a_l={a_l}, L={L})")
-        n += 2 * equal_ancilla_loss
+        n = lossy_inputs(scheme) + 2 * equal_ancilla_loss
         rows.append(1.0 - ((1.0 - f) / (1.0 - ancilla) ** 2) ** (1.0 / n))
     return np.array(rows)
 

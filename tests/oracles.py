@@ -20,7 +20,8 @@ classifies each unmatched photon by scanning the other stream for a photon
 in its feasible direction. The clash-row oracle walks each request's path
 switch by switch, taking its delay rails greedily from the largest stage
 delay down, and compares every couple at every switch in Python integers;
-the flat-key kernel is the clash scan the program ran before it sorted
+the routing-rule oracle drops requests from those rows stage by stage. The
+flat-key kernel is the clash scan the program ran before it sorted
 each switch's bins on its own.
 """
 
@@ -29,11 +30,11 @@ from collections import deque
 
 import numpy as np
 
-from rmux.delay_network import (DelayNetwork, _forced_paths, clash_rows,
+from rmux.delay_network import (DelayNetwork, _requests, clash_rows,
                                 max_delay)
-from rmux.matching import (Matching, WeightMatrix, count_clashing_pairs,
-                           matching_metrics, sliding_window_match,
-                           solve_assignment, virtual_weight_for)
+from rmux.matching import (Matching, WeightMatrix, matching_metrics,
+                           sliding_window_match, solve_assignment,
+                           virtual_weight_for)
 from rmux.mux_sim import BELL_GATE_PROB, BellStats, StrategyStats
 from rmux.percolation import (FUSION_SUCCESS_PROB, DiamondLattice,
                               OutcomeSemantics)
@@ -243,12 +244,29 @@ def clash_rows_direct(arrival_bins, delays, network):
     return sorted(rows, key=lambda row: (row[0], row[2], row[3]))
 
 
+def route_clashes_direct(arrival_bins, delays, network):
+    """(records, routed) of `route` by its rule, stage by stage over
+    `clash_rows_direct`: at each stage, the rows whose two requests are
+    both still in the network are records, and their requests leave it.
+    Records are (stage, time_bin, a, b) tuples, routed the indices of the
+    requests that never leave."""
+    rows = clash_rows_direct(arrival_bins, delays, network)
+    dropped, records = set(), []
+    for stage in range(network.s):
+        found = [tuple(row) for row in rows
+                 if row[0] == stage and not {row[2], row[3]} & dropped]
+        records += found
+        dropped |= {i for row in found for i in row[2:]}
+    return records, [i for i in range(len(delays)) if i not in dropped]
+
+
 def clash_rows_flat_key(arrival_bins, delays, network):
     """The clash scan as it was: one stable argsort of the flat key
     bin * s + switch over every (request, switch) entry, with both rails of
     every entry coded as 2 * in + out. The key wraps int64 once bin * s
     does."""
-    bins, out_rails = _forced_paths(arrival_bins, delays, network)
+    bins, delays, out = _requests(arrival_bins, delays, network)
+    bins, out_rails = bins.T, np.minimum(delays & out[:, None], 1).T
     in_rails = np.roll(out_rails, 1, axis=1)    # the output switch's is 0
     n, s = bins.shape
     key = (bins * s + np.arange(s)).T.ravel()
@@ -491,8 +509,8 @@ def match_direct(st1, st2, network, strategy):
     realistic runs the window. Both Hungarian strategies start from
     `no_clash_pairs_direct`: hungarian_with_clash repairs it on
     `assignment_matrix_direct` by `resolve_clashes_direct` whether or not
-    it clashes, and hungarian_no_clash counts the pairs its route clashes
-    implicate.
+    it clashes, and hungarian_no_clash counts the pairs that
+    `route_clashes_direct` drops.
     """
     if strategy == "realistic":
         m = sliding_window_match(st1, st2, network.max_delay, network)
@@ -506,7 +524,10 @@ def match_direct(st1, st2, network, strategy):
         m = resolve_clashes_direct(m, W, network)
         return m, matching_metrics(m)
     met = matching_metrics(m)
-    met.clash_rate = (count_clashing_pairs(m, network) / len(m.pairs)
+    _records, routed = route_clashes_direct(
+        [b1 for b1, _b2, _d in m.pairs], [d for _b1, _b2, d in m.pairs],
+        network)
+    met.clash_rate = ((len(m.pairs) - len(routed)) / len(m.pairs)
                       if m.pairs else 0.0)
     return m, met
 

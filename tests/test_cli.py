@@ -218,6 +218,23 @@ def test_threshold_with_no_trials_names_the_trial_count(args, capsys,
     assert capsys.readouterr().err == "error: trials must be >= 1, got 0\n"
 
 
+@pytest.mark.parametrize("args, error", [
+    (["fig8_thresholds", "--set", "a_l=2"], "loss rates must be in [0, 1]"),
+    (["fig9_frontier", "--set", "a_l_grid=0,2"],
+     "loss rates must be in [0, 1]"),
+    (["fig8_thresholds", "--set", "finite_size_L=1"],
+     "lattice needs L >= 2 cells per axis, got 1"),
+    (["fig8_thresholds", "--set", "finite_size_L=6,0"],
+     "lattice needs L >= 2 cells per axis, got 0"),
+], ids=["fig8_a_l", "fig9_a_l_grid", "fig8_finite_size_L", "fig8_second_size"])
+def test_threshold_recipes_reject_bad_loss_inputs_before_sampling(
+        args, error, capsys, monkeypatch, tmp_path):
+    # At the defaults the L = 10 pass would run first.
+    _forbid_sampling(monkeypatch)
+    assert main(["reproduce"] + args + ["--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: {error}\n"
+
+
 def test_fig8_with_no_finite_size_trials_names_the_trial_count(capsys,
                                                                tmp_path):
     assert main(["reproduce", "fig8_thresholds", "--set", "L=4", "--set",
@@ -604,7 +621,7 @@ def test_importing_the_package_and_cli_loads_no_scipy():
 
 def test_no_clash_sweep_loads_no_scipy():
     # The no-clash optimum needs no solver, and this clash-heavy sweep
-    # counts its clashes through `count_clashing_pairs`.
+    # counts its clashes from each block's one clash scan.
     src = str(Path(rmux.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))

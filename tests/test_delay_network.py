@@ -5,7 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import clash_rows_direct, clash_rows_flat_key, oracle_routable
+from oracles import (clash_rows_direct, clash_rows_flat_key, oracle_routable,
+                     route_clashes_direct)
 from rmux.delay_network import (
     DelayNetwork,
     RoutingRequest,
@@ -16,6 +17,7 @@ from rmux.delay_network import (
     route,
     routing_trace_rows,
 )
+from rmux.matching import Matching, count_clashing_pairs
 
 
 def test_max_delay_values():
@@ -193,6 +195,27 @@ def test_clash_rows_equal_path_walk_and_flat_key_kernel(case):
     assert got.dtype == np.int64 and got.shape[1:] == (4,)
     assert got.tolist() == clash_rows_direct(arrivals, delays, net)
     assert got.tolist() == clash_rows_flat_key(arrivals, delays, net).tolist()
+
+
+# A row's fate reads only earlier stages' drops, so which requests are
+# dropped, and so the count, does not depend on the order of the requests.
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(clash_cases())
+@example(([0, 1, 1], [1, 0, 1], DelayNetwork(2)))    # a downstream row dropped
+@example(([1, 0, 1], [1, 1, 0], DelayNetwork(2)))    # the same, reordered
+@example(([4, 4, 4], [0, 0, 0], DelayNetwork(1)))    # three meet at one switch
+def test_route_applies_the_first_clash_rule_of_the_oracle(case):
+    arrivals, delays, net = case
+    records, routed = route_clashes_direct(arrivals, delays, net)
+    res = route([RoutingRequest(t, d) for t, d in zip(arrivals, delays)], net)
+    assert [(c.stage, c.time_bin, c.request_a, c.request_b)
+            for c in res.clashes] == records
+    assert [idx for idx, _req, _rails in res.routed] == routed
+    empty = np.empty(0, dtype=np.int64)
+    pairs = [(t, t + d, d) for t, d in zip(arrivals, delays)]
+    for order in (pairs, pairs[::-1]):
+        assert count_clashing_pairs(Matching(order, empty, empty), net) == \
+            len(arrivals) - len(routed)
 
 
 def test_clash_rows_at_64_switches():

@@ -12,11 +12,12 @@ from oracles import (
     bell_stats_direct,
     clash_couples,
     match_direct,
+    route_clashes_direct,
     two_stream_stats_direct,
     window_pairs_direct,
 )
-from rmux import mux_sim
-from rmux.delay_network import DelayNetwork, max_delay
+from rmux import delay_network, matching, mux_sim
+from rmux.delay_network import DelayNetwork, clash_rows, max_delay
 from rmux.experiments import ExperimentConfig, run_experiment
 from rmux.matching import (
     _conflicts_each,
@@ -225,9 +226,9 @@ def stream_pairs(draw):
             generate_stream(p, n_bins, seed + 1), switches)
 
 
-# The scan decides which no-clash assignments get a `route` count; the rest
-# read 0, which must be what `route` would have found. About one in seven
-# drawn assignments clashes.
+# The block's one scan, through the largest network, gives each no-clash
+# assignment the count of pairs its own network's `route` drops. About one
+# in seven drawn assignments clashes.
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(stream_pairs())
 # At s = 64 two of three pairs clash; at s = 2 one pair, no clash.
@@ -244,9 +245,44 @@ def test_no_clash_rate_equals_route_count(case):
                                    ["hungarian_no_clash"])["hungarian_no_clash"]
     for m, (_matched, clash_rate, *_), net in zip(matchings[0], values[0],
                                                   networks):
-        want = (count_clashing_pairs(m, net) / len(m.pairs) if m.pairs
-                else 0.0)
-        assert clash_rate == want, net.s
+        _records, routed = route_clashes_direct(
+            [b1 for b1, _b2, _d in m.pairs], [d for _b1, _b2, d in m.pairs],
+            net)
+        dropped = len(m.pairs) - len(routed)
+        assert count_clashing_pairs(m, net) == dropped, net.s
+        assert clash_rate == (dropped / len(m.pairs) if m.pairs else 0.0), net.s
+
+
+def test_no_clash_block_counts_clashes_from_its_one_scan(monkeypatch):
+    # No instance is routed on its own: each block's clash rates come from
+    # its one `clash_rows` scan, whichever binding a count would call.
+    def no_route(*args, **kwargs):
+        raise AssertionError("an instance was routed on its own")
+
+    for name in ("rmux.delay_network.route", "rmux.matching.route",
+                 "rmux.matching.count_clashing_pairs",
+                 "rmux.mux_sim.count_clashing_pairs"):
+        monkeypatch.setattr(name, no_route, raising=False)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return clash_rows(*args)
+
+    for module in (delay_network, matching, mux_sim):
+        monkeypatch.setattr(module, "clash_rows", counted)
+    networks = [DelayNetwork(s) for s in (8, 3)]
+    # Per block, the seeds of its stream pairs and which clash at s = 8.
+    for seeds, clashing in (((6, 0, 8), [True, False, True]),
+                            ((14, 12), [False, True])):
+        calls.clear()
+        block = [(generate_stream(0.4, 120, seed),
+                  generate_stream(0.4, 120, seed + 1)) for seed in seeds]
+        _matchings, values = _match_all(block, networks,
+                                        ["hungarian_no_clash"])[
+                                            "hungarian_no_clash"]
+        assert (values[:, :, 1] > 0).tolist() == [[c, False] for c in clashing]
+        assert len(calls) == 1
 
 
 # One window pass per stream pair serves every network, clashes found
