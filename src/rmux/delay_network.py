@@ -12,10 +12,12 @@ Each 2x2 switch applies one shared setting (bar or cross) per time bin, so
 two photons that meet at a switch in the same bin must enter on different
 rails and leave on different rails; otherwise they clash. Paths are forced,
 so clashes are a property of the requests alone, and one kernel finds them:
-``clash_rows`` sorts each switch's bins on its own, reads the rails only of
-requests that meet, and lists every clash as a (stage, time_bin, a, b) row.
-Routing, the pairwise conflict test and the matching layer's conflict scan
-all use it, and ``first_clashes`` is the one home of ``route``'s drop rule.
+``clash_rows`` sorts each switch's bins on its own, a block of switches or
+a single switch per pass so that its temporaries stay O(requests), reads
+the rails only of requests that meet, and lists every clash as a (stage,
+time_bin, a, b) row. Routing, the pairwise conflict test and the matching
+layer's conflict scan all use it, and ``first_clashes`` is the one home of
+``route``'s drop rule.
 """
 
 from __future__ import annotations
@@ -93,11 +95,10 @@ class RoutingResult:
         return not self.clashes
 
 
-def _requests(arrival_bins, delays, network: DelayNetwork):
-    """(bins, delays, out) of n requests, checked as `clash_rows` says. out[k]
-    is the delay of the stage after switch k (0 after the output switch):
-    request i leaves switch k on rail bool(delay & out[k]), and reaches it
-    in bin bins[k, i] = arrival_bin + (delay & (out[0] + ... + out[k-1]))."""
+def _checked(arrival_bins, delays, network: DelayNetwork):
+    """(arrivals, delays, out) of n requests, checked as `clash_rows` says.
+    out[k] is the delay of the stage after switch k (0 after the output
+    switch): request i leaves switch k on rail bool(delay & out[k])."""
     d_max = network.max_delay
     try:
         arrival_bins = np.asarray(arrival_bins, dtype=np.int64)
@@ -112,8 +113,15 @@ def _requests(arrival_bins, delays, network: DelayNetwork):
         raise ValueError(f"arrival bin must be >= 0, got {arrival_bins.min()}")
     if (arrival_bins > np.iinfo(np.int64).max - delays).any():
         raise ValueError("arrival bin + delay exceeds the int64 maximum")
-    out = np.array(network.stage_delays + (0,), dtype=np.int64)
-    return arrival_bins + (delays & (np.cumsum(out) - out)[:, None]), delays, out
+    return arrival_bins, delays, np.array(network.stage_delays + (0,),
+                                          dtype=np.int64)
+
+
+def _requests(arrival_bins, delays, network: DelayNetwork):
+    """(bins, delays, out) of `_checked` requests, request i reaching switch
+    k in bin bins[k, i] = arrival_bin + (delay & (out[0] + ... + out[k-1]))."""
+    arrivals, delays, out = _checked(arrival_bins, delays, network)
+    return arrivals + (delays & (np.cumsum(out) - out)[:, None]), delays, out
 
 
 def clash_rows(arrival_bins, delays, network: DelayNetwork) -> np.ndarray:
@@ -124,32 +132,64 @@ def clash_rows(arrival_bins, delays, network: DelayNetwork) -> np.ndarray:
     stage, a, b, and include clashes downstream of an earlier one. Raises
     ValueError on a delay outside [0, max_delay], a negative arrival bin or
     an arrival_bin + delay past the int64 maximum.
+
+    The scan sorts one block of consecutive switches per pass, at most
+    `_SCAN_ENTRIES` (switch, request) bins, or one switch when n is larger.
+    Beyond its inputs and the rows it finds, it holds a few int64 arrays of
+    max(n, `_SCAN_ENTRIES`) entries.
     """
-    bins, delays, out = _requests(arrival_bins, delays, network)
+    return _clash_rows(*_checked(arrival_bins, delays, network))
+
+
+# A scan sorts at most this many (switch, request) bins per pass: a block
+# of consecutive switches, or one switch when there are more requests. A
+# pass per switch pays numpy's per-call costs once per switch, which made
+# scans of 80-800 requests at 8 switches 2x slower; one pass over every
+# switch holds several (switches x requests) int64 arrays, a 2.1 MB peak
+# for 6903 requests at 10 switches (0.3 MB a switch at a time).
+_SCAN_ENTRIES = 1 << 13
+
+
+def _clash_rows(arrivals, delays, out) -> np.ndarray:
+    """`clash_rows` of `_checked` requests."""
     n = delays.size
-    # Row k of bins (switch k) is nearly sorted (a request is under 2^k bins
-    # past its arrival), so sorts fast; stably, so a meeting lists a < b.
-    order = np.argsort(bins, axis=1, kind="stable")
-    flat = bins.ravel()[(order + n * np.arange(len(bins))[:, None]).ravel()]
-    hits = []
-    # Entries `gap` apart in one sorted row meet when their bins agree; a
-    # meeting of m requests shows up at every gap below m.
-    for gap in range(1, n):
-        j = np.nonzero(flat[gap:] == flat[:-gap])[0]
-        j = j[j % n < n - gap]
-        if not j.size:
-            break
-        hits.append((j, j + gap))
-    if not hits:                                # no two requests meet
+    spent = np.cumsum(out) - out
+    met = []
+    per = max(1, _SCAN_ENTRIES // max(n, 1))
+    for first in range(0, out.size, per):
+        # Row r of bins (switch first + r) is nearly sorted (a request
+        # reaches switch k under 2^k bins past its arrival), so sorts fast;
+        # stably, so a meeting lists a < b.
+        bins = arrivals + (delays & spent[first:first + per, None])
+        order = np.argsort(bins, axis=1, kind="stable")
+        order += n * np.arange(len(bins))[:, None]
+        order = order.ravel()
+        flat = bins.ravel()[order]
+        # same[i]: entry i meets entry i + 1 (never across two rows).
+        same = np.zeros(flat.size, dtype=bool)
+        np.equal(flat[1:], flat[:-1], out=same[:-1])
+        same[n - 1::max(n, 1)] = False
+        # Entries i and i + gap meet when every step between them does; a
+        # meeting of m requests shows up at every gap below m.
+        j = np.flatnonzero(same)
+        hits, gap = [], 1
+        while j.size:
+            hits.append((j, j + gap))
+            j = j[same[j + gap]]
+            gap += 1
+        if hits:
+            j, k = np.concatenate(hits, axis=1)
+            met.append(np.stack((first + j // n, flat[j], order[j] % n,
+                                 order[k] % n)))
+    if not met:                                 # no two requests meet
         return np.empty((0, 4), dtype=np.int64)
-    j, k = np.concatenate(hits, axis=1)
-    stage, a, b = j // n, order.ravel()[j], order.ravel()[k]
+    stage, _bin, a, b = rows = np.concatenate(met, axis=1)
     # Rails are read at meetings only: two requests leave switch k on one
     # rail when their delays agree on out[k], and enter it on one rail when
     # they agree on out[k-1] (out[-1] = 0: all enter switch 0 on rail 0).
     differ = delays[a] ^ delays[b]
     clash = ((differ & out[stage - 1]) == 0) | ((differ & out[stage]) == 0)
-    rows = np.stack((stage, flat[j], a, b), axis=1)[clash]
+    rows = rows.T[clash]
     return rows[np.lexsort(rows[:, [3, 2, 0]].T)]
 
 
@@ -167,7 +207,7 @@ def first_clashes(rows) -> np.ndarray:
 
 def request_rails(req: RoutingRequest, network: DelayNetwork) -> tuple[int, ...]:
     """Rail choice (0 pass, 1 delay) at each delaying stage."""
-    _bins, delays, out = _requests([req.arrival_bin], [req.delay], network)
+    _arrivals, delays, out = _checked([req.arrival_bin], [req.delay], network)
     return tuple(np.minimum(delays & out[:-1], 1).tolist())
 
 
@@ -185,12 +225,11 @@ def route(requests, network: DelayNetwork) -> RoutingResult:
     stage (their downstream routing is undefined); the rest are routed to
     arrival_bin + delay on the output port. Raises on out-of-range delays.
     """
-    arrivals = [req.arrival_bin for req in requests]
-    delays = [req.delay for req in requests]
-    rows = first_clashes(clash_rows(arrivals, delays, network)).tolist()
+    arrivals, delays, out = _checked([req.arrival_bin for req in requests],
+                                     [req.delay for req in requests], network)
+    rows = first_clashes(_clash_rows(arrivals, delays, out)).tolist()
     dropped = {i for row in rows for i in row[2:]}
-    _bins, checked, out = _requests(arrivals, delays, network)
-    rails = np.minimum(checked[:, None] & out[:-1], 1).tolist()
+    rails = np.minimum(delays[:, None] & out[:-1], 1).tolist()
     routed = [(idx, req, tuple(rails[idx])) for idx, req in enumerate(requests)
               if idx not in dropped]
     return RoutingResult(routed, [ClashRecord(*row) for row in rows])

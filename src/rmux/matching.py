@@ -469,34 +469,42 @@ def _window_core(bins1, bins2, reaches, network: DelayNetwork, lb=None):
     `searchsorted(bins2, bins1, "left")`, which no reach changes.
 
     Photon i of stream 1 takes the first unconsumed stream-2 photon in
-    [b1_i, b1_i + d]: one `_clamp_scan` over the searchsorted bounds of
-    those intervals in stream 2.
+    [b1_i, b1_i + d]: one `_clamp_scan` over the searchsorted bounds
+    [lb_i, ub_i) of those intervals in stream 2. Only the photons with a
+    partner in reach enter it, those with bins2[lb_i] - b1_i <= d. Any
+    other has ub_i <= lb_i and takes nothing. With it or without it, the
+    pointer stays at most ub_i <= lb_i (it never passes ub, which is
+    nondecreasing), so the next photon j starts from max(pointer, lb_j) =
+    lb_j either way: skipping photon i changes no pair.
 
     Each reach d runs as one copy of the streams, all in one scan: copy c's
     stream-2 indices are shifted by c * len(bins2), so its lb is past every
-    pointer of copy c - 1, and only ub depends on d. One clash scan through
-    `network` (`_clash_couples`) puts copy c's pairs at c * stride, stride
-    past every b2, so a copy whose reach a smaller network gives sees that
-    network's clashes (see `rmux.mux_sim`). A pair that needs more delay
-    than `network` gives raises ValueError, as do copies that would pass
-    int64 on that axis. A window that would end past int64 ends at its
-    maximum instead.
+    pointer of copy c - 1, and only ub and the photons taking part depend
+    on d. One clash scan through `network` (`_clash_couples`) puts copy c's
+    pairs at c * stride, stride past every b2, so a copy whose reach a
+    smaller network gives sees that network's clashes (see `rmux.mux_sim`).
+    A pair that needs more delay than `network` gives raises ValueError, as
+    do copies that would pass int64 on that axis. A window that would end
+    past int64 ends at its maximum instead.
     """
     bins1 = np.asarray(bins1, dtype=np.int64)
     bins2 = np.asarray(bins2, dtype=np.int64)
     reaches = np.atleast_1d(np.asarray(reaches, dtype=np.int64))
-    k, n1, n2 = reaches.size, bins1.size, bins2.size
-    stride = _stride(bins2, k)
-    shift = n2 * np.arange(k)[:, None]
+    n2 = bins2.size
+    stride = _stride(bins2, reaches.size)
     if lb is None:
         lb = np.searchsorted(bins2, bins1, "left")
-    lb = (lb + shift).ravel()
-    room = np.iinfo(np.int64).max - bins1
-    ub = (np.searchsorted(bins2, bins1 + np.minimum(reaches[:, None], room),
-                          "right") + shift).ravel()
-    take, paired = _clamp_scan(lb, ub)
-    copy = np.repeat(np.arange(k), n1)[paired]
-    b1, b2 = np.tile(bins1, k)[paired], bins2[take[paired] - copy * n2]
+    near = np.flatnonzero(lb < n2)
+    copy, i = np.nonzero(bins2[lb[near]] - bins1[near] <= reaches[:, None])
+    i = near[i]
+    b1, shift = bins1[i], copy * n2
+    room = np.iinfo(np.int64).max - b1
+    take, paired = _clamp_scan(
+        lb[i] + shift,
+        np.searchsorted(bins2, b1 + np.minimum(reaches[copy], room), "right")
+        + shift)
+    copy, b1 = copy[paired], b1[paired]
+    b2 = bins2[take[paired] - copy * n2]
     keep = np.ones(b1.size, dtype=bool)
     if b1.size:
         keep[list(_lost_on_conflict(

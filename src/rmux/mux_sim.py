@@ -55,7 +55,10 @@ of the two event streams per s2. Copies never meet: a copy's window
 pointer starts past every event of the copy before, and on the clash
 scan's axis its pairs sit a stride past every event bin from the next
 copy's, while a forced path stays in bins b1..b2. Their clashes are found
-through the largest s2 network, by the argument above.
+through the largest s2 network, by the argument above. A window pass
+clamp-scans only the (copy, photon) slots with a partner in reach, and its
+clash scan sorts one switch, or a block of switches, at a time, so its
+temporaries grow with the pairs, not with pairs times switches.
 Results equal those of simulating each budget on its own.
 """
 

@@ -45,9 +45,10 @@ kill it replaces), and the threshold functions reject that corner.
 
 Trials run in small blocks. For each, one connected-components call over
 the bonds at levels >= a cut c (scipy, in C, imported on first use in
-~0.4 s) tells which trials join the faces there: their f* is at least c,
-and they are censored. The others run the union-find from that component
-forest over the bonds below c only, which gives their exact f*, because
+~0.4 s; a block whose cuts are all +inf keeps no bond and skips it) tells
+which trials join the faces there: their f* is at least c, and they are
+censored. The others run the union-find from that component forest over
+the bonds below c only, which gives their exact f*, because
 f* is the level at which the faces join, whatever order the bonds above c
 merged in. `spans` and `percolation_probability` run it at c = 1, every
 bond at level 1 or -inf. A threshold reads one rank of the f*, the
@@ -359,6 +360,8 @@ def _cut_pass(lattice: DiamondLattice, levels, cuts):
 def _connected_components(rows, cols, size):
     """(count, labels) of the components of the undirected graph on `size`
     nodes with an edge from each of `rows` (ascending) to `cols`."""
+    if not rows.size:       # scipy's answer: every node its own component
+        return size, np.arange(size, dtype=np.int32)
     # Lazy: scipy.sparse takes ~0.4 s to import, which `import rmux` skips.
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import connected_components

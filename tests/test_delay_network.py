@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from oracles import (clash_rows_direct, clash_rows_flat_key, oracle_routable,
                      route_clashes_direct)
+from rmux import delay_network
 from rmux.delay_network import (
     DelayNetwork,
     RoutingRequest,
@@ -226,6 +228,63 @@ def test_clash_rows_at_64_switches():
     assert got == clash_rows_direct(arrivals, delays, net)
     # Requests 0 and 1 meet at switch 1 in bin 1 and leave on its delay rail.
     assert got[0] == [1, 1, 0, 1]
+
+
+def _dense_requests(n, s, seed, high=()):
+    """n requests, unsorted, whose arrivals (n bins) and low delay bits
+    (under 64) crowd, so that many meet at each of the first stages; each
+    delay also takes one of `high` (0 or bits of later stages), so couples
+    part there."""
+    rng = np.random.default_rng(seed)
+    low = min(max_delay(s), 63)
+    delays = rng.integers(0, low + 1, size=n)
+    if high:
+        delays |= rng.choice(np.array(high, dtype=np.int64), size=n)
+    return rng.integers(0, n, size=n), delays
+
+
+@pytest.mark.parametrize("n, s, high", [
+    (6000, 14, (0, 1 << 9, 1 << 12)),
+    (3000, 64, (0, 1 << 30, 1 << 55)),     # bins stay below 2^57
+])
+def test_large_scans_equal_flat_key_kernel(n, s, high):
+    # Past `_SCAN_ENTRIES` entries the scan sorts a switch at a time (or a
+    # few); the flat key kernel sorts every (request, switch) entry at once.
+    net = DelayNetwork(s)
+    arrivals, delays = _dense_requests(n, s, n + s, high)
+    assert n * s > delay_network._SCAN_ENTRIES
+    got = clash_rows(arrivals, delays, net)
+    assert got.tolist() == clash_rows_flat_key(arrivals, delays, net).tolist()
+    assert np.unique(got[:, 0]).size >= 12 and len(got) > 10_000
+
+
+@pytest.mark.parametrize("s", [8, 64])
+def test_scan_just_past_one_pass_equals_path_walk(s):
+    # One more request than a single pass over every switch holds: the
+    # scan splits the switches into two blocks, the second a single switch,
+    # and both find clashes.
+    n = delay_network._SCAN_ENTRIES // s + 1
+    net = DelayNetwork(s)
+    arrivals, delays = _dense_requests(n, s, s, (0, 1 << (s - 2)))
+    got = clash_rows(arrivals, delays, net)
+    assert got.tolist() == clash_rows_direct(arrivals, delays, net)
+    assert {0, s - 1} <= set(got[:, 0].tolist())
+
+
+def test_scan_memory_grows_with_requests_not_switches():
+    # The same 20000 requests, spread out so that few meet, through 14 and
+    # 56 switches: a scan holds a few arrays of one switch's bins, whatever
+    # the switch count.
+    rng = np.random.default_rng(5)
+    arrivals = rng.integers(0, 2 ** 40, size=20_000)
+    delays = rng.integers(0, max_delay(14) + 1, size=20_000)
+    peaks = []
+    for s in (14, 56):
+        tracemalloc.start()
+        clash_rows(arrivals, delays, DelayNetwork(s))
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0] < 8 * 8 * 20_000
 
 
 def test_far_apart_bins_do_not_meet_at_64_switches():

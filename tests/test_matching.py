@@ -24,6 +24,7 @@ from rmux import matching, mux_sim
 from rmux.experiments import ExperimentConfig, run_experiment
 from rmux.matching import (
     Matching,
+    _clamp_scan,
     _conflicts_each,
     _metric_rows,
     _optimal_pairs,
@@ -596,6 +597,54 @@ def test_window_core_over_several_reaches_equals_one_call_each(case):
             assert got[copy == c].tolist() == want.tolist(), c
     assert _window_pairs(bins1, bins2, reaches, net) == [
         window_pairs_direct(bins1, bins2, reach, net) for reach in reaches]
+
+
+SPARSE_REACHES = [0, 1, 3, 7, 63]
+
+
+def sparse_window_streams():
+    """Sorted bins of seeded stream pairs at p <= 0.05, where most photons
+    have no stream-2 photon within the smaller reaches."""
+    for seed, (p1, p2) in enumerate([(0.05, 0.05), (0.01, 0.05),
+                                     (0.05, 0.02)]):
+        yield (generate_stream(p1, 4000, 40 + seed).occupied_bins,
+               generate_stream(p2, 4000, 50 + seed).occupied_bins)
+
+
+def test_window_on_sparse_streams_equals_pointer_loop_per_reach():
+    net = DelayNetwork(7)
+    for bins1, bins2 in sparse_window_streams():
+        lb = np.searchsorted(bins2, bins1, "left")
+        for given in (None, lb):
+            b1, b2, keep, copy = _window_core(bins1, bins2, SPARSE_REACHES,
+                                              net, given)
+            for c, reach in enumerate(SPARSE_REACHES):
+                at = copy == c
+                formed = list(zip(b1[at].tolist(), b2[at].tolist(),
+                                  (b2 - b1)[at].tolist()))
+                got = ([p for p, k in zip(formed, keep[at]) if k],
+                       [p for p, k in zip(formed, keep[at]) if not k])
+                assert got == window_pairs_direct(
+                    bins1.tolist(), bins2.tolist(), reach, net), reach
+
+
+def test_window_clamp_scans_only_slots_with_a_partner_in_reach(monkeypatch):
+    # A photon with no stream-2 photon in [b1, b1 + reach] changes no pair,
+    # so its (reach, photon) slot never enters the clamp scan.
+    sizes = []
+
+    def counted(lb, ub):
+        sizes.append(lb.size)
+        return _clamp_scan(lb, ub)
+
+    monkeypatch.setattr(matching, "_clamp_scan", counted)
+    for bins1, bins2 in sparse_window_streams():
+        sizes.clear()
+        _window_core(bins1, bins2, SPARSE_REACHES, DelayNetwork(7))
+        slots = sum(any(a <= b <= a + reach for b in bins2.tolist())
+                    for reach in SPARSE_REACHES for a in bins1.tolist())
+        assert sizes == [slots]
+        assert 0 < slots < len(SPARSE_REACHES) * bins1.size // 2
 
 
 def test_window_copies_past_int64_raise_value_error():

@@ -1,4 +1,8 @@
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -619,6 +623,34 @@ def test_cut_below_the_read_rank_falls_back_to_full_sweeps(monkeypatch):
         6, ("rmux", "standard"), trials, 8, sem, needed=k + 1))
     assert cut[:, k].tolist() == expected
     assert len(draws) > trials
+
+
+@pytest.mark.parametrize("size", [0, 1, 2002])
+def test_components_of_a_graph_without_edges_are_scipys(size):
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+    none = np.empty(0, dtype=np.int64)
+    count, labels = percolation._connected_components(none, none, size)
+    want_count, want = connected_components(csr_matrix((size, size)),
+                                            directed=False)
+    assert count == want_count and labels.dtype == want.dtype
+    np.testing.assert_array_equal(labels, want)
+
+
+def test_uncensored_losses_load_no_scipy_sparse():
+    # Every cut of public `critical_losses`, and of `loss_thresholds` at
+    # target 0.5, stays +inf: its blocks keep no bond, so need no scipy.
+    src = str(Path(percolation.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = ("import sys; from rmux import percolation as pc; "
+            "sem = pc.calibrated_semantics(); "
+            "pc.critical_losses(6, 'rmux', 40, 3, sem); "
+            "pc.loss_thresholds(('rmux', 'standard'), 0.5, [0.0], 6, 40, 3, "
+            "sem); print('scipy.sparse' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_critical_loss_is_the_spanning_edge_per_trial():
