@@ -26,10 +26,12 @@ lost its pair to clash handling, otherwise "range" if the other stream has
 a photon in its feasible time direction (at or after it for stream 1, at or
 before it for stream 2), so a larger delay network could in principle have
 matched it, and "unpaired" if it has none. One array classifier,
-`_reasons`, applies this rule to many matchings at once: a sweep counts
-its metrics per block from its codes, and a matching's discard records
-(bin, stream, reason), stream 1 then stream 2 in bin order, are built from
-them only when read.
+`_reasons`, applies this rule to many instances at once, given as arrays:
+their occupied bins, and their pairs and lost pairs as (b1, b2, delay) rows
+with the instance of each. A sweep counts its metrics per block from its
+codes without building a Matching; a matching is flattened to those arrays
+(`_flat_matchings`), and its discard records (bin, stream, reason), stream
+1 then stream 2 in bin order, are built from them only when read.
 """
 
 from __future__ import annotations
@@ -89,7 +91,7 @@ class Matching:
     def discarded(self) -> list:
         """(bin, stream "1"|"2", reason) of each photon `pairs` leaves
         unmatched, as the module docstring orders and defines them."""
-        bins, part, codes, _pairs = _reasons([self])
+        bins, part, codes = _reasons(*_flat_matchings([self]))
         return [(b, str(k + 1), _REASONS[code]) for b, k, code
                 in zip(bins.tolist(), part.tolist(), codes.tolist())
                 if code != _MATCHED]
@@ -133,14 +135,24 @@ def _stride(bins, copies: int) -> int:
     return min(stride, 2 ** 63 - 1)
 
 
-def _reasons(matchings) -> tuple:
-    """(bins, part, codes) of the photons of a nonempty list of matchings,
-    part 2i (2i + 1) being matching i's stream-1 (stream-2) photons in bin
-    order, and the `_flat` of the matchings' pairs. Part q sits at q *
-    stride + bin on one axis, stride exceeding every bin, so each
-    searchsorted places every pair's photons, or every photon's feasible
-    partners, at once; memory grows with the photons."""
-    sides = [bins for m in matchings for bins in (m.bins1, m.bins2)]
+def _flat_matchings(matchings) -> tuple:
+    """The `_reasons` arguments of a list of matchings: each one's stream-1
+    then stream-2 occupied bins, and the `_flat` of their pairs and of their
+    lost pairs."""
+    return ([bins for m in matchings for bins in (m.bins1, m.bins2)],
+            _flat([m.pairs for m in matchings]),
+            _flat([m.lost for m in matchings]))
+
+
+def _reasons(sides, kept, lost) -> tuple:
+    """(bins, part, codes) of the photons of a nonempty list of matchings
+    given as arrays, part 2i (2i + 1) being matching i's stream-1 (stream-2)
+    photons in bin order. `sides` holds those parts' sorted bins, and `kept`
+    and `lost` are (pairs, owner): (n, 3) int64 (b1, b2, delay) rows of the
+    matchings' pairs and lost pairs, in any order, and the matching of each.
+    Part q sits at q * stride + bin on one axis, stride exceeding every bin,
+    so each searchsorted places every pair's photons, or every photon's
+    feasible partners, at once; memory grows with the photons."""
     part = np.repeat(np.arange(len(sides)), [bins.size for bins in sides])
     bins = np.concatenate(sides).astype(np.int64, copy=False)
     stride = _stride(bins, len(sides))
@@ -152,20 +164,21 @@ def _reasons(matchings) -> tuple:
     hi = np.where(odd, keys - stride, (part + 1) * stride + (stride - 1))
     codes = np.where(np.searchsorted(keys, lo)
                      < np.searchsorted(keys, hi, "right"), _RANGE, _UNPAIRED)
-    for code, attr in ((_CLASH, "lost"), (_MATCHED, "pairs")):  # matched wins
-        cols, owner = _flat([getattr(m, attr) for m in matchings])
+    # A photon both lost and kept reads matched: kept pairs are placed last.
+    for code, (cols, owner) in ((_CLASH, lost), (_MATCHED, kept)):
         for side in (0, 1):
             codes[np.searchsorted(
                 keys, (2 * owner + side) * stride + cols[:, side])] = code
-    return bins, part, codes, (cols, owner)
+    return bins, part, codes
 
 
-def _metric_rows(matchings) -> np.ndarray:
-    """One row per matching: `matching_metrics`' matched fraction, clash
-    rate and out-of-range fraction, counted from one `_reasons` pass, then
-    the total weight, its pairs' delays summed in int64 (exact past 2^53)."""
-    _bins, part, codes, (pairs, pair_owner) = _reasons(matchings)
-    n, owner = len(matchings), part // 2
+def _metric_rows(sides, kept, lost) -> np.ndarray:
+    """One row per matching of the `_reasons` arrays: `matching_metrics`'
+    matched fraction, clash rate and out-of-range fraction, counted from one
+    `_reasons` pass, then the total weight, its pairs' delays summed in
+    int64 (exact past 2^53)."""
+    _bins, part, codes = _reasons(sides, kept, lost)
+    n, owner = len(sides) // 2, part // 2
     counts = np.bincount(owner * 4 + codes, minlength=4 * n).reshape(n, 4)
     n_pairs, clash_pairs = counts[:, _MATCHED] // 2, counts[:, _CLASH] // 2
     photons = counts.sum(axis=1)
@@ -173,6 +186,7 @@ def _metric_rows(matchings) -> np.ndarray:
     den = np.stack([photons, n_pairs + clash_pairs, photons], axis=1)
     rows = np.zeros((n, 4))
     np.divide(num, den, out=rows[:, :3], where=den > 0)
+    pairs, pair_owner = kept
     weights = np.zeros(n, dtype=np.int64)
     np.add.at(weights, pair_owner, pairs[:, 2])
     rows[:, 3] = weights
@@ -271,9 +285,9 @@ def hungarian_min_assignment(W: WeightMatrix) -> Matching:
 
 
 def _pair_lists(pairs, owner, n: int) -> list:
-    """Per index 0..n-1, the rows of `pairs` that `owner` (sorted) gives it,
-    in order, as tuples."""
-    rows = list(map(tuple, pairs.tolist()))
+    """Per index 0..n-1, the rows of `pairs` that `owner` gives it, in their
+    order, as tuples."""
+    rows = list(map(tuple, pairs[np.argsort(owner, kind="stable")].tolist()))
     ends = np.cumsum(np.bincount(owner, minlength=n)).tolist()
     return [rows[i:j] for i, j in zip([0] + ends, ends)]
 
@@ -411,7 +425,8 @@ def _repair_all(instances, network: DelayNetwork) -> list:
     Each round finds the clashes of every instance still being repaired by
     one `_conflicts_each` scan through `network`, which gives each
     instance's requests the clashes of its own network if that is no larger
-    (see `rmux.mux_sim`). Returns one Matching per instance.
+    (see `rmux.mux_sim`). Returns each instance's best pairs, a list of
+    (b1, b2, delay); what it gave up is the instance's `pairs`.
     """
     Ws = [replace(W, weights=W.weights.copy()) for _pairs, W in instances]
     current = [sorted(pairs) for pairs, _W in instances]
@@ -436,12 +451,9 @@ def _repair_all(instances, network: DelayNetwork) -> list:
             current[i] = _assignment_pairs(W)
             repairing.append(i)
         active = repairing
-    matchings = []
-    for (pairs, W), found in zip(instances, candidates):
-        best = max(found,
-                   key=lambda kept: (len(kept), -sum(d for _, _, d in kept)))
-        matchings.append(Matching(best, W.row_bins, W.col_bins, lost=pairs))
-    return matchings
+    return [max(found,
+                key=lambda kept: (len(kept), -sum(d for _, _, d in kept)))
+            for found in candidates]
 
 
 def resolve_clashes_optimal(m: Matching, W: WeightMatrix,
@@ -457,7 +469,8 @@ def resolve_clashes_optimal(m: Matching, W: WeightMatrix,
     """
     if not m.pairs:
         return m
-    return _repair_all([(m.pairs, W)], network)[0]
+    best, = _repair_all([(m.pairs, W)], network)
+    return Matching(best, W.row_bins, W.col_bins, lost=m.pairs)
 
 
 def _window_core(bins1, bins2, reaches, network: DelayNetwork, lb=None):
@@ -512,13 +525,20 @@ def _window_core(bins1, bins2, reaches, network: DelayNetwork, lb=None):
     return b1, b2, keep, copy
 
 
-def _window_pairs(bins1, bins2, reaches, network: DelayNetwork):
-    """Per reach, the (kept, dropped) pair lists of `_window_core`, as
-    (b1, b2, delay); one (kept, dropped) for a single int reach."""
+def _window_rows(bins1, bins2, reaches, network: DelayNetwork) -> tuple:
+    """(kept, dropped) of `_window_core`, each (pairs, copy): (n, 3) int64
+    (b1, b2, delay) rows, in copy then stream-1 bin order, and the copy of
+    each."""
     b1, b2, keep, copy = _window_core(bins1, bins2, reaches, network)
     pairs = np.stack([b1, b2, b2 - b1], axis=1)
-    split = list(zip(*(_pair_lists(pairs[mask], copy[mask], np.size(reaches))
-                       for mask in (keep, ~keep))))
+    return (pairs[keep], copy[keep]), (pairs[~keep], copy[~keep])
+
+
+def _window_pairs(bins1, bins2, reaches, network: DelayNetwork):
+    """Per reach, the (kept, dropped) pair lists of `_window_rows`, as
+    (b1, b2, delay); one (kept, dropped) for a single int reach."""
+    split = list(zip(*(_pair_lists(*rows, np.size(reaches)) for rows
+                       in _window_rows(bins1, bins2, reaches, network))))
     return split if np.ndim(reaches) else split[0]
 
 
@@ -543,7 +563,7 @@ def matching_metrics(m: Matching) -> MatchMetrics:
     the paired photons and the "range" discards over all photons, the pairs
     lost to clashes (half the "clash" discards) over those plus the kept
     pairs, and the mean delay of a kept pair; each 0 when its base is."""
-    return _metrics_of(m, _metric_rows([m])[0])
+    return _metrics_of(m, _metric_rows(*_flat_matchings([m]))[0])
 
 
 def count_clashing_pairs(m: Matching, network: DelayNetwork) -> int:

@@ -36,7 +36,11 @@ lockstep: each round scans all those still being repaired at once). The
 realistic strategy makes one `_window_core` pass per stream pair for every
 count, one copy of the pair per count's reach, its clashes found by the same
 argument through the largest count's network. The block's metrics are counted
-by one `_metric_rows` pass per strategy, which builds no discard record.
+by one `_metric_rows` pass per strategy, straight from its pair arrays: the
+optimum's rows, the window's (b1, b2, keep, copy), and the repaired
+instances' pairs, the one part built as per-pair tuples. A sweep builds no
+Matching and no discard record; `_match_all` builds Matchings from the same
+arrays for the readers of one.
 
 A Bell block lays its repetitions end to end on one time axis: bin b of
 repetition r sits at 2 * r * n_bins + b. No pair needs more than n_bins - 1
@@ -72,13 +76,14 @@ import numpy as np
 from .delay_network import DelayNetwork, clash_rows, first_clashes, max_delay
 from .matching import (
     Matching,
+    _flat,
     _metric_rows,
     _metrics_of,
     _optimal_pairs,
     _pair_lists,
     _repair_all,
     _window_core,
-    _window_pairs,
+    _window_rows,
     build_assignment_matrix,
 )
 # Unused here; perfbench's tests check that its tracer reaches this binding.
@@ -89,11 +94,18 @@ STRATEGIES = ("hungarian_no_clash", "hungarian_with_clash", "realistic")
 BELL_GATE_PROB = 1.0 / 8.0
 # A block of repetitions closes once it holds this many photons, in a Bell
 # sweep or in a two-stream sweep, or this many stream bins (which bound it
-# when the source is nearly dark). A two-stream block holds every matrix and
-# matching of its repetitions; past about 8 repetitions at p = 0.1 and 200
-# bins it runs no faster and only holds more.
+# when the source is nearly dark). A two-stream block holds the pair arrays
+# of its repetitions and the weight matrices of those it repairs. At p = 0.1
+# and 200 bins (perfbench's match_sweep recipe, 504 repetitions, 2-core
+# host), blocks of 320 / 640 / 1280 / 1920 photons (about 8 / 16 / 32 / 48
+# repetitions) took 0.26-0.30 / 0.22-0.25 / 0.17-0.23 / 0.16-0.20 s of CPU,
+# with a tracemalloc peak of 0.6 / 0.8 / 1.3 / 1.8 MB and a peak RSS of
+# 80.1 / 80.4 / 81.3 / 82.5 MB. Larger blocks run faster, but perfbench's
+# speed-reference test needs match_sweep's 1-second run (21 repetitions) to
+# span two blocks: a block makes all its streams, the calls that pace the
+# reference, at its start.
 BLOCK_PHOTONS = 16_000
-MATCH_BLOCK_PHOTONS = 320
+MATCH_BLOCK_PHOTONS = 640
 BLOCK_BINS = 1 << 20
 
 
@@ -169,63 +181,90 @@ def _batches(p: float, n_bins: int, reps: int, seed: int, n_streams: int,
         yield batch
 
 
-def _match_all(stream_pairs, networks, strategies) -> dict:
-    """{strategy: (matchings, values)} of a block of stream pairs, with the
-    strategies in the order given and each as `match_streams` runs it:
-    [[Matching per network] per stream pair], and a (stream pairs,
-    networks, 4) array of each one's matched fraction, clash rate,
-    out-of-range fraction and total weight, counted by one `_metric_rows`
-    pass. Every network's clashes are found through the largest (see the
-    module docstring)."""
+def _match_rows(stream_pairs, networks, strategies) -> dict:
+    """{strategy: (kept, lost, values)} of a block of stream pairs, the
+    strategies in the order given, each as `match_streams` runs it, on
+    instance i = (stream pair i // len(networks), network i % len(networks)).
+    `kept` and `lost` are (pairs, owner): (n, 3) int64 (b1, b2, delay) rows
+    of the pairs, or of those clash handling gave up, in bin order within an
+    instance, and the instance of each. `values` is the (stream pairs,
+    networks, 4) matched fraction, clash rate, out-of-range fraction and
+    total weight, counted by one `_metric_rows` pass. Every network's
+    clashes are found through the largest (see the module docstring)."""
     strategies = _checked(strategies, "strategy", "strategies", STRATEGIES)
-    matchings = {}
+    n_nets = len(networks)
+    n = len(stream_pairs) * n_nets
     largest = max(networks, key=lambda net: net.s)
+    reach = [net.max_delay for net in networks]
+    rows = {}
     if "realistic" in strategies:
         # One window pass per stream pair covers every network, each reach
         # capped at the stream length as `sliding_window_match` caps it.
-        matchings["realistic"] = [
-            Matching(kept, st1.occupied_bins, st2.occupied_bins, lost=dropped)
-            for st1, st2 in stream_pairs
-            for kept, dropped in _window_pairs(
-                st1.occupied_bins, st2.occupied_bins,
-                [min(net.max_delay, st2.n_bins - 1) for net in networks],
-                largest)]
+        found = [_window_rows(st1.occupied_bins, st2.occupied_bins,
+                              [min(d, st2.n_bins - 1) for d in reach], largest)
+                 for st1, st2 in stream_pairs]
+        rows["realistic"] = tuple(
+            (np.concatenate([pairs for pairs, _copy in side]),
+             np.concatenate([k * n_nets + copy
+                             for k, (_pairs, copy) in enumerate(side)]))
+            for side in zip(*found))
     if {"hungarian_no_clash", "hungarian_with_clash"}.intersection(strategies):
-        # Instance i is stream pair i // len(networks) at network
-        # i % len(networks), its reach capped as in `build_assignment_matrix`.
-        instances = [(st1.occupied_bins, st2.occupied_bins,
-                      min(net.max_delay, st2.n_bins - 1))
-                     for st1, st2 in stream_pairs for net in networks]
-        pairs, owner, stride = _optimal_pairs(instances)
-        assigned = [Matching(found, bins1, bins2) for found, (bins1, bins2, _d)
-                    in zip(_pair_lists(pairs, owner, len(instances)),
-                           instances)]
+        # Each reach capped as in `build_assignment_matrix`.
+        pairs, owner, stride = _optimal_pairs([
+            (st1.occupied_bins, st2.occupied_bins, min(d, st2.n_bins - 1))
+            for st1, st2 in stream_pairs for d in reach])
         # Per instance, the pairs `route` would drop.
         dropped = np.unique(first_clashes(clash_rows(
             pairs[:, 0] + owner * stride, pairs[:, 2], largest))[:, 2:])
-        hit = np.bincount(owner[dropped], minlength=len(instances))
-        clashing = np.flatnonzero(hit).tolist()
-        repaired = {}
+        hit = np.bincount(owner[dropped], minlength=n)
+        sizes = np.bincount(owner, minlength=n)
+        clashing = np.flatnonzero(hit)
+        rows["hungarian_no_clash"] = ((pairs, owner), (pairs[:0], owner[:0]))
         if "hungarian_with_clash" in strategies:
-            # Only a repair reads a weight matrix.
-            repaired = dict(zip(clashing, _repair_all(
-                [(assigned[i].pairs, build_assignment_matrix(
-                    *stream_pairs[i // len(networks)],
-                    networks[i % len(networks)].max_delay))
-                 for i in clashing], largest)))
-        matchings["hungarian_no_clash"] = assigned
-        matchings["hungarian_with_clash"] = [repaired.get(i, m)
-                                             for i, m in enumerate(assigned)]
+            # Only a repair reads a weight matrix or per-pair tuples; what
+            # it repairs is lost, and its pairs take the optimum's place.
+            redone = hit[owner] > 0
+            given = list(map(tuple, pairs[redone].tolist()))
+            ends = np.cumsum(sizes[clashing]).tolist()
+            repaired = _repair_all(
+                [(given[start:end],
+                  build_assignment_matrix(*stream_pairs[i // n_nets],
+                                          reach[i % n_nets]))
+                 for start, end, i in zip([0] + ends, ends,
+                                          clashing.tolist())], largest)
+            fixed, local = _flat(repaired)
+            rows["hungarian_with_clash"] = (
+                (np.concatenate([pairs[~redone], fixed]),
+                 np.concatenate([owner[~redone], clashing[local]])),
+                (pairs[redone], owner[redone]))
+    sides = [bins for st1, st2 in stream_pairs for _net in networks
+             for bins in (st1.occupied_bins, st2.occupied_bins)]
     results = {}
     for strategy in strategies:
-        flat = matchings[strategy]
-        values = _metric_rows(flat)
+        kept, lost = rows[strategy]
+        values = _metric_rows(sides, kept, lost)
         if strategy == "hungarian_no_clash":
-            values[clashing, 1] = hit[clashing] / np.bincount(owner)[clashing]
-        results[strategy] = (
-            [flat[i:i + len(networks)]
-             for i in range(0, len(flat), len(networks))],
-            values.reshape(len(stream_pairs), len(networks), 4))
+            values[clashing, 1] = hit[clashing] / sizes[clashing]
+        results[strategy] = (kept, lost, values.reshape(len(stream_pairs),
+                                                        n_nets, 4))
+    return results
+
+
+def _match_all(stream_pairs, networks, strategies) -> dict:
+    """{strategy: (matchings, values)}: the `_match_rows` of a block with
+    each instance's Matching, [[Matching per network] per stream pair], for
+    `match_streams` and the other readers of matchings."""
+    n_nets = len(networks)
+    results = {}
+    for strategy, (kept, lost, values) in _match_rows(
+            stream_pairs, networks, strategies).items():
+        flat = [Matching(pairs, st1.occupied_bins, st2.occupied_bins, gone)
+                for (st1, st2), pairs, gone in zip(
+                    [pair for pair in stream_pairs for _net in networks],
+                    *(_pair_lists(*got, len(stream_pairs) * n_nets)
+                      for got in (kept, lost)))]
+        results[strategy] = ([flat[i:i + n_nets]
+                              for i in range(0, len(flat), n_nets)], values)
     return results
 
 
@@ -244,9 +283,9 @@ def simulate_two_stream(p: float, switches, n_bins: int, strategies,
     values = np.empty((len(strategies), len(switches), 4, reps))
     r0 = 0
     for batch in _batches(p, n_bins, reps, seed, 2, MATCH_BLOCK_PHOTONS):
-        results = _match_all([rep for _child, rep in batch], networks,
+        results = _match_rows([rep for _child, rep in batch], networks,
                               strategies).values()
-        for i, (_matchings, block) in enumerate(results):
+        for i, (_kept, _lost, block) in enumerate(results):
             values[i, :, :, r0:r0 + len(batch)] = block.transpose(1, 2, 0)
         r0 += len(batch)
     return {(strategy, s): StrategyStats(

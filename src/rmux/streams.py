@@ -26,6 +26,7 @@ class PhotonStream:
 
     def __post_init__(self):
         bins = np.asarray(self.bins, dtype=bool)
+        _check_n_bins(bins.size)
         object.__setattr__(self, "bins", bins)
         object.__setattr__(self, "_occupied", np.flatnonzero(bins))
 
@@ -43,6 +44,12 @@ class PhotonStream:
         return self._occupied.size
 
 
+def _check_n_bins(n_bins: int):
+    """The one rule on stream length: a stream holds at least one bin."""
+    if n_bins < 1:
+        raise ValueError(f"n_bins must be >= 1, got {n_bins}")
+
+
 def generate_stream(p: float, n_bins: int, seed: int) -> PhotonStream:
     """Sample a stream of n_bins i.i.d. Bernoulli(p) occupancies.
 
@@ -51,8 +58,7 @@ def generate_stream(p: float, n_bins: int, seed: int) -> PhotonStream:
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"emission probability must be in [0, 1], got {p}")
-    if n_bins < 1:
-        raise ValueError(f"n_bins must be >= 1, got {n_bins}")
+    _check_n_bins(n_bins)
     rng = np.random.Generator(np.random.PCG64(seed))
     bins = rng.random(n_bins) < p
     return PhotonStream(bins=bins, p=p, seed=seed)
@@ -65,8 +71,6 @@ def stream_from_bins(bins) -> PhotonStream:
 
 def occupancy(stream: PhotonStream) -> float:
     """Fraction of bins occupied."""
-    if stream.n_bins == 0:
-        return 0.0
     return stream.photon_count / stream.n_bins
 
 
@@ -83,9 +87,7 @@ def stream_to_text(stream: PhotonStream) -> str:
 
 def stream_from_text(text: str) -> PhotonStream:
     """Parse the format produced by :func:`stream_to_text`."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if len(lines) != 2:
-        raise ValueError("stream text must have a header line and a bit line")
+    lines = [ln for ln in text.splitlines() if ln.strip()] or [""]
     fields = dict(item.partition("=")[::2] for item in lines[0].split())
     values = []
     for key, kind in (("p", float), ("seed", int), ("n", int)):
@@ -95,6 +97,9 @@ def stream_from_text(text: str) -> PhotonStream:
             raise ValueError(f"stream header needs {key}=<{kind.__name__}>, "
                              f"got {lines[0]!r}") from None
     p, seed, n = values
+    _check_n_bins(n)
+    if len(lines) != 2:
+        raise ValueError("stream text must have a header line and a bit line")
     bits = lines[1].strip()
     if len(bits) != n or set(bits) - {"0", "1"}:
         raise ValueError("bit line does not match header length or has bad characters")

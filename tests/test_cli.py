@@ -146,6 +146,7 @@ def test_match_fixture_files(tmp_path, capsys):
      "error: stream header needs n=<int>, got 'p=0.3 seed=1 n=4x0'"),
     ("p=0.3 seed7 n=40",
      "error: stream header needs seed=<int>, got 'p=0.3 seed7 n=40'"),
+    ("p=0.3 seed=1 n=0", "error: n_bins must be >= 1, got 0"),
 ])
 def test_match_rejects_bad_fixture_header(tmp_path, capsys, header, message):
     fixture = tmp_path / "s1.txt"

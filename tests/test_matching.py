@@ -26,6 +26,7 @@ from rmux.matching import (
     Matching,
     _clamp_scan,
     _conflicts_each,
+    _flat_matchings,
     _metric_rows,
     _optimal_pairs,
     _pair_lists,
@@ -42,7 +43,7 @@ from rmux.matching import (
     solve_assignment,
     virtual_weight_for,
 )
-from rmux.mux_sim import STRATEGIES, match_streams
+from rmux.mux_sim import STRATEGIES, _match_rows, match_streams
 from rmux.streams import generate_stream, stream_from_bins
 
 
@@ -427,9 +428,11 @@ SEVERAL_ROUNDS = [(0.4, 120, 8, 4), (0.4, 120, 18, 6), (0.4, 120, 28, 8)]
 @example([(0.0, 50, 1, 3), (0.1, 4, 2, 2), (0.4, 120, 8, 4)])  # empty, free
 def test_lockstep_repair_equals_per_instance_repairs(specs):
     instances = no_clash_instances(specs)
-    got = _repair_all([(m.pairs, W) for m, W, _net in instances],
-                      max((net for *_, net in instances),
-                          key=lambda net: net.s))
+    best = _repair_all([(m.pairs, W) for m, W, _net in instances],
+                       max((net for *_, net in instances),
+                           key=lambda net: net.s))
+    got = [Matching(pairs, W.row_bins, W.col_bins, lost=m.pairs)
+           for pairs, (m, W, _net) in zip(best, instances)]
     assert got == [resolve_clashes_optimal(m, W, net)
                    for m, W, net in instances]
     assert got == [resolve_clashes_direct(m, W, net)
@@ -667,7 +670,7 @@ def test_instances_past_int64_on_one_axis_raise_value_error():
     big = Matching([(2 ** 62, 2 ** 62 + 1, 1)], np.array([2 ** 62]),
                    np.array([2 ** 62 + 1]))
     with pytest.raises(ValueError, match="exceed the int64 maximum"):
-        _metric_rows([big])
+        _metric_rows(*_flat_matchings([big]))
     with pytest.raises(ValueError, match="exceed the int64 maximum"):
         _conflicts_each([[(2 ** 62, 2 ** 62, 0)]] * 2, DelayNetwork(2))
 
@@ -677,7 +680,7 @@ def test_instances_that_just_fit_on_one_axis_keep_their_records():
     # a later stream-2 photon, so it reads "range", not "unpaired".
     top = 2 ** 62 - 1
     m = Matching([(top - 1, top, 1)], np.array([0, top - 1]), np.array([top]))
-    assert _metric_rows([m])[0, :3].tolist() == [2 / 3, 0.0, 1 / 3]
+    assert _metric_rows(*_flat_matchings([m]))[0, :3].tolist() == [2 / 3, 0.0, 1 / 3]
     assert m.discarded == [(0, "1", "range")]
     pairs = [(top - 1, top, 1), (top - 1, top, 1)]
     assert _conflicts_each([pairs[:1], pairs], DelayNetwork(2)) == [
@@ -695,11 +698,11 @@ def test_weight_column_is_exact_past_2_to_53():
     # bins there read a delay of 1 as 0; each matching's pair delays do not.
     top = 2 ** 62 - 1
     m = Matching([(top - 1, top, 1)], np.array([0, top - 1]), np.array([top]))
-    assert _metric_rows([m])[0, 3] == m.total_weight == 1
+    assert _metric_rows(*_flat_matchings([m]))[0, 3] == m.total_weight == 1
     assert matching_metrics(m).mean_delay == 1.0
     two = Matching([(top - 3, top - 1, 2), (top, top, 0)],
                    np.array([top - 3, top]), np.array([top - 1, top]))
-    assert _metric_rows([two])[0].tolist() == [1.0, 0.0, 0.0, 2.0]
+    assert _metric_rows(*_flat_matchings([two]))[0].tolist() == [1.0, 0.0, 0.0, 2.0]
 
 
 def test_window_ending_past_int64_keeps_its_pairs():
@@ -908,7 +911,7 @@ def matching_blocks(draw):
 # pair it keeps; the window drops a pair for a clash.
 @example(strategy_block([2, 3, 20, 40], [0, 3, 7, 30], 48, 4))
 def test_block_counts_equal_per_matching_metrics_and_records(block):
-    rows = _metric_rows(block)
+    rows = _metric_rows(*_flat_matchings(block))
     assert rows.shape == (len(block), 4)
     for m, row in zip(block, rows.tolist()):
         met = matching_metrics(m)
@@ -918,6 +921,88 @@ def test_block_counts_equal_per_matching_metrics_and_records(block):
                                                m.lost)
         assert met.mean_delay == (m.total_weight / len(m.pairs) if m.pairs
                                   else 0.0)
+
+
+@st.composite
+def classifier_blocks(draw):
+    """(stream pairs, switch counts, facts, seed) of a mixed block: every
+    strategy's instances of `_match_rows` on the drawn stream pairs (either
+    stream may be empty or full) at every count, then `matching_facts`
+    instances; the seed orders the block's pair rows."""
+    stream_pairs = []
+    for _ in range(draw(st.integers(0, 3))):
+        n_bins, seed = draw(st.integers(1, 40)), draw(st.integers(0, 2**32 - 2))
+        p1, p2 = (draw(st.sampled_from([0.0, 0.2, 0.5, 1.0])) for _ in range(2))
+        stream_pairs.append((generate_stream(p1, n_bins, seed),
+                             generate_stream(p2, n_bins, seed + 1)))
+    switches = draw(st.lists(st.integers(1, 7), min_size=1, max_size=3,
+                             unique=True))
+    facts = draw(st.lists(matching_facts(), min_size=0 if stream_pairs else 1,
+                          max_size=3))
+    return stream_pairs, switches, facts, draw(st.integers(0, 2**32 - 1))
+
+
+def _tuples(rows) -> list:
+    return list(map(tuple, rows.tolist()))
+
+
+TOP = 2 ** 62 - 1      # two strides of 2^62 end at the int64 maximum
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(classifier_blocks())
+# At s = 4 the repair's lost pairs share a photon with the pair it keeps
+# and the window drops a pair for a clash; at s = 1 no optimum clashes. One
+# side empty, and p = 1, in the same block.
+@example(([(stream_at([2, 3, 20, 40], 48), stream_at([0, 3, 7, 30], 48)),
+           (stream_at([0, 2], 4), stream_at([], 4)),
+           (stream_at([], 4), stream_at([1, 3], 4)),
+           (stream_at(range(6), 6), stream_at(range(6), 6))],
+          [4, 1], [(np.array([3, 4]), np.array([3]), [(3, 3, 0)],
+                    [(4, 3, -1)])], 5))
+@example(([], [1], [(np.array([0, TOP - 1]), np.array([TOP]),
+                     [(TOP - 1, TOP, 1)], [])], 0))
+# Weights past 2^53: float64 keeps no bin near 2^62 to the unit.
+@example(([], [1], [(np.array([TOP - 3, TOP]), np.array([TOP - 1, TOP]),
+                     [(TOP - 3, TOP - 1, 2), (TOP, TOP, 0)], [])], 0))
+def test_array_classifier_rows_equal_the_direct_count(case):
+    stream_pairs, switches, facts, seed = case
+    networks = [DelayNetwork(s) for s in switches]
+    # (bins1, bins2, pairs, lost) per instance, pairs as (n, 3) arrays.
+    instances = []
+    found = {}
+    if stream_pairs:
+        found = _match_rows(stream_pairs, networks, STRATEGIES)
+    for strategy, (kept, lost, values) in found.items():
+        sides = [(st1.occupied_bins, st2.occupied_bins)
+                 for st1, st2 in stream_pairs for _net in networks]
+        for i, ((bins1, bins2), row) in enumerate(zip(
+                sides, values.reshape(-1, 4).tolist())):
+            pairs, gone = kept[0][kept[1] == i], lost[0][lost[1] == i]
+            want = metric_row_direct(bins1, bins2, _tuples(pairs),
+                                     _tuples(gone))
+            if strategy == "hungarian_no_clash":  # its clash rate is routed
+                row[1], want = 0.0, (want[0], 0.0, *want[2:])
+            assert tuple(row) == want
+            instances.append((bins1, bins2, pairs, gone))
+    instances += [(bins1, bins2, *(np.array(rows, dtype=np.int64).reshape(-1, 3)
+                                   for rows in (pairs, lost)))
+                  for bins1, bins2, pairs, lost in facts]
+    order = np.random.default_rng(seed).permutation
+
+    def flat(k):
+        """Column k's rows of every instance, and their owners, shuffled."""
+        rows = np.concatenate([inst[k] for inst in instances])
+        owner = np.repeat(np.arange(len(instances)),
+                          [len(inst[k]) for inst in instances])
+        shuffled = order(owner.size)
+        return rows[shuffled], owner[shuffled]
+
+    rows = _metric_rows([b for inst in instances for b in inst[:2]],
+                        flat(2), flat(3))
+    assert list(map(tuple, rows.tolist())) == [
+        metric_row_direct(bins1, bins2, _tuples(pairs), _tuples(lost))
+        for bins1, bins2, pairs, lost in instances]
 
 
 def test_matchings_are_equal_when_their_pairs_and_records_are():
@@ -949,12 +1034,13 @@ def test_fig4_sweep_counts_without_discard_records(tmp_path, monkeypatch):
 
     def recording(instances, network):
         out = repair_all(instances, network)
-        repaired.extend(out)
+        repaired.append([(best, pairs) for best, (pairs, _W)
+                         in zip(out, instances)])
         return out
 
-    def counting_rows(matchings):
-        counted.append(matchings)
-        return metric_rows(matchings)
+    def counting_rows(sides, kept, lost):
+        counted.append((len(sides) // 2, kept, lost))
+        return metric_rows(sides, kept, lost)
 
     def recording_batches(*args):
         for batch in batches(*args):
@@ -964,17 +1050,24 @@ def test_fig4_sweep_counts_without_discard_records(tmp_path, monkeypatch):
     monkeypatch.setattr(mux_sim, "_repair_all", recording)
     monkeypatch.setattr(mux_sim, "_metric_rows", counting_rows)
     monkeypatch.setattr(mux_sim, "_batches", recording_batches)
-    reps, counts = 4, 8                 # fig4 at its defaults but reps
+    reps, counts = 30, 8                # fig4 at its defaults but reps
     run_experiment(ExperimentConfig("fig4", {"reps": str(reps)}, 1234,
                                     tmp_path))
-    # One classifier pass per block counts every final matching, a repair
-    # in place of the assignment it replaced; no record is built.
+    # One classifier pass per block counts all its instances from arrays;
+    # no record is built.
     assert built == []
-    assert len(repaired) == 13
-    assert [len(ms) for ms in counted] == [size * counts for size in blocks]
-    assert sum(blocks) == reps
-    assert sorted(map(id, repaired)) == sorted(
-        id(m) for ms in counted for m in ms if m.lost)
+    assert len(blocks) >= 2 and sum(blocks) == reps
+    assert [n for n, _kept, _lost in counted] == [
+        size * counts for size in blocks]
+    # Each repaired instance is counted from the repair's pairs, in place of
+    # the optimum it replaced, and that optimum, the pairs the repair was
+    # given, is counted as its lost pairs.
+    assert len(repaired) == len(blocks)
+    assert sum(map(len, repaired)) == 85
+    for out, (n, kept, lost) in zip(repaired, counted):
+        pairs, gone = _pair_lists(*kept, n), _pair_lists(*lost, n)
+        fixed = [i for i in range(n) if gone[i]]
+        assert [(pairs[i], gone[i]) for i in fixed] == out
 
 
 # ---------------------------------------------------------------- metrics

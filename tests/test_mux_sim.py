@@ -142,8 +142,8 @@ def _record_batches(monkeypatch) -> list:
 
 
 # Several blocks and a last one cut short by the repetition count: at the
-# default size (about 8 repetitions a block at p = 0.1 and 200 bins), and at
-# two repetitions a block on clash-heavy streams.
+# default size (about 16 repetitions a block at p = 0.1 and 200 bins), and
+# at two repetitions a block on clash-heavy streams.
 @pytest.mark.parametrize("p, n_bins, reps, block_photons", [
     (0.1, 200, 40, None), (0.4, 120, 7, 150)])
 def test_two_stream_blocks_equal_per_instance_oracle(monkeypatch, p, n_bins,
@@ -161,6 +161,27 @@ def test_two_stream_blocks_equal_per_instance_oracle(monkeypatch, p, n_bins,
         ((strategy, s),
          two_stream_stats_direct(p, s, n_bins, strategy, reps, 19))
         for strategy in STRATEGIES for s in switches]
+
+
+def test_two_stream_sweep_builds_no_matching_or_pair_tuples(monkeypatch):
+    # Each block is counted from its pair arrays, for every strategy; only a
+    # repair, inside `matching`, builds per-pair tuples, and no module builds
+    # a Matching. Several blocks.
+    p, n_bins, reps, switches = 0.4, 120, 30, [5, 1, 8]
+    want = [((strategy, s),
+             two_stream_stats_direct(p, s, n_bins, strategy, reps, 23))
+            for strategy in STRATEGIES for s in switches]
+    seen = _record_batches(monkeypatch)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sweep built a Matching or pair tuples")
+
+    monkeypatch.setattr(mux_sim, "Matching", refuse)
+    monkeypatch.setattr(matching, "Matching", refuse)
+    monkeypatch.setattr(mux_sim, "_pair_lists", refuse)
+    got = simulate_two_stream(p, switches, n_bins, STRATEGIES, reps, seed=23)
+    assert len(seen) >= 2
+    assert list(got.items()) == want
 
 
 @pytest.mark.parametrize("p, n_bins", [(0.1, 300), (0.4, 120), (0.0, 50)])

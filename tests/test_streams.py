@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from rmux.streams import (
+    PhotonStream,
     generate_stream,
     occupancy,
     stream_from_bins,
@@ -72,6 +73,20 @@ def test_text_round_trip():
     back = stream_from_text(text)
     assert np.array_equal(back.bins, s.bins)
     assert back.p == s.p and back.seed == s.seed
+
+
+def test_a_stream_without_bins_is_rejected_by_one_rule():
+    # An empty stream used to be written as n=0 and then refused on reading
+    # for a missing bit line.
+    for make in (lambda: stream_from_bins([]),
+                 lambda: PhotonStream(np.zeros(0, dtype=bool), 0.1, 3),
+                 lambda: generate_stream(0.5, 0, 0),
+                 lambda: stream_from_text("p=0.0 seed=-1 n=0\n\n"),
+                 lambda: stream_from_text("p=0.5 seed=1 n=0\n01\n")):
+        with pytest.raises(ValueError, match=r"^n_bins must be >= 1, got 0$"):
+            make()
+    with pytest.raises(ValueError, match="header line and a bit line"):
+        stream_from_text("p=0.5 seed=1 n=2\n")
 
 
 def test_text_rejects_corrupt_input():
