@@ -92,20 +92,37 @@ from .streams import PhotonStream, generate_stream
 
 STRATEGIES = ("hungarian_no_clash", "hungarian_with_clash", "realistic")
 BELL_GATE_PROB = 1.0 / 8.0
-# A block of repetitions closes once it holds this many photons, in a Bell
-# sweep or in a two-stream sweep, or this many stream bins (which bound it
-# when the source is nearly dark). A two-stream block holds the pair arrays
-# of its repetitions and the weight matrices of those it repairs. At p = 0.1
-# and 200 bins (perfbench's match_sweep recipe, 504 repetitions, 2-core
-# host), blocks of 320 / 640 / 1280 / 1920 photons (about 8 / 16 / 32 / 48
-# repetitions) took 0.26-0.30 / 0.22-0.25 / 0.17-0.23 / 0.16-0.20 s of CPU,
-# with a tracemalloc peak of 0.6 / 0.8 / 1.3 / 1.8 MB and a peak RSS of
-# 80.1 / 80.4 / 81.3 / 82.5 MB. Larger blocks run faster, but perfbench's
-# speed-reference test needs match_sweep's 1-second run (21 repetitions) to
-# span two blocks: a block makes all its streams, the calls that pace the
-# reference, at its start.
-BLOCK_PHOTONS = 16_000
+# A two-stream block closes once it holds this many photons, or BLOCK_BINS
+# stream bins. It holds the pair arrays of its repetitions and the weight
+# matrices of those it repairs. At p = 0.1 and 200 bins (perfbench's
+# match_sweep recipe, 504 repetitions, 2-core host), blocks of 320 / 640 /
+# 1280 / 1920 photons (about 8 / 16 / 32 / 48 repetitions) took 0.26-0.30 /
+# 0.22-0.25 / 0.17-0.23 / 0.16-0.20 s of CPU, with a tracemalloc peak of
+# 0.6 / 0.8 / 1.3 / 1.8 MB and a peak RSS of 80.1 / 80.4 / 81.3 / 82.5 MB.
+# Larger blocks run faster, but perfbench's speed-reference test needs
+# match_sweep's 1-second run (21 repetitions) to span two blocks: a block
+# makes all its streams, the calls that pace the reference, at its start.
 MATCH_BLOCK_PHOTONS = 640
+# A Bell block closes once it holds this many photons, or BLOCK_BINS stream
+# bins (which bound it when the source is nearly dark). Each block pays once
+# per split for both stages' window passes, their clash scans and a gate
+# table, so larger blocks share those calls among more repetitions, while
+# their window temporaries grow. fig7 at p1 = 0.1, 10^4 bins (4000 photons
+# a repetition), budgets 5-16 and 38 repetitions, as perfbench's bell_budget
+# runs it on a 2-core host: cpu_s (seeds 20170324 / 1) and peak RSS (seed
+# 20170324) are medians of 10-20 perfbench runs per seed, alternating sizes;
+# the tracemalloc peak and the sweep's minor faults (median and range of 10)
+# are from fresh processes running the sweep alone.
+#   photons  cpu_s          peak RSS  tracemalloc  minor faults
+#   16000    0.224 / 0.226  83.4 MB   1.8 MB       3350 (1850-4850)
+#   32000    0.199 / 0.193  85.3 MB   3.2 MB       4950 (4490-5430)
+#   40000    0.185 / 0.189  86.2 MB   3.9 MB       3980 (3160-4810)
+#   48000    0.178 / 0.194  86.9 MB   4.6 MB       5070 (2680-7480)
+#   56000    0.181 / 0.180  87.5 MB   5.3 MB       5100 (2430-7760)
+#   64000    0.181 / 0.185  89.0 MB   6.0 MB       4740 (4530-4960)
+# 48000 (about 12 repetitions here) has the lowest cpu_s summed over both
+# seeds among the sizes whose peak RSS rose under 5%; 56000 rose 5.0%.
+BLOCK_PHOTONS = 48_000
 BLOCK_BINS = 1 << 20
 
 

@@ -248,23 +248,33 @@ class LatticeState:
 
 def _fusion_levels(lattice: DiamondLattice, semantics: OutcomeSemantics,
                    rng: np.random.Generator):
-    """One trial's four draws per fusion (u, v, w_site, w_bond), as levels.
+    """One trial's draws per fusion (u, v, w_site, w_bond), as levels.
 
     Returns (u, v, owner, passive, bond, killed): at fusion loss f, fusion i
     is lost iff u[i] < f, bond k is present iff f <= bond[k], a loss spares
     site j iff f <= owner[j] or, under `_site_levels`, f <= min(owner[j],
     passive[j]) (each the least u over j's `site_tables` column), and a
     `killed` assembly fusion kills its owner iff it is not lost.
+
+    w_bond is read only at a heralded bond-connect chance above 0, and
+    w_site only at a heralded site-kill chance above 0, so the trailing rows
+    no reader needs are not drawn: a generator's first draws do not depend
+    on how many follow.
     """
-    u, v, w_site, w_bond = rng.random((4, lattice.n_fusions))
+    rows = (4 if semantics.heralded_bond_connect_prob > 0.0 else
+            3 if semantics.heralded_site_kill_prob > 0.0 else 2)
+    u, v, *w = rng.random((rows, lattice.n_fusions))
     owner, passive = np.full((2, lattice.n_sites), np.inf)
     if semantics.loss_kills_owner_site:
         owner, passive = np.append(u, np.inf)[lattice.site_tables].min(axis=1)
-    killed = (~lattice.fusion_is_bond & (v >= FUSION_SUCCESS_PROB)
-              & (w_site < semantics.heralded_site_kill_prob))
+    killed = np.zeros(lattice.n_fusions, dtype=bool)
+    if rows > 2:
+        killed = (~lattice.fusion_is_bond & (v >= FUSION_SUCCESS_PROB)
+                  & (w[0] < semantics.heralded_site_kill_prob))
     k = lattice.bond_fusions
-    connects = ((v[k] < FUSION_SUCCESS_PROB)
-                | (w_bond[k] < semantics.heralded_bond_connect_prob))
+    connects = v[k] < FUSION_SUCCESS_PROB
+    if rows == 4:
+        connects |= w[1][k] < semantics.heralded_bond_connect_prob
     bond = np.where(connects, u[k], -np.inf)
     return u, v, owner, passive, bond, killed
 
@@ -280,10 +290,11 @@ def sample_lattice_state(lattice: DiamondLattice, scheme: str, p_l: float,
                          rng: np.random.Generator) -> LatticeState:
     """Sample every fusion independently and apply the outcome semantics.
 
-    The draws are `_fusion_levels`' (four uniform draws per fusion,
-    whatever the scheme or semantics), so runs with the same generator
-    state are coupled: the standard scheme's loss events are a superset of
-    the relative scheme's, which makes scheme dominance exact per trial.
+    The draws are `_fusion_levels`' (two to four uniform draws per fusion,
+    as the semantics read them, whatever the scheme), so runs with the same
+    generator state and semantics are coupled: the standard scheme's loss
+    events are a superset of the relative scheme's, which makes scheme
+    dominance exact per trial.
     """
     f_l = fusion_loss_probability(p_l, a_l, lossy_inputs(scheme))
     u, v, owner, passive, bond, killed = _fusion_levels(lattice, semantics, rng)

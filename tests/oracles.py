@@ -125,9 +125,10 @@ def spans_bfs(state) -> bool:
 def sample_state_direct(lattice, scheme, f_l, semantics, rng):
     """(site_alive, bond_present, (successes, heralded, losses)) of one trial.
 
-    Takes the same four uniform draws per fusion as the program, in the
-    same order (u, v, w_site, w_bond), and applies the outcome semantics
-    rule by rule at fusion-loss probability f_l.
+    Takes four uniform draws per fusion in the program's order (u, v,
+    w_site, w_bond), of which the program draws only the rows its semantics
+    read, and applies the outcome semantics rule by rule at fusion-loss
+    probability f_l.
     """
     n = lattice.n_fusions
     u, v, w_site, w_bond = (rng.random(n) for _ in range(4))
@@ -152,10 +153,10 @@ def critical_losses_direct(L, scheme, trials, seed, semantics=None):
     """Each trial's critical fusion loss f*, one scheme per call.
 
     Draws each trial as the program does (child t of SeedSequence(seed),
-    four uniform draws per fusion), builds the scheme's site levels by
-    scattering u onto each fusion's ends with `np.minimum.at`, and sweeps
-    every bond from the highest level down through a union-find with a
-    find function.
+    here all four uniform draws per fusion), builds the scheme's site
+    levels by scattering u onto each fusion's ends with `np.minimum.at`,
+    and sweeps every bond from the highest level down through a union-find
+    with a find function.
     """
     semantics = semantics or OutcomeSemantics()
     lat = DiamondLattice(L)

@@ -547,6 +547,22 @@ def test_bell_sweep_blocks_equal_per_budget_oracle(monkeypatch, p1, constant,
                                           seed=3), (scheme, budget)
 
 
+def test_bell_sweep_at_the_default_block_size_equals_per_budget_oracle(
+        monkeypatch):
+    # No constant patched: about 8000 photons a repetition at p1 = 0.5 and
+    # 4000 bins, so BLOCK_PHOTONS closes blocks of several repetitions.
+    limit = mux_sim.BLOCK_PHOTONS
+    seen = _record_batches(monkeypatch)
+    budgets = [5, 8, 12, 16]
+    sweep = simulate_bell_sweep(0.5, budgets, 4000, 15, seed=24)
+    assert list(map(len, seen)) == [6, 6, 3]
+    assert all(sum(block[:-1]) < limit <= sum(block) for block in seen[:-1])
+    assert sum(seen[-1]) < limit
+    for (scheme, budget), stats in sweep.items():
+        assert stats == bell_stats_direct(scheme, 0.5, budget, 4000, 15,
+                                          seed=24), (scheme, budget)
+
+
 def _peak_bytes(reps: int) -> int:
     tracemalloc.start()
     try:

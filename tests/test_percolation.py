@@ -292,7 +292,10 @@ def test_outcome_distribution_multinomial():
                      heralded_site_kill_prob=0.2),
     # the corner whose spanning is not monotone in loss
     OutcomeSemantics(loss_kills_owner_site=False, heralded_site_kill_prob=0.5),
-], ids=["default", "calibrated", "bond_connect", "owner_only", "no_owner"])
+    # w_site drawn but unread
+    OutcomeSemantics(heralded_bond_connect_prob=0.4),
+], ids=["default", "calibrated", "bond_connect", "owner_only", "no_owner",
+        "bond_only"])
 @pytest.mark.parametrize("scheme", ["rmux", "standard"])
 def test_sampled_state_matches_direct_rules(scheme, sem):
     # the sampler thresholds per-site and per-bond loss levels; the oracle
@@ -310,6 +313,35 @@ def test_sampled_state_matches_direct_rules(scheme, sem):
         assert (st.outcome_counts["success"],
                 st.outcome_counts["fail_heralded"],
                 st.outcome_counts["fail_loss"]) == counts
+
+
+@pytest.mark.parametrize("sem, rows", [
+    (OutcomeSemantics(), 2),
+    (calibrated_semantics(), 3),
+    (OutcomeSemantics(heralded_bond_connect_prob=0.4), 4),
+], ids=["default", "calibrated", "bond_connect"])
+def test_trials_draw_only_the_rows_their_semantics_read(monkeypatch, sem,
+                                                         rows):
+    # rows (u, v, w_site, w_bond) up to the last one the semantics read:
+    # w_site for heralded site kills, w_bond for heralded bond connects.
+    # The oracle draws all four rows per fusion.
+    lat, shapes = DiamondLattice(4), []
+
+    class Recording:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def random(self, shape):
+            shapes.append(shape)
+            return self.rng.random(shape)
+
+    make = percolation._rng
+    monkeypatch.setattr(percolation, "_rng", lambda s: Recording(make(s)))
+    f_star = critical_losses(4, "standard", 12, 3, sem)
+    percolation_probability(4, "rmux", 0.05, 0.0, 12, 3, sem)
+    assert shapes == [(rows, lat.n_fusions)] * 24
+    assert f_star.tolist() == critical_losses_direct(4, "standard", 12, 3,
+                                                     sem).tolist()
 
 
 class _FixedDraws:
