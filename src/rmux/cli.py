@@ -13,19 +13,10 @@ import sys
 from pathlib import Path
 
 from . import delay_network, experiments, matching, mux_sim, percolation, streams
-from .experiments import (
-    EXPERIMENTS,
-    ExperimentConfig,
-    csv_text,
-    load_config_file,
-    result_line,
-    run_experiment,
-    semantics_from,
-)
 
 
 def _emit(header, rows, out_path):
-    text = csv_text(header, rows)
+    text = experiments.csv_text(header, rows)
     if out_path:
         Path(out_path).write_text(text)
     else:
@@ -34,8 +25,16 @@ def _emit(header, rows, out_path):
 
 def _given(args) -> dict:
     """The options set on the command line, or with a default of their
-    own; the recipe's row builder supplies every other default."""
+    own; the recipe's table supplies every other default."""
     return {k: v for k, v in vars(args).items() if v is not None}
+
+
+def _values(params: dict, *recipes: str) -> dict:
+    """`params` parsed by the tables of `recipes`; the keys that none of
+    them lists are the subcommand's own."""
+    table = {key: default for recipe in recipes
+             for key, default in experiments.PARAMETERS[recipe].items()}
+    return experiments.parse_params(table, params)[0]
 
 
 def _unread(args, mode: str, *names):
@@ -51,16 +50,16 @@ def _cmd_analytics(args) -> int:
     params = _given(args)
     if args.mode == "table":
         _unread(args, "analytics --mode table", "etas", "ps", "p_min")
-        rows = experiments.table1_rows(params)[0]
+        rows = experiments.table1_rows(_values(params, "table1"))[0]
         _emit(experiments.TABLE1_HEADER, rows, args.out)
     else:
         _unread(args, "analytics --mode waste", "eta", "p1", "p2")
-        ps = params.get("ps", experiments.FIG2_PS_MAX)
+        ps = params.get("ps", experiments.PARAMETERS["fig2"]["ps_max"])
         params.update(ps_min=ps, ps_max=ps)
         if args.etas:
             params["etas"] = ",".join(args.etas)
         optimizer = {"p_min": params["p_min"]} if "p_min" in params else {}
-        rows = experiments.fig2_rows(params, **optimizer)[0]
+        rows = experiments.fig2_rows(_values(params, "fig2"), **optimizer)[0]
         _emit(experiments.FIG2_HEADER, rows, args.out)
     return 0
 
@@ -92,50 +91,54 @@ def _cmd_match(args) -> int:
                    "bin_at_stage"], rows, args.dump_routes)
         return 0
     _unread(args, "match without --stream1 or --stream2", "dump_routes")
-    rows = experiments.two_stream_sweep(_given(args), [args.strategy],
-                                        args.seed)[0]
+    rows = experiments.two_stream_sweep(_values(_given(args), "fig4"),
+                                        [args.strategy], args.seed)[0]
     _emit(experiments.TWO_STREAM_HEADER, rows, args.out)
     return 0
 
 
 def _cmd_bell(args) -> int:
     schemes = ["standard", "rmux"] if args.scheme == "both" else [args.scheme]
-    rows = experiments.bell_sweep(_given(args), args.seed, schemes)[0]
+    rows = experiments.bell_sweep(_values(_given(args), "fig7"), args.seed,
+                                  schemes)[0]
     _emit(experiments.BELL_HEADER, rows, args.out)
     return 0
 
 
+# The percolate options that each mode never reads.
+_PERCOLATE_UNREAD = {"prob": ("target", "a_l_grid", "equal_ancilla_loss"),
+                     "threshold": ("p_l", "a_l_grid"),
+                     "frontier": ("p_l", "a_l", "equal_ancilla_loss")}
+
+
 def _cmd_percolate(args) -> int:
+    _unread(args, f"percolate --mode {args.mode}",
+            *_PERCOLATE_UNREAD[args.mode])
+    if args.mode == "threshold" and args.equal_ancilla_loss:
+        _unread(args, "percolate --mode threshold --equal-ancilla-loss", "a_l")
     params = _given(args)
-    # The parser reads only the semantics keys; unset flags keep the preset.
-    _name, sem = semantics_from(params)
-    p_l, a_l = params.get("p_l", 0.0), params.get("a_l", 0.0)
-    target = params.get("target", experiments.SPAN_DEFAULTS["target"])
+    # The two lattice recipes' keys; an unset flag keeps their default, and
+    # an unset semantics flag the preset's value.
+    values = _values(params, "fig8_thresholds", "fig9_frontier")
+    _name, sem = experiments.semantics_from(values)
+    p_l, a_l, target = params.get("p_l", 0.0), values["a_l"], values["target"]
+    L, trials = values["L"], values["trials"]
     if args.mode == "prob":
-        _unread(args, "percolate --mode prob", "target", "a_l_grid",
-                "equal_ancilla_loss")
         est, err = percolation.percolation_probability(
-            args.L, args.scheme, p_l, a_l, args.trials, args.seed, sem)
+            L, args.scheme, p_l, a_l, trials, args.seed, sem)
         _emit(["scheme", "L", "p_l", "a_l", "perc_prob", "stderr"],
-              [(args.scheme, args.L, p_l, a_l, est, err)], args.out)
+              [(args.scheme, L, p_l, a_l, est, err)], args.out)
     elif args.mode == "threshold":
-        _unread(args, "percolate --mode threshold", "p_l", "a_l_grid")
-        if args.equal_ancilla_loss:
-            _unread(args, "percolate --mode threshold --equal-ancilla-loss",
-                    "a_l")
         thr = percolation.loss_threshold(
-            args.scheme, target, a_l, args.L, args.trials, args.seed, sem,
+            args.scheme, target, a_l, L, trials, args.seed, sem,
             equal_ancilla_loss=args.equal_ancilla_loss)
         a_col = "scan" if args.equal_ancilla_loss else a_l
         _emit(["scheme", "target", "a_l", "p_l_threshold"],
               [(args.scheme, target, a_col, thr)], args.out)
     else:
-        _unread(args, "percolate --mode frontier", "p_l", "a_l",
-                "equal_ancilla_loss")
-        grid = experiments._param_list(params, "a_l_grid",
-                                       experiments.FIG9_A_L_GRID, float)
         frontier = percolation.tradeoff_frontier(
-            args.scheme, target, grid, args.L, args.trials, args.seed, sem)
+            args.scheme, target, values["a_l_grid"], L, trials, args.seed,
+            sem)
         rows = [(args.scheme, target, a, thr) for a, thr in frontier.points]
         _emit(["scheme", "target", "a_l", "p_l_threshold"], rows, args.out)
         sys.stderr.write(f"linear fit: slope={frontier.slope:.4f} "
@@ -147,23 +150,31 @@ def _cmd_percolate(args) -> int:
 def _cmd_reproduce(args) -> int:
     params = {}
     if args.config:
-        params.update(load_config_file(args.config))
+        params.update(experiments.load_config_file(args.config))
     for item in args.set or []:
         if "=" not in item:
             raise ValueError(f"--set needs key=value, got {item!r}")
         key, value = item.split("=", 1)
         params[key] = value
+    reads = experiments.PARAMETERS[args.figure]
     if args.trials is not None:
         # Convenience alias: repetition count for the Monte Carlo figures,
         # lattice trials for the percolation figures.
-        if args.figure in ("table1", "fig2"):
+        key = next((k for k in ("reps", "trials") if k in reads), None)
+        if key is None:
             raise ValueError(f"{args.figure} takes no repetition or trial "
                              "count; drop --trials")
-        key = "reps" if args.figure in ("fig4", "fig6", "fig7") else "trials"
-        params.setdefault(key, str(args.trials))
-    config = ExperimentConfig(experiment=args.figure, parameters=params,
-                              seed=args.seed, output_dir=Path(args.out))
-    bundle = run_experiment(config)
+        if key in params:
+            raise ValueError(f"--trials sets {key}, which --set or --config "
+                             "sets too; drop one")
+        params[key] = str(args.trials)
+    unread = [key for key in params if key not in reads]
+    if unread:
+        raise ValueError(f"{args.figure} does not read {', '.join(unread)}; "
+                         f"it reads {', '.join(reads)}")
+    config = experiments.ExperimentConfig(args.figure, params, args.seed,
+                                          Path(args.out))
+    bundle = experiments.run_experiment(config)
     for check in bundle.checks:
         status = "PASS" if check.passed else "FAIL"
         print(f"[{status}] {check.name}: got {check.value}, "
@@ -171,11 +182,9 @@ def _cmd_reproduce(args) -> int:
     print(f"summary: {bundle.summary_path}")
     for path in bundle.csv_paths:
         print(f"data: {path}")
-    if not bundle.all_passed:
-        print(result_line(bundle.checks), file=sys.stderr)
-        return 2
-    print(result_line(bundle.checks))
-    return 0
+    print(experiments.result_line(bundle.checks),
+          file=sys.stdout if bundle.all_passed else sys.stderr)
+    return 0 if bundle.all_passed else 2
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -196,9 +205,10 @@ def build_parser() -> argparse.ArgumentParser:
     pa.set_defaults(func=_cmd_analytics)
 
     pm = sub.add_parser("match", help="two-stream matching statistics")
-    pm.add_argument("--p", type=float, default=experiments.TWO_STREAM_P)
+    two_stream = experiments.PARAMETERS["fig4"]
+    pm.add_argument("--p", type=float, default=two_stream["p"])
     pm.add_argument("--switches", type=int, default=4)
-    pm.add_argument("--bins", type=int, default=experiments.TWO_STREAM_BINS)
+    pm.add_argument("--bins", type=int, default=two_stream["bins"])
     pm.add_argument("--strategy", choices=list(mux_sim.STRATEGIES),
                     default="realistic")
     pm.add_argument("--reps", type=int)
@@ -224,8 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--mode", choices=["prob", "threshold", "frontier"],
                     default="prob")
     pp.add_argument("--scheme", choices=["rmux", "standard"], default="rmux")
-    pp.add_argument("--L", type=int, default=experiments.SPAN_DEFAULTS["L"])
-    pp.add_argument("--trials", type=int, default=experiments.SPAN_DEFAULTS["trials"])
+    pp.add_argument("--L", type=int)
+    pp.add_argument("--trials", type=int)
     pp.add_argument("--p-l", type=float)
     pp.add_argument("--a-l", type=float)
     pp.add_argument("--target", type=float)
@@ -244,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     pp.set_defaults(func=_cmd_percolate)
 
     pr = sub.add_parser("reproduce", help="run a named figure/table recipe")
-    pr.add_argument("figure", choices=list(EXPERIMENTS))
+    pr.add_argument("figure", choices=list(experiments.EXPERIMENTS))
     pr.add_argument("--seed", type=int, default=1234)
     pr.add_argument("--trials", type=int,
                     help="repetitions (fig4/6/7) or lattice trials (fig8/9)")

@@ -97,58 +97,70 @@ _BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
                "0": False, "false": False, "no": False, "off": False}
 
 
-def _param(params: dict, key: str, default):
-    """Typed parameter lookup; overrides arrive as strings."""
-    if key not in params:
-        return default
-    raw = params[key]
-    if isinstance(default, bool):
+def _typed(key: str, raw, default):
+    """`raw`, an override string or an already typed value, as the kind of
+    `default` (a value, or a type). A list is comma-separated, each entry
+    typed like the default's first; an integer list may also be an
+    inclusive range "lo:hi", and only `finite_size_L` may be empty."""
+    kind = default if isinstance(default, type) else type(default)
+    if kind is list:
+        raw, entry = str(raw), f"each {key} entry"
+        if isinstance(default[0], int) and ":" in raw:
+            lo, hi = (_typed(entry, x, int) for x in raw.split(":", 1))
+            if hi < lo:
+                raise ValueError(f"{key} range {raw!r} is empty")
+            return list(range(lo, hi + 1))
+        empty = key == "finite_size_L" and not raw.strip()
+        return [_typed(entry, x, default[0])
+                for x in ([] if empty else raw.split(","))]
+    if kind is bool:
         word = str(raw).lower()
         if word not in _BOOL_WORDS:
             raise ValueError(f"{key} must be a boolean (true/false, yes/no, "
                              f"on/off, 1/0), got {raw!r}")
         return _BOOL_WORDS[word]
-    if isinstance(default, (int, float)):
+    if kind in (int, float):
         try:
-            return type(default)(raw)
+            return kind(raw)
         except ValueError:
-            kind = "an integer" if isinstance(default, int) else "a number"
-            raise ValueError(f"{key} must be {kind}, got {raw!r}") from None
+            name = "an integer" if kind is int else "a number"
+            raise ValueError(f"{key} must be {name}, got {raw!r}") from None
     return raw
 
 
-def _param_list(params: dict, key: str, default: str, kind,
-                allow_empty: bool = False) -> list:
-    """Comma-separated list parameter, each item `kind` as in `_param`; an
-    integer list may also be an inclusive range "lo:hi"."""
-    raw = str(params.get(key, default))
-    items = raw.split(",") if raw.strip() or not allow_empty else []
-    entry = f"each {key} entry"         # names the key in _param's errors
-    if kind is int and ":" in raw:
-        lo, hi = (_param({entry: x}, entry, 0) for x in raw.split(":", 1))
-        if hi < lo:
-            raise ValueError(f"{key} range {raw!r} is empty")
-        return list(range(lo, hi + 1))
-    return [_param({entry: x}, entry, kind()) for x in items]
+def parse_params(table: dict, params: dict) -> tuple[dict, list]:
+    """(values, unread): every key of `table` typed like its default, or set
+    to it where `params` leaves the key out, and the keys of `params` that
+    `table` does not list. A default that is a type has no value of its
+    own: its key is in `values` only when `params` sets it."""
+    values = {}
+    for key, default in table.items():
+        if key in params:
+            values[key] = _typed(key, params[key], default)
+        elif not isinstance(default, type):
+            values[key] = default
+    return values, [key for key in params if key not in table]
+
+
+# The semantics keys: the preset's name, then one key per OutcomeSemantics
+# field, typed like the field, that overrides the preset's value where set.
+_SEMANTICS = {"semantics": "calibrated",
+              **{f.name: type(f.default) for f in fields(OutcomeSemantics)}}
 
 
 def semantics_from(params: dict) -> tuple[str, OutcomeSemantics]:
-    """(preset name, semantics) from `params`.
+    """(preset name, semantics) from `params`, raw or already parsed.
 
     `params["semantics"]` names the preset ("calibrated" by default); a key
     named after an OutcomeSemantics field overrides that field. Other keys
     are ignored.
     """
-    name = _param(params, "semantics", "calibrated")
-    if name == "calibrated":
-        sem = calibrated_semantics()
-    elif name == "default":
-        sem = OutcomeSemantics()
-    else:
+    values = parse_params(_SEMANTICS, params)[0]
+    name = values.pop("semantics")
+    presets = {"default": OutcomeSemantics, "calibrated": calibrated_semantics}
+    if name not in presets:
         raise ValueError(f"semantics must be 'default' or 'calibrated', got {name!r}")
-    sem = replace(sem, **{f.name: _param(params, f.name, getattr(sem, f.name))
-                          for f in fields(sem)})
-    return name, sem
+    return name, replace(presets[name](), **values)
 
 
 def _within(value, center, tol) -> bool:
@@ -160,14 +172,16 @@ def _within(value, center, tol) -> bool:
 # quoted operating points, and tolerance bands).
 # --------------------------------------------------------------------------
 
+# Table 1's cells by check name: (published value, tolerance); integer cells
+# are exact.
 REF_TABLE1 = {
-    "stage1_k": 44, "stage1_k_up": 64, "stage1_depth": 7,
-    "stage1_potential": 6.4,
-    "stage2_k": 146, "stage2_k_up": 256, "stage2_depth": 9,
-    "stage2_potential": 8.0,
-    "combined_prob": 0.9321, "combined_prob_tol": 1e-4,
-    "combined_depth": 16, "bins_per_stream": 16384,
-    "potential_photons": 9830.4, "potential_ghz": 51.2,
+    "stage1 k": (44, 0), "stage1 k_up": (64, 0), "stage1 depth": (7, 0),
+    "stage1 potential": (6.4, 1e-9),
+    "stage2 k": (146, 0), "stage2 k_up": (256, 0), "stage2 depth": (9, 0),
+    "stage2 potential": (8.0, 1e-9),
+    "combined prob": (0.9321, 1e-4), "combined depth": (16, 0),
+    "bins per stream": (16384, 0),
+    "potential photons": (9830.4, 1e-6), "potential ghz": (51.2, 1e-6),
 }
 
 REF_FIG2_TOTAL_BINS = {0.1: 9.8e4, 0.01: 7.9e5, 0.001: 1.3e7}
@@ -185,31 +199,44 @@ REF_FIG9 = {"slope": -2.0, "slope_tol": 0.3, "residual_frac_of_fl": 0.05}
 # Recipes
 # --------------------------------------------------------------------------
 
+# The keys each recipe reads, with their defaults; `parse_params` types an
+# override like its key's default. `analytics`, `match`, `bell` and
+# `percolate` take their defaults from here too.
+_TWO_STREAM = {"p": 0.1, "switches": [1, 2, 3, 4, 5, 6, 7, 8], "bins": 1000,
+               "reps": 100}
+_LATTICE = {"target": 0.90, "L": 10, "trials": 2000, **_SEMANTICS}
+PARAMETERS = {
+    "table1": {"eta": 0.1, "p1": 0.99, "p2": 0.99},
+    "fig2": {"etas": [0.1, 0.01, 0.001], "ps_min": 0.80, "ps_max": 0.93,
+             "ps_step": 0.005},
+    "fig4": _TWO_STREAM,
+    "fig6": _TWO_STREAM,
+    "fig7": {"p1": 0.1, "budgets": list(range(5, 17)), "bins": 10000,
+             "reps": 100},
+    "fig8_thresholds": {**_LATTICE, "a_l": 0.0, "finite_size_L": [6, 14],
+                        "finite_size_trials": 600},
+    "fig9_frontier": {**_LATTICE, "a_l_grid": [
+        0.0, 0.005, 0.01, 0.015, 0.02, 0.025]},
+}
+
 # One header and one row builder per figure that `rmux analytics`, `match`
-# or `bell` also prints. A builder returns its rows, what the recipe's
-# checks read, and the parameter lines of the recipe's summary.
+# or `bell` also prints. A builder takes the values `parse_params` read
+# from its recipe's table, and returns its rows, what the recipe's checks
+# read, and the parameter lines of the recipe's summary.
 
 TABLE1_HEADER = ["row", "initial_prob", "post_mux_prob", "k", "k_up", "depth",
                  "potential_mean", "potential_unit"]
 FIG2_HEADER = ["p_s", "eta", "wasted_ghz_mean", "k_up1", "k_up2", "best_p1",
                "best_p2", "total_bins"]
-# Defaults the CLI shares: fig2's top p_s, fig9's a_l grid, fig8's and
-# fig9's target, L and trials, and the two-stream sweep's p and bins.
-FIG2_PS_MAX = 0.93
-FIG9_A_L_GRID = "0,0.005,0.01,0.015,0.02,0.025"
-SPAN_DEFAULTS = {"target": 0.90, "L": 10, "trials": 2000}
-TWO_STREAM_P, TWO_STREAM_BINS = 0.1, 1000
 TWO_STREAM_HEADER = ["strategy", "switches", "matched_fraction", "stderr",
                      "clash_rate", "out_of_range", "total_weight_mean"]
 BELL_HEADER = ["scheme", "total_switches", "bells_per_bin", "stderr",
                "stage1_switches", "stage2_switches"]
 
 
-def table1_rows(params: dict):
+def table1_rows(values: dict):
     """(rows, MuxReport, summary lines) of Table 1."""
-    eta = _param(params, "eta", 0.1)
-    p1 = _param(params, "p1", 0.99)
-    p2 = _param(params, "p2", 0.99)
+    eta, p1, p2 = values["eta"], values["p1"], values["p2"]
     report = mux_analytics.ghz_report(eta, p1, p2)
     s1, s2 = report.stages
     rows = [
@@ -225,12 +252,10 @@ def table1_rows(params: dict):
     return rows, report, [f"eta={_fmt(eta)}", f"p1={_fmt(p1)}", f"p2={_fmt(p2)}"]
 
 
-def fig2_rows(params: dict, **optimizer):
+def fig2_rows(values: dict, **optimizer):
     """(rows, summary lines) of Fig. 2; `optimizer` goes to `unused_potential`."""
-    etas = _param_list(params, "etas", "0.1,0.01,0.001", float)
-    ps_lo = _param(params, "ps_min", 0.80)
-    ps_hi = _param(params, "ps_max", FIG2_PS_MAX)
-    ps_step = _param(params, "ps_step", 0.005)
+    etas, ps_lo = values["etas"], values["ps_min"]
+    ps_hi, ps_step = values["ps_max"], values["ps_step"]
     if not ps_step > 0:
         raise ValueError(f"ps_step must be > 0, got {ps_step}")
     if not ps_hi >= ps_lo:
@@ -247,24 +272,20 @@ def fig2_rows(params: dict, **optimizer):
     return rows, [f"etas={etas}", f"p_s grid [{ps_lo}, {ps_hi}] step {ps_step}"]
 
 
-def two_stream_sweep(params: dict, strategies, seed: int):
+def two_stream_sweep(values: dict, strategies, seed: int):
     """(rows, stats by (strategy, s), s values, summary lines) of Figs. 4/6."""
-    prob = _param(params, "p", TWO_STREAM_P)
-    s_values = _param_list(params, "switches", "1,2,3,4,5,6,7,8", int)
-    n_bins = _param(params, "bins", TWO_STREAM_BINS)
-    reps = _param(params, "reps", 100)
+    prob, s_values = values["p"], values["switches"]
+    n_bins, reps = values["bins"], values["reps"]
     stats = mux_sim.simulate_two_stream(prob, s_values, n_bins, strategies,
                                         reps, seed)
     rows = [astuple(st) for st in stats.values()]   # TWO_STREAM_HEADER's order
     return rows, stats, s_values, [f"p={prob}", f"bins={n_bins}", f"reps={reps}"]
 
 
-def bell_sweep(params: dict, seed: int, schemes=("standard", "rmux")):
+def bell_sweep(values: dict, seed: int, schemes=("standard", "rmux")):
     """(rows, stats by (scheme, budget), budgets, summary lines) of Fig. 7."""
-    p1 = _param(params, "p1", 0.1)
-    budgets = _param_list(params, "budgets", "5:16", int)
-    n_bins = _param(params, "bins", 10000)
-    reps = _param(params, "reps", 100)
+    p1, budgets = values["p1"], values["budgets"]
+    n_bins, reps = values["bins"], values["reps"]
     stats = mux_sim.simulate_bell_sweep(p1, budgets, n_bins, reps, seed,
                                         schemes)
     rows = []
@@ -276,41 +297,32 @@ def bell_sweep(params: dict, seed: int, schemes=("standard", "rmux")):
     return rows, stats, budgets, [f"p1={p1}", f"bins={n_bins}", f"reps={reps}"]
 
 
-def _run_table1(config: ExperimentConfig):
-    rows, report, meta = table1_rows(config.parameters)
-    s1, s2 = report.stages
+def _run_table1(values: dict, config: ExperimentConfig):
+    rows, report, meta = table1_rows(values)
     csv = _write_csv(config.output_dir / "table1.csv", TABLE1_HEADER, rows)
-    ref = REF_TABLE1
-    checks = [
-        Check("stage1 k", str(s1.k), str(ref["stage1_k"]), s1.k == ref["stage1_k"]),
-        Check("stage1 k_up", str(s1.k_up), str(ref["stage1_k_up"]), s1.k_up == ref["stage1_k_up"]),
-        Check("stage1 depth", str(s1.depth), str(ref["stage1_depth"]), s1.depth == ref["stage1_depth"]),
-        Check("stage1 potential", _fmt(s1.potential_mean), _fmt(ref["stage1_potential"]),
-              _within(s1.potential_mean, ref["stage1_potential"], 1e-9)),
-        Check("stage2 k", str(s2.k), str(ref["stage2_k"]), s2.k == ref["stage2_k"]),
-        Check("stage2 k_up", str(s2.k_up), str(ref["stage2_k_up"]), s2.k_up == ref["stage2_k_up"]),
-        Check("stage2 depth", str(s2.depth), str(ref["stage2_depth"]), s2.depth == ref["stage2_depth"]),
-        Check("stage2 potential", _fmt(s2.potential_mean), _fmt(ref["stage2_potential"]),
-              _within(s2.potential_mean, ref["stage2_potential"], 1e-9)),
-        Check("combined prob", _fmt(report.combined_prob),
-              f"{ref['combined_prob']} +/- {ref['combined_prob_tol']}",
-              _within(report.combined_prob, ref["combined_prob"], ref["combined_prob_tol"])),
-        Check("combined depth", str(report.combined_depth), str(ref["combined_depth"]),
-              report.combined_depth == ref["combined_depth"]),
-        Check("bins per stream", str(report.bins_per_stream), str(ref["bins_per_stream"]),
-              report.bins_per_stream == ref["bins_per_stream"]),
-        Check("potential photons", _fmt(report.potential_photons_mean),
-              _fmt(ref["potential_photons"]),
-              _within(report.potential_photons_mean, ref["potential_photons"], 1e-6)),
-        Check("potential ghz", _fmt(report.potential_ghz_mean), _fmt(ref["potential_ghz"]),
-              _within(report.potential_ghz_mean, ref["potential_ghz"], 1e-6)),
-    ]
+    got = {f"stage{i} {name}": getattr(stage, attr)
+           for i, stage in enumerate(report.stages, 1)
+           for name, attr in (("k", "k"), ("k_up", "k_up"), ("depth", "depth"),
+                              ("potential", "potential_mean"))}
+    got.update({"combined prob": report.combined_prob,
+                "combined depth": report.combined_depth,
+                "bins per stream": report.bins_per_stream,
+                "potential photons": report.potential_photons_mean,
+                "potential ghz": report.potential_ghz_mean})
+    checks = []
+    for name, (want, tol) in REF_TABLE1.items():
+        # Only the combined probability's band is published; the others
+        # allow float rounding.
+        expected = (f"{want} +/- {tol}" if name == "combined prob"
+                    else _fmt(want))
+        checks.append(Check(name, _fmt(got[name]), expected,
+                            _within(got[name], want, tol)))
     meta += ["reference: table1 (exact integer cells, 4 significant figures on reals)"]
     return [csv], checks, meta
 
 
-def _run_fig2(config: ExperimentConfig):
-    rows, meta = fig2_rows(config.parameters)
+def _run_fig2(values: dict, config: ExperimentConfig):
+    rows, meta = fig2_rows(values)
     csv = _write_csv(config.output_dir / "fig2_unused_potential.csv",
                      FIG2_HEADER, rows)
     anchors = {eta: total_bins for p_s, eta, *_, total_bins in rows
@@ -330,9 +342,9 @@ def _run_fig2(config: ExperimentConfig):
     return [csv], checks, meta
 
 
-def _run_fig4(config: ExperimentConfig):
+def _run_fig4(values: dict, config: ExperimentConfig):
     rows, stats, s_values, meta = two_stream_sweep(
-        config.parameters, ["hungarian_with_clash"], config.seed)
+        values, ["hungarian_with_clash"], config.seed)
     csv = _write_csv(config.output_dir / "fig4_matching.csv",
                      TWO_STREAM_HEADER, rows)
     checks = []
@@ -349,9 +361,9 @@ def _run_fig4(config: ExperimentConfig):
     return [csv], checks, meta
 
 
-def _run_fig6(config: ExperimentConfig):
+def _run_fig6(values: dict, config: ExperimentConfig):
     rows, stats, s_values, meta = two_stream_sweep(
-        config.parameters, mux_sim.STRATEGIES, config.seed)
+        values, mux_sim.STRATEGIES, config.seed)
     csv = _write_csv(config.output_dir / "fig6_strategies.csv",
                      TWO_STREAM_HEADER, rows)
     checks = []
@@ -379,8 +391,8 @@ def _run_fig6(config: ExperimentConfig):
     return [csv], checks, meta
 
 
-def _run_fig7(config: ExperimentConfig):
-    rows, stats, budgets, meta = bell_sweep(config.parameters, config.seed)
+def _run_fig7(values: dict, config: ExperimentConfig):
+    rows, stats, budgets, meta = bell_sweep(values, config.seed)
     csv = _write_csv(config.output_dir / "fig7_bell_rates.csv", BELL_HEADER,
                      rows)
     by_budget = {b: (stats[("standard", b)], stats[("rmux", b)])
@@ -413,17 +425,15 @@ def _run_fig7(config: ExperimentConfig):
     return [csv], checks, meta
 
 
-def _run_fig8(config: ExperimentConfig):
-    p = config.parameters
-    target, L, trials = (_param(p, k, v) for k, v in SPAN_DEFAULTS.items())
-    a_l = _param(p, "a_l", 0.0)
-    sizes = _param_list(p, "finite_size_L", "6,14", int, allow_empty=True)
-    finite_trials = _param(p, "finite_size_trials", 600)
-    runs = [(L, trials)] + [(size, finite_trials) for size in sizes]
+def _run_fig8(values: dict, config: ExperimentConfig):
+    target, L, trials = values["target"], values["L"], values["trials"]
+    a_l = values["a_l"]
+    runs = [(L, trials)] + [(size, values["finite_size_trials"])
+                            for size in values["finite_size_L"]]
     for size, n in runs:                    # before the first, slow, pass
         percolation._check_trials(n)
         percolation._check_L(size)
-    sem_name, sem = semantics_from(p)
+    sem_name, sem = semantics_from(values)
 
     schemes = (percolation.SCHEME_RMUX, percolation.SCHEME_STANDARD)
     rows = [(scheme, size, target, a_l, thr, n, sem_name)
@@ -436,16 +446,14 @@ def _run_fig8(config: ExperimentConfig):
                       "trials", "semantics"], rows)
     ref = REF_FIG8
     ratio = thresholds["rmux"] / thresholds["standard"]
-    checks = [
-        Check("relative-scheme threshold", _fmt(thresholds["rmux"]),
-              f"{ref['rmux']} +/- {ref['tol']} (band for L={ref['L']})",
-              _within(thresholds["rmux"], ref["rmux"], ref["tol"])),
-        Check("standard-scheme threshold", _fmt(thresholds["standard"]),
-              f"{ref['standard']} +/- {ref['tol']} (band for L={ref['L']})",
-              _within(thresholds["standard"], ref["standard"], ref["tol"])),
-        Check("threshold ratio", f"{ratio:.2f}", f">= {ref['min_ratio']} (target 2.4)",
-              ratio >= ref["min_ratio"]),
-    ]
+    checks = [Check(f"{label}-scheme threshold", _fmt(thresholds[scheme]),
+                    f"{ref[scheme]} +/- {ref['tol']} (band for L={ref['L']})",
+                    _within(thresholds[scheme], ref[scheme], ref["tol"]))
+              for label, scheme in (("relative", "rmux"),
+                                    ("standard", "standard"))]
+    checks.append(Check("threshold ratio", f"{ratio:.2f}",
+                        f">= {ref['min_ratio']} (target 2.4)",
+                        ratio >= ref["min_ratio"]))
     meta = [f"target={target}", f"L={L}", f"trials={trials}", f"a_l={a_l}",
             f"semantics={sem_name}: {sem}",
             "calibration: the published absolute thresholds are recovered "
@@ -460,11 +468,10 @@ def _run_fig8(config: ExperimentConfig):
     return [csv], checks, meta
 
 
-def _run_fig9(config: ExperimentConfig):
-    p = config.parameters
-    target, L, trials = (_param(p, k, v) for k, v in SPAN_DEFAULTS.items())
-    grid = _param_list(p, "a_l_grid", FIG9_A_L_GRID, float)
-    sem_name, sem = semantics_from(p)
+def _run_fig9(values: dict, config: ExperimentConfig):
+    target, L, trials = values["target"], values["L"], values["trials"]
+    grid = values["a_l_grid"]
+    sem_name, sem = semantics_from(values)
     frontier = percolation.tradeoff_frontier(
         percolation.SCHEME_RMUX, target, grid, L, trials, config.seed, sem)
     rows = [(a, thr) for a, thr in frontier.points]
@@ -507,17 +514,24 @@ EXPERIMENTS = tuple(_RUNNERS)
 
 
 def run_experiment(config: ExperimentConfig) -> ReportBundle:
-    """Execute one recipe: write CSV data files and a summary, return checks."""
+    """Execute one recipe: write CSV data files and a summary, return checks.
+
+    Every parameter is parsed before any work. A key that the recipe does
+    not read is listed in the summary as `ignored:`, not as `override:`.
+    """
+    values, unread = parse_params(PARAMETERS[config.experiment],
+                                  config.parameters)
     config.output_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.time()
-    csv_paths, checks, meta = _RUNNERS[config.experiment](config)
+    csv_paths, checks, meta = _RUNNERS[config.experiment](values, config)
     runtime = time.time() - t0
 
     lines = [f"experiment: {config.experiment}",
              f"seed: {config.seed}",
              f"runtime_s: {runtime:.2f}"]
     for key, value in sorted(config.parameters.items()):
-        lines.append(f"override: {key}={value}")
+        lines.append(f"{'ignored' if key in unread else 'override'}: "
+                     f"{key}={value}")
     lines += list(meta)
     lines.append(f"data files: {', '.join(p.name for p in csv_paths)}")
     for c in checks:

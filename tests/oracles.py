@@ -22,7 +22,8 @@ switch by switch, taking its delay rails greedily from the largest stage
 delay down, and compares every couple at every switch in Python integers;
 the routing-rule oracle drops requests from those rows stage by stage. The
 flat-key kernel is the clash scan the program ran before it sorted
-each switch's bins on its own.
+each switch's bins on its own. The standard Bell scheme's rate has a closed
+form, which samples nothing.
 """
 
 import itertools
@@ -217,6 +218,25 @@ def _standard_rate_direct(streams, s1, s2, gate_rng):
         return 0.0
     delivered = success[:n_groups * w2].reshape(n_groups, w2).any(axis=1).sum()
     return float(delivered) / n_bins
+
+
+def standard_rate_exact(p1, s1, s2, n_bins):
+    """(mean, variance) of one repetition's standard-scheme Bell states per
+    bin at split (s1, s2), in closed form.
+
+    A stream holds a photon in a w1-bin window with probability q; a window
+    where all four do passes the gate with probability g; a group of w2
+    windows delivers when any of its windows passes, and the groups of a
+    repetition are independent. Windows past the last whole group, and bins
+    past the last whole window, deliver nothing.
+    """
+    w1 = min(max_delay(s1), n_bins) + 1
+    w2 = min(max_delay(s2), n_bins) + 1
+    groups = n_bins // w1 // w2
+    q = 1.0 - (1.0 - p1) ** w1
+    g = q ** 4 * BELL_GATE_PROB
+    hit = 1.0 - (1.0 - g) ** w2
+    return groups * hit / n_bins, groups * hit * (1.0 - hit) / n_bins ** 2
 
 
 def clash_rows_direct(arrival_bins, delays, network):

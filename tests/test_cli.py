@@ -7,10 +7,14 @@ from pathlib import Path
 import pytest
 
 import rmux
+from rmux import percolation
 from rmux.cli import main
 from rmux.experiments import (
+    EXPERIMENTS,
+    PARAMETERS,
     ExperimentConfig,
     load_config_file,
+    parse_params,
     run_experiment,
     semantics_from,
 )
@@ -519,6 +523,124 @@ def test_reproduce_trials_rejected_where_unused(tmp_path, capsys, figure):
     assert capsys.readouterr().err == (
         f"error: {figure} takes no repetition or trial count; drop --trials\n")
     assert not any(tmp_path.iterdir())
+
+
+# Every key that each recipe read before it had a table, in the table's
+# order, with the value it defaulted to, written as an override. A semantics
+# field defaults to the calibrated preset's value.
+_LATTICE_KEYS = {"target": "0.90", "L": "10", "trials": "2000",
+                 "semantics": "calibrated", "heralded_bond_connect_prob": "0",
+                 "loss_kills_owner_site": "true",
+                 "standard_loss_damages_both_ends": "true",
+                 "heralded_site_kill_prob": "0.45"}
+_TWO_STREAM_KEYS = {"p": "0.1", "switches": "1,2,3,4,5,6,7,8", "bins": "1000",
+                    "reps": "100"}
+RECIPE_KEYS = {
+    "table1": {"eta": "0.1", "p1": "0.99", "p2": "0.99"},
+    "fig2": {"etas": "0.1,0.01,0.001", "ps_min": "0.80", "ps_max": "0.93",
+             "ps_step": "0.005"},
+    "fig4": _TWO_STREAM_KEYS,
+    "fig6": _TWO_STREAM_KEYS,
+    "fig7": {"p1": "0.1", "budgets": "5:16", "bins": "10000", "reps": "100"},
+    "fig8_thresholds": {**_LATTICE_KEYS, "a_l": "0", "finite_size_L": "6,14",
+                        "finite_size_trials": "600"},
+    "fig9_frontier": {**_LATTICE_KEYS,
+                      "a_l_grid": "0,0.005,0.01,0.015,0.02,0.025"},
+}
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_each_recipe_reads_its_keys_at_their_defaults(experiment):
+    given = RECIPE_KEYS[experiment]
+    assert list(PARAMETERS[experiment]) == list(given)
+    defaults, unread = parse_params(PARAMETERS[experiment], {})
+    assert unread == []
+    values, unread = parse_params(PARAMETERS[experiment], given)
+    assert unread == []
+    # repr tells 0 from 0.0, and a list of ints from one of floats
+    assert {k: repr(values[k]) for k in defaults} == {
+        k: repr(v) for k, v in defaults.items()}
+    if "semantics" in given:
+        want = ("calibrated", percolation.calibrated_semantics())
+        assert semantics_from(defaults) == want == semantics_from(values)
+
+
+def _forbid_all_work(monkeypatch):
+    """Make stream and lattice sampling and the table1 and fig2 analytics
+    fail."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for name in ("rmux.streams.generate_stream",
+                 "rmux.mux_sim.generate_stream",
+                 "rmux.percolation._fusion_levels",
+                 "rmux.mux_analytics.unused_potential",
+                 "rmux.mux_analytics.ghz_report"):
+        monkeypatch.setattr(name, no_work)
+
+
+@pytest.mark.parametrize("figure, key", [
+    ("fig8_thresholds", "tolernce"),
+    ("fig4", "seed"),
+    ("fig2", "p_min"),
+    ("fig7", "heralded_site_kill_prob"),
+])
+def test_reproduce_rejects_a_key_the_recipe_does_not_read(
+        tmp_path, capsys, monkeypatch, figure, key):
+    _forbid_all_work(monkeypatch)
+    assert main(["reproduce", figure, "--out", str(tmp_path / "out"),
+                 "--set", f"{key}=0.5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: {figure} does not read {key}; it reads "
+                            f"{', '.join(RECIPE_KEYS[figure])}\n")
+    assert captured.out == ""
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("figure", EXPERIMENTS)
+def test_reproduce_rejects_unread_config_keys_of_every_recipe(
+        tmp_path, capsys, monkeypatch, figure):
+    _forbid_all_work(monkeypatch)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("tolerance=0.002\nbogus=1\n")
+    assert main(["reproduce", figure, "--out", str(tmp_path / "out"),
+                 "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: {figure} does not read tolerance, bogus; it reads ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("figure, key", [("fig7", "reps"), ("fig6", "reps"),
+                                         ("fig9_frontier", "trials")])
+@pytest.mark.parametrize("source", ["--set", "--config"])
+def test_reproduce_trials_and_an_override_of_the_same_key_are_rejected(
+        tmp_path, capsys, monkeypatch, figure, key, source):
+    _forbid_all_work(monkeypatch)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"{key}=3\n")
+    given = [source, f"{key}=3" if source == "--set" else str(cfg)]
+    assert main(["reproduce", figure, "--trials", "2", "--out",
+                 str(tmp_path / "out"), *given]) == 1
+    assert capsys.readouterr().err == (
+        f"error: --trials sets {key}, which --set or --config sets too; "
+        "drop one\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_experiment_lists_unread_keys_as_ignored(tmp_path):
+    params = {"L": "4", "trials": "20", "finite_size_L": ""}
+    plain = run_experiment(ExperimentConfig("fig8_thresholds", params, 5,
+                                            tmp_path / "plain"))
+    extra = run_experiment(ExperimentConfig(
+        "fig8_thresholds", {**params, "tolerance": "0.002"}, 5,
+        tmp_path / "extra"))
+    assert [p.read_bytes() for p in extra.csv_paths] == [
+        p.read_bytes() for p in plain.csv_paths]
+    summary = extra.summary_path.read_text().splitlines()
+    assert [line for line in summary if line.startswith(("override:",
+                                                         "ignored:"))] == [
+        "override: L=4", "override: finite_size_L=", "ignored: tolerance=0.002",
+        "override: trials=20"]
 
 
 def test_reproduce_table1(tmp_path, capsys):

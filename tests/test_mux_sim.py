@@ -1,4 +1,5 @@
 import hashlib
+import math
 import tracemalloc
 
 import numpy as np
@@ -13,6 +14,7 @@ from oracles import (
     clash_couples,
     match_direct,
     route_clashes_direct,
+    standard_rate_exact,
     two_stream_stats_direct,
     window_pairs_direct,
 )
@@ -462,6 +464,65 @@ def test_split_rates_equal_per_split_oracles(p1, n_bins):
             assert got.tolist() == [
                 [direct(rep, s1, s2, np.random.default_rng(sd))
                  for rep, sd in zip(streams, seeds)] for s2 in s2s], s1
+
+
+def _standard_split_rates(monkeypatch, run):
+    """Each standard split's per-repetition rates, by (s1, s2), over every
+    block of `run()`."""
+    stage1, rate = mux_sim._standard_stage1, mux_sim._standard_rate
+    s1s, rates = [], {}
+
+    def recording_stage1(block, s1):
+        s1s.append(s1)
+        return stage1(block, s1)
+
+    def recording_rate(have, s2s, gates, block):
+        got = rate(have, s2s, gates, block)
+        for s2, row in zip(s2s, got):
+            rates.setdefault((s1s[-1], s2), []).extend(row.tolist())
+        return got
+
+    monkeypatch.setattr(mux_sim, "_standard_stage1", recording_stage1)
+    monkeypatch.setattr(mux_sim, "_standard_rate", recording_rate)
+    run()
+    return rates
+
+
+# Every split of the standard scheme, not only the best one, against its
+# closed form in `oracles.standard_rate_exact`: at fig7's defaults, where a
+# window rarely holds all four photons, and at p1 = 0.5, where most windows
+# do, so that a gate drawn once per output group instead of once per window
+# moves the rate far outside the bound.
+@pytest.mark.parametrize("params, seed", [
+    ({}, 1234),
+    ({"p1": "0.5", "bins": "2000", "reps": "30"}, 7),
+])
+def test_standard_split_rates_match_the_closed_form(monkeypatch, tmp_path,
+                                                    params, seed):
+    rates = _standard_split_rates(monkeypatch, lambda: run_experiment(
+        ExperimentConfig("fig7", params, seed, tmp_path)))
+    p1, n_bins = float(params.get("p1", 0.1)), int(params.get("bins", 10000))
+    reps = int(params.get("reps", 100))
+    assert sorted(rates) == sorted(
+        (s1, budget - 4 * s1) for budget in range(5, 17)
+        for s1 in range(1, (budget - 1) // 4 + 1))    # 24 splits
+    for (s1, s2), got in rates.items():
+        assert len(got) == reps
+        mean, var = standard_rate_exact(p1, s1, s2, n_bins)
+        if var == 0:                    # no whole group, or one per window
+            assert got == [mean] * reps, (s1, s2)
+            continue
+        z = (sum(got) / reps - mean) / math.sqrt(var / reps)
+        assert abs(z) <= 4, (s1, s2, z)
+
+
+def test_standard_split_rates_are_zero_without_photons(monkeypatch):
+    rates = _standard_split_rates(monkeypatch, lambda: simulate_bell_sweep(
+        0.0, range(5, 17), 500, 3, seed=2, schemes=("standard",)))
+    assert len(rates) == 24
+    for (s1, s2), got in rates.items():
+        assert got == [0.0] * 3
+        assert standard_rate_exact(0.0, s1, s2, 500) == (0.0, 0.0)
 
 
 def test_relative_splits_draw_only_the_gates_they_read(monkeypatch):
