@@ -148,14 +148,18 @@ def _cmd_percolate(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
-    params = {}
-    if args.config:
-        params.update(experiments.load_config_file(args.config))
+    # A key may be given once by --config and once by --set; --set wins.
+    params = (experiments.load_config_file(args.config) if args.config
+              else {})
+    given = {}
     for item in args.set or []:
-        if "=" not in item:
+        key, eq, value = item.partition("=")
+        if not key or not eq:
             raise ValueError(f"--set needs key=value, got {item!r}")
-        key, value = item.split("=", 1)
-        params[key] = value
+        if key in given:
+            raise ValueError(f"--set sets {key} twice; drop one")
+        given[key] = value
+    params.update(given)
     reads = experiments.PARAMETERS[args.figure]
     if args.trials is not None:
         # Convenience alias: repetition count for the Monte Carlo figures,
@@ -176,9 +180,7 @@ def _cmd_reproduce(args) -> int:
                                           Path(args.out))
     bundle = experiments.run_experiment(config)
     for check in bundle.checks:
-        status = "PASS" if check.passed else "FAIL"
-        print(f"[{status}] {check.name}: got {check.value}, "
-              f"expected {check.expected}")
+        print(check.line())
     print(f"summary: {bundle.summary_path}")
     for path in bundle.csv_paths:
         print(f"data: {path}")

@@ -1,23 +1,10 @@
 """Binary-delay switching networks: achievable delays, forced paths, clashes.
 
-An s-switch network has s-1 delaying stages followed by one output-selection
-switch. Stage i sits between a pass rail (rail 0) and a delay rail (rail 1)
-of length stage_delays[i] bins; the delays are the powers of two
-1, 2, 4, ..., 2^(s-2), so every total delay up to 2^(s-1)-1 decomposes
-uniquely into a set of stage delays. A photon's path is therefore forced by
-its requested delay: it takes the delay rail at exactly the stages whose
-delay appears in the binary decomposition.
-
-Each 2x2 switch applies one shared setting (bar or cross) per time bin, so
-two photons that meet at a switch in the same bin must enter on different
-rails and leave on different rails; otherwise they clash. Paths are forced,
-so clashes are a property of the requests alone, and one kernel finds them:
-``clash_rows`` sorts each switch's bins on its own, a block of switches or
-a single switch per pass so that its temporaries stay O(requests), reads
-the rails only of requests that meet, and lists every clash as a (stage,
-time_bin, a, b) row. Routing, the pairwise conflict test and the matching
-layer's conflict scan all use it, and ``first_clashes`` is the one home of
-``route``'s drop rule.
+`DelayNetwork` is an s-switch cascade's topology: why a photon's path
+through it is forced by its delay, and why one clash scan through a larger
+network gives a smaller one its clashes. `clash_rows` is the one clash
+kernel and `first_clashes` the one home of `route`'s drop rule; `route`,
+`requests_conflict` and the matching layer's conflict scans call them.
 """
 
 from __future__ import annotations
@@ -51,8 +38,22 @@ def depth_for_bins(k: int) -> tuple[int, int]:
 class DelayNetwork:
     """Fixed topology of an s-switch binary-delay network.
 
-    Delaying stages ascend (1, 2, 4, ...), as in the drawn cascades, so the
-    first s-1 switches of a larger network are this one's delaying stages.
+    s-1 delaying stages are followed by one output-selection switch. Stage
+    k sits between a pass rail (rail 0) and a delay rail (rail 1) of
+    `stage_delays[k]` bins. The delays ascend 1, 2, 4, ..., 2^(s-2), as in
+    the drawn cascades, so every delay up to `max_delay` = 2^(s-1) - 1 is
+    the sum of one set of them: a photon's path is forced by its delay,
+    taking the delay rail at exactly the stages of its binary digits.
+
+    The first s-1 switches of a larger network are this one's delaying
+    stages, and its switch s-1 delays by 2^(s-1), more than this network
+    can. So a delay this network realizes takes the same bins and rails
+    through switch s-1 of the larger one, leaves it on rail 0 as it would
+    leave this output switch, and then waits in the same bin on rail 0:
+    two such requests that meet past switch s-1 met and clashed there. One
+    `clash_rows` scan through the largest network thus gives each smaller
+    network's requests their own clashes, and `first_clashes` drops the
+    pairs that network's `route` drops.
     """
 
     s: int
@@ -127,6 +128,11 @@ def _requests(arrival_bins, delays, network: DelayNetwork):
 def clash_rows(arrival_bins, delays, network: DelayNetwork) -> np.ndarray:
     """Every clash among the forced paths of n requests, as an int64 array.
 
+    A 2x2 switch applies one setting (bar or cross) per time bin, so two
+    requests that meet at a switch in one bin must enter on different rails
+    and leave on different rails, or they clash. Paths are forced, so the
+    clashes are a property of the requests alone.
+
     Row (stage, time_bin, a, b): requests a < b meet at switch `stage` in
     bin `time_bin` and enter or leave on the same rail. Rows are sorted by
     stage, a, b, and include clashes downstream of an earlier one. Raises
@@ -141,12 +147,11 @@ def clash_rows(arrival_bins, delays, network: DelayNetwork) -> np.ndarray:
     return _clash_rows(*_checked(arrival_bins, delays, network))
 
 
-# A scan sorts at most this many (switch, request) bins per pass: a block
-# of consecutive switches, or one switch when there are more requests. A
-# pass per switch pays numpy's per-call costs once per switch, which made
-# scans of 80-800 requests at 8 switches 2x slower; one pass over every
-# switch holds several (switches x requests) int64 arrays, a 2.1 MB peak
-# for 6903 requests at 10 switches (0.3 MB a switch at a time).
+# The most (switch, request) bins a `clash_rows` pass sorts. A pass per
+# switch pays numpy's per-call costs once per switch, which made scans of
+# 80-800 requests at 8 switches 2x slower; one pass over every switch holds
+# several (switches x requests) int64 arrays, a 2.1 MB peak for 6903
+# requests at 10 switches (0.3 MB a switch at a time).
 _SCAN_ENTRIES = 1 << 13
 
 

@@ -39,6 +39,14 @@ class Check:
     expected: str
     passed: bool
 
+    def line(self) -> str:
+        """`[PASS] name: got value, expected expected`, or `[FAIL] ...`: the
+        check as `reproduce` prints it and, after `check `, as the summary
+        lists it."""
+        status = "PASS" if self.passed else "FAIL"
+        return (f"[{status}] {self.name}: got {self.value}, "
+                f"expected {self.expected}")
+
 
 @dataclass
 class ReportBundle:
@@ -62,16 +70,19 @@ def result_line(checks) -> str:
 
 
 def load_config_file(path) -> dict:
-    """Flat key=value file; '#' starts a comment."""
+    """Flat key=value file; '#' starts a comment. A line without a key, or
+    a key the file sets twice, is a ValueError."""
     params = {}
     for raw in Path(path).read_text().splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
+        key, eq, value = (part.strip() for part in line.partition("="))
+        if not key or not eq:
             raise ValueError(f"bad config line (need key=value): {raw!r}")
-        key, value = line.split("=", 1)
-        params[key.strip()] = value.strip()
+        if key in params:
+            raise ValueError(f"{path} sets {key} twice; drop one")
+        params[key] = value
     return params
 
 
@@ -534,9 +545,7 @@ def run_experiment(config: ExperimentConfig) -> ReportBundle:
                      f"{key}={value}")
     lines += list(meta)
     lines.append(f"data files: {', '.join(p.name for p in csv_paths)}")
-    for c in checks:
-        status = "PASS" if c.passed else "FAIL"
-        lines.append(f"check [{status}] {c.name}: got {c.value}, expected {c.expected}")
+    lines += [f"check {c.line()}" for c in checks]
     lines.append(result_line(checks))
     summary_path = config.output_dir / f"{config.experiment}_summary.txt"
     summary_path.write_text("\n".join(lines) + "\n")

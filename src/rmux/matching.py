@@ -1,37 +1,23 @@
 """Two-stream synchronization as weighted bipartite assignment.
 
-Stream-1 photons can be delayed (never promoted), so a stream-1 photon at
-bin i can synchronize with a stream-2 photon at bin j when 0 <= j - i <=
-d_max, at a cost of j - i bins of delay. Three strategies are provided:
+Stream-1 photons can be delayed, never promoted, so a stream-1 photon at
+bin a can pair with a stream-2 photon at bin b when 0 <= b - a <= d_max,
+at a cost of b - a bins of delay. The three strategies:
 
-* optimal assignment, ignoring switch clashes: the least-delay maximum
-  matching, from two greedy window sweeps and an order-preserving pairing
-  (`_optimal_pairs`), with no assignment solver;
-* optimal assignment followed by clash resolution against a concrete
-  binary-delay network, whose re-solves run scipy's ``linear_sum_assignment``
-  (a Jonker-Volgenant shortest-augmenting-path solver) on the instance's
-  weight matrix;
-* the online sliding-window heuristic with discard-on-clash, which is what
-  real-time hardware could implement.
+* optimal assignment, ignoring switch clashes (`hungarian_min_assignment`),
+  found without an assignment solver by `_optimal_pairs`;
+* optimal assignment followed by clash repair against a concrete network
+  (`resolve_clashes_optimal`), run in lockstep over many instances by
+  `_repair_all`, its re-solves by scipy's ``linear_sum_assignment`` on the
+  instance's `WeightMatrix`;
+* the online sliding window with discard-on-clash, which real-time
+  hardware could run (`sliding_window_match`), any number of reaches in one
+  `_window_core` scan.
 
-Infeasible pairings and count imbalance are handled with virtual edges and
-virtual vertices whose weight dwarfs any real edge, and pairings that touch
-anything virtual are pruned from the result.
-
-Every strategy returns a `Matching` of what it decided: its pairs, sorted
-by stream-1 bin, the pairs clash handling gave up (a pair the window formed
-and dropped, or a pair of the assignment the repair started from) and the
-two streams' occupied bins. An unmatched photon's reason is "clash" if it
-lost its pair to clash handling, otherwise "range" if the other stream has
-a photon in its feasible time direction (at or after it for stream 1, at or
-before it for stream 2), so a larger delay network could in principle have
-matched it, and "unpaired" if it has none. One array classifier,
-`_reasons`, applies this rule to many instances at once, given as arrays:
-their occupied bins, and their pairs and lost pairs as (b1, b2, delay) rows
-with the instance of each. A sweep counts its metrics per block from its
-codes without building a Matching; a matching is flattened to those arrays
-(`_flat_matchings`), and its discard records (bin, stream, reason), stream
-1 then stream 2 in bin order, are built from them only when read.
+Every strategy returns a `Matching`, whose `discarded` says why each
+unmatched photon went unmatched. `_reasons` classifies the photons of many
+instances at once from arrays, and `_clash_couples` finds the clashes of
+many instances in one scan.
 """
 
 from __future__ import annotations
@@ -55,8 +41,10 @@ REASON_UNPAIRED = "unpaired"
 @dataclass
 class WeightMatrix:
     """Square cost matrix of an instance. An entry is virtual (an infeasible
-    edge or a padding vertex) exactly when it equals `virtual_weight`, which
-    exceeds every real delay."""
+    edge or a padding vertex, which squares the matrix when the photon
+    counts differ) exactly when it equals `virtual_weight`, which exceeds
+    every real delay; a solution's pairings that touch anything virtual are
+    pruned from it."""
 
     weights: np.ndarray            # (n, n) int64
     virtual_weight: int
@@ -75,8 +63,11 @@ class WeightMatrix:
 
 @dataclass(eq=False)
 class Matching:
-    """What a strategy decided for one instance; two matchings are equal
-    when their pairs and discard records are."""
+    """What a strategy decided for one instance: its pairs, sorted by
+    stream-1 bin, the pairs clash handling gave up (a pair the window formed
+    and dropped, or a pair of the assignment the repair started from), and
+    the two streams' occupied bins. Two matchings are equal when their
+    pairs and discard records are."""
 
     pairs: list                    # (stream1_bin, stream2_bin, delay)
     bins1: np.ndarray              # stream-1 occupied bins, sorted
@@ -90,7 +81,14 @@ class Matching:
     @cached_property
     def discarded(self) -> list:
         """(bin, stream "1"|"2", reason) of each photon `pairs` leaves
-        unmatched, as the module docstring orders and defines them."""
+        unmatched, stream 1 then stream 2, each in bin order, built from
+        arrays (`_reasons`) the first time it is read.
+
+        The reason is "clash" if the photon lost its pair to clash handling,
+        otherwise "range" if the other stream has a photon in its feasible
+        time direction (at or after it for stream 1, at or before it for
+        stream 2), so a larger delay network could in principle have
+        matched it, and "unpaired" if it has none."""
         bins, part, codes = _reasons(*_flat_matchings([self]))
         return [(b, str(k + 1), _REASONS[code]) for b, k, code
                 in zip(bins.tolist(), part.tolist(), codes.tolist())
@@ -344,13 +342,12 @@ def _optimal_pairs(instances) -> tuple:
     that lays instance i at i * stride on one time axis, past every bin and
     window of instance i - 1.
 
-    A stream-1 photon at a may pair with a stream-2 photon at b when
-    0 <= b - a <= d, at cost b - a, so a matching costs the sum of its
-    matched b less that of its matched a: only which photons it matches
-    counts. The graph is convex bipartite (Glover, Naval Res. Logist. Q. 14,
-    1967), and two greedy sweeps give the optimum's matched sets. Stream 2
-    in ascending order, each b taking the earliest a still free in
-    [b - d, b], matches a largest set of b with the least sum; its time
+    A pair (a, b) costs b - a, so a matching costs the sum of its matched b
+    less that of its matched a: only which photons it matches counts. The
+    graph is convex bipartite (Glover, Naval Res. Logist. Q. 14, 1967), and
+    two greedy sweeps give the optimum's matched sets. Stream 2 in
+    ascending order, each b taking the earliest a still free in [b - d, b],
+    matches a largest set of b with the least sum; its time
     mirror, stream 1 in descending order, each a taking the latest b still
     free in [a, a + d], matches a largest set of a with the greatest sum.
     One matching covers both (Mendelsohn & Dulmage, Canad. J. Math. 10,
@@ -425,8 +422,8 @@ def _repair_all(instances, network: DelayNetwork) -> list:
     Each round finds the clashes of every instance still being repaired by
     one `_conflicts_each` scan through `network`, which gives each
     instance's requests the clashes of its own network if that is no larger
-    (see `rmux.mux_sim`). Returns each instance's best pairs, a list of
-    (b1, b2, delay); what it gave up is the instance's `pairs`.
+    (`DelayNetwork` says why). Returns each instance's best pairs, a list
+    of (b1, b2, delay); what it gave up is the instance's `pairs`.
     """
     Ws = [replace(W, weights=W.weights.copy()) for _pairs, W in instances]
     current = [sorted(pairs) for pairs, _W in instances]
@@ -493,12 +490,12 @@ def _window_core(bins1, bins2, reaches, network: DelayNetwork, lb=None):
     Each reach d runs as one copy of the streams, all in one scan: copy c's
     stream-2 indices are shifted by c * len(bins2), so its lb is past every
     pointer of copy c - 1, and only ub and the photons taking part depend
-    on d. One clash scan through `network` (`_clash_couples`) puts copy c's
-    pairs at c * stride, stride past every b2, so a copy whose reach a
-    smaller network gives sees that network's clashes (see `rmux.mux_sim`).
-    A pair that needs more delay than `network` gives raises ValueError, as
-    do copies that would pass int64 on that axis. A window that would end
-    past int64 ends at its maximum instead.
+    on d. One `_clash_couples` scan through `network` finds every copy's
+    clashes, and a copy whose reach a smaller network gives sees that
+    network's clashes (`DelayNetwork` says why). A pair that needs more
+    delay than `network` gives raises ValueError, as do copies that would
+    pass int64 on that axis. A window that would end past int64 ends at its
+    maximum instead.
     """
     bins1 = np.asarray(bins1, dtype=np.int64)
     bins2 = np.asarray(bins2, dtype=np.int64)

@@ -1,11 +1,12 @@
 """Closed-form accounting for concatenated standard multiplexing.
 
-A probabilistic operation with per-attempt success eta needs the smallest k
-with 1 - (1 - eta)^k >= p_s to reach target probability p_s; a binary
-switching network rounds k up to a power of two and adds one output switch.
-Chaining a single-photon stage into a three-photon-entangling stage (success
-1/32 given six input photons) gives the whole near-deterministic generator,
-whose surplus capacity is what relative multiplexing later recovers.
+`required_repetitions` is the repetition count that lifts a probabilistic
+operation to a target probability, and a binary switching network rounds it
+up to a power of two (`delay_network.depth_for_bins`). `ghz_report` chains
+a single-photon stage into the six-photon 3-GHZ gate, the whole
+near-deterministic generator, and `unused_potential` finds the stage
+targets that waste least of its surplus, which relative multiplexing later
+recovers.
 """
 
 from __future__ import annotations

@@ -1,69 +1,22 @@
 """Monte Carlo experiments on photon streams.
 
-Two experiment families: matching statistics for the three two-stream
-strategies as a function of switch count, and Bell-state generation rates
-for the standard scheme (synchronize everything to fixed window slots,
-keep one success per window) against the relative scheme (pair events
-wherever they land, cascade pairwise).
+Two experiment families. All repetitions derive child seeds from one
+SeedSequence (`_batches`), so runs are reproducible and strategies and
+schemes compare on identical stream data.
 
-Switch budgets count total physical switches in the apparatus. The standard
-scheme delays all four photon streams plus the gate output, so a split with
-per-stream depth s1 and output depth s2 costs 4*s1 + s2 switches; the
-relative scheme only delays one stream of each pair and one derived event
-stream, costing 2*s1 + s2. Budgets are maximized over feasible splits.
+* Matching statistics of the three two-stream strategies by switch count:
+  `simulate_two_stream`, which counts each block in one `_match_rows`
+  call, and `match_streams` for one stream pair and network.
+* Bell-state rates of the standard scheme (synchronize everything to fixed
+  window slots, keep one success per window) against the relative scheme
+  (pair events wherever they land, cascade pairwise), each maximized over
+  the stage splits of a switch budget (`_splits`): `simulate_bell_sweep`,
+  with its blocks on one time axis (`_Block`) and gate draws shared by
+  every budget (`_Gates`). `_standard_stage1`, `_standard_rate`,
+  `_rmux_stage1` and `_rmux_rate` are the two schemes' stages.
 
-All repetitions derive child seeds from a single SeedSequence, so runs are
-reproducible and schemes can be compared on identical stream data. Both
-sweeps run blocks of consecutive repetitions, each sampled once. A block
-closes once it holds a set number of photons (or BLOCK_BINS stream bins):
-per-call overheads are shared, and memory does not grow with the
-repetition count.
-
-A two-stream block (`_match_all`) finds the no-clash optimum of every
-(repetition, count) in one `_optimal_pairs` call, two window sweeps and a FIFO
-pairing with no assignment solver, and it serves both Hungarian strategies.
-One `clash_rows` scan per block finds the optima that clash: optimum i's pairs
-sit at offset i * stride on one time axis (a forced path stays in bins b1..b2,
-and stride exceeds every b2) and route through the largest count's network.
-Stages ascend (1, 2, 4, ...), so a delay that s switches reach takes the same
-bins and rails there through switch s-1, then waits in its output bin on rail
-0: a couple meeting past s-1 clashed there, and `route`'s rule
-(`first_clashes`), applied once to the scan's rows, drops each optimum's pairs
-as its own network would. Their count is hungarian_no_clash's clash_rate
-numerator; only optima with a row (the lowest is always kept) are repaired
-(hungarian_with_clash, on a weight matrix built for that instance alone, in
-lockstep: each round scans all those still being repaired at once). The
-realistic strategy makes one `_window_core` pass per stream pair for every
-count, one copy of the pair per count's reach, its clashes found by the same
-argument through the largest count's network. The block's metrics are counted
-by one `_metric_rows` pass per strategy, straight from its pair arrays: the
-optimum's rows, the window's (b1, b2, keep, copy), and the repaired
-instances' pairs, the one part built as per-pair tuples. A sweep builds no
-Matching and no discard record; `_match_all` builds Matchings from the same
-arrays for the readers of one.
-
-A Bell block lays its repetitions end to end on one time axis: bin b of
-repetition r sits at 2 * r * n_bins + b. No pair needs more than n_bins - 1
-bins of delay, so each window's reach is capped there, and no pair or
-clash crosses repetitions. Split i = s1 - 1 of every scheme and budget
-reads a prefix of one sequence of gate draws from spawn key (r, i) of
-child r, drawn only as far as the split's largest reader reads (`_Gates`):
-a generator's first n draws do not depend on how many follow. Stage 1
-(the relative scheme's two event streams, the standard scheme's window
-occupancy) depends only on (r, s1) and runs once per s1 and block, the
-relative scheme's two stream pairs in one window pass (streams 3 and 4
-laid after 1 and 2 as further repetitions) from lower bounds found once
-per block. Stage 2 runs once per (block, split) for every budget with
-that split. The relative scheme's is one `_window_core` pass over one copy
-of the two event streams per s2. Copies never meet: a copy's window
-pointer starts past every event of the copy before, and on the clash
-scan's axis its pairs sit a stride past every event bin from the next
-copy's, while a forced path stays in bins b1..b2. Their clashes are found
-through the largest s2 network, by the argument above. A window pass
-clamp-scans only the (copy, photon) slots with a partner in reach, and its
-clash scan sorts one switch, or a block of switches, at a time, so its
-temporaries grow with the pairs, not with pairs times switches.
-Results equal those of simulating each budget on its own.
+`MATCH_BLOCK_PHOTONS` and `BLOCK_PHOTONS` give the measurements that the
+two sweeps' block sizes rest on.
 """
 
 from __future__ import annotations
@@ -171,10 +124,10 @@ def match_streams(s1: PhotonStream, s2: PhotonStream, network: DelayNetwork,
     """Run one strategy on a stream pair; returns (Matching, MatchMetrics).
 
     ``clash_rate`` is the pairs ``route`` would drop for a clash over all
-    pairs for ``hungarian_no_clash``, which keeps them (`first_clashes` on
-    the block's one clash scan), and the pairs dropped for a clash over
-    kept plus dropped pairs otherwise. The no-clash optimum is paired in
-    order (`_optimal_pairs`), so its clashes depend on no solver.
+    pairs for ``hungarian_no_clash``, which keeps them, and the pairs
+    dropped for a clash over kept plus dropped pairs otherwise. The no-clash
+    optimum is paired in order (`_optimal_pairs`), so its clashes depend on
+    no solver.
     """
     matchings, values = _match_all([(s1, s2)], [network], [strategy])[strategy]
     return matchings[0][0], _metrics_of(matchings[0][0], values[0, 0])
@@ -184,7 +137,9 @@ def _batches(p: float, n_bins: int, reps: int, seed: int, n_streams: int,
              photons: int):
     """Lists of consecutive repetitions (child r of SeedSequence(seed), the
     `n_streams` streams its first generated words seed), each closed once it
-    holds `photons` photons or BLOCK_BINS stream bins."""
+    holds `photons` photons or BLOCK_BINS stream bins, so that a block
+    shares its per-call costs among its repetitions and memory does not
+    grow with `reps`."""
     batch, count = [], 0
     for child in np.random.SeedSequence(seed).spawn(reps):
         words = child.generate_state(n_streams, dtype=np.uint64)
@@ -206,8 +161,21 @@ def _match_rows(stream_pairs, networks, strategies) -> dict:
     of the pairs, or of those clash handling gave up, in bin order within an
     instance, and the instance of each. `values` is the (stream pairs,
     networks, 4) matched fraction, clash rate, out-of-range fraction and
-    total weight, counted by one `_metric_rows` pass. Every network's
-    clashes are found through the largest (see the module docstring)."""
+    total weight, counted by one `_metric_rows` pass per strategy.
+
+    One `_optimal_pairs` call gives the no-clash optimum of every instance,
+    which serves both Hungarian strategies. One `clash_rows` scan finds
+    the optima that clash: optimum i's pairs sit i strides along one time
+    axis, where they cannot meet another's (`_clash_couples` says why), and
+    route through the largest network, which gives every network its own
+    clashes (`DelayNetwork` says why). `first_clashes` on that scan gives
+    each optimum the pairs its `route` drops, hungarian_no_clash's clash
+    rate numerator. Every optimum that clashes has such a pair, since its
+    earliest clash is always recorded, and only those are repaired, by one
+    `_repair_all` call, each on a weight matrix built for it alone. The
+    realistic strategy makes one `_window_core` pass per stream pair for
+    every network. The repair's pairs are the one part built as per-pair
+    tuples, and no Matching is built."""
     strategies = _checked(strategies, "strategy", "strategies", STRATEGIES)
     n_nets = len(networks)
     n = len(stream_pairs) * n_nets
@@ -289,8 +257,9 @@ def simulate_two_stream(p: float, switches, n_bins: int, strategies,
                         reps: int, seed: int) -> dict:
     """StrategyStats by (strategy, switch count), strategies then counts in
     the order given, over the same stream-pair repetitions. Every argument
-    is checked before anything is sampled. Repetitions run in blocks (see
-    the module docstring)."""
+    is checked before anything is sampled. Repetitions run in blocks of
+    about MATCH_BLOCK_PHOTONS photons (`_batches`), each counted by one
+    `_match_rows` call."""
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
     strategies = _checked(strategies, "strategy", "strategies", STRATEGIES)
@@ -314,7 +283,10 @@ def simulate_two_stream(p: float, switches, n_bins: int, strategies,
 
 def _splits(networks: int, s_total: int):
     """Feasible (s1, s2): `networks` first-stage networks of s1 switches each
-    plus one second-stage network of s2 >= 1 switches."""
+    plus one second-stage network of s2 >= 1 switches, networks * s1 + s2
+    physical switches in all. The standard scheme delays all four photon
+    streams (4 networks) and the gate output; the relative scheme delays one
+    stream of each pair (2 networks) and one derived event stream."""
     return [(s1, s_total - networks * s1)
             for s1 in range(1, (s_total - 1) // networks + 1)]
 
@@ -332,7 +304,9 @@ def rmux_splits(s_total: int):
 @dataclass
 class _Block:
     """Consecutive repetitions on one time axis: bin b of repetition r of
-    the block sits at 2 * r * n_bins + b."""
+    the block sits at 2 * r * n_bins + b. No pair needs more than
+    n_bins - 1 bins of delay, so each window's reach is capped there, and
+    then no pair or clash crosses repetitions."""
 
     streams: list                 # each repetition's four streams
     n_bins: int
@@ -440,8 +414,8 @@ def _rmux_rate(events: tuple, s2s, gates: _Gates,
     The two event streams of `_rmux_stage1` are paired again by the sliding
     window through the s2-switch network, and every surviving quadruple
     attempts the gate independently, repetition r's n quadruples with
-    outcomes `gates(n)[r]`. One window pass serves every s2, one copy per
-    reach, its clashes found through the largest s2 network.
+    outcomes `gates(n)[r]`. One `_window_core` pass serves every s2, one
+    copy per reach, through the largest s2 network.
     """
     n_reps = len(block.streams)
     _b1, b2, keep, copy = _window_core(
@@ -459,12 +433,15 @@ def _rmux_rate(events: tuple, s2s, gates: _Gates,
 
 def simulate_bell_sweep(p1: float, budgets, n_bins: int, reps: int, seed: int,
                         schemes=("standard", "rmux")) -> dict:
-    """BellStats by (scheme, budget), each optimized over its stage splits.
+    """BellStats by (scheme, budget), each optimized over its stage splits,
+    equal to simulating each budget on its own.
 
     Every argument is checked before anything is sampled. Repetitions run
-    in blocks on one time axis; per block and split index i, each
-    repetition's gate draws and each scheme's stage 1 serve every budget
-    (see the module docstring).
+    in blocks of about BLOCK_PHOTONS photons (`_batches`) on one time axis
+    (`_Block`). Every scheme and budget reads split i = s1 - 1 of
+    repetition r from one sequence of gate draws, spawn key (r, i) of child
+    r (`_Gates`). Per block and split, each scheme runs its stage 1 once
+    and its stage-2 rate once for every budget with that split.
     """
     # Per scheme: first-stage networks, stage 1, stage-2 rate. Built per
     # call, so a rebound rate function (a tracer's wrapper) is the one used.

@@ -1,61 +1,21 @@
 """Diamond-lattice percolation under fusion photon loss.
 
-The lattice has L^3 unit cells with two sites per cell, the two
-five-qubit microclusters assembled inside the cell: site (c,0) from GHZ
-states 1-3 and site (c,1) from GHZ states 4-6. The transverse axes (x, y)
-are periodic; the time-slice axis t is open and carries the two spanning
-faces t=0 and t=L-1.
+`DiamondLattice` is L^3 unit cells of two sites, the cell's two five-qubit
+microclusters, joined by fusions into a coordination-4 diamond graph whose
+time axis carries the two spanning faces. `PHOTON_ASSIGNMENT` is the one
+description of a unit cell: the lattice's fusion table and the photon loss
+classes (`classify_photon`) are derived from it.
 
-`PHOTON_ASSIGNMENT` is the one description of a unit cell. For each of the
-cell's eight fusions it names the actively delayed and the passive photon
-by (cell offset, GHZ index, emission label), and everything else is
-derived from it. A photon sits on the site given by its cell and its
-microcluster. A fusion whose two photons sit on one site assembles that
-microcluster (F_C/F_E for site 0, F_D/F_F for site 1); each other fusion
-is a bond between its two sites: F_B within the cell, F_A/F_G/F_H to the
-x+, y+ and t+ neighbors, a coordination-4 diamond graph. The photon loss
-classes follow as well: delayed photons are type C, passive photons type
-B, and the two photons no fusion consumes stay in the cluster (type A).
-
-Every fusion uses a boosted gate: success probability 3/4 when no photon
-is lost, plus an ancilla Bell pair whose photons are lossy at rate a_l
-because they need active synchronization. Under the relative scheme
-exactly one photon per fusion is actively delayed (loss rate p_l); under
-the standard scheme both fusion photons pass through switching networks.
-The per-fusion loss probability is f_l = 1 - (1-p_l)^n_lossy * (1-a_l)^2
-with n_lossy = 1 (relative) or 2 (standard).
-
-Outcome semantics are configurable. The defaults: a heralded failure
-leaves the bond absent and the sites intact; a failure by loss removes the
-bond and damages microclusters. Loss damage is attributable under the
-relative scheme (only the delayed photon can have vanished, so only its
-microcluster, the fusion's owner, is discarded) but not under the standard
-scheme (either input may be missing, so both end microclusters are
-discarded). That attribution gap, on top of the smaller f_l, is what the
-relative scheme buys in loss tolerance.
-
-Spanning has one routine, the cut pass. A trial's draws are fixed and
-reach the lattice only through f_l. With owner damage on, raising f_l
-only removes sites and bonds, so spanning is monotone: a trial spans iff
-f_l is at most its critical loss f*, the bottleneck level of a union-find
-sweep over the bonds from the highest level down (Newman & Ziff, PRL 85,
-4104 (2000)), and a threshold is an order statistic of the f*. Without
-owner damage, heralded site kills break this (a loss prevents the heralded
-kill it replaces), and the threshold functions reject that corner.
-
-Trials run in small blocks. For each, one connected-components call over
-the bonds at levels >= a cut c (scipy, in C, imported on first use in
-~0.4 s; a block whose cuts are all +inf keeps no bond and skips it) tells
-which trials join the faces there: their f* is at least c, and they are
-censored. The others run the union-find from that component forest over
-the bonds below c only, which gives their exact f*, because
-f* is the level at which the faces join, whatever order the bonds above c
-merged in. `spans` and `percolation_probability` run it at c = 1, every
-bond at level 1 or -inf. A threshold reads one rank of the f*, the
-(k+1)-th smallest, so after each block each scheme's c is an f* of about
-twice that rank's share among the trials done. A censored trial whose c
-is not above the read value is drawn again and swept in full; that value
-is then the plain sweep's, bit for bit.
+A fusion fails by loss with probability `fusion_loss_probability`, which
+holds what the relative scheme saves per fusion; otherwise it succeeds
+with probability FUSION_SUCCESS_PROB or fails heralded. `OutcomeSemantics`
+says how the outcomes act on the lattice, and why loss damage is
+attributable under the relative scheme only. `sample_lattice_state` draws
+one trial, `spans` checks it, and `percolation_probability` counts
+spanning trials. The loss thresholds and the ancilla-loss frontier
+(`loss_threshold`, `loss_thresholds`, `tradeoff_frontier`) read an order
+statistic of the trials' critical losses, which `_critical_losses` finds
+with the cut pass (`_cut_pass`).
 """
 
 from __future__ import annotations
@@ -74,9 +34,10 @@ FAIL_HERALDED = "fail_heralded"
 FAIL_LOSS = "fail_loss"
 
 # Which photons each fusion consumes, in the order fusions are numbered
-# within a cell. The delayed photon fixes which microcluster is damaged
-# when a loss is attributable; "own"/"x+"/"y+"/"t+" say which cell the
-# photon comes from relative to the fusion's home cell.
+# within a cell: the actively delayed and the passive photon, each by (cell,
+# GHZ index, emission label). The delayed photon fixes which microcluster
+# is damaged when a loss is attributable; "own"/"x+"/"y+"/"t+" say which
+# cell the photon comes from relative to the fusion's home cell.
 PHOTON_ASSIGNMENT = {
     "F_C": {"delayed": ("own", 1, "a"), "passive": ("own", 2, "a")},
     "F_E": {"delayed": ("own", 3, "a"), "passive": ("own", 2, "c")},
@@ -125,7 +86,14 @@ def lossy_inputs(scheme: str) -> int:
 
 
 def fusion_loss_probability(p_l: float, a_l: float, n_lossy: int) -> float:
-    """Probability that a boosted fusion fails because a photon vanished."""
+    """Probability that a boosted fusion fails because a photon vanished:
+    f_l = 1 - (1 - p_l)^n_lossy * (1 - a_l)^2.
+
+    Every fusion uses a boosted gate with an ancilla Bell pair, whose two
+    photons need active synchronization and are lost at rate a_l. The
+    relative scheme actively delays one of the fusion's photons
+    (n_lossy = 1), the standard scheme both (n_lossy = 2, `lossy_inputs`).
+    """
     if not 0.0 <= p_l <= 1.0 or not 0.0 <= a_l <= 1.0:
         raise ValueError("loss rates must be in [0, 1]")
     if n_lossy not in (1, 2):
@@ -137,11 +105,19 @@ def fusion_loss_probability(p_l: float, a_l: float, n_lossy: int) -> float:
 class OutcomeSemantics:
     """How fusion outcomes act on the lattice.
 
+    By default a heralded failure leaves the bond absent and the sites
+    intact, and a failure by loss removes the bond and damages
+    microclusters. Loss damage is attributable under the relative scheme,
+    where only the delayed photon can have vanished, but not under the
+    standard scheme, where either input may be missing. That attribution
+    gap, on top of the smaller f_l, is what the relative scheme buys in
+    loss tolerance.
+
     heralded_bond_connect_prob: chance a heralded (lossless) bond-fusion
         failure still creates the bond. Default 0: failed fusions connect
         nothing.
     loss_kills_owner_site: a fusion that fails by loss removes the
-        microcluster that owned the vanished photon.
+        microcluster that owned the vanished photon, the fusion's owner.
     standard_loss_damages_both_ends: under the standard scheme a lost
         photon at a bond fusion cannot be attributed, so both endpoint
         microclusters are discarded. Set False to use owner-only damage for
@@ -178,6 +154,14 @@ def calibrated_semantics() -> OutcomeSemantics:
 
 class DiamondLattice:
     """L^3-cell diamond lattice with its per-fusion table.
+
+    Cell c holds site (c, 0), assembled from GHZ states 1-3, and site
+    (c, 1), from GHZ states 4-6. The transverse axes x and y are periodic;
+    the time axis t is open, and its slices t = 0 and t = L-1 are the
+    spanning faces. A fusion whose two photons sit on one site assembles
+    that microcluster (F_C/F_E for site 0, F_D/F_F for site 1); each other
+    fusion is a bond: F_B within the cell, and F_A/F_G/F_H to the x+, y+
+    and t+ neighbours.
 
     The table is derived from PHOTON_ASSIGNMENT. Fusions are numbered
     cell-major (cell x + L*y + L^2*t), in PHOTON_ASSIGNMENT order within a
@@ -258,8 +242,8 @@ def _fusion_levels(lattice: DiamondLattice, semantics: OutcomeSemantics,
 
     w_bond is read only at a heralded bond-connect chance above 0, and
     w_site only at a heralded site-kill chance above 0, so the trailing rows
-    no reader needs are not drawn: a generator's first draws do not depend
-    on how many follow.
+    no reader needs are not drawn (a prefix of the draws, as in
+    `mux_sim._Gates`).
     """
     rows = (4 if semantics.heralded_bond_connect_prob > 0.0 else
             3 if semantics.heralded_site_kill_prob > 0.0 else 2)
@@ -290,10 +274,9 @@ def sample_lattice_state(lattice: DiamondLattice, scheme: str, p_l: float,
                          rng: np.random.Generator) -> LatticeState:
     """Sample every fusion independently and apply the outcome semantics.
 
-    The draws are `_fusion_levels`' (two to four uniform draws per fusion,
-    as the semantics read them, whatever the scheme), so runs with the same
-    generator state and semantics are coupled: the standard scheme's loss
-    events are a superset of the relative scheme's, which makes scheme
+    The draws are `_fusion_levels`', whatever the scheme, so runs with the
+    same generator state and semantics are coupled: the standard scheme's
+    loss events are a superset of the relative scheme's, which makes scheme
     dominance exact per trial.
     """
     f_l = fusion_loss_probability(p_l, a_l, lossy_inputs(scheme))
@@ -383,7 +366,8 @@ def _connected_components(rows, cols, size):
 
 
 def _spanning(lattice: DiamondLattice, states) -> np.ndarray:
-    """Whether each state spans: its cut pass at cut 1 reads +inf."""
+    """Whether each state spans: its cut pass at cut 1, with every bond at
+    level 1 or -inf, reads +inf."""
     levels = np.array([_bond_levels(
         lattice, np.where(st.site_alive, 1.0, -np.inf),
         np.where(st.bond_present, 1.0, -np.inf)) for st in states])
@@ -451,9 +435,21 @@ def _critical_losses(L, schemes, trials, seed, semantics,
                      needed=None) -> np.ndarray:
     """`critical_losses` per scheme (rows), all from each trial's one draw.
 
-    Only each row's `needed` (default: all) smallest f* are sure to be
-    exact: another entry may read +inf for an f* above them (the
-    `needed`-th smallest of every row is that of the exact f*).
+    A trial's draws are fixed and reach the lattice only through f_l. With
+    owner damage on, raising f_l only removes sites and bonds, so spanning
+    is monotone: a trial spans iff f_l <= f*, the level at which a
+    union-find sweep over the bonds from the highest level down joins the
+    faces (Newman & Ziff, PRL 85, 4104 (2000)). With owner damage off and
+    heralded site kills on, a loss prevents the heralded kill it replaces,
+    so spanning is not monotone, and that corner raises ValueError.
+
+    Trials run in blocks of _BLOCK_TRIALS, one `_cut_pass` a block, each
+    trial at its scheme's cut, which `_CUT_RANK` keeps above the `needed`-th
+    smallest f*, so only the trials near that rank are swept below their
+    cut. Only each row's `needed` (default: all) smallest f* are sure to be
+    exact: another entry may read +inf for an f* above them. A censored
+    trial whose cut is not above the `needed`-th smallest is drawn again
+    and swept in full, so that value is the plain sweep's, bit for bit.
     """
     semantics, lattice, seeds = _trials(L, trials, seed, semantics)
     if (not semantics.loss_kills_owner_site
@@ -486,8 +482,7 @@ def _critical_losses(L, schemes, trials, seed, semantics,
         rank = int(np.ceil(_CUT_RANK * needed * done / trials))
         if rank <= done:
             cuts = np.partition(f_star[:, :done], rank - 1, axis=1)[:, rank - 1]
-    # Exactness: censored f* with bounds not above the needed-th smallest
-    # are drawn again and swept uncensored, which can only lower it: once.
+    # A trial drawn again can only lower v, which adds none to redo: once.
     v = np.partition(f_star, needed - 1, axis=1)[:, needed - 1]
     redo = np.isposinf(f_star) & (bound <= v[:, None])
     bound[redo] = np.inf

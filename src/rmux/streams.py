@@ -2,10 +2,11 @@
 
 A stream models a heralded single-photon source firing once per time bin:
 each bin is occupied independently with probability p, and heralding makes
-the occupancy pattern classically known. Randomness comes from numpy's
-PCG64 generator, so a (p, n_bins, seed) triple regenerates the exact same
-stream on any platform. Bin 0 is the earliest bin; delay lines only ever
-move photons toward larger indices.
+the occupancy pattern classically known. Bin 0 is the earliest bin; delay
+lines only ever move photons toward larger indices. `generate_stream`
+samples a stream reproducibly, `stream_from_bins` wraps a derived pattern,
+and `stream_to_text` and `stream_from_text` write and read the fixture
+format.
 """
 
 from __future__ import annotations

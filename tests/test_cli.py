@@ -627,6 +627,66 @@ def test_reproduce_trials_and_an_override_of_the_same_key_are_rejected(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("source", ["--set", "--config"])
+def test_reproduce_rejects_a_key_given_twice(tmp_path, capsys, monkeypatch,
+                                             source):
+    _forbid_all_work(monkeypatch)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("reps=2\nbins=100\nreps=1\n")
+    given = (["--set", "reps=2", "--set", "reps=1"] if source == "--set"
+             else ["--config", str(cfg)])
+    assert main(["reproduce", "fig7", "--out", str(tmp_path / "out"),
+                 *given]) == 1
+    named = "--set" if source == "--set" else str(cfg)
+    assert capsys.readouterr() == ("", f"error: {named} sets reps twice; "
+                                   "drop one\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("source, error", [
+    ("--set", "--set needs key=value, got '=5'"),
+    ("--config", "bad config line (need key=value): '=5'"),
+])
+def test_reproduce_rejects_an_empty_key(tmp_path, capsys, monkeypatch,
+                                        source, error):
+    _forbid_all_work(monkeypatch)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("=5\n")
+    given = [source, "=5" if source == "--set" else str(cfg)]
+    assert main(["reproduce", "fig7", "--out", str(tmp_path / "out"),
+                 *given]) == 1
+    assert capsys.readouterr() == ("", f"error: {error}\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_reproduce_set_overrides_the_config_file(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("eta=0.2\np1=0.99\n")
+    assert main(["reproduce", "table1", "--out", str(tmp_path / "out"),
+                 "--config", str(cfg), "--set", "eta=0.1"]) == 0
+    summary = (tmp_path / "out" / "table1_summary.txt").read_text()
+    assert [line for line in summary.splitlines()
+            if line.startswith("override:")] == ["override: eta=0.1",
+                                                 "override: p1=0.99"]
+    assert "eta=0.1" in summary.splitlines()
+
+
+def test_reproduce_prints_each_check_as_its_summary_lists_it(tmp_path,
+                                                             capsys):
+    bundle = run_experiment(ExperimentConfig("table1", {"p1": "0.98"}, 1234,
+                                             tmp_path / "lib"))
+    assert main(["reproduce", "table1", "--out", str(tmp_path / "cli"),
+                 "--set", "p1=0.98"]) == 2
+    printed = capsys.readouterr()
+    summary = bundle.summary_path.read_text().splitlines()
+    checks = [line.removeprefix("check ") for line in summary
+              if line.startswith("check ")]
+    assert checks == [check.line() for check in bundle.checks]
+    assert printed.out.splitlines()[:len(checks)] == checks
+    assert any(line.startswith("[FAIL] ") for line in checks)
+    assert any(line.startswith("[PASS] ") for line in checks)
+
+
 def test_run_experiment_lists_unread_keys_as_ignored(tmp_path):
     params = {"L": "4", "trials": "20", "finite_size_L": ""}
     plain = run_experiment(ExperimentConfig("fig8_thresholds", params, 5,
