@@ -53,7 +53,8 @@ def _cmd_analytics(args) -> int:
         rows = experiments.table1_rows(_values(params, "table1"))[0]
         _emit(experiments.TABLE1_HEADER, rows, args.out)
     else:
-        _unread(args, "analytics --mode waste", "eta", "p1", "p2")
+        _unread(args, "analytics --mode waste",
+                *experiments.PARAMETERS["table1"])
         ps = params.get("ps", experiments.PARAMETERS["fig2"]["ps_max"])
         params.update(ps_min=ps, ps_max=ps)
         if args.etas:
@@ -64,18 +65,19 @@ def _cmd_analytics(args) -> int:
     return 0
 
 
-def _load_or_generate(path, p, bins, seed):
+def _load_or_generate(path, values, seed):
     if path:
         return streams.stream_from_text(Path(path).read_text())
-    return streams.generate_stream(p, bins, seed)
+    return streams.generate_stream(values["p"], values["bins"], seed)
 
 
 def _cmd_match(args) -> int:
     if args.stream1 or args.stream2:
         _unread(args, "match with --stream1 or --stream2", "reps")
+        values = _values(_given(args), "fig4")
         net = delay_network.DelayNetwork(args.switches)
-        s1 = _load_or_generate(args.stream1, args.p, args.bins, args.seed)
-        s2 = _load_or_generate(args.stream2, args.p, args.bins, args.seed + 1)
+        s1 = _load_or_generate(args.stream1, values, args.seed)
+        s2 = _load_or_generate(args.stream2, values, args.seed + 1)
         m, met = mux_sim.match_streams(s1, s2, net, args.strategy)
         _emit(["kind", "a", "b", "c"], matching.matching_csv_rows(m), args.out)
         sys.stderr.write(
@@ -153,7 +155,8 @@ def _cmd_reproduce(args) -> int:
               else {})
     given = {}
     for item in args.set or []:
-        key, eq, value = item.partition("=")
+        # Stripped, as `load_config_file` strips a config line.
+        key, eq, value = (part.strip() for part in item.partition("="))
         if not key or not eq:
             raise ValueError(f"--set needs key=value, got {item!r}")
         if key in given:
@@ -172,7 +175,7 @@ def _cmd_reproduce(args) -> int:
             raise ValueError(f"--trials sets {key}, which --set or --config "
                              "sets too; drop one")
         params[key] = str(args.trials)
-    unread = [key for key in params if key not in reads]
+    unread = experiments.parse_params(reads, params)[1]
     if unread:
         raise ValueError(f"{args.figure} does not read {', '.join(unread)}; "
                          f"it reads {', '.join(reads)}")
@@ -189,6 +192,14 @@ def _cmd_reproduce(args) -> int:
     return 0 if bundle.all_passed else 2
 
 
+def _recipe_options(parser, recipe: str, *keys):
+    """Add `--key` (`_` written `-`) for each of `keys`, or for every key of
+    `recipe`'s table: no type, no choices and no default, so a value
+    reaches `parse_params` as text, as a `reproduce --set` value does."""
+    for key in keys or experiments.PARAMETERS[recipe]:
+        parser.add_argument("--" + key.replace("_", "-"), dest=key)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rmux",
@@ -197,9 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pa = sub.add_parser("analytics", help="closed-form multiplexing accounting")
     pa.add_argument("--mode", choices=["table", "waste"], default="table")
-    pa.add_argument("--eta", type=float)
-    pa.add_argument("--p1", type=float)
-    pa.add_argument("--p2", type=float)
+    _recipe_options(pa, "table1")
     pa.add_argument("--ps", type=float)
     pa.add_argument("--p-min", type=float)
     pa.add_argument("--etas", nargs="+")
@@ -207,13 +216,10 @@ def build_parser() -> argparse.ArgumentParser:
     pa.set_defaults(func=_cmd_analytics)
 
     pm = sub.add_parser("match", help="two-stream matching statistics")
-    two_stream = experiments.PARAMETERS["fig4"]
-    pm.add_argument("--p", type=float, default=two_stream["p"])
+    _recipe_options(pm, "fig4", "p", "bins", "reps")
     pm.add_argument("--switches", type=int, default=4)
-    pm.add_argument("--bins", type=int, default=two_stream["bins"])
     pm.add_argument("--strategy", choices=list(mux_sim.STRATEGIES),
                     default="realistic")
-    pm.add_argument("--reps", type=int)
     pm.add_argument("--seed", type=int, default=1234)
     pm.add_argument("--stream1", help="stream fixture file (single-instance mode)")
     pm.add_argument("--stream2", help="stream fixture file (single-instance mode)")
@@ -224,10 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     pb = sub.add_parser("bell", help="Bell-state rate comparison")
     pb.add_argument("--scheme", choices=["standard", "rmux", "both"],
                     default="both")
-    pb.add_argument("--p1", type=float)
-    pb.add_argument("--budgets", help="switch budgets, e.g. 5:16 or 6,8,10")
-    pb.add_argument("--bins", type=int)
-    pb.add_argument("--reps", type=int)
+    _recipe_options(pb, "fig7")
     pb.add_argument("--seed", type=int, default=1234)
     pb.add_argument("--out")
     pb.set_defaults(func=_cmd_bell)
@@ -236,22 +239,12 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--mode", choices=["prob", "threshold", "frontier"],
                     default="prob")
     pp.add_argument("--scheme", choices=["rmux", "standard"], default="rmux")
-    pp.add_argument("--L", type=int)
-    pp.add_argument("--trials", type=int)
+    _recipe_options(pp, "fig9_frontier")
+    _recipe_options(pp, "fig8_thresholds", "a_l")
     pp.add_argument("--p-l", type=float)
-    pp.add_argument("--a-l", type=float)
-    pp.add_argument("--target", type=float)
-    pp.add_argument("--a-l-grid")
     pp.add_argument("--equal-ancilla-loss", action="store_true",
                     help="scan ancilla loss jointly at the photon rate")
     pp.add_argument("--seed", type=int, default=1234)
-    pp.add_argument("--semantics", choices=["default", "calibrated"],
-                    default="calibrated")
-    pp.add_argument("--heralded-site-kill-prob", type=float)
-    pp.add_argument("--heralded-bond-connect-prob", type=float)
-    pp.add_argument("--loss-kills-owner-site", choices=["true", "false"])
-    pp.add_argument("--standard-loss-damages-both-ends",
-                    choices=["true", "false"])
     pp.add_argument("--out")
     pp.set_defaults(func=_cmd_percolate)
 

@@ -408,6 +408,9 @@ def test_percolate_frontier_rejects_degenerate_grid(grid, capsys,
     (["percolate", "--mode", "frontier", "--L", "4", "--trials", "10",
       "--a-l", "0.01"],
      "error: --a-l is not read by percolate --mode frontier"),
+    # Rejected before any value is parsed, so the malformed one too.
+    (["match", "--stream1", "a.txt", "--stream2", "b.txt", "--reps", "x"],
+     "error: --reps is not read by match with --stream1 or --stream2"),
 ])
 def test_options_the_mode_never_reads_are_rejected(
         tmp_path, capsys, monkeypatch, forbid_streams, argv, message):
@@ -671,6 +674,21 @@ def test_reproduce_set_overrides_the_config_file(tmp_path, capsys):
     assert "eta=0.1" in summary.splitlines()
 
 
+def test_reproduce_strips_a_set_item_as_it_strips_a_config_line(tmp_path,
+                                                                capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("eta =0.1\n")
+    given = {"set": ["--set", " eta = 0.1"], "config": ["--config", str(cfg)]}
+    for source, argv in given.items():
+        assert main(["reproduce", "table1", "--out", str(tmp_path / source),
+                     *argv]) == 0
+        summary = (tmp_path / source / "table1_summary.txt").read_text()
+        assert [line for line in summary.splitlines()
+                if line.startswith("override:")] == ["override: eta=0.1"]
+    assert (tmp_path / "set" / "table1.csv").read_bytes() == (
+        tmp_path / "config" / "table1.csv").read_bytes()
+
+
 def test_reproduce_prints_each_check_as_its_summary_lists_it(tmp_path,
                                                              capsys):
     bundle = run_experiment(ExperimentConfig("table1", {"p1": "0.98"}, 1234,
@@ -754,6 +772,56 @@ def test_reproduce_malformed_set_reports_error(tmp_path, capsys):
     assert main(["reproduce", "table1", "--out", str(tmp_path),
                  "--set", "badvalue"]) == 1
     assert "error: --set needs key=value" in capsys.readouterr().err
+
+
+# The subcommand options named after recipe keys, as (subcommand argv, recipe,
+# keys), where no keys stands for every key of the recipe's table; the mode
+# given is one that reads each of the keys.
+_RECIPE_OPTIONS = [
+    (["analytics"], "table1", ()),
+    (["match"], "fig4", ("p", "bins", "reps")),
+    (["bell"], "fig7", ()),
+    (["percolate", "--mode", "frontier"], "fig9_frontier", ()),
+    (["percolate", "--mode", "prob"], "fig8_thresholds", ("a_l",)),
+]
+_RECIPE_OPTION_CASES = [(argv, recipe, key)
+                        for argv, recipe, keys in _RECIPE_OPTIONS
+                        for key in keys or PARAMETERS[recipe]]
+
+
+# "x" is malformed for every kind of key: a number, a list, a boolean and
+# the semantics preset's name.
+@pytest.mark.parametrize(
+    "argv, recipe, key", _RECIPE_OPTION_CASES,
+    ids=[f"{argv[0]}-{key}" for argv, _recipe, key in _RECIPE_OPTION_CASES])
+def test_a_malformed_recipe_option_fails_as_reproduce_set_does(
+        tmp_path, capsys, monkeypatch, argv, recipe, key):
+    _forbid_all_work(monkeypatch)
+    assert main(["reproduce", recipe, "--set", f"{key}=x", "--out",
+                 str(tmp_path / "out")]) == 1
+    reproduced = capsys.readouterr()
+    assert reproduced.out == "" and reproduced.err.startswith("error: ")
+    assert main([*argv, "--" + key.replace("_", "-"), "x"]) == 1
+    assert capsys.readouterr() == ("", reproduced.err)
+
+
+def test_percolate_names_an_unknown_semantics_preset(capsys, monkeypatch):
+    _forbid_sampling(monkeypatch)
+    assert main(["percolate", "--L", "4", "--trials", "10", "--semantics",
+                 "bogus"]) == 1
+    assert capsys.readouterr() == (
+        "", "error: semantics must be 'default' or 'calibrated', got 'bogus'\n")
+
+
+def test_percolate_boolean_option_takes_the_words_set_takes(capsys):
+    rows = {}
+    for word in ("true", "yes", "On", "1", "false", "NO", "off", "0"):
+        assert main(["percolate", "--L", "4", "--trials", "20", "--p-l",
+                     "0.05", "--seed", "2", "--loss-kills-owner-site",
+                     word]) == 0
+        rows[word] = capsys.readouterr().out
+    assert {rows[w] for w in ("true", "yes", "On", "1")} == {rows["true"]}
+    assert {rows[w] for w in ("false", "NO", "off", "0")} == {rows["false"]}
 
 
 def test_reproduce_determinism_byte_identical(tmp_path):
