@@ -60,7 +60,7 @@ def _cmd_analytics(args) -> int:
         if args.etas:
             params["etas"] = ",".join(args.etas)
         optimizer = {"p_min": params["p_min"]} if "p_min" in params else {}
-        rows = experiments.fig2_rows(_values(params, "fig2"), **optimizer)[0]
+        rows = experiments.fig2_rows(_values(params, "fig2"), **optimizer)
         _emit(experiments.FIG2_HEADER, rows, args.out)
     return 0
 
@@ -209,18 +209,18 @@ def build_parser() -> argparse.ArgumentParser:
     pa = sub.add_parser("analytics", help="closed-form multiplexing accounting")
     pa.add_argument("--mode", choices=["table", "waste"], default="table")
     _recipe_options(pa, "table1")
-    pa.add_argument("--ps", type=float)
-    pa.add_argument("--p-min", type=float)
+    pa.add_argument("--ps")
+    pa.add_argument("--p-min")
     pa.add_argument("--etas", nargs="+")
     pa.add_argument("--out")
     pa.set_defaults(func=_cmd_analytics)
 
     pm = sub.add_parser("match", help="two-stream matching statistics")
     _recipe_options(pm, "fig4", "p", "bins", "reps")
-    pm.add_argument("--switches", type=int, default=4)
+    pm.add_argument("--switches", default=4)
     pm.add_argument("--strategy", choices=list(mux_sim.STRATEGIES),
                     default="realistic")
-    pm.add_argument("--seed", type=int, default=1234)
+    pm.add_argument("--seed", default=1234)
     pm.add_argument("--stream1", help="stream fixture file (single-instance mode)")
     pm.add_argument("--stream2", help="stream fixture file (single-instance mode)")
     pm.add_argument("--dump-routes", help="write the routing trace CSV here")
@@ -231,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--scheme", choices=["standard", "rmux", "both"],
                     default="both")
     _recipe_options(pb, "fig7")
-    pb.add_argument("--seed", type=int, default=1234)
+    pb.add_argument("--seed", default=1234)
     pb.add_argument("--out")
     pb.set_defaults(func=_cmd_bell)
 
@@ -241,17 +241,17 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--scheme", choices=["rmux", "standard"], default="rmux")
     _recipe_options(pp, "fig9_frontier")
     _recipe_options(pp, "fig8_thresholds", "a_l")
-    pp.add_argument("--p-l", type=float)
+    pp.add_argument("--p-l")
     pp.add_argument("--equal-ancilla-loss", action="store_true",
                     help="scan ancilla loss jointly at the photon rate")
-    pp.add_argument("--seed", type=int, default=1234)
+    pp.add_argument("--seed", default=1234)
     pp.add_argument("--out")
     pp.set_defaults(func=_cmd_percolate)
 
     pr = sub.add_parser("reproduce", help="run a named figure/table recipe")
     pr.add_argument("figure", choices=list(experiments.EXPERIMENTS))
-    pr.add_argument("--seed", type=int, default=1234)
-    pr.add_argument("--trials", type=int,
+    pr.add_argument("--seed", default=1234)
+    pr.add_argument("--trials",
                     help="repetitions (fig4/6/7) or lattice trials (fig8/9)")
     pr.add_argument("--out", default="out")
     pr.add_argument("--config", help="flat key=value parameter file")
@@ -264,6 +264,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # The options that are not recipe keys, typed as `parse_params` types
+        # a recipe key, before any work. `percolate --trials` is a recipe
+        # key, of the same kind.
+        kinds = {"seed": int, "switches": int, "trials": int, "ps": float,
+                 "p_min": float, "p_l": float}
+        vars(args).update(experiments.parse_params(kinds, _given(args))[0])
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,10 +1,10 @@
 """Experiment recipes: seeded runs, CSV emission, reference checks.
 
-Each recipe reproduces one published figure or table, writes plot-ready CSV
-files plus a plain-text summary (parameters, seed, runtimes, and pass/fail
-against the embedded reference values), and reports its checks. Data files
-contain no timestamps or runtimes, so identical configurations produce
-byte-identical CSV output.
+Each recipe reproduces one published figure or table: it computes its
+plot-ready tables and checks them against the embedded reference values.
+`run_experiment` writes the tables as CSV files plus a plain-text summary
+(seed, runtime, parameters and pass/fail). Data files contain no timestamps
+or runtimes, so identical configurations produce byte-identical CSV output.
 """
 
 from __future__ import annotations
@@ -97,11 +97,6 @@ def csv_text(header, rows) -> str:
     lines = [",".join(header)]
     lines += [",".join(_fmt(v) for v in row) for row in rows]
     return "\n".join(lines) + "\n"
-
-
-def _write_csv(path: Path, header, rows) -> Path:
-    path.write_text(csv_text(header, rows))
-    return path
 
 
 _BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
@@ -232,8 +227,8 @@ PARAMETERS = {
 
 # One header and one row builder per figure that `rmux analytics`, `match`
 # or `bell` also prints. A builder takes the values `parse_params` read
-# from its recipe's table, and returns its rows, what the recipe's checks
-# read, and the parameter lines of the recipe's summary.
+# from its recipe's table, and returns its rows and what the recipe's
+# checks read.
 
 TABLE1_HEADER = ["row", "initial_prob", "post_mux_prob", "k", "k_up", "depth",
                  "potential_mean", "potential_unit"]
@@ -246,7 +241,7 @@ BELL_HEADER = ["scheme", "total_switches", "bells_per_bin", "stderr",
 
 
 def table1_rows(values: dict):
-    """(rows, MuxReport, summary lines) of Table 1."""
+    """(rows, MuxReport) of Table 1."""
     eta, p1, p2 = values["eta"], values["p1"], values["p2"]
     report = mux_analytics.ghz_report(eta, p1, p2)
     s1, s2 = report.stages
@@ -260,11 +255,11 @@ def table1_rows(values: dict):
         ("combined", eta, report.combined_prob, "", report.bins_per_stream,
          report.combined_depth, report.potential_ghz_mean, "ghz"),
     ]
-    return rows, report, [f"eta={_fmt(eta)}", f"p1={_fmt(p1)}", f"p2={_fmt(p2)}"]
+    return rows, report
 
 
 def fig2_rows(values: dict, **optimizer):
-    """(rows, summary lines) of Fig. 2; `optimizer` goes to `unused_potential`."""
+    """Rows of Fig. 2; `optimizer` goes to `unused_potential`."""
     etas, ps_lo = values["etas"], values["ps_min"]
     ps_hi, ps_step = values["ps_max"], values["ps_step"]
     if not ps_step > 0:
@@ -280,37 +275,39 @@ def fig2_rows(values: dict, **optimizer):
                 eta, p_s, **optimizer)
             rows.append((p_s, eta, wasted, k1, k2, p1, p2,
                          k1 * k2 * mux_analytics.PHOTONS_PER_GHZ))
-    return rows, [f"etas={etas}", f"p_s grid [{ps_lo}, {ps_hi}] step {ps_step}"]
+    return rows
 
 
 def two_stream_sweep(values: dict, strategies, seed: int):
-    """(rows, stats by (strategy, s), s values, summary lines) of Figs. 4/6."""
-    prob, s_values = values["p"], values["switches"]
-    n_bins, reps = values["bins"], values["reps"]
-    stats = mux_sim.simulate_two_stream(prob, s_values, n_bins, strategies,
-                                        reps, seed)
+    """(rows, stats by (strategy, s)) of Figs. 4/6."""
+    stats = mux_sim.simulate_two_stream(values["p"], values["switches"],
+                                        values["bins"], strategies,
+                                        values["reps"], seed)
     rows = [astuple(st) for st in stats.values()]   # TWO_STREAM_HEADER's order
-    return rows, stats, s_values, [f"p={prob}", f"bins={n_bins}", f"reps={reps}"]
+    return rows, stats
 
 
 def bell_sweep(values: dict, seed: int, schemes=("standard", "rmux")):
-    """(rows, stats by (scheme, budget), budgets, summary lines) of Fig. 7."""
-    p1, budgets = values["p1"], values["budgets"]
-    n_bins, reps = values["bins"], values["reps"]
-    stats = mux_sim.simulate_bell_sweep(p1, budgets, n_bins, reps, seed,
-                                        schemes)
+    """(rows, stats by (scheme, budget)) of Fig. 7."""
+    budgets = values["budgets"]
+    stats = mux_sim.simulate_bell_sweep(values["p1"], budgets, values["bins"],
+                                        values["reps"], seed, schemes)
     rows = []
     for budget in budgets:
         for scheme in schemes:
             st = stats[(scheme, budget)]
             rows.append((scheme, budget, st.bells_per_bin, st.stderr,
                          *st.best_split))
-    return rows, stats, budgets, [f"p1={p1}", f"bins={n_bins}", f"reps={reps}"]
+    return rows, stats
 
 
-def _run_table1(values: dict, config: ExperimentConfig):
-    rows, report, meta = table1_rows(values)
-    csv = _write_csv(config.output_dir / "table1.csv", TABLE1_HEADER, rows)
+# A runner takes the values `parse_params` read from its recipe's table and
+# the seed, and returns (tables, checks, notes): its data files by name, in
+# write order, as (header, rows); its checks; and the summary's reference and
+# calibration lines. `run_experiment` writes them all.
+
+def _run_table1(values: dict, seed: int):
+    rows, report = table1_rows(values)
     got = {f"stage{i} {name}": getattr(stage, attr)
            for i, stage in enumerate(report.stages, 1)
            for name, attr in (("k", "k"), ("k_up", "k_up"), ("depth", "depth"),
@@ -328,14 +325,12 @@ def _run_table1(values: dict, config: ExperimentConfig):
                     else _fmt(want))
         checks.append(Check(name, _fmt(got[name]), expected,
                             _within(got[name], want, tol)))
-    meta += ["reference: table1 (exact integer cells, 4 significant figures on reals)"]
-    return [csv], checks, meta
+    return ({"table1.csv": (TABLE1_HEADER, rows)}, checks,
+            ["reference: table1 (exact integer cells, 4 significant figures on reals)"])
 
 
-def _run_fig2(values: dict, config: ExperimentConfig):
-    rows, meta = fig2_rows(values)
-    csv = _write_csv(config.output_dir / "fig2_unused_potential.csv",
-                     FIG2_HEADER, rows)
+def _run_fig2(values: dict, seed: int):
+    rows = fig2_rows(values)
     anchors = {eta: total_bins for p_s, eta, *_, total_bins in rows
                if abs(p_s - 0.93) < 1e-12}
     checks = []
@@ -347,17 +342,15 @@ def _run_fig2(values: dict, config: ExperimentConfig):
             f"total bins at p_s=0.93, eta={eta}", _fmt(float(got)),
             f"{_fmt(expect)} +/- {REF_FIG2_REL_TOL:.0%}",
             abs(got - expect) <= REF_FIG2_REL_TOL * expect))
-    meta += ["optimizer grid step 0.01 on (p1, p2), p_i in "
+    notes = ["optimizer grid step 0.01 on (p1, p2), p_i in "
              f"[{mux_analytics.STAGE_P_MIN:.2f}, {mux_analytics.STAGE_P_MAX}]",
              "reference: fig2 bin-count anchors, +/-5% (optimizer granularity loose)"]
-    return [csv], checks, meta
+    return {"fig2_unused_potential.csv": (FIG2_HEADER, rows)}, checks, notes
 
 
-def _run_fig4(values: dict, config: ExperimentConfig):
-    rows, stats, s_values, meta = two_stream_sweep(
-        values, ["hungarian_with_clash"], config.seed)
-    csv = _write_csv(config.output_dir / "fig4_matching.csv",
-                     TWO_STREAM_HEADER, rows)
+def _run_fig4(values: dict, seed: int):
+    rows, stats = two_stream_sweep(values, ["hungarian_with_clash"], seed)
+    s_values = values["switches"]
     checks = []
     for lo, hi in zip(s_values, s_values[1:]):
         a = stats[("hungarian_with_clash", lo)]
@@ -368,17 +361,14 @@ def _run_fig4(values: dict, config: ExperimentConfig):
             f"{a.matched_fraction_mean:.4f} -> {b.matched_fraction_mean:.4f}",
             "non-decreasing within 2 stderr",
             b.matched_fraction_mean >= a.matched_fraction_mean - slack))
-    meta += ["reference: fig4 (no numeric table published; property checks)"]
-    return [csv], checks, meta
+    return ({"fig4_matching.csv": (TWO_STREAM_HEADER, rows)}, checks,
+            ["reference: fig4 (no numeric table published; property checks)"])
 
 
-def _run_fig6(values: dict, config: ExperimentConfig):
-    rows, stats, s_values, meta = two_stream_sweep(
-        values, mux_sim.STRATEGIES, config.seed)
-    csv = _write_csv(config.output_dir / "fig6_strategies.csv",
-                     TWO_STREAM_HEADER, rows)
+def _run_fig6(values: dict, seed: int):
+    rows, stats = two_stream_sweep(values, mux_sim.STRATEGIES, seed)
     checks = []
-    for s in s_values:
+    for s in values["switches"]:
         h = stats[("hungarian_no_clash", s)]
         c = stats[("hungarian_with_clash", s)]
         r = stats[("realistic", s)]
@@ -398,14 +388,13 @@ def _run_fig6(values: dict, config: ExperimentConfig):
                 f"gap {h.matched_fraction_mean - r.matched_fraction_mean:.4f}",
                 "<= 0.05",
                 h.matched_fraction_mean - r.matched_fraction_mean <= 0.05))
-    meta += ["reference: fig6 strategy comparison (property checks)"]
-    return [csv], checks, meta
+    return ({"fig6_strategies.csv": (TWO_STREAM_HEADER, rows)}, checks,
+            ["reference: fig6 strategy comparison (property checks)"])
 
 
-def _run_fig7(values: dict, config: ExperimentConfig):
-    rows, stats, budgets, meta = bell_sweep(values, config.seed)
-    csv = _write_csv(config.output_dir / "fig7_bell_rates.csv", BELL_HEADER,
-                     rows)
+def _run_fig7(values: dict, seed: int):
+    rows, stats = bell_sweep(values, seed)
+    budgets = values["budgets"]
     by_budget = {b: (stats[("standard", b)], stats[("rmux", b)])
                  for b in budgets}
     checks = []
@@ -429,18 +418,18 @@ def _run_fig7(values: dict, config: ExperimentConfig):
     checks.append(Check(
         f"rate ratio at {max(budgets)} switches", f"{ratio:.1f}",
         f">= {REF_FIG7['ratio_at_max']}", ratio >= REF_FIG7["ratio_at_max"]))
-    meta += ["switch budgets count every physical switch "
+    notes = ["switch budgets count every physical switch "
              "(standard: 4 stream networks + output network; "
              "relative: 2 stream networks + pair network)",
              "reference: fig7 rate comparison (property checks)"]
-    return [csv], checks, meta
+    return {"fig7_bell_rates.csv": (BELL_HEADER, rows)}, checks, notes
 
 
-def _run_fig8(values: dict, config: ExperimentConfig):
-    target, L, trials = values["target"], values["L"], values["trials"]
-    a_l = values["a_l"]
-    runs = [(L, trials)] + [(size, values["finite_size_trials"])
-                            for size in values["finite_size_L"]]
+def _run_fig8(values: dict, seed: int):
+    target, a_l = values["target"], values["a_l"]
+    runs = [(values["L"], values["trials"])] + [
+        (size, values["finite_size_trials"])
+        for size in values["finite_size_L"]]
     for size, n in runs:                    # before the first, slow, pass
         percolation._check_trials(n)
         percolation._check_L(size)
@@ -450,11 +439,8 @@ def _run_fig8(values: dict, config: ExperimentConfig):
     rows = [(scheme, size, target, a_l, thr, n, sem_name)
             for size, n in runs
             for scheme, (thr,) in zip(schemes, percolation.loss_thresholds(
-                schemes, target, [a_l], size, n, config.seed, sem).tolist())]
+                schemes, target, [a_l], size, n, seed, sem).tolist())]
     thresholds = {row[0]: row[4] for row in rows[:2]}     # at size L
-    csv = _write_csv(config.output_dir / "fig8_thresholds.csv",
-                     ["scheme", "L", "target", "a_l", "p_l_threshold",
-                      "trials", "semantics"], rows)
     ref = REF_FIG8
     ratio = thresholds["rmux"] / thresholds["standard"]
     checks = [Check(f"{label}-scheme threshold", _fmt(thresholds[scheme]),
@@ -465,34 +451,31 @@ def _run_fig8(values: dict, config: ExperimentConfig):
     checks.append(Check("threshold ratio", f"{ratio:.2f}",
                         f">= {ref['min_ratio']} (target 2.4)",
                         ratio >= ref["min_ratio"]))
-    meta = [f"target={target}", f"L={L}", f"trials={trials}", f"a_l={a_l}",
-            f"semantics={sem_name}: {sem}",
-            "calibration: the published absolute thresholds are recovered "
-            "with heralded_site_kill_prob="
-            f"{percolation.CALIBRATED_HERALDED_SITE_KILL} (heralded "
-            "microcluster-assembly failures sometimes leave the "
-            "microcluster unusable); under the all-defaults semantics the "
-            "lattice is more forgiving and both thresholds sit higher, but "
-            "the >=2x scheme ratio holds regardless",
-            f"reference: fig8 tolerable-loss comparison at L={ref['L']}, "
-            f"bands +/-{ref['tol']}"]
-    return [csv], checks, meta
+    notes = [f"outcome semantics: {sem}",
+             "calibration: the published absolute thresholds are recovered "
+             "with heralded_site_kill_prob="
+             f"{percolation.CALIBRATED_HERALDED_SITE_KILL} (heralded "
+             "microcluster-assembly failures sometimes leave the "
+             "microcluster unusable); under the all-defaults semantics the "
+             "lattice is more forgiving and both thresholds sit higher, but "
+             "the >=2x scheme ratio holds regardless",
+             f"reference: fig8 tolerable-loss comparison at L={ref['L']}, "
+             f"bands +/-{ref['tol']}"]
+    header = ["scheme", "L", "target", "a_l", "p_l_threshold", "trials",
+              "semantics"]
+    return {"fig8_thresholds.csv": (header, rows)}, checks, notes
 
 
-def _run_fig9(values: dict, config: ExperimentConfig):
-    target, L, trials = values["target"], values["L"], values["trials"]
-    grid = values["a_l_grid"]
-    sem_name, sem = semantics_from(values)
+def _run_fig9(values: dict, seed: int):
+    sem = semantics_from(values)[1]
     frontier = percolation.tradeoff_frontier(
-        percolation.SCHEME_RMUX, target, grid, L, trials, config.seed, sem)
-    rows = [(a, thr) for a, thr in frontier.points]
-    csv = _write_csv(config.output_dir / "fig9_frontier.csv",
-                     ["a_l", "p_l_threshold"], rows)
+        percolation.SCHEME_RMUX, values["target"], values["a_l_grid"],
+        values["L"], values["trials"], seed, sem)
     fit_rows = [("slope", frontier.slope), ("intercept", frontier.intercept)]
     fit_rows += [(f"residual_a_l={_fmt(a)}", r)
                  for (a, _), r in zip(frontier.points, frontier.residuals)]
-    fit_csv = _write_csv(config.output_dir / "fig9_frontier_fit.csv",
-                         ["quantity", "value"], fit_rows)
+    tables = {"fig9_frontier.csv": (["a_l", "p_l_threshold"], frontier.points),
+              "fig9_frontier_fit.csv": (["quantity", "value"], fit_rows)}
     ref = REF_FIG9
     f_star = percolation.fusion_loss_probability(frontier.points[0][1], 0.0, 1)
     residual_tol = ref["residual_frac_of_fl"] * f_star
@@ -505,11 +488,10 @@ def _run_fig9(values: dict, config: ExperimentConfig):
               f"<= 5% of f_l = {residual_tol:.4f}",
               max_resid <= residual_tol),
     ]
-    meta = [f"target={target}", f"L={L}", f"trials={trials}",
-            f"a_l grid={grid}", f"semantics={sem_name}: {sem}",
-            "reference: fig9 loss trade-off (slope ~ -2: frontier follows "
-            "p_l + 2 a_l = const, nonlinear remainder below 5% of f_l)"]
-    return [csv, fit_csv], checks, meta
+    notes = [f"outcome semantics: {sem}",
+             "reference: fig9 loss trade-off (slope ~ -2: frontier follows "
+             "p_l + 2 a_l = const, nonlinear remainder below 5% of f_l)"]
+    return tables, checks, notes
 
 
 _RUNNERS = {
@@ -525,31 +507,42 @@ EXPERIMENTS = tuple(_RUNNERS)
 
 
 def run_experiment(config: ExperimentConfig) -> ReportBundle:
-    """Execute one recipe: write CSV data files and a summary, return checks.
+    """Execute one recipe: write its CSV data files and a summary, return
+    its checks.
 
-    Every parameter is parsed before any work. A key that the recipe does
-    not read is listed in the summary as `ignored:`, not as `override:`.
+    Every parameter is parsed before any work, and the output directory is
+    made only once the recipe has returned, so a recipe that fails leaves
+    none. The summary gives each parsed value as one `key=value` line in
+    `--set` syntax, in the table's order. A key that the recipe does not
+    read is listed as `ignored:`, not as `override:`.
     """
     values, unread = parse_params(PARAMETERS[config.experiment],
                                   config.parameters)
-    config.output_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.time()
-    csv_paths, checks, meta = _RUNNERS[config.experiment](values, config)
+    tables, checks, notes = _RUNNERS[config.experiment](values, config.seed)
     runtime = time.time() - t0
 
+    config.output_dir.mkdir(parents=True, exist_ok=True)
+    for name, (header, rows) in tables.items():
+        (config.output_dir / name).write_text(csv_text(header, rows))
     lines = [f"experiment: {config.experiment}",
              f"seed: {config.seed}",
              f"runtime_s: {runtime:.2f}"]
     for key, value in sorted(config.parameters.items()):
         lines.append(f"{'ignored' if key in unread else 'override'}: "
                      f"{key}={value}")
-    lines += list(meta)
-    lines.append(f"data files: {', '.join(p.name for p in csv_paths)}")
+    for key, value in values.items():
+        text = (",".join(map(_fmt, value)) if isinstance(value, list)
+                else _fmt(value))
+        lines.append(f"{key}={text}")
+    lines += notes
+    lines.append(f"data files: {', '.join(tables)}")
     lines += [f"check {c.line()}" for c in checks]
     lines.append(result_line(checks))
     summary_path = config.output_dir / f"{config.experiment}_summary.txt"
     summary_path.write_text("\n".join(lines) + "\n")
 
-    return ReportBundle(experiment=config.experiment, csv_paths=csv_paths,
+    return ReportBundle(experiment=config.experiment,
+                        csv_paths=[config.output_dir / name for name in tables],
                         summary_path=summary_path, checks=checks,
                         runtime_s=runtime)

@@ -613,6 +613,21 @@ def test_reproduce_rejects_unread_config_keys_of_every_recipe(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("figure, override", [
+    ("fig9_frontier", "a_l_grid=0,0"),
+    ("fig8_thresholds", "a_l=2"),
+])
+def test_a_recipe_that_fails_after_parsing_leaves_no_output_dir(
+        tmp_path, capsys, monkeypatch, figure, override):
+    # Both values parse; the recipe rejects them.
+    _forbid_all_work(monkeypatch)
+    assert main(["reproduce", figure, "--set", override, "--out",
+                 str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("figure, key", [("fig7", "reps"), ("fig6", "reps"),
                                          ("fig9_frontier", "trials")])
 @pytest.mark.parametrize("source", ["--set", "--config"])
@@ -721,6 +736,46 @@ def test_run_experiment_lists_unread_keys_as_ignored(tmp_path):
         "override: trials=20"]
 
 
+# Values other than the defaults, between them of every kind: an empty list,
+# an integer range, a preset name, a boolean and OutcomeSemantics field keys,
+# whose default is a type.
+_SUMMARY_OVERRIDES = {
+    "table1": {"eta": "0.01", "p1": "0.98"},
+    "fig2": {"etas": "0.5,0.01", "ps_min": "0.9", "ps_step": "0.01"},
+    "fig4": {"p": "0.2", "switches": "2:4", "bins": "150", "reps": "3"},
+    "fig6": {"p": "0", "switches": "1,3", "bins": "100", "reps": "2"},
+    "fig7": {"p1": "0.2", "budgets": "5:8", "bins": "500", "reps": "2"},
+    "fig8_thresholds": {"L": "4", "trials": "40", "finite_size_L": "",
+                        "a_l": "0.01", "heralded_site_kill_prob": "0.1"},
+    "fig9_frontier": {"L": "4", "trials": "40", "a_l_grid": "0,0.02",
+                      "semantics": "default", "loss_kills_owner_site": "no",
+                      "heralded_bond_connect_prob": "0.5"},
+}
+
+
+@pytest.mark.parametrize("overridden", [False, True],
+                         ids=["defaults", "overrides"])
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_summary_parameter_lines_parse_back_to_the_run_values(
+        tmp_path, experiment, overridden):
+    params = _SUMMARY_OVERRIDES[experiment] if overridden else {}
+    table = PARAMETERS[experiment]
+    bundle = run_experiment(ExperimentConfig(experiment, dict(params), 5,
+                                             tmp_path))
+    summary = bundle.summary_path.read_text().splitlines()
+    pairs = [line.split("=", 1) for line in summary
+             if "=" in line.split(" ", 1)[0]]
+    values = parse_params(table, params)[0]
+    # one line per parsed value, in the table's order; a key whose default
+    # is a type has a value, and a line, only when it is set
+    assert [key for key, _ in pairs] == list(values)
+    assert [key for key in table if key not in values] == [
+        key for key, default in table.items()
+        if isinstance(default, type) and key not in params]
+    # repr tells 0 from 0.0, and a list of ints from one of floats
+    assert repr(parse_params(table, dict(pairs))) == repr((values, []))
+
+
 def test_reproduce_table1(tmp_path, capsys):
     assert main(["reproduce", "table1", "--out", str(tmp_path)]) == 0
     out = capsys.readouterr().out
@@ -803,6 +858,33 @@ def test_a_malformed_recipe_option_fails_as_reproduce_set_does(
     assert reproduced.out == "" and reproduced.err.startswith("error: ")
     assert main([*argv, "--" + key.replace("_", "-"), "x"]) == 1
     assert capsys.readouterr() == ("", reproduced.err)
+
+
+# The options that are not recipe keys, with the error that the malformed
+# value "x" gets.
+_OTHER_OPTIONS = [
+    (["analytics", "--mode", "waste", "--ps"], "ps must be a number"),
+    (["analytics", "--mode", "waste", "--p-min"], "p_min must be a number"),
+    (["match", "--seed"], "seed must be an integer"),
+    (["match", "--switches"], "switches must be an integer"),
+    (["bell", "--seed"], "seed must be an integer"),
+    (["percolate", "--seed"], "seed must be an integer"),
+    (["percolate", "--p-l"], "p_l must be a number"),
+    (["reproduce", "table1", "--seed"], "seed must be an integer"),
+    (["reproduce", "fig7", "--trials"], "trials must be an integer"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, error", _OTHER_OPTIONS,
+    ids=[f"{argv[0]}{argv[-1]}" for argv, _error in _OTHER_OPTIONS])
+def test_a_malformed_option_that_is_no_recipe_key_fails_before_any_work(
+        tmp_path, capsys, monkeypatch, argv, error):
+    _forbid_all_work(monkeypatch)
+    monkeypatch.chdir(tmp_path)             # where `reproduce` would write
+    assert main([*argv, "x"]) == 1
+    assert capsys.readouterr() == ("", f"error: {error}, got 'x'\n")
+    assert not list(tmp_path.iterdir())
 
 
 def test_percolate_names_an_unknown_semantics_preset(capsys, monkeypatch):
