@@ -92,6 +92,12 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _exact(x) -> str:
+    """`_fmt(x)`, or `repr(x)` for a float that `_fmt` does not round-trip."""
+    text = _fmt(x)
+    return repr(x) if isinstance(x, float) and float(text) != x else text
+
+
 def csv_text(header, rows) -> str:
     """CSV text of a header and rows; floats to 10 significant digits."""
     lines = [",".join(header)]
@@ -510,14 +516,22 @@ def run_experiment(config: ExperimentConfig) -> ReportBundle:
     """Execute one recipe: write its CSV data files and a summary, return
     its checks.
 
-    Every parameter is parsed before any work, and the output directory is
-    made only once the recipe has returned, so a recipe that fails leaves
-    none. The summary gives each parsed value as one `key=value` line in
-    `--set` syntax, in the table's order. A key that the recipe does not
+    Every parameter is parsed, and the output path checked, before any
+    work: NotADirectoryError, the OSError `mkdir` would raise after it, if
+    the first part of the path that exists is not a directory. The output
+    directory is made only once the recipe has returned, so a recipe that
+    fails leaves none. The summary gives each parsed value as one
+    `key=value` line in `--set` syntax, in the table's order, each float as
+    text that reads back equal (`_exact`). A key that the recipe does not
     read is listed as `ignored:`, not as `override:`.
     """
     values, unread = parse_params(PARAMETERS[config.experiment],
                                   config.parameters)
+    out = config.output_dir
+    found = next(part for part in (out, *out.parents) if part.exists())
+    if not found.is_dir():
+        raise NotADirectoryError(f"output directory {out}: {found} is not "
+                                 "a directory")
     t0 = time.time()
     tables, checks, notes = _RUNNERS[config.experiment](values, config.seed)
     runtime = time.time() - t0
@@ -532,9 +546,8 @@ def run_experiment(config: ExperimentConfig) -> ReportBundle:
         lines.append(f"{'ignored' if key in unread else 'override'}: "
                      f"{key}={value}")
     for key, value in values.items():
-        text = (",".join(map(_fmt, value)) if isinstance(value, list)
-                else _fmt(value))
-        lines.append(f"{key}={text}")
+        entries = value if isinstance(value, list) else [value]
+        lines.append(f"{key}={','.join(map(_exact, entries))}")
     lines += notes
     lines.append(f"data files: {', '.join(tables)}")
     lines += [f"check {c.line()}" for c in checks]

@@ -17,7 +17,10 @@ at a cost of b - a bins of delay. The three strategies:
 Every strategy returns a `Matching`, whose `discarded` says why each
 unmatched photon went unmatched. `_reasons` classifies the photons of many
 instances at once from arrays, and `_clash_couples` finds the clashes of
-many instances in one scan.
+many instances in one scan. `_match_rows` runs any of `STRATEGIES` on a
+block of stream pairs against several networks at once, from pair arrays:
+it is the block runner of `mux_sim`'s two-stream sweep and of its
+`match_streams`.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from .streams import PhotonStream
 REASON_RANGE = "range"
 REASON_CLASH = "clash"
 REASON_UNPAIRED = "unpaired"
+STRATEGIES = ("hungarian_no_clash", "hungarian_with_clash", "realistic")
 
 
 @dataclass
@@ -269,15 +273,14 @@ def _window_of(W: WeightMatrix):
 
 
 def hungarian_min_assignment(W: WeightMatrix) -> Matching:
-    """Optimal matching from the weight matrix, virtual pairings pruned.
-
-    A window instance (`_window_of`) takes `_optimal_pairs`: the most pairs,
-    then the least delay, which is scipy's optimum whenever the virtual
-    weight exceeds n * d. Any other matrix is solved by scipy.
+    """Optimal matching from the weight matrix of a window instance
+    (`_window_of`), virtual pairings pruned; ValueError for any other
+    matrix. `_optimal_pairs` gives the most pairs, then the least delay,
+    which is scipy's optimum whenever the virtual weight exceeds n * d.
     """
     d = _window_of(W)
     if d is None:
-        return Matching(_assignment_pairs(W), W.row_bins, W.col_bins)
+        raise ValueError("the weight matrix is no window instance")
     pairs, _owner, _stride = _optimal_pairs([(W.row_bins, W.col_bins, d)])
     return Matching(list(map(tuple, pairs.tolist())), W.row_bins, W.col_bins)
 
@@ -553,6 +556,88 @@ def sliding_window_match(s1: PhotonStream, s2: PhotonStream, d_max: int,
     kept, dropped = _window_pairs(s1.occupied_bins, s2.occupied_bins,
                                   min(d_max, s2.n_bins - 1), network)
     return Matching(kept, s1.occupied_bins, s2.occupied_bins, lost=dropped)
+
+
+def _match_rows(stream_pairs, networks, strategies) -> dict:
+    """{strategy: (kept, lost, values)} of a block of stream pairs, the
+    strategies, distinct names of `STRATEGIES` that the caller has checked,
+    in the order given, on instance i = (stream pair i // len(networks),
+    network i % len(networks)). `kept` and `lost` are (pairs, owner): (n, 3)
+    int64 (b1, b2, delay) rows of the pairs, or of those clash handling gave
+    up, in bin order within an instance, and the instance of each. `values`
+    is the (stream pairs, networks, 4) matched fraction, clash rate,
+    out-of-range fraction and total weight, counted by one `_metric_rows`
+    pass per strategy.
+
+    One `_optimal_pairs` call gives the no-clash optimum of every instance,
+    which serves both Hungarian strategies. One `clash_rows` scan finds
+    the optima that clash: optimum i's pairs sit i strides along one time
+    axis, where they cannot meet another's (`_clash_couples` says why), and
+    route through the largest network, which gives every network its own
+    clashes (`DelayNetwork` says why). `first_clashes` on that scan gives
+    each optimum the pairs its `route` drops, hungarian_no_clash's clash
+    rate numerator. Every optimum that clashes has such a pair, since its
+    earliest clash is always recorded, and only those are repaired, by one
+    `_repair_all` call, each on a weight matrix built for it alone. The
+    realistic strategy makes one `_window_core` pass per stream pair for
+    every network. The repair's pairs are the one part built as per-pair
+    tuples, and no Matching is built."""
+    n_nets = len(networks)
+    n = len(stream_pairs) * n_nets
+    largest = max(networks, key=lambda net: net.s)
+    reach = [net.max_delay for net in networks]
+    rows = {}
+    if "realistic" in strategies:
+        # One window pass per stream pair covers every network, each reach
+        # capped at the stream length as `sliding_window_match` caps it.
+        found = [_window_rows(st1.occupied_bins, st2.occupied_bins,
+                              [min(d, st2.n_bins - 1) for d in reach], largest)
+                 for st1, st2 in stream_pairs]
+        rows["realistic"] = tuple(
+            (np.concatenate([pairs for pairs, _copy in side]),
+             np.concatenate([k * n_nets + copy
+                             for k, (_pairs, copy) in enumerate(side)]))
+            for side in zip(*found))
+    if {"hungarian_no_clash", "hungarian_with_clash"}.intersection(strategies):
+        # Each reach capped as in `build_assignment_matrix`.
+        pairs, owner, stride = _optimal_pairs([
+            (st1.occupied_bins, st2.occupied_bins, min(d, st2.n_bins - 1))
+            for st1, st2 in stream_pairs for d in reach])
+        # Per instance, the pairs `route` would drop.
+        dropped = np.unique(first_clashes(clash_rows(
+            pairs[:, 0] + owner * stride, pairs[:, 2], largest))[:, 2:])
+        hit = np.bincount(owner[dropped], minlength=n)
+        sizes = np.bincount(owner, minlength=n)
+        clashing = np.flatnonzero(hit)
+        rows["hungarian_no_clash"] = ((pairs, owner), (pairs[:0], owner[:0]))
+        if "hungarian_with_clash" in strategies:
+            # Only a repair reads a weight matrix or per-pair tuples; what
+            # it repairs is lost, and its pairs take the optimum's place.
+            redone = hit[owner] > 0
+            given = list(map(tuple, pairs[redone].tolist()))
+            ends = np.cumsum(sizes[clashing]).tolist()
+            repaired = _repair_all(
+                [(given[start:end],
+                  build_assignment_matrix(*stream_pairs[i // n_nets],
+                                          reach[i % n_nets]))
+                 for start, end, i in zip([0] + ends, ends,
+                                          clashing.tolist())], largest)
+            fixed, local = _flat(repaired)
+            rows["hungarian_with_clash"] = (
+                (np.concatenate([pairs[~redone], fixed]),
+                 np.concatenate([owner[~redone], clashing[local]])),
+                (pairs[redone], owner[redone]))
+    sides = [bins for st1, st2 in stream_pairs for _net in networks
+             for bins in (st1.occupied_bins, st2.occupied_bins)]
+    results = {}
+    for strategy in strategies:
+        kept, lost = rows[strategy]
+        values = _metric_rows(sides, kept, lost)
+        if strategy == "hungarian_no_clash":
+            values[clashing, 1] = hit[clashing] / sizes[clashing]
+        results[strategy] = (kept, lost, values.reshape(len(stream_pairs),
+                                                        n_nets, 4))
+    return results
 
 
 def matching_metrics(m: Matching) -> MatchMetrics:

@@ -1,12 +1,14 @@
-"""Monte Carlo experiments on photon streams.
+"""Monte Carlo sweeps on photon streams.
 
 Two experiment families. All repetitions derive child seeds from one
 SeedSequence (`_batches`), so runs are reproducible and strategies and
 schemes compare on identical stream data.
 
-* Matching statistics of the three two-stream strategies by switch count:
-  `simulate_two_stream`, which counts each block in one `_match_rows`
-  call, and `match_streams` for one stream pair and network.
+* Matching statistics of the three two-stream strategies
+  (`matching.STRATEGIES`) by switch count: `simulate_two_stream` makes the
+  blocks and counts each in one call of `matching._match_rows`, the block
+  runner, and `match_streams` runs one strategy on one stream pair and
+  network as a block of one.
 * Bell-state rates of the standard scheme (synchronize everything to fixed
   window slots, keep one success per window) against the relative scheme
   (pair events wherever they land, cascade pairwise), each maximized over
@@ -26,24 +28,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .delay_network import DelayNetwork, clash_rows, first_clashes, max_delay
-from .matching import (
-    Matching,
-    _flat,
-    _metric_rows,
-    _metrics_of,
-    _optimal_pairs,
-    _pair_lists,
-    _repair_all,
-    _window_core,
-    _window_rows,
-    build_assignment_matrix,
-)
+from .delay_network import DelayNetwork, max_delay
+from .matching import (STRATEGIES, Matching, _match_rows, _metrics_of,
+                       _window_core)
 # Unused here; perfbench's tests check that its tracer reaches this binding.
 from .matching import hungarian_min_assignment  # noqa: F401
 from .streams import PhotonStream, generate_stream
 
-STRATEGIES = ("hungarian_no_clash", "hungarian_with_clash", "realistic")
 BELL_GATE_PROB = 1.0 / 8.0
 # A two-stream block closes once it holds this many photons, or BLOCK_BINS
 # stream bins. It holds the pair arrays of its repetitions and the weight
@@ -129,8 +120,13 @@ def match_streams(s1: PhotonStream, s2: PhotonStream, network: DelayNetwork,
     optimum is paired in order (`_optimal_pairs`), so its clashes depend on
     no solver.
     """
-    matchings, values = _match_all([(s1, s2)], [network], [strategy])[strategy]
-    return matchings[0][0], _metrics_of(matchings[0][0], values[0, 0])
+    _checked([strategy], "strategy", "strategies", STRATEGIES)
+    kept, lost, values = _match_rows([(s1, s2)], [network],
+                                     [strategy])[strategy]
+    pairs, gone = (list(map(tuple, rows.tolist())) for rows, _owner
+                   in (kept, lost))
+    m = Matching(pairs, s1.occupied_bins, s2.occupied_bins, gone)
+    return m, _metrics_of(m, values[0, 0])
 
 
 def _batches(p: float, n_bins: int, reps: int, seed: int, n_streams: int,
@@ -151,106 +147,6 @@ def _batches(p: float, n_bins: int, reps: int, seed: int, n_streams: int,
             batch, count = [], 0
     if batch:
         yield batch
-
-
-def _match_rows(stream_pairs, networks, strategies) -> dict:
-    """{strategy: (kept, lost, values)} of a block of stream pairs, the
-    strategies in the order given, each as `match_streams` runs it, on
-    instance i = (stream pair i // len(networks), network i % len(networks)).
-    `kept` and `lost` are (pairs, owner): (n, 3) int64 (b1, b2, delay) rows
-    of the pairs, or of those clash handling gave up, in bin order within an
-    instance, and the instance of each. `values` is the (stream pairs,
-    networks, 4) matched fraction, clash rate, out-of-range fraction and
-    total weight, counted by one `_metric_rows` pass per strategy.
-
-    One `_optimal_pairs` call gives the no-clash optimum of every instance,
-    which serves both Hungarian strategies. One `clash_rows` scan finds
-    the optima that clash: optimum i's pairs sit i strides along one time
-    axis, where they cannot meet another's (`_clash_couples` says why), and
-    route through the largest network, which gives every network its own
-    clashes (`DelayNetwork` says why). `first_clashes` on that scan gives
-    each optimum the pairs its `route` drops, hungarian_no_clash's clash
-    rate numerator. Every optimum that clashes has such a pair, since its
-    earliest clash is always recorded, and only those are repaired, by one
-    `_repair_all` call, each on a weight matrix built for it alone. The
-    realistic strategy makes one `_window_core` pass per stream pair for
-    every network. The repair's pairs are the one part built as per-pair
-    tuples, and no Matching is built."""
-    strategies = _checked(strategies, "strategy", "strategies", STRATEGIES)
-    n_nets = len(networks)
-    n = len(stream_pairs) * n_nets
-    largest = max(networks, key=lambda net: net.s)
-    reach = [net.max_delay for net in networks]
-    rows = {}
-    if "realistic" in strategies:
-        # One window pass per stream pair covers every network, each reach
-        # capped at the stream length as `sliding_window_match` caps it.
-        found = [_window_rows(st1.occupied_bins, st2.occupied_bins,
-                              [min(d, st2.n_bins - 1) for d in reach], largest)
-                 for st1, st2 in stream_pairs]
-        rows["realistic"] = tuple(
-            (np.concatenate([pairs for pairs, _copy in side]),
-             np.concatenate([k * n_nets + copy
-                             for k, (_pairs, copy) in enumerate(side)]))
-            for side in zip(*found))
-    if {"hungarian_no_clash", "hungarian_with_clash"}.intersection(strategies):
-        # Each reach capped as in `build_assignment_matrix`.
-        pairs, owner, stride = _optimal_pairs([
-            (st1.occupied_bins, st2.occupied_bins, min(d, st2.n_bins - 1))
-            for st1, st2 in stream_pairs for d in reach])
-        # Per instance, the pairs `route` would drop.
-        dropped = np.unique(first_clashes(clash_rows(
-            pairs[:, 0] + owner * stride, pairs[:, 2], largest))[:, 2:])
-        hit = np.bincount(owner[dropped], minlength=n)
-        sizes = np.bincount(owner, minlength=n)
-        clashing = np.flatnonzero(hit)
-        rows["hungarian_no_clash"] = ((pairs, owner), (pairs[:0], owner[:0]))
-        if "hungarian_with_clash" in strategies:
-            # Only a repair reads a weight matrix or per-pair tuples; what
-            # it repairs is lost, and its pairs take the optimum's place.
-            redone = hit[owner] > 0
-            given = list(map(tuple, pairs[redone].tolist()))
-            ends = np.cumsum(sizes[clashing]).tolist()
-            repaired = _repair_all(
-                [(given[start:end],
-                  build_assignment_matrix(*stream_pairs[i // n_nets],
-                                          reach[i % n_nets]))
-                 for start, end, i in zip([0] + ends, ends,
-                                          clashing.tolist())], largest)
-            fixed, local = _flat(repaired)
-            rows["hungarian_with_clash"] = (
-                (np.concatenate([pairs[~redone], fixed]),
-                 np.concatenate([owner[~redone], clashing[local]])),
-                (pairs[redone], owner[redone]))
-    sides = [bins for st1, st2 in stream_pairs for _net in networks
-             for bins in (st1.occupied_bins, st2.occupied_bins)]
-    results = {}
-    for strategy in strategies:
-        kept, lost = rows[strategy]
-        values = _metric_rows(sides, kept, lost)
-        if strategy == "hungarian_no_clash":
-            values[clashing, 1] = hit[clashing] / sizes[clashing]
-        results[strategy] = (kept, lost, values.reshape(len(stream_pairs),
-                                                        n_nets, 4))
-    return results
-
-
-def _match_all(stream_pairs, networks, strategies) -> dict:
-    """{strategy: (matchings, values)}: the `_match_rows` of a block with
-    each instance's Matching, [[Matching per network] per stream pair], for
-    `match_streams` and the other readers of matchings."""
-    n_nets = len(networks)
-    results = {}
-    for strategy, (kept, lost, values) in _match_rows(
-            stream_pairs, networks, strategies).items():
-        flat = [Matching(pairs, st1.occupied_bins, st2.occupied_bins, gone)
-                for (st1, st2), pairs, gone in zip(
-                    [pair for pair in stream_pairs for _net in networks],
-                    *(_pair_lists(*got, len(stream_pairs) * n_nets)
-                      for got in (kept, lost)))]
-        results[strategy] = ([flat[i:i + n_nets]
-                              for i in range(0, len(flat), n_nets)], values)
-    return results
 
 
 def simulate_two_stream(p: float, switches, n_bins: int, strategies,

@@ -628,6 +628,21 @@ def test_a_recipe_that_fails_after_parsing_leaves_no_output_dir(
     assert not (tmp_path / "out").exists()
 
 
+def test_an_output_path_through_a_file_fails_before_any_work(
+        tmp_path, capsys, monkeypatch):
+    _forbid_all_work(monkeypatch)
+    blocker = tmp_path / "F"
+    blocker.write_text("kept\n")
+    out = blocker / "x" / "y"
+    assert main(["reproduce", "fig8_thresholds", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: output directory {out}: {blocker} is "
+                            "not a directory\n")
+    assert list(tmp_path.iterdir()) == [blocker]
+    assert blocker.read_text() == "kept\n"
+
+
 @pytest.mark.parametrize("figure, key", [("fig7", "reps"), ("fig6", "reps"),
                                          ("fig9_frontier", "trials")])
 @pytest.mark.parametrize("source", ["--set", "--config"])
@@ -753,12 +768,22 @@ _SUMMARY_OVERRIDES = {
 }
 
 
-@pytest.mark.parametrize("overridden", [False, True],
-                         ids=["defaults", "overrides"])
-@pytest.mark.parametrize("experiment", EXPERIMENTS)
+# Floats with more digits than the CSVs print (`_fmt`), alone and in a list.
+_SUMMARY_DIGITS = {
+    "table1": {"eta": "0.123456789012"},
+    "fig2": {"etas": "0.5,0.123456789012"},
+}
+
+
+@pytest.mark.parametrize("experiment, params", [
+    *(pytest.param(e, {}, id=f"{e}-defaults") for e in EXPERIMENTS),
+    *(pytest.param(e, _SUMMARY_OVERRIDES[e], id=f"{e}-overrides")
+      for e in EXPERIMENTS),
+    *(pytest.param(e, p, id=f"{e}-digits")
+      for e, p in _SUMMARY_DIGITS.items()),
+])
 def test_summary_parameter_lines_parse_back_to_the_run_values(
-        tmp_path, experiment, overridden):
-    params = _SUMMARY_OVERRIDES[experiment] if overridden else {}
+        tmp_path, experiment, params):
     table = PARAMETERS[experiment]
     bundle = run_experiment(ExperimentConfig(experiment, dict(params), 5,
                                              tmp_path))

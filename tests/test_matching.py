@@ -23,10 +23,12 @@ from rmux.delay_network import DelayNetwork, max_delay, route
 from rmux import matching, mux_sim
 from rmux.experiments import ExperimentConfig, run_experiment
 from rmux.matching import (
+    STRATEGIES,
     Matching,
     _clamp_scan,
     _conflicts_each,
     _flat_matchings,
+    _match_rows,
     _metric_rows,
     _optimal_pairs,
     _pair_lists,
@@ -43,7 +45,7 @@ from rmux.matching import (
     solve_assignment,
     virtual_weight_for,
 )
-from rmux.mux_sim import STRATEGIES, _match_rows, match_streams
+from rmux.mux_sim import match_streams
 from rmux.streams import generate_stream, stream_from_bins
 
 
@@ -208,6 +210,14 @@ def test_hungarian_pairs_and_delay_against_brute_force():
         padded += bins1.size != bins2.size
         out_of_range += bool(W.virtual_mask[:bins1.size, :bins2.size].any())
     assert padded and out_of_range
+
+
+def test_hungarian_rejects_a_matrix_that_is_no_window_instance():
+    # One real edge made virtual, as a repair does: no window gives that.
+    W = build_assignment_matrix(stream_at([0, 1], 8), stream_at([1, 5], 8), 7)
+    W.weights[0, 0] = W.virtual_weight
+    with pytest.raises(ValueError, match="no window instance"):
+        hungarian_min_assignment(W)
 
 
 # ------------------------------------------------------- clash resolution
@@ -1029,7 +1039,7 @@ def test_fig4_sweep_counts_without_discard_records(tmp_path, monkeypatch):
     prop.__set_name__(Matching, "discarded")
     monkeypatch.setattr(Matching, "discarded", prop)
     repaired, counted, blocks = [], [], []
-    repair_all, metric_rows = mux_sim._repair_all, mux_sim._metric_rows
+    repair_all, metric_rows = matching._repair_all, matching._metric_rows
     batches = mux_sim._batches
 
     def recording(instances, network):
@@ -1047,8 +1057,8 @@ def test_fig4_sweep_counts_without_discard_records(tmp_path, monkeypatch):
             blocks.append(len(batch))
             yield batch
 
-    monkeypatch.setattr(mux_sim, "_repair_all", recording)
-    monkeypatch.setattr(mux_sim, "_metric_rows", counting_rows)
+    monkeypatch.setattr(matching, "_repair_all", recording)
+    monkeypatch.setattr(matching, "_metric_rows", counting_rows)
     monkeypatch.setattr(mux_sim, "_batches", recording_batches)
     reps, counts = 30, 8                # fig4 at its defaults but reps
     run_experiment(ExperimentConfig("fig4", {"reps": str(reps)}, 1234,

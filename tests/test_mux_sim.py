@@ -22,15 +22,18 @@ from rmux import delay_network, matching, mux_sim
 from rmux.delay_network import DelayNetwork, clash_rows, max_delay
 from rmux.experiments import ExperimentConfig, run_experiment
 from rmux.matching import (
+    Matching,
     _conflicts_each,
+    _match_rows,
     _metrics_of,
+    _pair_lists,
     count_clashing_pairs,
 )
 from rmux.mux_sim import (
     BELL_GATE_PROB,
     STRATEGIES,
     _Gates,
-    _match_all,
+    match_streams,
     rmux_splits,
     simulate_bell_rmux,
     simulate_bell_standard,
@@ -99,6 +102,13 @@ def test_two_stream_validation(forbid_streams):
         with pytest.raises(ValueError) as err:
             simulate_two_stream(**args)
         assert str(err.value) == message
+
+
+def test_match_streams_rejects_an_unknown_strategy():
+    st = stream_from_bins([1, 0, 1])
+    with pytest.raises(ValueError) as err:
+        match_streams(st, st, DelayNetwork(3), "Realistic")
+    assert str(err.value) == "unknown strategy 'Realistic'"
 
 
 # p = 0.4 at 120 bins clashes often; from s = 8 the network outreaches the
@@ -180,7 +190,7 @@ def test_two_stream_sweep_builds_no_matching_or_pair_tuples(monkeypatch):
 
     monkeypatch.setattr(mux_sim, "Matching", refuse)
     monkeypatch.setattr(matching, "Matching", refuse)
-    monkeypatch.setattr(mux_sim, "_pair_lists", refuse)
+    monkeypatch.setattr(matching, "_pair_lists", refuse)
     got = simulate_two_stream(p, switches, n_bins, STRATEGIES, reps, seed=23)
     assert len(seen) >= 2
     assert list(got.items()) == want
@@ -195,16 +205,22 @@ def test_match_all_equals_per_instance_oracle(p, n_bins):
     stream_pairs = [(generate_stream(p, n_bins, seed),
                      generate_stream(p, n_bins, seed + 1))
                     for seed in range(0, 12, 2)]
-    got = _match_all(stream_pairs, networks, STRATEGIES)
+    got = _match_rows(stream_pairs, networks, STRATEGIES)
     assert list(got) == list(STRATEGIES)
-    for strategy, (matchings, values) in got.items():
+    n = len(stream_pairs) * len(networks)
+    for strategy, (kept, lost, values) in got.items():
         assert values.shape == (len(stream_pairs), len(networks), 4)
-        assert [[(m, _metrics_of(m, row), row[3])
-                 for m, row in zip(by_net, rows)]
-                for by_net, rows in zip(matchings, values)] == [
-            [(m, met, m.total_weight) for m, met in (
-                match_direct(st1, st2, net, strategy) for net in networks)]
-            for st1, st2 in stream_pairs]
+        # Stream pair k on network j is instance k * len(networks) + j.
+        matchings = [Matching(pairs, st1.occupied_bins, st2.occupied_bins,
+                              gone)
+                     for (st1, st2), pairs, gone in zip(
+                         [sp for sp in stream_pairs for _net in networks],
+                         _pair_lists(*kept, n), _pair_lists(*lost, n))]
+        assert [(m, _metrics_of(m, row), row[3]) for m, row
+                in zip(matchings, values.reshape(n, 4))] == [
+            (m, met, m.total_weight) for st1, st2 in stream_pairs
+            for m, met in (match_direct(st1, st2, net, strategy)
+                           for net in networks)]
 
 
 @strats.composite
@@ -264,10 +280,12 @@ def stream_pairs(draw):
 def test_no_clash_rate_equals_route_count(case):
     st1, st2, switches = case
     networks = [DelayNetwork(s) for s in switches]
-    matchings, values = _match_all([(st1, st2)], networks,
-                                   ["hungarian_no_clash"])["hungarian_no_clash"]
-    for m, (_matched, clash_rate, *_), net in zip(matchings[0], values[0],
-                                                  networks):
+    kept, _lost, values = _match_rows([(st1, st2)], networks,
+                                      ["hungarian_no_clash"])[
+                                          "hungarian_no_clash"]
+    for pairs, (_matched, clash_rate, *_), net in zip(
+            _pair_lists(*kept, len(networks)), values[0], networks):
+        m = Matching(pairs, st1.occupied_bins, st2.occupied_bins)
         _records, routed = route_clashes_direct(
             [b1 for b1, _b2, _d in m.pairs], [d for _b1, _b2, d in m.pairs],
             net)
@@ -292,7 +310,7 @@ def test_no_clash_block_counts_clashes_from_its_one_scan(monkeypatch):
         calls.append(args)
         return clash_rows(*args)
 
-    for module in (delay_network, matching, mux_sim):
+    for module in (delay_network, matching):
         monkeypatch.setattr(module, "clash_rows", counted)
     networks = [DelayNetwork(s) for s in (8, 3)]
     # Per block, the seeds of its stream pairs and which clash at s = 8.
@@ -301,9 +319,9 @@ def test_no_clash_block_counts_clashes_from_its_one_scan(monkeypatch):
         calls.clear()
         block = [(generate_stream(0.4, 120, seed),
                   generate_stream(0.4, 120, seed + 1)) for seed in seeds]
-        _matchings, values = _match_all(block, networks,
-                                        ["hungarian_no_clash"])[
-                                            "hungarian_no_clash"]
+        _kept, _lost, values = _match_rows(block, networks,
+                                           ["hungarian_no_clash"])[
+                                               "hungarian_no_clash"]
         assert (values[:, :, 1] > 0).tolist() == [[c, False] for c in clashing]
         assert len(calls) == 1
 
@@ -317,10 +335,11 @@ def test_no_clash_block_counts_clashes_from_its_one_scan(monkeypatch):
 def test_realistic_block_equals_window_oracle(case):
     st1, st2, switches = case
     networks = [DelayNetwork(s) for s in switches]
-    [matchings], _values = _match_all([(st1, st2)], networks,
+    kept, lost, _values = _match_rows([(st1, st2)], networks,
                                       ["realistic"])["realistic"]
-    for m, net in zip(matchings, networks):
-        assert (m.pairs, m.lost) == window_pairs_direct(
+    for pairs, gone, net in zip(*(_pair_lists(*rows, len(networks))
+                                  for rows in (kept, lost)), networks):
+        assert (pairs, gone) == window_pairs_direct(
             st1.occupied_bins.tolist(), st2.occupied_bins.tolist(),
             net.max_delay, net), net.s
 
