@@ -49,7 +49,7 @@ def _unread(args, mode: str, *names):
 def _cmd_analytics(args) -> int:
     params = _given(args)
     if args.mode == "table":
-        _unread(args, "analytics --mode table", "etas", "ps", "p_min")
+        _unread(args, "analytics --mode table", "etas", "ps")
         rows = experiments.table1_rows(_values(params, "table1"))[0]
         _emit(experiments.TABLE1_HEADER, rows, args.out)
     else:
@@ -59,8 +59,7 @@ def _cmd_analytics(args) -> int:
         params.update(ps_min=ps, ps_max=ps)
         if args.etas:
             params["etas"] = ",".join(args.etas)
-        optimizer = {"p_min": params["p_min"]} if "p_min" in params else {}
-        rows = experiments.fig2_rows(_values(params, "fig2"), **optimizer)
+        rows = experiments.fig2_rows(_values(params, "fig2"))
         _emit(experiments.FIG2_HEADER, rows, args.out)
     return 0
 
@@ -164,17 +163,6 @@ def _cmd_reproduce(args) -> int:
         given[key] = value
     params.update(given)
     reads = experiments.PARAMETERS[args.figure]
-    if args.trials is not None:
-        # Convenience alias: repetition count for the Monte Carlo figures,
-        # lattice trials for the percolation figures.
-        key = next((k for k in ("reps", "trials") if k in reads), None)
-        if key is None:
-            raise ValueError(f"{args.figure} takes no repetition or trial "
-                             "count; drop --trials")
-        if key in params:
-            raise ValueError(f"--trials sets {key}, which --set or --config "
-                             "sets too; drop one")
-        params[key] = str(args.trials)
     unread = experiments.parse_params(reads, params)[1]
     if unread:
         raise ValueError(f"{args.figure} does not read {', '.join(unread)}; "
@@ -210,7 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--mode", choices=["table", "waste"], default="table")
     _recipe_options(pa, "table1")
     pa.add_argument("--ps")
-    pa.add_argument("--p-min")
     pa.add_argument("--etas", nargs="+")
     pa.add_argument("--out")
     pa.set_defaults(func=_cmd_analytics)
@@ -251,8 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
     pr = sub.add_parser("reproduce", help="run a named figure/table recipe")
     pr.add_argument("figure", choices=list(experiments.EXPERIMENTS))
     pr.add_argument("--seed", default=1234)
-    pr.add_argument("--trials",
-                    help="repetitions (fig4/6/7) or lattice trials (fig8/9)")
     pr.add_argument("--out", default="out")
     pr.add_argument("--config", help="flat key=value parameter file")
     pr.add_argument("--set", action="append", metavar="KEY=VALUE",
@@ -265,10 +250,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         # The options that are not recipe keys, typed as `parse_params` types
-        # a recipe key, before any work. `percolate --trials` is a recipe
-        # key, of the same kind.
-        kinds = {"seed": int, "switches": int, "trials": int, "ps": float,
-                 "p_min": float, "p_l": float}
+        # a recipe key, before any work.
+        kinds = {"seed": int, "switches": int, "ps": float, "p_l": float}
         vars(args).update(experiments.parse_params(kinds, _given(args))[0])
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -50,11 +50,9 @@ class Check:
 
 @dataclass
 class ReportBundle:
-    experiment: str
     csv_paths: list
     summary_path: Path
     checks: list
-    runtime_s: float
 
     @property
     def all_passed(self) -> bool:
@@ -264,8 +262,8 @@ def table1_rows(values: dict):
     return rows, report
 
 
-def fig2_rows(values: dict, **optimizer):
-    """Rows of Fig. 2; `optimizer` goes to `unused_potential`."""
+def fig2_rows(values: dict):
+    """Rows of Fig. 2."""
     etas, ps_lo = values["etas"], values["ps_min"]
     ps_hi, ps_step = values["ps_max"], values["ps_step"]
     if not ps_step > 0:
@@ -277,8 +275,7 @@ def fig2_rows(values: dict, **optimizer):
     rows = []
     for eta in etas:
         for p_s in ps_values:
-            p1, p2, wasted, k1, k2 = mux_analytics.unused_potential(
-                eta, p_s, **optimizer)
+            p1, p2, wasted, k1, k2 = mux_analytics.unused_potential(eta, p_s)
             rows.append((p_s, eta, wasted, k1, k2, p1, p2,
                          k1 * k2 * mux_analytics.PHOTONS_PER_GHZ))
     return rows
@@ -323,8 +320,12 @@ def _run_table1(values: dict, seed: int):
                 "bins per stream": report.bins_per_stream,
                 "potential photons": report.potential_photons_mean,
                 "potential ghz": report.potential_ghz_mean})
+    # The table is published at one point, the recipe's defaults (to within
+    # float roundoff); elsewhere no reference check applies.
+    point = PARAMETERS["table1"]
+    published = all(abs(values[key] - point[key]) < 1e-12 for key in point)
     checks = []
-    for name, (want, tol) in REF_TABLE1.items():
+    for name, (want, tol) in REF_TABLE1.items() if published else ():
         # Only the combined probability's band is published; the others
         # allow float rounding.
         expected = (f"{want} +/- {tol}" if name == "combined prob"
@@ -419,8 +420,9 @@ def _run_fig7(values: dict, seed: int):
             f"{rmx.bells_per_bin:.2e} vs {std.bells_per_bin:.2e}", ">=",
             rmx.bells_per_bin >= std.bells_per_bin))
     std, rmx = by_budget[max(budgets)]
-    ratio = (rmx.bells_per_bin / std.bells_per_bin
-             if std.bells_per_bin > 0 else float("inf"))
+    # No Bell state from either scheme gives no ratio: nan, which fails.
+    ratio = (rmx.bells_per_bin / std.bells_per_bin if std.bells_per_bin > 0
+             else float("inf") if rmx.bells_per_bin > 0 else float("nan"))
     checks.append(Check(
         f"rate ratio at {max(budgets)} switches", f"{ratio:.1f}",
         f">= {REF_FIG7['ratio_at_max']}", ratio >= REF_FIG7["ratio_at_max"]))
@@ -448,15 +450,18 @@ def _run_fig8(values: dict, seed: int):
                 schemes, target, [a_l], size, n, seed, sem).tolist())]
     thresholds = {row[0]: row[4] for row in rows[:2]}     # at size L
     ref = REF_FIG8
-    ratio = thresholds["rmux"] / thresholds["standard"]
-    checks = [Check(f"{label}-scheme threshold", _fmt(thresholds[scheme]),
-                    f"{ref[scheme]} +/- {ref['tol']} (band for L={ref['L']})",
-                    _within(thresholds[scheme], ref[scheme], ref["tol"]))
-              for label, scheme in (("relative", "rmux"),
-                                    ("standard", "standard"))]
-    checks.append(Check("threshold ratio", f"{ratio:.2f}",
-                        f">= {ref['min_ratio']} (target 2.4)",
-                        ratio >= ref["min_ratio"]))
+    checks = []
+    if values["L"] == ref["L"]:         # the size the bands are for
+        ratio = thresholds["rmux"] / thresholds["standard"]
+        checks = [Check(f"{label}-scheme threshold", _fmt(thresholds[scheme]),
+                        f"{ref[scheme]} +/- {ref['tol']} (band for "
+                        f"L={ref['L']})",
+                        _within(thresholds[scheme], ref[scheme], ref["tol"]))
+                  for label, scheme in (("relative", "rmux"),
+                                        ("standard", "standard"))]
+        checks.append(Check("threshold ratio", f"{ratio:.2f}",
+                            f">= {ref['min_ratio']} (target 2.4)",
+                            ratio >= ref["min_ratio"]))
     notes = [f"outcome semantics: {sem}",
              "calibration: the published absolute thresholds are recovered "
              "with heralded_site_kill_prob="
@@ -555,7 +560,5 @@ def run_experiment(config: ExperimentConfig) -> ReportBundle:
     summary_path = config.output_dir / f"{config.experiment}_summary.txt"
     summary_path.write_text("\n".join(lines) + "\n")
 
-    return ReportBundle(experiment=config.experiment,
-                        csv_paths=[config.output_dir / name for name in tables],
-                        summary_path=summary_path, checks=checks,
-                        runtime_s=runtime)
+    return ReportBundle(csv_paths=[config.output_dir / name for name in tables],
+                        summary_path=summary_path, checks=checks)

@@ -98,19 +98,17 @@ def ghz_report(eta: float, p1: float, p2: float) -> MuxReport:
     )
 
 
-def unused_potential(eta: float, p_s: float, p_min: float = STAGE_P_MIN):
+def unused_potential(eta: float, p_s: float):
     """Cheapest (p1, p2) stage targets that still reach overall p_s.
 
-    Grid search over stage probabilities in [p_min, 0.99] with step 0.01,
-    feasibility p1^PHOTONS_PER_GHZ * p2 >= p_s, minimizing the mean number
-    of surplus GHZ states (producible states beyond the one kept). This grid
-    reproduces the published operating points.
+    Grid search over stage probabilities in [STAGE_P_MIN, STAGE_P_MAX] with
+    step 0.01, feasibility p1^PHOTONS_PER_GHZ * p2 >= p_s, minimizing the
+    mean number of surplus GHZ states (producible states beyond the one
+    kept). This grid reproduces the published operating points.
 
     Returns (best_p1, best_p2, wasted_ghz_mean, k_up1, k_up2).
     """
-    if not 0.0 < p_min <= STAGE_P_MAX:
-        raise ValueError(f"need 0 < p_min <= {STAGE_P_MAX}")
-    ps = grid(p_min, STAGE_P_MAX, 0.01)
+    ps = grid(STAGE_P_MIN, STAGE_P_MAX, 0.01)
     best = None
     for p1 in ps:
         if p1 ** PHOTONS_PER_GHZ * ps[-1] < p_s:

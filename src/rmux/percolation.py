@@ -231,14 +231,19 @@ class LatticeState:
 
 
 def _fusion_levels(lattice: DiamondLattice, semantics: OutcomeSemantics,
-                   rng: np.random.Generator):
+                   rng: np.random.Generator, floor: float):
     """One trial's draws per fusion (u, v, w_site, w_bond), as levels.
 
-    Returns (u, v, owner, passive, bond, killed): at fusion loss f, fusion i
-    is lost iff u[i] < f, bond k is present iff f <= bond[k], a loss spares
-    site j iff f <= owner[j] or, under `_site_levels`, f <= min(owner[j],
-    passive[j]) (each the least u over j's `site_tables` column), and a
-    `killed` assembly fusion kills its owner iff it is not lost.
+    Returns (u, v, owner, passive, bond): at fusion loss f, fusion i is lost
+    iff u[i] < f, bond k is present iff f <= bond[k], and a loss spares site
+    j iff f <= owner[j] or, under `_site_levels`, f <= min(owner[j],
+    passive[j]) (each the least u over j's `site_tables` column).
+
+    A heralded assembly failure drawn to kill its owner does so iff the
+    fusion is not lost, so each such fusion with u >= `floor` sets its
+    owner's level to -inf. `sample_lattice_state` passes its f_l. The
+    threshold sweep passes 0.0, killing the owner lost or not, which
+    changes nothing where a loss kills the owner anyway.
 
     w_bond is read only at a heralded bond-connect chance above 0, and
     w_site only at a heralded site-kill chance above 0, so the trailing rows
@@ -251,16 +256,17 @@ def _fusion_levels(lattice: DiamondLattice, semantics: OutcomeSemantics,
     owner, passive = np.full((2, lattice.n_sites), np.inf)
     if semantics.loss_kills_owner_site:
         owner, passive = np.append(u, np.inf)[lattice.site_tables].min(axis=1)
-    killed = np.zeros(lattice.n_fusions, dtype=bool)
     if rows > 2:
-        killed = (~lattice.fusion_is_bond & (v >= FUSION_SUCCESS_PROB)
-                  & (w[0] < semantics.heralded_site_kill_prob))
+        killed = np.flatnonzero(~lattice.fusion_is_bond
+                                & (v >= FUSION_SUCCESS_PROB)
+                                & (w[0] < semantics.heralded_site_kill_prob))
+        owner[lattice.fusion_owner[killed[u[killed] >= floor]]] = -np.inf
     k = lattice.bond_fusions
     connects = v[k] < FUSION_SUCCESS_PROB
     if rows == 4:
         connects |= w[1][k] < semantics.heralded_bond_connect_prob
     bond = np.where(connects, u[k], -np.inf)
-    return u, v, owner, passive, bond, killed
+    return u, v, owner, passive, bond
 
 
 def _site_levels(scheme: str, semantics: OutcomeSemantics, owner, passive):
@@ -280,11 +286,10 @@ def sample_lattice_state(lattice: DiamondLattice, scheme: str, p_l: float,
     dominance exact per trial.
     """
     f_l = fusion_loss_probability(p_l, a_l, lossy_inputs(scheme))
-    u, v, owner, passive, bond, killed = _fusion_levels(lattice, semantics, rng)
+    u, v, owner, passive, bond = _fusion_levels(lattice, semantics, rng, f_l)
     loss = u < f_l
     success = ~loss & (v < FUSION_SUCCESS_PROB)
     site_alive = _site_levels(scheme, semantics, owner, passive) >= f_l
-    site_alive[lattice.fusion_owner[killed & ~loss]] = False
     counts = {SUCCESS: int(success.sum()),
               FAIL_HERALDED: int((~loss & ~success).sum()),
               FAIL_LOSS: int(loss.sum())}
@@ -463,9 +468,8 @@ def _critical_losses(L, schemes, trials, seed, semantics,
     def sweep(ts):
         """Trials `ts`' f* per scheme (rows), each censored at its bound."""
         for i, t in enumerate(ts):
-            owner, passive, bond, killed = _fusion_levels(
-                lattice, semantics, _rng(seeds[t]))[2:]
-            owner[lattice.fusion_owner[killed]] = -np.inf   # dead, lost or not
+            owner, passive, bond = _fusion_levels(   # dead, lost or not
+                lattice, semantics, _rng(seeds[t]), 0.0)[2:]
             rows[i] = [_bond_levels(lattice, _site_levels(
                 scheme, semantics, owner, passive), bond) for scheme in schemes]
         return _cut_pass(lattice, rows[:len(ts)].reshape(-1, lattice.n_bonds),

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -382,8 +383,9 @@ def test_percolate_frontier_rejects_degenerate_grid(grid, capsys,
      "error: --equal-ancilla-loss is not read by percolate --mode frontier"),
     (["analytics", "--mode", "table", "--ps", "0.5"],
      "error: --ps is not read by analytics --mode table"),
-    (["analytics", "--mode", "table", "--p-min", "0.1"],
-     "error: --p-min is not read by analytics --mode table"),
+    # A value that parses to 0.0 is set all the same.
+    (["analytics", "--mode", "table", "--ps", "0"],
+     "error: --ps is not read by analytics --mode table"),
     # Rejected before either (missing) stream file is read.
     (["match", "--stream1", "s1.txt", "--stream2", "s2.txt", "--reps", "2"],
      "error: --reps is not read by match with --stream1 or --stream2"),
@@ -519,15 +521,6 @@ def test_reproduce_fig2_grid_stops_at_ps_max(tmp_path, overrides, last_ps):
     assert rows[-1].split(",")[0] == last_ps
 
 
-@pytest.mark.parametrize("figure", ["table1", "fig2"])
-def test_reproduce_trials_rejected_where_unused(tmp_path, capsys, figure):
-    assert main(["reproduce", figure, "--trials", "5", "--out",
-                 str(tmp_path)]) == 1
-    assert capsys.readouterr().err == (
-        f"error: {figure} takes no repetition or trial count; drop --trials\n")
-    assert not any(tmp_path.iterdir())
-
-
 # Every key that each recipe read before it had a table, in the table's
 # order, with the value it defaulted to, written as an override. A semantics
 # field defaults to the calibrated preset's value.
@@ -643,23 +636,6 @@ def test_an_output_path_through_a_file_fails_before_any_work(
     assert blocker.read_text() == "kept\n"
 
 
-@pytest.mark.parametrize("figure, key", [("fig7", "reps"), ("fig6", "reps"),
-                                         ("fig9_frontier", "trials")])
-@pytest.mark.parametrize("source", ["--set", "--config"])
-def test_reproduce_trials_and_an_override_of_the_same_key_are_rejected(
-        tmp_path, capsys, monkeypatch, figure, key, source):
-    _forbid_all_work(monkeypatch)
-    cfg = tmp_path / "exp.cfg"
-    cfg.write_text(f"{key}=3\n")
-    given = [source, f"{key}=3" if source == "--set" else str(cfg)]
-    assert main(["reproduce", figure, "--trials", "2", "--out",
-                 str(tmp_path / "out"), *given]) == 1
-    assert capsys.readouterr().err == (
-        f"error: --trials sets {key}, which --set or --config sets too; "
-        "drop one\n")
-    assert not (tmp_path / "out").exists()
-
-
 @pytest.mark.parametrize("source", ["--set", "--config"])
 def test_reproduce_rejects_a_key_given_twice(tmp_path, capsys, monkeypatch,
                                              source):
@@ -721,10 +697,13 @@ def test_reproduce_strips_a_set_item_as_it_strips_a_config_line(tmp_path,
 
 def test_reproduce_prints_each_check_as_its_summary_lists_it(tmp_path,
                                                              capsys):
-    bundle = run_experiment(ExperimentConfig("table1", {"p1": "0.98"}, 1234,
+    # No Bell state at p1=0: the rates pass their bounds, their ratio fails.
+    params = {"p1": "0", "reps": "2", "bins": "200"}
+    bundle = run_experiment(ExperimentConfig("fig7", params, 1234,
                                              tmp_path / "lib"))
-    assert main(["reproduce", "table1", "--out", str(tmp_path / "cli"),
-                 "--set", "p1=0.98"]) == 2
+    assert main(["reproduce", "fig7", "--out", str(tmp_path / "cli"),
+                 *(f"--set={key}={value}" for key, value in params.items())
+                 ]) == 2
     printed = capsys.readouterr()
     summary = bundle.summary_path.read_text().splitlines()
     checks = [line.removeprefix("check ") for line in summary
@@ -811,12 +790,15 @@ def test_reproduce_table1(tmp_path, capsys):
         "[PASS]", "")
 
 
-# Parameters can leave a recipe no reference check to run (fig2 checks only
-# its anchor etas, fig4 only between switch counts): the run passes and says
-# that nothing was checked.
+# Parameters can leave a recipe no reference check to run (table1 checks
+# only its published point, fig2 only its anchor etas, fig4 only between
+# switch counts, fig8 only at the lattice size of its bands): the run passes
+# and says that nothing was checked.
 @pytest.mark.parametrize("figure, overrides", [
     ("fig2", ["etas=0.5"]),
     ("fig4", ["switches=3", "reps=3", "bins=200"]),
+    ("table1", ["eta=0.05"]),
+    ("fig8_thresholds", ["L=4", "trials=50", "finite_size_L="]),
 ])
 def test_reproduce_without_checks_says_none_applies(tmp_path, capsys, figure,
                                                     overrides):
@@ -830,17 +812,37 @@ def test_reproduce_without_checks_says_none_applies(tmp_path, capsys, figure,
 
 
 def test_reproduce_fig8_names_the_lattice_size_of_its_bands(tmp_path):
+    # The bands are for L=10: a run at L=4 checks nothing, and says for
+    # which size the bands are.
     assert main(["reproduce", "fig8_thresholds", "--out", str(tmp_path),
                  "--set", "L=4", "--set", "trials=50",
-                 "--set", "finite_size_L="]) == 2
+                 "--set", "finite_size_L="]) == 0
     summary = (tmp_path / "fig8_thresholds_summary.txt").read_text()
     lines = summary.splitlines()
     assert "L=4" in lines
     assert ("reference: fig8 tolerable-loss comparison at L=10, "
             "bands +/-0.015") in lines
-    bands = [line for line in lines if "-scheme threshold:" in line]
-    assert len(bands) == 2
-    assert all(line.endswith("(band for L=10)") for line in bands), bands
+    assert not [line for line in lines if line.startswith("check ")]
+    assert lines[-1] == "result: PASS (no reference check applies)"
+
+
+@pytest.mark.parametrize("standard, relative, got, passed", [
+    (0.0, 0.0, "nan", False),       # no Bell state from either scheme
+    (0.0, 1e-4, "inf", True),
+])
+def test_fig7_rate_ratio_at_zero_rates(tmp_path, monkeypatch,
+                                       standard, relative, got, passed):
+    def sweep(values, seed):        # these rates at every budget
+        return [], {(scheme, b): SimpleNamespace(bells_per_bin=rate)
+                    for b in values["budgets"]
+                    for scheme, rate in (("standard", standard),
+                                         ("rmux", relative))}
+
+    monkeypatch.setattr("rmux.experiments.bell_sweep", sweep)
+    ratio = run_experiment(ExperimentConfig("fig7", {}, 1,
+                                            tmp_path)).checks[-1]
+    assert ratio.name == "rate ratio at 16 switches"
+    assert (ratio.value, ratio.passed) == (got, passed)
 
 
 def test_reproduce_unknown_experiment_fails():
@@ -889,14 +891,12 @@ def test_a_malformed_recipe_option_fails_as_reproduce_set_does(
 # value "x" gets.
 _OTHER_OPTIONS = [
     (["analytics", "--mode", "waste", "--ps"], "ps must be a number"),
-    (["analytics", "--mode", "waste", "--p-min"], "p_min must be a number"),
     (["match", "--seed"], "seed must be an integer"),
     (["match", "--switches"], "switches must be an integer"),
     (["bell", "--seed"], "seed must be an integer"),
     (["percolate", "--seed"], "seed must be an integer"),
     (["percolate", "--p-l"], "p_l must be a number"),
     (["reproduce", "table1", "--seed"], "seed must be an integer"),
-    (["reproduce", "fig7", "--trials"], "trials must be an integer"),
 ]
 
 

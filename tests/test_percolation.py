@@ -294,13 +294,16 @@ def test_outcome_distribution_multinomial():
     OutcomeSemantics(loss_kills_owner_site=False, heralded_site_kill_prob=0.5),
     # w_site drawn but unread
     OutcomeSemantics(heralded_bond_connect_prob=0.4),
+    # the same corner at the calibrated kill chance
+    OutcomeSemantics(loss_kills_owner_site=False, heralded_site_kill_prob=0.45),
 ], ids=["default", "calibrated", "bond_connect", "owner_only", "no_owner",
-        "bond_only"])
+        "bond_only", "non_monotone"])
 @pytest.mark.parametrize("scheme", ["rmux", "standard"])
 def test_sampled_state_matches_direct_rules(scheme, sem):
     # the sampler thresholds per-site and per-bond loss levels; the oracle
-    # applies each outcome rule to the fusions directly
-    lat = DiamondLattice(4)
+    # applies each outcome rule to the fusions directly. Where sites can be
+    # killed, some killed fusions are lost (u < f_l) and some are not.
+    lat, sides = DiamondLattice(4), set()
     for t, (p_l, a_l) in enumerate([(0.0, 0.0), (0.03, 0.01), (0.1, 0.0),
                                     (0.3, 0.05), (1.0, 0.0)]):
         st = sample_lattice_state(lat, scheme, p_l, a_l, sem,
@@ -313,6 +316,13 @@ def test_sampled_state_matches_direct_rules(scheme, sem):
         assert (st.outcome_counts["success"],
                 st.outcome_counts["fail_heralded"],
                 st.outcome_counts["fail_loss"]) == counts
+        u, v, w_site = np.random.Generator(np.random.PCG64(t)).random(
+            (3, lat.n_fusions))
+        killed = (~lat.fusion_is_bond & (v >= 0.75)
+                  & (w_site < sem.heralded_site_kill_prob))
+        sides.update((u[killed] < f_l).tolist())
+    assert sides == ({True, False} if sem.heralded_site_kill_prob > 0
+                     else set())
 
 
 @pytest.mark.parametrize("sem, rows", [
