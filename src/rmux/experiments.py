@@ -103,10 +103,6 @@ def csv_text(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-_BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
-               "0": False, "false": False, "no": False, "off": False}
-
-
 def _typed(key: str, raw, default):
     """`raw`, an override string or an already typed value, as the kind of
     `default` (a value, or a type). A list is comma-separated, each entry
@@ -123,12 +119,6 @@ def _typed(key: str, raw, default):
         empty = key == "finite_size_L" and not raw.strip()
         return [_typed(entry, x, default[0])
                 for x in ([] if empty else raw.split(","))]
-    if kind is bool:
-        word = str(raw).lower()
-        if word not in _BOOL_WORDS:
-            raise ValueError(f"{key} must be a boolean (true/false, yes/no, "
-                             f"on/off, 1/0), got {raw!r}")
-        return _BOOL_WORDS[word]
     if kind in (int, float):
         try:
             return kind(raw)

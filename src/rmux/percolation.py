@@ -8,11 +8,13 @@ classes (`classify_photon`) are derived from it.
 
 A fusion fails by loss with probability `fusion_loss_probability`, which
 holds what the relative scheme saves per fusion; otherwise it succeeds
-with probability FUSION_SUCCESS_PROB or fails heralded. `OutcomeSemantics`
-says how the outcomes act on the lattice, and why loss damage is
-attributable under the relative scheme only. `sample_lattice_state` draws
-one trial, `spans` checks it, and `percolation_probability` counts
-spanning trials. The loss thresholds and the ancilla-loss frontier
+with probability FUSION_SUCCESS_PROB or fails heralded. A failed fusion
+makes no bond. A loss discards the fusion's owner, the delayed photon's
+microcluster, under the relative scheme, and both of the fusion's
+microclusters under the standard scheme, where the loss is not
+attributable (`OutcomeSemantics`, whose one knob is a heralded kill
+chance). `sample_lattice_state` draws one trial, `spans` checks it, and
+`percolation_probability` counts spanning trials. The loss thresholds and the ancilla-loss frontier
 (`loss_threshold`, `loss_thresholds`, `tradeoff_frontier`) read an order
 statistic of the trials' critical losses, which `_critical_losses` finds
 with the cut pass (`_cut_pass`).
@@ -105,39 +107,26 @@ def fusion_loss_probability(p_l: float, a_l: float, n_lossy: int) -> float:
 class OutcomeSemantics:
     """How fusion outcomes act on the lattice.
 
-    By default a heralded failure leaves the bond absent and the sites
-    intact, and a failure by loss removes the bond and damages
-    microclusters. Loss damage is attributable under the relative scheme,
-    where only the delayed photon can have vanished, but not under the
-    standard scheme, where either input may be missing. That attribution
-    gap, on top of the smaller f_l, is what the relative scheme buys in
-    loss tolerance.
+    A heralded failure leaves the bond absent, and a failure by loss
+    removes the bond and discards microclusters. Loss damage is
+    attributable under the relative scheme, where only the delayed photon
+    can have vanished, so only the fusion's owner is discarded; under the
+    standard scheme either input may be missing, so both ends are. That
+    attribution gap, on top of the smaller f_l, is what the relative
+    scheme buys in loss tolerance.
 
-    heralded_bond_connect_prob: chance a heralded (lossless) bond-fusion
-        failure still creates the bond. Default 0: failed fusions connect
-        nothing.
-    loss_kills_owner_site: a fusion that fails by loss removes the
-        microcluster that owned the vanished photon, the fusion's owner.
-    standard_loss_damages_both_ends: under the standard scheme a lost
-        photon at a bond fusion cannot be attributed, so both endpoint
-        microclusters are discarded. Set False to use owner-only damage for
-        both schemes.
     heralded_site_kill_prob: chance a heralded failure of a
         microcluster-assembly fusion (F_C/F_E/F_D/F_F) leaves that
         microcluster unusable. Default 0 (site retained); the calibrated
         preset raises it to reproduce the published loss thresholds.
     """
 
-    heralded_bond_connect_prob: float = 0.0
-    loss_kills_owner_site: bool = True
-    standard_loss_damages_both_ends: bool = True
     heralded_site_kill_prob: float = 0.0
 
     def __post_init__(self):
-        for name in ("heralded_bond_connect_prob", "heralded_site_kill_prob"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {v}")
+        v = self.heralded_site_kill_prob
+        if not 0.0 <= v <= 1.0:
+            raise ValueError(f"heralded_site_kill_prob must be in [0, 1], got {v}")
 
 
 # Calibrated against the published 90%-spanning thresholds at L=10
@@ -231,48 +220,38 @@ class LatticeState:
 
 
 def _fusion_levels(lattice: DiamondLattice, semantics: OutcomeSemantics,
-                   rng: np.random.Generator, floor: float):
-    """One trial's draws per fusion (u, v, w_site, w_bond), as levels.
+                   rng: np.random.Generator):
+    """One trial's draws per fusion (u, v, w_site), as levels.
 
     Returns (u, v, owner, passive, bond): at fusion loss f, fusion i is lost
     iff u[i] < f, bond k is present iff f <= bond[k], and a loss spares site
     j iff f <= owner[j] or, under `_site_levels`, f <= min(owner[j],
     passive[j]) (each the least u over j's `site_tables` column).
 
-    A heralded assembly failure drawn to kill its owner does so iff the
-    fusion is not lost, so each such fusion with u >= `floor` sets its
-    owner's level to -inf. `sample_lattice_state` passes its f_l. The
-    threshold sweep passes 0.0, killing the owner lost or not, which
-    changes nothing where a loss kills the owner anyway.
+    A heralded assembly failure drawn to kill its owner sets the owner's
+    level to -inf. Had the fusion been lost instead, its u would already
+    put the owner's level below f, so the site is dead at every f whether
+    or not the fusion was lost.
 
-    w_bond is read only at a heralded bond-connect chance above 0, and
-    w_site only at a heralded site-kill chance above 0, so the trailing rows
-    no reader needs are not drawn (a prefix of the draws, as in
-    `mux_sim._Gates`).
+    w_site is read only at a heralded site-kill chance above 0, so at 0 it
+    is not drawn (a prefix of the draws, as in `mux_sim._Gates`).
     """
-    rows = (4 if semantics.heralded_bond_connect_prob > 0.0 else
-            3 if semantics.heralded_site_kill_prob > 0.0 else 2)
-    u, v, *w = rng.random((rows, lattice.n_fusions))
-    owner, passive = np.full((2, lattice.n_sites), np.inf)
-    if semantics.loss_kills_owner_site:
-        owner, passive = np.append(u, np.inf)[lattice.site_tables].min(axis=1)
-    if rows > 2:
-        killed = np.flatnonzero(~lattice.fusion_is_bond
-                                & (v >= FUSION_SUCCESS_PROB)
-                                & (w[0] < semantics.heralded_site_kill_prob))
-        owner[lattice.fusion_owner[killed[u[killed] >= floor]]] = -np.inf
+    kills = semantics.heralded_site_kill_prob > 0.0
+    u, v, *w = rng.random((3 if kills else 2, lattice.n_fusions))
+    owner, passive = np.append(u, np.inf)[lattice.site_tables].min(axis=1)
+    if kills:
+        killed = (~lattice.fusion_is_bond & (v >= FUSION_SUCCESS_PROB)
+                  & (w[0] < semantics.heralded_site_kill_prob))
+        owner[lattice.fusion_owner[killed]] = -np.inf
     k = lattice.bond_fusions
-    connects = v[k] < FUSION_SUCCESS_PROB
-    if rows == 4:
-        connects |= w[1][k] < semantics.heralded_bond_connect_prob
-    bond = np.where(connects, u[k], -np.inf)
+    bond = np.where(v[k] < FUSION_SUCCESS_PROB, u[k], -np.inf)
     return u, v, owner, passive, bond
 
 
-def _site_levels(scheme: str, semantics: OutcomeSemantics, owner, passive):
-    """Site levels: min(owner, passive) if a loss damages both ends, else owner."""
-    both = lossy_inputs(scheme) == 2 and semantics.standard_loss_damages_both_ends
-    return np.minimum(owner, passive) if both else owner
+def _site_levels(scheme: str, owner, passive):
+    """Site levels: owner under the relative scheme, min(owner, passive)
+    under the standard, where a loss damages both ends."""
+    return np.minimum(owner, passive) if lossy_inputs(scheme) == 2 else owner
 
 
 def sample_lattice_state(lattice: DiamondLattice, scheme: str, p_l: float,
@@ -286,10 +265,10 @@ def sample_lattice_state(lattice: DiamondLattice, scheme: str, p_l: float,
     dominance exact per trial.
     """
     f_l = fusion_loss_probability(p_l, a_l, lossy_inputs(scheme))
-    u, v, owner, passive, bond = _fusion_levels(lattice, semantics, rng, f_l)
+    u, v, owner, passive, bond = _fusion_levels(lattice, semantics, rng)
     loss = u < f_l
     success = ~loss & (v < FUSION_SUCCESS_PROB)
-    site_alive = _site_levels(scheme, semantics, owner, passive) >= f_l
+    site_alive = _site_levels(scheme, owner, passive) >= f_l
     counts = {SUCCESS: int(success.sum()),
               FAIL_HERALDED: int((~loss & ~success).sum()),
               FAIL_LOSS: int(loss.sum())}
@@ -440,13 +419,11 @@ def _critical_losses(L, schemes, trials, seed, semantics,
                      needed=None) -> np.ndarray:
     """`critical_losses` per scheme (rows), all from each trial's one draw.
 
-    A trial's draws are fixed and reach the lattice only through f_l. With
-    owner damage on, raising f_l only removes sites and bonds, so spanning
-    is monotone: a trial spans iff f_l <= f*, the level at which a
-    union-find sweep over the bonds from the highest level down joins the
-    faces (Newman & Ziff, PRL 85, 4104 (2000)). With owner damage off and
-    heralded site kills on, a loss prevents the heralded kill it replaces,
-    so spanning is not monotone, and that corner raises ValueError.
+    A trial's draws are fixed and reach the lattice only through f_l, and
+    raising f_l only removes sites and bonds, so spanning is monotone: a
+    trial spans iff f_l <= f*, the level at which a union-find sweep over
+    the bonds from the highest level down joins the faces (Newman & Ziff,
+    PRL 85, 4104 (2000)).
 
     Trials run in blocks of _BLOCK_TRIALS, one `_cut_pass` a block, each
     trial at its scheme's cut, which `_CUT_RANK` keeps above the `needed`-th
@@ -457,10 +434,6 @@ def _critical_losses(L, schemes, trials, seed, semantics,
     and swept in full, so that value is the plain sweep's, bit for bit.
     """
     semantics, lattice, seeds = _trials(L, trials, seed, semantics)
-    if (not semantics.loss_kills_owner_site
-            and semantics.heralded_site_kill_prob > 0.0):
-        raise ValueError("spanning is not monotone in loss with loss_kills_"
-                         "owner_site=False and heralded_site_kill_prob > 0")
     needed = trials if needed is None else needed
     # One block's bond levels, trial-major, refilled in place (fewer page faults).
     rows = np.empty((_BLOCK_TRIALS, len(schemes), lattice.n_bonds))
@@ -468,10 +441,10 @@ def _critical_losses(L, schemes, trials, seed, semantics,
     def sweep(ts):
         """Trials `ts`' f* per scheme (rows), each censored at its bound."""
         for i, t in enumerate(ts):
-            owner, passive, bond = _fusion_levels(   # dead, lost or not
-                lattice, semantics, _rng(seeds[t]), 0.0)[2:]
+            owner, passive, bond = _fusion_levels(
+                lattice, semantics, _rng(seeds[t]))[2:]
             rows[i] = [_bond_levels(lattice, _site_levels(
-                scheme, semantics, owner, passive), bond) for scheme in schemes]
+                scheme, owner, passive), bond) for scheme in schemes]
         return _cut_pass(lattice, rows[:len(ts)].reshape(-1, lattice.n_bonds),
                          bound[:, ts].T.ravel()).reshape(-1, len(schemes)).T
 

@@ -126,35 +126,32 @@ def spans_bfs(state) -> bool:
 def sample_state_direct(lattice, scheme, f_l, semantics, rng):
     """(site_alive, bond_present, (successes, heralded, losses)) of one trial.
 
-    Takes four uniform draws per fusion in the program's order (u, v,
-    w_site, w_bond), of which the program draws only the rows its semantics
-    read, and applies the outcome semantics rule by rule at fusion-loss
+    Takes three uniform draws per fusion in the program's order (u, v,
+    w_site), of which the program draws w_site only at a kill chance above
+    0, and applies the outcome rules fusion by fusion at fusion-loss
     probability f_l.
     """
     n = lattice.n_fusions
-    u, v, w_site, w_bond = (rng.random(n) for _ in range(4))
+    u, v, w_site = (rng.random(n) for _ in range(3))
     loss = u < f_l
     success = ~loss & (v < 0.75)
     heralded = ~loss & ~success
     alive = np.ones(lattice.n_sites, dtype=bool)
-    if semantics.loss_kills_owner_site:
-        alive[lattice.fusion_owner[loss]] = False
-        if scheme == "standard" and semantics.standard_loss_damages_both_ends:
-            alive[lattice.fusion_passive[loss]] = False
+    alive[lattice.fusion_owner[loss]] = False
+    if scheme == "standard":
+        alive[lattice.fusion_passive[loss]] = False
     killed = (heralded & ~lattice.fusion_is_bond
               & (w_site < semantics.heralded_site_kill_prob))
     alive[lattice.fusion_owner[killed]] = False
-    connected = success | (heralded
-                           & (w_bond < semantics.heralded_bond_connect_prob))
     counts = (int(success.sum()), int(heralded.sum()), int(loss.sum()))
-    return alive, connected[lattice.fusion_is_bond], counts
+    return alive, success[lattice.fusion_is_bond], counts
 
 
 def critical_losses_direct(L, scheme, trials, seed, semantics=None):
     """Each trial's critical fusion loss f*, one scheme per call.
 
     Draws each trial as the program does (child t of SeedSequence(seed),
-    here all four uniform draws per fusion), builds the scheme's site
+    here all three uniform draws per fusion), builds the scheme's site
     levels by scattering u onto each fusion's ends with `np.minimum.at`,
     and sweeps every bond from the highest level down through a union-find
     with a find function.
@@ -165,18 +162,15 @@ def critical_losses_direct(L, scheme, trials, seed, semantics=None):
     f_star = np.empty(trials)
     for t, child in enumerate(np.random.SeedSequence(seed).spawn(trials)):
         rng = np.random.Generator(np.random.PCG64(child))
-        u, v, w_site, w_bond = rng.random((4, lat.n_fusions))
+        u, v, w_site = rng.random((3, lat.n_fusions))
         site = np.full(n, np.inf)
-        if semantics.loss_kills_owner_site:
-            np.minimum.at(site, lat.fusion_owner, u)
-            if scheme == "standard" and semantics.standard_loss_damages_both_ends:
-                np.minimum.at(site, lat.fusion_passive, u)
+        np.minimum.at(site, lat.fusion_owner, u)
+        if scheme == "standard":
+            np.minimum.at(site, lat.fusion_passive, u)
         killed = (~lat.fusion_is_bond & (v >= FUSION_SUCCESS_PROB)
                   & (w_site < semantics.heralded_site_kill_prob))
         site[lat.fusion_owner[killed]] = -np.inf
-        connects = ((v < FUSION_SUCCESS_PROB)
-                    | (w_bond < semantics.heralded_bond_connect_prob))
-        bond = np.where(connects, u, -np.inf)[lat.fusion_is_bond]
+        bond = np.where(v < FUSION_SUCCESS_PROB, u, -np.inf)[lat.fusion_is_bond]
         a, b = lat.bond_site_a, lat.bond_site_b
         level = np.minimum(bond, np.minimum(site[a], site[b]))
         parent = list(range(n + 2))

@@ -198,18 +198,6 @@ def _forbid_sampling(monkeypatch):
     monkeypatch.setattr("rmux.percolation._fusion_levels", no_draws)
 
 
-def test_percolate_threshold_rejects_non_monotone_semantics(capsys,
-                                                           monkeypatch):
-    # the calibrated preset's heralded kills without owner damage
-    _forbid_sampling(monkeypatch)
-    assert main(["percolate", "--mode", "threshold", "--L", "4", "--trials",
-                 "10", "--loss-kills-owner-site", "false"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ")
-    assert "loss_kills_owner_site" in err
-    assert "heralded_site_kill_prob" in err
-
-
 @pytest.mark.parametrize("args", [
     ["percolate", "--mode", "threshold", "--L", "4", "--trials", "0"],
     ["percolate", "--mode", "frontier", "--L", "4", "--trials", "0"],
@@ -424,27 +412,6 @@ def test_options_the_mode_never_reads_are_rejected(
     assert not list(tmp_path.iterdir())
 
 
-def test_semantics_booleans_parse_strictly():
-    for word, value in (("1", True), ("TRUE", True), ("yes", True),
-                        ("On", True), ("0", False), ("false", False),
-                        ("NO", False), ("off", False)):
-        _name, sem = semantics_from({"loss_kills_owner_site": word})
-        assert sem.loss_kills_owner_site is value, word
-    for word in ("ture", "", "2", "y"):
-        with pytest.raises(ValueError, match="loss_kills_owner_site"):
-            semantics_from({"loss_kills_owner_site": word})
-
-
-def test_reproduce_misspelled_boolean_fails_before_probes(tmp_path, capsys,
-                                                         monkeypatch):
-    _forbid_sampling(monkeypatch)
-    assert main(["reproduce", "fig8_thresholds", "--out", str(tmp_path),
-                 "--set", "loss_kills_owner_site=ture"]) == 1
-    err = capsys.readouterr().err
-    assert "error: loss_kills_owner_site must be a boolean" in err
-    assert "'ture'" in err
-
-
 def test_numeric_overrides_name_the_key(tmp_path):
     with pytest.raises(ValueError,
                        match="heralded_site_kill_prob must be a number, got 'abc'"):
@@ -525,10 +492,7 @@ def test_reproduce_fig2_grid_stops_at_ps_max(tmp_path, overrides, last_ps):
 # order, with the value it defaulted to, written as an override. A semantics
 # field defaults to the calibrated preset's value.
 _LATTICE_KEYS = {"target": "0.90", "L": "10", "trials": "2000",
-                 "semantics": "calibrated", "heralded_bond_connect_prob": "0",
-                 "loss_kills_owner_site": "true",
-                 "standard_loss_damages_both_ends": "true",
-                 "heralded_site_kill_prob": "0.45"}
+                 "semantics": "calibrated", "heralded_site_kill_prob": "0.45"}
 _TWO_STREAM_KEYS = {"p": "0.1", "switches": "1,2,3,4,5,6,7,8", "bins": "1000",
                     "reps": "100"}
 RECIPE_KEYS = {
@@ -580,6 +544,10 @@ def _forbid_all_work(monkeypatch):
     ("fig4", "seed"),
     ("fig2", "p_min"),
     ("fig7", "heralded_site_kill_prob"),
+    # keys named like semantics options that are no OutcomeSemantics field
+    *((figure, key) for figure in ("fig8_thresholds", "fig9_frontier")
+      for key in ("heralded_bond_connect_prob", "loss_kills_owner_site",
+                  "standard_loss_damages_both_ends")),
 ])
 def test_reproduce_rejects_a_key_the_recipe_does_not_read(
         tmp_path, capsys, monkeypatch, figure, key):
@@ -731,8 +699,8 @@ def test_run_experiment_lists_unread_keys_as_ignored(tmp_path):
 
 
 # Values other than the defaults, between them of every kind: an empty list,
-# an integer range, a preset name, a boolean and OutcomeSemantics field keys,
-# whose default is a type.
+# an integer range, a preset name and an OutcomeSemantics field key, whose
+# default is a type.
 _SUMMARY_OVERRIDES = {
     "table1": {"eta": "0.01", "p1": "0.98"},
     "fig2": {"etas": "0.5,0.01", "ps_min": "0.9", "ps_step": "0.01"},
@@ -742,8 +710,7 @@ _SUMMARY_OVERRIDES = {
     "fig8_thresholds": {"L": "4", "trials": "40", "finite_size_L": "",
                         "a_l": "0.01", "heralded_site_kill_prob": "0.1"},
     "fig9_frontier": {"L": "4", "trials": "40", "a_l_grid": "0,0.02",
-                      "semantics": "default", "loss_kills_owner_site": "no",
-                      "heralded_bond_connect_prob": "0.5"},
+                      "semantics": "default", "heralded_site_kill_prob": "0.5"},
 }
 
 
@@ -850,6 +817,24 @@ def test_reproduce_unknown_experiment_fails():
         main(["reproduce", "fig99"])
 
 
+@pytest.mark.parametrize("option, value", [
+    ("--loss-kills-owner-site", "false"),
+    ("--standard-loss-damages-both-ends", "false"),
+    ("--heralded-bond-connect-prob", "0.5"),
+])
+def test_percolate_rejects_a_removed_semantics_option(capsys, monkeypatch,
+                                                      option, value):
+    # only heralded_site_kill_prob is an OutcomeSemantics field, so argparse
+    # builds no option for the others
+    _forbid_sampling(monkeypatch)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["percolate", "--mode", "prob", "--L", "6", "--trials", "37",
+              option, value])
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {option} {value}" in (
+        capsys.readouterr().err)
+
+
 def test_reproduce_malformed_set_reports_error(tmp_path, capsys):
     assert main(["reproduce", "table1", "--out", str(tmp_path),
                  "--set", "badvalue"]) == 1
@@ -871,8 +856,8 @@ _RECIPE_OPTION_CASES = [(argv, recipe, key)
                         for key in keys or PARAMETERS[recipe]]
 
 
-# "x" is malformed for every kind of key: a number, a list, a boolean and
-# the semantics preset's name.
+# "x" is malformed for every kind of key: a number, a list and the
+# semantics preset's name.
 @pytest.mark.parametrize(
     "argv, recipe, key", _RECIPE_OPTION_CASES,
     ids=[f"{argv[0]}-{key}" for argv, _recipe, key in _RECIPE_OPTION_CASES])
@@ -918,17 +903,6 @@ def test_percolate_names_an_unknown_semantics_preset(capsys, monkeypatch):
                  "bogus"]) == 1
     assert capsys.readouterr() == (
         "", "error: semantics must be 'default' or 'calibrated', got 'bogus'\n")
-
-
-def test_percolate_boolean_option_takes_the_words_set_takes(capsys):
-    rows = {}
-    for word in ("true", "yes", "On", "1", "false", "NO", "off", "0"):
-        assert main(["percolate", "--L", "4", "--trials", "20", "--p-l",
-                     "0.05", "--seed", "2", "--loss-kills-owner-site",
-                     word]) == 0
-        rows[word] = capsys.readouterr().out
-    assert {rows[w] for w in ("true", "yes", "On", "1")} == {rows["true"]}
-    assert {rows[w] for w in ("false", "NO", "off", "0")} == {rows["false"]}
 
 
 def test_reproduce_determinism_byte_identical(tmp_path):

@@ -127,8 +127,6 @@ def test_fusion_loss_probability_validation():
 
 def test_semantics_validation():
     with pytest.raises(ValueError):
-        OutcomeSemantics(heralded_bond_connect_prob=1.5)
-    with pytest.raises(ValueError):
         OutcomeSemantics(heralded_site_kill_prob=-0.1)
 
 
@@ -286,18 +284,11 @@ def test_outcome_distribution_multinomial():
 @pytest.mark.parametrize("sem", [
     OutcomeSemantics(),
     calibrated_semantics(),
-    OutcomeSemantics(heralded_bond_connect_prob=0.4,
-                     heralded_site_kill_prob=0.3),
-    OutcomeSemantics(standard_loss_damages_both_ends=False,
-                     heralded_site_kill_prob=0.2),
-    # the corner whose spanning is not monotone in loss
-    OutcomeSemantics(loss_kills_owner_site=False, heralded_site_kill_prob=0.5),
-    # w_site drawn but unread
-    OutcomeSemantics(heralded_bond_connect_prob=0.4),
-    # the same corner at the calibrated kill chance
-    OutcomeSemantics(loss_kills_owner_site=False, heralded_site_kill_prob=0.45),
-], ids=["default", "calibrated", "bond_connect", "owner_only", "no_owner",
-        "bond_only", "non_monotone"])
+    # a heralded kill hits the owner only, even where a loss damages both ends
+    OutcomeSemantics(heralded_site_kill_prob=0.2),
+    # every heralded assembly failure kills its owner
+    OutcomeSemantics(heralded_site_kill_prob=1.0),
+], ids=["default", "calibrated", "owner_only", "kill_all"])
 @pytest.mark.parametrize("scheme", ["rmux", "standard"])
 def test_sampled_state_matches_direct_rules(scheme, sem):
     # the sampler thresholds per-site and per-bond loss levels; the oracle
@@ -328,13 +319,11 @@ def test_sampled_state_matches_direct_rules(scheme, sem):
 @pytest.mark.parametrize("sem, rows", [
     (OutcomeSemantics(), 2),
     (calibrated_semantics(), 3),
-    (OutcomeSemantics(heralded_bond_connect_prob=0.4), 4),
-], ids=["default", "calibrated", "bond_connect"])
+], ids=["default", "calibrated"])
 def test_trials_draw_only_the_rows_their_semantics_read(monkeypatch, sem,
                                                          rows):
-    # rows (u, v, w_site, w_bond) up to the last one the semantics read:
-    # w_site for heralded site kills, w_bond for heralded bond connects.
-    # The oracle draws all four rows per fusion.
+    # rows (u, v, w_site), w_site only for heralded site kills. The oracle
+    # draws all three rows per fusion.
     lat, shapes = DiamondLattice(4), []
 
     class Recording:
@@ -532,11 +521,9 @@ def test_threshold_equal_loss_consistency():
 _SEMANTICS_CASES = {
     "default": OutcomeSemantics(),
     "calibrated": calibrated_semantics(),
-    "bond_connect": OutcomeSemantics(heralded_bond_connect_prob=0.3,
-                                     heralded_site_kill_prob=0.2),
-    "no_owner_damage": OutcomeSemantics(loss_kills_owner_site=False),
-    "owner_only": OutcomeSemantics(standard_loss_damages_both_ends=False,
-                                   heralded_site_kill_prob=0.3),
+    # a heralded kill hits the owner only, even where a loss damages both ends
+    "owner_only": OutcomeSemantics(heralded_site_kill_prob=0.2),
+    "kill_all": OutcomeSemantics(heralded_site_kill_prob=1.0),
 }
 
 
@@ -576,9 +563,8 @@ def test_critical_loss_count_equals_spanning_fraction(L, trials, scheme,
                                                                         p_l)
 
 
-@pytest.mark.parametrize("sem", [*_SEMANTICS_CASES.values(), OutcomeSemantics(
-    loss_kills_owner_site=False, heralded_site_kill_prob=0.45)],
-    ids=[*_SEMANTICS_CASES, "non_monotone"])
+@pytest.mark.parametrize("sem", _SEMANTICS_CASES.values(),
+                         ids=list(_SEMANTICS_CASES))
 @pytest.mark.parametrize("scheme", ["rmux", "standard"])
 def test_spanning_fraction_equals_the_bfs_count(scheme, sem):
     # the blocked cut pass against a path search over each trial's sampled
@@ -731,25 +717,6 @@ def test_fig8_draws_each_trial_once_for_both_schemes(monkeypatch, tmp_path):
                             "finite_size_trials": "20"}, 5, tmp_path))
     assert len(calls) == 30 + 2 * 20
     assert calls == [4] * 30 + [2] * 20 + [3] * 20
-
-
-def test_non_monotone_semantics_rejected_before_sampling(monkeypatch):
-    # without owner damage, a loss prevents the heralded kill it replaces,
-    # so spanning is not monotone in loss and has no critical loss
-    def no_draws(*args, **kwargs):
-        raise AssertionError("lattice sampled")
-
-    monkeypatch.setattr("rmux.percolation._fusion_levels", no_draws)
-    sem = OutcomeSemantics(loss_kills_owner_site=False,
-                           heralded_site_kill_prob=0.3)
-    match = "loss_kills_owner_site.*heralded_site_kill_prob"
-    with pytest.raises(ValueError, match=match):
-        critical_losses(4, "rmux", 10, 1, sem)
-    with pytest.raises(ValueError, match=match):
-        loss_threshold("rmux", 0.9, 0.0, 4, trials=10, seed=1, semantics=sem)
-    with pytest.raises(ValueError, match=match):
-        tradeoff_frontier("rmux", 0.9, [0.0, 0.01], 4, trials=10, seed=1,
-                          semantics=sem)
 
 
 @pytest.mark.parametrize("threshold", [
