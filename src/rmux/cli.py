@@ -118,10 +118,9 @@ def _cmd_percolate(args) -> int:
     if args.mode == "threshold" and args.equal_ancilla_loss:
         _unread(args, "percolate --mode threshold --equal-ancilla-loss", "a_l")
     params = _given(args)
-    # The two lattice recipes' keys; an unset flag keeps their default, and
-    # an unset semantics flag the preset's value.
+    # The two lattice recipes' keys; an unset flag keeps their default.
     values = _values(params, "fig8_thresholds", "fig9_frontier")
-    _name, sem = experiments.semantics_from(values)
+    sem = percolation.OutcomeSemantics(values["heralded_site_kill_prob"])
     p_l, a_l, target = params.get("p_l", 0.0), values["a_l"], values["target"]
     L, trials = values["L"], values["trials"]
     if args.mode == "prob":

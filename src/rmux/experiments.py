@@ -10,12 +10,12 @@ or runtimes, so identical configurations produce byte-identical CSV output.
 from __future__ import annotations
 
 import time
-from dataclasses import astuple, dataclass, field, fields, replace
+from dataclasses import astuple, dataclass, field
 from pathlib import Path
 
 
 from . import mux_analytics, mux_sim, percolation
-from .percolation import OutcomeSemantics, calibrated_semantics
+from .percolation import CALIBRATED_HERALDED_SITE_KILL, OutcomeSemantics
 
 @dataclass
 class ExperimentConfig:
@@ -142,27 +142,6 @@ def parse_params(table: dict, params: dict) -> tuple[dict, list]:
     return values, [key for key in params if key not in table]
 
 
-# The semantics keys: the preset's name, then one key per OutcomeSemantics
-# field, typed like the field, that overrides the preset's value where set.
-_SEMANTICS = {"semantics": "calibrated",
-              **{f.name: type(f.default) for f in fields(OutcomeSemantics)}}
-
-
-def semantics_from(params: dict) -> tuple[str, OutcomeSemantics]:
-    """(preset name, semantics) from `params`, raw or already parsed.
-
-    `params["semantics"]` names the preset ("calibrated" by default); a key
-    named after an OutcomeSemantics field overrides that field. Other keys
-    are ignored.
-    """
-    values = parse_params(_SEMANTICS, params)[0]
-    name = values.pop("semantics")
-    presets = {"default": OutcomeSemantics, "calibrated": calibrated_semantics}
-    if name not in presets:
-        raise ValueError(f"semantics must be 'default' or 'calibrated', got {name!r}")
-    return name, replace(presets[name](), **values)
-
-
 def _within(value, center, tol) -> bool:
     return abs(value - center) <= tol
 
@@ -204,7 +183,8 @@ REF_FIG9 = {"slope": -2.0, "slope_tol": 0.3, "residual_frac_of_fl": 0.05}
 # `percolate` take their defaults from here too.
 _TWO_STREAM = {"p": 0.1, "switches": [1, 2, 3, 4, 5, 6, 7, 8], "bins": 1000,
                "reps": 100}
-_LATTICE = {"target": 0.90, "L": 10, "trials": 2000, **_SEMANTICS}
+_LATTICE = {"target": 0.90, "L": 10, "trials": 2000,
+            "heralded_site_kill_prob": CALIBRATED_HERALDED_SITE_KILL}
 PARAMETERS = {
     "table1": {"eta": 0.1, "p1": 0.99, "p2": 0.99},
     "fig2": {"etas": [0.1, 0.01, 0.001], "ps_min": 0.80, "ps_max": 0.93,
@@ -431,10 +411,11 @@ def _run_fig8(values: dict, seed: int):
     for size, n in runs:                    # before the first, slow, pass
         percolation._check_trials(n)
         percolation._check_L(size)
-    sem_name, sem = semantics_from(values)
+    kill = values["heralded_site_kill_prob"]
+    sem = OutcomeSemantics(kill)
 
     schemes = (percolation.SCHEME_RMUX, percolation.SCHEME_STANDARD)
-    rows = [(scheme, size, target, a_l, thr, n, sem_name)
+    rows = [(scheme, size, target, a_l, thr, n, kill)
             for size, n in runs
             for scheme, (thr,) in zip(schemes, percolation.loss_thresholds(
                 schemes, target, [a_l], size, n, seed, sem).tolist())]
@@ -455,20 +436,20 @@ def _run_fig8(values: dict, seed: int):
     notes = [f"outcome semantics: {sem}",
              "calibration: the published absolute thresholds are recovered "
              "with heralded_site_kill_prob="
-             f"{percolation.CALIBRATED_HERALDED_SITE_KILL} (heralded "
+             f"{CALIBRATED_HERALDED_SITE_KILL} (heralded "
              "microcluster-assembly failures sometimes leave the "
-             "microcluster unusable); under the all-defaults semantics the "
+             "microcluster unusable); at heralded_site_kill_prob=0 the "
              "lattice is more forgiving and both thresholds sit higher, but "
              "the >=2x scheme ratio holds regardless",
              f"reference: fig8 tolerable-loss comparison at L={ref['L']}, "
              f"bands +/-{ref['tol']}"]
     header = ["scheme", "L", "target", "a_l", "p_l_threshold", "trials",
-              "semantics"]
+              "heralded_site_kill_prob"]
     return {"fig8_thresholds.csv": (header, rows)}, checks, notes
 
 
 def _run_fig9(values: dict, seed: int):
-    sem = semantics_from(values)[1]
+    sem = OutcomeSemantics(values["heralded_site_kill_prob"])
     frontier = percolation.tradeoff_frontier(
         percolation.SCHEME_RMUX, values["target"], values["a_l_grid"],
         values["L"], values["trials"], seed, sem)

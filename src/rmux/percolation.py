@@ -117,8 +117,9 @@ class OutcomeSemantics:
 
     heralded_site_kill_prob: chance a heralded failure of a
         microcluster-assembly fusion (F_C/F_E/F_D/F_F) leaves that
-        microcluster unusable. Default 0 (site retained); the calibrated
-        preset raises it to reproduce the published loss thresholds.
+        microcluster unusable. Default 0 (site retained);
+        CALIBRATED_HERALDED_SITE_KILL reproduces the published loss
+        thresholds.
     """
 
     heralded_site_kill_prob: float = 0.0

@@ -17,7 +17,6 @@ from rmux.experiments import (
     load_config_file,
     parse_params,
     run_experiment,
-    semantics_from,
 )
 from rmux.mux_sim import STRATEGIES
 from rmux.streams import generate_stream, stream_to_text
@@ -107,7 +106,7 @@ def test_recipe_csv_rows_have_header_width(tmp_path, experiment, params):
      "d054450a0ea2c40cf6527886576e4caaba4317f73f54587794562b8501173073"),
     ("fig8_thresholds", {"L": "6", "trials": "100", "finite_size_L": "4",
                          "finite_size_trials": "60"}, 20170324,
-     "0c4e94a7cd6b6d65e4f19d97b22620f42ccf8837292777a35dd0884965fcda78"),
+     "9ab1b3f53b8f805fd6bb395bb826e6f134de11bbd8010f772b9ac34a2882d892"),
     # Both repair clashing assignments at s = 4..8.
     ("fig4", {"bins": "300", "reps": "12"}, 20170324,
      "954a3967ff2ee9bc0e89878721991e109246a7d0b721230891e57a7e86d83ec3"),
@@ -179,10 +178,10 @@ def test_percolate_prob(capsys):
 
 def test_percolate_semantics_override(capsys):
     probs = []
-    for extra in ([], ["--heralded-site-kill-prob", "1.0"]):
+    for kill in ("0", "1.0"):
         assert main(["percolate", "--mode", "prob", "--L", "4", "--trials",
-                     "40", "--p-l", "0.0", "--semantics", "default",
-                     "--seed", "2"] + extra) == 0
+                     "40", "--p-l", "0.0", "--heralded-site-kill-prob", kill,
+                     "--seed", "2"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         probs.append(float(lines[1].split(",")[4]))
     # the override must reach the sampler: max heralded damage breaks the
@@ -415,7 +414,8 @@ def test_options_the_mode_never_reads_are_rejected(
 def test_numeric_overrides_name_the_key(tmp_path):
     with pytest.raises(ValueError,
                        match="heralded_site_kill_prob must be a number, got 'abc'"):
-        semantics_from({"heralded_site_kill_prob": "abc"})
+        parse_params(PARAMETERS["fig8_thresholds"],
+                     {"heralded_site_kill_prob": "abc"})
     config = ExperimentConfig(experiment="fig4", parameters={"reps": "1.5"},
                               output_dir=tmp_path)
     with pytest.raises(ValueError, match="reps must be an integer, got '1.5'"):
@@ -459,7 +459,8 @@ def test_reproduce_empty_finite_sizes_means_none(tmp_path):
                  "--set", "L=4", "--set", "trials=30",
                  "--set", "finite_size_L="]) in (0, 2)
     rows = (tmp_path / "fig8_thresholds.csv").read_text().splitlines()
-    assert rows[0] == "scheme,L,target,a_l,p_l_threshold,trials,semantics"
+    assert rows[0] == ("scheme,L,target,a_l,p_l_threshold,trials,"
+                       "heralded_site_kill_prob")
     assert [r.split(",")[:2] for r in rows[1:]] == [["rmux", "4"],
                                                     ["standard", "4"]]
 
@@ -489,10 +490,10 @@ def test_reproduce_fig2_grid_stops_at_ps_max(tmp_path, overrides, last_ps):
 
 
 # Every key that each recipe read before it had a table, in the table's
-# order, with the value it defaulted to, written as an override. A semantics
-# field defaults to the calibrated preset's value.
+# order, with the value it defaulted to, written as an override. The heralded
+# site kill chance defaults to the calibrated value.
 _LATTICE_KEYS = {"target": "0.90", "L": "10", "trials": "2000",
-                 "semantics": "calibrated", "heralded_site_kill_prob": "0.45"}
+                 "heralded_site_kill_prob": "0.45"}
 _TWO_STREAM_KEYS = {"p": "0.1", "switches": "1,2,3,4,5,6,7,8", "bins": "1000",
                     "reps": "100"}
 RECIPE_KEYS = {
@@ -520,9 +521,11 @@ def test_each_recipe_reads_its_keys_at_their_defaults(experiment):
     # repr tells 0 from 0.0, and a list of ints from one of floats
     assert {k: repr(values[k]) for k in defaults} == {
         k: repr(v) for k, v in defaults.items()}
-    if "semantics" in given:
-        want = ("calibrated", percolation.calibrated_semantics())
-        assert semantics_from(defaults) == want == semantics_from(values)
+    kill = "heralded_site_kill_prob"
+    if kill in given:
+        assert (percolation.OutcomeSemantics(defaults[kill])
+                == percolation.calibrated_semantics()
+                == percolation.OutcomeSemantics(values[kill]))
 
 
 def _forbid_all_work(monkeypatch):
@@ -544,10 +547,11 @@ def _forbid_all_work(monkeypatch):
     ("fig4", "seed"),
     ("fig2", "p_min"),
     ("fig7", "heralded_site_kill_prob"),
-    # keys named like semantics options that are no OutcomeSemantics field
+    # the loss model's removed keys: its preset's name and the
+    # OutcomeSemantics fields that are gone
     *((figure, key) for figure in ("fig8_thresholds", "fig9_frontier")
-      for key in ("heralded_bond_connect_prob", "loss_kills_owner_site",
-                  "standard_loss_damages_both_ends")),
+      for key in ("semantics", "heralded_bond_connect_prob",
+                  "loss_kills_owner_site", "standard_loss_damages_both_ends")),
 ])
 def test_reproduce_rejects_a_key_the_recipe_does_not_read(
         tmp_path, capsys, monkeypatch, figure, key):
@@ -699,8 +703,7 @@ def test_run_experiment_lists_unread_keys_as_ignored(tmp_path):
 
 
 # Values other than the defaults, between them of every kind: an empty list,
-# an integer range, a preset name and an OutcomeSemantics field key, whose
-# default is a type.
+# an integer range and the heralded site kill chance.
 _SUMMARY_OVERRIDES = {
     "table1": {"eta": "0.01", "p1": "0.98"},
     "fig2": {"etas": "0.5,0.01", "ps_min": "0.9", "ps_step": "0.01"},
@@ -710,7 +713,7 @@ _SUMMARY_OVERRIDES = {
     "fig8_thresholds": {"L": "4", "trials": "40", "finite_size_L": "",
                         "a_l": "0.01", "heralded_site_kill_prob": "0.1"},
     "fig9_frontier": {"L": "4", "trials": "40", "a_l_grid": "0,0.02",
-                      "semantics": "default", "heralded_site_kill_prob": "0.5"},
+                      "heralded_site_kill_prob": "0.5"},
 }
 
 
@@ -737,12 +740,8 @@ def test_summary_parameter_lines_parse_back_to_the_run_values(
     pairs = [line.split("=", 1) for line in summary
              if "=" in line.split(" ", 1)[0]]
     values = parse_params(table, params)[0]
-    # one line per parsed value, in the table's order; a key whose default
-    # is a type has a value, and a line, only when it is set
-    assert [key for key, _ in pairs] == list(values)
-    assert [key for key in table if key not in values] == [
-        key for key, default in table.items()
-        if isinstance(default, type) and key not in params]
+    # one line per parsed value, and so per key, in the table's order
+    assert [key for key, _ in pairs] == list(values) == list(table)
     # repr tells 0 from 0.0, and a list of ints from one of floats
     assert repr(parse_params(table, dict(pairs))) == repr((values, []))
 
@@ -793,6 +792,18 @@ def test_reproduce_fig8_names_the_lattice_size_of_its_bands(tmp_path):
     assert lines[-1] == "result: PASS (no reference check applies)"
 
 
+def test_fig8_csv_records_the_heralded_site_kill_chance_that_ran(tmp_path):
+    assert main(["reproduce", "fig8_thresholds", "--out", str(tmp_path),
+                 "--set", "L=4", "--set", "trials=50",
+                 "--set", "finite_size_L=",
+                 "--set", "heralded_site_kill_prob=0.2"]) == 0
+    header, *rows = (tmp_path / "fig8_thresholds.csv").read_text().splitlines()
+    assert header.split(",")[-1] == "heralded_site_kill_prob"
+    assert len(rows) == 2 and [r.split(",")[-1] for r in rows] == ["0.2"] * 2
+    summary = (tmp_path / "fig8_thresholds_summary.txt").read_text()
+    assert "heralded_site_kill_prob=0.2" in summary.splitlines()
+
+
 @pytest.mark.parametrize("standard, relative, got, passed", [
     (0.0, 0.0, "nan", False),       # no Bell state from either scheme
     (0.0, 1e-4, "inf", True),
@@ -818,14 +829,15 @@ def test_reproduce_unknown_experiment_fails():
 
 
 @pytest.mark.parametrize("option, value", [
+    ("--semantics", "default"),
     ("--loss-kills-owner-site", "false"),
     ("--standard-loss-damages-both-ends", "false"),
     ("--heralded-bond-connect-prob", "0.5"),
 ])
 def test_percolate_rejects_a_removed_semantics_option(capsys, monkeypatch,
                                                       option, value):
-    # only heralded_site_kill_prob is an OutcomeSemantics field, so argparse
-    # builds no option for the others
+    # heralded_site_kill_prob is the loss model's one key, so argparse builds
+    # no option for its preset's name or for the fields that are gone
     _forbid_sampling(monkeypatch)
     with pytest.raises(SystemExit) as exit_info:
         main(["percolate", "--mode", "prob", "--L", "6", "--trials", "37",
@@ -856,8 +868,7 @@ _RECIPE_OPTION_CASES = [(argv, recipe, key)
                         for key in keys or PARAMETERS[recipe]]
 
 
-# "x" is malformed for every kind of key: a number, a list and the
-# semantics preset's name.
+# "x" is malformed for every kind of key: a number and a list.
 @pytest.mark.parametrize(
     "argv, recipe, key", _RECIPE_OPTION_CASES,
     ids=[f"{argv[0]}-{key}" for argv, _recipe, key in _RECIPE_OPTION_CASES])
@@ -895,14 +906,6 @@ def test_a_malformed_option_that_is_no_recipe_key_fails_before_any_work(
     assert main([*argv, "x"]) == 1
     assert capsys.readouterr() == ("", f"error: {error}, got 'x'\n")
     assert not list(tmp_path.iterdir())
-
-
-def test_percolate_names_an_unknown_semantics_preset(capsys, monkeypatch):
-    _forbid_sampling(monkeypatch)
-    assert main(["percolate", "--L", "4", "--trials", "10", "--semantics",
-                 "bogus"]) == 1
-    assert capsys.readouterr() == (
-        "", "error: semantics must be 'default' or 'calibrated', got 'bogus'\n")
 
 
 def test_reproduce_determinism_byte_identical(tmp_path):

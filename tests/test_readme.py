@@ -11,25 +11,21 @@ from rmux.cli import build_parser
 
 README = (Path(__file__).parents[1] / "README.md").read_text()
 
-# `key` (default), or a bare `key` whose default is a type (no value).
-_KEY = re.compile(r"`(\w+)`(?: \(([^)]*)\))?")
+# `key` (default).
+_KEY = re.compile(r"`(\w+)` \(([^)]*)\)")
 
 
 def _key_table() -> dict:
-    """{recipe: [(key, default text, or "" for none)]} of README's key
-    table, where "semantics keys" stands for that row's entries."""
+    """{recipe: [(key, default text)]} of README's key table."""
     start = README.index("| recipe            | keys (default)")
     rows = {}
     for line in README[start:].splitlines()[2:]:
         if not line.startswith("|"):
             break
         label, keys = (cell.strip() for cell in line.strip("|").split("|"))
-        for recipe in re.findall(r"`(\w+)`", label) or [label]:
-            rows[recipe] = (keys, _KEY.findall(keys))
-    semantics = rows.pop("semantics keys")[1]
-    return {recipe: found + (semantics if keys.endswith("semantics keys")
-                             else [])
-            for recipe, (keys, found) in rows.items()}
+        for recipe in re.findall(r"`(\w+)`", label):
+            rows[recipe] = _KEY.findall(keys)
+    return rows
 
 
 def test_readme_key_table_lists_each_recipes_keys_and_defaults():
@@ -40,12 +36,9 @@ def test_readme_key_table_lists_each_recipes_keys_and_defaults():
             recipe)
         for name, text in rows[recipe]:
             default = table[name]
-            if isinstance(default, type):
-                assert text == "", (recipe, name)
-            else:
-                parsed = experiments.parse_params({name: default},
-                                                  {name: text})[0][name]
-                assert parsed == default, (recipe, name, text)
+            parsed = experiments.parse_params({name: default},
+                                              {name: text})[0][name]
+            assert parsed == default, (recipe, name, text)
 
 
 def test_readme_commands_parse():
