@@ -56,6 +56,8 @@ def _cmd_analytics(args) -> int:
         _unread(args, "analytics --mode waste",
                 *experiments.PARAMETERS["table1"])
         ps = params.get("ps", experiments.PARAMETERS["fig2"]["ps_max"])
+        if not 0.0 < ps < 1.0:
+            raise ValueError(f"--ps must be in (0, 1), got {ps}")
         params.update(ps_min=ps, ps_max=ps)
         if args.etas:
             params["etas"] = ",".join(args.etas)

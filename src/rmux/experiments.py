@@ -242,6 +242,9 @@ def fig2_rows(values: dict):
         raise ValueError(f"ps_max must be >= ps_min, got ps_max={ps_hi} "
                          f"< ps_min={ps_lo}")
     ps_values = mux_analytics.grid(ps_lo, ps_hi, ps_step)
+    for key, p_s in (("ps_min", ps_values[0]), ("ps_max", ps_values[-1])):
+        if not 0.0 < p_s < 1.0:
+            raise ValueError(f"{key} must be in (0, 1), got {values[key]}")
     rows = []
     for eta in etas:
         for p_s in ps_values:

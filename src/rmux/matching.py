@@ -285,14 +285,6 @@ def hungarian_min_assignment(W: WeightMatrix) -> Matching:
     return Matching(list(map(tuple, pairs.tolist())), W.row_bins, W.col_bins)
 
 
-def _pair_lists(pairs, owner, n: int) -> list:
-    """Per index 0..n-1, the rows of `pairs` that `owner` gives it, in their
-    order, as tuples."""
-    rows = list(map(tuple, pairs[np.argsort(owner, kind="stable")].tolist()))
-    ends = np.cumsum(np.bincount(owner, minlength=n)).tolist()
-    return [rows[i:j] for i, j in zip([0] + ends, ends)]
-
-
 def _clamp_scan(lb, ub) -> tuple:
     """(take, paired): item i, in order, takes the first unconsumed index in
     [lb_i, ub_i), index take_i, if paired_i; lb and ub are nondecreasing.
@@ -534,14 +526,6 @@ def _window_rows(bins1, bins2, reaches, network: DelayNetwork) -> tuple:
     return (pairs[keep], copy[keep]), (pairs[~keep], copy[~keep])
 
 
-def _window_pairs(bins1, bins2, reaches, network: DelayNetwork):
-    """Per reach, the (kept, dropped) pair lists of `_window_rows`, as
-    (b1, b2, delay); one (kept, dropped) for a single int reach."""
-    split = list(zip(*(_pair_lists(*rows, np.size(reaches)) for rows
-                       in _window_rows(bins1, bins2, reaches, network))))
-    return split if np.ndim(reaches) else split[0]
-
-
 def sliding_window_match(s1: PhotonStream, s2: PhotonStream, d_max: int,
                          network: DelayNetwork) -> Matching:
     """Online heuristic: nearest later partner within the delay window.
@@ -553,8 +537,9 @@ def sliding_window_match(s1: PhotonStream, s2: PhotonStream, d_max: int,
     needs more delay than the network gives raises ValueError. No pair needs
     more than stream 2 is long, so d_max is capped there (and fits int64).
     """
-    kept, dropped = _window_pairs(s1.occupied_bins, s2.occupied_bins,
-                                  min(d_max, s2.n_bins - 1), network)
+    kept, dropped = (list(map(tuple, pairs.tolist())) for pairs, _copy
+                     in _window_rows(s1.occupied_bins, s2.occupied_bins,
+                                     min(d_max, s2.n_bins - 1), network))
     return Matching(kept, s1.occupied_bins, s2.occupied_bins, lost=dropped)
 
 

@@ -82,6 +82,9 @@ def ghz_report(eta: float, p1: float, p2: float) -> MuxReport:
     stage 2 the GATE_PROB_3GHZ gate to p2. Resource potentials count the
     states the occupied bins could have produced on average.
     """
+    for name, target in (("p1", p1), ("p2", p2)):
+        if not 0.0 < target < 1.0:
+            raise ValueError(f"{name} must be in (0, 1), got {target}")
     stage1 = _stage(eta, p1, potential_per_bin=eta)
     stage2 = _stage(GATE_PROB_3GHZ, p2, potential_per_bin=GATE_PROB_3GHZ)
     bins_per_stream = stage1.k_up * stage2.k_up

@@ -13,8 +13,10 @@ makes no bond. A loss discards the fusion's owner, the delayed photon's
 microcluster, under the relative scheme, and both of the fusion's
 microclusters under the standard scheme, where the loss is not
 attributable (`OutcomeSemantics`, whose one knob is a heralded kill
-chance). `sample_lattice_state` draws one trial, `spans` checks it, and
-`percolation_probability` counts spanning trials. The loss thresholds and the ancilla-loss frontier
+chance). `sample_lattice_state` draws one trial and `spans` checks it;
+`percolation_probability` counts spanning trials from the bond-level rows
+(`_level_rows`) that the critical-loss sweep also reads. The loss
+thresholds and the ancilla-loss frontier
 (`loss_threshold`, `loss_thresholds`, `tradeoff_frontier`) read an order
 statistic of the trials' critical losses, which `_critical_losses` finds
 with the cut pass (`_cut_pass`).
@@ -22,7 +24,7 @@ with the cut pass (`_cut_pass`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,10 +32,6 @@ FUSION_SUCCESS_PROB = 0.75
 
 SCHEME_RMUX = "rmux"
 SCHEME_STANDARD = "standard"
-
-SUCCESS = "success"
-FAIL_HERALDED = "fail_heralded"
-FAIL_LOSS = "fail_loss"
 
 # Which photons each fusion consumes, in the order fusions are numbered
 # within a cell: the actively delayed and the passive photon, each by (cell,
@@ -212,20 +210,19 @@ class DiamondLattice:
 
 @dataclass
 class LatticeState:
-    """One sampled configuration: alive sites, present bonds, outcome tally."""
+    """One sampled configuration: alive sites and present bonds."""
 
     lattice: DiamondLattice
     site_alive: np.ndarray
     bond_present: np.ndarray
-    outcome_counts: dict = field(default_factory=dict)
 
 
 def _fusion_levels(lattice: DiamondLattice, semantics: OutcomeSemantics,
                    rng: np.random.Generator):
     """One trial's draws per fusion (u, v, w_site), as levels.
 
-    Returns (u, v, owner, passive, bond): at fusion loss f, fusion i is lost
-    iff u[i] < f, bond k is present iff f <= bond[k], and a loss spares site
+    Returns (owner, passive, bond): fusion i is lost at fusion loss f iff
+    u[i] < f, so bond k is present iff f <= bond[k], and a loss spares site
     j iff f <= owner[j] or, under `_site_levels`, f <= min(owner[j],
     passive[j]) (each the least u over j's `site_tables` column).
 
@@ -246,7 +243,7 @@ def _fusion_levels(lattice: DiamondLattice, semantics: OutcomeSemantics,
         owner[lattice.fusion_owner[killed]] = -np.inf
     k = lattice.bond_fusions
     bond = np.where(v[k] < FUSION_SUCCESS_PROB, u[k], -np.inf)
-    return u, v, owner, passive, bond
+    return owner, passive, bond
 
 
 def _site_levels(scheme: str, owner, passive):
@@ -266,20 +263,14 @@ def sample_lattice_state(lattice: DiamondLattice, scheme: str, p_l: float,
     dominance exact per trial.
     """
     f_l = fusion_loss_probability(p_l, a_l, lossy_inputs(scheme))
-    u, v, owner, passive, bond = _fusion_levels(lattice, semantics, rng)
-    loss = u < f_l
-    success = ~loss & (v < FUSION_SUCCESS_PROB)
-    site_alive = _site_levels(scheme, owner, passive) >= f_l
-    counts = {SUCCESS: int(success.sum()),
-              FAIL_HERALDED: int((~loss & ~success).sum()),
-              FAIL_LOSS: int(loss.sum())}
-    return LatticeState(lattice=lattice, site_alive=site_alive,
-                        bond_present=bond >= f_l, outcome_counts=counts)
+    owner, passive, bond = _fusion_levels(lattice, semantics, rng)
+    return LatticeState(lattice, _site_levels(scheme, owner, passive) >= f_l,
+                        bond >= f_l)
 
 
 def _bond_levels(lattice: DiamondLattice, site_level, bond_level):
     """Highest level at which each bond is usable: f <= bond_level[k] and
-    f <= site_level at both its ends."""
+    f <= site_level at both its ends. On booleans, whether it is usable."""
     a, b = lattice.bond_site_a, lattice.bond_site_b
     return np.minimum(bond_level, np.minimum(site_level[a], site_level[b]))
 
@@ -350,18 +341,18 @@ def _connected_components(rows, cols, size):
     return connected_components(graph, directed=False)
 
 
-def _spanning(lattice: DiamondLattice, states) -> np.ndarray:
-    """Whether each state spans: its cut pass at cut 1, with every bond at
-    level 1 or -inf, reads +inf."""
-    levels = np.array([_bond_levels(
-        lattice, np.where(st.site_alive, 1.0, -np.inf),
-        np.where(st.bond_present, 1.0, -np.inf)) for st in states])
+def _spanning(lattice: DiamondLattice, usable) -> np.ndarray:
+    """Whether the usable bonds of each row of `usable` (G, n_bonds) join
+    the faces: its cut pass at cut 1, with every bond at level 1 or -inf,
+    reads +inf."""
+    levels = np.where(usable, 1.0, -np.inf)
     return np.isposinf(_cut_pass(lattice, levels, np.ones(len(levels))))
 
 
 def spans(state: LatticeState) -> bool:
     """Whether a path of present bonds over alive sites joins the faces."""
-    return bool(_spanning(state.lattice, [state])[0])
+    usable = _bond_levels(state.lattice, state.site_alive, state.bond_present)
+    return bool(_spanning(state.lattice, usable[None])[0])
 
 
 def _check_L(L) -> None:
@@ -386,6 +377,18 @@ def _rng(trial_seed) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(trial_seed))
 
 
+def _level_rows(lattice, schemes, semantics, seeds, ts, rows):
+    """Bond levels (`_bond_levels`) of trials `ts`, one row per (trial,
+    scheme), trial-major: trial t draws with `_rng(seeds[t])`, into the
+    block buffer `rows` (trials, schemes, n_bonds), refilled in place."""
+    for i, t in enumerate(ts):
+        owner, passive, bond = _fusion_levels(lattice, semantics,
+                                              _rng(seeds[t]))
+        rows[i] = [_bond_levels(lattice, _site_levels(
+            scheme, owner, passive), bond) for scheme in schemes]
+    return rows[:len(ts)].reshape(-1, lattice.n_bonds)
+
+
 # Trials per connected-components pass, and a cut sweep's cut rank per
 # needed rank: after d of n trials, each scheme's cut is the f* of rank
 # about _CUT_RANK * needed * d / n among them.
@@ -398,13 +401,18 @@ def percolation_probability(L: int, scheme: str, p_l: float, a_l: float,
                             semantics: OutcomeSemantics | None = None):
     """Spanning fraction over independent sampled lattices, with stderr.
 
-    Trial t samples with the t-th child of `SeedSequence(seed)`.
+    Trial t samples with the t-th child of `SeedSequence(seed)`, as
+    `sample_lattice_state` would, and spans iff its bonds usable at f_l
+    join the faces.
     """
     semantics, lattice, seeds = _trials(L, trials, seed, semantics)
-    p_hat = float(np.mean(np.concatenate([_spanning(lattice, [
-        sample_lattice_state(lattice, scheme, p_l, a_l, semantics, _rng(s))
-        for s in seeds[start:start + _BLOCK_TRIALS]])
-        for start in range(0, trials, _BLOCK_TRIALS)])))
+    f_l = fusion_loss_probability(p_l, a_l, lossy_inputs(scheme))
+    rows = np.empty((_BLOCK_TRIALS, 1, lattice.n_bonds))
+    spanning = [_spanning(lattice, _level_rows(
+        lattice, (scheme,), semantics, seeds,
+        range(start, min(start + _BLOCK_TRIALS, trials)), rows) >= f_l)
+        for start in range(0, trials, _BLOCK_TRIALS)]
+    p_hat = float(np.mean(np.concatenate(spanning)))
     return p_hat, float(np.sqrt(p_hat * (1.0 - p_hat) / trials))
 
 
@@ -441,13 +449,9 @@ def _critical_losses(L, schemes, trials, seed, semantics,
 
     def sweep(ts):
         """Trials `ts`' f* per scheme (rows), each censored at its bound."""
-        for i, t in enumerate(ts):
-            owner, passive, bond = _fusion_levels(
-                lattice, semantics, _rng(seeds[t]))[2:]
-            rows[i] = [_bond_levels(lattice, _site_levels(
-                scheme, owner, passive), bond) for scheme in schemes]
-        return _cut_pass(lattice, rows[:len(ts)].reshape(-1, lattice.n_bonds),
-                         bound[:, ts].T.ravel()).reshape(-1, len(schemes)).T
+        levels = _level_rows(lattice, schemes, semantics, seeds, ts, rows)
+        return _cut_pass(lattice, levels, bound[:, ts].T.ravel()).reshape(
+            -1, len(schemes)).T
 
     # An f* at or above its block's cut is stored as +inf, with the cut as
     # its bound. A cut stays +inf while its rank exceeds the trials done.

@@ -124,7 +124,7 @@ def spans_bfs(state) -> bool:
 
 
 def sample_state_direct(lattice, scheme, f_l, semantics, rng):
-    """(site_alive, bond_present, (successes, heralded, losses)) of one trial.
+    """(site_alive, bond_present) of one trial.
 
     Takes three uniform draws per fusion in the program's order (u, v,
     w_site), of which the program draws w_site only at a kill chance above
@@ -143,8 +143,7 @@ def sample_state_direct(lattice, scheme, f_l, semantics, rng):
     killed = (heralded & ~lattice.fusion_is_bond
               & (w_site < semantics.heralded_site_kill_prob))
     alive[lattice.fusion_owner[killed]] = False
-    counts = (int(success.sum()), int(heralded.sum()), int(loss.sum()))
-    return alive, success[lattice.fusion_is_bond], counts
+    return alive, success[lattice.fusion_is_bond]
 
 
 def critical_losses_direct(L, scheme, trials, seed, semantics=None):
@@ -308,6 +307,13 @@ def clash_couples(pairs, network):
     rows = clash_rows([b1 for b1, _, _ in pairs], [d for _, _, d in pairs],
                       network)
     return sorted(set(map(tuple, rows[:, 2:].tolist())))
+
+
+def instance_lists(pairs, owner, n):
+    """Per instance 0..n-1, the (b1, b2, delay) rows of `pairs` whose
+    `owner` is that instance, in their order, as tuples."""
+    rows, owner = list(map(tuple, pairs.tolist())), owner.tolist()
+    return [[row for row, o in zip(rows, owner) if o == i] for i in range(n)]
 
 
 def keep_unless_clashing(pairs, couples):

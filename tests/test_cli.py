@@ -97,8 +97,8 @@ def test_recipe_csv_rows_have_header_width(tmp_path, experiment, params):
             path.name)
 
 
-# sha256 of each recipe's first CSV at these parameters: a refactor must
-# leave these bytes unchanged.
+# sha256 of each recipe's CSVs, in write order, at these parameters: a
+# refactor must leave these bytes unchanged.
 @pytest.mark.parametrize("experiment, params, seed, sha256", [
     ("table1", {}, 1234,
      "9a39e342703550d8696f19a1fbf8fbb279f5bea2b89c18ee9637be1c5d91f8c2"),
@@ -112,12 +112,33 @@ def test_recipe_csv_rows_have_header_width(tmp_path, experiment, params):
      "954a3967ff2ee9bc0e89878721991e109246a7d0b721230891e57a7e86d83ec3"),
     ("fig6", {"bins": "300", "reps": "8"}, 20170324,
      "27d0ead5351e8155f2f7a83b043c18c5996b325303e26c899bc4290d1a3f3669"),
+    # The frontier and its fit.
+    ("fig9_frontier", {"L": "6", "trials": "60", "a_l_grid": "0,0.01,0.02"},
+     20170324,
+     "b96b6beab5f75ae05f4c3f120ac28af1bbdd111afafed6fd67f0e84b0780a0d9"),
 ])
 def test_recipe_csv_bytes_pinned(tmp_path, experiment, params, seed, sha256):
     bundle = run_experiment(ExperimentConfig(experiment, params, seed,
                                              tmp_path))
-    assert hashlib.sha256(bundle.csv_paths[0].read_bytes()).hexdigest() == (
-        sha256)
+    data = b"".join(path.read_bytes() for path in bundle.csv_paths)
+    assert hashlib.sha256(data).hexdigest() == sha256
+
+
+# sha256 of `percolate --mode prob` stdout: one run with a heralded kill
+# chance and ancilla loss, one on the standard scheme; 61 trials end in a
+# partial block.
+@pytest.mark.parametrize("argv, sha256", [
+    (["--L", "6", "--trials", "61", "--p-l", "0.08", "--a-l", "0.01",
+      "--heralded-site-kill-prob", "0.2", "--seed", "7"],
+     "3ef1ef3bedf3b619a999fc1fde07d1796bb526e01f6a93d58855a6c7e8f86bfd"),
+    (["--scheme", "standard", "--L", "6", "--trials", "61", "--p-l", "0.06",
+      "--heralded-site-kill-prob", "0", "--seed", "7"],
+     "ed338e0a619d78bb98362133fec3e29fec3dd21e2fe7c1286dad60c7e06de24d"),
+])
+def test_percolate_prob_bytes_pinned(capsys, argv, sha256):
+    assert main(["percolate", "--mode", "prob", *argv]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
 def test_match_aggregate(capsys):
@@ -474,6 +495,42 @@ def test_reproduce_fig2_rejects_bad_grid(tmp_path, capsys, override, message):
     assert main(["reproduce", "fig2", "--out", str(tmp_path),
                  "--set", override]) == 1
     assert message in capsys.readouterr().err
+
+
+# A stage target p_s must lie in (0, 1); every grid point is checked before
+# the first row, and the key the user set is named.
+@pytest.mark.parametrize("argv, message", [
+    (["reproduce", "fig2", "--set", "ps_min=-0.01", "--set", "ps_max=0"],
+     "ps_min must be in (0, 1), got -0.01"),
+    (["reproduce", "fig2", "--set", "ps_min=0"],
+     "ps_min must be in (0, 1), got 0.0"),
+    (["reproduce", "fig2", "--set", "ps_max=1"],
+     "ps_max must be in (0, 1), got 1.0"),
+    (["reproduce", "fig2", "--set", "ps_max=1.2", "--set", "ps_step=0.1"],
+     "ps_max must be in (0, 1), got 1.2"),
+    (["analytics", "--mode", "waste", "--ps", "-1"],
+     "--ps must be in (0, 1), got -1.0"),
+    (["analytics", "--mode", "waste", "--ps", "0"],
+     "--ps must be in (0, 1), got 0.0"),
+    (["analytics", "--mode", "waste", "--ps", "1"],
+     "--ps must be in (0, 1), got 1.0"),
+    (["reproduce", "table1", "--set", "p1=1.5"],
+     "p1 must be in (0, 1), got 1.5"),
+    (["reproduce", "table1", "--set", "p2=0"], "p2 must be in (0, 1), got 0.0"),
+    (["analytics", "--p2", "0"], "p2 must be in (0, 1), got 0.0"),
+    (["analytics", "--mode", "table", "--p1", "1"],
+     "p1 must be in (0, 1), got 1.0"),
+])
+def test_stage_targets_outside_0_1_name_their_key(tmp_path, capsys,
+                                                  monkeypatch, argv, message):
+    def no_rows(*args, **kwargs):
+        raise AssertionError("a fig2 row was worked out")
+
+    monkeypatch.setattr("rmux.mux_analytics.unused_potential", no_rows)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("overrides, last_ps", [

@@ -13,6 +13,7 @@ from oracles import (
     brute_force_assignment,
     clash_couples,
     discards_direct,
+    instance_lists,
     metric_row_direct,
     no_clash_pairs_direct,
     oracle_routable,
@@ -31,10 +32,9 @@ from rmux.matching import (
     _match_rows,
     _metric_rows,
     _optimal_pairs,
-    _pair_lists,
     _repair_all,
     _window_core,
-    _window_pairs,
+    _window_rows,
     build_assignment_matrix,
     hungarian_min_assignment,
     matching_csv_rows,
@@ -345,7 +345,7 @@ def test_block_of_optima_equals_the_pointer_loops_one_instance_at_a_time():
     pairs, owner, stride = _optimal_pairs(instances)
     assert stride > max(int(b.max(initial=0)) + d for *bins, d in instances
                         for b in bins)
-    assert _pair_lists(pairs, owner, len(instances)) == [
+    assert instance_lists(pairs, owner, len(instances)) == [
         no_clash_pairs_direct(b1.tolist(), b2.tolist(), d)
         for b1, b2, d in instances]
 
@@ -530,12 +530,20 @@ def window_instances():
             yield events[0], events[1], DelayNetwork(s2)
 
 
+def window_lists(bins1, bins2, reaches, net) -> list:
+    """Per reach, `_window_rows`' (kept, dropped) pairs as the (b1, b2,
+    delay) tuple lists `window_pairs_direct` gives."""
+    kept, dropped = (instance_lists(*rows, len(reaches))
+                     for rows in _window_rows(bins1, bins2, reaches, net))
+    return list(zip(kept, dropped))
+
+
 def test_window_core_keeps_the_pairs_and_drops_the_clash_photons():
     dropped_total = 0
     for a, b, net in window_instances():
-        kept, dropped = _window_pairs(a.occupied_bins.tolist(),
-                                      b.occupied_bins.tolist(),
-                                      net.max_delay, net)
+        (kept, dropped), = window_lists(a.occupied_bins.tolist(),
+                                        b.occupied_bins.tolist(),
+                                        [net.max_delay], net)
         m = sliding_window_match(a, b, net.max_delay, net)
         assert kept == m.pairs
         clash = sorted((bn, st) for bn, st, r in m.discarded if r == "clash")
@@ -547,7 +555,7 @@ def test_window_core_keeps_the_pairs_and_drops_the_clash_photons():
 
 def test_window_pinned_on_seeded_instances():
     # sha256 of every instance's pairs and clash photons, as the window
-    # wrote them before its pairing moved into `_window_pairs`
+    # wrote them before its pairing moved into `_window_core`
     h = hashlib.sha256()
     for a, b, net in window_instances():
         m = sliding_window_match(a, b, net.max_delay, net)
@@ -578,8 +586,8 @@ def window_cases(draw):
 @example(([0, 9000, 30000], [8191, 17191, 38192], 8191, DelayNetwork(14)))
 def test_window_core_equals_pointer_loop(case):
     bins1, bins2, d_max, net = case
-    assert _window_pairs(bins1, bins2, d_max, net) == window_pairs_direct(
-        bins1, bins2, d_max, net)
+    assert window_lists(bins1, bins2, [d_max], net) == [window_pairs_direct(
+        bins1, bins2, d_max, net)]
 
 
 @st.composite
@@ -608,7 +616,7 @@ def test_window_core_over_several_reaches_equals_one_call_each(case):
         assert not one_copy.any()
         for got, want in zip((b1, b2, keep), one):
             assert got[copy == c].tolist() == want.tolist(), c
-    assert _window_pairs(bins1, bins2, reaches, net) == [
+    assert window_lists(bins1, bins2, reaches, net) == [
         window_pairs_direct(bins1, bins2, reach, net) for reach in reaches]
 
 
@@ -663,11 +671,11 @@ def test_window_clamp_scans_only_slots_with_a_partner_in_reach(monkeypatch):
 def test_window_copies_past_int64_raise_value_error():
     net = DelayNetwork(2)
     top = 2 ** 62 - 1          # two copies of it end at the int64 maximum
-    assert _window_pairs([top - 1], [top], [1, 0], net) == [
+    assert window_lists([top - 1], [top], [1, 0], net) == [
         ([(top - 1, top, 1)], []), ([], [])]
     # A single reach lays no copy past the first.
-    assert _window_pairs([top], [top + 1], 1, net) == (
-        [(top, top + 1, 1)], [])
+    assert window_lists([top], [top + 1], [1], net) == [
+        ([(top, top + 1, 1)], [])]
     with pytest.raises(ValueError, match="exceed the int64 maximum"):
         _window_core([top], [top + 1], [1, 1], net)
     with pytest.raises(ValueError, match="exceed the int64 maximum"):
@@ -719,14 +727,14 @@ def test_window_ending_past_int64_keeps_its_pairs():
     # b1 + 8191 passes the int64 maximum; the window must end there, not
     # wrap below b1 and lose the pair that reach 1 finds.
     top = 2 ** 63 - 1
-    assert _window_pairs([top - 9], [top - 8], 8191, DelayNetwork(14)) == (
-        _window_pairs([top - 9], [top - 8], 1, DelayNetwork(2))) == (
-        [(top - 9, top - 8, 1)], [])
+    assert window_lists([top - 9], [top - 8], [8191], DelayNetwork(14)) == (
+        window_lists([top - 9], [top - 8], [1], DelayNetwork(2))) == [
+        ([(top - 9, top - 8, 1)], [])]
     # A stream-2 bin at the maximum itself: one copy's stride is then 2^63.
     bins1, bins2 = [top - 9, top - 3, top], [top - 8, top - 1, top]
     for reach in (8191, 2, 0):
-        assert _window_pairs(bins1, bins2, reach, DelayNetwork(14)) == (
-            window_pairs_direct(bins1, bins2, reach, DelayNetwork(14)))
+        assert window_lists(bins1, bins2, [reach], DelayNetwork(14)) == [
+            window_pairs_direct(bins1, bins2, reach, DelayNetwork(14))]
 
 
 @pytest.mark.parametrize("bins1, bins2, d_max, net, checks", [
@@ -745,15 +753,15 @@ def test_window_scan_stops_once_its_clamps_settle(bins1, bins2, d_max, net,
         seen.append(bool(np.all(a == b)))
         return seen[-1]
     monkeypatch.setattr(matching.np, "array_equal", array_equal)
-    assert _window_pairs(bins1, bins2, d_max, net) == window_pairs_direct(
-        bins1, bins2, d_max, net)
+    assert window_lists(bins1, bins2, [d_max], net) == [window_pairs_direct(
+        bins1, bins2, d_max, net)]
     assert len(seen) == checks and seen[-1] == (checks == 1)
 
 
 def test_window_core_rejects_pair_beyond_the_network():
     with pytest.raises(ValueError, match="delay 2 outside"):
-        _window_pairs([0], [2], 2, DelayNetwork(2))
-    assert _window_pairs([0], [2], 1, DelayNetwork(2)) == ([], [])
+        window_lists([0], [2], [2], DelayNetwork(2))
+    assert window_lists([0], [2], [1], DelayNetwork(2)) == [([], [])]
 
 
 def test_window_discards_later_pair_on_clash():
@@ -1075,7 +1083,7 @@ def test_fig4_sweep_counts_without_discard_records(tmp_path, monkeypatch):
     assert len(repaired) == len(blocks)
     assert sum(map(len, repaired)) == 85
     for out, (n, kept, lost) in zip(repaired, counted):
-        pairs, gone = _pair_lists(*kept, n), _pair_lists(*lost, n)
+        pairs, gone = instance_lists(*kept, n), instance_lists(*lost, n)
         fixed = [i for i in range(n) if gone[i]]
         assert [(pairs[i], gone[i]) for i in fixed] == out
 

@@ -12,6 +12,7 @@ from oracles import (
     _standard_rate_direct,
     bell_stats_direct,
     clash_couples,
+    instance_lists,
     match_direct,
     route_clashes_direct,
     standard_rate_exact,
@@ -26,7 +27,6 @@ from rmux.matching import (
     _conflicts_each,
     _match_rows,
     _metrics_of,
-    _pair_lists,
     count_clashing_pairs,
 )
 from rmux.mux_sim import (
@@ -178,7 +178,8 @@ def test_two_stream_blocks_equal_per_instance_oracle(monkeypatch, p, n_bins,
 def test_two_stream_sweep_builds_no_matching_or_pair_tuples(monkeypatch):
     # Each block is counted from its pair arrays, for every strategy; only a
     # repair, inside `matching`, builds per-pair tuples, and no module builds
-    # a Matching. Several blocks.
+    # a Matching or calls what turns pair arrays into tuples for one. Several
+    # blocks.
     p, n_bins, reps, switches = 0.4, 120, 30, [5, 1, 8]
     want = [((strategy, s),
              two_stream_stats_direct(p, s, n_bins, strategy, reps, 23))
@@ -190,7 +191,9 @@ def test_two_stream_sweep_builds_no_matching_or_pair_tuples(monkeypatch):
 
     monkeypatch.setattr(mux_sim, "Matching", refuse)
     monkeypatch.setattr(matching, "Matching", refuse)
-    monkeypatch.setattr(matching, "_pair_lists", refuse)
+    monkeypatch.setattr(matching, "hungarian_min_assignment", refuse)
+    monkeypatch.setattr(matching, "sliding_window_match", refuse)
+    monkeypatch.setattr(mux_sim, "match_streams", refuse)
     got = simulate_two_stream(p, switches, n_bins, STRATEGIES, reps, seed=23)
     assert len(seen) >= 2
     assert list(got.items()) == want
@@ -215,7 +218,7 @@ def test_match_all_equals_per_instance_oracle(p, n_bins):
                               gone)
                      for (st1, st2), pairs, gone in zip(
                          [sp for sp in stream_pairs for _net in networks],
-                         _pair_lists(*kept, n), _pair_lists(*lost, n))]
+                         instance_lists(*kept, n), instance_lists(*lost, n))]
         assert [(m, _metrics_of(m, row), row[3]) for m, row
                 in zip(matchings, values.reshape(n, 4))] == [
             (m, met, m.total_weight) for st1, st2 in stream_pairs
@@ -284,7 +287,7 @@ def test_no_clash_rate_equals_route_count(case):
                                       ["hungarian_no_clash"])[
                                           "hungarian_no_clash"]
     for pairs, (_matched, clash_rate, *_), net in zip(
-            _pair_lists(*kept, len(networks)), values[0], networks):
+            instance_lists(*kept, len(networks)), values[0], networks):
         m = Matching(pairs, st1.occupied_bins, st2.occupied_bins)
         _records, routed = route_clashes_direct(
             [b1 for b1, _b2, _d in m.pairs], [d for _b1, _b2, d in m.pairs],
@@ -337,7 +340,7 @@ def test_realistic_block_equals_window_oracle(case):
     networks = [DelayNetwork(s) for s in switches]
     kept, lost, _values = _match_rows([(st1, st2)], networks,
                                       ["realistic"])["realistic"]
-    for pairs, gone, net in zip(*(_pair_lists(*rows, len(networks))
+    for pairs, gone, net in zip(*(instance_lists(*rows, len(networks))
                                   for rows in (kept, lost)), networks):
         assert (pairs, gone) == window_pairs_direct(
             st1.occupied_bins.tolist(), st2.occupied_bins.tolist(),
