@@ -56,8 +56,7 @@ def _cmd_analytics(args) -> int:
         _unread(args, "analytics --mode waste",
                 *experiments.PARAMETERS["table1"])
         ps = params.get("ps", experiments.PARAMETERS["fig2"]["ps_max"])
-        if not 0.0 < ps < 1.0:
-            raise ValueError(f"--ps must be in (0, 1), got {ps}")
+        experiments.check_stage_target("--ps", ps, ps)
         params.update(ps_min=ps, ps_max=ps)
         if args.etas:
             params["etas"] = ",".join(args.etas)
@@ -153,16 +152,7 @@ def _cmd_reproduce(args) -> int:
     # A key may be given once by --config and once by --set; --set wins.
     params = (experiments.load_config_file(args.config) if args.config
               else {})
-    given = {}
-    for item in args.set or []:
-        # Stripped, as `load_config_file` strips a config line.
-        key, eq, value = (part.strip() for part in item.partition("="))
-        if not key or not eq:
-            raise ValueError(f"--set needs key=value, got {item!r}")
-        if key in given:
-            raise ValueError(f"--set sets {key} twice; drop one")
-        given[key] = value
-    params.update(given)
+    params.update(experiments.key_values(args.set or [], "--set"))
     reads = experiments.PARAMETERS[args.figure]
     unread = experiments.parse_params(reads, params)[1]
     if unread:
@@ -176,9 +166,10 @@ def _cmd_reproduce(args) -> int:
     print(f"summary: {bundle.summary_path}")
     for path in bundle.csv_paths:
         print(f"data: {path}")
-    print(experiments.result_line(bundle.checks),
-          file=sys.stdout if bundle.all_passed else sys.stderr)
-    return 0 if bundle.all_passed else 2
+    verdict = experiments.result_line(bundle.checks)
+    passed = verdict.startswith("result: PASS")
+    print(verdict, file=sys.stdout if passed else sys.stderr)
+    return 0 if passed else 2
 
 
 def _recipe_options(parser, recipe: str, *keys):
@@ -206,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     pm = sub.add_parser("match", help="two-stream matching statistics")
     _recipe_options(pm, "fig4", "p", "bins", "reps")
     pm.add_argument("--switches", default=4)
-    pm.add_argument("--strategy", choices=list(mux_sim.STRATEGIES),
+    pm.add_argument("--strategy", choices=list(matching.STRATEGIES),
                     default="realistic")
     pm.add_argument("--seed", default=1234)
     pm.add_argument("--stream1", help="stream fixture file (single-instance mode)")

@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+MAX_SWITCHES = 64               # so every delay fits in int64
+
 
 def max_delay(s: int) -> int:
     """Largest delay reachable with s 2x2 switches: 2^(s-1) - 1."""
@@ -60,8 +62,9 @@ class DelayNetwork:
     stage_delays: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
-        if not 1 <= self.s <= 64:   # so every delay fits in int64
-            raise ValueError(f"switch count must be in [1, 64], got {self.s}")
+        if not 1 <= self.s <= MAX_SWITCHES:
+            raise ValueError(f"switch count must be in [1, {MAX_SWITCHES}], "
+                             f"got {self.s}")
         object.__setattr__(self, "stage_delays",
                            tuple(1 << i for i in range(self.s - 1)))
 

@@ -14,7 +14,7 @@ from dataclasses import astuple, dataclass, field
 from pathlib import Path
 
 
-from . import mux_analytics, mux_sim, percolation
+from . import matching, mux_analytics, mux_sim, percolation
 from .percolation import CALIBRATED_HERALDED_SITE_KILL, OutcomeSemantics
 
 @dataclass
@@ -54,10 +54,6 @@ class ReportBundle:
     summary_path: Path
     checks: list
 
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
 
 def result_line(checks) -> str:
     """The verdict closing a summary; a run that applies no reference check
@@ -67,21 +63,26 @@ def result_line(checks) -> str:
     return "result: " + ("PASS" if all(c.passed for c in checks) else "FAIL")
 
 
-def load_config_file(path) -> dict:
-    """Flat key=value file; '#' starts a comment. A line without a key, or
-    a key the file sets twice, is a ValueError."""
+def key_values(items, source: str) -> dict:
+    """{key: value} of `items`, each "key=value" with both parts stripped.
+    An item without a key or without `=`, or a key that `items` sets
+    twice, is a ValueError naming `source` (a file, or `--set`)."""
     params = {}
-    for raw in Path(path).read_text().splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, eq, value = (part.strip() for part in line.partition("="))
+    for item in items:
+        key, eq, value = (part.strip() for part in item.partition("="))
         if not key or not eq:
-            raise ValueError(f"bad config line (need key=value): {raw!r}")
+            raise ValueError(f"{source} needs key=value, got {item!r}")
         if key in params:
-            raise ValueError(f"{path} sets {key} twice; drop one")
+            raise ValueError(f"{source} sets {key} twice; drop one")
         params[key] = value
     return params
+
+
+def load_config_file(path) -> dict:
+    """Flat key=value file read by `key_values`; '#' starts a comment."""
+    lines = (raw.split("#", 1)[0].strip()
+             for raw in Path(path).read_text().splitlines())
+    return key_values([line for line in lines if line], path)
 
 
 def _fmt(x) -> str:
@@ -232,6 +233,17 @@ def table1_rows(values: dict):
     return rows, report
 
 
+def check_stage_target(name: str, p_s: float, given):
+    """Raise a ValueError naming `name`, set to `given`, unless the overall
+    target `p_s` lies in (0, 1) and within the optimizer's reach."""
+    if not 0.0 < p_s < 1.0:
+        raise ValueError(f"{name} must be in (0, 1), got {given}")
+    if p_s > mux_analytics.P_S_REACH:
+        raise ValueError(f"{name} must be at most "
+                         f"{_fmt(mux_analytics.P_S_REACH)} (both stages at "
+                         f"{mux_analytics.STAGE_P_MAX}), got {given}")
+
+
 def fig2_rows(values: dict):
     """Rows of Fig. 2."""
     etas, ps_lo = values["etas"], values["ps_min"]
@@ -243,8 +255,7 @@ def fig2_rows(values: dict):
                          f"< ps_min={ps_lo}")
     ps_values = mux_analytics.grid(ps_lo, ps_hi, ps_step)
     for key, p_s in (("ps_min", ps_values[0]), ("ps_max", ps_values[-1])):
-        if not 0.0 < p_s < 1.0:
-            raise ValueError(f"{key} must be in (0, 1), got {values[key]}")
+        check_stage_target(key, p_s, values[key])
     rows = []
     for eta in etas:
         for p_s in ps_values:
@@ -346,7 +357,7 @@ def _run_fig4(values: dict, seed: int):
 
 
 def _run_fig6(values: dict, seed: int):
-    rows, stats = two_stream_sweep(values, mux_sim.STRATEGIES, seed)
+    rows, stats = two_stream_sweep(values, matching.STRATEGIES, seed)
     checks = []
     for s in values["switches"]:
         h = stats[("hungarian_no_clash", s)]

@@ -511,9 +511,8 @@ def _window_core(bins1, bins2, reaches, network: DelayNetwork, lb=None):
     copy, b1 = copy[paired], b1[paired]
     b2 = bins2[take[paired] - copy * n2]
     keep = np.ones(b1.size, dtype=bool)
-    if b1.size:
-        keep[list(_lost_on_conflict(
-            _clash_couples(b1, b2 - b1, copy, stride, network)))] = False
+    keep[list(_lost_on_conflict(
+        _clash_couples(b1, b2 - b1, copy, stride, network)))] = False
     return b1, b2, keep, copy
 
 

@@ -19,6 +19,8 @@ from .delay_network import depth_for_bins
 GATE_PROB_3GHZ = 1.0 / 32.0     # heralded success of the six-photon generator
 PHOTONS_PER_GHZ = 6
 STAGE_P_MIN, STAGE_P_MAX = 0.8, 0.99   # the optimizer's stage-target grid
+# The highest overall target on that grid: both stages at STAGE_P_MAX.
+P_S_REACH = STAGE_P_MAX ** PHOTONS_PER_GHZ * STAGE_P_MAX
 
 
 @dataclass(frozen=True)
@@ -126,9 +128,8 @@ def unused_potential(eta: float, p_s: float):
                 best = (key, p1, p2, report)
             break  # p2 grid is ascending; larger p2 never costs less k_up2
     if best is None:
-        raise ValueError(
-            f"no (p1, p2) on the grid reaches p_s={p_s} (max "
-            f"{ps[-1] ** PHOTONS_PER_GHZ * ps[-1]:.4f})")
+        raise ValueError(f"no (p1, p2) on the grid reaches p_s={p_s} (max "
+                         f"{P_S_REACH:.4f})")
     _, p1, p2, report = best
     return (p1, p2, report.potential_ghz_mean - 1.0,
             report.stages[0].k_up, report.stages[1].k_up)

@@ -28,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .delay_network import DelayNetwork, max_delay
+from .delay_network import MAX_SWITCHES, DelayNetwork, max_delay
 from .matching import (STRATEGIES, Matching, _match_rows, _metrics_of,
                        _window_core)
 # Unused here; perfbench's tests check that its tracer reaches this binding.
@@ -87,7 +87,6 @@ class BellStats:
     total_switches: int
     bells_per_bin: float
     stderr: float
-    reps: int
     best_split: tuple             # (per-stream stage-1 depth, stage-2 depth)
 
 
@@ -131,22 +130,23 @@ def match_streams(s1: PhotonStream, s2: PhotonStream, network: DelayNetwork,
 
 def _batches(p: float, n_bins: int, reps: int, seed: int, n_streams: int,
              photons: int):
-    """Lists of consecutive repetitions (child r of SeedSequence(seed), the
-    `n_streams` streams its first generated words seed), each closed once it
-    holds `photons` photons or BLOCK_BINS stream bins, so that a block
+    """(slice, batch) per block of consecutive repetitions: `batch` lists
+    repetitions `slice` of range(reps) as (child r of SeedSequence(seed),
+    the `n_streams` streams its first generated words seed). A block closes
+    once it holds `photons` photons or BLOCK_BINS stream bins, so that it
     shares its per-call costs among its repetitions and memory does not
     grow with `reps`."""
-    batch, count = [], 0
-    for child in np.random.SeedSequence(seed).spawn(reps):
+    batch, count, r0 = [], 0, 0
+    for r, child in enumerate(np.random.SeedSequence(seed).spawn(reps)):
         words = child.generate_state(n_streams, dtype=np.uint64)
         rep = [generate_stream(p, n_bins, int(w)) for w in words]
         batch.append((child, rep))
         count += sum(st.photon_count for st in rep)
         if count >= photons or n_streams * n_bins * len(batch) >= BLOCK_BINS:
-            yield batch
-            batch, count = [], 0
+            yield slice(r0, r + 1), batch
+            batch, count, r0 = [], 0, r + 1
     if batch:
-        yield batch
+        yield slice(r0, reps), batch
 
 
 def simulate_two_stream(p: float, switches, n_bins: int, strategies,
@@ -163,13 +163,12 @@ def simulate_two_stream(p: float, switches, n_bins: int, strategies,
     networks = [DelayNetwork(s) for s in switches]
     # [strategy, count, (matched, clash, out of range, weight), repetition]
     values = np.empty((len(strategies), len(switches), 4, reps))
-    r0 = 0
-    for batch in _batches(p, n_bins, reps, seed, 2, MATCH_BLOCK_PHOTONS):
+    for reps_in, batch in _batches(p, n_bins, reps, seed, 2,
+                                   MATCH_BLOCK_PHOTONS):
         results = _match_rows([rep for _child, rep in batch], networks,
                               strategies).values()
         for i, (_kept, _lost, block) in enumerate(results):
-            values[i, :, :, r0:r0 + len(batch)] = block.transpose(1, 2, 0)
-        r0 += len(batch)
+            values[i, :, :, reps_in] = block.transpose(1, 2, 0)
     return {(strategy, s): StrategyStats(
                 strategy, s, float(matched.mean()), _stderr(matched),
                 float(clash.mean()), float(oor.mean()), float(weight.mean()))
@@ -358,17 +357,20 @@ def simulate_bell_sweep(p1: float, budgets, n_bins: int, reps: int, seed: int,
                 raise ValueError(
                     f"no feasible stage split for scheme {scheme!r} with "
                     f"{budget} switches")
-            DelayNetwork(max(map(max, splits)))     # raises past 64
+            stage = max(map(max, splits))
+            if stage > MAX_SWITCHES:
+                raise ValueError(
+                    f"scheme {scheme!r} with {budget} switches needs a "
+                    f"{stage}-switch stage; a network has at most "
+                    f"{MAX_SWITCHES} switches")
             plan[(scheme, budget)] = splits
     n_gates = max(map(len, plan.values()))
     rates = {key: np.zeros((len(splits), reps)) for key, splits in plan.items()}
-    r0 = 0
-    for batch in _batches(p1, n_bins, reps, seed, 4, BLOCK_PHOTONS):
+    for reps_in, batch in _batches(p1, n_bins, reps, seed, 4, BLOCK_PHOTONS):
         block = _Block([rep for _child, rep in batch], n_bins)
         # One spawn per repetition for every budget: a second call would
         # advance the child's spawn counter and move every later key.
         gate_seeds = [child.spawn(n_gates) for child, _rep in batch]
-        block_reps = slice(r0, r0 + len(batch))
         for i in range(n_gates):
             gates = _Gates([seeds[i] for seeds in gate_seeds])
             for scheme, (_networks, first, rate_fn) in table.items():
@@ -379,8 +381,7 @@ def simulate_bell_sweep(p1: float, budgets, n_bins: int, reps: int, seed: int,
                                           [plan[key][i][1] for key in keys],
                                           gates, block)
                     for key, row in zip(keys, split_rates):
-                        rates[key][i, block_reps] = row
-        r0 += len(batch)
+                        rates[key][i, reps_in] = row
     stats = {}
     for (scheme, budget), splits in plan.items():
         split_rates = rates[(scheme, budget)]
@@ -391,7 +392,6 @@ def simulate_bell_sweep(p1: float, budgets, n_bins: int, reps: int, seed: int,
             total_switches=budget,
             bells_per_bin=float(means[best]),
             stderr=_stderr(split_rates[best]),
-            reps=reps,
             best_split=splits[best],
         )
     return stats

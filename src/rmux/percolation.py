@@ -94,8 +94,9 @@ def fusion_loss_probability(p_l: float, a_l: float, n_lossy: int) -> float:
     relative scheme actively delays one of the fusion's photons
     (n_lossy = 1), the standard scheme both (n_lossy = 2, `lossy_inputs`).
     """
-    if not 0.0 <= p_l <= 1.0 or not 0.0 <= a_l <= 1.0:
-        raise ValueError("loss rates must be in [0, 1]")
+    for name, rate in (("p_l", p_l), ("a_l", a_l)):
+        if not 0.0 <= rate <= 1.0:
+            raise ValueError(f"{name} must be in [0, 1], got {rate}")
     if n_lossy not in (1, 2):
         raise ValueError(f"n_lossy must be 1 or 2, got {n_lossy}")
     return 1.0 - (1.0 - p_l) ** n_lossy * (1.0 - a_l) ** 2

@@ -58,7 +58,7 @@ def generate_stream(p: float, n_bins: int, seed: int) -> PhotonStream:
     and each bin is occupied when the next uniform draw is < p.
     """
     if not 0.0 <= p <= 1.0:
-        raise ValueError(f"emission probability must be in [0, 1], got {p}")
+        raise ValueError(f"p must be in [0, 1], got {p}")
     _check_n_bins(n_bins)
     rng = np.random.Generator(np.random.PCG64(seed))
     bins = rng.random(n_bins) < p

@@ -424,7 +424,7 @@ def bell_stats_direct(scheme, p1, s_total, n_bins, reps, seed) -> BellStats:
               else 0.0)
     return BellStats(scheme=scheme, total_switches=s_total,
                      bells_per_bin=float(means[best]), stderr=stderr,
-                     reps=reps, best_split=splits[best])
+                     best_split=splits[best])
 
 
 def assignment_matrix_direct(st1, st2, d_max) -> tuple:

@@ -18,7 +18,7 @@ from rmux.experiments import (
     parse_params,
     run_experiment,
 )
-from rmux.mux_sim import STRATEGIES
+from rmux.matching import STRATEGIES
 from rmux.streams import generate_stream, stream_to_text
 
 
@@ -233,9 +233,9 @@ def test_threshold_with_no_trials_names_the_trial_count(args, capsys,
 
 
 @pytest.mark.parametrize("args, error", [
-    (["fig8_thresholds", "--set", "a_l=2"], "loss rates must be in [0, 1]"),
+    (["fig8_thresholds", "--set", "a_l=2"], "a_l must be in [0, 1], got 2.0"),
     (["fig9_frontier", "--set", "a_l_grid=0,2"],
-     "loss rates must be in [0, 1]"),
+     "a_l must be in [0, 1], got 2.0"),
     (["fig8_thresholds", "--set", "finite_size_L=1"],
      "lattice needs L >= 2 cells per axis, got 1"),
     (["fig8_thresholds", "--set", "finite_size_L=6,0"],
@@ -247,6 +247,24 @@ def test_threshold_recipes_reject_bad_loss_inputs_before_sampling(
     _forbid_sampling(monkeypatch)
     assert main(["reproduce"] + args + ["--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err == f"error: {error}\n"
+
+
+# A rate out of [0, 1] is named as the code reads it, whichever key or
+# option set it, before any lattice is sampled or directory made.
+@pytest.mark.parametrize("argv, message", [
+    (["percolate", "--p-l", "1.5"], "p_l must be in [0, 1], got 1.5"),
+    (["percolate", "--mode", "threshold", "--a-l", "-0.5"],
+     "a_l must be in [0, 1], got -0.5"),
+    (["reproduce", "fig4", "--set", "p=1.5"], "p must be in [0, 1], got 1.5"),
+    (["match", "--p", "1.5"], "p must be in [0, 1], got 1.5"),
+], ids=["percolate_p_l", "percolate_a_l", "fig4_p", "match_p"])
+def test_out_of_range_rates_name_themselves(tmp_path, capsys, monkeypatch,
+                                            argv, message):
+    _forbid_sampling(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_fig8_with_no_finite_size_trials_names_the_trial_count(capsys,
@@ -306,7 +324,8 @@ def test_bell_budget_errors_name_the_option(capsys, forbid_streams, budgets,
     (["--budgets", "6,6"], "error: budget 6 is repeated"),
     (["--budgets", "8,6,8"], "error: budget 8 is repeated"),
     (["--scheme", "rmux", "--budgets", "67"],
-     "error: switch count must be in [1, 64], got 65"),
+     "error: scheme 'rmux' with 67 switches needs a 65-switch stage; a "
+     "network has at most 64 switches"),
 ])
 def test_bell_rejects_bad_sweep_before_sampling(capsys, forbid_streams, argv,
                                                 message):
@@ -497,8 +516,13 @@ def test_reproduce_fig2_rejects_bad_grid(tmp_path, capsys, override, message):
     assert message in capsys.readouterr().err
 
 
-# A stage target p_s must lie in (0, 1); every grid point is checked before
-# the first row, and the key the user set is named.
+# The optimizer's reach: both stages at 0.99, 0.99 ** 7.
+_REACH = "0.9320653479"
+
+
+# A stage target p_s must lie in (0, 1), and an overall one within the
+# optimizer's reach; every grid point is checked before the first row, and
+# the key the user set is named.
 @pytest.mark.parametrize("argv, message", [
     (["reproduce", "fig2", "--set", "ps_min=-0.01", "--set", "ps_max=0"],
      "ps_min must be in (0, 1), got -0.01"),
@@ -520,6 +544,12 @@ def test_reproduce_fig2_rejects_bad_grid(tmp_path, capsys, override, message):
     (["analytics", "--p2", "0"], "p2 must be in (0, 1), got 0.0"),
     (["analytics", "--mode", "table", "--p1", "1"],
      "p1 must be in (0, 1), got 1.0"),
+    (["reproduce", "fig2", "--set", "ps_max=0.95"],
+     f"ps_max must be at most {_REACH} (both stages at 0.99), got 0.95"),
+    (["reproduce", "fig2", "--set", "ps_min=0.935", "--set", "ps_max=0.94"],
+     f"ps_min must be at most {_REACH} (both stages at 0.99), got 0.935"),
+    (["analytics", "--mode", "waste", "--ps", "0.94"],
+     f"--ps must be at most {_REACH} (both stages at 0.99), got 0.94"),
 ])
 def test_stage_targets_outside_0_1_name_their_key(tmp_path, capsys,
                                                   monkeypatch, argv, message):
@@ -531,6 +561,15 @@ def test_stage_targets_outside_0_1_name_their_key(tmp_path, capsys,
     assert main(argv) == 1
     assert capsys.readouterr() == ("", f"error: {message}\n")
     assert not (tmp_path / "out").exists()
+
+
+def test_the_optimizers_reach_is_itself_a_target(capsys):
+    reach = repr(0.99 ** 6 * 0.99)
+    assert main(["analytics", "--mode", "waste", "--ps", reach, "--etas",
+                 "0.1"]) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    got = dict(zip(header.split(","), row.split(",")))
+    assert (got["best_p1"], got["best_p2"]) == ("0.99", "0.99")
 
 
 @pytest.mark.parametrize("overrides, last_ps", [
@@ -681,9 +720,10 @@ def test_reproduce_rejects_a_key_given_twice(tmp_path, capsys, monkeypatch,
     assert not (tmp_path / "out").exists()
 
 
+# `{cfg}` stands for the config file's path.
 @pytest.mark.parametrize("source, error", [
     ("--set", "--set needs key=value, got '=5'"),
-    ("--config", "bad config line (need key=value): '=5'"),
+    ("--config", "{cfg} needs key=value, got '=5'"),
 ])
 def test_reproduce_rejects_an_empty_key(tmp_path, capsys, monkeypatch,
                                         source, error):
@@ -693,7 +733,33 @@ def test_reproduce_rejects_an_empty_key(tmp_path, capsys, monkeypatch,
     given = [source, "=5" if source == "--set" else str(cfg)]
     assert main(["reproduce", "fig7", "--out", str(tmp_path / "out"),
                  *given]) == 1
-    assert capsys.readouterr() == ("", f"error: {error}\n")
+    assert capsys.readouterr() == ("", f"error: {error.format(cfg=cfg)}\n")
+    assert not (tmp_path / "out").exists()
+
+
+# `{cfg}` stands for the file's path, which each error names.
+@pytest.mark.parametrize("text, error", [
+    ("reps=2\n  = 5 # no key\n", "{cfg} needs key=value, got '= 5'"),
+    ("reps\n", "{cfg} needs key=value, got 'reps'"),
+    ("reps=2\n# reps=9\nbins=100\nreps = 1\n",
+     "{cfg} sets reps twice; drop one"),
+], ids=["no_key", "no_equals", "repeated_key"])
+def test_load_config_file_names_the_file(tmp_path, text, error):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(text)
+    with pytest.raises(ValueError) as err:
+        load_config_file(cfg)
+    assert str(err.value) == error.format(cfg=cfg)
+
+
+def test_fig7_budget_past_the_switch_limit_names_the_budget(
+        tmp_path, capsys, monkeypatch, forbid_streams):
+    # 70 switches split (1, 66) in the standard scheme: 66 is no value set.
+    monkeypatch.chdir(tmp_path)
+    assert main(["reproduce", "fig7", "--set", "budgets=5,70"]) == 1
+    assert capsys.readouterr() == (
+        "", "error: scheme 'standard' with 70 switches needs a 66-switch "
+        "stage; a network has at most 64 switches\n")
     assert not (tmp_path / "out").exists()
 
 
@@ -1009,6 +1075,19 @@ def test_importing_the_package_and_cli_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_importing_the_package_loads_no_module_and_no_numpy():
+    # The package re-exports nothing: each name comes from its own module.
+    src = str(Path(rmux.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = ("import sys, rmux; print(rmux.__version__, sorted(m for m in "
+            "sys.modules if m.startswith('rmux.') or m.split('.')[0] == "
+            "'numpy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == f"{rmux.__version__} []"
 
 
 def test_no_clash_sweep_loads_no_scipy():

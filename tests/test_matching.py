@@ -1061,9 +1061,9 @@ def test_fig4_sweep_counts_without_discard_records(tmp_path, monkeypatch):
         return metric_rows(sides, kept, lost)
 
     def recording_batches(*args):
-        for batch in batches(*args):
+        for reps_in, batch in batches(*args):
             blocks.append(len(batch))
-            yield batch
+            yield reps_in, batch
 
     monkeypatch.setattr(matching, "_repair_all", recording)
     monkeypatch.setattr(matching, "_metric_rows", counting_rows)

@@ -144,13 +144,33 @@ def _record_batches(monkeypatch) -> list:
     batches = mux_sim._batches
 
     def recording(*args):
-        for batch in batches(*args):
+        for reps_in, batch in batches(*args):
             seen.append([sum(st.photon_count for st in rep)
                          for _child, rep in batch])
-            yield batch
+            yield reps_in, batch
 
     monkeypatch.setattr(mux_sim, "_batches", recording)
     return seen
+
+
+# Each block holds 3 repetitions, by photons (p = 1: 100 photons a
+# repetition) or by stream bins (p = 0: 100 bins a repetition), so 7
+# repetitions make two full blocks and a short last one.
+@pytest.mark.parametrize("p, photons, block_bins", [
+    (1.0, 300, mux_sim.BLOCK_BINS), (0.0, 10 ** 6, 250)])
+def test_batches_slices_tile_the_repetitions_in_order(monkeypatch, p, photons,
+                                                      block_bins):
+    monkeypatch.setattr(mux_sim, "BLOCK_BINS", block_bins)
+    blocks = list(mux_sim._batches(p, 50, 7, 3, 2, photons))
+    assert [reps_in for reps_in, _batch in blocks] == [
+        slice(0, 3), slice(3, 6), slice(6, 7)]
+    children = np.random.SeedSequence(3).spawn(7)
+    for reps_in, batch in blocks:
+        assert len(batch) == len(children[reps_in])
+        for want, (child, streams) in zip(children[reps_in], batch):
+            assert child.spawn_key == want.spawn_key
+            assert [st.seed for st in streams] == want.generate_state(
+                2, dtype=np.uint64).tolist()
 
 
 # Several blocks and a last one cut short by the repetition count: at the
@@ -604,7 +624,9 @@ def test_bell_sweep_rejects_networks_past_the_switch_limit(
         raise AssertionError("streams sampled")
 
     monkeypatch.setattr(mux_sim, "_batches", no_batches)
-    with pytest.raises(ValueError, match=fr"\[1, 64\], got {switches}$"):
+    with pytest.raises(ValueError, match=(
+            fr"^scheme '{scheme}' with {budget} switches needs a {switches}-"
+            r"switch stage; a network has at most 64 switches$")):
         simulate_bell_sweep(0.3, [9, budget], 100, 3, seed=17,
                             schemes=(scheme,))
 
@@ -694,7 +716,8 @@ def test_fig7_csv_bytes_pinned(tmp_path):
     ({"budgets": [6, 8, 6]}, "budget 6 is repeated"),
     ({"budgets": []}, "budgets must name at least one budget"),
     ({"budgets": [9, 67], "schemes": ("rmux",)},
-     "switch count must be in [1, 64], got 65"),
+     "scheme 'rmux' with 67 switches needs a 65-switch stage; a network has "
+     "at most 64 switches"),
 ])
 def test_bell_sweep_validates_before_sampling(forbid_streams, kwargs,
                                               message):

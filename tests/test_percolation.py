@@ -734,19 +734,21 @@ def test_threshold_with_no_trials_is_rejected_before_sampling(threshold,
         threshold()
 
 
-@pytest.mark.parametrize("threshold", [
-    lambda: loss_threshold("rmux", 0.9, 2.0, 4, trials=10, seed=1),
-    lambda: percolation.loss_thresholds(("rmux", "standard"), 0.9,
-                                        [0.0, -0.1], 4, 10, 1, None),
-    lambda: tradeoff_frontier("rmux", 0.9, [0.0, 2.0], 4, trials=10, seed=1),
+@pytest.mark.parametrize("threshold, a_l", [
+    (lambda: loss_threshold("rmux", 0.9, 2.0, 4, trials=10, seed=1), 2.0),
+    (lambda: percolation.loss_thresholds(("rmux", "standard"), 0.9,
+                                         [0.0, -0.1], 4, 10, 1, None), -0.1),
+    (lambda: tradeoff_frontier("rmux", 0.9, [0.0, 2.0], 4, trials=10,
+                               seed=1), 2.0),
 ], ids=["loss_threshold", "loss_thresholds", "tradeoff_frontier"])
 def test_threshold_with_bad_ancilla_loss_is_rejected_before_sampling(
-        threshold, monkeypatch):
+        threshold, a_l, monkeypatch):
     def no_draws(*args, **kwargs):
         raise AssertionError("lattice sampled")
 
     monkeypatch.setattr("rmux.percolation._fusion_levels", no_draws)
-    with pytest.raises(ValueError, match=r"^loss rates must be in \[0, 1\]$"):
+    with pytest.raises(ValueError,
+                       match=fr"^a_l must be in \[0, 1\], got {a_l}$"):
         threshold()
 
 
