@@ -245,6 +245,12 @@ def main(argv=None) -> int:
         # a recipe key, before any work.
         kinds = {"seed": int, "switches": int, "ps": float, "p_l": float}
         vars(args).update(experiments.parse_params(kinds, _given(args))[0])
+        # A simple command's output files; `reproduce` checks its directory.
+        for name in ("out", "dump_routes") if args.command != "reproduce" else ():
+            path = getattr(args, name, None)
+            if path:
+                experiments.check_output_path(
+                    Path(path), f"--{name.replace('_', '-')}", is_file=True)
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

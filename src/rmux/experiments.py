@@ -502,13 +502,28 @@ _RUNNERS = {
 EXPERIMENTS = tuple(_RUNNERS)
 
 
+def check_output_path(path: Path, label: str, is_file: bool = False) -> None:
+    """Raise, before any work, the OSError that writing `path` would raise
+    after it, naming `label`. A directory is made with its parents, so the
+    first part of the path that exists must be a directory; a file needs
+    its parent directory, and must itself be no directory."""
+    found = next(part for part in (path, *path.parents) if part.exists())
+    if is_file and found == path:
+        if path.is_dir():
+            raise IsADirectoryError(f"{label} {path}: is a directory")
+    elif not found.is_dir():
+        raise NotADirectoryError(f"{label} {path}: {found} is not a directory")
+    elif is_file and found != path.parent:
+        raise FileNotFoundError(f"{label} {path}: directory {path.parent} "
+                                "does not exist")
+
+
 def run_experiment(config: ExperimentConfig) -> ReportBundle:
     """Execute one recipe: write its CSV data files and a summary, return
     its checks.
 
-    Every parameter is parsed, and the output path checked, before any
-    work: NotADirectoryError, the OSError `mkdir` would raise after it, if
-    the first part of the path that exists is not a directory. The output
+    Every parameter is parsed, and the output path checked
+    (`check_output_path`), before any work. The output
     directory is made only once the recipe has returned, so a recipe that
     fails leaves none. The summary gives each parsed value as one
     `key=value` line in `--set` syntax, in the table's order, each float as
@@ -517,11 +532,7 @@ def run_experiment(config: ExperimentConfig) -> ReportBundle:
     """
     values, unread = parse_params(PARAMETERS[config.experiment],
                                   config.parameters)
-    out = config.output_dir
-    found = next(part for part in (out, *out.parents) if part.exists())
-    if not found.is_dir():
-        raise NotADirectoryError(f"output directory {out}: {found} is not "
-                                 "a directory")
+    check_output_path(config.output_dir, "output directory")
     t0 = time.time()
     tables, checks, notes = _RUNNERS[config.experiment](values, config.seed)
     runtime = time.time() - t0

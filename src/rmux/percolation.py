@@ -141,6 +141,15 @@ def calibrated_semantics() -> OutcomeSemantics:
         heralded_site_kill_prob=CALIBRATED_HERALDED_SITE_KILL)
 
 
+# Trials per connected-components pass, and a cut sweep's cut rank per
+# needed rank: after d of n trials, each scheme's cut is the f* of rank
+# about _CUT_RANK * needed * d / n among them.
+_BLOCK_TRIALS = 4
+_CUT_RANK = 2.0
+# A block's graphs: its trials under both schemes.
+_BLOCK_GRAPHS = 2 * _BLOCK_TRIALS
+
+
 class DiamondLattice:
     """L^3-cell diamond lattice with its per-fusion table.
 
@@ -159,7 +168,8 @@ class DiamondLattice:
     photons: `fusion_owner` is the delayed end, the site a loss damages,
     and `fusion_passive` the other. Fusions whose ends differ make the
     bonds, numbered in fusion order: bond k joins `bond_site_a[k]` (the
-    delayed end) to `bond_site_b[k]`.
+    delayed end) to `bond_site_b[k]`. The trial kernels keep bonds in row
+    order instead (`row_*`), over face-free union-find nodes.
     """
 
     def __init__(self, L: int):
@@ -195,13 +205,25 @@ class DiamondLattice:
         per_slice = 2 * L * L
         self.face_start_sites = np.arange(per_slice)
         self.face_end_sites = np.arange(self.n_sites - per_slice, self.n_sites)
-        # The bonds' ends as spanning union-find nodes: the sites, with each
-        # face's sites merged into a node of its own, numbered last; and the
-        # bonds sorted by their first node, the row order of a sparse graph.
-        node = np.arange(self.n_sites)
-        node[self.face_start_sites], node[self.face_end_sites] = self.n_sites, self.n_sites + 1
-        self.bond_nodes = node[[self.bond_site_a, self.bond_site_b]].astype(np.int32)
-        self.bonds_by_node = np.argsort(self.bond_nodes[0], kind="stable")
+        # The spanning union-find nodes: interior site j is node j - per_slice,
+        # and each face is one node, n_inner and n_inner + 1. The kernels
+        # hold bonds in row order, sorted by first node as the rows of a
+        # sparse graph: row r is bond bonds_by_node[r].
+        self.n_inner = self.n_sites - 2 * per_slice
+        node = np.arange(self.n_sites) - per_slice
+        node[self.face_start_sites] = self.n_inner
+        node[self.face_end_sites] = self.n_inner + 1
+        nodes = node[[self.bond_site_a, self.bond_site_b]].astype(np.int32)
+        self.bonds_by_node = by_node = np.argsort(nodes[0], kind="stable")
+        self.row_fusions = self.bond_fusions[by_node]
+        self.row_sites = np.stack([self.bond_site_a[by_node],
+                                   self.bond_site_b[by_node]])
+        # The block-diagonal edge table of _BLOCK_GRAPHS graphs, graph g's
+        # nodes offset by g * (n_inner + 2); a block of G graphs is its head.
+        offsets = np.arange(_BLOCK_GRAPHS, dtype=np.int32)[:, None]
+        self.block_edges = (nodes[:, None, by_node]
+                            + offsets * (self.n_inner + 2)).reshape(2, -1)
+        self.row_nodes = self.block_edges[:, :self.n_bonds]
 
     def site_index(self, x, y, t, sub):
         """Index of site `sub` of cell (x, y, t); takes ints or arrays."""
@@ -223,9 +245,10 @@ def _fusion_levels(lattice: DiamondLattice, semantics: OutcomeSemantics,
     """One trial's draws per fusion (u, v, w_site), as levels.
 
     Returns (owner, passive, bond): fusion i is lost at fusion loss f iff
-    u[i] < f, so bond k is present iff f <= bond[k], and a loss spares site
-    j iff f <= owner[j] or, under `_site_levels`, f <= min(owner[j],
-    passive[j]) (each the least u over j's `site_tables` column).
+    u[i] < f, so row r's bond is present iff f <= bond[r], and a loss
+    spares site j iff f <= owner[j] or, under `_site_levels`, f <=
+    min(owner[j], passive[j]) (each the least u over j's `site_tables`
+    column).
 
     A heralded assembly failure drawn to kill its owner sets the owner's
     level to -inf. Had the fusion been lost instead, its u would already
@@ -242,7 +265,7 @@ def _fusion_levels(lattice: DiamondLattice, semantics: OutcomeSemantics,
         killed = (~lattice.fusion_is_bond & (v >= FUSION_SUCCESS_PROB)
                   & (w[0] < semantics.heralded_site_kill_prob))
         owner[lattice.fusion_owner[killed]] = -np.inf
-    k = lattice.bond_fusions
+    k = lattice.row_fusions
     bond = np.where(v[k] < FUSION_SUCCESS_PROB, u[k], -np.inf)
     return owner, passive, bond
 
@@ -265,29 +288,32 @@ def sample_lattice_state(lattice: DiamondLattice, scheme: str, p_l: float,
     """
     f_l = fusion_loss_probability(p_l, a_l, lossy_inputs(scheme))
     owner, passive, bond = _fusion_levels(lattice, semantics, rng)
+    present = np.empty(lattice.n_bonds, dtype=bool)
+    present[lattice.bonds_by_node] = bond >= f_l      # rows to bond order
     return LatticeState(lattice, _site_levels(scheme, owner, passive) >= f_l,
-                        bond >= f_l)
+                        present)
 
 
-def _bond_levels(lattice: DiamondLattice, site_level, bond_level):
-    """Highest level at which each bond is usable: f <= bond_level[k] and
-    f <= site_level at both its ends. On booleans, whether it is usable."""
-    a, b = lattice.bond_site_a, lattice.bond_site_b
-    return np.minimum(bond_level, np.minimum(site_level[a], site_level[b]))
+def _bond_levels(lattice: DiamondLattice, site_level, bond_level, out=None):
+    """Highest level at which each row's bond is usable: f <= bond_level[r]
+    and f <= site_level at both its ends. On booleans, whether it is usable."""
+    a, b = lattice.row_sites
+    out = np.minimum(site_level[a], site_level[b], out=out)
+    return np.minimum(bond_level, out, out=out)
 
 
 def _critical_level(lattice: DiamondLattice, level, parent, cut) -> float:
     """Highest level below `cut` at which usable bonds join the faces, or -inf.
 
-    Bonds at levels in (-inf, cut) merge from the highest level down into
-    the union-find `parent` over `bond_nodes`, whose face nodes are
+    Rows at levels in (-inf, cut) merge from the highest level down into
+    the union-find `parent` over `row_nodes`, whose face nodes are
     numbered last and are roots: linking the lower root under the higher
     keeps them roots.
     """
     below = np.flatnonzero((level > -np.inf) & (level < cut))
     order = below[np.argsort(-level[below])]
-    n = lattice.n_sites
-    for i, (x, y) in enumerate(zip(*lattice.bond_nodes[:, order].tolist())):
+    n = lattice.n_inner
+    for i, (x, y) in enumerate(zip(*lattice.row_nodes[:, order].tolist())):
         while parent[x] != x:                   # path halving
             parent[x] = x = parent[parent[x]]
         while parent[y] != y:
@@ -301,9 +327,9 @@ def _critical_level(lattice: DiamondLattice, level, parent, cut) -> float:
 
 
 def _cut_pass(lattice: DiamondLattice, levels, cuts):
-    """Critical levels of G graphs, one per row of `levels` (G, n_bonds),
-    each censored at its own cut: +inf where the bonds at or above the cut
-    already join the faces, else the exact level.
+    """Critical levels of G <= _BLOCK_GRAPHS graphs, one per row of `levels`
+    (G, n_bonds, row order), each censored at its own cut: +inf where the
+    bonds at or above the cut already join the faces, else the exact level.
 
     One connected-components call over the block-diagonal graph of the
     bonds at or above each cut gives every graph its forest: each node
@@ -311,21 +337,21 @@ def _cut_pass(lattice: DiamondLattice, levels, cuts):
     node. The sweep then merges only the bonds below the cut, which leaves
     the level at which the faces join unchanged.
     """
-    G, m = len(levels), lattice.n_sites + 2
-    by_node = lattice.bonds_by_node
-    nodes = lattice.bond_nodes[:, by_node]
-    kept = np.take(levels >= cuts[:, None], by_node, axis=1)
-    rows, cols = np.concatenate([np.compress(keep, nodes, axis=1) + g * m
-                                 for g, keep in enumerate(kept)], axis=1)
+    G, m = len(levels), lattice.n_inner + 2
+    keep = (levels >= cuts[:, None]).ravel()
+    rows, cols = np.compress(keep, lattice.block_edges[:, :keep.size], axis=1)
     n_parts, labels = _connected_components(rows, cols, G * m)
     labels = labels.reshape(G, m)
+    f_star = np.full(G, np.inf)
+    apart = np.flatnonzero(labels[:, -2] != labels[:, -1])
+    lab = labels[apart]
     root = np.empty(n_parts, dtype=np.int64)
-    root[labels] = np.arange(m)                 # some member of each
-    root[labels[:, -2:]] = (m - 2, m - 1)       # the face nodes
-    return np.array([
-        np.inf if lab[-2] == lab[-1]
-        else _critical_level(lattice, level, root[lab].tolist(), cut)
-        for level, lab, cut in zip(levels, labels, cuts)])
+    root[lab] = np.arange(m)                    # some member of each
+    root[lab[:, -2:]] = (m - 2, m - 1)          # the face nodes
+    for g, lab_g in zip(apart.tolist(), lab):
+        f_star[g] = _critical_level(lattice, levels[g], root[lab_g].tolist(),
+                                    cuts[g])
+    return f_star
 
 
 def _connected_components(rows, cols, size):
@@ -352,8 +378,10 @@ def _spanning(lattice: DiamondLattice, usable) -> np.ndarray:
 
 def spans(state: LatticeState) -> bool:
     """Whether a path of present bonds over alive sites joins the faces."""
-    usable = _bond_levels(state.lattice, state.site_alive, state.bond_present)
-    return bool(_spanning(state.lattice, usable[None])[0])
+    lattice = state.lattice
+    usable = _bond_levels(lattice, state.site_alive,
+                          state.bond_present[lattice.bonds_by_node])
+    return bool(_spanning(lattice, usable[None])[0])
 
 
 def _check_L(L) -> None:
@@ -385,16 +413,10 @@ def _level_rows(lattice, schemes, semantics, seeds, ts, rows):
     for i, t in enumerate(ts):
         owner, passive, bond = _fusion_levels(lattice, semantics,
                                               _rng(seeds[t]))
-        rows[i] = [_bond_levels(lattice, _site_levels(
-            scheme, owner, passive), bond) for scheme in schemes]
+        for row, scheme in zip(rows[i], schemes):
+            _bond_levels(lattice, _site_levels(scheme, owner, passive), bond,
+                         out=row)
     return rows[:len(ts)].reshape(-1, lattice.n_bonds)
-
-
-# Trials per connected-components pass, and a cut sweep's cut rank per
-# needed rank: after d of n trials, each scheme's cut is the f* of rank
-# about _CUT_RANK * needed * d / n among them.
-_BLOCK_TRIALS = 4
-_CUT_RANK = 2.0
 
 
 def percolation_probability(L: int, scheme: str, p_l: float, a_l: float,
@@ -440,8 +462,9 @@ def _critical_losses(L, schemes, trials, seed, semantics,
     smallest f*, so only the trials near that rank are swept below their
     cut. Only each row's `needed` (default: all) smallest f* are sure to be
     exact: another entry may read +inf for an f* above them. A censored
-    trial whose cut is not above the `needed`-th smallest is drawn again
-    and swept in full, so that value is the plain sweep's, bit for bit.
+    trial whose cut is not above v, the `needed`-th smallest, is drawn
+    again and swept at a cut just above v, so that value is the plain
+    sweep's, bit for bit.
     """
     semantics, lattice, seeds = _trials(L, trials, seed, semantics)
     needed = trials if needed is None else needed
@@ -466,9 +489,10 @@ def _critical_losses(L, schemes, trials, seed, semantics,
         if rank <= done:
             cuts = np.partition(f_star[:, :done], rank - 1, axis=1)[:, rank - 1]
     # A trial drawn again can only lower v, which adds none to redo: once.
+    # Its cut just above v makes every f* <= v exact, and so the new v.
     v = np.partition(f_star, needed - 1, axis=1)[:, needed - 1]
     redo = np.isposinf(f_star) & (bound <= v[:, None])
-    bound[redo] = np.inf
+    np.copyto(bound, np.nextafter(v, np.inf)[:, None], where=redo)
     redo = np.flatnonzero(redo.any(axis=0))
     for start in range(0, redo.size, _BLOCK_TRIALS):
         block = redo[start:start + _BLOCK_TRIALS]
@@ -484,6 +508,8 @@ def loss_thresholds(schemes, target, a_l_values, L, trials, seed, semantics,
     if not 0.0 < target < 1.0:
         raise ValueError(f"target must be in (0, 1), got {target}")
     _check_trials(trials)   # before the rank is read from no trials
+    if len(set(schemes)) < len(schemes):    # a block holds each scheme once
+        raise ValueError(f"schemes must be distinct, got {tuple(schemes)}")
     ancilla = np.asarray(a_l_values, dtype=float) * (not equal_ancilla_loss)
     # f_l at zero photon loss by scheme and a_l: checks a_l before any trial.
     floors = [[fusion_loss_probability(0.0, a, lossy_inputs(scheme))

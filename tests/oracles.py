@@ -3,7 +3,9 @@
 These deliberately avoid the production shortcuts: the routing oracle
 enumerates every per-photon rail sequence instead of using the binary
 decomposition, the assignment oracle tries all n! permutations, the
-spanning oracle is a breadth-first path search instead of union-find, and
+spanning oracle is a breadth-first path search instead of union-find,
+the cut-pass oracle sweeps every bond of each graph through a plain
+union-find in place of one components call and a censored sweep, and
 the lattice-state oracle applies each outcome rule to the fusions at one
 loss rate instead of thresholding per-site and per-bond loss levels, and
 the Bell oracle simulates one switch budget at a time, recomputing stage 1
@@ -27,6 +29,7 @@ form, which samples nothing.
 """
 
 import itertools
+import math
 from collections import deque
 
 import numpy as np
@@ -193,6 +196,38 @@ def critical_losses_direct(L, scheme, trials, seed, semantics=None):
                 break
             parent[x] = y
     return f_star
+
+
+def cut_pass_direct(lattice, levels, cuts):
+    """Critical levels of the graphs in the rows of `levels` (bond order),
+    each censored at its cut: a plain union-find over the sites, with each
+    face merged into a node of its own, merges every usable bond from the
+    highest level down until the faces join, at f*; the graph reads +inf
+    if f* >= cut, else f*."""
+    n = lattice.n_sites
+    node = {**{int(j): n for j in lattice.face_start_sites},
+            **{int(j): n + 1 for j in lattice.face_end_sites}}
+    ends = [(node.get(int(a), int(a)), node.get(int(b), int(b)))
+            for a, b in zip(lattice.bond_site_a, lattice.bond_site_b)]
+    out = []
+    for level, cut in zip(levels.tolist(), cuts.tolist()):
+        parent = list(range(n + 2))
+
+        def find(x):
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        f_star = -math.inf
+        for k in sorted(range(len(level)), key=lambda k: -level[k]):
+            if level[k] == -math.inf:
+                break
+            parent[find(ends[k][0])] = find(ends[k][1])
+            if find(n) == find(n + 1):
+                f_star = level[k]
+                break
+        out.append(math.inf if f_star >= cut else f_star)
+    return np.array(out)
 
 
 def _standard_rate_direct(streams, s1, s2, gate_rng):

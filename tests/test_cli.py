@@ -97,6 +97,12 @@ def test_recipe_csv_rows_have_header_width(tmp_path, experiment, params):
             path.name)
 
 
+# fig8 at L = 10, 6 and 14, where some censored trials are drawn again
+# (`test_the_pinned_fig8_run_redraws_trials`).
+_FIG8_REDRAWS = {"L": "10", "finite_size_L": "6,14", "trials": "200",
+                 "finite_size_trials": "100"}
+
+
 # sha256 of each recipe's CSVs, in write order, at these parameters: a
 # refactor must leave these bytes unchanged.
 @pytest.mark.parametrize("experiment, params, seed, sha256", [
@@ -116,12 +122,28 @@ def test_recipe_csv_rows_have_header_width(tmp_path, experiment, params):
     ("fig9_frontier", {"L": "6", "trials": "60", "a_l_grid": "0,0.01,0.02"},
      20170324,
      "b96b6beab5f75ae05f4c3f120ac28af1bbdd111afafed6fd67f0e84b0780a0d9"),
+    ("fig8_thresholds", _FIG8_REDRAWS, 1,
+     "6b7045b8a75d9b999133a90665afae74d171803c818b0d0adf266240505a2b1e"),
 ])
 def test_recipe_csv_bytes_pinned(tmp_path, experiment, params, seed, sha256):
     bundle = run_experiment(ExperimentConfig(experiment, params, seed,
                                              tmp_path))
     data = b"".join(path.read_bytes() for path in bundle.csv_paths)
     assert hashlib.sha256(data).hexdigest() == sha256
+
+
+def test_the_pinned_fig8_run_redraws_trials(tmp_path, monkeypatch):
+    draws = []
+    levels = percolation._fusion_levels
+
+    def counting(*args):
+        draws.append(args[0].L)
+        return levels(*args)
+
+    monkeypatch.setattr(percolation, "_fusion_levels", counting)
+    run_experiment(ExperimentConfig("fig8_thresholds", _FIG8_REDRAWS, 1,
+                                    tmp_path))
+    assert len(draws) > 200 + 2 * 100
 
 
 # sha256 of `percolate --mode prob` stdout: one run with a heralded kill
@@ -702,6 +724,57 @@ def test_an_output_path_through_a_file_fails_before_any_work(
                             "not a directory\n")
     assert list(tmp_path.iterdir()) == [blocker]
     assert blocker.read_text() == "kept\n"
+
+
+# Each simple command that samples or computes, with an --out file.
+_SIMPLE_COMMANDS = {
+    "percolate_threshold": ["percolate", "--mode", "threshold", "--L", "10",
+                            "--trials", "1500"],
+    "percolate_prob": ["percolate", "--mode", "prob", "--L", "4"],
+    "bell": ["bell", "--reps", "2", "--bins", "50"],
+    "match": ["match", "--reps", "2", "--bins", "50"],
+    "analytics_waste": ["analytics", "--mode", "waste"],
+}
+
+
+@pytest.mark.parametrize("where", ["missing_dir", "a_dir", "through_a_file"])
+@pytest.mark.parametrize("command", list(_SIMPLE_COMMANDS))
+def test_a_simple_commands_out_file_is_checked_before_any_work(
+        tmp_path, capsys, monkeypatch, command, where):
+    _forbid_all_work(monkeypatch)
+    (tmp_path / "F").write_text("kept\n")
+    out, message = {
+        "missing_dir": (tmp_path / "none" / "x.csv",
+                        f"directory {tmp_path / 'none'} does not exist"),
+        "a_dir": (tmp_path, "is a directory"),
+        "through_a_file": (tmp_path / "F" / "x.csv",
+                           f"{tmp_path / 'F'} is not a directory"),
+    }[where]
+    assert main([*_SIMPLE_COMMANDS[command], "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --out {out}: {message}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["F"]
+
+
+def test_match_dump_routes_is_checked_before_any_work(tmp_path, capsys,
+                                                      monkeypatch):
+    for i in (1, 2):
+        (tmp_path / f"s{i}.txt").write_text(
+            stream_to_text(generate_stream(0.3, 40, i)))
+
+    def no_match(*args, **kwargs):
+        raise AssertionError("streams matched")
+
+    monkeypatch.setattr("rmux.mux_sim.match_streams", no_match)
+    routes = tmp_path / "none" / "routes.csv"
+    assert main(["match", "--stream1", str(tmp_path / "s1.txt"),
+                 "--stream2", str(tmp_path / "s2.txt"), "--dump-routes",
+                 str(routes)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: --dump-routes {routes}: directory "
+                            f"{routes.parent} does not exist\n")
 
 
 @pytest.mark.parametrize("source", ["--set", "--config"])

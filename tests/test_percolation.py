@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import critical_losses_direct, sample_state_direct, spans_bfs
+from oracles import (critical_losses_direct, cut_pass_direct,
+                     sample_state_direct, spans_bfs)
 from rmux import percolation
 from rmux.experiments import ExperimentConfig, run_experiment
 from rmux.percolation import (
@@ -425,6 +426,64 @@ def test_union_find_matches_bfs_oracle_on_sampled_L6_lattices(scheme,
     assert outcomes == {True, False}
 
 
+@pytest.mark.parametrize("L", [2, 3, 4])
+def test_spanning_nodes_number_the_interior_then_each_face(L):
+    lat = DiamondLattice(L)
+    node_of = {}
+    for sites, nodes in zip(lat.row_sites.T.tolist(),
+                            lat.row_nodes.T.tolist()):
+        for site, node in zip(sites, nodes):
+            assert node_of.setdefault(site, node) == node
+    n_inner = 2 * L * L * (L - 2)
+    assert lat.n_inner == n_inner and len(node_of) == lat.n_sites
+    start, end = lat.face_start_sites.tolist(), lat.face_end_sites.tolist()
+    assert {node_of[j] for j in start} == {n_inner}
+    assert {node_of[j] for j in end} == {n_inner + 1}
+    interior = set(range(lat.n_sites)) - set(start) - set(end)
+    assert sorted(node_of[j] for j in interior) == list(range(n_inner))
+    # row r is bond bonds_by_node[r]
+    by_node = lat.bonds_by_node
+    np.testing.assert_array_equal(lat.row_sites, [lat.bond_site_a[by_node],
+                                                  lat.bond_site_b[by_node]])
+    np.testing.assert_array_equal(lat.row_fusions, lat.bond_fusions[by_node])
+    # the block table: each graph's rows, offset, its row column ascending
+    table = lat.block_edges
+    assert (np.diff(table[0]) >= 0).all()
+    blocks = np.split(table, percolation._BLOCK_GRAPHS, axis=1)
+    for g, block in enumerate(blocks):
+        np.testing.assert_array_equal(block, lat.row_nodes + g * (n_inner + 2))
+
+
+@pytest.mark.parametrize("G", range(1, 9))
+@pytest.mark.parametrize("L", [2, 3])
+def test_cut_pass_equals_the_per_graph_union_find(L, G):
+    lat = DiamondLattice(L)
+    rng = np.random.default_rng(10 * L + G)
+    seen = set()
+    for rep in range(6):
+        # Few distinct levels, so ties are common; graphs alternate between
+        # few and most bonds unusable, so most span and most do not.
+        levels = rng.choice([0.1, 0.2, 0.3, 0.5], size=(G, lat.n_bonds))
+        unusable = np.where((np.arange(G) + rep) % 2, 0.85, 0.2)[:, None]
+        levels[rng.random(levels.shape) < unusable] = -np.inf
+        if rep % 2:     # distinct levels
+            levels = np.where(levels > -np.inf,
+                              rng.random(levels.shape), -np.inf)
+        exact = cut_pass_direct(lat, levels, np.full(G, np.inf))
+        # Cuts of -inf and +inf, at f* (censored), just above it (exact),
+        # above every level (no bond kept) and at a tied level.
+        options = [(-np.inf, np.inf, f, np.nextafter(f, np.inf), 2.0, 0.2)
+                   for f in exact]
+        cuts = np.array([opts[(g + rep) % 6]
+                         for g, opts in enumerate(options)])
+        got = percolation._cut_pass(lat, levels[:, lat.bonds_by_node], cuts)
+        want = cut_pass_direct(lat, levels, cuts)
+        assert got.tolist() == want.tolist()
+        seen.update(np.sign(want[np.isfinite(want)]).tolist())
+        seen.update(want[~np.isfinite(want)].tolist())
+    assert {np.inf, -np.inf, 1.0} <= seen
+
+
 # ------------------------------------------------------------ estimation
 
 def test_lossless_lattice_percolates():
@@ -629,9 +688,10 @@ def test_cut_thresholds_equal_the_plain_order_statistic(L, sem_name):
                 for f, n in zip(expected, (1, 2))]
 
 
-def test_cut_below_the_read_rank_falls_back_to_full_sweeps(monkeypatch):
+def test_cut_below_the_read_rank_redraws_the_trials_it_censored(monkeypatch):
     # a cut under the read rank censors trials the order statistic needs;
-    # the exactness gate draws them again and sweeps them in full
+    # the exactness gate draws them again and sweeps them at a cut just
+    # above the read value
     sem, trials = calibrated_semantics(), 120
     k = _read_rank(trials, 0.9)
     expected = _plain_sorted(6, trials, 8, sem)[:, k].tolist()
@@ -750,6 +810,19 @@ def test_threshold_with_bad_ancilla_loss_is_rejected_before_sampling(
     with pytest.raises(ValueError,
                        match=fr"^a_l must be in \[0, 1\], got {a_l}$"):
         threshold()
+
+
+def test_loss_thresholds_rejects_a_repeated_scheme_before_sampling(
+        monkeypatch):
+    # A block's edge table holds each of the two schemes' graphs once.
+    def no_draws(*args, **kwargs):
+        raise AssertionError("lattice sampled")
+
+    monkeypatch.setattr("rmux.percolation._fusion_levels", no_draws)
+    with pytest.raises(ValueError, match=r"^schemes must be distinct, got "
+                       r"\('rmux', 'standard', 'rmux'\)$"):
+        percolation.loss_thresholds(("rmux", "standard", "rmux"), 0.9,
+                                    [0.0], 4, 20, 1, None)
 
 
 def test_threshold_is_the_crossing():
